@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ibis_bench::experiments::harness::uniform_group;
-use ibis_bitmap::{EqualityBitmapIndex, QueryCost, RangeBitmapIndex};
+use ibis_bitmap::{EqualityBitmapIndex, RangeBitmapIndex};
 use ibis_bitvec::Wah;
-use ibis_core::{Interval, MissingPolicy};
+use ibis_core::{Interval, MissingPolicy, WorkCounters};
 use std::hint::black_box;
 
 const N_ROWS: usize = 100_000;
@@ -28,13 +28,13 @@ fn benches(c: &mut Criterion) {
             };
             g.bench_function(BenchmarkId::new(format!("bee/{tag}"), card), |b| {
                 b.iter(|| {
-                    let mut cost = QueryCost::zero();
+                    let mut cost = WorkCounters::zero();
                     black_box(bee.evaluate_interval(0, iv, policy, &mut cost))
                 })
             });
             g.bench_function(BenchmarkId::new(format!("bre/{tag}"), card), |b| {
                 b.iter(|| {
-                    let mut cost = QueryCost::zero();
+                    let mut cost = WorkCounters::zero();
                     black_box(bre.evaluate_interval(0, iv, policy, &mut cost))
                 })
             });

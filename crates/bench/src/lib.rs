@@ -6,9 +6,9 @@
 //! Each experiment is a library function in [`experiments`] returning
 //! [`report::Table`]s, so the same code drives:
 //!
-//! * one binary per experiment (`fig1`, `fig4a`, …, `ablation_reorder`) that
-//!   prints the paper-style table and writes a CSV under `results/`;
-//! * the `figures` binary that runs everything in sequence;
+//! * the `figures` binary, which runs the named experiments (all of them
+//!   when none is named), prints the paper-style tables and writes one CSV
+//!   per table under `results/`;
 //! * the Criterion micro-benches under `benches/`.
 //!
 //! ## Scale
@@ -32,28 +32,6 @@ pub mod experiments;
 pub mod report;
 
 use std::time::Instant;
-
-/// The shared `main` of every single-experiment binary: resolve the named
-/// experiment, run it at the environment-configured scale, print each table
-/// and write it to `results/<name>.csv`.
-///
-/// # Panics
-/// Panics if `name` is not registered in [`experiments::all`] or the
-/// results directory is unwritable.
-pub fn run_experiment_main(name: &str) {
-    let scale = config::Scale::from_env();
-    eprintln!("running {name} at scale {scale:?}");
-    let runner = experiments::all()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("experiment {name:?} not registered"))
-        .1;
-    for table in runner(&scale) {
-        table
-            .emit(std::path::Path::new("results"))
-            .expect("write results/");
-    }
-}
 
 /// Times a closure, returning its result and elapsed milliseconds.
 pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {

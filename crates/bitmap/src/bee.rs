@@ -1,10 +1,12 @@
 //! Bitmap Equality Encoding (BEE) — §4.2 of the paper.
 
-use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
-use ibis_bitvec::BitStore;
-use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
+use ibis_bitvec::{BitStore, OpTally};
+use ibis_core::{
+    AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
+};
+use std::sync::OnceLock;
 
 /// Equality-encoded bitmap index over an incomplete relation.
 ///
@@ -20,10 +22,35 @@ use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Resu
 /// cheaper of the in-range or out-of-range bitmap sets (complementing in the
 /// latter case), giving the paper's worst-case bound of
 /// `min(AS, 1−AS)·C + 1` bitmap reads per dimension.
+///
+/// Over the [`ibis_bitvec::Adaptive`] backend the work counters are
+/// container-exact:
+///
+/// ```
+/// use ibis_bitmap::AdaptiveBitmapIndex; // = EqualityBitmapIndex<Adaptive>
+/// use ibis_core::{AccessMethod, Cell, Dataset, MissingPolicy, Predicate, RangeQuery};
+///
+/// let data = Dataset::from_rows(
+///     &[("grade", 5)],
+///     &[vec![Cell::present(4)], vec![Cell::MISSING], vec![Cell::present(1)]],
+/// )?;
+/// let idx = AdaptiveBitmapIndex::build(&data);
+/// let q = RangeQuery::new(vec![Predicate::range(0, 3, 5)], MissingPolicy::IsMatch)?;
+/// let (rows, cost) = idx.execute_with_cost(&q)?;
+/// assert_eq!(rows.rows(), &[0, 1]); // row 1 matches via missing
+/// // Every container an operation read is classified by shape.
+/// assert_eq!(
+///     cost.containers_array + cost.containers_bitmap + cost.containers_run,
+///     cost.bitmaps_accessed + cost.logical_ops,
+/// );
+/// # Ok::<(), ibis_core::Error>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct EqualityBitmapIndex<B: BitStore> {
     attrs: Vec<BeeAttr<B>>,
     n_rows: usize,
+    /// Cached [`engine::words_per_read`].
+    read_words: OnceLock<f64>,
 }
 
 #[derive(Clone, Debug)]
@@ -43,6 +70,7 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
         EqualityBitmapIndex {
             attrs,
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         }
     }
 
@@ -71,6 +99,7 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
         EqualityBitmapIndex {
             attrs,
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         }
     }
 
@@ -102,6 +131,7 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
             }
         }
         self.n_rows += 1;
+        self.read_words = OnceLock::new();
         Ok(())
     }
 
@@ -140,6 +170,13 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
         self.size_report().total_bytes()
     }
 
+    /// What one read of every stored bitmap touches: the payload words and,
+    /// over the adaptive backend, how many stored containers sit in each
+    /// shape — the census the containers experiment reports.
+    pub fn stored_tally(&self) -> OpTally {
+        engine::stored_tally(self).1
+    }
+
     /// Evaluates one interval over one attribute (Fig. 2), accumulating
     /// work counters into `cost`.
     ///
@@ -151,7 +188,7 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         let a = &self.attrs[attr];
         let c = a.cardinality as usize;
@@ -169,38 +206,31 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
         // comparing set sizes keeps the min(AS, 1−AS)·C + 1 bound tight).
         let width = v2 - v1 + 1;
         if width <= c - width {
-            let mut acc = crate::or_all(a.values[v1 - 1..v2].iter(), cost)
+            let mut acc = engine::or_all(a.values[v1 - 1..v2].iter(), cost)
                 .expect("in-range set is non-empty");
             if policy == MissingPolicy::IsMatch {
                 if let Some(m) = &a.missing {
                     cost.read_bitmap();
-                    cost.op();
-                    acc = acc.or(m);
+                    acc = engine::or(&acc, m, cost);
                 }
             }
             acc
         } else {
             let outside = a.values[..v1 - 1].iter().chain(a.values[v2..].iter());
-            let mut acc = crate::or_all(outside, cost);
+            let mut acc = engine::or_all(outside, cost);
             if policy == MissingPolicy::IsNotMatch {
                 // Missing rows are 0 in every value bitmap, so the plain
                 // complement would (re-)include them; OR `B_0` in first.
                 if let Some(m) = &a.missing {
                     cost.read_bitmap();
                     acc = Some(match acc {
-                        Some(x) => {
-                            cost.op();
-                            x.or(m)
-                        }
-                        None => m.clone(),
+                        Some(x) => engine::or(&x, m, cost),
+                        None => engine::fetch(m, cost),
                     });
                 }
             }
             match acc {
-                Some(x) => {
-                    cost.op();
-                    x.not()
-                }
+                Some(x) => engine::not(&x, cost),
                 None => B::ones(self.n_rows), // full-domain range, no exclusions
             }
         }
@@ -209,8 +239,8 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
     /// Executes a query, also returning the work counters.
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 }
 
@@ -229,32 +259,48 @@ impl<B: BitStore> BitmapExec for EqualityBitmapIndex<B> {
         self.attrs[attr].cardinality
     }
 
+    fn exec_stored(&self) -> impl Iterator<Item = &B> {
+        self.attrs
+            .iter()
+            .flat_map(|a| a.values.iter().chain(a.missing.iter()))
+    }
+
+    fn exec_read_words(&self) -> &OnceLock<f64> {
+        &self.read_words
+    }
+
     fn exec_interval(
         &self,
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         self.evaluate_interval(attr, iv, policy, cost)
     }
 }
 
 impl<B: BitStore> AccessMethod for EqualityBitmapIndex<B> {
+    // The planner's registry is keyed by name, and a database may maintain
+    // the container-backed equality index beside the WAH one.
     fn name(&self) -> &'static str {
-        "bitmap-equality"
+        if B::backend_name() == "adaptive" {
+            "bitmap-adaptive"
+        } else {
+            "bitmap-equality"
+        }
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        EqualityBitmapIndex::execute_with_cost(self, query)
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 
     fn execute_with_cost_threads(
         &self,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+    ) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -262,12 +308,12 @@ impl<B: BitStore> AccessMethod for EqualityBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // §6: min(AS, 1−AS)·C + 1 bitmaps per dimension, scaled to words.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |w, c| w.min(c - w) + 1.0)
+        engine::estimate_words(self, query, |w, c| w.min(c - w) + 1.0)
     }
 }
 
@@ -343,7 +389,11 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
                 values,
             });
         }
-        Ok(EqualityBitmapIndex { attrs, n_rows })
+        Ok(EqualityBitmapIndex {
+            attrs,
+            n_rows,
+            read_words: OnceLock::new(),
+        })
     }
 
     /// Writes the index to `path` (buffered).
@@ -364,7 +414,9 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibis_bitvec::{BitVec64, Wah};
+    use crate::AdaptiveBitmapIndex;
+    use ibis_bitvec::{Adaptive, BitVec64, Wah};
+    use ibis_core::gen::synthetic_scaled;
     use ibis_core::{scan, Cell, Column, Predicate};
 
     fn m() -> Cell {
@@ -540,10 +592,9 @@ mod tests {
         assert!(report.total_bytes() > 0);
     }
 
-    #[test]
-    fn differential_vs_scan_exhaustive_intervals() {
+    fn differential_vs_scan<B: BitStore>() {
         let d = table1();
-        let idx = EqualityBitmapIndex::<Wah>::build(&d);
+        let idx = EqualityBitmapIndex::<B>::build(&d);
         for policy in MissingPolicy::ALL {
             for lo in 1..=5u16 {
                 for hi in lo..=5u16 {
@@ -551,11 +602,199 @@ mod tests {
                     assert_eq!(
                         idx.execute(&q).unwrap(),
                         scan::execute(&d, &q),
-                        "{policy} [{lo},{hi}]"
+                        "{} {policy} [{lo},{hi}]",
+                        B::backend_name()
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn differential_vs_scan_exhaustive_intervals() {
+        differential_vs_scan::<Wah>();
+        differential_vs_scan::<Adaptive>();
+    }
+
+    // The equality encoding over adaptive containers: same Fig. 2
+    // evaluation as on any backend (tests/paper_examples.rs pins the
+    // bitmap and op counts across all of them), with container-exact
+    // words. (Table 1's equality bitmaps have ≤ 3 set bits each → a
+    // single array container of 1 payload word.)
+
+    #[test]
+    fn container_counts_cover_every_read_and_op_operand() {
+        // With single-chunk data (< 2^16 rows → one container per bitmap)
+        // the accounting identity is exact: inside one interval evaluation
+        // every read and every op contributes one freshly-tallied container
+        // (the OR chain's accumulator covers the other operand), so
+        // `containers == bitmaps + ops` per predicate; each of the
+        // `dimensionality − 1` AND-reduce ops then tallies both operands.
+        let d = synthetic_scaled(300, 11);
+        let idx = AdaptiveBitmapIndex::build(&d);
+        for policy in MissingPolicy::ALL {
+            let q = RangeQuery::new(
+                vec![Predicate::range(102, 1, 3), Predicate::range(105, 2, 4)],
+                policy,
+            )
+            .unwrap();
+            let (_, cost) = idx.execute_with_cost(&q).unwrap();
+            let touched = cost.containers_array + cost.containers_bitmap + cost.containers_run;
+            assert_eq!(
+                touched,
+                cost.bitmaps_accessed + cost.logical_ops + (q.dimensionality() - 1),
+                "{policy}"
+            );
+            assert!(cost.words_processed > 0);
+        }
+    }
+
+    #[test]
+    fn exact_words_are_deterministic_on_the_worked_example() {
+        let idx = AdaptiveBitmapIndex::build(&table1());
+        // Point query, not-match: one copy of one 1-word array.
+        let q = RangeQuery::new(vec![Predicate::point(0, 3)], MissingPolicy::IsNotMatch).unwrap();
+        let (_, cost) = idx.execute_with_cost(&q).unwrap();
+        assert_eq!(cost.words_processed, 1);
+        assert_eq!(cost.containers_array, 1);
+        assert_eq!((cost.containers_bitmap, cost.containers_run), (0, 0));
+        // Range [1,2] under match: copy B_1 (1 word) + OR with B_2 (two
+        // 1-word operands) + OR with B_0 (two 1-word operands) = 5 words,
+        // all array-shaped.
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 2)], MissingPolicy::IsMatch).unwrap();
+        let (_, cost) = idx.execute_with_cost(&q).unwrap();
+        assert_eq!(cost.words_processed, 5);
+        assert_eq!(cost.containers_array, 5);
+        assert_eq!(cost.bitmaps_accessed, 3);
+        assert_eq!(cost.logical_ops, 2);
+    }
+
+    #[test]
+    fn measured_words_beat_the_uncompressed_charge_on_sparse_data() {
+        // 70 000 rows (two chunks), cardinality 50, cyclic values: each
+        // equality bitmap holds every 50th row — array containers of
+        // ~1 310 entries (~330 payload words per chunk) versus the
+        // uncompressed ⌈70 000/64⌉ ≈ 1 094 words the WAH backend is charged
+        // per operand read.
+        let rows: Vec<Vec<Cell>> = (0..70_000).map(|r| vec![v((r % 50 + 1) as u16)]).collect();
+        let d = Dataset::from_rows(&[("a", 50)], &rows).unwrap();
+        let q =
+            RangeQuery::new(vec![Predicate::range(0, 1, 10)], MissingPolicy::IsNotMatch).unwrap();
+        let (_, measured) = AdaptiveBitmapIndex::build(&d)
+            .execute_with_cost(&q)
+            .unwrap();
+        let (_, bound) = EqualityBitmapIndex::<Wah>::build(&d)
+            .execute_with_cost(&q)
+            .unwrap();
+        assert_eq!(
+            bound.words_processed,
+            (bound.bitmaps_accessed + bound.logical_ops) * 70_000usize.div_ceil(64)
+        );
+        assert!(
+            measured.words_processed < bound.words_processed,
+            "measured {} not below the uncompressed charge {}",
+            measured.words_processed,
+            bound.words_processed
+        );
+    }
+
+    #[test]
+    fn append_row_matches_rebuild() {
+        let d = synthetic_scaled(120, 23);
+        let mut grown = AdaptiveBitmapIndex::build(&d);
+        let extra: Vec<Vec<Cell>> = vec![
+            (0..d.n_attrs()).map(|_| v(1)).collect(),
+            (0..d.n_attrs())
+                .map(|a| if a % 3 == 0 { m() } else { v(2) })
+                .collect(),
+        ];
+        let mut all_rows: Vec<Vec<Cell>> = (0..d.n_rows()).map(|r| d.row(r)).collect();
+        for row in &extra {
+            grown.append_row(row).unwrap();
+            all_rows.push(row.clone());
+        }
+        let schema: Vec<(&str, u16)> = d
+            .columns()
+            .iter()
+            .map(|c| (c.name(), c.cardinality()))
+            .collect();
+        let rebuilt = AdaptiveBitmapIndex::build(&Dataset::from_rows(&schema, &all_rows).unwrap());
+        assert_eq!(grown.n_rows(), rebuilt.n_rows());
+        for policy in MissingPolicy::ALL {
+            let q = RangeQuery::new(vec![Predicate::range(100, 1, 3)], policy).unwrap();
+            assert_eq!(grown.execute(&q).unwrap(), rebuilt.execute(&q).unwrap());
+        }
+        // Bad rows leave the index unchanged.
+        assert!(grown.append_row(&[]).is_err());
+    }
+
+    #[test]
+    fn serialization_roundtrip_and_tamper_rejection() {
+        let d = synthetic_scaled(200, 29);
+        let idx = AdaptiveBitmapIndex::build(&d);
+        let mut buf: Vec<u8> = Vec::new();
+        idx.write_to(&mut buf).unwrap();
+        let back = AdaptiveBitmapIndex::read_from(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.n_rows(), idx.n_rows());
+        assert_eq!(back.n_bitmaps(), idx.n_bitmaps());
+        assert_eq!(back.size_bytes(), idx.size_bytes());
+        let q =
+            RangeQuery::new(vec![Predicate::range(100, 1, 3)], MissingPolicy::IsNotMatch).unwrap();
+        assert_eq!(back.execute(&q).unwrap(), idx.execute(&q).unwrap());
+        // Truncation, magic tampering and a file written over another
+        // backend all fail cleanly.
+        let mut cut = buf.clone();
+        cut.truncate(buf.len() / 2);
+        assert!(AdaptiveBitmapIndex::read_from(&mut cut.as_slice()).is_err());
+        let mut bad = buf.clone();
+        bad[0] ^= 0xFF;
+        assert!(AdaptiveBitmapIndex::read_from(&mut bad.as_slice()).is_err());
+        assert!(EqualityBitmapIndex::<Wah>::read_from(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn stored_tally_is_the_container_census() {
+        let d = synthetic_scaled(250, 31);
+        let idx = AdaptiveBitmapIndex::build(&d);
+        // < 2^16 rows → exactly one container per stored bitmap.
+        assert_eq!(idx.stored_tally().containers() as usize, idx.n_bitmaps());
+        // Rule-charged backends have no containers, only uncompressed words.
+        let plain = EqualityBitmapIndex::<BitVec64>::build(&d);
+        let t = plain.stored_tally();
+        assert_eq!(t.containers(), 0);
+        assert_eq!(t.words as usize, plain.n_bitmaps() * 250usize.div_ceil(64));
+    }
+
+    #[test]
+    fn estimated_cost_reflects_compression() {
+        let d = synthetic_scaled(400, 37);
+        let adaptive = AdaptiveBitmapIndex::build(&d);
+        let bee = EqualityBitmapIndex::<BitVec64>::build(&d);
+        let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
+        let a = adaptive.estimated_cost(&q);
+        let b = bee.estimated_cost(&q);
+        assert!(a.is_finite() && a > 0.0);
+        // The estimate is in the unit of the counter it predicts: the
+        // uncompressed words per read for the plain backend (2 reads × 7
+        // words), the mean stored container words for the adaptive one.
+        assert_eq!(b, 2.0 * 400usize.div_ceil(64) as f64);
+        assert!(a <= b, "adaptive {a} > plain {b}");
+        // Out-of-schema predicates stay unplannable.
+        let q = RangeQuery::new(vec![Predicate::point(999, 1)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(adaptive.estimated_cost(&q), f64::INFINITY);
+    }
+
+    #[test]
+    fn estimate_follows_appended_rows() {
+        // 64 rows read as 1 word, 65 as 2; a point query plans 2 reads.
+        let rows: Vec<Vec<Cell>> = (0..64).map(|r| vec![v(r % 5 + 1)]).collect();
+        let mut idx = EqualityBitmapIndex::<BitVec64>::build(
+            &Dataset::from_rows(&[("a", 5)], &rows).unwrap(),
+        );
+        let q = RangeQuery::new(vec![Predicate::point(0, 2)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(idx.estimated_cost(&q), 2.0);
+        idx.append_row(&[m()]).unwrap();
+        assert_eq!(idx.estimated_cost(&q), 4.0);
     }
 }
 

@@ -25,17 +25,21 @@
 //! of BRE — the missing corner of the paper's encoding-space that the
 //! `ablation_encoding` experiment fills in.
 
-use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{BitStore, BitVec64};
-use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
+use ibis_core::{
+    AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
+};
+use std::sync::OnceLock;
 
 /// Interval-encoded bitmap index over an incomplete relation.
 #[derive(Clone, Debug)]
 pub struct IntervalBitmapIndex<B: BitStore> {
     attrs: Vec<BieAttr<B>>,
     n_rows: usize,
+    /// Cached [`engine::words_per_read`].
+    read_words: OnceLock<f64>,
 }
 
 #[derive(Clone, Debug)]
@@ -86,6 +90,7 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
         IntervalBitmapIndex {
             attrs,
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         }
     }
 
@@ -139,7 +144,7 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         let a = &self.attrs[attr];
         let c = a.cardinality as usize;
@@ -152,7 +157,7 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
         );
         let width = v2 - v1 + 1;
 
-        let win = |j: usize, cost: &mut QueryCost| -> &B {
+        let win = |j: usize, cost: &mut WorkCounters| -> &B {
             cost.read_bitmap();
             &a.windows[j - 1]
         };
@@ -165,29 +170,20 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
             match &a.missing {
                 Some(m) => {
                     cost.read_bitmap();
-                    cost.op();
-                    m.not()
+                    engine::not(m, cost)
                 }
                 None => B::ones(self.n_rows),
             }
         } else if width >= w_win {
-            let lo = win(v1, cost).clone();
-            cost.op();
-            lo.or(win(v2 - w_win + 1, cost))
+            engine::or(win(v1, cost), win(v2 - w_win + 1, cost), cost)
         } else if v2 < w_win {
-            let base = win(v1, cost).clone();
-            cost.op();
-            cost.op();
-            base.and(&win(v2 + 1, cost).not())
+            let beyond = engine::not(win(v2 + 1, cost), cost);
+            engine::and(win(v1, cost), &beyond, cost)
         } else if v1 > k {
-            let base = win(v2 - w_win + 1, cost).clone();
-            cost.op();
-            cost.op();
-            base.and(&win(v1 - w_win, cost).not())
+            let before = engine::not(win(v1 - w_win, cost), cost);
+            engine::and(win(v2 - w_win + 1, cost), &before, cost)
         } else {
-            let base = win(v1, cost).clone();
-            cost.op();
-            base.and(win(v2 - w_win + 1, cost))
+            engine::and(win(v1, cost), win(v2 - w_win + 1, cost), cost)
         };
 
         match policy {
@@ -195,8 +191,7 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
             MissingPolicy::IsMatch => match &a.missing {
                 Some(m) => {
                     cost.read_bitmap();
-                    cost.op();
-                    present.or(m)
+                    engine::or(&present, m, cost)
                 }
                 None => present,
             },
@@ -206,8 +201,8 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
     /// Executes a query, also returning the work counters.
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 }
 
@@ -226,12 +221,22 @@ impl<B: BitStore> BitmapExec for IntervalBitmapIndex<B> {
         self.attrs[attr].cardinality
     }
 
+    fn exec_stored(&self) -> impl Iterator<Item = &B> {
+        self.attrs
+            .iter()
+            .flat_map(|a| a.windows.iter().chain(a.missing.iter()))
+    }
+
+    fn exec_read_words(&self) -> &OnceLock<f64> {
+        &self.read_words
+    }
+
     fn exec_interval(
         &self,
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         self.evaluate_interval(attr, iv, policy, cost)
     }
@@ -242,16 +247,16 @@ impl<B: BitStore> AccessMethod for IntervalBitmapIndex<B> {
         "bitmap-interval"
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        IntervalBitmapIndex::execute_with_cost(self, query)
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 
     fn execute_with_cost_threads(
         &self,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+    ) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -259,13 +264,13 @@ impl<B: BitStore> AccessMethod for IntervalBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // At most two windows plus B_0 per dimension — the same worst case as
     // BRE; the tie is broken by BIE's ~half-size structure.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |_w, _c| 3.0)
+        engine::estimate_words(self, query, |_w, _c| 3.0)
     }
 }
 
@@ -354,7 +359,11 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
                 windows,
             });
         }
-        Ok(IntervalBitmapIndex { attrs, n_rows })
+        Ok(IntervalBitmapIndex {
+            attrs,
+            n_rows,
+            read_words: OnceLock::new(),
+        })
     }
 
     /// Writes the index to `path` (buffered).
@@ -470,7 +479,7 @@ mod tests {
         let idx = IntervalBitmapIndex::<Wah>::build(&d);
         for lo in 1..=5u16 {
             for hi in lo..=5u16 {
-                let mut cost = QueryCost::zero();
+                let mut cost = WorkCounters::zero();
                 idx.evaluate_interval(
                     0,
                     Interval::new(lo, hi),
@@ -481,7 +490,7 @@ mod tests {
                     cost.bitmaps_accessed <= 2,
                     "not-match [{lo},{hi}]: {cost:?}"
                 );
-                let mut cost = QueryCost::zero();
+                let mut cost = WorkCounters::zero();
                 idx.evaluate_interval(0, Interval::new(lo, hi), MissingPolicy::IsMatch, &mut cost);
                 assert!(cost.bitmaps_accessed <= 3, "match [{lo},{hi}]: {cost:?}");
             }

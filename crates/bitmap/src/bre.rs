@@ -1,10 +1,12 @@
 //! Bitmap Range Encoding (BRE) — §4.3 of the paper.
 
-use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
-use ibis_bitvec::BitStore;
-use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
+use ibis_bitvec::{BitStore, OpTally};
+use ibis_core::{
+    AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
+};
+use std::sync::OnceLock;
 
 /// Range-encoded bitmap index over an incomplete relation.
 ///
@@ -24,6 +26,8 @@ use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Resu
 pub struct RangeBitmapIndex<B: BitStore> {
     attrs: Vec<BreAttr<B>>,
     n_rows: usize,
+    /// Cached [`engine::words_per_read`].
+    read_words: OnceLock<f64>,
 }
 
 #[derive(Clone, Debug)]
@@ -58,6 +62,7 @@ impl<B: BitStore> RangeBitmapIndex<B> {
         RangeBitmapIndex {
             attrs,
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         }
     }
 
@@ -74,6 +79,7 @@ impl<B: BitStore> RangeBitmapIndex<B> {
         RangeBitmapIndex {
             attrs,
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         }
     }
 
@@ -126,6 +132,7 @@ impl<B: BitStore> RangeBitmapIndex<B> {
             }
         }
         self.n_rows += 1;
+        self.read_words = OnceLock::new();
         Ok(())
     }
 
@@ -159,6 +166,14 @@ impl<B: BitStore> RangeBitmapIndex<B> {
         self.size_report().total_bytes()
     }
 
+    /// What one read of every stored bitmap touches (see
+    /// [`crate::EqualityBitmapIndex::stored_tally`]). Threshold bitmaps are
+    /// monotone with the missing rows set in every one — the shape run
+    /// containers exist for.
+    pub fn stored_tally(&self) -> OpTally {
+        engine::stored_tally(self).1
+    }
+
     /// Evaluates one interval over one attribute (Fig. 3), accumulating
     /// work counters into `cost`.
     ///
@@ -170,7 +185,7 @@ impl<B: BitStore> RangeBitmapIndex<B> {
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         let a = &self.attrs[attr];
         let c = a.cardinality as usize;
@@ -186,7 +201,7 @@ impl<B: BitStore> RangeBitmapIndex<B> {
         // virtual, which yields exactly the case split of Fig. 3. Stored
         // bitmaps are borrowed — the only clone is when a stored bitmap is
         // itself the answer.
-        let le = |j: usize, cost: &mut QueryCost| -> Option<&B> {
+        let le = |j: usize, cost: &mut WorkCounters| -> Option<&B> {
             let b = a.stored(j);
             if b.is_some() {
                 cost.read_bitmap();
@@ -202,23 +217,18 @@ impl<B: BitStore> RangeBitmapIndex<B> {
                     if v2 == c {
                         B::ones(self.n_rows)
                     } else {
-                        le(v2, cost).expect("1 ≤ v2 < C is stored").clone()
+                        engine::fetch(le(v2, cost).expect("1 ≤ v2 < C is stored"), cost)
                     }
                 } else {
                     let base = if v2 == c {
-                        cost.op();
-                        le(v1 - 1, cost).expect("1 ≤ v1-1 < C is stored").not()
+                        engine::not(le(v1 - 1, cost).expect("1 ≤ v1-1 < C is stored"), cost)
                     } else {
                         let hi = le(v2, cost).expect("stored");
                         let lo = le(v1 - 1, cost).expect("stored");
-                        cost.op();
-                        hi.xor(lo)
+                        engine::xor(hi, lo, cost)
                     };
                     match le(0, cost) {
-                        Some(m) => {
-                            cost.op();
-                            base.or(m)
-                        }
+                        Some(m) => engine::or(&base, m, cost),
                         None => base,
                     }
                 }
@@ -227,20 +237,14 @@ impl<B: BitStore> RangeBitmapIndex<B> {
                 let lower = v1 - 1; // 0 allowed: B_0 is the missing flag
                 if v2 == c {
                     match le(lower, cost) {
-                        Some(b) => {
-                            cost.op();
-                            b.not()
-                        }
+                        Some(b) => engine::not(b, cost),
                         None => B::ones(self.n_rows), // complete column, full range
                     }
                 } else {
                     let hi = le(v2, cost).expect("1 ≤ v2 < C is stored");
                     match le(lower, cost) {
-                        Some(b) => {
-                            cost.op();
-                            hi.xor(b)
-                        }
-                        None => hi.clone(),
+                        Some(b) => engine::xor(hi, b, cost),
+                        None => engine::fetch(hi, cost),
                     }
                 }
             }
@@ -250,8 +254,8 @@ impl<B: BitStore> RangeBitmapIndex<B> {
     /// Executes a query, also returning the work counters.
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 }
 
@@ -270,12 +274,20 @@ impl<B: BitStore> BitmapExec for RangeBitmapIndex<B> {
         self.attrs[attr].cardinality
     }
 
+    fn exec_stored(&self) -> impl Iterator<Item = &B> {
+        self.attrs.iter().flat_map(|a| a.thresholds.iter())
+    }
+
+    fn exec_read_words(&self) -> &OnceLock<f64> {
+        &self.read_words
+    }
+
     fn exec_interval(
         &self,
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         self.evaluate_interval(attr, iv, policy, cost)
     }
@@ -286,16 +298,16 @@ impl<B: BitStore> AccessMethod for RangeBitmapIndex<B> {
         "bitmap-range"
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        RangeBitmapIndex::execute_with_cost(self, query)
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 
     fn execute_with_cost_threads(
         &self,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+    ) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -303,12 +315,12 @@ impl<B: BitStore> AccessMethod for RangeBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // §6: at most 3 bitmaps per dimension (Fig. 3), scaled to words.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |_w, _c| 3.0)
+        engine::estimate_words(self, query, |_w, _c| 3.0)
     }
 }
 
@@ -377,7 +389,11 @@ impl<B: BitStore> RangeBitmapIndex<B> {
                 thresholds,
             });
         }
-        Ok(RangeBitmapIndex { attrs, n_rows })
+        Ok(RangeBitmapIndex {
+            attrs,
+            n_rows,
+            read_words: OnceLock::new(),
+        })
     }
 
     /// Writes the index to `path` (buffered).
@@ -561,10 +577,10 @@ mod tests {
         let idx = RangeBitmapIndex::<Wah>::build(&table3());
         for lo in 1..=5u16 {
             for hi in lo..=5u16 {
-                let mut cost = QueryCost::zero();
+                let mut cost = WorkCounters::zero();
                 idx.evaluate_interval(0, Interval::new(lo, hi), MissingPolicy::IsMatch, &mut cost);
                 assert!(cost.bitmaps_accessed <= 3, "match [{lo},{hi}]: {cost:?}");
-                let mut cost = QueryCost::zero();
+                let mut cost = WorkCounters::zero();
                 idx.evaluate_interval(
                     0,
                     Interval::new(lo, hi),
@@ -634,5 +650,17 @@ mod tests {
         let idx = RangeBitmapIndex::<Wah>::build(&table3());
         let q = RangeQuery::new(vec![Predicate::point(9, 1)], MissingPolicy::IsMatch).unwrap();
         assert!(idx.execute(&q).is_err());
+    }
+
+    #[test]
+    fn estimate_follows_appended_rows() {
+        // 64 rows read as 1 word, 65 as 2; BRE plans 3 reads per dimension.
+        let rows: Vec<Vec<Cell>> = (0..64).map(|r| vec![v(r % 5 + 1)]).collect();
+        let mut idx =
+            RangeBitmapIndex::<BitVec64>::build(&Dataset::from_rows(&[("a", 5)], &rows).unwrap());
+        let q = RangeQuery::new(vec![Predicate::point(0, 2)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(idx.estimated_cost(&q), 3.0);
+        idx.append_row(&[m()]).unwrap();
+        assert_eq!(idx.estimated_cost(&q), 6.0);
     }
 }

@@ -19,11 +19,13 @@
 //! `ablation_decomposition` sweeps the base to chart the storage/work curve
 //! the 1998 paper predicts, now under both missing semantics.
 
-use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{BitStore, BitVec64};
-use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
+use ibis_core::{
+    AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
+};
+use std::sync::OnceLock;
 
 /// Range-encoded, base-`b` decomposed bitmap index over an incomplete
 /// relation.
@@ -31,6 +33,8 @@ use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Resu
 pub struct DecomposedBitmapIndex<B: BitStore> {
     attrs: Vec<DecAttr<B>>,
     n_rows: usize,
+    /// Cached [`engine::words_per_read`].
+    read_words: OnceLock<f64>,
 }
 
 #[derive(Clone, Debug)]
@@ -115,6 +119,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
         DecomposedBitmapIndex {
             attrs,
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         }
     }
 
@@ -179,7 +184,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
         a: &'a DecAttr<B>,
         i: usize,
         j: i64,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> Option<&'a B> {
         if j < 0 {
             return None;
@@ -193,13 +198,13 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
     }
 
     /// RangeEval: present rows with 0-based value ≤ `t` (`t = −1` → empty).
-    fn le_value(&self, a: &DecAttr<B>, t: i64, cost: &mut QueryCost) -> B {
+    fn le_value(&self, a: &DecAttr<B>, t: i64, cost: &mut WorkCounters) -> B {
         if t < 0 {
             return B::zeros(self.n_rows);
         }
         if t as u64 >= a.cardinality as u64 - 1 {
             cost.read_bitmap();
-            return a.present.clone();
+            return engine::fetch(&a.present, cost);
         }
         // Digits of t, least significant first.
         let mut digits = Vec::with_capacity(a.n_components);
@@ -211,7 +216,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
         // Fold: res = (digit_0 ≤ d_0); then per higher component
         // res = (digit_i < d_i) ∨ ((digit_i = d_i) ∧ res).
         let mut res = match self.le_digit(a, 0, digits[0], cost) {
-            Some(b) => b.clone(),
+            Some(b) => engine::fetch(b, cost),
             None => B::zeros(self.n_rows),
         };
         for (i, &d) in digits.iter().enumerate().skip(1) {
@@ -220,21 +225,13 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
                 .le_digit(a, i, d, cost)
                 .expect("d ≥ 0 is stored or present");
             // eq = le XOR lt (lt = ∅ ⇒ eq = le).
-            let eq = match lt {
-                Some(lt) => {
-                    cost.op();
-                    le.xor(lt)
-                }
-                None => le.clone(),
-            };
-            cost.op();
-            let within = eq.and(&res);
             res = match lt {
                 Some(lt) => {
-                    cost.op();
-                    within.or(lt)
+                    let eq = engine::xor(le, lt, cost);
+                    let within = engine::and(&eq, &res, cost);
+                    engine::or(&within, lt, cost)
                 }
-                None => within,
+                None => engine::and(le, &res, cost),
             };
         }
         res
@@ -250,7 +247,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         let a = &self.attrs[attr];
         let c = a.cardinality;
@@ -264,17 +261,15 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
             hi
         } else {
             let lo = self.le_value(a, v1 as i64 - 2, cost);
-            cost.op();
-            cost.op();
-            hi.and(&lo.not())
+            let above = engine::not(&lo, cost);
+            engine::and(&hi, &above, cost)
         };
         match policy {
             MissingPolicy::IsNotMatch => present,
             MissingPolicy::IsMatch => match &a.missing {
                 Some(m) => {
                     cost.read_bitmap();
-                    cost.op();
-                    present.or(m)
+                    engine::or(&present, m, cost)
                 }
                 None => present,
             },
@@ -284,8 +279,8 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
     /// Executes a query, also returning the work counters.
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 }
 
@@ -304,12 +299,26 @@ impl<B: BitStore> BitmapExec for DecomposedBitmapIndex<B> {
         self.attrs[attr].cardinality
     }
 
+    fn exec_stored(&self) -> impl Iterator<Item = &B> {
+        self.attrs.iter().flat_map(|a| {
+            a.components
+                .iter()
+                .flatten()
+                .chain(std::iter::once(&a.present))
+                .chain(a.missing.iter())
+        })
+    }
+
+    fn exec_read_words(&self) -> &OnceLock<f64> {
+        &self.read_words
+    }
+
     fn exec_interval(
         &self,
         attr: usize,
         iv: Interval,
         policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         self.evaluate_interval(attr, iv, policy, cost)
     }
@@ -320,16 +329,16 @@ impl<B: BitStore> AccessMethod for DecomposedBitmapIndex<B> {
         "bitmap-decomposed"
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        DecomposedBitmapIndex::execute_with_cost(self, query)
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, 1)
     }
 
     fn execute_with_cost_threads(
         &self,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+    ) -> Result<(RowSet, WorkCounters)> {
+        engine::run_rows(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -337,19 +346,19 @@ impl<B: BitStore> AccessMethod for DecomposedBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // RangeEval touches ≤ 2m − 1 bitmaps per bound (m components), two
     // bounds per interval, plus B_0 — the SIGMOD'98 time/space trade-off
     // the planner should see as pricier than single-component BRE.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        let wpb = crate::engine::words_per_bitmap(self.n_rows);
+        let wpr = engine::words_per_read(self);
         query
             .predicates()
             .iter()
             .map(|p| match self.attrs.get(p.attr) {
-                Some(a) => (4.0 * a.n_components as f64 - 1.0) * wpb,
+                Some(a) => (4.0 * a.n_components as f64 - 1.0) * wpr,
                 None => f64::INFINITY,
             })
             .sum()
@@ -469,7 +478,11 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
                 components,
             });
         }
-        Ok(DecomposedBitmapIndex { attrs, n_rows })
+        Ok(DecomposedBitmapIndex {
+            attrs,
+            n_rows,
+            read_words: OnceLock::new(),
+        })
     }
 
     /// Writes the index to `path` (buffered).

@@ -4,7 +4,7 @@
 //! databases (§4.1–§4.4 of *"Indexing Incomplete Databases"*, EDBT 2006).
 //!
 //! Two encodings are provided, both generic over the bit-vector backend
-//! ([`ibis_bitvec::BitStore`]: plain, WAH, or BBC):
+//! ([`ibis_bitvec::BitStore`]: plain, WAH, BBC, or adaptive containers):
 //!
 //! * [`EqualityBitmapIndex`] (**BEE**) — one bitmap per attribute value,
 //!   plus an extra bitmap `B_{i,0}` flagging missing rows for attributes
@@ -21,14 +21,20 @@
 //! differential tests against the sequential scan are in the crate tests and
 //! in the workspace-level integration suite.
 //!
+//! Every family on every backend runs through one query driver and reports
+//! its work in one [`ibis_core::WorkCounters`]: `bitmaps_accessed` and
+//! `logical_ops` are the paper's own §6 quantities, and `words_processed`
+//! (plus the `containers_*` shape counts) is the sum of
+//! [`ibis_bitvec::BitStore::tally_read`] over every bitmap an operation
+//! read — the uncompressed `⌈n/64⌉` words for the plain, WAH and BBC
+//! backends, the stored container payload for [`ibis_bitvec::Adaptive`].
+//!
 //! Extras beyond the paper's core:
 //!
-//! * [`AdaptiveBitmapIndex`] — the equality encoding stored in
-//!   [`ibis_bitvec::Adaptive`] roaring-style containers, with a
-//!   container-exact work-accounting driver (see its module docs);
-//! * [`cost::QueryCost`] — machine-independent work counters (bitmaps
-//!   touched, logical ops) used by the benchmark harness alongside
-//!   wall-clock time;
+//! * [`IntervalBitmapIndex`] and [`DecomposedBitmapIndex`] — the interval
+//!   and attribute-value-decomposed encodings, with the same `B_0` device;
+//! * [`AdaptiveBitmapIndex`] — the name the planner and the prelude keep
+//!   for the equality encoding over [`ibis_bitvec::Adaptive`] containers;
 //! * [`rejected`] — the in-band missing encodings the paper considers and
 //!   rejects in §4.2/§4.3, implemented to demonstrate the paper's
 //!   objections;
@@ -55,47 +61,27 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod adaptive;
 mod bee;
 mod bie;
 mod bre;
-pub mod cost;
 mod decomposed;
 mod engine;
 pub mod rejected;
 pub mod reorder;
 pub mod size;
 
-pub use adaptive::AdaptiveBitmapIndex;
 pub use bee::EqualityBitmapIndex;
 pub use bie::IntervalBitmapIndex;
 pub use bre::RangeBitmapIndex;
-pub use cost::QueryCost;
 pub use decomposed::DecomposedBitmapIndex;
 pub use size::{AttrSize, SizeReport};
 
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::Column;
 
-/// ORs a sequence of stored bitmaps, counting reads and ops — the shared
-/// inner step of equality-style interval evaluation.
-pub(crate) fn or_all<'a, B: BitStore + 'a>(
-    bitmaps: impl Iterator<Item = &'a B>,
-    cost: &mut cost::QueryCost,
-) -> Option<B> {
-    let mut acc: Option<B> = None;
-    for b in bitmaps {
-        cost.read_bitmap();
-        acc = Some(match acc {
-            None => b.clone(),
-            Some(x) => {
-                cost.op();
-                x.or(b)
-            }
-        });
-    }
-    acc
-}
+/// The equality encoding (§4.2) stored in [`ibis_bitvec::Adaptive`]
+/// roaring-style containers; the planner lists it as `"bitmap-adaptive"`.
+pub type AdaptiveBitmapIndex = EqualityBitmapIndex<ibis_bitvec::Adaptive>;
 
 /// Reads and validates the shared index-file preamble (magic, version,
 /// backend name) and returns `(n_rows, n_attrs)`.
@@ -117,28 +103,6 @@ pub(crate) fn read_index_preamble<B: BitStore>(
         ));
     }
     Ok((read_len(r)?, read_len(r)?))
-}
-
-/// The shared query driver: evaluates every predicate's interval and ANDs
-/// the results (§4.1's "ANDing the answers together"), charging one logical
-/// op per AND. `None` means an empty search key (all rows match).
-pub(crate) fn fold_query<B: BitStore>(
-    query: &ibis_core::RangeQuery,
-    cost: &mut cost::QueryCost,
-    mut eval: impl FnMut(usize, ibis_core::Interval, &mut cost::QueryCost) -> B,
-) -> Option<B> {
-    let mut acc: Option<B> = None;
-    for p in query.predicates() {
-        let iv = eval(p.attr, p.interval, cost);
-        acc = Some(match acc {
-            None => iv,
-            Some(x) => {
-                cost.op();
-                x.and(&iv)
-            }
-        });
-    }
-    acc
 }
 
 /// Builds the equality bit vectors of one column: `out[0]` flags missing

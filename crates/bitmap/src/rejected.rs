@@ -17,13 +17,13 @@
 //! three claims rather than take them on faith. They are not part of the
 //! recommended API.
 
-use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{
-    AccessMethod, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result, RowSet,
+    AccessMethod, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
 };
+use std::sync::OnceLock;
 
 /// Equality bitmaps with missing rows encoded as 1 in every value bitmap.
 /// Only answers queries under [`MissingPolicy::IsMatch`] — the encoding
@@ -33,6 +33,8 @@ use ibis_core::{
 pub struct InBandMatchEquality<B: BitStore> {
     attrs: Vec<InBandAttr<B>>,
     n_rows: usize,
+    /// Cached [`engine::words_per_read`].
+    read_words: OnceLock<f64>,
 }
 
 /// Equality bitmaps with missing rows encoded as 0 in every value bitmap.
@@ -41,6 +43,8 @@ pub struct InBandMatchEquality<B: BitStore> {
 pub struct InBandNotMatchEquality<B: BitStore> {
     attrs: Vec<InBandAttr<B>>,
     n_rows: usize,
+    /// Cached [`engine::words_per_read`].
+    read_words: OnceLock<f64>,
 }
 
 #[derive(Clone, Debug)]
@@ -110,6 +114,7 @@ impl<B: BitStore> InBandMatchEquality<B> {
         Ok(InBandMatchEquality {
             attrs: build_attrs(dataset, true),
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         })
     }
 
@@ -123,7 +128,7 @@ impl<B: BitStore> InBandMatchEquality<B> {
     /// missing rows it wrongly drops: they are found as the AND of two
     /// distinct value bitmaps (only missing rows are 1 in more than one),
     /// then ORed back — the paper's recovery procedure, at +2 reads +2 ops.
-    pub fn evaluate_interval(&self, attr: usize, iv: Interval, cost: &mut QueryCost) -> B {
+    pub fn evaluate_interval(&self, attr: usize, iv: Interval, cost: &mut WorkCounters) -> B {
         let a = &self.attrs[attr];
         let c = a.cardinality as usize;
         let (v1, v2) = (iv.lo as usize, iv.hi as usize);
@@ -133,24 +138,19 @@ impl<B: BitStore> InBandMatchEquality<B> {
         // comparing set sizes keeps the min(AS, 1−AS)·C + 1 bound tight).
         let width = v2 - v1 + 1;
         if width <= c - width {
-            crate::or_all(a.values[v1 - 1..v2].iter(), cost).expect("non-empty range")
+            engine::or_all(a.values[v1 - 1..v2].iter(), cost).expect("non-empty range")
         } else {
             let outside = a.values[..v1 - 1].iter().chain(a.values[v2..].iter());
-            let neg = match crate::or_all(outside, cost) {
-                Some(x) => {
-                    cost.op();
-                    x.not()
-                }
+            let neg = match engine::or_all(outside, cost) {
+                Some(x) => engine::not(&x, cost),
                 None => B::ones(self.n_rows),
             };
             if a.has_missing && c >= 2 {
                 // Recovery: missing = B_1 AND B_2 (both all-ones on missing
                 // rows, disjoint on present rows).
                 cost.read_bitmaps(2);
-                cost.op();
-                let missing = a.values[0].and(&a.values[1]);
-                cost.op();
-                neg.or(&missing)
+                let missing = engine::and(&a.values[0], &a.values[1], cost);
+                engine::or(&neg, &missing, cost)
             } else {
                 neg
             }
@@ -167,13 +167,13 @@ impl<B: BitStore> InBandMatchEquality<B> {
     /// # Panics
     /// Panics on a not-match query. (The [`AccessMethod`] surface returns
     /// [`Error::UnsupportedPolicy`] instead.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
         assert_eq!(
             query.policy(),
             MissingPolicy::IsMatch,
             "in-band match encoding hard-wires match semantics"
         );
-        crate::engine::run_with_cost(self, query)
+        engine::run_rows(self, query, 1)
     }
 }
 
@@ -192,12 +192,20 @@ impl<B: BitStore> BitmapExec for InBandMatchEquality<B> {
         self.attrs[attr].cardinality
     }
 
+    fn exec_stored(&self) -> impl Iterator<Item = &B> {
+        self.attrs.iter().flat_map(|a| a.values.iter())
+    }
+
+    fn exec_read_words(&self) -> &OnceLock<f64> {
+        &self.read_words
+    }
+
     fn exec_interval(
         &self,
         attr: usize,
         iv: Interval,
         _policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         self.evaluate_interval(attr, iv, cost)
     }
@@ -212,13 +220,13 @@ impl<B: BitStore> AccessMethod for InBandMatchEquality<B> {
         query.policy() == MissingPolicy::IsMatch
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
         if !self.supports(query) {
             return Err(Error::UnsupportedPolicy {
                 method: "bitmap-inband-match",
             });
         }
-        crate::engine::run_with_cost(self, query)
+        engine::run_rows(self, query, 1)
     }
 
     fn size_bytes(&self) -> usize {
@@ -231,13 +239,13 @@ impl<B: BitStore> AccessMethod for InBandMatchEquality<B> {
                 method: "bitmap-inband-match",
             });
         }
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // Like BEE, but the complement path pays the recovery (two extra reads
     // plus ops) — objection #1 priced in.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |w, c| if w <= c - w { w } else { c - w + 3.0 })
+        engine::estimate_words(self, query, |w, c| if w <= c - w { w } else { c - w + 3.0 })
     }
 }
 
@@ -247,6 +255,7 @@ impl<B: BitStore> InBandNotMatchEquality<B> {
         InBandNotMatchEquality {
             attrs: build_attrs(dataset, false),
             n_rows: dataset.n_rows(),
+            read_words: OnceLock::new(),
         }
     }
 
@@ -259,7 +268,7 @@ impl<B: BitStore> InBandNotMatchEquality<B> {
     /// missing rows (they are 0 everywhere, so NOT turns them on); without a
     /// `B_0` the only recovery is to re-derive the present-row mask by ORing
     /// **every** value bitmap — `C` extra reads, which is the point.
-    pub fn evaluate_interval(&self, attr: usize, iv: Interval, cost: &mut QueryCost) -> B {
+    pub fn evaluate_interval(&self, attr: usize, iv: Interval, cost: &mut WorkCounters) -> B {
         let a = &self.attrs[attr];
         let c = a.cardinality as usize;
         let (v1, v2) = (iv.lo as usize, iv.hi as usize);
@@ -269,20 +278,16 @@ impl<B: BitStore> InBandNotMatchEquality<B> {
         // comparing set sizes keeps the min(AS, 1−AS)·C + 1 bound tight).
         let width = v2 - v1 + 1;
         if width <= c - width {
-            crate::or_all(a.values[v1 - 1..v2].iter(), cost).expect("non-empty range")
+            engine::or_all(a.values[v1 - 1..v2].iter(), cost).expect("non-empty range")
         } else {
             let outside = a.values[..v1 - 1].iter().chain(a.values[v2..].iter());
-            let neg = match crate::or_all(outside, cost) {
-                Some(x) => {
-                    cost.op();
-                    x.not()
-                }
+            let neg = match engine::or_all(outside, cost) {
+                Some(x) => engine::not(&x, cost),
                 None => B::ones(self.n_rows),
             };
             if a.has_missing {
-                let present = crate::or_all(a.values.iter(), cost).expect("c ≥ 1");
-                cost.op();
-                neg.and(&present)
+                let present = engine::or_all(a.values.iter(), cost).expect("c ≥ 1");
+                engine::and(&neg, &present, cost)
             } else {
                 neg
             }
@@ -299,13 +304,13 @@ impl<B: BitStore> InBandNotMatchEquality<B> {
     /// # Panics
     /// Panics on a match query. (The [`AccessMethod`] surface returns
     /// [`Error::UnsupportedPolicy`] instead.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
         assert_eq!(
             query.policy(),
             MissingPolicy::IsNotMatch,
             "in-band not-match encoding hard-wires not-match semantics"
         );
-        crate::engine::run_with_cost(self, query)
+        engine::run_rows(self, query, 1)
     }
 }
 
@@ -324,12 +329,20 @@ impl<B: BitStore> BitmapExec for InBandNotMatchEquality<B> {
         self.attrs[attr].cardinality
     }
 
+    fn exec_stored(&self) -> impl Iterator<Item = &B> {
+        self.attrs.iter().flat_map(|a| a.values.iter())
+    }
+
+    fn exec_read_words(&self) -> &OnceLock<f64> {
+        &self.read_words
+    }
+
     fn exec_interval(
         &self,
         attr: usize,
         iv: Interval,
         _policy: MissingPolicy,
-        cost: &mut QueryCost,
+        cost: &mut WorkCounters,
     ) -> B {
         self.evaluate_interval(attr, iv, cost)
     }
@@ -344,13 +357,13 @@ impl<B: BitStore> AccessMethod for InBandNotMatchEquality<B> {
         query.policy() == MissingPolicy::IsNotMatch
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
         if !self.supports(query) {
             return Err(Error::UnsupportedPolicy {
                 method: "bitmap-inband-notmatch",
             });
         }
-        crate::engine::run_with_cost(self, query)
+        engine::run_rows(self, query, 1)
     }
 
     fn size_bytes(&self) -> usize {
@@ -363,13 +376,13 @@ impl<B: BitStore> AccessMethod for InBandNotMatchEquality<B> {
                 method: "bitmap-inband-notmatch",
             });
         }
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // The complement path re-derives the present mask from all C value
     // bitmaps — objection #1's cost for this variant.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(
+        engine::estimate_words(
             self,
             query,
             |w, c| if w <= c - w { w } else { (c - w) + c + 1.0 },

@@ -18,9 +18,10 @@
 //! sorted merge, array∩bitmap probes bits, bitmap∩bitmap is one u64×8
 //! kernel pass, runs intersect as intervals) and every result is
 //! re-optimized, so the representation keeps adapting as predicates
-//! combine. The `*_counted` variants report exactly which containers were
-//! touched — the [`OpTally`] feeds the per-container-kind work counters
-//! that `ibis query --profile` surfaces.
+//! combine. [`BitStore::tally_read`] reports exactly what a read of the
+//! vector touches — payload words and containers by shape — and the
+//! bitmap query driver sums that [`OpTally`] over every operand into the
+//! work counters `ibis query --profile` surfaces.
 //!
 //! ```
 //! use ibis_bitvec::{Adaptive, BitStore, BitVec64, ContainerKind, OpTally};
@@ -37,14 +38,15 @@
 //! assert_eq!(a.container_kind(1), Some(ContainerKind::Run));
 //! assert!(a.size_bytes() < 200); // vs 128 KiB uncompressed
 //!
-//! // Counted operations say exactly what was read.
+//! // A read tally says exactly what an operand costs.
 //! let mut tally = OpTally::default();
-//! let both = a.and_counted(&a, &mut tally);
-//! assert_eq!(both.count_ones(), 50_001);
-//! assert_eq!(tally.containers(), 32); // 16 chunks × 2 operands
+//! a.tally_read(&mut tally);
+//! assert_eq!(tally.containers(), 16); // one per chunk
+//! assert_eq!((tally.array, tally.run), (15, 1)); // empty chunks are arrays
+//! assert_eq!(tally.words, 2); // vs 16 384 uncompressed
 //! ```
 
-use crate::{kernel, BitStore, BitVec64};
+use crate::{kernel, BitStore, BitVec64, OpTally};
 
 /// Bits per chunk (one container covers this many positions).
 pub const CHUNK_BITS: usize = 1 << 16;
@@ -65,31 +67,6 @@ pub enum ContainerKind {
     Run,
 }
 
-/// Exact read accounting for counted container operations.
-///
-/// `words` is the number of `u64`-word-equivalents of container payload
-/// read (arrays and runs count their `u16` payload packed four / two to a
-/// word); the per-kind fields count operand containers touched, by their
-/// shape. These are the numbers behind the `containers_*` work counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpTally {
-    /// `u64`-word-equivalents of container payload read.
-    pub words: u64,
-    /// Array-shaped operand containers touched.
-    pub array: u64,
-    /// Bitmap-shaped operand containers touched.
-    pub bitmap: u64,
-    /// Run-shaped operand containers touched.
-    pub run: u64,
-}
-
-impl OpTally {
-    /// Total operand containers touched, over all three kinds.
-    pub fn containers(&self) -> u64 {
-        self.array + self.bitmap + self.run
-    }
-}
-
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Container {
     /// Sorted ascending, strictly increasing, `len ≤ ARRAY_MAX`.
@@ -104,8 +81,8 @@ enum Container {
 /// A bit vector stored as one adaptive container per 2^16-bit chunk.
 ///
 /// Implements [`BitStore`], so every bitmap index in `ibis-bitmap` can be
-/// instantiated over it; the dedicated `AdaptiveBitmapIndex` additionally
-/// uses the `*_counted` operations for exact per-container profiling.
+/// instantiated over it, and its [`BitStore::tally_read`] override makes
+/// their work counters container-exact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Adaptive {
     n_bits: usize,
@@ -488,78 +465,24 @@ impl Adaptive {
         self.containers.get(i).map(|c| c.kind())
     }
 
-    /// How many chunks currently use each shape: `(array, bitmap, run)`.
-    pub fn kind_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for c in &self.containers {
-            match c.kind() {
-                ContainerKind::Array => counts.0 += 1,
-                ContainerKind::Bitmap => counts.1 += 1,
-                ContainerKind::Run => counts.2 += 1,
-            }
-        }
-        counts
-    }
-
-    /// Accounts a full read of this vector (the fetch side of a query)
-    /// into `tally`.
-    pub fn tally_read(&self, tally: &mut OpTally) {
-        for c in &self.containers {
-            tally.words += c.size_words();
-            match c.kind() {
-                ContainerKind::Array => tally.array += 1,
-                ContainerKind::Bitmap => tally.bitmap += 1,
-                ContainerKind::Run => tally.run += 1,
-            }
-        }
-    }
-
-    fn binary_counted(
+    fn binary(
         &self,
         other: &Adaptive,
-        tally: &mut OpTally,
         f: impl Fn(&Container, &Container) -> Container,
     ) -> Adaptive {
         assert_eq!(
             self.n_bits, other.n_bits,
             "bit vectors must have equal length"
         );
-        let containers = self
-            .containers
-            .iter()
-            .zip(&other.containers)
-            .map(|(a, b)| {
-                for c in [a, b] {
-                    tally.words += c.size_words();
-                    match c.kind() {
-                        ContainerKind::Array => tally.array += 1,
-                        ContainerKind::Bitmap => tally.bitmap += 1,
-                        ContainerKind::Run => tally.run += 1,
-                    }
-                }
-                f(a, b)
-            })
-            .collect();
         Adaptive {
             n_bits: self.n_bits,
-            containers,
+            containers: self
+                .containers
+                .iter()
+                .zip(&other.containers)
+                .map(|(a, b)| f(a, b))
+                .collect(),
         }
-    }
-
-    /// Bitwise AND, recording exactly which containers were read.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn and_counted(&self, other: &Adaptive, tally: &mut OpTally) -> Adaptive {
-        self.binary_counted(other, tally, Container::and)
-    }
-
-    /// Bitwise OR, recording exactly which containers were read.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn or_counted(&self, other: &Adaptive, tally: &mut OpTally) -> Adaptive {
-        self.binary_counted(other, tally, Container::or)
     }
 
     /// Valid bits in chunk `c`.
@@ -638,11 +561,11 @@ impl BitStore for Adaptive {
     }
 
     fn and(&self, other: &Self) -> Self {
-        self.and_counted(other, &mut OpTally::default())
+        self.binary(other, Container::and)
     }
 
     fn or(&self, other: &Self) -> Self {
-        self.or_counted(other, &mut OpTally::default())
+        self.binary(other, Container::or)
     }
 
     fn xor(&self, other: &Self) -> Self {
@@ -692,6 +615,19 @@ impl BitStore for Adaptive {
 
     fn backend_name() -> &'static str {
         "adaptive"
+    }
+
+    /// The payload words and shape of every stored container — what the
+    /// container kernels read, not the uncompressed bound.
+    fn tally_read(&self, tally: &mut OpTally) {
+        for c in &self.containers {
+            tally.words += c.size_words();
+            match c.kind() {
+                ContainerKind::Array => tally.array += 1,
+                ContainerKind::Bitmap => tally.bitmap += 1,
+                ContainerKind::Run => tally.run += 1,
+            }
+        }
     }
 
     fn push_bit(&mut self, bit: bool) {
@@ -861,7 +797,9 @@ mod tests {
         assert_eq!(a.container_kind(0), Some(ContainerKind::Array));
         assert_eq!(a.container_kind(1), Some(ContainerKind::Run));
         assert_eq!(a.container_kind(2), Some(ContainerKind::Bitmap));
-        assert_eq!(a.kind_counts(), (1, 1, 1));
+        let mut census = OpTally::default();
+        a.tally_read(&mut census);
+        assert_eq!((census.array, census.bitmap, census.run), (1, 1, 1));
         assert_eq!(a.decode(), v);
     }
 
@@ -944,8 +882,10 @@ mod tests {
         let len = 2 * CHUNK_BITS;
         let a = Adaptive::encode(&sparse(len, &[1, 9, 33, 70_000]));
         let b = <Adaptive as BitStore>::ones(len);
+        // Both operands of an AND, as the query driver charges them.
         let mut tally = OpTally::default();
-        let _ = a.and_counted(&b, &mut tally);
+        a.tally_read(&mut tally);
+        b.tally_read(&mut tally);
         // a: two array containers (3 + 1 entries → 1 + 1 words);
         // b: two run containers (1 run each → 1 + 1 words).
         assert_eq!(tally.array, 2);

@@ -15,7 +15,7 @@
 //! * [`Adaptive`] — a Roaring-style adaptive container backend: each
 //!   2^16-bit chunk is stored as a sorted position array, a raw bitmap, or
 //!   a run list — whichever is smallest — with container-vs-container
-//!   AND/OR kernels and exact per-container work accounting ([`OpTally`]);
+//!   AND/OR kernels and an exact per-container read tally ([`OpTally`]);
 //! * [`kernel`] — the lane-unrolled word kernels (u64×8 with a portable
 //!   scalar fallback selected at build time) behind every bulk bitwise loop
 //!   in the crate;
@@ -51,8 +51,8 @@ pub mod kernel;
 mod store;
 mod wah;
 
-pub use adaptive::{Adaptive, ContainerKind, OpTally, ARRAY_MAX, CHUNK_BITS};
+pub use adaptive::{Adaptive, ContainerKind, ARRAY_MAX, CHUNK_BITS};
 pub use bbc::Bbc;
 pub use bitvec64::BitVec64;
-pub use store::BitStore;
+pub use store::{BitStore, OpTally};
 pub use wah::{Wah, WahStats};

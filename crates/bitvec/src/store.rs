@@ -2,6 +2,32 @@
 
 use crate::BitVec64;
 
+/// What one full read of a bit vector touches — the unit every bitmap
+/// index's `words_processed` and `containers_*` work counters are summed
+/// from (see [`BitStore::tally_read`]).
+///
+/// `words` is the number of `u64`-word-equivalents of payload read; the
+/// per-kind fields count [`crate::Adaptive`] containers by their shape and
+/// stay zero for every other backend.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpTally {
+    /// `u64`-word-equivalents of payload read.
+    pub words: u64,
+    /// Array-shaped containers read.
+    pub array: u64,
+    /// Bitmap-shaped containers read.
+    pub bitmap: u64,
+    /// Run-shaped containers read.
+    pub run: u64,
+}
+
+impl OpTally {
+    /// Total containers read, over all three kinds.
+    pub fn containers(&self) -> u64 {
+        self.array + self.bitmap + self.run
+    }
+}
+
 /// A fixed-length bit vector supporting the logical operations the paper's
 /// query-evaluation formulas need (OR, AND, XOR, NOT — §4.1).
 ///
@@ -62,6 +88,19 @@ pub trait BitStore: Clone + Send + Sync {
 
     /// Deserializes a vector written by [`BitStore::write_to`].
     fn read_from(r: &mut dyn std::io::Read) -> std::io::Result<Self>;
+
+    /// Accounts one full read of this vector into `tally`. The bitmap query
+    /// driver calls this for every stored bitmap it copies and every
+    /// operand of a logical operation, so the reported work is measured
+    /// where it happens.
+    ///
+    /// The default charges the uncompressed `⌈len / 64⌉` words — the bound
+    /// the paper's §6 cost rules are stated in, and what the plain, WAH and
+    /// BBC backends report. [`crate::Adaptive`] overrides it with the
+    /// payload words and shapes of the containers it actually stores.
+    fn tally_read(&self, tally: &mut OpTally) {
+        tally.words += self.len().div_ceil(64) as u64;
+    }
 
     /// Appends one bit, growing the vector by one position (used by the
     /// bitmap indexes' `append_row`).
@@ -175,6 +214,15 @@ mod tests {
         assert_eq!(<BitVec64 as BitStore>::zeros(10).count_ones(), 0);
         assert_eq!(<BitVec64 as BitStore>::ones(10).count_ones(), 10);
         assert_eq!(<BitVec64 as BitStore>::backend_name(), "plain");
+    }
+
+    #[test]
+    fn default_tally_charges_the_uncompressed_words() {
+        let mut tally = OpTally::default();
+        <BitVec64 as BitStore>::zeros(130).tally_read(&mut tally);
+        crate::Wah::zeros(64).tally_read(&mut tally);
+        assert_eq!(tally.words, 3 + 1);
+        assert_eq!(tally.containers(), 0);
     }
 }
 

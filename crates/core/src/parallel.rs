@@ -13,8 +13,7 @@
 //! * **Deterministic ordering** — [`ExecPool::map`]/[`ExecPool::try_map`]
 //!   chunk the input into contiguous runs and flatten worker outputs in
 //!   input order, so results are positionally identical to a sequential
-//!   map; [`ExecPool::reduce`] folds chunk partials left-to-right, so any
-//!   associative combiner yields the same value as a sequential fold.
+//!   map.
 //! * **Panic containment** — a panicking closure inside
 //!   [`ExecPool::try_map`] surfaces as [`Error::WorkerPanicked`] instead of
 //!   aborting the process; sibling items already computed are discarded.
@@ -268,63 +267,6 @@ impl ExecPool {
                 .collect()
         })
     }
-
-    /// Reduces `items` with the associative `combine`, folding contiguous
-    /// chunks on workers and the chunk partials left-to-right. For any
-    /// associative combiner the result equals the sequential left fold, and
-    /// exactly `items.len() − 1` combines are performed regardless of the
-    /// degree — so work counters charged per combine stay exact under
-    /// parallelism. Returns `None` on empty input.
-    pub fn reduce<T, F>(&self, items: Vec<T>, combine: F) -> Option<T>
-    where
-        T: Send,
-        F: Fn(T, T) -> T + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return None;
-        }
-        // A worker is only worth spawning with ≥ 2 items to combine.
-        let threads = self.threads.min(n / 2).max(1);
-        if threads == 1 || n < 4 {
-            let mut it = items.into_iter();
-            let first = it.next().expect("n > 0");
-            return Some(it.fold(first, &combine));
-        }
-        let chunk_size = n.div_ceil(threads);
-        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-        let mut items = items;
-        while !items.is_empty() {
-            let rest = items.split_off(items.len().min(chunk_size));
-            chunks.push(std::mem::replace(&mut items, rest));
-        }
-        let combine = &combine;
-        let parent_span = ibis_obs::current_span_id();
-        let partials: Vec<T> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut span = ibis_obs::span_with_parent("pool.worker", parent_span);
-                        span.add_field("items", chunk.len() as u64);
-                        let mut it = chunk.into_iter();
-                        let first = it.next().expect("chunks are non-empty");
-                        it.fold(first, combine)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => panic!("worker panicked: {}", panic_detail(payload)),
-                })
-                .collect()
-        });
-        let mut it = partials.into_iter();
-        let first = it.next().expect("at least one chunk");
-        Some(it.fold(first, combine))
-    }
 }
 
 /// Renders a contained panic payload for [`Error::WorkerPanicked`].
@@ -429,42 +371,6 @@ mod tests {
                 .try_map((0..33u32).collect(), |x| Ok(x + 1))
                 .unwrap();
             assert_eq!(got, (1..=33).collect::<Vec<u32>>());
-        }
-    }
-
-    #[test]
-    fn reduce_matches_sequential_fold_for_associative_ops() {
-        // String concatenation is associative but not commutative, so any
-        // reordering would corrupt the result.
-        let words: Vec<String> = (0..57).map(|i| format!("{i},")).collect();
-        let expect = words.concat();
-        for threads in [1, 2, 5, 8] {
-            let got = ExecPool::new(threads)
-                .reduce(words.clone(), |a, b| a + &b)
-                .unwrap();
-            assert_eq!(got, expect, "threads={threads}");
-        }
-        assert_eq!(
-            ExecPool::new(4).reduce(Vec::<u32>::new(), |a, b| a + b),
-            None
-        );
-        assert_eq!(ExecPool::new(4).reduce(vec![9u32], |a, b| a + b), Some(9));
-    }
-
-    #[test]
-    fn reduce_performs_exactly_n_minus_one_combines() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for (n, threads) in [(1usize, 4usize), (2, 4), (7, 3), (64, 8), (65, 8)] {
-            let combines = AtomicUsize::new(0);
-            ExecPool::new(threads).reduce((0..n as u64).collect(), |a, b| {
-                combines.fetch_add(1, Ordering::Relaxed);
-                a + b
-            });
-            assert_eq!(
-                combines.load(Ordering::Relaxed),
-                n - 1,
-                "n={n} threads={threads}"
-            );
         }
     }
 

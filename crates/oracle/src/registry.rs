@@ -5,10 +5,9 @@
 use ibis_baseline::{BitstringAugmented, Mosaic, RTreeIncomplete, SequentialScan};
 use ibis_bitmap::rejected::{InBandMatchEquality, InBandNotMatchEquality};
 use ibis_bitmap::{
-    AdaptiveBitmapIndex, DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex,
-    RangeBitmapIndex,
+    DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex, RangeBitmapIndex,
 };
-use ibis_bitvec::{Bbc, BitVec64, Wah};
+use ibis_bitvec::{Adaptive, Bbc, BitVec64, Wah};
 use ibis_core::{AccessMethod, Column, Dataset};
 use ibis_vafile::{VaFile, VaPlusFile};
 use std::sync::Arc;
@@ -22,11 +21,12 @@ pub fn methods(d: &Arc<Dataset>) -> Vec<Box<dyn AccessMethod>> {
         Box::new(EqualityBitmapIndex::<Wah>::build(d)),
         Box::new(EqualityBitmapIndex::<BitVec64>::build(d)),
         Box::new(EqualityBitmapIndex::<Bbc>::build(d)),
+        Box::new(EqualityBitmapIndex::<Adaptive>::build(d)),
         Box::new(RangeBitmapIndex::<Wah>::build(d)),
         Box::new(RangeBitmapIndex::<Bbc>::build(d)),
+        Box::new(RangeBitmapIndex::<Adaptive>::build(d)),
         Box::new(IntervalBitmapIndex::<Wah>::build(d)),
         Box::new(DecomposedBitmapIndex::<Wah>::build(d)),
-        Box::new(AdaptiveBitmapIndex::build(d)),
         Box::new(InBandNotMatchEquality::<Wah>::build(d)),
         Box::new(VaFile::build(d).bind(Arc::clone(d))),
         Box::new(VaPlusFile::build(d).bind(Arc::clone(d))),
@@ -61,61 +61,28 @@ where
 pub fn roundtripped(
     d: &Arc<Dataset>,
 ) -> Vec<(&'static str, std::io::Result<Box<dyn AccessMethod>>)> {
+    // Every bitmap `<family>::<backend>` pair persists the same way.
+    macro_rules! bitmap {
+        ($name:literal, $ty:ty) => {
+            (
+                $name,
+                roundtrip(
+                    <$ty>::build(d),
+                    |i, buf| i.write_to(buf),
+                    |r| <$ty>::read_from(r),
+                )
+                .map(|i| Box::new(i) as Box<dyn AccessMethod>),
+            )
+        };
+    }
     vec![
-        (
-            "bee-wah/roundtrip",
-            roundtrip(
-                EqualityBitmapIndex::<Wah>::build(d),
-                |i, buf| i.write_to(buf),
-                |r| EqualityBitmapIndex::<Wah>::read_from(r),
-            )
-            .map(|i| Box::new(i) as Box<dyn AccessMethod>),
-        ),
-        (
-            "bee-bbc/roundtrip",
-            roundtrip(
-                EqualityBitmapIndex::<Bbc>::build(d),
-                |i, buf| i.write_to(buf),
-                |r| EqualityBitmapIndex::<Bbc>::read_from(r),
-            )
-            .map(|i| Box::new(i) as Box<dyn AccessMethod>),
-        ),
-        (
-            "bre-wah/roundtrip",
-            roundtrip(
-                RangeBitmapIndex::<Wah>::build(d),
-                |i, buf| i.write_to(buf),
-                |r| RangeBitmapIndex::<Wah>::read_from(r),
-            )
-            .map(|i| Box::new(i) as Box<dyn AccessMethod>),
-        ),
-        (
-            "bie-wah/roundtrip",
-            roundtrip(
-                IntervalBitmapIndex::<Wah>::build(d),
-                |i, buf| i.write_to(buf),
-                |r| IntervalBitmapIndex::<Wah>::read_from(r),
-            )
-            .map(|i| Box::new(i) as Box<dyn AccessMethod>),
-        ),
-        (
-            "dec-wah/roundtrip",
-            roundtrip(
-                DecomposedBitmapIndex::<Wah>::build(d),
-                |i, buf| i.write_to(buf),
-                |r| DecomposedBitmapIndex::<Wah>::read_from(r),
-            )
-            .map(|i| Box::new(i) as Box<dyn AccessMethod>),
-        ),
-        (
-            "adaptive/roundtrip",
-            roundtrip(
-                AdaptiveBitmapIndex::build(d),
-                |i, buf| i.write_to(buf),
-                |r| AdaptiveBitmapIndex::read_from(r),
-            )
-            .map(|i| Box::new(i) as Box<dyn AccessMethod>),
-        ),
+        bitmap!("bee-wah/roundtrip", EqualityBitmapIndex<Wah>),
+        bitmap!("bee-bbc/roundtrip", EqualityBitmapIndex<Bbc>),
+        bitmap!("bee-adaptive/roundtrip", EqualityBitmapIndex<Adaptive>),
+        bitmap!("bre-wah/roundtrip", RangeBitmapIndex<Wah>),
+        bitmap!("bre-adaptive/roundtrip", RangeBitmapIndex<Adaptive>),
+        bitmap!("bie-wah/roundtrip", IntervalBitmapIndex<Wah>),
+        bitmap!("dec-wah/roundtrip", DecomposedBitmapIndex<Wah>),
         (
             "va-file/roundtrip",
             roundtrip(
@@ -152,26 +119,21 @@ pub fn appended(d: &Arc<Dataset>) -> Vec<(&'static str, ibis_core::Result<Box<dy
 
     let mut out: Vec<(&'static str, ibis_core::Result<Box<dyn AccessMethod>>)> = Vec::new();
 
-    let mut bee = EqualityBitmapIndex::<Wah>::build(&empty);
-    let bee = rows
-        .iter()
-        .try_for_each(|row| bee.append_row(row))
-        .map(|()| Box::new(bee) as Box<dyn AccessMethod>);
-    out.push(("bee-wah/appended", bee));
-
-    let mut bre = RangeBitmapIndex::<Wah>::build(&empty);
-    let bre = rows
-        .iter()
-        .try_for_each(|row| bre.append_row(row))
-        .map(|()| Box::new(bre) as Box<dyn AccessMethod>);
-    out.push(("bre-wah/appended", bre));
-
-    let mut adaptive = AdaptiveBitmapIndex::build(&empty);
-    let adaptive = rows
-        .iter()
-        .try_for_each(|row| adaptive.append_row(row))
-        .map(|()| Box::new(adaptive) as Box<dyn AccessMethod>);
-    out.push(("adaptive/appended", adaptive));
+    // Every appendable bitmap `<family>::<backend>` pair replays the same way.
+    macro_rules! bitmap {
+        ($name:literal, $ty:ty) => {{
+            let mut ix = <$ty>::build(&empty);
+            let ix = rows
+                .iter()
+                .try_for_each(|row| ix.append_row(row))
+                .map(|()| Box::new(ix) as Box<dyn AccessMethod>);
+            out.push(($name, ix));
+        }};
+    }
+    bitmap!("bee-wah/appended", EqualityBitmapIndex<Wah>);
+    bitmap!("bee-adaptive/appended", EqualityBitmapIndex<Adaptive>);
+    bitmap!("bre-wah/appended", RangeBitmapIndex<Wah>);
+    bitmap!("bre-adaptive/appended", RangeBitmapIndex<Adaptive>);
 
     let mut va = VaFile::build(&empty);
     let va = rows

@@ -31,10 +31,9 @@
 
 use ibis_baseline::SequentialScan;
 use ibis_bitmap::{
-    AdaptiveBitmapIndex, DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex,
-    RangeBitmapIndex,
+    DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex, RangeBitmapIndex,
 };
-use ibis_bitvec::Wah;
+use ibis_bitvec::{Adaptive, Wah};
 use ibis_core::synopsis::ShardSynopsis;
 use ibis_core::{wire, AccessMethod, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use ibis_vafile::{VaFile, VaPlusFile};
@@ -59,8 +58,9 @@ pub struct DbConfig {
     pub va: bool,
     /// Maintain a VA+-file (equi-depth bins for skewed data).
     pub vaplus: bool,
-    /// Maintain an adaptive-container equality index
-    /// ([`AdaptiveBitmapIndex`]): per-chunk array/bitmap/run containers
+    /// Maintain an equality index over adaptive containers
+    /// ([`ibis_bitmap::AdaptiveBitmapIndex`], planned as
+    /// `"bitmap-adaptive"`): per-chunk array/bitmap/run containers
     /// with container-exact work counters and a compression-scaled cost
     /// estimate.
     pub adaptive: bool,
@@ -248,7 +248,7 @@ fn build_methods(config: DbConfig, base: &Arc<Dataset>) -> Vec<Arc<dyn AccessMet
         methods.push(Arc::new(DecomposedBitmapIndex::<Wah>::build(base)));
     }
     if config.adaptive {
-        methods.push(Arc::new(AdaptiveBitmapIndex::build(base)));
+        methods.push(Arc::new(EqualityBitmapIndex::<Adaptive>::build(base)));
     }
     if config.va {
         methods.push(Arc::new(VaFile::build(base).bind(Arc::clone(base))));

@@ -124,10 +124,10 @@ commands:
       is permanently empty
   index FILE --encoding bee|bre|bie|dec|va|adaptive
         [--backend wah|bbc|plain|adaptive] --out FILE
-      build and save an index (va ignores --backend; encoding adaptive
-      is the roaring-style container index with container-exact
-      counters and also ignores --backend, while backend adaptive
-      stores any bitmap encoding in adaptive containers)
+      build and save an index (va ignores --backend; backend adaptive
+      stores any bitmap encoding in roaring-style containers with
+      container-exact work counters; encoding adaptive is shorthand
+      for --encoding bee --backend adaptive)
   query FILE QUERY [--index IDXFILE] [--not-match] [--count] [--limit N]
         [--threads N] [--shard-rows N] [--profile] [--profile-json FILE]
         [--addr HOST:PORT [--deadline-ms MS]]
@@ -424,9 +424,20 @@ fn index(args: &[String]) -> Result<(), CliError> {
         .first()
         .ok_or("usage: ibis index FILE --encoding … --out …")?;
     let out = req(&flags, "out")?;
-    let backend = flags.get("backend").map_or("wah", String::as_str);
-    let d = load_dataset(path)?;
     let encoding = req(&flags, "encoding")?;
+    let backend = flags.get("backend").map(String::as_str);
+    let (encoding, backend) = if encoding == "adaptive" {
+        if let Some(b) = backend.filter(|&b| b != "adaptive") {
+            return Err(CliError::Usage(format!(
+                "--encoding adaptive means --encoding bee --backend adaptive; \
+                 it cannot be combined with --backend {b}"
+            )));
+        }
+        ("bee", "adaptive")
+    } else {
+        (encoding, backend.unwrap_or("wah"))
+    };
+    let d = load_dataset(path)?;
     macro_rules! save_bitmap {
         ($ty:ident) => {
             match backend {
@@ -450,11 +461,6 @@ fn index(args: &[String]) -> Result<(), CliError> {
         "bre" => save_bitmap!(RangeBitmapIndex)?,
         "bie" => save_bitmap!(IntervalBitmapIndex)?,
         "dec" => save_bitmap!(DecomposedBitmapIndex)?,
-        "adaptive" => {
-            let idx = AdaptiveBitmapIndex::build(&d);
-            idx.save(out).map_err(|e| e.to_string())?;
-            (idx.n_bitmaps(), idx.size_bytes())
-        }
         other => {
             return Err(CliError::Usage(format!(
                 "unknown encoding {other:?} (bee|bre|bie|dec|va|adaptive)"
@@ -462,13 +468,6 @@ fn index(args: &[String]) -> Result<(), CliError> {
         }
     };
     if n_bitmaps > 0 {
-        // Adaptive encoding carries its own container substrate; naming the
-        // (ignored) --backend default would mislabel the file.
-        let backend = if encoding == "adaptive" {
-            "containers"
-        } else {
-            backend
-        };
         println!(
             "wrote {encoding}/{backend} index: {n_bitmaps} bitmaps, {:.1} KB → {out}",
             bytes as f64 / 1024.0
@@ -565,17 +564,15 @@ fn load_access_method(path: &str, d: &Arc<Dataset>) -> Result<Box<dyn AccessMeth
         b"IBRE" => dispatch!(RangeBitmapIndex),
         b"IBIE" => dispatch!(IntervalBitmapIndex),
         b"IBDX" => dispatch!(DecomposedBitmapIndex),
-        b"IBAD" => {
-            let idx = AdaptiveBitmapIndex::load(path).map_err(|e| e.to_string())?;
-            check_rows(idx.n_rows())?;
-            Ok(Box::new(idx) as Box<dyn AccessMethod>)
-        }
         b"IBVA" => {
             let va = VaFile::load(path).map_err(|e| e.to_string())?;
             check_rows(va.n_rows())?;
             Ok(Box::new(va.bind(Arc::clone(d))))
         }
-        other => Err(format!("unrecognized index magic {other:02x?} in {path:?}")),
+        other => Err(format!(
+            "unrecognized index magic {other:02x?} in {path:?} — rebuild the index \
+             with `ibis index`"
+        )),
     }
 }
 
@@ -1789,6 +1786,18 @@ mod tests {
                 s("--addr"),
                 s("h:1"),
             ],
+            // `--encoding adaptive` is shorthand for bee over the adaptive
+            // backend; any other backend contradicts it.
+            vec![
+                s("index"),
+                s("x.ibds"),
+                s("--encoding"),
+                s("adaptive"),
+                s("--backend"),
+                s("wah"),
+                s("--out"),
+                s("x"),
+            ],
             vec![s("frobnicate")],
         ];
         for args in usage_cases {
@@ -2069,10 +2078,14 @@ mod tests {
         .unwrap();
         let d = Dataset::load(&data).unwrap();
         let text = format!("{} = 1", d.column(0).name());
-        // Both adaptive surfaces: the container-exact index (its own IBAD
-        // magic) and a paper encoding stored in adaptive containers (the
-        // generic bitmap format with backend name "adaptive").
-        for (encoding, backend) in [("adaptive", None), ("bre", Some("adaptive"))] {
+        // `--encoding adaptive` is shorthand for bee over the adaptive
+        // backend: both spellings write the same IBEE file.
+        let mut written = Vec::new();
+        for (encoding, backend) in [
+            ("adaptive", None),
+            ("bee", Some("adaptive")),
+            ("bre", Some("adaptive")),
+        ] {
             let idx = dir
                 .join(format!("d.{encoding}.ad"))
                 .to_string_lossy()
@@ -2089,6 +2102,7 @@ mod tests {
                 args.extend([s("--backend"), s(b)]);
             }
             run(&args).unwrap();
+            written.push(std::fs::read(&idx).unwrap());
             run(&[
                 s("query"),
                 data.clone(),
@@ -2100,6 +2114,27 @@ mod tests {
             ])
             .unwrap();
         }
+        assert_eq!(&written[0][..4], b"IBEE");
+        assert_eq!(written[0], written[1]);
+        assert_eq!(&written[2][..4], b"IBRE");
+
+        // A file from before the adaptive index joined the generic format
+        // is a runtime failure that says what to do, not a second reader.
+        let stale = dir.join("stale.ad").to_string_lossy().into_owned();
+        let mut bytes = written[0].clone();
+        bytes[..4].copy_from_slice(b"IBAD");
+        std::fs::write(&stale, bytes).unwrap();
+        let err = run(&[s("query"), data.clone(), text, s("--index"), stale]).unwrap_err();
+        assert!(matches!(err, CliError::Runtime(_)), "got {err:?}");
+        assert_eq!(err.exit_code(), 1);
+        assert!(
+            err.message().contains("unrecognized index magic")
+                && err
+                    .message()
+                    .contains("rebuild the index with `ibis index`"),
+            "{}",
+            err.message()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,8 +21,10 @@ fn registry(d: &Arc<Dataset>) -> Vec<Box<dyn AccessMethod>> {
         Box::new(EqualityBitmapIndex::<Wah>::build(d)),
         Box::new(EqualityBitmapIndex::<BitVec64>::build(d)),
         Box::new(EqualityBitmapIndex::<Bbc>::build(d)),
+        Box::new(EqualityBitmapIndex::<Adaptive>::build(d)),
         Box::new(RangeBitmapIndex::<Wah>::build(d)),
         Box::new(RangeBitmapIndex::<Bbc>::build(d)),
+        Box::new(RangeBitmapIndex::<Adaptive>::build(d)),
         Box::new(IntervalBitmapIndex::<Wah>::build(d)),
         Box::new(DecomposedBitmapIndex::<Wah>::build(d)),
         Box::new(InBandNotMatchEquality::<Wah>::build(d)),
@@ -123,7 +125,7 @@ fn conformance_pass(d: &Arc<Dataset>, ctx: &str, seed: u64) {
                 // degree, both the rows AND the merged work counters must be
                 // bit-identical to the sequential run.
                 let (seq_rows, seq_cost) = m.execute_with_cost(q).unwrap();
-                for threads in [2usize, 8] {
+                for threads in [3usize, 8] {
                     let (par_rows, par_cost) = m.execute_with_cost_threads(q, threads).unwrap();
                     assert_eq!(
                         par_rows,

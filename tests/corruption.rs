@@ -82,11 +82,15 @@ fn dec_bytes() -> Vec<u8> {
     BYTES.clone()
 }
 
+/// The equality index over the adaptive backend: the generic IBEE image
+/// whose bitmap payloads are in the container format.
 fn adaptive_bytes() -> Vec<u8> {
     static BYTES: LazyLock<Vec<u8>> = LazyLock::new(|| {
         let d = census_scaled(60, 509);
         let mut buf = Vec::new();
-        AdaptiveBitmapIndex::build(&d).write_to(&mut buf).unwrap();
+        EqualityBitmapIndex::<Adaptive>::build(&d)
+            .write_to(&mut buf)
+            .unwrap();
         buf
     });
     BYTES.clone()
@@ -185,7 +189,7 @@ proptest! {
         let mut buf = adaptive_bytes();
         let i = pos % buf.len();
         buf[i] ^= byte;
-        let _ = AdaptiveBitmapIndex::read_from(&mut buf.as_slice());
+        let _ = EqualityBitmapIndex::<Adaptive>::read_from(&mut buf.as_slice());
     }
 
     #[test]
@@ -222,7 +226,7 @@ proptest! {
                 let _ = IntervalBitmapIndex::<Wah>::read_from(&mut buf.as_slice());
                 let _ = DecomposedBitmapIndex::<Wah>::read_from(&mut buf.as_slice());
                 let _ = VaFile::read_from(&mut buf.as_slice());
-                let _ = AdaptiveBitmapIndex::read_from(&mut buf.as_slice());
+                let _ = EqualityBitmapIndex::<Adaptive>::read_from(&mut buf.as_slice());
             }
         }
     }
@@ -335,7 +339,7 @@ proptest! {
         prop_assert!(VaFile::read_from(&mut &buf[..cut]).is_err());
         let buf = adaptive_bytes();
         let cut = ((buf.len() as f64) * cut_frac) as usize;
-        prop_assert!(AdaptiveBitmapIndex::read_from(&mut &buf[..cut]).is_err());
+        prop_assert!(EqualityBitmapIndex::<Adaptive>::read_from(&mut &buf[..cut]).is_err());
     }
 }
 
@@ -346,7 +350,7 @@ fn adaptive_lying_container_counts_and_kinds_fail_cleanly() {
     // every count with huge/hostile values: reads must reject with a clean
     // error (or, for a benign coincidence, a structurally valid index) —
     // never panic, never reserve the claimed amount. The container payload
-    // starts after the IBAD header, backend name, row/attr counts, and the
+    // starts after the IBEE header, backend name, row/attr counts, and the
     // per-attr preamble, so rather than hand-computing offsets we sweep all
     // plausible positions.
     let base = adaptive_bytes();
@@ -357,7 +361,7 @@ fn adaptive_lying_container_counts_and_kinds_fail_cleanly() {
         for stamp in [3u8, 0x7F, 0xFF] {
             let mut buf = base.clone();
             buf[off] = stamp;
-            let _ = AdaptiveBitmapIndex::read_from(&mut buf.as_slice());
+            let _ = EqualityBitmapIndex::<Adaptive>::read_from(&mut buf.as_slice());
         }
     }
     // Hostile 32-bit counts stamped across the image (aligned and not).
@@ -365,7 +369,7 @@ fn adaptive_lying_container_counts_and_kinds_fail_cleanly() {
         for n in [u32::MAX, 1 << 30, 65_537] {
             let mut buf = base.clone();
             buf[off..off + 4].copy_from_slice(&n.to_le_bytes());
-            let _ = AdaptiveBitmapIndex::read_from(&mut buf.as_slice());
+            let _ = EqualityBitmapIndex::<Adaptive>::read_from(&mut buf.as_slice());
         }
     }
 }

@@ -1,7 +1,6 @@
 //! The paper's worked examples (Tables 1–6) verified end to end, plus the
 //! operation-count claims of §4.2/§4.3 on the same data.
 
-use ibis::bitmap::QueryCost;
 use ibis::core::scan;
 use ibis::prelude::*;
 
@@ -75,7 +74,7 @@ fn bee_worst_case_bitmap_bound_holds() {
             // worst case, now tight (the executor picks the smaller side).
             let w = (hi - lo + 1) as usize;
             let bound = w.min(c as usize - w) + 1;
-            let mut cost = QueryCost::zero();
+            let mut cost = WorkCounters::zero();
             bee.evaluate_interval(0, Interval::new(lo, hi), MissingPolicy::IsMatch, &mut cost);
             assert!(
                 cost.bitmaps_accessed <= bound,
@@ -93,13 +92,13 @@ fn bre_bitmap_bounds_hold_everywhere() {
     let bre = RangeBitmapIndex::<Wah>::build(&d);
     for lo in 1..=5u16 {
         for hi in lo..=5u16 {
-            let mut cost = QueryCost::zero();
+            let mut cost = WorkCounters::zero();
             bre.evaluate_interval(0, Interval::new(lo, hi), MissingPolicy::IsMatch, &mut cost);
             assert!(
                 (0..=3).contains(&cost.bitmaps_accessed),
                 "match [{lo},{hi}] {cost:?}"
             );
-            let mut cost = QueryCost::zero();
+            let mut cost = WorkCounters::zero();
             bre.evaluate_interval(
                 0,
                 Interval::new(lo, hi),
@@ -112,6 +111,156 @@ fn bre_bitmap_bounds_hold_everywhere() {
             );
         }
     }
+}
+
+/// Three attributes of cardinality 6 with missing values in each — the
+/// bitmap crate's driver-test relation — for the `k − 1` reduce ANDs.
+fn three_attr_dataset() -> Dataset {
+    Dataset::from_rows(
+        &[("a", 6), ("b", 6), ("c", 6)],
+        &[
+            vec![v(5), v(2), v(1)],
+            vec![m(), v(5), v(4)],
+            vec![v(3), m(), v(2)],
+            vec![v(2), v(4), m()],
+            vec![v(6), v(1), v(6)],
+            vec![v(1), v(3), v(3)],
+            vec![m(), m(), m()],
+            vec![v(4), v(6), v(5)],
+        ],
+    )
+    .unwrap()
+}
+
+/// `render(counters)` for every interval of the worked example under both
+/// policies (match first, `[1,1] [1,2] … [5,5]`), then for a three-predicate
+/// query on [`three_attr_dataset`] at threads 1, 3 and 8 per policy.
+fn counter_trace(
+    one: &dyn AccessMethod,
+    three: &dyn AccessMethod,
+    render: fn(&WorkCounters) -> String,
+) -> (String, String) {
+    let mut single = Vec::new();
+    let mut multi = Vec::new();
+    for policy in MissingPolicy::ALL {
+        for lo in 1..=5u16 {
+            for hi in lo..=5u16 {
+                let q = RangeQuery::new(vec![Predicate::range(0, lo, hi)], policy).unwrap();
+                single.push(render(&one.execute_with_cost(&q).unwrap().1));
+            }
+        }
+        let q = RangeQuery::new(
+            vec![
+                Predicate::range(0, 2, 5),
+                Predicate::range(1, 1, 4),
+                Predicate::range(2, 2, 6),
+            ],
+            policy,
+        )
+        .unwrap();
+        for threads in [1, 3, 8] {
+            multi.push(render(
+                &three.execute_with_cost_threads(&q, threads).unwrap().1,
+            ));
+        }
+    }
+    (single.join(" "), multi.join(" "))
+}
+
+fn families<B: ibis::bitvec::BitStore + 'static>(
+    d: &Dataset,
+) -> [(&'static str, Box<dyn AccessMethod>); 4] {
+    [
+        ("bee", Box::new(EqualityBitmapIndex::<B>::build(d))),
+        ("bre", Box::new(RangeBitmapIndex::<B>::build(d))),
+        ("bie", Box::new(IntervalBitmapIndex::<B>::build(d))),
+        ("dec", Box::new(DecomposedBitmapIndex::<B>::build(d))),
+    ]
+}
+
+#[test]
+fn bitmap_and_op_counts_are_pinned_for_every_family_and_backend() {
+    // `bitmaps_accessed/logical_ops` — the paper's own §6 quantities — as
+    // recorded before the bitmap drivers were unified. They depend on the
+    // encoding only, never on the backend or the thread degree.
+    let pinned = [
+        (
+            "bee",
+            "2/1 3/2 2/2 1/1 0/0 2/1 3/2 2/2 1/1 2/1 3/2 2/2 2/1 3/2 2/1 1/0 2/1 \
+             3/3 2/2 1/1 1/0 2/1 3/3 2/2 1/0 2/1 3/3 1/0 2/1 1/0",
+            "5/7 5/7 5/7 8/10 8/10 8/10",
+        ),
+        (
+            "bre",
+            "1/0 1/0 1/0 1/0 0/0 3/2 3/2 3/2 2/2 3/2 3/2 2/2 3/2 2/2 2/2 2/1 2/1 \
+             2/1 2/1 1/1 2/1 2/1 2/1 1/1 2/1 2/1 1/1 2/1 1/1 1/1",
+            "6/6 6/6 6/6 5/5 5/5 5/5",
+        ),
+        (
+            "bie",
+            "3/3 3/3 3/2 3/2 2/2 3/3 3/2 3/2 3/2 3/2 3/2 3/2 3/3 3/3 3/3 2/2 2/2 \
+             2/1 2/1 1/1 2/2 2/1 2/1 2/1 2/1 2/1 2/1 2/2 2/2 2/2",
+            "9/8 9/8 9/8 6/5 6/5 6/5",
+        ),
+        (
+            "dec",
+            "3/2 3/2 3/2 4/4 2/1 5/5 5/5 6/7 4/4 5/5 6/7 4/4 6/7 4/4 5/6 2/1 2/1 \
+             2/1 3/3 1/0 4/4 4/4 5/6 3/3 4/4 5/6 3/3 5/6 3/3 4/5",
+            "14/17 14/17 14/17 11/14 11/14 11/14",
+        ),
+    ];
+    let render = |c: &WorkCounters| format!("{}/{}", c.bitmaps_accessed, c.logical_ops);
+    fn check<B: ibis::bitvec::BitStore + 'static>(
+        pinned: &[(&str, &str, &str); 4],
+        render: fn(&WorkCounters) -> String,
+    ) {
+        let one = families::<B>(&paper_dataset());
+        let three = families::<B>(&three_attr_dataset());
+        for (((name, a), (_, b)), want) in one.iter().zip(&three).zip(pinned) {
+            assert_eq!(*name, want.0);
+            let (single, multi) = counter_trace(a.as_ref(), b.as_ref(), render);
+            assert_eq!(single, want.1, "{name} over {}", B::backend_name());
+            assert_eq!(multi, want.2, "{name} over {}", B::backend_name());
+        }
+    }
+    check::<BitVec64>(&pinned, render);
+    check::<Wah>(&pinned, render);
+    check::<Bbc>(&pinned, render);
+    check::<Adaptive>(&pinned, render);
+}
+
+#[test]
+fn adaptive_counters_are_pinned_field_for_field() {
+    // bitmaps/ops/words/array/bitmap/run containers of the equality index
+    // over adaptive containers, as its own driver reported them before it
+    // was folded into the shared one.
+    let render = |c: &WorkCounters| {
+        format!(
+            "{}/{}/{}/{}/{}/{}",
+            c.bitmaps_accessed,
+            c.logical_ops,
+            c.words_processed,
+            c.containers_array,
+            c.containers_bitmap,
+            c.containers_run
+        )
+    };
+    let (single, multi) = counter_trace(
+        &AdaptiveBitmapIndex::build(&paper_dataset()),
+        &AdaptiveBitmapIndex::build(&three_attr_dataset()),
+        render,
+    );
+    assert_eq!(
+        single,
+        "2/1/3/3/0/0 3/2/5/5/0/0 2/2/4/3/0/1 1/1/2/2/0/0 0/0/0/0/0/0 \
+         2/1/3/3/0/0 3/2/5/5/0/0 2/2/4/3/0/1 1/1/2/2/0/0 2/1/3/3/0/0 \
+         3/2/5/5/0/0 2/2/4/4/0/0 2/1/3/3/0/0 3/2/5/4/0/1 2/1/3/3/0/0 \
+         1/0/1/1/0/0 2/1/3/3/0/0 3/3/7/5/0/1 2/2/4/4/0/0 1/1/2/2/0/0 \
+         1/0/1/1/0/0 2/1/3/3/0/0 3/3/7/5/0/1 2/2/4/4/0/0 1/0/1/1/0/0 \
+         2/1/3/3/0/0 3/3/7/6/0/0 1/0/1/1/0/0 2/1/3/3/0/0 1/0/1/1/0/0"
+    );
+    let [m3, n3] = ["5/7/14/11/0/3", "8/10/21/20/0/0"];
+    assert_eq!(multi, [m3, m3, m3, n3, n3, n3].join(" "));
 }
 
 #[test]

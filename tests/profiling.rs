@@ -31,7 +31,8 @@ fn methods(data: &Dataset) -> Vec<Box<dyn AccessMethod>> {
         Box::new(RangeBitmapIndex::<Wah>::build(data)),
         Box::new(IntervalBitmapIndex::<Wah>::build(data)),
         Box::new(DecomposedBitmapIndex::<Wah>::build(data)),
-        Box::new(AdaptiveBitmapIndex::build(data)),
+        Box::new(EqualityBitmapIndex::<Adaptive>::build(data)),
+        Box::new(RangeBitmapIndex::<Adaptive>::build(data)),
         Box::new(VaFile::build(data).bind(Arc::new(data.clone()))),
         Box::new(SequentialScan.bind(Arc::new(data.clone()))),
     ]
@@ -64,23 +65,30 @@ fn span_deltas_sum_to_final_counters_for_every_method() {
 }
 
 #[test]
-fn adaptive_profile_reports_container_exact_counters() {
+fn adaptive_profiles_report_container_exact_counters() {
     let _serial = serial();
     let data = ibis::core::gen::census_scaled(500, 97);
     let q = query(&data);
-    let idx = AdaptiveBitmapIndex::build(&data);
-    for threads in [1, 3] {
-        let prof = ibis::profile::profile_method(&idx, &q, threads).unwrap();
-        let c = prof.counters;
-        // The per-kind container counters are live and the per-phase span
-        // deltas (fetch + and_reduce) sum exactly to the final counters —
-        // including the three container fields and the exact word count.
-        assert!(
-            c.containers_array + c.containers_bitmap + c.containers_run > 0,
-            "t={threads}"
-        );
-        assert!(c.words_processed > 0, "t={threads}");
-        assert_eq!(prof.span_counter_sum(), c, "t={threads}\n{}", prof.render());
+    let indexes: [Box<dyn AccessMethod>; 2] = [
+        Box::new(EqualityBitmapIndex::<Adaptive>::build(&data)),
+        Box::new(RangeBitmapIndex::<Adaptive>::build(&data)),
+    ];
+    for idx in &indexes {
+        for threads in [1, 3] {
+            let prof = ibis::profile::profile_method(&**idx, &q, threads).unwrap();
+            let c = prof.counters;
+            // The per-kind container counters are live and the per-phase
+            // span deltas (fetch + and_reduce) sum exactly to the final
+            // counters — including the three container fields and the
+            // measured word count.
+            assert!(
+                c.containers_array + c.containers_bitmap + c.containers_run > 0,
+                "{} t={threads}",
+                prof.method
+            );
+            assert!(c.words_processed > 0, "{} t={threads}", prof.method);
+            assert_eq!(prof.span_counter_sum(), c, "t={threads}\n{}", prof.render());
+        }
     }
 }
 
