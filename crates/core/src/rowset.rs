@@ -82,6 +82,12 @@ impl RowSet {
         &self.rows
     }
 
+    /// The sorted row ids, by value: hands the buffer on without a copy.
+    #[inline]
+    pub fn into_rows(self) -> Vec<u32> {
+        self.rows
+    }
+
     /// Membership test (binary search).
     pub fn contains(&self, row: u32) -> bool {
         self.rows.binary_search(&row).is_ok()

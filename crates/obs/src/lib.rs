@@ -6,17 +6,24 @@
 //!   records monotonic elapsed nanoseconds, the emitting thread, a link to
 //!   the enclosing span, and optional named `u64` fields (used by the engine
 //!   to attach per-phase `WorkCounters` deltas). Finished spans land in a
-//!   lock-free thread-local buffer that is drained into the global recorder
-//!   when the thread's outermost span closes (or the thread exits), so the
-//!   hot path never takes a lock.
+//!   lock-free thread-local buffer, so the hot path never takes a lock.
+//!   Where the buffer goes next depends on who asked for the spans:
+//!   under [`Recorder::enabled`] it is appended to the global span log when
+//!   the thread's outermost span closes (or the thread exits) and read back
+//!   with [`snapshot`]; under a [`capture`] it is handed to the capture's
+//!   owner by [`SpanCapture::finish`] and never reaches the global log or
+//!   its lock — the cost of observing one request is O(that request),
+//!   whatever ran before it. A long-running process wants the second:
+//!   [`Recorder::metrics_only`] records spans *only* under a capture.
 //! * **Metrics** — [`counter_add`], [`gauge_set`] and [`observe`] maintain a
 //!   registry of counters, gauges and log-linear histograms keyed by
-//!   `&'static str`.
+//!   `&'static str`; [`record`] applies several updates under one lock.
 //! * **Snapshots** — [`snapshot`] freezes everything into a [`Snapshot`]
 //!   that renders as a human table / span tree (`Display`), exports to JSON
 //!   ([`Snapshot::to_json`]) and parses back ([`Snapshot::from_json`]).
 //!
-//! Recording is off by default. `Recorder::enabled().install()` turns it on;
+//! Recording is off by default. `Recorder::enabled().install()` turns it on
+//! (`Recorder::metrics_only()` without the global span log);
 //! `Recorder::disabled().install()` turns it off again and discards state.
 //! When disabled every entry point is a single relaxed atomic load — no
 //! allocation, no clock read, no lock — so instrumented code can stay
@@ -43,13 +50,19 @@ pub use window::{
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Global on/off switch. Relaxed is enough: recording is advisory and a
-/// stale read merely delays when a thread notices an install.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// What the installed recorder records. Relaxed is enough: recording is
+/// advisory and a stale read merely delays when a thread notices an install.
+static MODE: AtomicU8 = AtomicU8::new(OFF);
+/// Nothing: every entry point returns after one load of [`MODE`].
+const OFF: u8 = 0;
+/// Metrics, and spans only on a thread that has a [`capture`] open.
+const METRICS: u8 = 1;
+/// Metrics and every span; uncaptured spans go to the global span log.
+const FULL: u8 = 2;
 /// Bumped on every [`Recorder::install`]; spans started under an older
 /// generation are discarded instead of polluting the new recording.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
@@ -88,7 +101,7 @@ struct GlobalState {
 }
 
 /// A finished span, still using `&'static str` names (stringified only when
-/// a [`Snapshot`] is taken).
+/// it leaves the recorder, in a [`Snapshot`] or a finished capture).
 struct RawSpan {
     id: u64,
     parent: u64,
@@ -99,12 +112,34 @@ struct RawSpan {
     fields: Vec<(&'static str, u64)>,
 }
 
+impl RawSpan {
+    fn record(&self) -> SpanRecord {
+        SpanRecord {
+            id: self.id,
+            parent: self.parent,
+            name: self.name.to_string(),
+            thread: self.thread,
+            start_ns: self.start_ns,
+            elapsed_ns: self.elapsed_ns,
+            fields: self
+                .fields
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v))
+                .collect(),
+        }
+    }
+}
+
 struct ThreadState {
     thread: u64,
     generation: u64,
     /// Ids of the currently open spans on this thread, outermost first.
     stack: Vec<u64>,
     buf: Vec<RawSpan>,
+    /// The captures open on this thread, outermost first: root span id and
+    /// the length of `buf` when it opened. While any is open `buf` is not
+    /// flushed; `buf[start..]` is what the innermost one has captured.
+    captures: Vec<(u64, usize)>,
 }
 
 impl ThreadState {
@@ -114,6 +149,7 @@ impl ThreadState {
             generation: u64::MAX,
             stack: Vec::new(),
             buf: Vec::new(),
+            captures: Vec::new(),
         }
     }
 
@@ -123,17 +159,79 @@ impl ThreadState {
             self.generation = generation;
             self.stack.clear();
             self.buf.clear();
+            self.captures.clear();
         }
     }
 
+    /// Hand the buffer to the global span log — if the recorder that is
+    /// installed now keeps one, and no capture on this thread owns part of
+    /// the buffer.
     fn flush(&mut self) {
-        if self.buf.is_empty() {
+        if self.buf.is_empty() || !self.captures.is_empty() {
             return;
         }
-        if self.generation == GENERATION.load(Ordering::Relaxed) && is_enabled() {
+        if self.generation == GENERATION.load(Ordering::Relaxed)
+            && MODE.load(Ordering::Relaxed) == FULL
+        {
             lock_global().spans.append(&mut self.buf);
         } else {
             self.buf.clear();
+        }
+    }
+
+    /// Open a span, or return `None` where nobody wants it: under a
+    /// metrics-only recorder, a span that is neither a capture root nor
+    /// under one on this thread.
+    fn open(
+        &mut self,
+        name: &'static str,
+        fallback_parent: Option<u64>,
+        capture: bool,
+    ) -> Option<ActiveSpan> {
+        let generation = GENERATION.load(Ordering::Relaxed);
+        self.sync_generation(generation);
+        if !capture && self.captures.is_empty() && MODE.load(Ordering::Relaxed) != FULL {
+            return None;
+        }
+        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let parent = self.stack.last().copied().or(fallback_parent).unwrap_or(0);
+        self.stack.push(id);
+        if capture {
+            self.captures.push((id, self.buf.len()));
+        }
+        let start = Instant::now();
+        Some(ActiveSpan {
+            id,
+            parent,
+            name,
+            generation,
+            start,
+            start_ns: start.duration_since(epoch()).as_nanos() as u64,
+            fields: Vec::new(),
+        })
+    }
+
+    /// Buffer a closing span (dropped if the recorder was swapped while it
+    /// was open).
+    fn close(&mut self, a: ActiveSpan) {
+        let elapsed_ns = a.start.elapsed().as_nanos() as u64;
+        if self.generation != a.generation {
+            return;
+        }
+        if self.stack.last() == Some(&a.id) {
+            self.stack.pop();
+        }
+        self.buf.push(RawSpan {
+            id: a.id,
+            parent: a.parent,
+            name: a.name,
+            thread: self.thread,
+            start_ns: a.start_ns,
+            elapsed_ns,
+            fields: a.fields,
+        });
+        if self.stack.is_empty() || self.buf.len() >= FLUSH_HIGH_WATER {
+            self.flush();
         }
     }
 }
@@ -162,35 +260,46 @@ thread_local! {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Recorder {
-    enabled: bool,
+    mode: u8,
 }
 
 impl Recorder {
-    /// A recorder that records spans and metrics.
+    /// A recorder that records metrics and every span: what a profiler
+    /// wants for one bounded run, read back with [`snapshot`]. The span log
+    /// grows until the next install.
     pub fn enabled() -> Self {
-        Recorder { enabled: true }
+        Recorder { mode: FULL }
+    }
+
+    /// A recorder that records metrics, and spans only on a thread that has
+    /// a [`capture`] open — the capture's owner gets them, the global span
+    /// log stays empty. What a long-running process wants: its span memory
+    /// is bounded by the requests being captured right now.
+    pub fn metrics_only() -> Self {
+        Recorder { mode: METRICS }
     }
 
     /// A recorder that makes every API entry point a no-op (the default).
     pub fn disabled() -> Self {
-        Recorder { enabled: false }
+        Recorder { mode: OFF }
     }
 
     /// Install this recorder globally, discarding anything recorded so far.
-    /// Spans that are still open when an install happens belong to the old
-    /// generation and are dropped on close, never mixed into the new run.
+    /// Spans and captures that are still open when an install happens belong
+    /// to the old generation and are dropped on close, never mixed into the
+    /// new run.
     pub fn install(self) {
         let mut g = lock_global();
         GENERATION.fetch_add(1, Ordering::Relaxed);
         *g = GlobalState::default();
-        ENABLED.store(self.enabled, Ordering::Relaxed);
+        MODE.store(self.mode, Ordering::Relaxed);
     }
 }
 
 /// Whether the installed recorder is currently recording.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    MODE.load(Ordering::Relaxed) != OFF
 }
 
 /// Payload of a live, recording span.
@@ -212,7 +321,7 @@ struct ActiveSpan {
 pub struct SpanGuard(Option<ActiveSpan>);
 
 impl SpanGuard {
-    /// The span's unique id (0 when the recorder is disabled).
+    /// The span's unique id (0 when the guard is inert).
     pub fn id(&self) -> u64 {
         self.0.as_ref().map_or(0, |a| a.id)
     }
@@ -222,7 +331,7 @@ impl SpanGuard {
         self.0.is_some()
     }
 
-    /// Attach a named value to the span (no-op when disabled). Values with
+    /// Attach a named value to the span (no-op when inert). Values with
     /// the same name accumulate by appearing once each in the record.
     pub fn add_field(&mut self, name: &'static str, value: u64) {
         if let Some(a) = self.0.as_mut() {
@@ -233,42 +342,29 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(a) = self.0.take() else { return };
-        let elapsed_ns = a.start.elapsed().as_nanos() as u64;
-        TLS.with(|tls| {
-            let mut ts = tls.borrow_mut();
-            if ts.generation != a.generation {
-                return; // recorder swapped while this span was open
-            }
-            if ts.stack.last() == Some(&a.id) {
-                ts.stack.pop();
-            }
-            let thread = ts.thread;
-            ts.buf.push(RawSpan {
-                id: a.id,
-                parent: a.parent,
-                name: a.name,
-                thread,
-                start_ns: a.start_ns,
-                elapsed_ns,
-                fields: a.fields,
-            });
-            if ts.stack.is_empty() || ts.buf.len() >= FLUSH_HIGH_WATER {
-                ts.flush();
-            }
-        });
+        if let Some(a) = self.0.take() {
+            TLS.with(|tls| tls.borrow_mut().close(a));
+        }
     }
+}
+
+/// The entry points' shared body: one relaxed load when disabled, else the
+/// thread's [`ThreadState::open`].
+#[inline]
+fn open(name: &'static str, fallback_parent: Option<u64>, capture: bool) -> SpanGuard {
+    if !is_enabled() {
+        return SpanGuard(None);
+    }
+    SpanGuard(TLS.with(|tls| tls.borrow_mut().open(name, fallback_parent, capture)))
 }
 
 /// Open a span named `name`, parented to the innermost open span on this
 /// thread (or a root if there is none). Returns an inert guard when the
-/// recorder is disabled.
+/// recorder is disabled, or metrics-only with no [`capture`] open on this
+/// thread.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard(None);
-    }
-    span_slow(name, None)
+    open(name, None, false)
 }
 
 /// Open a span with an explicit fallback parent, used to stitch the trace
@@ -276,32 +372,89 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// the given id becomes the parent; otherwise normal nesting wins.
 #[inline]
 pub fn span_with_parent(name: &'static str, parent: u64) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard(None);
-    }
-    span_slow(name, Some(parent))
+    open(name, Some(parent), false)
 }
 
-fn span_slow(name: &'static str, fallback_parent: Option<u64>) -> SpanGuard {
-    let generation = GENERATION.load(Ordering::Relaxed);
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let start = Instant::now();
-    let start_ns = start.duration_since(epoch()).as_nanos() as u64;
-    TLS.with(|tls| {
-        let mut ts = tls.borrow_mut();
-        ts.sync_generation(generation);
-        let parent = ts.stack.last().copied().or(fallback_parent).unwrap_or(0);
-        ts.stack.push(id);
-        SpanGuard(Some(ActiveSpan {
-            id,
-            parent,
-            name,
-            generation,
-            start,
-            start_ns,
-            fields: Vec::new(),
-        }))
-    })
+/// Open a span named `name` that also *captures*: until the returned guard
+/// is finished, every span closed on this thread is kept for the guard's
+/// owner instead of going to the global span log. Works under either
+/// recording [`Recorder`]; inert (one relaxed load, no allocation) when the
+/// recorder is disabled.
+///
+/// ```
+/// ibis_obs::Recorder::metrics_only().install();
+/// let mut request = ibis_obs::capture("demo.request");
+/// request.add_field("request_id", 7);
+/// drop(ibis_obs::span("demo.work"));
+/// let spans = request.finish();
+/// assert_eq!(spans.len(), 2); // the root and its child, nothing else
+/// assert!(ibis_obs::snapshot().spans.is_empty());
+/// ibis_obs::Recorder::disabled().install();
+/// ```
+#[inline]
+pub fn capture(name: &'static str) -> SpanCapture {
+    SpanCapture(open(name, None, true))
+}
+
+/// Root of a thread-scoped span capture, returned by [`capture`].
+///
+/// Captures nest: an inner capture takes the spans closed under it, the
+/// outer one keeps the rest. Spans closed on *other* threads are not
+/// captured (they go wherever the installed recorder sends them), so run the
+/// captured work on this thread if the tree must be complete. Dropping the
+/// guard without [`finish`](SpanCapture::finish) discards what it captured.
+#[must_use = "a capture collects the spans of the scope it is alive for"]
+pub struct SpanCapture(SpanGuard);
+
+/// The root span: `id`, `add_field` and `is_recording` as on any guard.
+impl std::ops::Deref for SpanCapture {
+    type Target = SpanGuard;
+    fn deref(&self) -> &SpanGuard {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for SpanCapture {
+    fn deref_mut(&mut self) -> &mut SpanGuard {
+        &mut self.0
+    }
+}
+
+impl SpanCapture {
+    /// Close the root span and return it with every span closed on this
+    /// thread since the capture opened, sorted by `(start_ns, id)`. Empty
+    /// when the recorder was disabled at [`capture`], or was swapped since.
+    pub fn finish(mut self) -> Vec<SpanRecord> {
+        self.take()
+    }
+
+    fn take(&mut self) -> Vec<SpanRecord> {
+        let Some(root) = self.0 .0.take() else {
+            return Vec::new();
+        };
+        TLS.with(|tls| {
+            let mut ts = tls.borrow_mut();
+            // An install since the capture opened empties it, like any span
+            // of a stale generation.
+            ts.sync_generation(GENERATION.load(Ordering::Relaxed));
+            let root_id = root.id;
+            ts.close(root);
+            let Some(depth) = ts.captures.iter().rposition(|&(id, _)| id == root_id) else {
+                return Vec::new();
+            };
+            let start = ts.captures[depth].1;
+            ts.captures.truncate(depth);
+            let mut spans: Vec<SpanRecord> = ts.buf.drain(start..).map(|r| r.record()).collect();
+            spans.sort_by_key(|s| (s.start_ns, s.id));
+            spans
+        })
+    }
+}
+
+impl Drop for SpanCapture {
+    fn drop(&mut self) {
+        self.take();
+    }
 }
 
 /// Id of the innermost open span on this thread (0 if none). Capture this
@@ -331,36 +484,91 @@ macro_rules! span {
     };
 }
 
+/// Exclusive access to the metric registry for the duration of one
+/// [`record`] call: the free functions' operations, without their lock.
+pub struct Metrics<'a> {
+    g: &'a mut GlobalState,
+    /// [`now_ms`], read on the first windowed update.
+    now_ms: Option<u64>,
+}
+
+impl Metrics<'_> {
+    /// Add `delta` to the counter `name`, saturating.
+    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
+        let c = self.g.counters.entry(name).or_insert(0);
+        *c = c.saturating_add(delta);
+    }
+
+    /// Set the gauge `name` to `value`; non-finite values are recorded as 0
+    /// so snapshots stay JSON-serializable.
+    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
+        let v = if value.is_finite() { value } else { 0.0 };
+        self.g.gauges.insert(name, v);
+    }
+
+    /// Adjust the gauge `name` by `delta` (which may be negative), creating
+    /// it at 0 first. Non-finite results are clamped to 0.
+    pub fn gauge_add(&mut self, name: &'static str, delta: f64) {
+        let v = self.g.gauges.entry(name).or_insert(0.0);
+        let next = *v + delta;
+        *v = if next.is_finite() { next } else { 0.0 };
+    }
+
+    /// Record `value` into the log-linear histogram `name`.
+    pub fn observe(&mut self, name: &'static str, value: u64) {
+        self.g.histograms.entry(name).or_default().record(value);
+    }
+
+    /// Record `value` into the rolling windowed histogram `name` (1 s × 64
+    /// bucket ring). The live window is exported by [`snapshot`] /
+    /// [`Registry::export`] under the same name.
+    pub fn window_observe(&mut self, name: &'static str, value: u64) {
+        let now = *self.now_ms.get_or_insert_with(now_ms);
+        self.g
+            .windows
+            .entry(name)
+            .or_insert_with(window::WindowedHistogram::with_defaults)
+            .record_at(now, value);
+    }
+
+    /// Add `delta` to the rolling windowed counter `name` (1 s × 64 bucket
+    /// ring).
+    pub fn window_counter_add(&mut self, name: &'static str, delta: u64) {
+        let now = *self.now_ms.get_or_insert_with(now_ms);
+        self.g
+            .window_counters
+            .entry(name)
+            .or_insert_with(window::WindowedCounter::with_defaults)
+            .add_at(now, delta);
+    }
+}
+
+/// Apply several metric updates under one acquisition of the registry lock
+/// (no-op when disabled; `f` is not called). The lock is the one every
+/// other entry point takes, so `f` must not call back into this crate.
+pub fn record(f: impl FnOnce(&mut Metrics<'_>)) {
+    if !is_enabled() {
+        return;
+    }
+    f(&mut Metrics {
+        g: &mut lock_global(),
+        now_ms: None,
+    });
+}
+
 /// Add `delta` to the counter `name` (no-op when disabled).
 pub fn counter_add(name: &'static str, delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut g = lock_global();
-    let c = g.counters.entry(name).or_insert(0);
-    *c = c.saturating_add(delta);
+    record(|m| m.counter_add(name, delta));
 }
 
-/// Set the gauge `name` to `value`; non-finite values are recorded as 0 so
-/// snapshots stay JSON-serializable (no-op when disabled).
+/// [`Metrics::gauge_set`] on its own (no-op when disabled).
 pub fn gauge_set(name: &'static str, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    let v = if value.is_finite() { value } else { 0.0 };
-    lock_global().gauges.insert(name, v);
+    record(|m| m.gauge_set(name, value));
 }
 
-/// Adjust the gauge `name` by `delta` (which may be negative), creating it
-/// at 0 first. Non-finite results are clamped to 0; no-op when disabled.
+/// [`Metrics::gauge_add`] on its own (no-op when disabled).
 pub fn gauge_add(name: &'static str, delta: f64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut g = lock_global();
-    let v = g.gauges.entry(name).or_insert(0.0);
-    let next = *v + delta;
-    *v = if next.is_finite() { next } else { 0.0 };
+    record(|m| m.gauge_add(name, delta));
 }
 
 /// Milliseconds since the process recording epoch — the time base every
@@ -369,46 +577,55 @@ pub fn now_ms() -> u64 {
     epoch().elapsed().as_millis() as u64
 }
 
-/// Record `value` into the rolling windowed histogram `name` (1 s × 64
-/// bucket ring; no-op when disabled). The live window is exported by
-/// [`snapshot`] / [`Registry::export`] under the same name.
+/// [`Metrics::window_observe`] on its own (no-op when disabled).
 pub fn window_observe(name: &'static str, value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let now = now_ms();
-    lock_global()
-        .windows
-        .entry(name)
-        .or_insert_with(window::WindowedHistogram::with_defaults)
-        .record_at(now, value);
+    record(|m| m.window_observe(name, value));
 }
 
-/// Add `delta` to the rolling windowed counter `name` (1 s × 64 bucket
-/// ring; no-op when disabled).
+/// [`Metrics::window_counter_add`] on its own (no-op when disabled).
 pub fn window_counter_add(name: &'static str, delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let now = now_ms();
-    lock_global()
-        .window_counters
-        .entry(name)
-        .or_insert_with(window::WindowedCounter::with_defaults)
-        .add_at(now, delta);
+    record(|m| m.window_counter_add(name, delta));
 }
 
 /// Record `value` into the log-linear histogram `name` (no-op when
 /// disabled).
 pub fn observe(name: &'static str, value: u64) {
-    if !is_enabled() {
-        return;
+    record(|m| m.observe(name, value));
+}
+
+impl GlobalState {
+    /// The metric registry as it is now, around the given span records.
+    fn freeze(&self, spans: Vec<SpanRecord>) -> Snapshot {
+        let now = now_ms();
+        Snapshot {
+            spans,
+            counters: self
+                .counters
+                .iter()
+                .map(|(&k, &v)| (k.to_string(), v))
+                .collect(),
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(&k, &v)| (k.to_string(), v))
+                .collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .map(|(&k, h)| (k.to_string(), h.snapshot()))
+                .collect(),
+            windows: self
+                .windows
+                .iter()
+                .map(|(&k, w)| (k.to_string(), w.snapshot_at(now)))
+                .collect(),
+            window_counters: self
+                .window_counters
+                .iter()
+                .map(|(&k, w)| (k.to_string(), w.snapshot_at(now)))
+                .collect(),
+        }
     }
-    lock_global()
-        .histograms
-        .entry(name)
-        .or_default()
-        .record(value);
 }
 
 /// Freeze the current recording into an immutable [`Snapshot`].
@@ -419,46 +636,10 @@ pub fn observe(name: &'static str, value: u64) {
 /// the pool call returns.
 pub fn snapshot() -> Snapshot {
     TLS.with(|tls| tls.borrow_mut().flush());
-    let now = now_ms();
     let g = lock_global();
-    let mut spans: Vec<SpanRecord> = g
-        .spans
-        .iter()
-        .map(|r| SpanRecord {
-            id: r.id,
-            parent: r.parent,
-            name: r.name.to_string(),
-            thread: r.thread,
-            start_ns: r.start_ns,
-            elapsed_ns: r.elapsed_ns,
-            fields: r.fields.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        })
-        .collect();
+    let mut spans: Vec<SpanRecord> = g.spans.iter().map(RawSpan::record).collect();
     spans.sort_by_key(|s| (s.start_ns, s.id));
-    Snapshot {
-        spans,
-        counters: g
-            .counters
-            .iter()
-            .map(|(&k, &v)| (k.to_string(), v))
-            .collect(),
-        gauges: g.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-        histograms: g
-            .histograms
-            .iter()
-            .map(|(&k, h)| (k.to_string(), h.snapshot()))
-            .collect(),
-        windows: g
-            .windows
-            .iter()
-            .map(|(&k, w)| (k.to_string(), w.snapshot_at(now)))
-            .collect(),
-        window_counters: g
-            .window_counters
-            .iter()
-            .map(|(&k, w)| (k.to_string(), w.snapshot_at(now)))
-            .collect(),
-    }
+    g.freeze(spans)
 }
 
 /// Handle over the process-global metrics registry.
@@ -475,85 +656,8 @@ pub struct Registry;
 impl Registry {
     /// Export the metric registry (no spans) as a [`Snapshot`].
     pub fn export() -> Snapshot {
-        let now = now_ms();
-        let g = lock_global();
-        Snapshot {
-            spans: Vec::new(),
-            counters: g
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            gauges: g.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            histograms: g
-                .histograms
-                .iter()
-                .map(|(&k, h)| (k.to_string(), h.snapshot()))
-                .collect(),
-            windows: g
-                .windows
-                .iter()
-                .map(|(&k, w)| (k.to_string(), w.snapshot_at(now)))
-                .collect(),
-            window_counters: g
-                .window_counters
-                .iter()
-                .map(|(&k, w)| (k.to_string(), w.snapshot_at(now)))
-                .collect(),
-        }
+        lock_global().freeze(Vec::new())
     }
-}
-
-/// Remove and return the span subtree rooted at `root` from the recorder.
-///
-/// Flushes the calling thread's buffer first, then extracts every recorded
-/// span reachable from `root` (including the root itself), leaving all
-/// other spans and every metric untouched. This is how a long-running
-/// server keeps span memory bounded: wrap each traced request in a root
-/// span, then drain exactly that tree once the request finishes. Returns
-/// records sorted by `(start_ns, id)`; empty when the recorder is disabled
-/// or the root was never recorded.
-pub fn drain_subtree(root: u64) -> Vec<SpanRecord> {
-    if root == 0 || !is_enabled() {
-        return Vec::new();
-    }
-    TLS.with(|tls| tls.borrow_mut().flush());
-    let mut g = lock_global();
-    let mut keep: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    keep.insert(root);
-    // Parents usually precede children, but cross-thread flush order is
-    // arbitrary; iterate to closure.
-    loop {
-        let before = keep.len();
-        for s in &g.spans {
-            if keep.contains(&s.parent) {
-                keep.insert(s.id);
-            }
-        }
-        if keep.len() == before {
-            break;
-        }
-    }
-    let mut out: Vec<SpanRecord> = Vec::new();
-    let mut rest: Vec<RawSpan> = Vec::with_capacity(g.spans.len());
-    for r in g.spans.drain(..) {
-        if keep.contains(&r.id) {
-            out.push(SpanRecord {
-                id: r.id,
-                parent: r.parent,
-                name: r.name.to_string(),
-                thread: r.thread,
-                start_ns: r.start_ns,
-                elapsed_ns: r.elapsed_ns,
-                fields: r.fields.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-            });
-        } else {
-            rest.push(r);
-        }
-    }
-    g.spans = rest;
-    out.sort_by_key(|s| (s.start_ns, s.id));
-    out
 }
 
 #[cfg(test)]
@@ -738,31 +842,135 @@ mod tests {
         );
     }
 
+    fn names(spans: &[SpanRecord]) -> Vec<&str> {
+        spans.iter().map(|s| s.name.as_str()).collect()
+    }
+
     #[test]
-    fn drain_subtree_extracts_one_tree_and_keeps_the_rest() {
+    fn capture_takes_its_tree_and_the_global_log_gets_the_rest() {
         let _serial = testutil::serial();
         Recorder::enabled().install();
-        let root_a;
+        drop(span!("before"));
+        let mut req = capture("req");
+        req.add_field("request_id", 9);
+        let root = req.id();
         {
-            let a = span!("req.a");
-            root_a = a.id();
-            let _child = span!("req.a.exec");
+            let _exec = span!("req.exec");
+            let _leaf = span!("req.exec.leaf");
         }
-        {
-            let _b = span!("req.b");
-        }
-        let drained = drain_subtree(root_a);
-        let leftover = snapshot();
+        let spans = req.finish();
+        drop(span!("after"));
+        let log = snapshot();
         Recorder::disabled().install();
 
-        assert_eq!(drained.len(), 2);
-        assert!(drained.iter().any(|s| s.name == "req.a"));
-        assert!(drained.iter().any(|s| s.name == "req.a.exec"));
-        // Drained spans are gone from the recorder; unrelated ones remain.
-        assert_eq!(leftover.spans.len(), 1);
-        assert_eq!(leftover.spans[0].name, "req.b");
-        // Draining again (or a bogus root) is empty, not an error.
-        assert!(drain_subtree(root_a).is_empty());
-        assert!(drain_subtree(0).is_empty());
+        // Sorted by start: the root first, although it closed last.
+        assert_eq!(names(&spans), ["req", "req.exec", "req.exec.leaf"]);
+        assert_eq!(spans[0].id, root);
+        assert_eq!(spans[0].fields, vec![("request_id".to_string(), 9)]);
+        assert_eq!(spans[1].parent, root);
+        assert_eq!(spans[2].parent, spans[1].id);
+        // Captured spans never reach the global log; uncaptured ones do.
+        assert_eq!(names(&log.spans), ["before", "after"]);
+    }
+
+    #[test]
+    fn metrics_only_recorder_records_spans_only_under_a_capture() {
+        let _serial = testutil::serial();
+        Recorder::metrics_only().install();
+        assert!(is_enabled());
+        let stray = span!("stray");
+        assert!(!stray.is_recording());
+        drop(stray);
+        assert_eq!(current_span_id(), 0);
+        counter_add("c", 1);
+
+        // Captures repeat without leaving anything behind.
+        for _ in 0..3 {
+            let req = capture("req");
+            assert_eq!(current_span_id(), req.id());
+            drop(span!("req.exec"));
+            assert_eq!(names(&req.finish()), ["req", "req.exec"]);
+        }
+        // A capture dropped unfinished discards its spans.
+        {
+            let _req = capture("dropped");
+            drop(span!("dropped.exec"));
+        }
+        let snap = snapshot();
+        Recorder::disabled().install();
+        assert!(snap.spans.is_empty(), "{:?}", names(&snap.spans));
+        assert_eq!(snap.counters["c"], 1);
+    }
+
+    #[test]
+    fn nested_captures_split_the_tree() {
+        let _serial = testutil::serial();
+        Recorder::metrics_only().install();
+        let outer = capture("outer");
+        drop(span!("outer.a"));
+        let inner = capture("inner");
+        let inner_id = inner.id();
+        drop(span!("inner.a"));
+        let inner_spans = inner.finish();
+        drop(span!("outer.b"));
+        let outer_id = outer.id();
+        let outer_spans = outer.finish();
+        Recorder::disabled().install();
+
+        assert_eq!(names(&inner_spans), ["inner", "inner.a"]);
+        assert_eq!(inner_spans[0].parent, outer_id, "nesting links survive");
+        assert_eq!(inner_spans[1].parent, inner_id);
+        assert_eq!(names(&outer_spans), ["outer", "outer.a", "outer.b"]);
+    }
+
+    #[test]
+    fn capture_does_not_swallow_spans_closed_on_another_thread() {
+        let _serial = testutil::serial();
+        Recorder::enabled().install();
+        let req = capture("req");
+        let root = req.id();
+        std::thread::scope(|s| {
+            s.spawn(|| drop(span_with_parent("elsewhere", root)));
+        });
+        let spans = req.finish();
+        let log = snapshot();
+        Recorder::disabled().install();
+
+        assert_eq!(names(&spans), ["req"]);
+        // The other thread's span went where the full recorder sends it,
+        // still linked to the captured root.
+        assert_eq!(names(&log.spans), ["elsewhere"]);
+        assert_eq!(log.spans[0].parent, root);
+    }
+
+    #[test]
+    fn capture_under_disabled_recorder_is_inert() {
+        let _serial = testutil::serial();
+        Recorder::disabled().install();
+        let mut req = capture("req");
+        assert_eq!(req.id(), 0);
+        assert!(!req.is_recording());
+        req.add_field("request_id", 1);
+        drop(span!("req.exec"));
+        let spans = req.finish();
+        // Nothing recorded and nothing allocated for the result.
+        assert_eq!(spans.capacity(), 0);
+        assert!(snapshot().spans.is_empty());
+    }
+
+    #[test]
+    fn install_while_capturing_discards_the_capture() {
+        let _serial = testutil::serial();
+        Recorder::metrics_only().install();
+        let stale = capture("stale");
+        drop(span!("stale.exec"));
+        Recorder::metrics_only().install(); // new generation, capture open
+        assert!(stale.finish().is_empty());
+        // The thread is clean for the new generation.
+        let fresh = capture("fresh");
+        assert_eq!(fresh.parent_for_test(), 0);
+        assert_eq!(names(&fresh.finish()), ["fresh"]);
+        assert!(!span!("uncaptured").is_recording());
+        Recorder::disabled().install();
     }
 }

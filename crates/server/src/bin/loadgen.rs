@@ -146,7 +146,9 @@ fn run_scenario(
     seed: u64,
 ) -> Outcome {
     // A fresh recorder per scenario so the latency histogram starts empty.
-    ibis_obs::Recorder::enabled().install();
+    // Metrics only: a full recorder logs every span of every untraced
+    // request, and the flood would then be measuring that log.
+    ibis_obs::Recorder::metrics_only().install();
     let config = ServerConfig {
         workers: sc.workers,
         max_batch: sc.max_batch,
@@ -284,7 +286,7 @@ fn run_scenario(
     drop(probe);
     handle.shutdown();
 
-    let snap = ibis_obs::snapshot();
+    let snap = ibis_obs::Registry::export();
     let (p50_us, p99_us) = snap
         .histograms
         .get(LATENCY_HIST)

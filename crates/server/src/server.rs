@@ -33,9 +33,9 @@ use crate::protocol::{
     read_frame, read_handshake, write_frame, write_handshake, ErrorCode, HealthReport, Request,
     Response, SlowPhase, SlowQuery, StatsReport,
 };
-use ibis_core::{coalesce_compatible, RangeQuery, WorkCounters};
+use ibis_core::{coalesce_compatible, MissingPolicy, RangeQuery, RowSet, WorkCounters};
 use ibis_storage::{ConcurrentDb, DbSnapshot};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -84,13 +84,18 @@ impl Default for ServerConfig {
 
 /// One admitted query waiting for a worker.
 struct Job {
-    request_id: u64,
     query: RangeQuery,
+    ticket: Ticket,
+}
+
+/// What it takes to answer an admitted query once it has executed.
+struct Ticket {
+    request_id: u64,
     count_only: bool,
     deadline: Instant,
     enqueued: Instant,
-    /// Sampled for tracing: executes solo under a `server.request` root
-    /// span and feeds the slow-query log.
+    /// Sampled for tracing: executes solo under a `server.request` span
+    /// capture and feeds the slow-query log.
     traced: bool,
     reply: mpsc::Sender<(u64, Response)>,
 }
@@ -112,6 +117,11 @@ struct Shared {
     slow_log: Mutex<Vec<SlowQuery>>,
 }
 
+/// A clone of every live connection's socket, by connection number, so that
+/// shutdown can sever them. A connection removes its entry when it ends:
+/// the registry holds live connections, not every connection ever accepted.
+type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// The serving entry point; see the module docs for the thread layout.
 pub struct Server;
 
@@ -131,8 +141,16 @@ impl Server {
         // tracing) runs on the process-global obs recorder. Turn it on if
         // the embedding process has not already — but never reset a
         // recording someone else (a load generator, a profiler) installed.
+        // Metrics only: a server runs for as long as it is left to, and the
+        // one place it wants spans, a traced request, captures its own.
+        //
+        // An embedder that installed `Recorder::enabled()` asked for every
+        // span, and gets them: a traced request's still go to its capture,
+        // but each untraced request appends its `db.*`/index spans to the
+        // embedder's span log, which grows until the embedder installs a
+        // new recorder. Bounding that recording is the embedder's business.
         if !ibis_obs::is_enabled() {
-            ibis_obs::Recorder::enabled().install();
+            ibis_obs::Recorder::metrics_only().install();
         }
         let shared = Arc::new(Shared {
             db,
@@ -150,7 +168,7 @@ impl Server {
             admitted_seq: AtomicU64::new(0),
             slow_log: Mutex::new(Vec::new()),
         });
-        let conns: Arc<Mutex<Vec<Option<TcpStream>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = ConnRegistry::default();
 
         let workers = (0..shared.config.workers)
             .map(|_| {
@@ -181,7 +199,7 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    conns: Arc<Mutex<Vec<Option<TcpStream>>>>,
+    conns: ConnRegistry,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -206,7 +224,7 @@ impl Drop for ServerHandle {
         self.shared.available.notify_all();
         // Severing the sockets unblocks reader threads parked in
         // `read_frame`; their writer threads follow when the senders drop.
-        for s in self.conns.lock().expect("conn registry").iter().flatten() {
+        for s in self.conns.lock().expect("conn registry").values() {
             let _ = s.shutdown(Shutdown::Both);
         }
         if let Some(a) = self.accept.take() {
@@ -222,29 +240,26 @@ impl Drop for ServerHandle {
 }
 
 /// Polls the non-blocking listener, spawning a reader per connection.
-fn accept_loop(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<Option<TcpStream>>>>,
-) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, conns: &ConnRegistry) {
+    let mut accepted = 0u64;
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                let conn_id = accepted;
+                accepted += 1;
                 ibis_obs::counter_add("server.connections", 1);
                 // Register a clone so shutdown can sever the socket; the
-                // slot is cleared when the connection ends, and the socket
+                // entry is removed when the connection ends, and the socket
                 // is explicitly shut down there too (a registered clone
                 // would otherwise hold it half-open).
-                let slot = {
-                    let mut reg = conns.lock().expect("conn registry");
-                    reg.push(stream.try_clone().ok());
-                    reg.len() - 1
-                };
+                if let Ok(clone) = stream.try_clone() {
+                    conns.lock().expect("conn registry").insert(conn_id, clone);
+                }
                 let shared = Arc::clone(shared);
                 let conns = Arc::clone(conns);
                 std::thread::spawn(move || {
                     serve_connection(&shared, stream);
-                    conns.lock().expect("conn registry")[slot] = None;
+                    conns.lock().expect("conn registry").remove(&conn_id);
                 });
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -355,7 +370,8 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 }
 
 /// Admission control: refuse with `Overloaded` at the high-water mark,
-/// otherwise enqueue for the worker pool.
+/// otherwise enqueue for the worker pool. Whichever way a request leaves
+/// here, its counters are recorded under one registry lock.
 fn admit(
     shared: &Shared,
     request_id: u64,
@@ -364,12 +380,14 @@ fn admit(
     deadline_ms: u32,
     reply: &mpsc::Sender<(u64, Response)>,
 ) {
-    ibis_obs::counter_add("server.requests", 1);
     // Schema validation happens at the door, not in the worker: a query
     // naming an out-of-range attribute must get its own `BadRequest`, not
     // poison a batch it later shares with well-formed queries.
     if let Err(e) = query.validate(shared.db.snapshot().db().schema()) {
-        ibis_obs::counter_add("server.bad_requests", 1);
+        ibis_obs::record(|m| {
+            m.counter_add("server.requests", 1);
+            m.counter_add("server.bad_requests", 1);
+        });
         let _ = reply.send((
             request_id,
             Response::Error {
@@ -385,20 +403,14 @@ fn admit(
         deadline_ms as u64
     };
     let now = Instant::now();
-    let job = Job {
-        request_id,
-        query,
-        count_only,
-        deadline: now + Duration::from_millis(budget),
-        enqueued: now,
-        traced: false,
-        reply: reply.clone(),
-    };
     let mut q = shared.queue.lock().expect("work queue");
     if q.len() >= shared.config.queue_high_water {
         drop(q);
-        ibis_obs::counter_add("server.shed_overload", 1);
-        ibis_obs::window_counter_add("server.shed", 1);
+        ibis_obs::record(|m| {
+            m.counter_add("server.requests", 1);
+            m.counter_add("server.shed_overload", 1);
+            m.window_counter_add("server.shed", 1);
+        });
         let _ = reply.send((
             request_id,
             Response::Error {
@@ -411,16 +423,29 @@ fn admit(
         ));
         return;
     }
-    // Admission granted: count it, and sample for tracing. The sequence
-    // number only advances for admitted queries so a burst of shed load
-    // cannot starve the tracer.
+    // Admission granted: count it — before the job is visible to a worker,
+    // so that no reply can overtake its own admission in STATS — and sample
+    // for tracing. The sequence number only advances for admitted queries
+    // so a burst of shed load cannot starve the tracer.
     let seq = shared.admitted_seq.fetch_add(1, Ordering::Relaxed);
-    let mut job = job;
-    job.traced = shared.config.trace_sample > 0 && seq.is_multiple_of(shared.config.trace_sample);
-    ibis_obs::counter_add("server.admitted", 1);
-    ibis_obs::window_counter_add("server.admitted", 1);
-    q.push_back(job);
-    ibis_obs::gauge_set("server.queue_depth", q.len() as f64);
+    ibis_obs::record(|m| {
+        m.counter_add("server.requests", 1);
+        m.counter_add("server.admitted", 1);
+        m.window_counter_add("server.admitted", 1);
+        m.gauge_set("server.queue_depth", (q.len() + 1) as f64);
+    });
+    q.push_back(Job {
+        query,
+        ticket: Ticket {
+            request_id,
+            count_only,
+            deadline: now + Duration::from_millis(budget),
+            enqueued: now,
+            traced: shared.config.trace_sample > 0
+                && seq.is_multiple_of(shared.config.trace_sample),
+            reply: reply.clone(),
+        },
+    });
     drop(q);
     shared.available.notify_one();
 }
@@ -429,7 +454,7 @@ fn admit(
 /// each group on one snapshot, respond.
 fn worker_loop(shared: &Shared) {
     loop {
-        let jobs: Vec<Job> = {
+        let (jobs, queue_depth): (Vec<Job>, usize) = {
             let mut q = shared.queue.lock().expect("work queue");
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -445,29 +470,53 @@ fn worker_loop(shared: &Shared) {
                 q = guard;
             }
             let take = q.len().min(shared.config.max_batch);
-            let drained = q.drain(..take).collect();
-            ibis_obs::gauge_set("server.queue_depth", q.len() as f64);
-            drained
+            (q.drain(..take).collect(), q.len())
         };
         let busy = shared.busy.fetch_add(1, Ordering::SeqCst) + 1;
-        ibis_obs::gauge_set("server.workers_busy", busy as f64);
-        execute_jobs(shared, jobs);
+        execute_jobs(shared, jobs, queue_depth, busy);
         let busy = shared.busy.fetch_sub(1, Ordering::SeqCst) - 1;
         ibis_obs::gauge_set("server.workers_busy", busy as f64);
     }
 }
 
+fn micros(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_micros() as u64
+}
+
 /// Deadline-checks, batches, executes, and answers one drained job set.
-/// Jobs sampled for tracing execute solo under a `server.request` root
-/// span (see [`execute_traced`]); the rest take the batch path.
-fn execute_jobs(shared: &Shared, jobs: Vec<Job>) {
+/// Jobs sampled for tracing execute solo under a `server.request` span
+/// capture (see [`execute_traced`]); the rest take the batch path and
+/// record no spans. `queue_depth` and `busy` are what the drain left behind
+/// and how many workers it made busy: the two gauges, set under the same
+/// registry lock as the drain's counters.
+fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize) {
     let now = Instant::now();
-    let (live, expired): (Vec<Job>, Vec<Job>) = jobs.into_iter().partition(|j| j.deadline > now);
+    let (live, expired): (Vec<Job>, Vec<Job>) =
+        jobs.into_iter().partition(|j| j.ticket.deadline > now);
+    let is_match = live
+        .iter()
+        .filter(|j| j.query.policy() == MissingPolicy::IsMatch)
+        .count();
+    ibis_obs::record(|m| {
+        m.gauge_set("server.queue_depth", queue_depth as f64);
+        m.gauge_set("server.workers_busy", busy as f64);
+        for (name, n) in [
+            ("server.policy_is_match", is_match),
+            ("server.policy_is_not_match", live.len() - is_match),
+        ] {
+            if n > 0 {
+                m.counter_add(name, n as u64);
+                m.window_counter_add(name, n as u64);
+            }
+        }
+        if !expired.is_empty() {
+            m.counter_add("server.shed_deadline", expired.len() as u64);
+            m.window_counter_add("server.expired", expired.len() as u64);
+        }
+    });
     for j in expired {
-        ibis_obs::counter_add("server.shed_deadline", 1);
-        ibis_obs::window_counter_add("server.expired", 1);
-        let _ = j.reply.send((
-            j.request_id,
+        let _ = j.ticket.reply.send((
+            j.ticket.request_id,
             Response::Error {
                 code: ErrorCode::DeadlineExceeded,
                 message: "deadline expired while queued".into(),
@@ -480,180 +529,155 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>) {
     // One lock-free snapshot serves the whole drain: every query in every
     // batch below answers at the same watermark.
     let snap = shared.db.snapshot();
-    for j in &live {
-        let name = match j.query.policy() {
-            ibis_core::MissingPolicy::IsMatch => "server.policy_is_match",
-            ibis_core::MissingPolicy::IsNotMatch => "server.policy_is_not_match",
-        };
-        ibis_obs::counter_add(name, 1);
-        ibis_obs::window_counter_add(name, 1);
-    }
-    let (traced, live): (Vec<Job>, Vec<Job>) = live.into_iter().partition(|j| j.traced);
+    let (traced, live): (Vec<Job>, Vec<Job>) = live.into_iter().partition(|j| j.ticket.traced);
     for j in traced {
         execute_traced(shared, &snap, j);
     }
-    if live.is_empty() {
-        return;
-    }
-    let queries: Vec<RangeQuery> = live.iter().map(|j| j.query.clone()).collect();
-    for batch in coalesce_compatible(&queries, shared.config.max_batch) {
-        let batch_queries: Vec<RangeQuery> = batch.iter().map(|&i| queries[i].clone()).collect();
+    let (queries, tickets): (Vec<RangeQuery>, Vec<Ticket>) =
+        live.into_iter().map(|j| (j.query, j.ticket)).unzip();
+    let batches = coalesce_compatible(&queries, shared.config.max_batch);
+    // Every index is in exactly one batch, so each job moves into its batch
+    // rather than being copied there.
+    let mut jobs: Vec<Option<(RangeQuery, Ticket)>> =
+        queries.into_iter().zip(tickets).map(Some).collect();
+    for batch in batches {
+        let (batch_queries, batch_tickets): (Vec<RangeQuery>, Vec<Ticket>) = batch
+            .iter()
+            .map(|&i| jobs[i].take().expect("one batch per job"))
+            .unzip();
         let started = Instant::now();
         // Degree 1 runs inline on this worker: the pool is the
         // parallelism; fanning out again would oversubscribe it.
-        let result = snap.execute_batch_threads(&batch_queries, 1);
-        let done = Instant::now();
-        ibis_obs::counter_add("server.batches", 1);
-        ibis_obs::counter_add("server.batched_queries", batch.len() as u64);
-        let exec_us = done.duration_since(started).as_micros() as u64;
-        ibis_obs::observe("server.exec_us", exec_us);
-        ibis_obs::window_observe("server.exec_us", exec_us);
-        match result {
-            Ok(rowsets) => {
-                for (&idx, rows) in batch.iter().zip(rowsets) {
-                    let j = &live[idx];
-                    let resp = if done > j.deadline {
-                        ibis_obs::counter_add("server.shed_deadline", 1);
-                        ibis_obs::window_counter_add("server.expired", 1);
-                        Response::Error {
-                            code: ErrorCode::DeadlineExceeded,
-                            message: "deadline expired during execution".into(),
-                        }
-                    } else if j.count_only {
-                        Response::Count {
-                            watermark: snap.watermark(),
-                            count: rows.len() as u64,
-                        }
-                    } else {
-                        Response::Rows {
-                            watermark: snap.watermark(),
-                            rows: rows.rows().to_vec(),
-                        }
-                    };
-                    ibis_obs::observe(
-                        "server.queue_wait_us",
-                        started.duration_since(j.enqueued).as_micros() as u64,
-                    );
-                    let request_us = done.duration_since(j.enqueued).as_micros() as u64;
-                    ibis_obs::observe("server.request_us", request_us);
-                    ibis_obs::window_observe("server.request_us", request_us);
-                    ibis_obs::counter_add("server.responses", 1);
-                    ibis_obs::window_counter_add("server.responses", 1);
-                    let _ = j.reply.send((j.request_id, resp));
-                }
-            }
-            Err(_) => {
+        let results: Vec<ibis_core::Result<RowSet>> =
+            match snap.execute_batch_threads(&batch_queries, 1) {
+                Ok(rowsets) => rowsets.into_iter().map(Ok).collect(),
                 // Batch execution is all-or-nothing; retry each query
                 // alone so only the offender pays for the failure.
-                for &idx in &batch {
-                    let j = &live[idx];
-                    let resp = match snap.execute(&j.query) {
-                        Ok(rows) if j.count_only => Response::Count {
-                            watermark: snap.watermark(),
-                            count: rows.len() as u64,
-                        },
-                        Ok(rows) => Response::Rows {
-                            watermark: snap.watermark(),
-                            rows: rows.rows().to_vec(),
-                        },
-                        Err(e) => {
-                            ibis_obs::counter_add("server.internal_errors", 1);
-                            Response::Error {
-                                code: ErrorCode::Internal,
-                                message: format!("execution failed: {e}"),
-                            }
-                        }
-                    };
-                    ibis_obs::counter_add("server.responses", 1);
-                    ibis_obs::window_counter_add("server.responses", 1);
-                    let _ = j.reply.send((j.request_id, resp));
-                }
-            }
-        }
+                Err(_) => batch_queries.iter().map(|q| snap.execute(q)).collect(),
+            };
+        let done = Instant::now();
+        answer_group(&snap, false, batch_tickets, results, started, done);
     }
 }
 
-/// Execute one traced job solo under a `server.request` root span, then
-/// drain exactly that span tree out of the recorder (bounding span memory
-/// to in-flight traced requests) and feed the slow-query log.
-///
-/// Degree 1 keeps the whole execution — and therefore every child span —
-/// on this worker thread, so the drained tree is complete. The per-phase
-/// counter-field deltas of that tree sum exactly to the execution's final
-/// `WorkCounters`: the PR 4 profile invariant, now visible over the wire.
-fn execute_traced(shared: &Shared, snap: &Arc<DbSnapshot>, j: Job) {
-    let started = Instant::now();
-    let mut root = ibis_obs::span("server.request");
-    let root_id = root.id();
-    root.add_field("request_id", j.request_id);
-    let result = snap.execute_with_cost_threads(&j.query, 1);
-    drop(root);
-    let done = Instant::now();
-    let spans = ibis_obs::drain_subtree(root_id);
-
-    let exec_us = done.duration_since(started).as_micros() as u64;
-    let queue_us = started.duration_since(j.enqueued).as_micros() as u64;
-    let request_us = done.duration_since(j.enqueued).as_micros() as u64;
-    ibis_obs::counter_add("server.traced", 1);
-    ibis_obs::observe("server.exec_us", exec_us);
-    ibis_obs::window_observe("server.exec_us", exec_us);
-    ibis_obs::observe("server.queue_wait_us", queue_us);
-
-    let resp = match result {
-        Ok((rows, counters)) => {
-            note_slow(
-                shared,
-                SlowQuery {
-                    request_id: j.request_id,
-                    watermark: snap.watermark(),
-                    plan: j.query.to_string(),
-                    queue_us,
-                    exec_us,
-                    total_us: request_us,
-                    counters: counters
-                        .fields()
-                        .iter()
-                        .filter(|&&(_, v)| v > 0)
-                        .map(|&(k, v)| (k.to_string(), v as u64))
-                        .collect(),
-                    phases: phases_from(&spans, root_id),
-                },
-            );
-            if done > j.deadline {
-                ibis_obs::counter_add("server.shed_deadline", 1);
-                ibis_obs::window_counter_add("server.expired", 1);
+/// Answers one executed group — a coalesced batch, or (`traced`) one traced
+/// request — whose execution ran from `started` to `done`. The group's
+/// telemetry is recorded under one registry lock, and *before* its replies
+/// go out: a client holding a reply finds that request counted in `STATS`.
+fn answer_group(
+    snap: &DbSnapshot,
+    traced: bool,
+    tickets: Vec<Ticket>,
+    results: Vec<ibis_core::Result<RowSet>>,
+    started: Instant,
+    done: Instant,
+) {
+    let (mut expired, mut failed) = (0, 0);
+    let responses: Vec<Response> = tickets
+        .iter()
+        .zip(results)
+        .map(|(t, result)| match result {
+            Ok(_) if done > t.deadline => {
+                expired += 1;
                 Response::Error {
                     code: ErrorCode::DeadlineExceeded,
                     message: "deadline expired during execution".into(),
                 }
-            } else if j.count_only {
-                Response::Count {
-                    watermark: snap.watermark(),
-                    count: rows.len() as u64,
-                }
-            } else {
-                Response::Rows {
-                    watermark: snap.watermark(),
-                    rows: rows.rows().to_vec(),
+            }
+            Ok(rows) if t.count_only => Response::Count {
+                watermark: snap.watermark(),
+                count: rows.len() as u64,
+            },
+            Ok(rows) => Response::Rows {
+                watermark: snap.watermark(),
+                rows: rows.into_rows(),
+            },
+            Err(e) => {
+                failed += 1;
+                Response::Error {
+                    code: ErrorCode::Internal,
+                    message: format!("execution failed: {e}"),
                 }
             }
+        })
+        .collect();
+    ibis_obs::record(|m| {
+        let n = tickets.len() as u64;
+        if traced {
+            m.counter_add("server.traced", n);
+        } else {
+            m.counter_add("server.batches", 1);
+            m.counter_add("server.batched_queries", n);
         }
-        Err(e) => {
-            ibis_obs::counter_add("server.internal_errors", 1);
-            Response::Error {
-                code: ErrorCode::Internal,
-                message: format!("execution failed: {e}"),
-            }
+        let exec_us = micros(started, done);
+        m.observe("server.exec_us", exec_us);
+        m.window_observe("server.exec_us", exec_us);
+        for t in &tickets {
+            m.observe("server.queue_wait_us", micros(t.enqueued, started));
+            let request_us = micros(t.enqueued, done);
+            m.observe("server.request_us", request_us);
+            m.window_observe("server.request_us", request_us);
         }
-    };
-    ibis_obs::observe("server.request_us", request_us);
-    ibis_obs::window_observe("server.request_us", request_us);
-    ibis_obs::counter_add("server.responses", 1);
-    ibis_obs::window_counter_add("server.responses", 1);
-    let _ = j.reply.send((j.request_id, resp));
+        m.counter_add("server.responses", n);
+        m.window_counter_add("server.responses", n);
+        if expired > 0 {
+            m.counter_add("server.shed_deadline", expired);
+            m.window_counter_add("server.expired", expired);
+        }
+        if failed > 0 {
+            m.counter_add("server.internal_errors", failed);
+        }
+    });
+    for (t, response) in tickets.into_iter().zip(responses) {
+        let _ = t.reply.send((t.request_id, response));
+    }
 }
 
-/// Aggregate a drained span tree (minus its root) into per-phase totals.
+/// Execute one traced job solo under a `server.request` span capture and
+/// feed the slow-query log from the captured tree. The capture keeps the
+/// request's spans on this thread's buffer and hands them back here: they
+/// never reach the recorder's global span log, so tracing costs O(this
+/// request) whatever the server has served before.
+///
+/// Degree 1 keeps the whole execution — and therefore every child span —
+/// on this worker thread, so the captured tree is complete. The per-phase
+/// counter-field deltas of that tree sum exactly to the execution's final
+/// `WorkCounters`: the PR 4 profile invariant, now visible over the wire.
+fn execute_traced(shared: &Shared, snap: &DbSnapshot, j: Job) {
+    let started = Instant::now();
+    let mut root = ibis_obs::capture("server.request");
+    let root_id = root.id();
+    root.add_field("request_id", j.ticket.request_id);
+    let result = snap.execute_with_cost_threads(&j.query, 1);
+    let spans = root.finish();
+    // Stamped after the capture is handed over: what tracing costs the
+    // request is inside its `exec_us`, not beside it.
+    let done = Instant::now();
+    let result = result.map(|(rows, counters)| {
+        note_slow(
+            shared,
+            SlowQuery {
+                request_id: j.ticket.request_id,
+                watermark: snap.watermark(),
+                plan: j.query.to_string(),
+                queue_us: micros(j.ticket.enqueued, started),
+                exec_us: micros(started, done),
+                total_us: micros(j.ticket.enqueued, done),
+                counters: counters
+                    .fields()
+                    .iter()
+                    .filter(|&&(_, v)| v > 0)
+                    .map(|&(k, v)| (k.to_string(), v as u64))
+                    .collect(),
+                phases: phases_from(&spans, root_id),
+            },
+        );
+        rows
+    });
+    answer_group(snap, true, vec![j.ticket], vec![result], started, done);
+}
+
+/// Aggregate a captured span tree (minus its root) into per-phase totals.
 /// Counter-field deltas are extracted with `WorkCounters::from_fields`, so
 /// non-counter span fields (`shards`, `rows`, …) never pollute the sums.
 ///
@@ -762,5 +786,48 @@ fn build_health(shared: &Shared) -> HealthReport {
         queue_high_water: shared.config.queue_high_water as u32,
         workers: shared.config.workers as u32,
         uptime_ms: shared.started.elapsed().as_millis() as u64,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    #[test]
+    fn connection_registry_holds_live_connections_only() {
+        let db = Arc::new(ConcurrentDb::new_mem(
+            ibis_core::gen::census_scaled(64, 1),
+            64,
+        ));
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+        let mut live: Vec<Client> = (0..3)
+            .map(|_| Client::connect(handle.addr()).unwrap())
+            .collect();
+        for _ in 0..1_000 {
+            let mut short = Client::connect(handle.addr()).unwrap();
+            assert!(matches!(short.ping().unwrap(), Response::Pong));
+        }
+        // A closed connection leaves the registry when its reader thread
+        // sees the EOF, which is soon but not yet: wait for it, bounded.
+        let waited = Instant::now();
+        while handle.conns.lock().unwrap().len() > live.len() {
+            assert!(
+                waited.elapsed() < Duration::from_secs(30),
+                "{} entries for {} live connections",
+                handle.conns.lock().unwrap().len(),
+                live.len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(handle.conns.lock().unwrap().len(), live.len());
+        for c in &mut live {
+            assert!(matches!(c.ping().unwrap(), Response::Pong));
+        }
+        handle.shutdown();
     }
 }

@@ -525,7 +525,7 @@ impl IncompleteDb {
         threads: usize,
     ) -> Result<Vec<RowSet>> {
         ibis_core::parallel::ExecPool::new(threads)
-            .try_map(queries.to_vec(), |q| self.execute_threads(&q, 1))
+            .try_map(queries.iter().collect(), |q| self.execute_threads(q, 1))
     }
 
     /// Counts matching rows.
@@ -945,7 +945,7 @@ impl ShardedDb {
         threads: usize,
     ) -> Result<Vec<RowSet>> {
         ibis_core::parallel::ExecPool::new(threads)
-            .try_map(queries.to_vec(), |q| self.execute_threads(&q, 1))
+            .try_map(queries.iter().collect(), |q| self.execute_threads(q, 1))
     }
 
     /// Serializes the logical state — per-shard base dataset, delta rows,
