@@ -15,7 +15,6 @@
 //! for large `k`.
 
 use crate::rtree::{finish_tree_words, RTree, Rect};
-use crate::AccessStats;
 use ibis_core::{AccessMethod, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
 
 /// The bitstring-augmented baseline.
@@ -83,9 +82,9 @@ impl BitstringAugmented {
     }
 
     /// Executes a query, returning matching rows and work counters.
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, AccessStats)> {
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
         query.validate_schema(self.cardinalities.len(), |a| self.cardinalities[a])?;
-        let mut stats = AccessStats::default();
+        let mut stats = WorkCounters::default();
         let preds = query.predicates();
         let d = self.cardinalities.len();
         let base = Rect {

@@ -5,7 +5,7 @@
 //! ids. Leaves are chained for range scans. The arena-based layout keeps
 //! the implementation safe-Rust and cache-friendly.
 
-use crate::AccessStats;
+use ibis_core::WorkCounters;
 
 const DEFAULT_ORDER: usize = 32;
 
@@ -223,7 +223,7 @@ impl BPlusTree {
     }
 
     /// Row ids whose key lies in `lo..=hi`, via leaf-chain range scan.
-    pub fn range(&self, lo: u16, hi: u16, stats: &mut AccessStats) -> Vec<u32> {
+    pub fn range(&self, lo: u16, hi: u16, stats: &mut WorkCounters) -> Vec<u32> {
         let mut out = Vec::new();
         // Descend to the leaf that may hold `lo`.
         let mut node = self.root;
@@ -268,7 +268,7 @@ impl BPlusTree {
     }
 
     /// Row ids for exactly `key`.
-    pub fn lookup(&self, key: u16, stats: &mut AccessStats) -> Vec<u32> {
+    pub fn lookup(&self, key: u16, stats: &mut WorkCounters) -> Vec<u32> {
         self.range(key, key, stats)
     }
 }
@@ -284,8 +284,8 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
-    fn stats() -> AccessStats {
-        AccessStats::default()
+    fn stats() -> WorkCounters {
+        WorkCounters::default()
     }
 
     #[test]

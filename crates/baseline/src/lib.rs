@@ -22,7 +22,7 @@
 //!
 //! Every structure returns exact answers under both
 //! [`MissingPolicy`](ibis_core::MissingPolicy) variants, exposes
-//! machine-independent work counters ([`AccessStats`]) so the benchmark
+//! machine-independent work counters ([`ibis_core::WorkCounters`]) so the benchmark
 //! harness can report shapes that survive hardware changes, and implements
 //! the engine-layer [`AccessMethod`](ibis_core::AccessMethod) trait so the
 //! planner can weigh it against the bitmap and VA families.
@@ -61,10 +61,3 @@ pub use bptree::BPlusTree;
 pub use mosaic::Mosaic;
 pub use rtree::{RTree, RTreeIncomplete, Rect};
 pub use seqscan::{BoundScan, SequentialScan};
-
-/// Work counters shared by the baseline structures — the engine-layer
-/// [`WorkCounters`](ibis_core::WorkCounters) under the crate's historical
-/// name. Tree traversal fills `nodes_visited`/`entries_scanned`, the `2^k`
-/// blow-up shows up in `subqueries`, and MOSAIC's intersection/union work
-/// in `set_ops`.
-pub type AccessStats = ibis_core::WorkCounters;

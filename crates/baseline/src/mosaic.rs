@@ -9,7 +9,7 @@
 //! let experiments verify: the set operations are the expensive part, and
 //! any dimension with many matches drags the whole query down.
 
-use crate::{AccessStats, BPlusTree};
+use crate::BPlusTree;
 use ibis_core::{AccessMethod, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
 
 /// The MOSAIC baseline: independent B+-trees per attribute.
@@ -53,9 +53,9 @@ impl Mosaic {
     }
 
     /// Executes a query, returning matching rows and work counters.
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, AccessStats)> {
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
         query.validate_schema(self.trees.len(), |a| self.cardinalities[a])?;
-        let mut stats = AccessStats::default();
+        let mut stats = WorkCounters::default();
         let mut acc: Option<RowSet> = None;
         for p in query.predicates() {
             let tree = &self.trees[p.attr];

@@ -2,7 +2,6 @@
 //! to incomplete data — the structure whose breakdown the paper's Fig. 1
 //! demonstrates.
 
-use crate::AccessStats;
 use ibis_core::{AccessMethod, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
 
 /// An axis-aligned integer rectangle over raw coordinates (`0` is the
@@ -370,7 +369,7 @@ impl RTree {
     }
 
     /// All rows whose point lies inside `query`, with work counters.
-    pub fn search(&self, query: &Rect, stats: &mut AccessStats) -> Vec<u32> {
+    pub fn search(&self, query: &Rect, stats: &mut WorkCounters) -> Vec<u32> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
@@ -505,9 +504,9 @@ impl RTreeIncomplete {
     }
 
     /// Executes a query, returning matching rows and work counters.
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, AccessStats)> {
+    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
         query.validate_schema(self.dims, |a| self.cardinalities[a])?;
-        let mut stats = AccessStats::default();
+        let mut stats = WorkCounters::default();
         let preds = query.predicates();
 
         // Base rectangle: unconstrained dims span sentinel..=C.
@@ -569,7 +568,7 @@ impl RTreeIncomplete {
 /// 64-bit-word currency: each scanned entry touches a `dims`-point
 /// (`2 · dims` bytes), each visited node its covering rectangle
 /// (`4 · dims` bytes).
-pub(crate) fn finish_tree_words(stats: &mut AccessStats, dims: usize) {
+pub(crate) fn finish_tree_words(stats: &mut WorkCounters, dims: usize) {
     stats.words_processed =
         (stats.entries_scanned * 2 * dims + stats.nodes_visited * 4 * dims).div_ceil(8);
 }
@@ -646,7 +645,7 @@ mod tests {
             lo: vec![10, 10],
             hi: vec![25, 30],
         };
-        let mut stats = AccessStats::default();
+        let mut stats = WorkCounters::default();
         let mut got = t.search(&q, &mut stats);
         got.sort_unstable();
         let want: Vec<u32> = pts
@@ -667,7 +666,7 @@ mod tests {
         for i in 0..10 {
             t.insert(&[5, 5], i);
         }
-        let mut stats = AccessStats::default();
+        let mut stats = WorkCounters::default();
         let got = t.search(&Rect::point(&[5, 5]), &mut stats);
         assert_eq!(got.len(), 10);
     }
@@ -676,7 +675,7 @@ mod tests {
     fn empty_tree_search() {
         let t = RTree::new(3);
         assert!(t.is_empty());
-        let mut stats = AccessStats::default();
+        let mut stats = WorkCounters::default();
         assert!(t
             .search(
                 &Rect {
@@ -803,7 +802,7 @@ mod dim_cap_tests {
     fn sixty_four_dimensions_allowed() {
         let mut t = RTree::new(64);
         t.insert(&[1u16; 64], 0);
-        let mut stats = crate::AccessStats::default();
+        let mut stats = WorkCounters::default();
         let q = Rect {
             lo: vec![1; 64],
             hi: vec![2; 64],

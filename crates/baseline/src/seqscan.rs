@@ -1,6 +1,5 @@
 //! The index-free baseline: a full sequential scan.
 
-use crate::AccessStats;
 use ibis_core::parallel::{partition, ExecPool};
 use ibis_core::{scan, AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use std::sync::Arc;
@@ -25,15 +24,15 @@ impl SequentialScan {
         &self,
         dataset: &Dataset,
         query: &RangeQuery,
-    ) -> Result<(RowSet, AccessStats)> {
+    ) -> Result<(RowSet, WorkCounters)> {
         let mut span = ibis_obs::span("scan.scan");
         let rows = self.execute(dataset, query)?;
         let entries = dataset.n_rows() * query.dimensionality().max(1);
-        let stats = AccessStats {
+        let stats = WorkCounters {
             entries_scanned: entries,
             // Each scanned entry is one u16 cell: 2 bytes, 4 per word.
             words_processed: entries.div_ceil(4),
-            ..AccessStats::default()
+            ..WorkCounters::default()
         };
         stats.record_into(&mut span);
         Ok((rows, stats))
@@ -51,7 +50,7 @@ impl SequentialScan {
         dataset: &Dataset,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, AccessStats)> {
+    ) -> Result<(RowSet, WorkCounters)> {
         let n = dataset.n_rows();
         if threads <= 1 || n < 2 {
             return self.execute_with_cost(dataset, query);
@@ -71,20 +70,20 @@ impl SequentialScan {
             }
             (rows, entries)
         });
-        let mut stats = AccessStats::default();
+        let mut stats = WorkCounters::default();
         let mut parts = Vec::with_capacity(partials.len());
         for (rows, entries) in partials {
-            stats.merge(AccessStats {
+            stats.merge(WorkCounters {
                 entries_scanned: entries,
-                ..AccessStats::default()
+                ..WorkCounters::default()
             });
             parts.push(rows);
         }
         stats.words_processed = stats.entries_scanned.div_ceil(4);
         if scan_span.is_recording() {
-            let words_only = AccessStats {
+            let words_only = WorkCounters {
                 words_processed: stats.words_processed,
-                ..AccessStats::default()
+                ..WorkCounters::default()
             };
             words_only.record_into(&mut scan_span);
         }

@@ -12,7 +12,7 @@ use crate::config::Scale;
 use crate::experiments::harness::uniform_group;
 use crate::report::{fmt_ms, fmt_ratio, Table};
 use crate::time_ms;
-use ibis_baseline::{AccessStats, RTreeIncomplete};
+use ibis_baseline::RTreeIncomplete;
 use ibis_core::gen::{workload, QuerySpec};
 use ibis_core::MissingPolicy;
 
@@ -59,7 +59,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             )
         };
         let idx = RTreeIncomplete::build(&d);
-        let mut stats = AccessStats::default();
+        let mut stats = ibis_core::WorkCounters::default();
         let (_, ms) = time_ms(|| {
             for q in &queries {
                 let (_, s) = idx.execute_with_cost(q).expect("valid workload");

@@ -3,8 +3,8 @@
 //!
 //! Instead of storing an extra bitmap `B_{i,0}`, missing data could be
 //! encoded *in band*: set `B_{i,j}[x] = 1` for **all** `j` when missing is a
-//! match ([`InBandMatchEquality`]), or `= 0` for all `j` when it is not
-//! ([`InBandNotMatchEquality`]). The paper rejects both because:
+//! match ([`MissingAsOnes`]), or `= 0` for all `j` when it is not
+//! ([`MissingAsZeros`]). The paper rejects both because:
 //!
 //! 1. complement-based interval evaluation (the NOT operator) goes wrong and
 //!    needs recovery operations — extra ANDs/ORs of value bitmaps;
@@ -17,392 +17,210 @@
 //! three claims rather than take them on faith. They are not part of the
 //! recommended API.
 
-use crate::engine::{self, BitmapExec};
-use crate::size::{AttrSize, SizeReport};
-use ibis_bitvec::{BitStore, BitVec64};
-use ibis_core::{
-    AccessMethod, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
-};
-use std::sync::OnceLock;
+use crate::engine;
+use crate::index::{AttrBitmaps, BitmapIndex, Encoding};
+use ibis_bitvec::BitStore;
+use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
 /// Equality bitmaps with missing rows encoded as 1 in every value bitmap.
 /// Only answers queries under [`MissingPolicy::IsMatch`] — the encoding
 /// hard-wires the semantics, which is itself a drawback the `B_0` design
-/// avoids.
-#[derive(Clone, Debug)]
-pub struct InBandMatchEquality<B: BitStore> {
-    attrs: Vec<InBandAttr<B>>,
-    n_rows: usize,
-    /// Cached [`engine::words_per_read`].
-    read_words: OnceLock<f64>,
-}
+/// avoids. The attribute's parameter records whether the column has
+/// missing rows (1) or not (0).
+#[derive(Clone, Copy, Debug)]
+pub struct MissingAsOnes;
 
 /// Equality bitmaps with missing rows encoded as 0 in every value bitmap.
-/// Only answers queries under [`MissingPolicy::IsNotMatch`].
-#[derive(Clone, Debug)]
-pub struct InBandNotMatchEquality<B: BitStore> {
-    attrs: Vec<InBandAttr<B>>,
-    n_rows: usize,
-    /// Cached [`engine::words_per_read`].
-    read_words: OnceLock<f64>,
-}
+/// Only answers queries under [`MissingPolicy::IsNotMatch`]. The parameter
+/// is as for [`MissingAsOnes`].
+#[derive(Clone, Copy, Debug)]
+pub struct MissingAsZeros;
 
-#[derive(Clone, Debug)]
-struct InBandAttr<B> {
-    cardinality: u16,
-    has_missing: bool,
-    values: Vec<B>,
-}
+/// The all-ones in-band index. [`BitmapIndex::try_build`] fails for any
+/// cardinality-1 attribute with missing data: its single bitmap is
+/// all-ones, so "value 1" cannot be told apart from "missing" (the paper's
+/// objection #2). Compare its [`BitmapIndex::size_report`] against
+/// [`crate::EqualityBitmapIndex`]'s to measure objection #3.
+pub type InBandMatchEquality<B> = BitmapIndex<MissingAsOnes, B>;
 
-fn build_attrs<B: BitStore>(dataset: &Dataset, missing_as_one: bool) -> Vec<InBandAttr<B>> {
-    dataset
-        .columns()
+/// The all-zeros in-band index (missing rows are simply absent from every
+/// bitmap).
+pub type InBandNotMatchEquality<B> = BitmapIndex<MissingAsZeros, B>;
+
+fn build_attr<B: BitStore>(col: &Column, missing_as_one: bool) -> AttrBitmaps<B> {
+    let eq = crate::equality_bitvecs(col);
+    let missing = &eq[0];
+    let has_missing = missing.count_ones() > 0;
+    let stored = eq[1..]
         .iter()
-        .map(|col| {
-            let eq = crate::equality_bitvecs(col);
-            let missing = &eq[0];
-            let has_missing = missing.count_ones() > 0;
-            let values = eq[1..]
-                .iter()
-                .map(|value_bv| {
-                    if missing_as_one && has_missing {
-                        B::from_bitvec(&value_bv.or(missing))
-                    } else {
-                        B::from_bitvec(value_bv)
-                    }
-                })
-                .collect();
-            InBandAttr {
-                cardinality: col.cardinality(),
-                has_missing,
-                values,
-            }
-        })
-        .collect()
-}
-
-fn size_report<B: BitStore>(attrs: &[InBandAttr<B>], n_rows: usize) -> SizeReport {
-    SizeReport {
-        per_attr: attrs
-            .iter()
-            .enumerate()
-            .map(|(attr, a)| {
-                let bytes = a.values.iter().map(B::size_bytes).sum::<usize>();
-                AttrSize::new(attr, a.values.len(), bytes, n_rows)
-            })
-            .collect(),
-    }
-}
-
-impl<B: BitStore> InBandMatchEquality<B> {
-    /// Builds the index.
-    ///
-    /// # Errors
-    /// Fails for any cardinality-1 attribute with missing data: under this
-    /// encoding its single bitmap is all-ones, so "value 1" cannot be told
-    /// apart from "missing" (the paper's objection #2).
-    pub fn try_build(dataset: &Dataset) -> Result<Self> {
-        for (attr, col) in dataset.columns().iter().enumerate() {
-            if col.cardinality() == 1 && col.missing_count() > 0 {
-                return Err(Error::UnrepresentableColumn {
-                    attr,
-                    reason: "cardinality-1 attribute with missing data is ambiguous \
-                             under the in-band all-ones encoding",
-                });
-            }
-        }
-        Ok(InBandMatchEquality {
-            attrs: build_attrs(dataset, true),
-            n_rows: dataset.n_rows(),
-            read_words: OnceLock::new(),
-        })
-    }
-
-    /// Size accounting (compare against
-    /// [`crate::EqualityBitmapIndex::size_report`] to measure objection #3).
-    pub fn size_report(&self) -> SizeReport {
-        size_report(&self.attrs, self.n_rows)
-    }
-
-    /// Evaluates one interval. The complement path must *recover* the
-    /// missing rows it wrongly drops: they are found as the AND of two
-    /// distinct value bitmaps (only missing rows are 1 in more than one),
-    /// then ORed back — the paper's recovery procedure, at +2 reads +2 ops.
-    pub fn evaluate_interval(&self, attr: usize, iv: Interval, cost: &mut WorkCounters) -> B {
-        let a = &self.attrs[attr];
-        let c = a.cardinality as usize;
-        let (v1, v2) = (iv.lo as usize, iv.hi as usize);
-        // Choose the smaller bitmap set (the paper's prose: complement when
-        // the range "includes more than half of the cardinality"; Fig. 2's
-        // span test v2−v1 ≤ ⌊C/2⌋ can pick the larger side for even C —
-        // comparing set sizes keeps the min(AS, 1−AS)·C + 1 bound tight).
-        let width = v2 - v1 + 1;
-        if width <= c - width {
-            engine::or_all(a.values[v1 - 1..v2].iter(), cost).expect("non-empty range")
-        } else {
-            let outside = a.values[..v1 - 1].iter().chain(a.values[v2..].iter());
-            let neg = match engine::or_all(outside, cost) {
-                Some(x) => engine::not(&x, cost),
-                None => B::ones(self.n_rows),
-            };
-            if a.has_missing && c >= 2 {
-                // Recovery: missing = B_1 AND B_2 (both all-ones on missing
-                // rows, disjoint on present rows).
-                cost.read_bitmaps(2);
-                let missing = engine::and(&a.values[0], &a.values[1], cost);
-                engine::or(&neg, &missing, cost)
+        .map(|value_bv| {
+            if missing_as_one && has_missing {
+                B::from_bitvec(&value_bv.or(missing))
             } else {
-                neg
+                B::from_bitvec(value_bv)
             }
-        }
-    }
-
-    /// Total bytes of all stored bitmaps.
-    pub fn size_bytes(&self) -> usize {
-        self.size_report().total_bytes()
-    }
-
-    /// Executes a query; only [`MissingPolicy::IsMatch`] is supported.
-    ///
-    /// # Panics
-    /// Panics on a not-match query. (The [`AccessMethod`] surface returns
-    /// [`Error::UnsupportedPolicy`] instead.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        assert_eq!(
-            query.policy(),
-            MissingPolicy::IsMatch,
-            "in-band match encoding hard-wires match semantics"
-        );
-        engine::run_rows(self, query, 1)
+        })
+        .collect();
+    AttrBitmaps {
+        cardinality: col.cardinality(),
+        param: has_missing as u16,
+        missing: None,
+        stored,
     }
 }
 
-impl<B: BitStore> BitmapExec for InBandMatchEquality<B> {
-    type Store = B;
+/// Fig. 2 with no `B_0` to consult: ORs the smaller of the in-range and
+/// out-of-range bitmap sets, complementing the latter, and says whether it
+/// complemented — the path on which both in-band encodings go wrong and
+/// must recover.
+fn smaller_side<B: BitStore>(
+    a: &AttrBitmaps<B>,
+    n_rows: usize,
+    iv: Interval,
+    cost: &mut WorkCounters,
+) -> (B, bool) {
+    let c = a.cardinality as usize;
+    let (v1, v2) = (iv.lo as usize, iv.hi as usize);
+    // Choose the smaller bitmap set (the paper's prose: complement when
+    // the range "includes more than half of the cardinality"; Fig. 2's
+    // span test v2−v1 ≤ ⌊C/2⌋ can pick the larger side for even C —
+    // comparing set sizes keeps the min(AS, 1−AS)·C + 1 bound tight).
+    let width = v2 - v1 + 1;
+    if width <= c - width {
+        let hit = engine::or_all(a.stored[v1 - 1..v2].iter(), cost).expect("non-empty range");
+        (hit, false)
+    } else {
+        let outside = a.stored[..v1 - 1].iter().chain(a.stored[v2..].iter());
+        let neg = match engine::or_all(outside, cost) {
+            Some(x) => engine::not(&x, cost),
+            None => B::ones(n_rows),
+        };
+        (neg, true)
+    }
+}
 
-    fn exec_rows(&self) -> usize {
-        self.n_rows
+fn in_band_count(cardinality: u16, param: u16, has_b0: bool) -> Option<usize> {
+    (param <= 1 && !has_b0).then_some(cardinality as usize)
+}
+
+impl Encoding for MissingAsOnes {
+    const MAGIC: &'static [u8; 4] = b"IBIM";
+
+    fn name<B: BitStore>() -> &'static str {
+        "bitmap-inband-match"
     }
 
-    fn exec_attrs(&self) -> usize {
-        self.attrs.len()
+    fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
+        build_attr(col, true)
     }
 
-    fn exec_cardinality(&self, attr: usize) -> u16 {
-        self.attrs[attr].cardinality
-    }
-
-    fn exec_stored(&self) -> impl Iterator<Item = &B> {
-        self.attrs.iter().flat_map(|a| a.values.iter())
-    }
-
-    fn exec_read_words(&self) -> &OnceLock<f64> {
-        &self.read_words
-    }
-
-    fn exec_interval(
-        &self,
-        attr: usize,
+    // The complement path must *recover* the missing rows it wrongly
+    // drops: they are found as the AND of two distinct value bitmaps (only
+    // missing rows are 1 in more than one), then ORed back — the paper's
+    // recovery procedure, at +2 reads +2 ops.
+    fn interval<B: BitStore>(
+        a: &AttrBitmaps<B>,
+        n_rows: usize,
         iv: Interval,
         _policy: MissingPolicy,
         cost: &mut WorkCounters,
     ) -> B {
-        self.evaluate_interval(attr, iv, cost)
-    }
-}
-
-impl<B: BitStore> AccessMethod for InBandMatchEquality<B> {
-    fn name(&self) -> &'static str {
-        "bitmap-inband-match"
-    }
-
-    fn supports(&self, query: &RangeQuery) -> bool {
-        query.policy() == MissingPolicy::IsMatch
-    }
-
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        if !self.supports(query) {
-            return Err(Error::UnsupportedPolicy {
-                method: "bitmap-inband-match",
-            });
+        let (acc, complemented) = smaller_side(a, n_rows, iv, cost);
+        if complemented && a.param == 1 && a.cardinality >= 2 {
+            // Recovery: missing = B_1 AND B_2 (both all-ones on missing
+            // rows, disjoint on present rows).
+            cost.read_bitmaps(2);
+            let missing = engine::and(&a.stored[0], &a.stored[1], cost);
+            engine::or(&acc, &missing, cost)
+        } else {
+            acc
         }
-        engine::run_rows(self, query, 1)
-    }
-
-    fn size_bytes(&self) -> usize {
-        InBandMatchEquality::size_bytes(self)
-    }
-
-    fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        if !self.supports(query) {
-            return Err(Error::UnsupportedPolicy {
-                method: "bitmap-inband-match",
-            });
-        }
-        engine::run_count(self, query)
     }
 
     // Like BEE, but the complement path pays the recovery (two extra reads
     // plus ops) — objection #1 priced in.
-    fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        engine::estimate_words(self, query, |w, c| if w <= c - w { w } else { c - w + 3.0 })
-    }
-}
-
-impl<B: BitStore> InBandNotMatchEquality<B> {
-    /// Builds the index (missing rows are simply absent from every bitmap).
-    pub fn build(dataset: &Dataset) -> Self {
-        InBandNotMatchEquality {
-            attrs: build_attrs(dataset, false),
-            n_rows: dataset.n_rows(),
-            read_words: OnceLock::new(),
-        }
-    }
-
-    /// Size accounting.
-    pub fn size_report(&self) -> SizeReport {
-        size_report(&self.attrs, self.n_rows)
-    }
-
-    /// Evaluates one interval. The complement path wrongly *includes*
-    /// missing rows (they are 0 everywhere, so NOT turns them on); without a
-    /// `B_0` the only recovery is to re-derive the present-row mask by ORing
-    /// **every** value bitmap — `C` extra reads, which is the point.
-    pub fn evaluate_interval(&self, attr: usize, iv: Interval, cost: &mut WorkCounters) -> B {
-        let a = &self.attrs[attr];
-        let c = a.cardinality as usize;
-        let (v1, v2) = (iv.lo as usize, iv.hi as usize);
-        // Choose the smaller bitmap set (the paper's prose: complement when
-        // the range "includes more than half of the cardinality"; Fig. 2's
-        // span test v2−v1 ≤ ⌊C/2⌋ can pick the larger side for even C —
-        // comparing set sizes keeps the min(AS, 1−AS)·C + 1 bound tight).
-        let width = v2 - v1 + 1;
-        if width <= c - width {
-            engine::or_all(a.values[v1 - 1..v2].iter(), cost).expect("non-empty range")
+    fn reads_for(w: f64, c: f64, _param: u16) -> f64 {
+        if w <= c - w {
+            w
         } else {
-            let outside = a.values[..v1 - 1].iter().chain(a.values[v2..].iter());
-            let neg = match engine::or_all(outside, cost) {
-                Some(x) => engine::not(&x, cost),
-                None => B::ones(self.n_rows),
-            };
-            if a.has_missing {
-                let present = engine::or_all(a.values.iter(), cost).expect("c ≥ 1");
-                engine::and(&neg, &present, cost)
-            } else {
-                neg
-            }
+            c - w + 3.0
         }
     }
 
-    /// Total bytes of all stored bitmaps.
-    pub fn size_bytes(&self) -> usize {
-        self.size_report().total_bytes()
+    fn stored_count(cardinality: u16, param: u16, has_b0: bool) -> Option<usize> {
+        in_band_count(cardinality, param, has_b0)
     }
 
-    /// Executes a query; only [`MissingPolicy::IsNotMatch`] is supported.
-    ///
-    /// # Panics
-    /// Panics on a match query. (The [`AccessMethod`] surface returns
-    /// [`Error::UnsupportedPolicy`] instead.)
-    pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        assert_eq!(
-            query.policy(),
-            MissingPolicy::IsNotMatch,
-            "in-band not-match encoding hard-wires not-match semantics"
-        );
-        engine::run_rows(self, query, 1)
-    }
-}
-
-impl<B: BitStore> BitmapExec for InBandNotMatchEquality<B> {
-    type Store = B;
-
-    fn exec_rows(&self) -> usize {
-        self.n_rows
+    fn supports(policy: MissingPolicy) -> bool {
+        policy == MissingPolicy::IsMatch
     }
 
-    fn exec_attrs(&self) -> usize {
-        self.attrs.len()
-    }
-
-    fn exec_cardinality(&self, attr: usize) -> u16 {
-        self.attrs[attr].cardinality
-    }
-
-    fn exec_stored(&self) -> impl Iterator<Item = &B> {
-        self.attrs.iter().flat_map(|a| a.values.iter())
-    }
-
-    fn exec_read_words(&self) -> &OnceLock<f64> {
-        &self.read_words
-    }
-
-    fn exec_interval(
-        &self,
-        attr: usize,
-        iv: Interval,
-        _policy: MissingPolicy,
-        cost: &mut WorkCounters,
-    ) -> B {
-        self.evaluate_interval(attr, iv, cost)
-    }
-}
-
-impl<B: BitStore> AccessMethod for InBandNotMatchEquality<B> {
-    fn name(&self) -> &'static str {
-        "bitmap-inband-notmatch"
-    }
-
-    fn supports(&self, query: &RangeQuery) -> bool {
-        query.policy() == MissingPolicy::IsNotMatch
-    }
-
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        if !self.supports(query) {
-            return Err(Error::UnsupportedPolicy {
-                method: "bitmap-inband-notmatch",
-            });
-        }
-        engine::run_rows(self, query, 1)
-    }
-
-    fn size_bytes(&self) -> usize {
-        InBandNotMatchEquality::size_bytes(self)
-    }
-
-    fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        if !self.supports(query) {
-            return Err(Error::UnsupportedPolicy {
-                method: "bitmap-inband-notmatch",
-            });
-        }
-        engine::run_count(self, query)
-    }
-
-    // The complement path re-derives the present mask from all C value
-    // bitmaps — objection #1's cost for this variant.
-    fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        engine::estimate_words(
-            self,
-            query,
-            |w, c| if w <= c - w { w } else { (c - w) + c + 1.0 },
+    fn unrepresentable(col: &Column) -> Option<&'static str> {
+        (col.cardinality() == 1 && col.missing_count() > 0).then_some(
+            "cardinality-1 attribute with missing data is ambiguous \
+             under the in-band all-ones encoding",
         )
     }
 }
 
-/// Used by tests: a `BitVec64`-backed in-band index never compresses, but
-/// WAH-backed instances show the run-interruption effect.
-pub type InBandMatchWah = InBandMatchEquality<ibis_bitvec::Wah>;
+impl Encoding for MissingAsZeros {
+    const MAGIC: &'static [u8; 4] = b"IBIN";
 
-#[allow(unused)]
-fn _assert_object_safety(_: &InBandMatchEquality<BitVec64>) {}
+    fn name<B: BitStore>() -> &'static str {
+        "bitmap-inband-notmatch"
+    }
+
+    fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
+        build_attr(col, false)
+    }
+
+    // The complement path wrongly *includes* missing rows (they are 0
+    // everywhere, so NOT turns them on); without a `B_0` the only recovery
+    // is to re-derive the present-row mask by ORing **every** value bitmap
+    // — `C` extra reads, which is the point.
+    fn interval<B: BitStore>(
+        a: &AttrBitmaps<B>,
+        n_rows: usize,
+        iv: Interval,
+        _policy: MissingPolicy,
+        cost: &mut WorkCounters,
+    ) -> B {
+        let (acc, complemented) = smaller_side(a, n_rows, iv, cost);
+        if complemented && a.param == 1 {
+            let present = engine::or_all(a.stored.iter(), cost).expect("c ≥ 1");
+            engine::and(&acc, &present, cost)
+        } else {
+            acc
+        }
+    }
+
+    // The complement path re-derives the present mask from all C value
+    // bitmaps — objection #1's cost for this variant.
+    fn reads_for(w: f64, c: f64, _param: u16) -> f64 {
+        if w <= c - w {
+            w
+        } else {
+            (c - w) + c + 1.0
+        }
+    }
+
+    fn stored_count(cardinality: u16, param: u16, has_b0: bool) -> Option<usize> {
+        in_band_count(cardinality, param, has_b0)
+    }
+
+    fn supports(policy: MissingPolicy) -> bool {
+        policy == MissingPolicy::IsNotMatch
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::EqualityBitmapIndex;
     use ibis_bitvec::Wah;
-    use ibis_core::{gen::uniform_column, scan, Cell, Column, Predicate};
+    use ibis_core::{
+        gen::uniform_column, scan, AccessMethod, Cell, Dataset, Predicate, RangeQuery,
+    };
     use rand::{rngs::StdRng, SeedableRng};
 
     fn v(x: u16) -> Cell {
@@ -460,28 +278,6 @@ mod tests {
         assert_eq!(rows, scan::execute(&d, &q));
         // Present-mask recovery touches all C = 5 value bitmaps.
         assert!(cost.bitmaps_accessed >= 5, "{cost:?}");
-    }
-
-    #[test]
-    fn direct_path_queries_match_scan() {
-        let d = sample();
-        let inband_m = InBandMatchEquality::<Wah>::try_build(&d).unwrap();
-        let inband_n = InBandNotMatchEquality::<Wah>::build(&d);
-        for lo in 1..=5u16 {
-            for hi in lo..=5u16 {
-                let qm = RangeQuery::new(vec![Predicate::range(0, lo, hi)], MissingPolicy::IsMatch)
-                    .unwrap();
-                assert_eq!(
-                    inband_m.execute_with_cost(&qm).unwrap().0,
-                    scan::execute(&d, &qm)
-                );
-                let qn = qm.with_policy(MissingPolicy::IsNotMatch);
-                assert_eq!(
-                    inband_n.execute_with_cost(&qn).unwrap().0,
-                    scan::execute(&d, &qn)
-                );
-            }
-        }
     }
 
     #[test]

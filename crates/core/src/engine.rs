@@ -4,9 +4,9 @@
 //! The paper's claims are comparative — BEE vs BRE vs VA-file vs the tree
 //! baselines, under both missing-data semantics — so every access method
 //! answers the same queries through the same surface: [`AccessMethod`].
-//! Costs are reported in one [`WorkCounters`] struct instead of the
-//! per-family counter types the crates grew historically (`AccessStats`,
-//! `VaCost` — now aliases of [`WorkCounters`]).
+//! Costs are reported in one [`WorkCounters`] struct, spelled the same in
+//! every crate: each family fills the fields that describe its physical
+//! work and leaves the rest at zero.
 
 use crate::parallel::{configured_threads, ExecPool};
 use crate::{RangeQuery, Result, RowSet};

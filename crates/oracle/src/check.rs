@@ -126,18 +126,11 @@ pub fn check_case(case: &Case) -> CaseResult {
 
     // Build every registry variant once per case; a panic during a build is
     // itself a finding.
-    let methods = match catch(|| crate::registry::methods(&d)) {
-        Ok(m) => m,
+    let (methods, roundtripped) = match catch(|| crate::registry::methods_and_roundtripped(&d)) {
+        Ok(built) => built,
         Err(p) => {
             ctx.check("registry/build", Err(p));
             return ctx.result;
-        }
-    };
-    let roundtripped = match catch(|| crate::registry::roundtripped(&d)) {
-        Ok(r) => r,
-        Err(p) => {
-            ctx.check("registry/roundtrip-build", Err(p));
-            Vec::new()
         }
     };
     let appended = match catch(|| crate::registry::appended(&d)) {

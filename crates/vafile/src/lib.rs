@@ -49,5 +49,5 @@ mod vaplus;
 pub use bound::{BoundVaFile, BoundVaPlusFile};
 pub use packed::PackedMatrix;
 pub use quantizer::Quantizer;
-pub use vafile::{VaCost, VaFile};
+pub use vafile::VaFile;
 pub use vaplus::VaPlusFile;

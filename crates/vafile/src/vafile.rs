@@ -2,7 +2,7 @@
 
 use crate::{PackedMatrix, Quantizer};
 use ibis_core::parallel::{partition, ExecPool};
-use ibis_core::{Dataset, MissingPolicy, RangeQuery, Result, RowSet};
+use ibis_core::{Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
 
 /// Per-attribute layout inside the packed approximation file.
 #[derive(Clone, Debug)]
@@ -14,13 +14,6 @@ pub(crate) struct VaAttr {
     pub(crate) offset: usize,
     pub(crate) quantizer: Quantizer,
 }
-
-/// Work performed by one VA-file query — the machine-independent companion
-/// to wall-clock time (the paper explains VA-file timing by the "about
-/// 500,000 vector approximations" it must scan). An alias of the unified
-/// [`ibis_core::WorkCounters`]; the VA families fill `approx_fields_read`,
-/// `candidates`, `rows_refined`, `false_positives`, and `words_processed`.
-pub type VaCost = ibis_core::WorkCounters;
 
 /// The VA-file over an incomplete relation.
 ///
@@ -169,7 +162,7 @@ impl VaFile {
         &self,
         dataset: &Dataset,
         query: &RangeQuery,
-    ) -> Result<(RowSet, VaCost)> {
+    ) -> Result<(RowSet, WorkCounters)> {
         self.execute_with_cost_threads(dataset, query, 1)
     }
 
@@ -185,7 +178,7 @@ impl VaFile {
         dataset: &Dataset,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, VaCost)> {
+    ) -> Result<(RowSet, WorkCounters)> {
         query.validate_schema(self.attrs.len(), |a| self.attrs[a].cardinality)?;
         assert_eq!(
             dataset.n_rows(),
@@ -206,7 +199,7 @@ impl VaFile {
             let partials = ExecPool::new(threads).map(partition(n, threads), |range| {
                 self.scan_range(dataset, query, &plans, range)
             });
-            let mut cost = VaCost::default();
+            let mut cost = WorkCounters::default();
             let mut bits_read = 0usize;
             let mut parts = Vec::with_capacity(partials.len());
             for (out, c, bits) in partials {
@@ -221,9 +214,9 @@ impl VaFile {
         cost.words_processed =
             (bits_read + cost.rows_refined * query.dimensionality() * 16).div_ceil(64);
         if scan_span.is_recording() {
-            let words_only = VaCost {
+            let words_only = WorkCounters {
                 words_processed: cost.words_processed,
-                ..VaCost::default()
+                ..WorkCounters::default()
             };
             words_only.record_into(&mut scan_span);
         }
@@ -266,11 +259,11 @@ impl VaFile {
         query: &RangeQuery,
         plans: &[Plan],
         rows: std::ops::Range<usize>,
-    ) -> (Vec<u32>, VaCost, usize) {
+    ) -> (Vec<u32>, WorkCounters, usize) {
         let policy = query.policy();
         let mut span = ibis_obs::span("va.chunk");
         span.add_field("rows", rows.len() as u64);
-        let mut cost = VaCost::default();
+        let mut cost = WorkCounters::default();
         let mut out = Vec::new();
         let mut bits_read = 0usize;
         'rows: for row in rows {

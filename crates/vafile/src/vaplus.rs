@@ -8,9 +8,9 @@
 //! histogram instead of equal-width, so heavily-populated values stop
 //! flooding one bin with candidates.
 
-use crate::vafile::{default_bits, VaCost};
+use crate::vafile::default_bits;
 use crate::{Quantizer, VaFile};
-use ibis_core::{Dataset, RangeQuery, Result, RowSet};
+use ibis_core::{Dataset, RangeQuery, Result, RowSet, WorkCounters};
 
 /// A VA-file with equi-depth (VA+-style) bins. Same storage, same query
 /// path, same missing-data handling — only the lookup tables differ.
@@ -79,7 +79,7 @@ impl VaPlusFile {
         &self,
         dataset: &Dataset,
         query: &RangeQuery,
-    ) -> Result<(RowSet, VaCost)> {
+    ) -> Result<(RowSet, WorkCounters)> {
         self.inner.execute_with_cost(dataset, query)
     }
 
@@ -90,7 +90,7 @@ impl VaPlusFile {
         dataset: &Dataset,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, VaCost)> {
+    ) -> Result<(RowSet, WorkCounters)> {
         self.inner
             .execute_with_cost_threads(dataset, query, threads)
     }

@@ -13,6 +13,8 @@
 //! semantics default to *missing-is-match* (`--not-match` flips it), the
 //! same two modes the paper defines.
 
+use ibis::bitmap::{BitmapIndex, Decomposed, Encoding, Equality, IntervalWindows, Range};
+use ibis::bitvec::BitStore;
 use ibis::core::csv::{export_csv, import_csv, load_dictionaries, save_dictionaries, CsvOptions};
 use ibis::core::gen::{census_scaled, synthetic_scaled, workload, QuerySpec};
 use ibis::core::parse::{parse_query, parse_query_with_dictionaries};
@@ -438,29 +440,16 @@ fn index(args: &[String]) -> Result<(), CliError> {
         (encoding, backend.unwrap_or("wah"))
     };
     let d = load_dataset(path)?;
-    macro_rules! save_bitmap {
-        ($ty:ident) => {
-            match backend {
-                "wah" => save_index(&$ty::<Wah>::build(&d), out),
-                "bbc" => save_index(&$ty::<Bbc>::build(&d), out),
-                "plain" => save_index(&$ty::<BitVec64>::build(&d), out),
-                "adaptive" => save_index(&$ty::<Adaptive>::build(&d), out),
-                other => Err(CliError::Usage(format!(
-                    "unknown backend {other:?} (wah|bbc|plain|adaptive)"
-                ))),
-            }
-        };
-    }
     let (n_bitmaps, bytes) = match encoding {
         "va" => {
             let va = VaFile::build(&d);
             va.save(out).map_err(|e| e.to_string())?;
             (0, va.size_bytes())
         }
-        "bee" => save_bitmap!(EqualityBitmapIndex)?,
-        "bre" => save_bitmap!(RangeBitmapIndex)?,
-        "bie" => save_bitmap!(IntervalBitmapIndex)?,
-        "dec" => save_bitmap!(DecomposedBitmapIndex)?,
+        "bee" => save_bitmap::<Equality>(backend, &d, out)?,
+        "bre" => save_bitmap::<Range>(backend, &d, out)?,
+        "bie" => save_bitmap::<IntervalWindows>(backend, &d, out)?,
+        "dec" => save_bitmap::<Decomposed>(backend, &d, out)?,
         other => {
             return Err(CliError::Usage(format!(
                 "unknown encoding {other:?} (bee|bre|bie|dec|va|adaptive)"
@@ -478,102 +467,57 @@ fn index(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The save surface every bitmap index shares; lets `index` handle all
-/// (encoding, backend) pairs through one code path.
-trait SavableIndex {
-    fn n_bitmaps(&self) -> usize;
-    fn size_bytes(&self) -> usize;
-    fn save(&self, path: &str) -> std::io::Result<()>;
+/// Builds encoding `E` over the named backend and saves it to `out`,
+/// returning the bitmap count and the stored bytes.
+fn save_bitmap<E: Encoding>(
+    backend: &str,
+    d: &Dataset,
+    out: &str,
+) -> Result<(usize, usize), CliError> {
+    fn save<E: Encoding, B: BitStore>(d: &Dataset, out: &str) -> Result<(usize, usize), CliError> {
+        let idx = BitmapIndex::<E, B>::build(d);
+        idx.save(out)
+            .map_err(|e| CliError::Runtime(e.to_string()))?;
+        Ok((idx.n_bitmaps(), idx.size_bytes()))
+    }
+    match backend {
+        "wah" => save::<E, Wah>(d, out),
+        "bbc" => save::<E, Bbc>(d, out),
+        "plain" => save::<E, BitVec64>(d, out),
+        "adaptive" => save::<E, Adaptive>(d, out),
+        other => Err(CliError::Usage(format!(
+            "unknown backend {other:?} (wah|bbc|plain|adaptive)"
+        ))),
+    }
 }
 
-macro_rules! savable {
-    ($ty:ident) => {
-        impl<B: ibis::bitvec::BitStore> SavableIndex for $ty<B> {
-            fn n_bitmaps(&self) -> usize {
-                $ty::n_bitmaps(self)
-            }
-            fn size_bytes(&self) -> usize {
-                $ty::size_bytes(self)
-            }
-            fn save(&self, path: &str) -> std::io::Result<()> {
-                $ty::save(self, path)
-            }
-        }
-    };
-}
-savable!(EqualityBitmapIndex);
-savable!(RangeBitmapIndex);
-savable!(IntervalBitmapIndex);
-savable!(DecomposedBitmapIndex);
-
-fn save_index(idx: &dyn SavableIndex, out: &str) -> Result<(usize, usize), CliError> {
-    idx.save(out)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    Ok((idx.n_bitmaps(), idx.size_bytes()))
-}
-
-/// Sniffs a saved index file by magic and loads it as an engine-layer
-/// [`AccessMethod`], so the query path downstream is encoding-agnostic.
+/// Loads a saved index — a VA-file, or whichever bitmap encoding and
+/// backend the file's header names — as an engine-layer [`AccessMethod`],
+/// so the query path downstream is encoding-agnostic.
 fn load_access_method(path: &str, d: &Arc<Dataset>) -> Result<Box<dyn AccessMethod>, String> {
-    // Sniff the header — 4-byte magic, u16 version, then (for bitmap
-    // indexes) the length-prefixed backend name — so load errors come from
-    // the one true (magic, backend) pair instead of a trial sequence.
-    let mut head = [0u8; 64];
-    let n = std::fs::File::open(path)
-        .and_then(|mut f| f.read(&mut head))
-        .map_err(|e| format!("cannot read index {path:?}: {e}"))?;
-    if n < 6 {
-        return Err(format!("index file {path:?} too short"));
-    }
-    let magic = &head[..4];
-    let backend = if n >= 15 {
-        // magic(4) + version(2) + u64 length + backend bytes.
-        let len = u64::from_le_bytes(head[6..14].try_into().expect("slice of 8")) as usize;
-        std::str::from_utf8(&head[14..(14 + len).min(n)]).unwrap_or("")
-    } else {
-        ""
-    };
-    let check_rows = |idx_rows: usize| -> Result<(), String> {
-        if idx_rows != d.n_rows() {
-            return Err(format!(
-                "index {path:?} covers {idx_rows} rows but the dataset has {} — \
-                 rebuild the index with `ibis index`",
-                d.n_rows()
-            ));
+    let load = || -> std::io::Result<(usize, Box<dyn AccessMethod>)> {
+        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
+        let mut magic = [0u8; 4];
+        r.read_exact(&mut magic)?;
+        let mut r = magic.as_slice().chain(r);
+        if &magic == b"IBVA" {
+            let va = VaFile::read_from(&mut r)?;
+            Ok((va.n_rows(), Box::new(va.bind(Arc::clone(d)))))
+        } else {
+            ibis::bitmap::read_any(&mut r)
         }
-        Ok(())
     };
-    macro_rules! dispatch {
-        ($ty:ident, $backend:ty) => {{
-            let idx = $ty::<$backend>::load(path).map_err(|e| e.to_string())?;
-            check_rows(idx.n_rows())?;
-            Ok(Box::new(idx) as Box<dyn AccessMethod>)
-        }};
-        ($ty:ident) => {{
-            match backend {
-                "wah" => dispatch!($ty, Wah),
-                "bbc" => dispatch!($ty, Bbc),
-                "plain" => dispatch!($ty, BitVec64),
-                "adaptive" => dispatch!($ty, Adaptive),
-                other => Err(format!("unknown backend {other:?} recorded in {path:?}")),
-            }
-        }};
+    let (idx_rows, method) = load().map_err(|e| {
+        format!("cannot load index {path:?}: {e} — rebuild the index with `ibis index`")
+    })?;
+    if idx_rows != d.n_rows() {
+        return Err(format!(
+            "index {path:?} covers {idx_rows} rows but the dataset has {} — \
+             rebuild the index with `ibis index`",
+            d.n_rows()
+        ));
     }
-    match magic {
-        b"IBEE" => dispatch!(EqualityBitmapIndex),
-        b"IBRE" => dispatch!(RangeBitmapIndex),
-        b"IBIE" => dispatch!(IntervalBitmapIndex),
-        b"IBDX" => dispatch!(DecomposedBitmapIndex),
-        b"IBVA" => {
-            let va = VaFile::load(path).map_err(|e| e.to_string())?;
-            check_rows(va.n_rows())?;
-            Ok(Box::new(va.bind(Arc::clone(d))))
-        }
-        other => Err(format!(
-            "unrecognized index magic {other:02x?} in {path:?} — rebuild the index \
-             with `ibis index`"
-        )),
-    }
+    Ok(method)
 }
 
 fn query(args: &[String]) -> Result<(), CliError> {

@@ -12,8 +12,13 @@
 //!
 //! * [`core`] — data model ([`Dataset`](ibis_core::Dataset), [`RangeQuery`](ibis_core::RangeQuery), [`MissingPolicy`](ibis_core::MissingPolicy)),
 //!   scan ground truth, selectivity algebra, workload generators;
-//! * [`bitvec`] — uncompressed, WAH- and BBC-compressed bit vectors;
-//! * [`bitmap`] — the paper's BEE and BRE bitmap indexes;
+//! * [`bitvec`] — the bit-vector substrate: uncompressed, WAH- and
+//!   BBC-compressed vectors and roaring-style adaptive containers, behind
+//!   one [`BitStore`](ibis_bitvec::BitStore) trait;
+//! * [`bitmap`] — one bitmap index type,
+//!   [`BitmapIndex<E, B>`](ibis_bitmap::BitmapIndex), over the paper's
+//!   equality (BEE) and range (BRE) encodings, the interval and decomposed
+//!   encodings, and the in-band encodings the paper rejects;
 //! * [`vafile`] — the paper's VA-file and the VA+-file extension;
 //! * [`baseline`] — R-tree, B+-tree, MOSAIC, bitstring-augmented index;
 //! * [`storage`] — the database layer ([`db::IncompleteDb`],

@@ -5,7 +5,6 @@
 //! differential tests: indexes are exercised only through the common trait,
 //! so a method that joins the registry is conformance-tested for free.
 
-use ibis::bitmap::rejected::{InBandMatchEquality, InBandNotMatchEquality};
 use ibis::core::gen::missingness::{impose_mar, impose_mnar};
 use ibis::core::gen::{census_scaled, uniform_column, workload, QuerySpec};
 use ibis::core::scan;
@@ -13,32 +12,10 @@ use ibis::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
-/// Every access method in the workspace, bound where binding is needed.
-/// The in-band match encoder can refuse datasets it cannot represent
-/// (cardinality-1 attributes with missing data), so it joins when it can.
+/// Every access method in the workspace — every bitmap encoding over every
+/// backend, the VA-files and the baselines — as the oracle registers them.
 fn registry(d: &Arc<Dataset>) -> Vec<Box<dyn AccessMethod>> {
-    let mut methods: Vec<Box<dyn AccessMethod>> = vec![
-        Box::new(EqualityBitmapIndex::<Wah>::build(d)),
-        Box::new(EqualityBitmapIndex::<BitVec64>::build(d)),
-        Box::new(EqualityBitmapIndex::<Bbc>::build(d)),
-        Box::new(EqualityBitmapIndex::<Adaptive>::build(d)),
-        Box::new(RangeBitmapIndex::<Wah>::build(d)),
-        Box::new(RangeBitmapIndex::<Bbc>::build(d)),
-        Box::new(RangeBitmapIndex::<Adaptive>::build(d)),
-        Box::new(IntervalBitmapIndex::<Wah>::build(d)),
-        Box::new(DecomposedBitmapIndex::<Wah>::build(d)),
-        Box::new(InBandNotMatchEquality::<Wah>::build(d)),
-        Box::new(VaFile::build(d).bind(Arc::clone(d))),
-        Box::new(VaPlusFile::build(d).bind(Arc::clone(d))),
-        Box::new(Mosaic::build(d)),
-        Box::new(RTreeIncomplete::build(d)),
-        Box::new(BitstringAugmented::build(d)),
-        Box::new(SequentialScan.bind(Arc::clone(d))),
-    ];
-    if let Ok(im) = InBandMatchEquality::<Wah>::try_build(d) {
-        methods.push(Box::new(im));
-    }
-    methods
+    ibis::oracle::registry::methods_and_roundtripped(d).0
 }
 
 /// A complete uniform relation, small enough in dimensionality that the

@@ -1,6 +1,7 @@
 //! The paper's worked examples (Tables 1–6) verified end to end, plus the
 //! operation-count claims of §4.2/§4.3 on the same data.
 
+use ibis::bitmap::rejected::{InBandMatchEquality, InBandNotMatchEquality};
 use ibis::core::scan;
 use ibis::prelude::*;
 
@@ -146,6 +147,9 @@ fn counter_trace(
         for lo in 1..=5u16 {
             for hi in lo..=5u16 {
                 let q = RangeQuery::new(vec![Predicate::range(0, lo, hi)], policy).unwrap();
+                if !one.supports(&q) {
+                    continue;
+                }
                 single.push(render(&one.execute_with_cost(&q).unwrap().1));
             }
         }
@@ -158,6 +162,9 @@ fn counter_trace(
             policy,
         )
         .unwrap();
+        if !three.supports(&q) {
+            continue;
+        }
         for threads in [1, 3, 8] {
             multi.push(render(
                 &three.execute_with_cost_threads(&q, threads).unwrap().1,
@@ -229,26 +236,28 @@ fn bitmap_and_op_counts_are_pinned_for_every_family_and_backend() {
     check::<Adaptive>(&pinned, render);
 }
 
+/// bitmaps/ops/words/array/bitmap/run containers.
+fn six_fields(c: &WorkCounters) -> String {
+    format!(
+        "{}/{}/{}/{}/{}/{}",
+        c.bitmaps_accessed,
+        c.logical_ops,
+        c.words_processed,
+        c.containers_array,
+        c.containers_bitmap,
+        c.containers_run
+    )
+}
+
 #[test]
 fn adaptive_counters_are_pinned_field_for_field() {
     // bitmaps/ops/words/array/bitmap/run containers of the equality index
     // over adaptive containers, as its own driver reported them before it
     // was folded into the shared one.
-    let render = |c: &WorkCounters| {
-        format!(
-            "{}/{}/{}/{}/{}/{}",
-            c.bitmaps_accessed,
-            c.logical_ops,
-            c.words_processed,
-            c.containers_array,
-            c.containers_bitmap,
-            c.containers_run
-        )
-    };
     let (single, multi) = counter_trace(
         &AdaptiveBitmapIndex::build(&paper_dataset()),
         &AdaptiveBitmapIndex::build(&three_attr_dataset()),
-        render,
+        six_fields,
     );
     assert_eq!(
         single,
@@ -348,4 +357,93 @@ fn count_aggregation_matches_materialized_results() {
     // Empty search key counts everything.
     let q = RangeQuery::new(vec![], MissingPolicy::IsMatch).unwrap();
     assert_eq!(bee.execute_count(&q).unwrap(), 10);
+}
+
+/// The four two-policy families plus the two in-band encodings of §4.2.
+fn encodings<B: ibis::bitvec::BitStore + 'static>(
+    d: &Dataset,
+) -> Vec<(&'static str, Box<dyn AccessMethod>)> {
+    let mut all = Vec::from(families::<B>(d));
+    all.push((
+        "inband-match",
+        Box::new(InBandMatchEquality::<B>::try_build(d).unwrap()),
+    ));
+    all.push((
+        "inband-notmatch",
+        Box::new(InBandNotMatchEquality::<B>::build(d)),
+    ));
+    all
+}
+
+/// Every encoding's full counter trace and stored-size accounting, recorded
+/// at the commit before the six family structs became one
+/// `BitmapIndex<E, B>`. The plain, WAH and BBC stores are charged the same
+/// uncompressed words, so they share the `rule` rows.
+fn encoding_ledger() -> String {
+    use ibis::core::gen::census_scaled;
+    use std::fmt::Write as _;
+    fn counters<B: ibis::bitvec::BitStore + 'static>(class: &str, out: &mut String) {
+        let one = encodings::<B>(&paper_dataset());
+        let three = encodings::<B>(&three_attr_dataset());
+        for ((name, a), (_, b)) in one.iter().zip(&three) {
+            let (single, multi) = counter_trace(a.as_ref(), b.as_ref(), six_fields);
+            writeln!(out, "counters {class} {name} single {single}").unwrap();
+            writeln!(out, "counters {class} {name} multi {multi}").unwrap();
+        }
+    }
+    fn sizes<B: ibis::bitvec::BitStore>(out: &mut String) {
+        let render = |r: ibis::bitmap::SizeReport| -> String {
+            let per_attr: Vec<String> = r
+                .per_attr
+                .iter()
+                .map(|a| format!("{}/{}", a.n_bitmaps, a.bytes))
+                .collect();
+            per_attr.join(" ")
+        };
+        for (data, d) in [
+            ("paper", paper_dataset()),
+            ("census", census_scaled(500, 300)),
+        ] {
+            let reports = [
+                ("bee", EqualityBitmapIndex::<B>::build(&d).size_report()),
+                ("bre", RangeBitmapIndex::<B>::build(&d).size_report()),
+                ("bie", IntervalBitmapIndex::<B>::build(&d).size_report()),
+                ("dec", DecomposedBitmapIndex::<B>::build(&d).size_report()),
+            ];
+            for (name, r) in reports {
+                writeln!(
+                    out,
+                    "size {} {name} {data} {}",
+                    B::backend_name(),
+                    render(r)
+                )
+                .unwrap();
+            }
+        }
+    }
+    let mut out = String::new();
+    let mut rule = String::new();
+    counters::<BitVec64>("rule", &mut rule);
+    for other in [counters::<Wah>, counters::<Bbc>] {
+        let mut same = String::new();
+        other("rule", &mut same);
+        assert_eq!(same, rule, "rule-charged stores disagree");
+    }
+    out.push_str(&rule);
+    counters::<Adaptive>("adaptive", &mut out);
+    sizes::<BitVec64>(&mut out);
+    sizes::<Wah>(&mut out);
+    sizes::<Bbc>(&mut out);
+    sizes::<Adaptive>(&mut out);
+    out
+}
+
+#[test]
+fn every_encoding_keeps_its_recorded_counters_and_sizes() {
+    let want = include_str!("golden/encoding_ledger.txt");
+    let got = encoding_ledger();
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
 }
