@@ -7,18 +7,15 @@
 //! loop shape here decides whether the fetch/AND-reduce paths run at
 //! hardware speed.
 //!
-//! Two implementations are selected **at build time**:
+//! The loops are lane-unrolled (u64×8 main body, u64×4 step-down, scalar
+//! tail), a shape LLVM reliably autovectorizes to 256/512-bit SIMD without
+//! any `unsafe` (this crate is `#![forbid(unsafe_code)]`, and `std::simd`
+//! is nightly-only). They are safe portable Rust, so there is exactly one
+//! build; the proptests below check them against inline one-element-per-
+//! iteration reference loops.
 //!
-//! * the default `wide` feature compiles lane-unrolled loops (u64×8 main
-//!   body, u64×4 step-down, scalar tail) that LLVM reliably autovectorizes
-//!   to 256/512-bit SIMD without any `unsafe` (this crate is
-//!   `#![forbid(unsafe_code)]`, and `std::simd` is nightly-only);
-//! * building with `--no-default-features` substitutes the portable scalar
-//!   fallback — one element per iteration — for targets or audits where the
-//!   unrolled form is unwanted.
-//!
-//! [`kernel_name`] reports which one was compiled in, so benchmark CSVs and
-//! `--profile` output can record the lane width alongside the numbers.
+//! [`kernel_name`] names the loop shape, so benchmark CSVs and `--profile`
+//! output can record the lane width alongside the numbers.
 //!
 //! ```
 //! use ibis_bitvec::kernel;
@@ -32,22 +29,12 @@
 //! assert_eq!(kernel::and_popcount(&a, &b), 8);
 //! ```
 
-/// Number of lanes the compiled kernels unroll by (1 for the scalar build).
-#[cfg(feature = "wide")]
+/// Number of lanes the kernels unroll by.
 pub const LANES: usize = 8;
 
-/// Number of lanes the compiled kernels unroll by (1 for the scalar build).
-#[cfg(not(feature = "wide"))]
-pub const LANES: usize = 1;
-
-/// Name of the kernel flavor selected at build time (`"u64x8"` or
-/// `"scalar"`); recorded in benchmark output.
+/// Name of the kernel loop shape (`"u64x8"`); recorded in benchmark output.
 pub fn kernel_name() -> &'static str {
-    if cfg!(feature = "wide") {
-        "u64x8"
-    } else {
-        "scalar"
-    }
+    "u64x8"
 }
 
 /// `out[i] = op(a[i], b[i])` over equal-length word slices.
@@ -60,39 +47,32 @@ pub fn zip_words(a: &[u64], b: &[u64], out: &mut [u64], op: impl Fn(u64, u64) ->
         a.len() == b.len() && a.len() == out.len(),
         "kernel operands must have equal word counts"
     );
-    #[cfg(feature = "wide")]
-    {
-        let mut ai = a.chunks_exact(8);
-        let mut bi = b.chunks_exact(8);
-        let mut oi = out.chunks_exact_mut(8);
-        for ((ca, cb), co) in (&mut ai).zip(&mut bi).zip(&mut oi) {
-            co[0] = op(ca[0], cb[0]);
-            co[1] = op(ca[1], cb[1]);
-            co[2] = op(ca[2], cb[2]);
-            co[3] = op(ca[3], cb[3]);
-            co[4] = op(ca[4], cb[4]);
-            co[5] = op(ca[5], cb[5]);
-            co[6] = op(ca[6], cb[6]);
-            co[7] = op(ca[7], cb[7]);
-        }
-        let (ra, rb, ro) = (ai.remainder(), bi.remainder(), oi.into_remainder());
-        if ra.len() >= 4 {
-            ro[0] = op(ra[0], rb[0]);
-            ro[1] = op(ra[1], rb[1]);
-            ro[2] = op(ra[2], rb[2]);
-            ro[3] = op(ra[3], rb[3]);
-            for i in 4..ra.len() {
-                ro[i] = op(ra[i], rb[i]);
-            }
-        } else {
-            for i in 0..ra.len() {
-                ro[i] = op(ra[i], rb[i]);
-            }
-        }
+    let mut ai = a.chunks_exact(8);
+    let mut bi = b.chunks_exact(8);
+    let mut oi = out.chunks_exact_mut(8);
+    for ((ca, cb), co) in (&mut ai).zip(&mut bi).zip(&mut oi) {
+        co[0] = op(ca[0], cb[0]);
+        co[1] = op(ca[1], cb[1]);
+        co[2] = op(ca[2], cb[2]);
+        co[3] = op(ca[3], cb[3]);
+        co[4] = op(ca[4], cb[4]);
+        co[5] = op(ca[5], cb[5]);
+        co[6] = op(ca[6], cb[6]);
+        co[7] = op(ca[7], cb[7]);
     }
-    #[cfg(not(feature = "wide"))]
-    for i in 0..a.len() {
-        out[i] = op(a[i], b[i]);
+    let (ra, rb, ro) = (ai.remainder(), bi.remainder(), oi.into_remainder());
+    if ra.len() >= 4 {
+        ro[0] = op(ra[0], rb[0]);
+        ro[1] = op(ra[1], rb[1]);
+        ro[2] = op(ra[2], rb[2]);
+        ro[3] = op(ra[3], rb[3]);
+        for i in 4..ra.len() {
+            ro[i] = op(ra[i], rb[i]);
+        }
+    } else {
+        for i in 0..ra.len() {
+            ro[i] = op(ra[i], rb[i]);
+        }
     }
 }
 
@@ -107,55 +87,41 @@ pub fn zip_words_in_place(dst: &mut [u64], src: &[u64], op: impl Fn(u64, u64) ->
         src.len(),
         "kernel operands must have equal word counts"
     );
-    #[cfg(feature = "wide")]
-    {
-        let mut di = dst.chunks_exact_mut(8);
-        let mut si = src.chunks_exact(8);
-        for (cd, cs) in (&mut di).zip(&mut si) {
-            cd[0] = op(cd[0], cs[0]);
-            cd[1] = op(cd[1], cs[1]);
-            cd[2] = op(cd[2], cs[2]);
-            cd[3] = op(cd[3], cs[3]);
-            cd[4] = op(cd[4], cs[4]);
-            cd[5] = op(cd[5], cs[5]);
-            cd[6] = op(cd[6], cs[6]);
-            cd[7] = op(cd[7], cs[7]);
-        }
-        let (rd, rs) = (di.into_remainder(), si.remainder());
-        for i in 0..rd.len() {
-            rd[i] = op(rd[i], rs[i]);
-        }
+    let mut di = dst.chunks_exact_mut(8);
+    let mut si = src.chunks_exact(8);
+    for (cd, cs) in (&mut di).zip(&mut si) {
+        cd[0] = op(cd[0], cs[0]);
+        cd[1] = op(cd[1], cs[1]);
+        cd[2] = op(cd[2], cs[2]);
+        cd[3] = op(cd[3], cs[3]);
+        cd[4] = op(cd[4], cs[4]);
+        cd[5] = op(cd[5], cs[5]);
+        cd[6] = op(cd[6], cs[6]);
+        cd[7] = op(cd[7], cs[7]);
     }
-    #[cfg(not(feature = "wide"))]
-    for i in 0..dst.len() {
-        dst[i] = op(dst[i], src[i]);
+    let (rd, rs) = (di.into_remainder(), si.remainder());
+    for i in 0..rd.len() {
+        rd[i] = op(rd[i], rs[i]);
     }
 }
 
 /// Total set bits across a word slice.
 #[inline]
 pub fn popcount_words(words: &[u64]) -> usize {
-    #[cfg(feature = "wide")]
-    {
-        let mut it = words.chunks_exact(8);
-        let mut acc = [0u32; 8];
-        for c in &mut it {
-            acc[0] += c[0].count_ones();
-            acc[1] += c[1].count_ones();
-            acc[2] += c[2].count_ones();
-            acc[3] += c[3].count_ones();
-            acc[4] += c[4].count_ones();
-            acc[5] += c[5].count_ones();
-            acc[6] += c[6].count_ones();
-            acc[7] += c[7].count_ones();
-        }
-        let tail: u32 = it.remainder().iter().map(|w| w.count_ones()).sum();
-        acc.iter().sum::<u32>() as usize + tail as usize
+    let mut it = words.chunks_exact(8);
+    let mut acc = [0u32; 8];
+    for c in &mut it {
+        acc[0] += c[0].count_ones();
+        acc[1] += c[1].count_ones();
+        acc[2] += c[2].count_ones();
+        acc[3] += c[3].count_ones();
+        acc[4] += c[4].count_ones();
+        acc[5] += c[5].count_ones();
+        acc[6] += c[6].count_ones();
+        acc[7] += c[7].count_ones();
     }
-    #[cfg(not(feature = "wide"))]
-    {
-        words.iter().map(|w| w.count_ones() as usize).sum()
-    }
+    let tail: u32 = it.remainder().iter().map(|w| w.count_ones()).sum();
+    acc.iter().sum::<u32>() as usize + tail as usize
 }
 
 /// Set bits of `a[i] & b[i]` without materializing the AND — the fused
@@ -170,36 +136,26 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
         b.len(),
         "kernel operands must have equal word counts"
     );
-    #[cfg(feature = "wide")]
-    {
-        let mut ai = a.chunks_exact(8);
-        let mut bi = b.chunks_exact(8);
-        let mut acc = [0u32; 8];
-        for (ca, cb) in (&mut ai).zip(&mut bi) {
-            acc[0] += (ca[0] & cb[0]).count_ones();
-            acc[1] += (ca[1] & cb[1]).count_ones();
-            acc[2] += (ca[2] & cb[2]).count_ones();
-            acc[3] += (ca[3] & cb[3]).count_ones();
-            acc[4] += (ca[4] & cb[4]).count_ones();
-            acc[5] += (ca[5] & cb[5]).count_ones();
-            acc[6] += (ca[6] & cb[6]).count_ones();
-            acc[7] += (ca[7] & cb[7]).count_ones();
-        }
-        let tail: u32 = ai
-            .remainder()
-            .iter()
-            .zip(bi.remainder())
-            .map(|(x, y)| (x & y).count_ones())
-            .sum();
-        acc.iter().sum::<u32>() as usize + tail as usize
+    let mut ai = a.chunks_exact(8);
+    let mut bi = b.chunks_exact(8);
+    let mut acc = [0u32; 8];
+    for (ca, cb) in (&mut ai).zip(&mut bi) {
+        acc[0] += (ca[0] & cb[0]).count_ones();
+        acc[1] += (ca[1] & cb[1]).count_ones();
+        acc[2] += (ca[2] & cb[2]).count_ones();
+        acc[3] += (ca[3] & cb[3]).count_ones();
+        acc[4] += (ca[4] & cb[4]).count_ones();
+        acc[5] += (ca[5] & cb[5]).count_ones();
+        acc[6] += (ca[6] & cb[6]).count_ones();
+        acc[7] += (ca[7] & cb[7]).count_ones();
     }
-    #[cfg(not(feature = "wide"))]
-    {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x & y).count_ones() as usize)
-            .sum()
-    }
+    let tail: u32 = ai
+        .remainder()
+        .iter()
+        .zip(bi.remainder())
+        .map(|(x, y)| (x & y).count_ones())
+        .sum();
+    acc.iter().sum::<u32>() as usize + tail as usize
 }
 
 /// `out[i] = op(a[i], b[i])` over equal-length `u32` slices — the kernel
@@ -213,29 +169,22 @@ pub fn zip_groups(a: &[u32], b: &[u32], out: &mut [u32], op: impl Fn(u32, u32) -
         a.len() == b.len() && a.len() == out.len(),
         "kernel operands must have equal word counts"
     );
-    #[cfg(feature = "wide")]
-    {
-        let mut ai = a.chunks_exact(8);
-        let mut bi = b.chunks_exact(8);
-        let mut oi = out.chunks_exact_mut(8);
-        for ((ca, cb), co) in (&mut ai).zip(&mut bi).zip(&mut oi) {
-            co[0] = op(ca[0], cb[0]);
-            co[1] = op(ca[1], cb[1]);
-            co[2] = op(ca[2], cb[2]);
-            co[3] = op(ca[3], cb[3]);
-            co[4] = op(ca[4], cb[4]);
-            co[5] = op(ca[5], cb[5]);
-            co[6] = op(ca[6], cb[6]);
-            co[7] = op(ca[7], cb[7]);
-        }
-        let (ra, rb, ro) = (ai.remainder(), bi.remainder(), oi.into_remainder());
-        for i in 0..ra.len() {
-            ro[i] = op(ra[i], rb[i]);
-        }
+    let mut ai = a.chunks_exact(8);
+    let mut bi = b.chunks_exact(8);
+    let mut oi = out.chunks_exact_mut(8);
+    for ((ca, cb), co) in (&mut ai).zip(&mut bi).zip(&mut oi) {
+        co[0] = op(ca[0], cb[0]);
+        co[1] = op(ca[1], cb[1]);
+        co[2] = op(ca[2], cb[2]);
+        co[3] = op(ca[3], cb[3]);
+        co[4] = op(ca[4], cb[4]);
+        co[5] = op(ca[5], cb[5]);
+        co[6] = op(ca[6], cb[6]);
+        co[7] = op(ca[7], cb[7]);
     }
-    #[cfg(not(feature = "wide"))]
-    for i in 0..a.len() {
-        out[i] = op(a[i], b[i]);
+    let (ra, rb, ro) = (ai.remainder(), bi.remainder(), oi.into_remainder());
+    for i in 0..ra.len() {
+        ro[i] = op(ra[i], rb[i]);
     }
 }
 
@@ -246,9 +195,7 @@ mod tests {
 
     #[test]
     fn kernel_name_matches_build() {
-        let name = kernel_name();
-        assert!(name == "u64x8" || name == "scalar");
-        assert_eq!(name == "u64x8", LANES == 8);
+        assert_eq!(kernel_name(), format!("u64x{LANES}"));
     }
 
     #[test]

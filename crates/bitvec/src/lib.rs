@@ -16,9 +16,8 @@
 //!   2^16-bit chunk is stored as a sorted position array, a raw bitmap, or
 //!   a run list — whichever is smallest — with container-vs-container
 //!   AND/OR kernels and an exact per-container read tally ([`OpTally`]);
-//! * [`kernel`] — the lane-unrolled word kernels (u64×8 with a portable
-//!   scalar fallback selected at build time) behind every bulk bitwise loop
-//!   in the crate;
+//! * [`kernel`] — the lane-unrolled word kernels (u64×8, safe portable
+//!   Rust) behind every bulk bitwise loop in the crate;
 //! * [`BitStore`] — the trait the bitmap indexes are generic over, so every
 //!   index can be instantiated with any backend (the ablation benches sweep
 //!   all of them).

@@ -107,6 +107,27 @@ impl Dataset {
         self.n_cells() * std::mem::size_of::<u16>()
     }
 
+    /// Copies rows `rows` into a standalone dataset with the same schema
+    /// (an empty range yields an empty, schema-only dataset). Shard
+    /// partitioning and the split-then-append tests cut relations this way.
+    ///
+    /// # Panics
+    /// Panics if the range reaches past `n_rows`.
+    pub fn slice_rows(&self, rows: std::ops::Range<usize>) -> Dataset {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| {
+                Column::from_raw(c.name(), c.cardinality(), c.raw()[rows.clone()].to_vec())
+                    .expect("slice of a valid column is valid")
+            })
+            .collect();
+        Dataset {
+            columns,
+            n_rows: rows.len(),
+        }
+    }
+
     /// Reorders rows in place according to `perm`, where `perm[new] = old`.
     ///
     /// Used by the row-reordering ablation (the paper's future-work item on

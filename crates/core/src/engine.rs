@@ -10,6 +10,7 @@
 
 use crate::parallel::{configured_threads, ExecPool};
 use crate::{RangeQuery, Result, RowSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -158,6 +159,45 @@ impl WorkCounters {
             }
         }
         c
+    }
+
+    /// Aggregates a span tree into per-phase totals — `(span name, spans,
+    /// total inclusive ns, counter deltas)` for every span name except
+    /// `root`'s own span, by descending total time.
+    ///
+    /// Counter deltas are read with [`WorkCounters::from_fields`], so
+    /// non-counter span fields (`shards`, `rows`, …) never pollute them.
+    /// Aggregation layers re-record counters their children already
+    /// carried (`db.shard` re-records its access method's span, for
+    /// example), so a flat sum over-counts. Each span is therefore charged
+    /// only its *self* delta — its own counter fields minus its direct
+    /// children's — which puts every counted unit in exactly one phase and
+    /// makes the phases sum back to the query's final counters.
+    pub fn phases(
+        spans: &[ibis_obs::SpanRecord],
+        root: u64,
+    ) -> Vec<(String, u64, u64, WorkCounters)> {
+        let own = |s: &ibis_obs::SpanRecord| {
+            WorkCounters::from_fields(s.fields.iter().map(|(k, v)| (k.as_str(), *v)))
+        };
+        let mut child_sums: BTreeMap<u64, WorkCounters> = BTreeMap::new();
+        for s in spans {
+            *child_sums.entry(s.parent).or_default() += own(s);
+        }
+        let mut by_name: BTreeMap<&str, (u64, u64, WorkCounters)> = BTreeMap::new();
+        for s in spans.iter().filter(|s| s.id != root) {
+            let children = child_sums.get(&s.id).copied().unwrap_or_default();
+            let e = by_name.entry(s.name.as_str()).or_default();
+            e.0 += 1;
+            e.1 = e.1.saturating_add(s.elapsed_ns);
+            e.2 += own(s).diff(&children);
+        }
+        let mut phases: Vec<_> = by_name
+            .into_iter()
+            .map(|(name, (spans, total_ns, work))| (name.to_string(), spans, total_ns, work))
+            .collect();
+        phases.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
+        phases
     }
 
     /// The work this counter set reports beyond `earlier`, field by field

@@ -43,7 +43,7 @@ mod window;
 
 pub use hist::Histogram;
 pub use prom::validate_prometheus;
-pub use snapshot::{HistogramSnapshot, PhaseTotal, Snapshot, SpanRecord};
+pub use snapshot::{HistogramSnapshot, Snapshot, SpanRecord};
 pub use window::{
     merge_hist_snapshots, WindowCounterSnapshot, WindowSnapshot, WindowedCounter, WindowedHistogram,
 };

@@ -100,21 +100,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Aggregate of every span sharing one name: how often the phase ran, total
-/// time inside it, and the sums of its fields. Produced by
-/// [`Snapshot::phase_totals`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseTotal {
-    /// Span name, e.g. `"bitmap.and_reduce"`.
-    pub name: String,
-    /// Number of spans with this name.
-    pub count: u64,
-    /// Summed inclusive elapsed nanoseconds.
-    pub total_ns: u64,
-    /// Field sums across all spans of the phase.
-    pub fields: BTreeMap<String, u64>,
-}
-
 /// Everything the recorder held at the moment [`crate::snapshot`] was
 /// called. Comparable (`PartialEq`), renderable (`Display`), and
 /// round-trippable through [`Snapshot::to_json`] / [`Snapshot::from_json`].
@@ -242,29 +227,6 @@ impl Snapshot {
                 last,
             );
         }
-    }
-
-    /// Aggregate spans by name: call count, total time, summed fields.
-    /// Sorted by descending total time.
-    pub fn phase_totals(&self) -> Vec<PhaseTotal> {
-        let mut by_name: BTreeMap<&str, PhaseTotal> = BTreeMap::new();
-        for s in &self.spans {
-            let t = by_name.entry(&s.name).or_insert_with(|| PhaseTotal {
-                name: s.name.clone(),
-                count: 0,
-                total_ns: 0,
-                fields: BTreeMap::new(),
-            });
-            t.count += 1;
-            t.total_ns = t.total_ns.saturating_add(s.elapsed_ns);
-            for (k, v) in &s.fields {
-                let f = t.fields.entry(k.clone()).or_insert(0);
-                *f = f.saturating_add(*v);
-            }
-        }
-        let mut totals: Vec<PhaseTotal> = by_name.into_values().collect();
-        totals.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
-        totals
     }
 
     /// Serialize to a single-line JSON document. The exact schema is stable
@@ -433,17 +395,5 @@ mod tests {
         assert!(tree.contains("└─ fetch"), "{tree}");
         assert!(tree.contains("   └─ leaf"), "{tree}");
         assert!(tree.contains("{rows=4}"), "{tree}");
-    }
-
-    #[test]
-    fn phase_totals_aggregate_by_name() {
-        let snap = spans_fixture();
-        let totals = snap.phase_totals();
-        let fetch = totals.iter().find(|t| t.name == "fetch").unwrap();
-        assert_eq!(fetch.count, 2);
-        assert_eq!(fetch.total_ns, 500);
-        assert_eq!(fetch.fields["rows"], 5);
-        // Sorted by descending total time: query (1000) first.
-        assert_eq!(totals[0].name, "query");
     }
 }

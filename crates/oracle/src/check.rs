@@ -345,19 +345,7 @@ fn build_sharded(d: &Arc<Dataset>) -> Vec<(usize, Vec<ShardPart>)> {
             let mut start = 0;
             loop {
                 let end = (start + chunk).min(n);
-                let columns: Vec<ibis_core::Column> = d
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        ibis_core::Column::from_raw(
-                            c.name(),
-                            c.cardinality(),
-                            c.raw()[start..end].to_vec(),
-                        )
-                        .expect("slice of a valid column")
-                    })
-                    .collect();
-                let slice = Arc::new(Dataset::new(columns).expect("equal lengths"));
+                let slice = Arc::new(d.slice_rows(start..end));
                 let methods: Vec<Box<dyn AccessMethod>> = vec![
                     Box::new(EqualityBitmapIndex::<Wah>::build(&slice)),
                     Box::new(RangeBitmapIndex::<Wah>::build(&slice)),

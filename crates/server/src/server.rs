@@ -18,8 +18,8 @@
 //!   up to `config.max_batch` queued jobs, groups the compatible ones
 //!   with [`ibis_core::coalesce_compatible`], acquires **one** lock-free
 //!   [`ConcurrentDb::snapshot`] per drain, and runs each group through
-//!   [`DbSnapshot::execute_batch_threads`](ibis_storage::DbSnapshot::execute_batch_threads)
-//!   — one dispatch amortized over the whole batch.
+//!   [`ShardedDb::execute_batch_threads`](ibis_storage::ShardedDb::execute_batch_threads)
+//!   on that snapshot — one dispatch amortized over the whole batch.
 //!
 //! Deadlines are enforced at the two scheduling boundaries: a job whose
 //! deadline expired while queued is shed *before* execution, and a job
@@ -35,7 +35,7 @@ use crate::protocol::{
 };
 use ibis_core::{coalesce_compatible, MissingPolicy, RangeQuery, RowSet, WorkCounters};
 use ibis_storage::{ConcurrentDb, DbSnapshot};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -677,54 +677,15 @@ fn execute_traced(shared: &Shared, snap: &DbSnapshot, j: Job) {
     answer_group(snap, true, vec![j.ticket], vec![result], started, done);
 }
 
-/// Aggregate a captured span tree (minus its root) into per-phase totals.
-/// Counter-field deltas are extracted with `WorkCounters::from_fields`, so
-/// non-counter span fields (`shards`, `rows`, …) never pollute the sums.
-///
-/// Aggregation layers re-record counters their children already carried
-/// (`db.shard` re-records its access method's span, for example), so a
-/// flat sum over-counts. Each span is therefore charged only its *self*
-/// delta — its own counter fields minus its direct children's — which puts
-/// every counted unit in exactly one phase and makes the per-phase totals
-/// sum back to the request's final [`WorkCounters`].
+/// Aggregate a captured span tree (minus its root) into the slow-query
+/// log's per-phase rows. The aggregation itself — self deltas, so the
+/// phases sum back to the request's final [`WorkCounters`] — is
+/// [`WorkCounters::phases`], shared with `ibis query --profile`.
 fn phases_from(spans: &[ibis_obs::SpanRecord], root: u64) -> Vec<SlowPhase> {
-    let own = |s: &ibis_obs::SpanRecord| {
-        WorkCounters::from_fields(s.fields.iter().map(|(k, v)| (k.as_str(), *v)))
-    };
-    let mut child_sums: BTreeMap<u64, WorkCounters> = BTreeMap::new();
-    for s in spans {
-        child_sums
-            .entry(s.parent)
-            .or_insert_with(WorkCounters::zero)
-            .merge(own(s));
-    }
-    let mut by_name: BTreeMap<&str, (u64, u64, WorkCounters)> = BTreeMap::new();
-    for s in spans {
-        if s.id == root {
-            continue;
-        }
-        let children = child_sums
-            .get(&s.id)
-            .cloned()
-            .unwrap_or_else(WorkCounters::zero);
-        let self_delta = WorkCounters::from_fields(
-            own(s)
-                .fields()
-                .iter()
-                .zip(children.fields().iter())
-                .map(|(&(k, a), &(_, b))| (k, (a.saturating_sub(b)) as u64)),
-        );
-        let e = by_name
-            .entry(s.name.as_str())
-            .or_insert_with(|| (0, 0, WorkCounters::zero()));
-        e.0 += 1;
-        e.1 = e.1.saturating_add(s.elapsed_ns);
-        e.2.merge(self_delta);
-    }
-    let mut phases: Vec<SlowPhase> = by_name
+    WorkCounters::phases(spans, root)
         .into_iter()
-        .map(|(name, (spans, total_ns, counters))| SlowPhase {
-            name: name.to_string(),
+        .map(|(name, spans, total_ns, counters)| SlowPhase {
+            name,
             spans,
             total_ns,
             counters: counters
@@ -734,9 +695,7 @@ fn phases_from(spans: &[ibis_obs::SpanRecord], root: u64) -> Vec<SlowPhase> {
                 .map(|&(k, v)| (k.to_string(), v as u64))
                 .collect(),
         })
-        .collect();
-    phases.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
-    phases
+        .collect()
 }
 
 /// Insert one traced request into the bounded slow-query log, keeping the

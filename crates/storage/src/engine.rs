@@ -18,11 +18,12 @@
 //! checksummed file, byte-identically.
 
 use crate::crc::crc32;
+use crate::db::invalid;
 use crate::manifest::{Manifest, MANIFEST_FILE};
 use crate::wal::{self, WalRecord, WalWriter};
-use crate::{DbConfig, ShardExecution, ShardedDb};
+use crate::{DbConfig, ShardedDb};
 use ibis_core::wire;
-use ibis_core::{Cell, Dataset, RangeQuery, RowSet, WorkCounters};
+use ibis_core::{Cell, Dataset};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -43,13 +44,10 @@ fn snapshot_name(generation: u64) -> String {
     format!("snapshot-{generation:06}.ibss")
 }
 
-fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
-
 /// A [`ShardedDb`] whose mutations are durable: logged (and fsynced) to the
 /// WAL before they touch the shards, checkpointable into snapshots, and
-/// recoverable after a crash at any byte of the log.
+/// recoverable after a crash at any byte of the log. Every read — queries,
+/// row counts, synopses — is the store's own, reached through `Deref`.
 ///
 /// ```
 /// use ibis_core::{Cell, Dataset};
@@ -285,7 +283,7 @@ impl DurableDb {
         })
     }
 
-    /// The in-memory sharded store (queries go through here).
+    /// The in-memory sharded store, by name rather than through `Deref`.
     pub fn db(&self) -> &ShardedDb {
         &self.db
     }
@@ -311,48 +309,16 @@ impl DurableDb {
     pub fn replayed_on_open(&self) -> u64 {
         self.replayed
     }
+}
 
-    /// Total live rows.
-    pub fn n_rows(&self) -> usize {
-        self.db.n_rows()
-    }
+/// Reads go straight to the in-memory [`ShardedDb`]. There is deliberately
+/// no `DerefMut`: `insert`/`delete`/`compact` above shadow the store's own,
+/// so a mutation can only reach a durable store through the WAL.
+impl std::ops::Deref for DurableDb {
+    type Target = ShardedDb;
 
-    /// The schema width.
-    pub fn n_attrs(&self) -> usize {
-        self.db.n_attrs()
-    }
-
-    /// Number of shards currently held.
-    pub fn shard_count(&self) -> usize {
-        self.db.shard_count()
-    }
-
-    /// Executes a query at the configured parallelism degree.
-    pub fn execute(&self, query: &RangeQuery) -> ibis_core::Result<RowSet> {
-        self.db.execute(query)
-    }
-
-    /// Executes a query at an explicit thread degree.
-    pub fn execute_threads(&self, query: &RangeQuery, threads: usize) -> ibis_core::Result<RowSet> {
-        self.db.execute_threads(query, threads)
-    }
-
-    /// Executes and reports the merged [`WorkCounters`].
-    pub fn execute_with_cost_threads(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> ibis_core::Result<(RowSet, WorkCounters)> {
-        self.db.execute_with_cost_threads(query, threads)
-    }
-
-    /// Executes with full pruning statistics.
-    pub fn execute_with_stats_threads(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> ibis_core::Result<ShardExecution> {
-        self.db.execute_with_stats_threads(query, threads)
+    fn deref(&self) -> &ShardedDb {
+        &self.db
     }
 }
 
@@ -404,7 +370,7 @@ fn apply(db: &mut ShardedDb, record: &WalRecord) -> io::Result<()> {
 mod tests {
     use super::*;
     use ibis_core::gen::census_scaled;
-    use ibis_core::{MissingPolicy, Predicate};
+    use ibis_core::{MissingPolicy, Predicate, RangeQuery};
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ibis_engine_{tag}_{}", std::process::id()));

@@ -2,8 +2,12 @@
 //!
 //! Everything above the index crates and below the `ibis` facade:
 //!
-//! * [`db`] — the planner registry ([`IncompleteDb`]) and the sharded
-//!   store ([`ShardedDb`]) with synopsis pruning;
+//! * [`db`] — the shard ([`IncompleteDb`]): one row range with its
+//!   indexes, append delta, tombstones, synopsis and the §6 planner that
+//!   ranks its access methods once per query;
+//! * [`sharded`] — the router ([`ShardedDb`]): shards behind `Arc`,
+//!   global-id offsets, synopsis pruning, fan-out and merge — and nothing
+//!   that needs a shard's fields;
 //! * [`wal`] — the append-only, checksummed, torn-tail-tolerant
 //!   write-ahead log;
 //! * [`manifest`] — the atomically-replaced MANIFEST naming the live
@@ -15,6 +19,12 @@
 //! * [`snapshot`] / [`concurrent`] — [`DbSnapshot`] (immutable frozen
 //!   shard-set + watermark) and [`ConcurrentDb`] (lock-free reader
 //!   snapshots, serialized writers, atomic publication).
+//!
+//! [`DbSnapshot`] and [`DurableDb`] are wrappers, not re-declarations: each
+//! keeps only what is its own (a watermark; the WAL, manifest and
+//! checkpoints) and dereferences to the [`ShardedDb`] inside for reads.
+//! Neither implements `DerefMut`, so a published snapshot cannot change and
+//! a durable store can only be mutated log-first.
 //!
 //! The durability model follows from the paper's economics: encoded bitmap
 //! indexes (BEE/BRE/BIE) are expensive to update in place, so the durable
@@ -28,6 +38,7 @@ pub mod db;
 pub mod engine;
 pub mod epoch;
 pub mod manifest;
+pub mod sharded;
 pub mod snapshot;
 pub mod wal;
 

@@ -1,0 +1,646 @@
+//! The router: [`ShardedDb`] partitions a relation into fixed-capacity
+//! shards and does routing only — global-id offsets, synopsis pruning,
+//! fan-out over the worker pool, id re-basing, merge, and copy-on-write of
+//! the one shard a mutation touches.
+//!
+//! Every shard is a whole [`IncompleteDb`], which owns its rows, indexes,
+//! planner and synopsis (see [`crate::db`]). This module sits beside that
+//! one rather than inside it, so a shard's fields are out of reach here:
+//! the router can only ask a shard what any caller can ask — its id
+//! width, whether it is dirty, its synopsis, its answer to a query, its
+//! section of a snapshot image.
+
+use crate::db::{invalid, DbConfig, IncompleteDb};
+use ibis_core::synopsis::ShardSynopsis;
+use ibis_core::{wire, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters};
+use std::sync::Arc;
+
+const SNAPSHOT_MAGIC: &[u8; 4] = b"IBSS";
+const SNAPSHOT_VERSION: u16 = 1;
+
+/// The result of one sharded query, with the pruning decisions exposed.
+#[derive(Clone, Debug)]
+pub struct ShardExecution {
+    /// Matching rows, in global row-id order.
+    pub rows: RowSet,
+    /// Work counters summed (saturating) over the executed shards.
+    pub counters: WorkCounters,
+    /// Number of shards the database currently holds.
+    pub shards_total: usize,
+    /// Shards skipped because their synopsis proved no row can match.
+    pub shards_pruned: usize,
+}
+
+impl ShardExecution {
+    /// Shards that actually executed (`shards_total − shards_pruned`).
+    pub fn shards_executed(&self) -> usize {
+        self.shards_total.saturating_sub(self.shards_pruned)
+    }
+}
+
+/// An incomplete relation partitioned into fixed-capacity shards, each a
+/// full [`IncompleteDb`] (own per-family indexes, own append delta, own
+/// [`ShardSynopsis`]), with the synopses used to prune shards that cannot
+/// contain an answer.
+///
+/// Row ids are global and deterministic: shard `i` owns the contiguous id
+/// range after shards `0..i`, so a sharded database returns **bit-identical
+/// rows** to a monolithic [`IncompleteDb`] over the same data — the
+/// metamorphic relation the oracle and conformance tests assert. Appends
+/// route to the last shard, opening a fresh one when it reaches capacity,
+/// and [`ShardedDb::compact`] rebuilds only dirty shards.
+///
+/// Pruning follows the two missing-data semantics (see
+/// [`ShardSynopsis::can_prune`]): under `IsNotMatch` an all-missing queried
+/// attribute eliminates a shard outright; under `IsMatch` a shard with any
+/// missing value on a queried attribute can never be pruned on it.
+///
+/// ```
+/// use ibis::prelude::*;
+///
+/// // Six rows whose values grow with the row id → 3 shards of 2 rows,
+/// // each covering a distinct value band.
+/// let rows: Vec<Vec<Cell>> = (1u16..=6).map(|v| vec![Cell::present(v)]).collect();
+/// let data = Dataset::from_rows(&[("a", 9)], &rows).unwrap();
+/// let db = ShardedDb::new(data, 2);
+/// assert_eq!(db.shard_count(), 3);
+///
+/// // [5,6] misses the first two shards' envelopes: both are pruned.
+/// let q = RangeQuery::new(vec![Predicate::range(0, 5, 6)], MissingPolicy::IsNotMatch).unwrap();
+/// let exec = db.execute_with_stats(&q).unwrap();
+/// assert_eq!(exec.rows.rows(), &[4, 5]);
+/// assert_eq!(exec.shards_pruned, 2);
+/// assert_eq!(exec.shards_executed(), 1);
+/// ```
+#[derive(Clone)]
+pub struct ShardedDb {
+    config: DbConfig,
+    shard_rows: usize,
+    /// Shards behind `Arc` so a database clone (one snapshot publication)
+    /// is one pointer bump per shard; mutators go through
+    /// [`Arc::make_mut`], which deep-copies only a shard that is still
+    /// shared with a live snapshot.
+    shards: Vec<Arc<IncompleteDb>>,
+    /// Memoized global-id start offset of each shard (`offsets[i]` = sum of
+    /// `id_width` over shards `0..i`), so delete and query resolve a shard
+    /// without walking all earlier ones. Appends to the last shard never
+    /// move a start; only opening a shard or compacting (which renumbers)
+    /// touches this.
+    offsets: Vec<usize>,
+}
+
+impl std::fmt::Debug for ShardedDb {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedDb")
+            .field("config", &self.config)
+            .field("shard_rows", &self.shard_rows)
+            .field("shards", &self.shards.len())
+            .field("n_rows", &self.n_rows())
+            .finish()
+    }
+}
+
+impl ShardedDb {
+    /// Partitions `dataset` into shards of at most `shard_rows` rows (in
+    /// row order, so global ids equal monolithic ids) under the default
+    /// index config. A `shard_rows` of 0 is treated as 1.
+    pub fn new(dataset: Dataset, shard_rows: usize) -> ShardedDb {
+        ShardedDb::with_config(dataset, shard_rows, DbConfig::default())
+    }
+
+    /// [`ShardedDb::new`] with an explicit index configuration, applied to
+    /// every shard. An empty dataset still gets one (empty) shard so the
+    /// schema is always available.
+    pub fn with_config(dataset: Dataset, shard_rows: usize, config: DbConfig) -> ShardedDb {
+        let shard_rows = shard_rows.max(1);
+        let n = dataset.n_rows();
+        let shards = (0..n.div_ceil(shard_rows).max(1))
+            .map(|i| {
+                let rows = (i * shard_rows).min(n)..((i + 1) * shard_rows).min(n);
+                Arc::new(IncompleteDb::with_config(dataset.slice_rows(rows), config))
+            })
+            .collect();
+        ShardedDb::assemble(config, shard_rows, shards)
+    }
+
+    /// Wraps already-built shards, deriving the offset table from them.
+    fn assemble(config: DbConfig, shard_rows: usize, shards: Vec<Arc<IncompleteDb>>) -> ShardedDb {
+        let mut db = ShardedDb {
+            config,
+            shard_rows,
+            shards,
+            offsets: Vec::new(),
+        };
+        db.recompute_offsets();
+        db
+    }
+
+    /// The per-shard index configuration.
+    pub fn config(&self) -> DbConfig {
+        self.config
+    }
+
+    /// Rebuilds the memoized shard start offsets from scratch (needed only
+    /// when shard widths change: shard creation and compaction).
+    fn recompute_offsets(&mut self) {
+        self.offsets.clear();
+        self.offsets.reserve(self.shards.len());
+        let mut off = 0usize;
+        for shard in &self.shards {
+            self.offsets.push(off);
+            off += shard.id_width();
+        }
+    }
+
+    /// Total live rows across all shards.
+    pub fn n_rows(&self) -> usize {
+        self.shards
+            .iter()
+            .fold(0usize, |acc, s| acc.saturating_add(s.n_rows()))
+    }
+
+    /// The schema width.
+    pub fn n_attrs(&self) -> usize {
+        self.shards[0].n_attrs()
+    }
+
+    /// The schema carrier: shard 0's base relation, whose column names and
+    /// cardinalities are shared by every shard (query parsers resolve
+    /// attribute names against this).
+    pub fn schema(&self) -> &Dataset {
+        self.shards[0].schema()
+    }
+
+    /// Number of shards currently held (≥ 1).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The configured shard capacity.
+    pub fn shard_rows(&self) -> usize {
+        self.shard_rows
+    }
+
+    /// The synopsis of shard `i` (attribute envelopes, missing counts).
+    pub fn synopsis(&self, i: usize) -> &ShardSynopsis {
+        self.shards[i].synopsis()
+    }
+
+    /// Total bytes held by the maintained indexes, over all shards.
+    pub fn index_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .fold(0usize, |acc, s| acc.saturating_add(s.index_bytes()))
+    }
+
+    /// Appends one row. It lands in the last shard's delta — or in a fresh
+    /// shard when the last one has reached capacity — and the receiving
+    /// shard folds it into its synopsis, so pruning stays sound for rows
+    /// that have never seen a compaction.
+    pub fn insert(&mut self, row: &[Cell]) -> Result<()> {
+        let last = self.shards.last().expect("≥ 1 shard");
+        if last.id_width() >= self.shard_rows {
+            let next_offset = self.offsets.last().expect("≥ 1 shard") + last.id_width();
+            let schema_only = self.schema().slice_rows(0..0);
+            self.shards.push(Arc::new(IncompleteDb::with_config(
+                schema_only,
+                self.config,
+            )));
+            self.offsets.push(next_offset);
+        }
+        // Copy-on-write: only the receiving shard is cloned, and only when a
+        // published snapshot still shares it.
+        Arc::make_mut(self.shards.last_mut().expect("≥ 1 shard")).insert(row)
+    }
+
+    /// Validates `row` against the schema without inserting it (the durable
+    /// engine checks before logging, so invalid rows never reach the WAL).
+    pub fn validate_row(&self, row: &[Cell]) -> Result<()> {
+        self.shards[0].validate_row(row)
+    }
+
+    /// Deletes a row by global id. Returns `true` if the row existed and
+    /// was alive. The synopsis is *not* narrowed — it stays a sound
+    /// over-approximation until the owning shard is compacted.
+    pub fn delete(&mut self, row: u32) -> bool {
+        let row = row as usize;
+        // Tombstones don't shrink id_width, so the memoized offsets stay
+        // valid across deletes; binary search finds the owning shard in
+        // O(log k) instead of walking every earlier shard.
+        let i = self.offsets.partition_point(|&o| o <= row) - 1;
+        if row >= self.offsets[i] + self.shards[i].id_width() {
+            return false; // beyond the last shard's id space
+        }
+        // A miss never clones; only a real tombstone copies-on-write.
+        Arc::make_mut(&mut self.shards[i]).delete((row - self.offsets[i]) as u32)
+    }
+
+    /// Compacts every **dirty** shard (pending delta rows or tombstones),
+    /// rebuilding its indexes and recomputing its synopsis exactly; clean
+    /// shards are untouched. Returns the number of shards rebuilt — the
+    /// cost is O(dirty shards), not O(all rows).
+    ///
+    /// Compaction renumbers survivors within each shard, which shifts the
+    /// global ids of later shards' rows exactly as a monolithic
+    /// [`IncompleteDb::compact`] would: the global order of survivors is
+    /// preserved, so sharded and monolithic answers stay identical.
+    pub fn compact(&mut self) -> usize {
+        let mut rebuilt = 0;
+        for shard in &mut self.shards {
+            // Cheap cleanliness probe first, so clean shards are never
+            // copied-on-write (they stay shared with every live snapshot).
+            if shard.is_dirty() && Arc::make_mut(shard).compact() {
+                rebuilt += 1;
+            }
+        }
+        if rebuilt > 0 {
+            // Compaction reclaims tombstoned ids, shifting every later
+            // shard's start.
+            self.recompute_offsets();
+        }
+        rebuilt
+    }
+
+    /// Executes a query at the configured parallelism degree.
+    pub fn execute(&self, query: &RangeQuery) -> Result<RowSet> {
+        self.execute_threads(query, ibis_core::parallel::configured_threads())
+    }
+
+    /// [`ShardedDb::execute`] with an explicit thread degree. Rows and
+    /// counters are identical for any `threads`.
+    pub fn execute_threads(&self, query: &RangeQuery, threads: usize) -> Result<RowSet> {
+        Ok(self.execute_with_stats_threads(query, threads)?.rows)
+    }
+
+    /// Executes and reports the merged [`WorkCounters`].
+    pub fn execute_with_cost_threads(
+        &self,
+        query: &RangeQuery,
+        threads: usize,
+    ) -> Result<(RowSet, WorkCounters)> {
+        let exec = self.execute_with_stats_threads(query, threads)?;
+        Ok((exec.rows, exec.counters))
+    }
+
+    /// [`ShardedDb::execute_with_stats_threads`] at the configured degree.
+    pub fn execute_with_stats(&self, query: &RangeQuery) -> Result<ShardExecution> {
+        self.execute_with_stats_threads(query, ibis_core::parallel::configured_threads())
+    }
+
+    /// The full sharded execution pipeline: consult every shard's synopsis,
+    /// skip the provably-empty shards (recorded on the `shards.pruned`
+    /// counter and the `db.shards` span), fan the survivors out over the
+    /// worker pool (one `db.shard` span each), and merge — rows offset into
+    /// global-id order, counters summed saturatingly in shard order.
+    pub fn execute_with_stats_threads(
+        &self,
+        query: &RangeQuery,
+        threads: usize,
+    ) -> Result<ShardExecution> {
+        query.validate(self.schema())?;
+        let mut span = ibis_obs::span("db.shards");
+        debug_assert_eq!(self.offsets.len(), self.shards.len());
+        let shards = self.shards.iter().zip(&self.offsets).enumerate();
+        let work: Vec<(usize, usize, &IncompleteDb)> = shards
+            .filter(|(_, (shard, _))| !shard.synopsis().can_prune(query))
+            .map(|(i, (shard, &off))| (i, off, &**shard))
+            .collect();
+        let pruned = self.shards.len() - work.len();
+        ibis_obs::counter_add("shards.pruned", pruned as u64);
+        span.add_field("shards", self.shards.len() as u64);
+        span.add_field("pruned", pruned as u64);
+        // With more than one live shard the shards *are* the parallelism;
+        // fanning out again inside each shard would oversubscribe the pool.
+        // Counters are thread-degree-independent either way, so this choice
+        // never shows up in the merged result.
+        let inner = if work.len() > 1 { 1 } else { threads.max(1) };
+        let parts =
+            ibis_core::parallel::ExecPool::new(threads).try_map(work, |(i, off, shard)| {
+                let mut shard_span = ibis_obs::span("db.shard");
+                shard_span.add_field("shard", i as u64);
+                let (rows, counters) = shard.execute_with_cost_threads(query, inner)?;
+                shard_span.add_field("rows", rows.len() as u64);
+                counters.record_into(&mut shard_span);
+                let global = rows.iter().map(|r| r + off as u32).collect();
+                Ok((RowSet::from_sorted(global), counters))
+            })?;
+        let mut counters = WorkCounters::zero();
+        let mut sets = Vec::with_capacity(parts.len());
+        for (rows, c) in parts {
+            counters.merge(c);
+            sets.push(rows);
+        }
+        let rows = RowSet::concat_sorted(sets);
+        span.add_field("rows", rows.len() as u64);
+        Ok(ShardExecution {
+            rows,
+            counters,
+            shards_total: self.shards.len(),
+            shards_pruned: pruned,
+        })
+    }
+
+    /// Counts matching rows.
+    pub fn count(&self, query: &RangeQuery) -> Result<usize> {
+        Ok(self.execute(query)?.len())
+    }
+
+    /// Executes a batch of queries across the configured worker pool.
+    pub fn execute_batch(&self, queries: &[RangeQuery]) -> Result<Vec<RowSet>> {
+        self.execute_batch_threads(queries, ibis_core::parallel::configured_threads())
+    }
+
+    /// [`ShardedDb::execute_batch`] with an explicit fan-out degree.
+    /// Queries run whole (synopsis pruning and shard merge included) on the
+    /// pool's workers, each internally single-threaded — the batch itself
+    /// is the parallelism — and results come back in input order at any
+    /// `threads`. This is the server's coalesced-dispatch entry point: one
+    /// pool submission amortizes pool wake-up over the whole batch instead
+    /// of paying it per query.
+    pub fn execute_batch_threads(
+        &self,
+        queries: &[RangeQuery],
+        threads: usize,
+    ) -> Result<Vec<RowSet>> {
+        ibis_core::parallel::ExecPool::new(threads)
+            .try_map(queries.iter().collect(), |q| self.execute_threads(q, 1))
+    }
+
+    /// Serializes the logical state — per-shard base dataset, delta rows,
+    /// and tombstones — as one checksummed image (magic `IBSS`). Indexes
+    /// and synopses are rebuildable caches and are **not** written;
+    /// [`ShardedDb::read_snapshot`] recomputes them. Serialization is
+    /// deterministic, so equal logical states produce identical bytes.
+    pub fn write_snapshot(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+        let mut body = Vec::new();
+        wire::write_u8(&mut body, self.config.to_bits())?;
+        wire::write_len(&mut body, self.shard_rows)?;
+        wire::write_len(&mut body, self.shards.len())?;
+        for shard in &self.shards {
+            shard.write_state(&mut body)?;
+        }
+        wire::write_header(w, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        wire::write_u32(w, crate::crc::crc32(&body))?;
+        wire::write_bytes(w, &body)
+    }
+
+    /// Parses a snapshot image, rebuilding every index and synopsis.
+    ///
+    /// Hardened against corruption: the body is checksummed; the shard
+    /// table's allocation is capped (a lying count hits a clean EOF, never
+    /// a huge reservation); every shard section is checked by
+    /// [`IncompleteDb`]'s own reader — delta rows re-validate, tombstones
+    /// must be in range — and must share shard 0's schema, so a crafted
+    /// image can't make later query dispatch index out of bounds.
+    pub fn read_snapshot(r: &mut impl std::io::Read) -> std::io::Result<ShardedDb> {
+        wire::read_header(r, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let crc = wire::read_u32(r)?;
+        let body = wire::read_bytes(r)?;
+        if crate::crc::crc32(&body) != crc {
+            return Err(invalid("snapshot checksum mismatch"));
+        }
+        let r = &mut body.as_slice();
+        let config = DbConfig::from_bits(wire::read_u8(r)?)?;
+        let shard_rows = wire::read_len(r)?.max(1);
+        let n_shards = wire::read_len(r)?;
+        let mut shards: Vec<Arc<IncompleteDb>> = Vec::with_capacity(n_shards.min(1 << 16));
+        for _ in 0..n_shards {
+            let schema = shards.first().map(|first| first.schema());
+            let shard = IncompleteDb::read_state(r, config, schema)?;
+            shards.push(Arc::new(shard));
+        }
+        if shards.is_empty() {
+            return Err(invalid("snapshot holds no shards"));
+        }
+        if !r.is_empty() {
+            return Err(invalid("trailing bytes in snapshot body"));
+        }
+        Ok(ShardedDb::assemble(config, shard_rows, shards))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibis_core::gen::{census_scaled, workload, QuerySpec};
+    use ibis_core::{MissingPolicy, Predicate};
+
+    fn v(x: u16) -> Cell {
+        Cell::present(x)
+    }
+    fn m() -> Cell {
+        Cell::MISSING
+    }
+
+    fn banded() -> Dataset {
+        // Values grow with the row id, so 2-row shards cover disjoint bands.
+        let rows: Vec<Vec<Cell>> = (1u16..=8).map(|x| vec![v(x)]).collect();
+        Dataset::from_rows(&[("a", 9)], &rows).unwrap()
+    }
+
+    #[test]
+    fn sharded_matches_monolithic_on_workloads() {
+        let data = census_scaled(300, 420);
+        let mono = IncompleteDb::new(data.clone());
+        for shard_rows in [47, 100, 1000] {
+            let sharded = ShardedDb::new(data.clone(), shard_rows);
+            for policy in MissingPolicy::ALL {
+                let spec = QuerySpec {
+                    n_queries: 6,
+                    k: 3,
+                    global_selectivity: 0.05,
+                    policy,
+                    candidate_attrs: vec![],
+                };
+                for q in workload(&data, &spec, 421) {
+                    assert_eq!(
+                        sharded.execute(&q).unwrap(),
+                        mono.execute(&q).unwrap(),
+                        "{policy} shard_rows={shard_rows}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_skips_out_of_band_shards() {
+        let db = ShardedDb::new(banded(), 2);
+        assert_eq!(db.shard_count(), 4);
+        let q =
+            RangeQuery::new(vec![Predicate::range(0, 3, 4)], MissingPolicy::IsNotMatch).unwrap();
+        let exec = db.execute_with_stats(&q).unwrap();
+        assert_eq!(exec.rows.rows(), &[2, 3]);
+        assert_eq!(exec.shards_pruned, 3);
+        assert_eq!(exec.shards_executed(), 1);
+    }
+
+    #[test]
+    fn is_match_semantics_disable_pruning_on_attrs_with_missing() {
+        // One missing value per shard on the queried attribute: under
+        // IsMatch no shard may ever be pruned on it, under IsNotMatch the
+        // envelope still prunes.
+        let rows: Vec<Vec<Cell>> = vec![vec![v(1)], vec![m()], vec![v(8)], vec![m()]];
+        let data = Dataset::from_rows(&[("a", 9)], &rows).unwrap();
+        let db = ShardedDb::new(data, 2);
+        assert_eq!(db.shard_count(), 2);
+        let key = vec![Predicate::range(0, 4, 5)]; // misses both envelopes
+        let is_match = RangeQuery::new(key.clone(), MissingPolicy::IsMatch).unwrap();
+        let exec = db.execute_with_stats(&is_match).unwrap();
+        assert_eq!(
+            exec.shards_pruned, 0,
+            "missing ⇒ never prunable under IsMatch"
+        );
+        assert_eq!(exec.rows.rows(), &[1, 3]);
+        let not_match = RangeQuery::new(key, MissingPolicy::IsNotMatch).unwrap();
+        let exec = db.execute_with_stats(&not_match).unwrap();
+        assert_eq!(exec.shards_pruned, 2);
+        assert!(exec.rows.is_empty());
+    }
+
+    #[test]
+    fn appends_open_new_shards_and_compaction_is_dirty_only() {
+        let mut db = ShardedDb::new(banded(), 2);
+        assert_eq!(db.shard_count(), 4);
+        db.insert(&[v(9)]).unwrap(); // last shard full → opens shard 5
+        assert_eq!(db.shard_count(), 5);
+        db.insert(&[v(9)]).unwrap(); // rides in shard 5's delta
+        assert_eq!(db.shard_count(), 5);
+        assert_eq!(db.n_rows(), 10);
+        let q = RangeQuery::new(vec![Predicate::point(0, 9)], MissingPolicy::IsNotMatch).unwrap();
+        assert_eq!(db.execute(&q).unwrap().rows(), &[8, 9]);
+        // Only the one dirty shard rebuilds.
+        assert_eq!(db.compact(), 1);
+        assert_eq!(db.compact(), 0, "clean db compacts nothing");
+        assert_eq!(db.execute(&q).unwrap().rows(), &[8, 9]);
+    }
+
+    #[test]
+    fn deletes_route_to_the_owning_shard() {
+        let mut db = ShardedDb::new(banded(), 3); // shards: [0..3), [3..6), [6..8)
+        assert!(db.delete(4));
+        assert!(!db.delete(4), "double delete is a no-op");
+        assert!(!db.delete(99), "unknown global id");
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 9)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(db.execute(&q).unwrap().rows(), &[0, 1, 2, 3, 5, 6, 7]);
+        assert_eq!(db.n_rows(), 7);
+        assert_eq!(db.compact(), 1, "only the shard owning row 4 was dirty");
+        // Survivors renumbered 0..7, order preserved.
+        assert_eq!(db.execute(&q).unwrap().rows(), &[0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn delete_routing_matches_monolithic_at_every_boundary() {
+        // Regression test for O(log k) delete routing via the memoized
+        // base-offset table: exercise every global id — shard starts, shard
+        // ends, delta rows past the last base row, and ids beyond the id
+        // space — against a monolithic twin.
+        let data = census_scaled(100, 423);
+        let mut mono = IncompleteDb::new(data.clone());
+        let mut db = ShardedDb::new(data, 7); // 15 shards, last one ragged
+        for _ in 0..5 {
+            let row = vec![v(1); mono.n_attrs()];
+            mono.insert(&row).unwrap();
+            db.insert(&row).unwrap(); // ids 100..105 live in shard deltas
+        }
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 2)], MissingPolicy::IsMatch).unwrap();
+        for id in [0u32, 6, 7, 13, 14, 69, 70, 99, 100, 104, 105, 400] {
+            assert_eq!(db.delete(id), mono.delete(id), "first delete of {id}");
+            assert_eq!(db.delete(id), mono.delete(id), "double delete of {id}");
+            assert_eq!(db.n_rows(), mono.n_rows(), "after {id}");
+        }
+        assert_eq!(db.execute(&q).unwrap(), mono.execute(&q).unwrap());
+    }
+
+    #[test]
+    fn clones_share_shards_until_mutated() {
+        // A `ShardedDb` clone is what snapshot publication hands to readers:
+        // it must be O(shards) pointer bumps, and later mutations must
+        // copy-on-write only the touched shard.
+        let mut db = ShardedDb::new(banded(), 2); // 4 shards
+        let snap = db.clone();
+        assert!((0..4).all(|i| Arc::ptr_eq(&db.shards[i], &snap.shards[i])));
+        assert!(!db.delete(99), "a routing miss must not copy anything");
+        assert!((0..4).all(|i| Arc::ptr_eq(&db.shards[i], &snap.shards[i])));
+        assert!(db.delete(5)); // shard 2 copies; 0, 1, 3 stay shared
+        db.insert(&[v(9)]).unwrap(); // shard 3 is full → opens a fresh shard 4
+        assert_eq!(db.shard_count(), 5);
+        for (i, shared) in [(0, true), (1, true), (2, false), (3, true)] {
+            assert_eq!(Arc::ptr_eq(&db.shards[i], &snap.shards[i]), shared, "{i}");
+        }
+        // The clone still answers from the pre-mutation state.
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 9)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(snap.execute(&q).unwrap().rows(), &[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(db.execute(&q).unwrap().rows(), &[0, 1, 2, 3, 4, 6, 7, 8]);
+        // Compacting the clone's twin leaves clean shards shared.
+        let mut twin = snap.clone();
+        assert_eq!(twin.compact(), 0, "clean db: no shard rebuilt");
+        assert!((0..4).all(|i| Arc::ptr_eq(&twin.shards[i], &snap.shards[i])));
+    }
+
+    #[test]
+    fn counters_are_thread_degree_independent() {
+        let data = census_scaled(240, 422);
+        let db = ShardedDb::new(data, 60);
+        let q = RangeQuery::new(
+            vec![Predicate::range(0, 1, 2), Predicate::range(1, 1, 3)],
+            MissingPolicy::IsMatch,
+        )
+        .unwrap();
+        let (rows1, c1) = db.execute_with_cost_threads(&q, 1).unwrap();
+        for threads in [2, 8] {
+            let (rows, c) = db.execute_with_cost_threads(&q, threads).unwrap();
+            assert_eq!(rows, rows1, "t={threads}");
+            assert_eq!(c, c1, "t={threads}");
+        }
+    }
+
+    #[test]
+    fn empty_dataset_gets_one_empty_shard() {
+        let data = banded().slice_rows(0..0);
+        let mut db = ShardedDb::new(data, 4);
+        assert_eq!(db.shard_count(), 1);
+        assert_eq!(db.n_rows(), 0);
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 9)], MissingPolicy::IsMatch).unwrap();
+        let exec = db.execute_with_stats(&q).unwrap();
+        assert!(exec.rows.is_empty());
+        assert_eq!(exec.shards_pruned, 1, "an empty shard is always prunable");
+        db.insert(&[v(5)]).unwrap();
+        assert_eq!(db.execute(&q).unwrap().rows(), &[0]);
+    }
+
+    #[test]
+    fn invalid_queries_error_regardless_of_pruning() {
+        let db = ShardedDb::new(banded(), 2);
+        let over =
+            RangeQuery::new(vec![Predicate::range(0, 1, 10)], MissingPolicy::IsMatch).unwrap();
+        assert!(db.execute(&over).is_err(), "hi beyond cardinality");
+        let out = RangeQuery::new(vec![Predicate::point(7, 1)], MissingPolicy::IsMatch).unwrap();
+        assert!(db.execute(&out).is_err(), "attr beyond schema");
+    }
+
+    #[test]
+    fn sharded_execute_batch_threads_matches_at_any_degree() {
+        let data = census_scaled(300, 414);
+        let mut d = ShardedDb::new(data.clone(), 64);
+        d.insert(&vec![m(); data.n_attrs()]).unwrap();
+        d.delete(2);
+        let spec = QuerySpec {
+            n_queries: 10,
+            k: 2,
+            global_selectivity: 0.05,
+            policy: MissingPolicy::IsMatch,
+            candidate_attrs: vec![],
+        };
+        let queries = workload(&data, &spec, 415);
+        let sequential: Vec<RowSet> = queries.iter().map(|q| d.execute(q).unwrap()).collect();
+        assert_eq!(d.execute_batch(&queries).unwrap(), sequential);
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                d.execute_batch_threads(&queries, threads).unwrap(),
+                sequential,
+                "t={threads}"
+            );
+        }
+    }
+}

@@ -9,21 +9,21 @@
 //! and a published snapshot can never change underneath a reader: any
 //! later mutation copies the shard it touches before writing.
 //!
-//! Every query method here takes `&self`; a snapshot is `Send + Sync` and
-//! is shared freely across reader threads.
+//! A snapshot adds exactly one thing to the frozen [`ShardedDb`] — the
+//! watermark — and dereferences to it for everything else, so the whole
+//! `&self` read surface (queries, counts, batches, synopses, sizes,
+//! serialization) is the router's own, documented once, there. There is
+//! deliberately no `DerefMut`: nothing can mutate a published snapshot. It
+//! is `Send + Sync` and is shared freely across reader threads.
 
-use ibis_core::{Cell, RangeQuery};
-use ibis_core::{Result, RowSet, WorkCounters};
-
-use crate::db::{ShardExecution, ShardedDb};
+use crate::sharded::ShardedDb;
 
 /// An immutable point-in-time view of the database: frozen shard-set plus
 /// the mutation watermark at which it was published.
 ///
 /// Obtained from [`ConcurrentDb::snapshot`](crate::ConcurrentDb::snapshot);
-/// all query entry points on [`ShardedDb`] are mirrored here as `&self`
-/// methods, so downstream code (CLI, benches, the oracle) runs unchanged
-/// against a snapshot.
+/// every read on [`ShardedDb`] is reachable through `Deref`, so downstream
+/// code (CLI, benches, the oracle) runs unchanged against a snapshot.
 #[derive(Debug)]
 pub struct DbSnapshot {
     db: ShardedDb,
@@ -47,76 +47,17 @@ impl DbSnapshot {
         self.watermark
     }
 
-    /// Live rows (inserted − deleted) visible in this snapshot.
-    pub fn n_rows(&self) -> usize {
-        self.db.n_rows()
-    }
-
-    /// Attributes in the schema.
-    pub fn n_attrs(&self) -> usize {
-        self.db.n_attrs()
-    }
-
-    /// Shards frozen into this snapshot.
-    pub fn shard_count(&self) -> usize {
-        self.db.shard_count()
-    }
-
-    /// The frozen shard-set itself, for callers that need the full
-    /// [`ShardedDb`] read API (synopses, index sizes, serialization).
+    /// The frozen shard-set itself, for callers that want the
+    /// [`ShardedDb`] by name rather than through `Deref`.
     pub fn db(&self) -> &ShardedDb {
         &self.db
     }
+}
 
-    /// Validates a row against the frozen schema (useful for admission
-    /// checks before taking the writer lock).
-    pub fn validate_row(&self, row: &[Cell]) -> Result<()> {
-        self.db.validate_row(row)
-    }
+impl std::ops::Deref for DbSnapshot {
+    type Target = ShardedDb;
 
-    /// Executes `query` single-threaded. See [`ShardedDb::execute`].
-    pub fn execute(&self, query: &RangeQuery) -> Result<RowSet> {
-        self.db.execute(query)
-    }
-
-    /// Executes `query` across `threads` workers; rows are bit-identical
-    /// at every thread degree. See [`ShardedDb::execute_threads`].
-    pub fn execute_threads(&self, query: &RangeQuery, threads: usize) -> Result<RowSet> {
-        self.db.execute_threads(query, threads)
-    }
-
-    /// Executes and returns the degree-independent work counters too.
-    pub fn execute_with_cost_threads(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
-        self.db.execute_with_cost_threads(query, threads)
-    }
-
-    /// Executes with full per-shard statistics (pruning counts included).
-    pub fn execute_with_stats_threads(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> Result<ShardExecution> {
-        self.db.execute_with_stats_threads(query, threads)
-    }
-
-    /// Counts matches without materializing rows.
-    pub fn count(&self, query: &RangeQuery) -> Result<usize> {
-        self.db.count(query)
-    }
-
-    /// Executes a batch of queries across `threads` workers; results come
-    /// back in input order. See [`ShardedDb::execute_batch_threads`] — this
-    /// is what the server's coalesced dispatch runs against, so a whole
-    /// batch shares one frozen shard-set and one pool submission.
-    pub fn execute_batch_threads(
-        &self,
-        queries: &[RangeQuery],
-        threads: usize,
-    ) -> Result<Vec<RowSet>> {
-        self.db.execute_batch_threads(queries, threads)
+    fn deref(&self) -> &ShardedDb {
+        &self.db
     }
 }

@@ -223,49 +223,56 @@ commands:
       and stays empty against a server running --trace-sample 0
 
 exit status: 0 on success, 1 on a command failure, 2 on a usage error
-(unknown command or flag value that does not parse)
+(unknown command, a flag the command does not take, a flag missing its
+value, or a flag value that does not parse)
 ";
 
-/// Pulls `--name value` out of `args`; returns the remaining positionals.
-fn parse_flags(args: &[String]) -> (Vec<String>, std::collections::BTreeMap<String, String>) {
+/// Parsed flags by name; a bare switch maps to `"true"`.
+type Flags = std::collections::BTreeMap<String, String>;
+
+/// Splits `args` into positionals and the flags `table` declares —
+/// getopt-style, space-separated: `rows=` takes a value (`--rows 100`),
+/// `count` is a bare switch (`--count`). A flag the command does not take,
+/// or a value-taking flag with no value after it, is a usage error that
+/// lists what the command does take — a typo must never silently run the
+/// query without the flag.
+fn parse_flags(args: &[String], table: &str) -> Result<(Vec<String>, Flags), CliError> {
+    let usage = |problem: String| {
+        let names = table.split_whitespace();
+        let takes = match table {
+            "" => " no flags".to_string(),
+            _ => names
+                .map(|f| format!(" --{}", f.trim_end_matches('=')))
+                .collect(),
+        };
+        CliError::Usage(format!("{problem}; this command takes{takes}"))
+    };
     let mut positional = Vec::new();
-    let mut flags = std::collections::BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            // Boolean flags take no value; detect by lookahead.
-            let boolean = matches!(
-                name,
-                "count"
-                    | "not-match"
-                    | "match"
-                    | "no-header"
-                    | "profile"
-                    | "durable"
-                    | "no-writer"
-                    | "json"
-                    | "prom"
-                    | "slow"
-            );
-            if boolean || i + 1 >= args.len() || args[i + 1].starts_with("--") {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            } else {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
+    let mut flags = Flags::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            positional.push(arg.clone());
+            continue;
+        };
+        let mut specs = table.split_whitespace();
+        let Some(spec) = specs.find(|f| f.trim_end_matches('=') == name) else {
+            return Err(usage(format!("unknown flag --{name}")));
+        };
+        let value = if spec.ends_with('=') {
+            match args.next() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => return Err(usage(format!("flag --{name} needs a value"))),
             }
         } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
+            "true".to_string()
+        };
+        flags.insert(name.to_string(), value);
     }
-    (positional, flags)
+    Ok((positional, flags))
 }
 
-fn req<'a>(
-    flags: &'a std::collections::BTreeMap<String, String>,
-    name: &str,
-) -> Result<&'a str, CliError> {
+fn req<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, CliError> {
     flags
         .get(name)
         .map(String::as_str)
@@ -283,7 +290,7 @@ fn load_dataset(path: &str) -> Result<Dataset, String> {
 
 /// `--threads N` if given (must be ≥ 1), else the configured degree
 /// (`IBIS_THREADS` or the machine default).
-fn parse_threads(flags: &std::collections::BTreeMap<String, String>) -> Result<usize, CliError> {
+fn parse_threads(flags: &Flags) -> Result<usize, CliError> {
     match flags.get("threads") {
         Some(s) => {
             let n: usize = num(s, "thread count")?;
@@ -297,7 +304,7 @@ fn parse_threads(flags: &std::collections::BTreeMap<String, String>) -> Result<u
 }
 
 fn generate(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args);
+    let (_, flags) = parse_flags(args, "kind= rows= seed= out=")?;
     let rows: usize = num(req(&flags, "rows")?, "row count")?;
     let seed: u64 = flags.get("seed").map_or(Ok(42), |s| num(s, "seed"))?;
     let out = req(&flags, "out")?;
@@ -322,7 +329,7 @@ fn generate(args: &[String]) -> Result<(), CliError> {
 }
 
 fn import(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "out= delimiter= no-header")?;
     let path = pos
         .first()
         .ok_or("usage: ibis import FILE.csv --out FILE.ibds")?;
@@ -360,7 +367,7 @@ fn import(args: &[String]) -> Result<(), CliError> {
 }
 
 fn export(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "out=")?;
     let path = pos
         .first()
         .ok_or("usage: ibis export FILE.ibds --out FILE.csv")?;
@@ -389,7 +396,7 @@ fn export(args: &[String]) -> Result<(), CliError> {
 }
 
 fn stats(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "addr= json prom slow")?;
     if let Some(addr) = flags.get("addr") {
         if !pos.is_empty() {
             return Err("--addr asks a running server; it cannot be combined \
@@ -421,7 +428,7 @@ fn stats(args: &[String]) -> Result<(), CliError> {
 }
 
 fn index(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "encoding= backend= out=")?;
     let path = pos
         .first()
         .ok_or("usage: ibis index FILE --encoding … --out …")?;
@@ -521,7 +528,11 @@ fn load_access_method(path: &str, d: &Arc<Dataset>) -> Result<Box<dyn AccessMeth
 }
 
 fn query(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(
+        args,
+        "index= not-match count limit= threads= shard-rows= profile profile-json= addr= \
+         deadline-ms= data-dir=",
+    )?;
     if flags.contains_key("data-dir") {
         if flags.contains_key("addr") {
             return Err(
@@ -687,10 +698,7 @@ fn query(args: &[String]) -> Result<(), CliError> {
 /// `ibis query --data-dir DIR "QUERY"` — recover the durable database,
 /// acquire a lock-free serving snapshot, and query it through the sharded
 /// executor (pruning stats included).
-fn query_durable(
-    pos: &[String],
-    flags: &std::collections::BTreeMap<String, String>,
-) -> Result<(), CliError> {
+fn query_durable(pos: &[String], flags: &Flags) -> Result<(), CliError> {
     let dir = req(flags, "data-dir")?;
     let text = pos
         .first()
@@ -752,7 +760,7 @@ fn query_durable(
 }
 
 fn init(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "from= shard-rows=")?;
     let dir = pos
         .first()
         .ok_or("usage: ibis init DIR --from FILE.ibds [--shard-rows N]")?;
@@ -782,7 +790,7 @@ fn init(args: &[String]) -> Result<(), CliError> {
 }
 
 fn checkpoint(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_flags(args);
+    let (pos, _) = parse_flags(args, "")?;
     let dir = pos.first().ok_or("usage: ibis checkpoint DIR")?;
     let mut db = DurableDb::open(std::path::Path::new(dir))
         .map_err(|e| format!("cannot open data directory {dir:?}: {e}"))?;
@@ -798,7 +806,7 @@ fn checkpoint(args: &[String]) -> Result<(), CliError> {
 }
 
 fn backup(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "out=")?;
     let dir = pos
         .first()
         .ok_or("usage: ibis backup DIR --out FILE.ibbk")?;
@@ -816,7 +824,7 @@ fn backup(args: &[String]) -> Result<(), CliError> {
 }
 
 fn restore(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "into=")?;
     let file = pos
         .first()
         .ok_or("usage: ibis restore FILE.ibbk --into DIR")?;
@@ -833,7 +841,7 @@ fn restore(args: &[String]) -> Result<(), CliError> {
 }
 
 fn validate(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_flags(args);
+    let (pos, _) = parse_flags(args, "")?;
     let dir = pos.first().ok_or("usage: ibis validate DIR")?;
     let r = DurableDb::validate(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
     println!(
@@ -855,7 +863,7 @@ fn validate(args: &[String]) -> Result<(), CliError> {
 }
 
 fn crash(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args);
+    let (_, flags) = parse_flags(args, "seed= rows= kill-points= bit-flips= threads=")?;
     let threads = match flags.get("threads") {
         Some(s) => s
             .split(',')
@@ -908,7 +916,7 @@ fn crash(args: &[String]) -> Result<(), CliError> {
 }
 
 fn race(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "queries= k= seed= threads= profile live= shard-rows=")?;
     let path = pos
         .first()
         .ok_or("usage: ibis race FILE [--queries N] [--k K]")?;
@@ -978,14 +986,11 @@ fn race(args: &[String]) -> Result<(), CliError> {
         if profile {
             let snap = ibis::obs::snapshot();
             Recorder::disabled().install();
-            for p in snap.phase_totals() {
-                let counters =
-                    WorkCounters::from_fields(p.fields.iter().map(|(n, v)| (n.as_str(), *v)));
+            // No root to leave out: every query of the run is its own tree.
+            for (name, count, total_ns, counters) in WorkCounters::phases(&snap.spans, 0) {
                 println!(
-                    "      {:<20} ×{:<6} {:>9.2} ms",
-                    p.name,
-                    p.count,
-                    p.total_ns as f64 / 1e6
+                    "      {name:<20} ×{count:<6} {:>9.2} ms",
+                    total_ns as f64 / 1e6
                 );
                 if !counters.is_zero() {
                     for line in counters.to_string().lines() {
@@ -1107,7 +1112,10 @@ fn race_live(
 /// `ibis stress` — the snapshot-isolation stress harness (differentially
 /// checked; see [`ibis::oracle::stress`]).
 fn stress(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args);
+    let (_, flags) = parse_flags(
+        args,
+        "seed= rows= readers= mutations= threads= durable checkpoint-every= no-writer",
+    )?;
     let threads = match flags.get("threads") {
         Some(s) => s
             .split(',')
@@ -1181,7 +1189,7 @@ fn stress(args: &[String]) -> Result<(), CliError> {
 }
 
 fn oracle(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args);
+    let (_, flags) = parse_flags(args, "cases= seed= corpus= max-failures= case-budget-ms=")?;
     let cfg = ibis::oracle::OracleConfig {
         cases: flags
             .get("cases")
@@ -1249,7 +1257,11 @@ fn oracle(args: &[String]) -> Result<(), CliError> {
 /// `ibis::server`): lock-free snapshot reads on a fixed worker pool with
 /// batching, per-request deadlines, and admission control.
 fn serve(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(
+        args,
+        "addr= shard-rows= data-dir= workers= max-batch= queue-high-water= deadline-ms= \
+         duration-secs= addr-file= trace-sample= slow-log=",
+    )?;
     let defaults = ServerConfig::default();
     let config = ServerConfig {
         workers: {
@@ -1366,7 +1378,7 @@ fn server_query(
     addr: &str,
     q: &RangeQuery,
     deadline_ms: u32,
-    flags: &std::collections::BTreeMap<String, String>,
+    flags: &Flags,
 ) -> Result<(), CliError> {
     let mut client = ibis::server::Client::connect(addr)
         .map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
@@ -1413,10 +1425,7 @@ fn server_query(
 
 /// `ibis stats --addr` — one `STATS` request against a running server,
 /// rendered in the requested view (summary, `--json`, `--prom`, `--slow`).
-fn server_stats(
-    addr: &str,
-    flags: &std::collections::BTreeMap<String, String>,
-) -> Result<(), CliError> {
+fn server_stats(addr: &str, flags: &Flags) -> Result<(), CliError> {
     let mut client = ibis::server::Client::connect(addr)
         .map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
     let want_slow = flags.contains_key("slow");
@@ -1443,7 +1452,7 @@ fn server_stats(
 
 /// `ibis top` — poll `STATS` and redraw a terminal dashboard.
 fn top(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args);
+    let (pos, flags) = parse_flags(args, "addr= interval-ms= iterations=")?;
     if !pos.is_empty() {
         return Err("usage: ibis top --addr HOST:PORT [--interval-ms MS] [--iterations N]".into());
     }
@@ -1625,15 +1634,30 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let args: Vec<String> = ["data.ibds", "--rows", "100", "--count", "--out", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (pos, flags) = parse_flags(&args);
+        let strings =
+            |args: &[&str]| -> Vec<String> { args.iter().map(|s| s.to_string()).collect() };
+        let table = "rows= count out=";
+        let args = strings(&["data.ibds", "--rows", "100", "--count", "--out", "x"]);
+        let (pos, flags) = parse_flags(&args, table).unwrap();
         assert_eq!(pos, vec!["data.ibds"]);
         assert_eq!(flags.get("rows").unwrap(), "100");
         assert_eq!(flags.get("count").unwrap(), "true");
         assert_eq!(flags.get("out").unwrap(), "x");
+        // A flag outside the table, or a value-taking flag with nothing (or
+        // another flag) after it, is refused with the table in the message.
+        for bad in [
+            &["--cuont"][..],
+            &["--"],
+            &["--rows"],
+            &["--rows", "--count"],
+            &["--out", "x", "--match"],
+        ] {
+            let err = parse_flags(&strings(bad), table).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad:?}: {err:?}");
+            assert!(err.message().contains("--rows --count --out"), "{err:?}");
+        }
+        let err = parse_flags(&strings(&["--force"]), "").unwrap_err();
+        assert!(err.message().contains("no flags"), "{err:?}");
     }
 
     #[test]
@@ -1646,105 +1670,47 @@ mod tests {
     fn malformed_flags_are_usage_errors_with_exit_code_2() {
         let s = |x: &str| x.to_string();
         // Malformed numeric values, missing required flags, unknown
-        // commands and enum values: all usage errors → exit code 2.
-        let usage_cases: Vec<Vec<String>> = vec![
-            vec![
-                s("generate"),
-                s("--rows"),
-                s("abc"),
-                s("--kind"),
-                s("census"),
-                s("--out"),
-                s("x"),
-            ],
-            vec![
-                s("generate"),
-                s("--rows"),
-                s("-4"),
-                s("--kind"),
-                s("census"),
-                s("--out"),
-                s("x"),
-            ],
-            vec![
-                s("generate"),
-                s("--rows"),
-                s("10"),
-                s("--kind"),
-                s("census"),
-            ],
-            vec![
-                s("generate"),
-                s("--rows"),
-                s("10"),
-                s("--kind"),
-                s("martian"),
-                s("--out"),
-                s("x"),
-            ],
-            vec![s("stress"), s("--mutations"), s("1e5")],
-            vec![s("stress"), s("--threads"), s("1,x")],
-            vec![s("oracle"), s("--cases"), s("many")],
-            vec![s("crash"), s("--bit-flips"), s("2.5")],
-            vec![s("serve"), s("--workers"), s("zero")],
-            vec![s("serve")],
-            vec![s("serve"), s("x.ibds"), s("--slow-log"), s("0")],
-            vec![s("serve"), s("x.ibds"), s("--trace-sample"), s("often")],
+        // commands and enum values: all usage errors → exit code 2. One
+        // command line per case, split on spaces (no case gets as far as
+        // parsing its query, so `a=1` needs no quoting).
+        let usage_cases = [
+            "generate --rows abc --kind census --out x",
+            "generate --rows -4 --kind census --out x",
+            "generate --rows 10 --kind census",
+            "generate --rows 10 --kind martian --out x",
+            "stress --mutations 1e5",
+            "stress --threads 1,x",
+            "oracle --cases many",
+            "crash --bit-flips 2.5",
+            "serve --workers zero",
+            "serve",
+            "serve x.ibds --slow-log 0",
+            "serve x.ibds --trace-sample often",
             // Tracing disabled + an explicit slow-log size: the log could
             // never fill, so the combination is rejected up front.
-            vec![
-                s("serve"),
-                s("x.ibds"),
-                s("--trace-sample"),
-                s("0"),
-                s("--slow-log"),
-                s("4"),
-            ],
-            vec![s("top")],
-            vec![s("top"), s("--addr"), s("h:1"), s("--interval-ms"), s("0")],
-            vec![s("top"), s("--addr"), s("h:1"), s("--iterations"), s("0")],
-            vec![s("top"), s("stray"), s("--addr"), s("h:1")],
-            vec![s("stats"), s("x.ibds"), s("--addr"), s("h:1")],
-            vec![
-                s("query"),
-                s("x.ibds"),
-                s("a = 1"),
-                s("--addr"),
-                s("h:1"),
-                s("--index"),
-                s("x.bre"),
-            ],
-            vec![
-                s("query"),
-                s("x.ibds"),
-                s("a = 1"),
-                s("--addr"),
-                s("h:1"),
-                s("--profile"),
-            ],
-            vec![
-                s("query"),
-                s("--data-dir"),
-                s("d"),
-                s("a = 1"),
-                s("--addr"),
-                s("h:1"),
-            ],
+            "serve x.ibds --trace-sample 0 --slow-log 4",
+            // Misspelt flags must not be swallowed: each of these used to
+            // run (or generate) as if the flag had not been given.
+            "query x.ibds a=1 --not-mach",
+            "query x.ibds a=1 --treads 3",
+            "generate --rows 10 --kind census --out x --sed 9",
+            "query x.ibds a=1 --limit",
+            "checkpoint dir --force",
+            "top",
+            "top --addr h:1 --interval-ms 0",
+            "top --addr h:1 --iterations 0",
+            "top stray --addr h:1",
+            "stats x.ibds --addr h:1",
+            "query x.ibds a=1 --addr h:1 --index x.bre",
+            "query x.ibds a=1 --addr h:1 --profile",
+            "query --data-dir d a=1 --addr h:1",
             // `--encoding adaptive` is shorthand for bee over the adaptive
             // backend; any other backend contradicts it.
-            vec![
-                s("index"),
-                s("x.ibds"),
-                s("--encoding"),
-                s("adaptive"),
-                s("--backend"),
-                s("wah"),
-                s("--out"),
-                s("x"),
-            ],
-            vec![s("frobnicate")],
+            "index x.ibds --encoding adaptive --backend wah --out x",
+            "frobnicate",
         ];
-        for args in usage_cases {
+        for case in usage_cases {
+            let args: Vec<String> = case.split(' ').map(s).collect();
             let err = run(&args).unwrap_err();
             assert!(
                 matches!(err, CliError::Usage(_)),

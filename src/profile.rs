@@ -49,34 +49,24 @@ pub struct QueryProfile {
 }
 
 impl QueryProfile {
-    /// Sums the counter-valued span fields over every span *below* the
-    /// root. When the instrumentation's invariant holds — each phase
-    /// records exactly its share — this equals [`Self::counters`].
+    /// Sums the per-phase counter deltas of [`Self::phases`]. When the
+    /// instrumentation's invariant holds — every counted unit is recorded
+    /// by some span below the root — this equals [`Self::counters`].
     pub fn span_counter_sum(&self) -> WorkCounters {
         let mut sum = WorkCounters::zero();
-        for span in &self.snapshot.spans {
-            if span.id == self.root {
-                continue;
-            }
-            sum +=
-                WorkCounters::from_fields(span.fields.iter().map(|(name, v)| (name.as_str(), *v)));
+        for (.., counters) in self.phases() {
+            sum += counters;
         }
         sum
     }
 
     /// Per-phase totals: `(span name, spans, total ns, counter deltas)`
     /// aggregated over the tree below the root, by descending total time.
+    /// Deltas are *self* deltas ([`WorkCounters::phases`]): a layer that
+    /// re-records its children's work, like `db.shard`, is charged nothing
+    /// for it, so the phases never count a unit twice.
     pub fn phases(&self) -> Vec<(String, u64, u64, WorkCounters)> {
-        self.snapshot
-            .phase_totals()
-            .into_iter()
-            .filter(|p| p.name != ROOT_SPAN)
-            .map(|p| {
-                let counters =
-                    WorkCounters::from_fields(p.fields.iter().map(|(name, v)| (name.as_str(), *v)));
-                (p.name, p.count, p.total_ns, counters)
-            })
-            .collect()
+        WorkCounters::phases(&self.snapshot.spans, self.root)
     }
 
     /// Human-readable report: method, hits, final counters, span tree.

@@ -9,18 +9,11 @@ use ibis::prelude::*;
 fn split() -> (Dataset, Dataset, Dataset) {
     let full = census_scaled(600, 601);
     let base_rows = 400usize;
-    let slice = |lo: usize, hi: usize| -> Dataset {
-        Dataset::new(
-            full.columns()
-                .iter()
-                .map(|c| {
-                    Column::from_raw(c.name(), c.cardinality(), c.raw()[lo..hi].to_vec()).unwrap()
-                })
-                .collect(),
-        )
-        .unwrap()
-    };
-    (slice(0, base_rows), slice(base_rows, 600), full)
+    (
+        full.slice_rows(0..base_rows),
+        full.slice_rows(base_rows..600),
+        full,
+    )
 }
 
 fn rows_of(d: &Dataset) -> Vec<Vec<Cell>> {

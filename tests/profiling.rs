@@ -132,6 +132,31 @@ fn phases_aggregate_the_tree_below_the_root() {
 }
 
 #[test]
+fn sharded_profile_phases_sum_exactly_to_the_counters() {
+    // `db.shard` re-records the counters its access method's spans already
+    // carried; a flat per-name sum therefore reported every unit twice.
+    let _serial = serial();
+    let data = ibis::core::gen::census_scaled(900, 97);
+    let q = query(&data);
+    let mut db = ShardedDb::new(data, 200);
+    db.insert(&vec![Cell::MISSING; db.n_attrs()]).unwrap(); // a delta scan too
+    for threads in [1, 3] {
+        let prof = ibis::profile::profile_sharded(&db, &q, threads).unwrap();
+        assert!(!prof.counters.is_zero());
+        // `span_counter_sum` is the sum of `phases()`' counter deltas.
+        assert_eq!(
+            prof.span_counter_sum(),
+            prof.counters,
+            "t={threads}\n{}",
+            prof.render()
+        );
+        // The re-recording layer is charged nothing of its own.
+        let shard = prof.phases().into_iter().find(|p| p.0 == "db.shard");
+        assert!(shard.is_some_and(|(_, n, _, c)| n == 5 && c.is_zero()));
+    }
+}
+
+#[test]
 fn disabled_recorder_keeps_results_identical_and_records_nothing() {
     let _serial = serial();
     Recorder::disabled().install();
