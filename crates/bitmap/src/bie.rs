@@ -89,7 +89,7 @@ impl Encoding for IntervalWindows {
         iv: Interval,
         policy: MissingPolicy,
         cost: &mut WorkCounters,
-    ) -> B {
+    ) -> BitVec64 {
         let c = a.cardinality as usize;
         let w_win = a.param as usize;
         let k = a.stored.len(); // C − W + 1
@@ -103,38 +103,37 @@ impl Encoding for IntervalWindows {
 
         // Present-rows result first; every plan leaves missing rows at 0
         // because they are 0 in all windows.
-        let present = if width == c {
+        let mut present = if width == c {
             // Full domain: all present rows. Complement of B_0, or all-ones
             // when the column is complete.
             match &a.missing {
                 Some(m) => {
                     cost.read_bitmap();
-                    engine::not(m, cost)
+                    engine::complement(m, cost)
                 }
-                None => B::ones(n_rows),
+                None => BitVec64::ones(n_rows),
             }
         } else if width >= w_win {
             engine::or(win(v1, cost), win(v2 - w_win + 1, cost), cost)
         } else if v2 < w_win {
-            let beyond = engine::not(win(v2 + 1, cost), cost);
-            engine::and(win(v1, cost), &beyond, cost)
+            let mut beyond = engine::complement(win(v2 + 1, cost), cost);
+            engine::and_into(&mut beyond, win(v1, cost), cost);
+            beyond
         } else if v1 > k {
-            let before = engine::not(win(v1 - w_win, cost), cost);
-            engine::and(win(v2 - w_win + 1, cost), &before, cost)
+            let mut before = engine::complement(win(v1 - w_win, cost), cost);
+            engine::and_into(&mut before, win(v2 - w_win + 1, cost), cost);
+            before
         } else {
             engine::and(win(v1, cost), win(v2 - w_win + 1, cost), cost)
         };
 
-        match policy {
-            MissingPolicy::IsNotMatch => present,
-            MissingPolicy::IsMatch => match &a.missing {
-                Some(m) => {
-                    cost.read_bitmap();
-                    engine::or(&present, m, cost)
-                }
-                None => present,
-            },
+        if policy == MissingPolicy::IsMatch {
+            if let Some(m) = &a.missing {
+                cost.read_bitmap();
+                engine::or_into(&mut present, m, cost);
+            }
         }
+        present
     }
 
     // At most two windows plus B_0 per dimension — the same worst case as

@@ -2,7 +2,7 @@
 
 use crate::engine;
 use crate::index::{AppendEncoding, AttrBitmaps, BitmapIndex, Encoding};
-use ibis_bitvec::BitStore;
+use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
 /// The range encoding: `stored[j − 1]` is the threshold bitmap `B_{i,j}`
@@ -73,7 +73,7 @@ impl Encoding for Range {
         iv: Interval,
         policy: MissingPolicy,
         cost: &mut WorkCounters,
-    ) -> B {
+    ) -> BitVec64 {
         let c = a.cardinality as usize;
         let (v1, v2) = (iv.lo as usize, iv.hi as usize);
 
@@ -81,8 +81,7 @@ impl Encoding for Range {
         // cancel in the XOR because they are set in every bitmap. The edge
         // thresholds B_0 (no missing → all-zeros) and B_C (all-ones) are
         // virtual, which yields exactly the case split of Fig. 3. Stored
-        // bitmaps are borrowed — the only clone is when a stored bitmap is
-        // itself the answer.
+        // bitmaps are borrowed and combined straight into the answer.
         let le = |j: usize, cost: &mut WorkCounters| -> Option<&B> {
             let b = threshold(a, j);
             if b.is_some() {
@@ -97,36 +96,36 @@ impl Encoding for Range {
                     // Missing counts as ≤ every threshold, so B_{v2} already
                     // includes it. [1, C] degenerates to all rows.
                     if v2 == c {
-                        B::ones(n_rows)
+                        BitVec64::ones(n_rows)
                     } else {
-                        engine::fetch(le(v2, cost).expect("1 ≤ v2 < C is stored"), cost)
+                        engine::load(le(v2, cost).expect("1 ≤ v2 < C is stored"), cost)
                     }
                 } else {
-                    let base = if v2 == c {
-                        engine::not(le(v1 - 1, cost).expect("1 ≤ v1-1 < C is stored"), cost)
+                    let mut base = if v2 == c {
+                        engine::complement(le(v1 - 1, cost).expect("1 ≤ v1-1 < C is stored"), cost)
                     } else {
                         let hi = le(v2, cost).expect("stored");
                         let lo = le(v1 - 1, cost).expect("stored");
                         engine::xor(hi, lo, cost)
                     };
-                    match le(0, cost) {
-                        Some(m) => engine::or(&base, m, cost),
-                        None => base,
+                    if let Some(m) = le(0, cost) {
+                        engine::or_into(&mut base, m, cost);
                     }
+                    base
                 }
             }
             MissingPolicy::IsNotMatch => {
                 let lower = v1 - 1; // 0 allowed: B_0 is the missing flag
                 if v2 == c {
                     match le(lower, cost) {
-                        Some(b) => engine::not(b, cost),
-                        None => B::ones(n_rows), // complete column, full range
+                        Some(b) => engine::complement(b, cost),
+                        None => BitVec64::ones(n_rows), // complete column, full range
                     }
                 } else {
                     let hi = le(v2, cost).expect("1 ≤ v2 < C is stored");
                     match le(lower, cost) {
                         Some(b) => engine::xor(hi, b, cost),
-                        None => engine::fetch(hi, cost),
+                        None => engine::load(hi, cost),
                     }
                 }
             }

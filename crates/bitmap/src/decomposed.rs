@@ -99,9 +99,9 @@ fn build_attr<B: BitStore>(col: &Column, base: u16) -> AttrBitmaps<B> {
 }
 
 /// Rows (present only) whose digit `i` is ≤ `j`; `None` means the empty
-/// set (`j = −1`), `j ≥ b−1` is the all-present mask. Borrowed, so the
-/// RangeEval fold below never deep-copies a stored bitmap just to feed
-/// an operator.
+/// set (`j = −1`), `j ≥ b−1` is the all-present mask. Borrowed: the
+/// RangeEval fold below combines stored bitmaps straight into its
+/// accumulator.
 fn le_digit<'a, B>(
     a: &'a AttrBitmaps<B>,
     i: usize,
@@ -121,13 +121,18 @@ fn le_digit<'a, B>(
 }
 
 /// RangeEval: present rows with 0-based value ≤ `t` (`t = −1` → empty).
-fn le_value<B: BitStore>(a: &AttrBitmaps<B>, n_rows: usize, t: i64, cost: &mut WorkCounters) -> B {
+fn le_value<B: BitStore>(
+    a: &AttrBitmaps<B>,
+    n_rows: usize,
+    t: i64,
+    cost: &mut WorkCounters,
+) -> BitVec64 {
     if t < 0 {
-        return B::zeros(n_rows);
+        return BitVec64::zeros(n_rows);
     }
     if t as u64 >= a.cardinality as u64 - 1 {
         cost.read_bitmap();
-        return engine::fetch(a.stored.last().expect("present mask is stored"), cost);
+        return engine::load(a.stored.last().expect("present mask is stored"), cost);
     }
     // Digits of t, least significant first.
     let m = n_components(a.param, a.cardinality);
@@ -140,21 +145,22 @@ fn le_value<B: BitStore>(a: &AttrBitmaps<B>, n_rows: usize, t: i64, cost: &mut W
     // Fold: res = (digit_0 ≤ d_0); then per higher component
     // res = (digit_i < d_i) ∨ ((digit_i = d_i) ∧ res).
     let mut res = match le_digit(a, 0, digits[0], cost) {
-        Some(b) => engine::fetch(b, cost),
-        None => B::zeros(n_rows),
+        Some(b) => engine::load(b, cost),
+        None => BitVec64::zeros(n_rows),
     };
     for (i, &d) in digits.iter().enumerate().skip(1) {
         let lt = le_digit(a, i, d - 1, cost);
         let le = le_digit(a, i, d, cost).expect("d ≥ 0 is stored or present");
         // eq = le XOR lt (lt = ∅ ⇒ eq = le).
-        res = match lt {
+        match lt {
             Some(lt) => {
-                let eq = engine::xor(le, lt, cost);
-                let within = engine::and(&eq, &res, cost);
-                engine::or(&within, lt, cost)
+                let mut within = engine::xor(le, lt, cost);
+                engine::and_into(&mut within, &res, cost);
+                engine::or_into(&mut within, lt, cost);
+                res = within;
             }
-            None => engine::and(le, &res, cost),
-        };
+            None => engine::and_into(&mut res, le, cost),
+        }
     }
     res
 }
@@ -176,29 +182,24 @@ impl Encoding for Decomposed {
         iv: Interval,
         policy: MissingPolicy,
         cost: &mut WorkCounters,
-    ) -> B {
+    ) -> BitVec64 {
         let (v1, v2) = (iv.lo, iv.hi);
         // Present values in [v1, v2] = LE(v2−1) \ LE(v1−2) over 0-based
         // values; missing rows are absent from every digit bitmap, so the
         // subtraction needs no special case.
-        let hi = le_value(a, n_rows, v2 as i64 - 1, cost);
-        let present = if v1 == 1 {
-            hi
-        } else {
-            let lo = le_value(a, n_rows, v1 as i64 - 2, cost);
-            let above = engine::not(&lo, cost);
-            engine::and(&hi, &above, cost)
-        };
-        match policy {
-            MissingPolicy::IsNotMatch => present,
-            MissingPolicy::IsMatch => match &a.missing {
-                Some(m) => {
-                    cost.read_bitmap();
-                    engine::or(&present, m, cost)
-                }
-                None => present,
-            },
+        let mut present = le_value(a, n_rows, v2 as i64 - 1, cost);
+        if v1 > 1 {
+            let mut above = le_value(a, n_rows, v1 as i64 - 2, cost);
+            engine::not(&mut above, cost);
+            engine::and_into(&mut present, &above, cost);
         }
+        if policy == MissingPolicy::IsMatch {
+            if let Some(m) = &a.missing {
+                cost.read_bitmap();
+                engine::or_into(&mut present, m, cost);
+            }
+        }
+        present
     }
 
     // RangeEval touches ≤ 2m − 1 bitmaps per bound (m components), two

@@ -8,105 +8,186 @@
 //! that driver; the encodings differ only in how one interval is evaluated
 //! ([`Encoding::interval`]).
 //!
-//! Work is measured in the bit-vector substrate, not derived here: the
-//! charged operations below ([`fetch`], [`and`], [`or`], [`xor`], [`not`])
-//! add [`BitStore::tally_read`] of a stored bitmap that is copied, of both
-//! operands of every binary operation and of the operand of every NOT, and
-//! `words_processed` / `containers_*` are the sum of those tallies. The
-//! plain, WAH and BBC backends tally the uncompressed `⌈n/64⌉` words per
-//! read (the unit of the paper's §6 rules); the adaptive backend tallies
-//! the container payload it stores. An [`Encoding`] builds its interval
-//! answers out of these operations and nothing else.
+//! Every intermediate is a plain [`BitVec64`] *accumulator*; the stored
+//! bitmaps, in whatever backend, are operands that combine themselves into
+//! it ([`BitStore::or_into`] and its siblings), so an interval costs one
+//! accumulator however many stored bitmaps it reads, and nothing is ever
+//! re-encoded. The charged operations below are the accumulator forms an
+//! [`Encoding`] builds its interval answers from, and nothing else: [`load`]
+//! a stored bitmap, combine a stored bitmap or another accumulator *into* an
+//! accumulator ([`or_into`], [`and_into`], [`xor_into`]), combine two stored
+//! bitmaps ([`or`], [`and`], [`xor`]), complement a stored bitmap
+//! ([`complement`]) or an accumulator in place ([`not`]).
+//!
+//! Work is measured in the bit-vector substrate, not derived here. The
+//! charging rule: a stored bitmap that is loaded, **every operand of every
+//! logical operation**, and the operand of every NOT each add one
+//! [`BitStore::tally_read`], and `words_processed` / `containers_*` are the
+//! sum of those tallies. The plain, WAH and BBC backends tally the
+//! uncompressed `⌈n/64⌉` words per read (the unit of the paper's §6 rules);
+//! the adaptive backend tallies the container payload it stores. An
+//! accumulator is a plain vector, so as an operand it is charged `⌈n/64⌉`
+//! words and no container, whatever backend the index is stored in.
 
 use crate::index::{BitmapIndex, Encoding};
-use ibis_bitvec::{BitStore, OpTally};
+use ibis_bitvec::{BitStore, BitVec64, OpTally};
 use ibis_core::parallel::ExecPool;
 use ibis_core::{Error, RangeQuery, Result, WorkCounters};
 
-/// Folds a read tally into the query's work counters.
-fn charge(cost: &mut WorkCounters, t: OpTally) {
+fn charge_read<S: BitStore>(b: &S, cost: &mut WorkCounters) {
+    let mut t = OpTally::default();
+    b.tally_read(&mut t);
     cost.words_processed = cost.words_processed.saturating_add(t.words as usize);
     cost.containers_array = cost.containers_array.saturating_add(t.array as usize);
     cost.containers_bitmap = cost.containers_bitmap.saturating_add(t.bitmap as usize);
     cost.containers_run = cost.containers_run.saturating_add(t.run as usize);
 }
 
-fn charge_read<B: BitStore>(b: &B, cost: &mut WorkCounters) {
-    let mut t = OpTally::default();
-    b.tally_read(&mut t);
-    charge(cost, t);
-}
-
-/// Copies a stored bitmap that is itself (the start of) an answer.
-pub fn fetch<B: BitStore>(b: &B, cost: &mut WorkCounters) -> B {
-    charge_read(b, cost);
-    b.clone()
-}
-
-fn binary<B: BitStore>(a: &B, b: &B, cost: &mut WorkCounters, f: fn(&B, &B) -> B) -> B {
+/// One logical operation reading both of its operands.
+fn charge_op<S: BitStore, T: BitStore>(a: &S, b: &T, cost: &mut WorkCounters) {
     cost.op();
     charge_read(a, cost);
     charge_read(b, cost);
-    f(a, b)
 }
 
-/// `a AND b`, charged as one logical op reading both operands.
-pub fn and<B: BitStore>(a: &B, b: &B, cost: &mut WorkCounters) -> B {
-    binary(a, b, cost, B::and)
+/// Starts an accumulator from a stored bitmap that is itself (the start
+/// of) an answer, charged as one read.
+pub fn load<S: BitStore>(b: &S, cost: &mut WorkCounters) -> BitVec64 {
+    charge_read(b, cost);
+    b.to_bitvec()
 }
 
-/// `a OR b`, charged as one logical op reading both operands.
-pub fn or<B: BitStore>(a: &B, b: &B, cost: &mut WorkCounters) -> B {
-    binary(a, b, cost, B::or)
+/// `acc |= b` for a stored bitmap or another accumulator `b`, charged as
+/// one logical op reading both operands.
+pub fn or_into<S: BitStore>(acc: &mut BitVec64, b: &S, cost: &mut WorkCounters) {
+    charge_op(acc, b, cost);
+    acc.or_assign(b);
 }
 
-/// `a XOR b`, charged as one logical op reading both operands.
-pub fn xor<B: BitStore>(a: &B, b: &B, cost: &mut WorkCounters) -> B {
-    binary(a, b, cost, B::xor)
+/// `acc &= b`; charged like [`or_into`].
+pub fn and_into<S: BitStore>(acc: &mut BitVec64, b: &S, cost: &mut WorkCounters) {
+    charge_op(acc, b, cost);
+    acc.and_assign(b);
 }
 
-/// `NOT a`, charged as one logical op reading its operand.
-pub fn not<B: BitStore>(a: &B, cost: &mut WorkCounters) -> B {
-    cost.op();
-    charge_read(a, cost);
-    a.not()
+/// `acc ^= b`; charged like [`or_into`].
+pub fn xor_into<S: BitStore>(acc: &mut BitVec64, b: &S, cost: &mut WorkCounters) {
+    charge_op(acc, b, cost);
+    acc.xor_assign(b);
 }
 
-/// ORs a sequence of stored bitmaps, counting each as one bitmap read —
-/// the shared inner step of equality-style interval evaluation.
-pub fn or_all<'a, B: BitStore + 'a>(
-    bitmaps: impl Iterator<Item = &'a B>,
+/// One logical op over two stored bitmaps: `a` is decoded into a fresh
+/// accumulator and `b` combined into it, both charged as operands.
+fn of_stored<S: BitStore>(
+    a: &S,
+    b: &S,
     cost: &mut WorkCounters,
-) -> Option<B> {
-    let mut acc: Option<B> = None;
+    combine: fn(&mut BitVec64, &S),
+) -> BitVec64 {
+    charge_op(a, b, cost);
+    let mut acc = a.to_bitvec();
+    combine(&mut acc, b);
+    acc
+}
+
+/// `a OR b` of two stored bitmaps as a fresh accumulator, charged as one
+/// logical op reading both operands.
+pub fn or<S: BitStore>(a: &S, b: &S, cost: &mut WorkCounters) -> BitVec64 {
+    of_stored(a, b, cost, BitVec64::or_assign)
+}
+
+/// `a AND b` of two stored bitmaps; charged like [`or`].
+pub fn and<S: BitStore>(a: &S, b: &S, cost: &mut WorkCounters) -> BitVec64 {
+    of_stored(a, b, cost, BitVec64::and_assign)
+}
+
+/// `a XOR b` of two stored bitmaps; charged like [`or`].
+pub fn xor<S: BitStore>(a: &S, b: &S, cost: &mut WorkCounters) -> BitVec64 {
+    of_stored(a, b, cost, BitVec64::xor_assign)
+}
+
+/// `NOT acc` in place (the tail past the last row stays clear), charged as
+/// one logical op reading its operand.
+pub fn not(acc: &mut BitVec64, cost: &mut WorkCounters) {
+    cost.op();
+    charge_read(acc, cost);
+    acc.not_assign();
+}
+
+/// `NOT b` of a stored bitmap as a fresh accumulator, charged as one
+/// logical op reading its operand.
+pub fn complement<S: BitStore>(b: &S, cost: &mut WorkCounters) -> BitVec64 {
+    cost.op();
+    charge_read(b, cost);
+    let mut acc = b.to_bitvec();
+    acc.not_assign();
+    acc
+}
+
+/// ORs a sequence of stored bitmaps into one accumulator, counting each as
+/// one bitmap read — the shared inner step of equality-style interval
+/// evaluation, and the many-operand OR of FastBit: however long the
+/// sequence, one allocation and no compressed intermediate.
+pub fn or_all<'a, S: BitStore + 'a>(
+    mut bitmaps: impl Iterator<Item = &'a S>,
+    cost: &mut WorkCounters,
+) -> Option<BitVec64> {
+    let first = bitmaps.next()?;
+    cost.read_bitmap();
+    let mut acc = load(first, cost);
     for b in bitmaps {
         cost.read_bitmap();
-        acc = Some(match acc {
-            None => fetch(b, cost),
-            Some(x) => or(&x, b, cost),
-        });
+        or_into(&mut acc, b, cost);
+    }
+    Some(acc)
+}
+
+/// The last step of the AND-reduce when rows are wanted: completes the
+/// fold and keeps the bitmap.
+pub(crate) fn and_rows(
+    mut acc: BitVec64,
+    last: Option<&BitVec64>,
+    cost: &mut WorkCounters,
+) -> BitVec64 {
+    if let Some(last) = last {
+        and_into(&mut acc, last, cost);
     }
     acc
 }
 
-/// Evaluates `query` over `ix` with up to `threads` workers, returning the
-/// final bitmap (`None` for an empty search key: all rows match) and the
-/// work counters. Rows and counters are identical at every degree.
+/// The last step of the AND-reduce when only the count is wanted: the same
+/// logical op on the same operands, fused with the population count, so no
+/// final bitmap is built.
+pub(crate) fn and_count(acc: BitVec64, last: Option<&BitVec64>, cost: &mut WorkCounters) -> usize {
+    match last {
+        Some(last) => {
+            charge_op(&acc, last, cost);
+            acc.and_count(last)
+        }
+        None => acc.count_ones(),
+    }
+}
+
+/// Evaluates `query` over `ix` with up to `threads` workers, returning what
+/// `finish` makes of the AND-reduce's last step (`None` for an empty search
+/// key: all rows match) and the work counters. Rows and counters are
+/// identical at every degree.
 ///
 /// Each per-predicate interval evaluation runs under a `bitmap.fetch` span
 /// (fanned over the pool, each accruing into its own counters before an
 /// ordered merge) and the AND of the per-predicate answers under one
 /// `bitmap.and_reduce` span; both carry their counter deltas, so a profile's
 /// phases sum exactly to the query's final counters. The reduce is a left
-/// fold in predicate order at every degree: a tree reduce would combine
-/// different *intermediate* shapes, and the measured tallies would then
-/// depend on the thread count. It is `k − 1` ANDs over already-combined
-/// answers — the cheap tail of the query.
-pub(crate) fn run<E: Encoding, B: BitStore>(
+/// fold in predicate order at every degree — `k − 1` in-place ANDs over the
+/// per-predicate accumulators, the cheap tail of the query — and its last
+/// AND is `finish(acc, last, cost)`, with `last` absent for a one-predicate
+/// key: [`and_rows`] or [`and_count`].
+pub(crate) fn run<E: Encoding, B: BitStore, T>(
     ix: &BitmapIndex<E, B>,
     query: &RangeQuery,
     threads: usize,
-) -> Result<(Option<B>, WorkCounters)> {
+    finish: impl FnOnce(BitVec64, Option<&BitVec64>, &mut WorkCounters) -> T,
+) -> Result<(Option<T>, WorkCounters)> {
     let policy = query.policy();
     if !E::supports(policy) {
         return Err(Error::UnsupportedPolicy {
@@ -123,19 +204,30 @@ pub(crate) fn run<E: Encoding, B: BitStore>(
         c.record_into(&mut span);
         (b, c)
     });
-    let mut partials = partials.into_iter();
-    let Some((first, mut cost)) = partials.next() else {
-        return Ok((None, WorkCounters::zero()));
+    let mut cost = WorkCounters::zero();
+    let mut answers: Vec<BitVec64> = Vec::with_capacity(partials.len());
+    for (b, c) in partials {
+        cost += c;
+        answers.push(b);
+    }
+    let last = if answers.len() > 1 {
+        answers.pop()
+    } else {
+        None
+    };
+    let mut answers = answers.into_iter();
+    let Some(mut acc) = answers.next() else {
+        return Ok((None, cost));
     };
     let mut span = ibis_obs::span("bitmap.and_reduce");
     let mut reduce_cost = WorkCounters::zero();
-    let acc = partials.fold(first, |a, (b, c)| {
-        cost += c;
-        and(&a, &b, &mut reduce_cost)
-    });
+    for b in answers {
+        and_into(&mut acc, &b, &mut reduce_cost);
+    }
+    let out = finish(acc, last.as_ref(), &mut reduce_cost);
     reduce_cost.record_into(&mut span);
     cost += reduce_cost;
-    Ok((Some(acc), cost))
+    Ok((Some(out), cost))
 }
 
 #[cfg(test)]

@@ -48,16 +48,17 @@ pub trait Encoding: Copy + std::fmt::Debug + Send + Sync + 'static {
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B>;
 
     /// Answers one in-domain interval over one attribute of an `n_rows`-row
-    /// index. Every stored bitmap read and every logical operation goes
-    /// through the charged operations of [`crate::engine`], so `cost`
-    /// carries the work.
+    /// index, as a plain accumulator the stored bitmaps were combined into.
+    /// Every stored bitmap read and every logical operation goes through
+    /// the charged operations of [`crate::engine`], so `cost` carries the
+    /// work.
     fn interval<B: BitStore>(
         a: &AttrBitmaps<B>,
         n_rows: usize,
         iv: Interval,
         policy: MissingPolicy,
         cost: &mut WorkCounters,
-    ) -> B;
+    ) -> BitVec64;
 
     /// The planner's §6 estimate: stored-bitmap reads for an interval of
     /// `w` values over a domain of `c`, given the attribute's
@@ -237,7 +238,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
         iv: Interval,
         policy: MissingPolicy,
         cost: &mut WorkCounters,
-    ) -> B {
+    ) -> BitVec64 {
         let a = &self.attrs[attr];
         assert!(
             iv.lo >= 1 && iv.hi <= a.cardinality,
@@ -298,7 +299,7 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, WorkCounters)> {
-        let (acc, cost) = engine::run(self, query, threads)?;
+        let (acc, cost) = engine::run(self, query, threads, engine::and_rows)?;
         let rows = match acc {
             None => RowSet::all(self.n_rows as u32),
             Some(b) => RowSet::from_sorted(b.ones_positions()),
@@ -310,11 +311,11 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
         BitmapIndex::size_bytes(self)
     }
 
-    // A COUNT(*) straight off the final bitmap's population count: no row
-    // ids are materialized.
+    // A COUNT(*) with the last AND fused into the population count:
+    // neither the final bitmap nor any row id is materialized.
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        let (acc, _) = engine::run(self, query, 1)?;
-        Ok(acc.map_or(self.n_rows, |b| b.count_ones()))
+        let (count, _) = engine::run(self, query, 1, engine::and_count)?;
+        Ok(count.unwrap_or(self.n_rows))
     }
 
     // The encoding's per-predicate read estimate summed over the search key

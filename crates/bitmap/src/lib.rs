@@ -41,12 +41,16 @@
 //! the workspace-level integration suite.
 //!
 //! Every encoding on every backend runs through one query driver
-//! ([`engine`]) and reports its work in one [`ibis_core::WorkCounters`]:
+//! ([`engine`]), which evaluates into plain [`BitVec64`] accumulators — a
+//! stored bitmap, whatever its backend, is an operand that combines itself
+//! into one in place, and a count never builds row ids or even the final
+//! bitmap — and reports its work in one [`ibis_core::WorkCounters`]:
 //! `bitmaps_accessed` and `logical_ops` are the paper's own §6 quantities,
 //! and `words_processed` (plus the `containers_*` shape counts) is the sum
-//! of [`ibis_bitvec::BitStore::tally_read`] over every bitmap an operation
-//! read — the uncompressed `⌈n/64⌉` words for the plain, WAH and BBC
-//! backends, the stored container payload for [`ibis_bitvec::Adaptive`].
+//! of [`ibis_bitvec::BitStore::tally_read`] over every operand an operation
+//! read — the uncompressed `⌈n/64⌉` words for an accumulator and for the
+//! plain, WAH and BBC backends, the stored container payload for
+//! [`ibis_bitvec::Adaptive`].
 //!
 //! ```
 //! use ibis_bitmap::RangeBitmapIndex;
@@ -75,7 +79,7 @@
 //!
 //! ```
 //! use ibis_bitmap::{engine, AttrBitmaps, BitmapIndex, Encoding, Equality, EqualityBitmapIndex};
-//! use ibis_bitvec::{BitStore, Wah};
+//! use ibis_bitvec::{BitStore, BitVec64, Wah};
 //! use ibis_core::{AccessMethod, Cell, Column, Dataset, Interval, MissingPolicy, WorkCounters};
 //! # use ibis_core::{Predicate, RangeQuery};
 //!
@@ -88,7 +92,7 @@
 //!     fn stored_count(c: u16, _param: u16, _has_b0: bool) -> Option<usize> { Some(c as usize) }
 //!     fn reads_for(w: f64, _c: f64, _param: u16) -> f64 { w + 1.0 }
 //!     fn interval<B: BitStore>(a: &AttrBitmaps<B>, _n_rows: usize, iv: Interval,
-//!                              policy: MissingPolicy, cost: &mut WorkCounters) -> B {
+//!                              policy: MissingPolicy, cost: &mut WorkCounters) -> BitVec64 {
 //!         let in_range = a.stored[iv.lo as usize - 1..iv.hi as usize].iter();
 //!         let b0 = a.missing.iter().filter(|_| policy == MissingPolicy::IsMatch);
 //!         engine::or_all(in_range.chain(b0), cost).expect("lo ≤ hi")

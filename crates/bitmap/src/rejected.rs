@@ -19,7 +19,7 @@
 
 use crate::engine;
 use crate::index::{AttrBitmaps, BitmapIndex, Encoding};
-use ibis_bitvec::BitStore;
+use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
 /// Equality bitmaps with missing rows encoded as 1 in every value bitmap.
@@ -78,7 +78,7 @@ fn smaller_side<B: BitStore>(
     n_rows: usize,
     iv: Interval,
     cost: &mut WorkCounters,
-) -> (B, bool) {
+) -> (BitVec64, bool) {
     let c = a.cardinality as usize;
     let (v1, v2) = (iv.lo as usize, iv.hi as usize);
     // Choose the smaller bitmap set (the paper's prose: complement when
@@ -92,8 +92,11 @@ fn smaller_side<B: BitStore>(
     } else {
         let outside = a.stored[..v1 - 1].iter().chain(a.stored[v2..].iter());
         let neg = match engine::or_all(outside, cost) {
-            Some(x) => engine::not(&x, cost),
-            None => B::ones(n_rows),
+            Some(mut acc) => {
+                engine::not(&mut acc, cost);
+                acc
+            }
+            None => BitVec64::ones(n_rows),
         };
         (neg, true)
     }
@@ -124,17 +127,16 @@ impl Encoding for MissingAsOnes {
         iv: Interval,
         _policy: MissingPolicy,
         cost: &mut WorkCounters,
-    ) -> B {
-        let (acc, complemented) = smaller_side(a, n_rows, iv, cost);
+    ) -> BitVec64 {
+        let (mut acc, complemented) = smaller_side(a, n_rows, iv, cost);
         if complemented && a.param == 1 && a.cardinality >= 2 {
             // Recovery: missing = B_1 AND B_2 (both all-ones on missing
             // rows, disjoint on present rows).
             cost.read_bitmaps(2);
             let missing = engine::and(&a.stored[0], &a.stored[1], cost);
-            engine::or(&acc, &missing, cost)
-        } else {
-            acc
+            engine::or_into(&mut acc, &missing, cost);
         }
+        acc
     }
 
     // Like BEE, but the complement path pays the recovery (two extra reads
@@ -184,14 +186,13 @@ impl Encoding for MissingAsZeros {
         iv: Interval,
         _policy: MissingPolicy,
         cost: &mut WorkCounters,
-    ) -> B {
-        let (acc, complemented) = smaller_side(a, n_rows, iv, cost);
+    ) -> BitVec64 {
+        let (mut acc, complemented) = smaller_side(a, n_rows, iv, cost);
         if complemented && a.param == 1 {
             let present = engine::or_all(a.stored.iter(), cost).expect("c ≥ 1");
-            engine::and(&acc, &present, cost)
-        } else {
-            acc
+            engine::and_into(&mut acc, &present, cost);
         }
+        acc
     }
 
     // The complement path re-derives the present mask from all C value

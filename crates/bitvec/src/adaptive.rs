@@ -14,14 +14,24 @@
 //! * **run** — sorted `(start, end)` intervals; chosen for clustered
 //!   chunks at 4 bytes per run.
 //!
-//! Logical operations dispatch on the container *pair* (array∩array is a
-//! sorted merge, array∩bitmap probes bits, bitmap∩bitmap is one u64×8
-//! kernel pass, runs intersect as intervals) and every result is
-//! re-optimized, so the representation keeps adapting as predicates
-//! combine. [`BitStore::tally_read`] reports exactly what a read of the
-//! vector touches — payload words and containers by shape — and the
-//! bitmap query driver sums that [`OpTally`] over every operand into the
-//! work counters `ibis query --profile` surfaces.
+//! A container's shape is chosen when the vector is *stored*. The bitmap
+//! query driver never builds an adaptive intermediate: it evaluates into a
+//! plain word accumulator and each stored operand combines itself into it
+//! ([`BitStore::or_into`], [`and_into`](BitStore::and_into),
+//! [`xor_into`](BitStore::xor_into)) container by container — an array sets,
+//! keeps or flips its listed bits, a bitmap is one u64×8 kernel pass, a run
+//! is a range fill — at a cost that follows the container's payload, not
+//! the 2^16 positions it covers. [`BitStore::tally_read`] reports exactly
+//! what such a read touches — payload words and containers by shape — and
+//! the driver sums that [`OpTally`] over every operand into the work
+//! counters `ibis query --profile` surfaces.
+//!
+//! The container-to-container operations ([`BitStore::and`],
+//! [`or`](BitStore::or), [`xor`](BitStore::xor), [`not`](BitStore::not))
+//! remain for callers that want an adaptive result: they dispatch on the
+//! container *pair* (array∩array is a sorted merge, array∩bitmap probes
+//! bits, bitmap∩bitmap is one kernel pass, runs intersect as intervals) and
+//! re-apply the adaptation rule to what they produce.
 //!
 //! ```
 //! use ibis_bitvec::{Adaptive, BitStore, BitVec64, ContainerKind, OpTally};
@@ -162,17 +172,21 @@ fn words_to_runs(words: &[u64]) -> Vec<(u16, u16)> {
     starts.into_iter().zip(ends).collect()
 }
 
-fn set_range(words: &mut [u64], start: usize, end: usize) {
-    let (ws, we) = (start / 64, end / 64);
-    if ws == we {
-        words[ws] |= (!0u64 << (start % 64)) & (!0u64 >> (63 - end % 64));
-        return;
+/// Sets the bits of the inclusive run `start..=end`.
+fn set_run(words: &mut [u64], start: u16, end: u16) {
+    kernel::apply_range(words, start as usize, end as usize + 1, |w, m| w | m);
+}
+
+/// Clears every bit of `chunk` outside the ascending, disjoint inclusive
+/// `runs`: the gaps between them go as ranges, the runs are left alone.
+fn keep_runs(chunk: &mut [u64], runs: impl Iterator<Item = (u16, u16)>) {
+    let clear = |chunk: &mut [u64], from, to| kernel::apply_range(chunk, from, to, |w, m| w & !m);
+    let mut settled = 0usize;
+    for (s, e) in runs {
+        clear(chunk, settled, s as usize);
+        settled = e as usize + 1;
     }
-    words[ws] |= !0u64 << (start % 64);
-    for w in &mut words[ws + 1..we] {
-        *w = !0;
-    }
-    words[we] |= !0u64 >> (63 - end % 64);
+    clear(chunk, settled, chunk.len() * 64);
 }
 
 impl Container {
@@ -191,18 +205,57 @@ impl Container {
     fn write_words(&self, out: &mut [u64]) {
         debug_assert_eq!(out.len(), CHUNK_WORDS);
         out.fill(0);
+        self.or_into(out);
+    }
+
+    /// `chunk |= self`, where `chunk` is this container's (possibly short,
+    /// for the vector's last chunk) window of an accumulator. Positions are
+    /// always below the chunk's valid bits, so nothing lands past it.
+    fn or_into(&self, chunk: &mut [u64]) {
         match self {
             Container::Array(v) => {
                 for &p in v {
-                    out[p as usize / 64] |= 1u64 << (p % 64);
+                    chunk[p as usize / 64] |= 1u64 << (p % 64);
                 }
             }
-            Container::Bitmap(w) => out.copy_from_slice(w),
+            Container::Bitmap(w) => {
+                kernel::zip_words_in_place(chunk, &w[..chunk.len()], |a, b| a | b)
+            }
             Container::Run(runs) => {
                 for &(s, e) in runs {
-                    set_range(out, s as usize, e as usize);
+                    set_run(chunk, s, e);
                 }
             }
+        }
+    }
+
+    /// `chunk ^= self`; see [`Container::or_into`].
+    fn xor_into(&self, chunk: &mut [u64]) {
+        match self {
+            Container::Array(v) => {
+                for &p in v {
+                    chunk[p as usize / 64] ^= 1u64 << (p % 64);
+                }
+            }
+            Container::Bitmap(w) => {
+                kernel::zip_words_in_place(chunk, &w[..chunk.len()], |a, b| a ^ b)
+            }
+            Container::Run(runs) => {
+                for &(s, e) in runs {
+                    kernel::apply_range(chunk, s as usize, e as usize + 1, |w, m| w ^ m);
+                }
+            }
+        }
+    }
+
+    /// `chunk &= self`; see [`Container::or_into`].
+    fn and_into(&self, chunk: &mut [u64]) {
+        match self {
+            Container::Array(v) => keep_runs(chunk, v.iter().map(|&p| (p, p))),
+            Container::Bitmap(w) => {
+                kernel::zip_words_in_place(chunk, &w[..chunk.len()], |a, b| a & b)
+            }
+            Container::Run(runs) => keep_runs(chunk, runs.iter().copied()),
         }
     }
 
@@ -320,7 +373,7 @@ impl Container {
             (Bitmap(w), Run(runs)) | (Run(runs), Bitmap(w)) => {
                 let mut out = vec![0u64; CHUNK_WORDS];
                 for &(s, e) in runs {
-                    set_range(&mut out, s as usize, e as usize);
+                    set_run(&mut out, s, e);
                 }
                 kernel::zip_words_in_place(&mut out, w, |a, b| a & b);
                 Container::from_words(&out)
@@ -444,15 +497,21 @@ impl Adaptive {
 
     /// Decodes back to an uncompressed bit vector.
     pub fn decode(&self) -> BitVec64 {
-        let mut words = vec![0u64; self.n_bits.div_ceil(64)];
-        let mut scratch = vec![0u64; CHUNK_WORDS];
-        for (c, cont) in self.containers.iter().enumerate() {
-            cont.write_words(&mut scratch);
-            let lo = c * CHUNK_WORDS;
-            let hi = (lo + CHUNK_WORDS).min(words.len());
-            words[lo..hi].copy_from_slice(&scratch[..hi - lo]);
+        let mut out = BitVec64::zeros(self.n_bits);
+        out.or_assign(self);
+        out
+    }
+
+    /// Hands every container its window of the accumulator `acc`.
+    fn combine_into(&self, acc: &mut [u64], f: impl Fn(&Container, &mut [u64])) {
+        assert_eq!(
+            acc.len(),
+            self.n_bits.div_ceil(64),
+            "accumulator must hold the vector's uncompressed words"
+        );
+        for (cont, chunk) in self.containers.iter().zip(acc.chunks_mut(CHUNK_WORDS)) {
+            f(cont, chunk);
         }
-        BitVec64::from_raw_words(words, self.n_bits).expect("containers stay within bounds")
     }
 
     /// Number of chunk containers (`⌈len / 2^16⌉`).
@@ -580,6 +639,18 @@ impl BitStore for Adaptive {
                 *w = !*w;
             }
         })
+    }
+
+    fn or_into(&self, acc: &mut [u64]) {
+        self.combine_into(acc, Container::or_into);
+    }
+
+    fn and_into(&self, acc: &mut [u64]) {
+        self.combine_into(acc, Container::and_into);
+    }
+
+    fn xor_into(&self, acc: &mut [u64]) {
+        self.combine_into(acc, Container::xor_into);
     }
 
     fn count_ones(&self) -> usize {
@@ -1041,12 +1112,12 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
 
     /// Mixed-texture vectors: per-chunk biased fills, runs and scatters.
-    fn arb_textured() -> impl Strategy<Value = BitVec64> {
+    pub(crate) fn arb_textured() -> impl Strategy<Value = BitVec64> {
         (
             1usize..(2 * CHUNK_BITS + 1234),
             proptest::collection::vec((0usize..3, any::<u64>()), 1..4),

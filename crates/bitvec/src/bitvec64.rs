@@ -1,14 +1,17 @@
 //! Plain uncompressed bit vectors backed by `u64` words.
 
-use crate::kernel;
+use crate::{kernel, BitStore};
 use std::fmt;
 
 /// An uncompressed bit vector of fixed length with word-parallel logical
 /// operations.
 ///
 /// This is both a [`crate::BitStore`] backend in its own right (the
-/// "uncompressed bitmap index" ablation) and the intermediate representation
-/// every compressed store encodes from / decodes to.
+/// "uncompressed bitmap index" ablation), the intermediate representation
+/// every compressed store encodes from / decodes to, and the accumulator a
+/// bitmap query is evaluated in: [`and_assign`](BitVec64::and_assign),
+/// [`or_assign`](BitVec64::or_assign) and [`xor_assign`](BitVec64::xor_assign)
+/// take any store as their operand and let it combine itself in place.
 ///
 /// Bits beyond `len` inside the last word are kept zero by every operation
 /// (`not` masks the tail), so `count_ones`/`iter_ones` never see padding.
@@ -147,22 +150,44 @@ impl BitVec64 {
         out
     }
 
-    /// In-place AND (used by the query executors to avoid reallocating the
-    /// accumulator on every dimension).
-    pub fn and_assign(&mut self, other: &BitVec64) {
-        assert_eq!(self.len, other.len, "bit vectors must have equal length");
-        kernel::zip_words_in_place(&mut self.words, &other.words, |a, b| a & b);
+    /// In-place AND with any store: the operand combines itself into this
+    /// vector's words ([`BitStore::and_into`]), so nothing is allocated and
+    /// a compressed operand costs its compressed size.
+    pub fn and_assign<S: BitStore>(&mut self, other: &S) {
+        assert_eq!(self.len, other.len(), "bit vectors must have equal length");
+        other.and_into(&mut self.words);
     }
 
-    /// In-place OR.
-    pub fn or_assign(&mut self, other: &BitVec64) {
-        assert_eq!(self.len, other.len, "bit vectors must have equal length");
-        kernel::zip_words_in_place(&mut self.words, &other.words, |a, b| a | b);
+    /// In-place OR with any store ([`BitStore::or_into`]).
+    pub fn or_assign<S: BitStore>(&mut self, other: &S) {
+        assert_eq!(self.len, other.len(), "bit vectors must have equal length");
+        other.or_into(&mut self.words);
+    }
+
+    /// In-place XOR with any store ([`BitStore::xor_into`]).
+    pub fn xor_assign<S: BitStore>(&mut self, other: &S) {
+        assert_eq!(self.len, other.len(), "bit vectors must have equal length");
+        other.xor_into(&mut self.words);
+    }
+
+    /// In-place NOT (complement within `len`; the tail stays masked).
+    pub fn not_assign(&mut self) {
+        for w in &mut self.words {
+            *w = !*w;
+        }
+        self.mask_tail();
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         kernel::popcount_words(&self.words)
+    }
+
+    /// Set bits of `self AND other` without building the AND — the last
+    /// step of a COUNT-only query.
+    pub fn and_count(&self, other: &BitVec64) -> usize {
+        assert_eq!(self.len, other.len, "bit vectors must have equal length");
+        kernel::and_popcount(&self.words, &other.words)
     }
 
     /// Positions of set bits, ascending.
@@ -179,6 +204,47 @@ impl BitVec64 {
                 }
             })
         })
+    }
+
+    /// Positions of set bits, ascending, as one vector — how a query's final
+    /// bitmap becomes row ids.
+    ///
+    /// Words go eight at a time, an all-zero block in one test. A word's
+    /// first two positions are taken branch-free — written whether or not a
+    /// bit is left, kept only if one was — because on a sparse answer "is
+    /// this word zero?" is a coin toss that costs more mispredicted than
+    /// the two stores do; words holding more bits finish in a loop.
+    pub fn ones_positions(&self) -> Vec<u32> {
+        const BLOCK: usize = 8;
+        let mut out: Vec<u32> = Vec::new();
+        let mut kept = 0usize; // out[..kept] are positions; the rest is scratch
+        for (bi, block) in self.words.chunks(BLOCK).enumerate() {
+            if block.iter().fold(0, |any, &w| any | w) == 0 {
+                continue;
+            }
+            // Room for every bit of the block, and the one slot a
+            // branch-free store may scribble on past the last position.
+            let need = kept + BLOCK * 64 + 1;
+            if out.len() < need {
+                out.resize(need.max(2 * out.len()), 0);
+            }
+            for (j, &word) in block.iter().enumerate() {
+                let base = ((bi * BLOCK + j) * 64) as u32;
+                let mut w = word;
+                for _ in 0..2 {
+                    out[kept] = base.wrapping_add(w.trailing_zeros());
+                    kept += usize::from(w != 0);
+                    w &= w.wrapping_sub(1);
+                }
+                while w != 0 {
+                    out[kept] = base + w.trailing_zeros();
+                    kept += 1;
+                    w &= w - 1;
+                }
+            }
+        }
+        out.truncate(kept);
+        out
     }
 
     /// Heap size of the backing storage, in bytes.
@@ -294,6 +360,30 @@ mod tests {
     }
 
     #[test]
+    fn ones_positions_match_iter_ones_at_every_density() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0usize, 1, 63, 64, 65, 511, 512, 513, 5_000] {
+            // One bit in 2^shift: from all-ones words down to mostly-zero blocks.
+            for shift in [0u32, 1, 3, 6, 9, 12] {
+                let v = BitVec64::from_ones(
+                    len,
+                    (0..len as u32).filter(|_| next().trailing_zeros() >= shift),
+                );
+                let expect: Vec<u32> = v.iter_ones().collect();
+                assert_eq!(v.ones_positions(), expect, "len {len} shift {shift}");
+                assert_eq!(v.count_ones(), expect.len());
+            }
+            assert_eq!(BitVec64::ones(len).ones_positions().len(), len);
+        }
+    }
+
+    #[test]
     fn in_place_ops_match_pure_ops() {
         let a = bv("110011");
         let b = bv("101010");
@@ -303,6 +393,12 @@ mod tests {
         let mut y = a.clone();
         y.or_assign(&b);
         assert_eq!(y, a.or(&b));
+        let mut z = a.clone();
+        z.xor_assign(&b);
+        assert_eq!(z, a.xor(&b));
+        z.not_assign();
+        assert_eq!(z, a.xor(&b).not());
+        assert_eq!(a.and_count(&b), a.and(&b).count_ones());
     }
 
     #[test]

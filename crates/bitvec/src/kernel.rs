@@ -158,6 +158,33 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
     acc.iter().sum::<u32>() as usize + tail as usize
 }
 
+/// `words[i] = op(words[i], mask)` over the bit range `start..end`, where
+/// `mask` holds the bits of word `i` that lie inside the range: how a run
+/// (a WAH fill, an adaptive run container) is combined into an accumulator
+/// — `|w, m| w | m` sets the range, `|w, m| w & !m` clears it, `|w, m| w ^ m`
+/// flips it. An empty range touches nothing.
+///
+/// # Panics
+/// Panics if `end` exceeds the slice's `64 · len` bits.
+#[inline]
+pub fn apply_range(words: &mut [u64], start: usize, end: usize, op: impl Fn(u64, u64) -> u64) {
+    if start >= end {
+        return;
+    }
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let head = !0u64 << (start % 64);
+    let tail = !0u64 >> (63 - (end - 1) % 64);
+    if first == last {
+        words[first] = op(words[first], head & tail);
+        return;
+    }
+    words[first] = op(words[first], head);
+    for w in &mut words[first + 1..last] {
+        *w = op(*w, !0);
+    }
+    words[last] = op(words[last], tail);
+}
+
 /// `out[i] = op(a[i], b[i])` over equal-length `u32` slices — the kernel
 /// behind WAH's literal-run batches, where each element is one 31-bit group.
 ///
@@ -245,6 +272,25 @@ mod tests {
             prop_assert_eq!(popcount_words(&a), pop);
             let anded: usize = a.iter().zip(&b).map(|(&x, &y)| (x & y).count_ones() as usize).sum();
             prop_assert_eq!(and_popcount(&a, &b), anded);
+        }
+
+        #[test]
+        fn apply_range_matches_bit_loop(
+            words in proptest::collection::vec(any::<u64>(), 1..6),
+            a in 0usize..400,
+            b in 0usize..400,
+        ) {
+            let bits = words.len() * 64;
+            let (start, end) = (a.min(b) % (bits + 1), a.max(b) % (bits + 1));
+            for op in [|w: u64, m: u64| w | m, |w: u64, m: u64| w & !m, |w: u64, m: u64| w ^ m] {
+                let mut expect = words.clone();
+                for i in start..end {
+                    expect[i / 64] = op(expect[i / 64], 1 << (i % 64));
+                }
+                let mut got = words.clone();
+                apply_range(&mut got, start, end, op);
+                prop_assert_eq!(got, expect);
+            }
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! The backend abstraction the bitmap indexes are generic over.
 
-use crate::BitVec64;
+use crate::{kernel, BitVec64};
 
 /// What one full read of a bit vector touches — the unit every bitmap
 /// index's `words_processed` and `containers_*` work counters are summed
@@ -31,9 +31,19 @@ impl OpTally {
 /// A fixed-length bit vector supporting the logical operations the paper's
 /// query-evaluation formulas need (OR, AND, XOR, NOT — §4.1).
 ///
-/// Implementations: [`BitVec64`] (uncompressed), [`crate::Wah`] and
-/// [`crate::Bbc`] (compressed, with operations on the compressed form).
-/// Operands of a binary operation must have equal bit length.
+/// Implementations: [`BitVec64`] (uncompressed), [`crate::Wah`],
+/// [`crate::Bbc`] and [`crate::Adaptive`] (compressed, with operations on
+/// the compressed form). Operands of a binary operation must have equal bit
+/// length.
+///
+/// There are two ways to combine vectors. [`and`](BitStore::and),
+/// [`or`](BitStore::or), [`xor`](BitStore::xor) and [`not`](BitStore::not)
+/// stay in the store's own encoding and allocate their result.
+/// [`or_into`](BitStore::or_into), [`and_into`](BitStore::and_into) and
+/// [`xor_into`](BitStore::xor_into) combine a stored vector into the words
+/// of a plain accumulator in place — what the bitmap query driver does, so
+/// that a query of `k` predicates allocates `k` accumulators however many
+/// stored bitmaps it reads.
 ///
 /// `Send + Sync` are supertraits so indexes generic over a store are
 /// shareable access methods (parallel batch execution, `Arc<dyn>`
@@ -71,6 +81,28 @@ pub trait BitStore: Clone + Send + Sync {
     /// Bitwise NOT within the vector's length.
     fn not(&self) -> Self;
 
+    /// `acc |= self`, decoding as it goes: `acc` holds the `⌈len / 64⌉`
+    /// words of a plain vector of the same length. Stores override the
+    /// default (a full decode) with a walk over their encoded form, so the
+    /// cost follows the *compressed* size; no implementation may let a bit
+    /// at position `≥ len` reach `acc`.
+    ///
+    /// # Panics
+    /// Panics if `acc` is not `⌈len / 64⌉` words long.
+    fn or_into(&self, acc: &mut [u64]) {
+        kernel::zip_words_in_place(acc, self.to_bitvec().words(), |a, b| a | b);
+    }
+
+    /// `acc &= self`; see [`BitStore::or_into`].
+    fn and_into(&self, acc: &mut [u64]) {
+        kernel::zip_words_in_place(acc, self.to_bitvec().words(), |a, b| a & b);
+    }
+
+    /// `acc ^= self`; see [`BitStore::or_into`].
+    fn xor_into(&self, acc: &mut [u64]) {
+        kernel::zip_words_in_place(acc, self.to_bitvec().words(), |a, b| a ^ b);
+    }
+
     /// Number of set bits.
     fn count_ones(&self) -> usize;
 
@@ -90,9 +122,9 @@ pub trait BitStore: Clone + Send + Sync {
     fn read_from(r: &mut dyn std::io::Read) -> std::io::Result<Self>;
 
     /// Accounts one full read of this vector into `tally`. The bitmap query
-    /// driver calls this for every stored bitmap it copies and every
-    /// operand of a logical operation, so the reported work is measured
-    /// where it happens.
+    /// driver calls this for every stored bitmap it loads and every
+    /// operand of a logical operation — its plain accumulators included —
+    /// so the reported work is measured where it happens.
     ///
     /// The default charges the uncompressed `⌈len / 64⌉` words — the bound
     /// the paper's §6 cost rules are stated in, and what the plain, WAH and
@@ -152,12 +184,24 @@ impl BitStore for BitVec64 {
         self.not()
     }
 
+    fn or_into(&self, acc: &mut [u64]) {
+        kernel::zip_words_in_place(acc, self.words(), |a, b| a | b);
+    }
+
+    fn and_into(&self, acc: &mut [u64]) {
+        kernel::zip_words_in_place(acc, self.words(), |a, b| a & b);
+    }
+
+    fn xor_into(&self, acc: &mut [u64]) {
+        kernel::zip_words_in_place(acc, self.words(), |a, b| a ^ b);
+    }
+
     fn count_ones(&self) -> usize {
         self.count_ones()
     }
 
     fn ones_positions(&self) -> Vec<u32> {
-        self.iter_ones().collect()
+        self.ones_positions()
     }
 
     fn size_bytes(&self) -> usize {
@@ -297,5 +341,112 @@ mod persist_tests {
         // Claim a longer bitmap than the payload covers.
         buf[0] = buf[0].wrapping_add(64);
         assert!(<Wah as BitStore>::read_from(&mut buf.as_slice()).is_err());
+    }
+}
+
+/// The accumulator forms against the plain operations, for every store.
+#[cfg(test)]
+mod into_tests {
+    use super::*;
+    use crate::adaptive::proptests::arb_textured;
+    use crate::wah::proptests::arb_runny;
+    use crate::{Adaptive, Bbc, Wah};
+    use proptest::prelude::*;
+
+    /// `acc op= stored` must equal `acc op plain` on plain vectors, where
+    /// `stored` holds the bits of `plain`.
+    fn check_store<B: BitStore>(stored: &B, plain: &BitVec64, acc: &BitVec64) {
+        let what = format!("{} len {}", B::backend_name(), acc.len());
+        let mut got = acc.clone();
+        got.or_assign(stored);
+        assert_eq!(got, acc.or(plain), "or_into {what}");
+        let mut got = acc.clone();
+        got.and_assign(stored);
+        assert_eq!(got, acc.and(plain), "and_into {what}");
+        let mut got = acc.clone();
+        got.xor_assign(stored);
+        assert_eq!(got, acc.xor(plain), "xor_into {what}");
+    }
+
+    /// The operand as stored and its complement — over WAH the complement's
+    /// final group carries padding ones.
+    fn check<B: BitStore>(operand: &BitVec64, acc: &BitVec64) {
+        let stored = B::from_bitvec(operand);
+        check_store(&stored.not(), &operand.not(), acc);
+        check_store(&stored, operand, acc);
+    }
+
+    fn check_all_stores(operand: &BitVec64, acc: &BitVec64) {
+        check::<BitVec64>(operand, acc);
+        check::<Wah>(operand, acc);
+        check::<Bbc>(operand, acc);
+        check::<Adaptive>(operand, acc);
+    }
+
+    /// `v` cut or zero-extended to `len` bits.
+    fn resized(v: &BitVec64, len: usize) -> BitVec64 {
+        BitVec64::from_ones(len, v.iter_ones().filter(|&p| (p as usize) < len))
+    }
+
+    #[test]
+    fn into_ops_match_plain_at_the_boundary_lengths() {
+        // Around the 31-bit group, the 64-bit word and the 2^16-bit chunk.
+        for len in [
+            0,
+            1,
+            31,
+            62,
+            63,
+            64,
+            65,
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 16) + 1,
+        ] {
+            let every = |step: usize| BitVec64::from_ones(len, (0..len as u32).step_by(step));
+            let mut runs = BitVec64::zeros(len);
+            for i in (0..len).filter(|i| (i / 97) % 3 == 0 || (40_000..50_000).contains(i)) {
+                runs.set(i, true);
+            }
+            let operands = [BitVec64::zeros(len), every(1), every(2), every(1009), runs];
+            for operand in &operands {
+                for acc in [every(3), BitVec64::ones(len), BitVec64::zeros(len)] {
+                    check_all_stores(operand, &acc);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padding_ones_of_a_grown_wah_vector_stay_out_of_the_accumulator() {
+        // The `push_after_not_masks_padding` shape: NOT leaves ones in the
+        // final group's padding, and a push turns part of it into real bits.
+        let mut plain = BitVec64::from_ones(40, [0u32, 5]).not();
+        let mut w = Wah::encode(&BitVec64::from_ones(40, [0u32, 5])).not();
+        w.push_bit(false);
+        plain.push_bit(false);
+        check_store(&w, &plain, &BitVec64::from_ones(41, [1u32, 5, 40]));
+    }
+
+    #[test]
+    #[should_panic(expected = "equal length")]
+    fn a_shorter_operand_is_refused() {
+        BitVec64::zeros(65).or_assign(&Wah::encode(&BitVec64::zeros(64)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn into_ops_match_plain_on_textured(a in arb_textured(), b in arb_textured()) {
+            let len = a.len().min(b.len());
+            check_all_stores(&resized(&a, len), &resized(&b, len));
+        }
+
+        #[test]
+        fn into_ops_match_plain_on_runny(a in arb_runny(4000), b in arb_runny(4000)) {
+            let len = a.len().min(b.len());
+            check_all_stores(&resized(&a, len), &resized(&b, len));
+        }
     }
 }

@@ -104,32 +104,65 @@ impl Wah {
     /// Decodes to an uncompressed bit vector.
     pub fn decode(&self) -> BitVec64 {
         let mut out = BitVec64::zeros(self.n_bits);
-        let mut group = 0usize;
+        out.or_assign(self);
+        out
+    }
+
+    /// Combines this vector into the words of a plain accumulator in one
+    /// walk over the encoding: `word = f(word, bits, window)`, where `window`
+    /// masks the positions of `word` the call covers and `bits` holds this
+    /// vector's values there. Literals are shifted into a pending word that
+    /// is combined once it is full, so a run of them costs one read-modify-
+    /// write per 64 bits; a fill is one [`kernel::apply_range`] over its
+    /// span — skipped outright when its value is `identity_fill`, the
+    /// operation's neutral element. Both are clamped to `n_bits`, so the
+    /// padding of the final group (ones after a [`Wah::not`]) never reaches
+    /// `acc`.
+    fn combine_into(&self, acc: &mut [u64], identity_fill: bool, f: impl Fn(u64, u64, u64) -> u64) {
+        assert_eq!(
+            acc.len(),
+            self.n_bits.div_ceil(64),
+            "accumulator must hold the vector's uncompressed words"
+        );
+        // Literal bits not yet combined: `pending` holds offsets
+        // `from..start % 64` of word `start / 64`.
+        let (mut pending, mut from) = (0u64, 0usize);
+        let mut start = 0usize; // first bit of the next group
+        let flush_partial = |acc: &mut [u64], pending: u64, from: usize, end: usize| {
+            let off = end % 64;
+            if off > from {
+                let window = (!0u64 << from) & ((1u64 << off) - 1);
+                acc[end / 64] = f(acc[end / 64], pending & window, window);
+            }
+        };
         for &w in &self.words {
             if w & FILL_FLAG != 0 {
-                let count = (w & FILL_COUNT_MASK) as usize;
-                if w & FILL_VALUE_FLAG != 0 {
-                    let start = group * GROUP_BITS;
-                    let end = ((group + count) * GROUP_BITS).min(self.n_bits);
-                    for i in start..end {
-                        out.set(i, true);
-                    }
+                flush_partial(acc, pending, from, start);
+                let span = (w & FILL_COUNT_MASK) as usize * GROUP_BITS;
+                let end = (start + span).min(self.n_bits);
+                let ones = w & FILL_VALUE_FLAG != 0;
+                if ones != identity_fill {
+                    kernel::apply_range(acc, start, end, |word, m| {
+                        f(word, if ones { m } else { 0 }, m)
+                    });
                 }
-                group += count;
+                start = end;
+                (pending, from) = (0, start % 64);
             } else {
-                let base = group * GROUP_BITS;
-                let mut bits = w & LITERAL_MASK;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if base + j < self.n_bits {
-                        out.set(base + j, true);
-                    }
+                // Only the vector's last group can be short of GROUP_BITS.
+                let valid = (self.n_bits - start).min(GROUP_BITS);
+                let group = w as u64 & ((1u64 << valid) - 1);
+                let off = start % 64;
+                pending |= group << off;
+                if off + valid >= 64 {
+                    // The word is complete; what spilled starts the next.
+                    acc[start / 64] = f(acc[start / 64], pending, !0u64 << from);
+                    (pending, from) = ((group >> 1) >> (63 - off), 0);
                 }
-                group += 1;
+                start += GROUP_BITS;
             }
         }
-        out
+        flush_partial(acc, pending, from, start.min(self.n_bits));
     }
 
     /// Bitwise AND over the compressed form.
@@ -560,6 +593,18 @@ impl BitStore for Wah {
         self.not()
     }
 
+    fn or_into(&self, acc: &mut [u64]) {
+        self.combine_into(acc, false, |w, bits, _| w | bits);
+    }
+
+    fn and_into(&self, acc: &mut [u64]) {
+        self.combine_into(acc, true, |w, bits, window| w & (bits | !window));
+    }
+
+    fn xor_into(&self, acc: &mut [u64]) {
+        self.combine_into(acc, false, |w, bits, _| w ^ bits);
+    }
+
     fn count_ones(&self) -> usize {
         self.count_ones()
     }
@@ -789,7 +834,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
 
@@ -806,7 +851,7 @@ mod proptests {
     }
 
     /// Runny bitmaps (biased bits in blocks) exercise the fill paths.
-    fn arb_runny(max_len: usize) -> impl Strategy<Value = BitVec64> {
+    pub(crate) fn arb_runny(max_len: usize) -> impl Strategy<Value = BitVec64> {
         proptest::collection::vec((any::<bool>(), 1usize..200), 1..20)
             .prop_map(|runs| {
                 let total: usize = runs.iter().map(|(_, n)| n).sum();

@@ -53,15 +53,49 @@ impl RowSet {
     /// Panics (in debug builds) if the parts are not in strictly ascending
     /// order overall.
     pub fn concat_sorted(parts: impl IntoIterator<Item = RowSet>) -> RowSet {
-        let mut rows: Vec<u32> = Vec::new();
+        let mut parts = parts.into_iter();
+        // The first part's buffer is taken, not copied.
+        let mut all = parts.next().unwrap_or_default();
         for part in parts {
-            debug_assert!(
-                rows.is_empty() || part.rows.is_empty() || rows.last() < part.rows.first(),
-                "parts must be in ascending row order"
-            );
-            rows.extend_from_slice(&part.rows);
+            all.append_ascending(part.rows);
         }
-        RowSet::from_sorted(rows)
+        all
+    }
+
+    /// Appends ids that all follow the set's current last id, in ascending
+    /// order — the union with a set known to lie wholly after this one (a
+    /// shard's delta ids start where its base ids end), without a merge.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if the result is not strictly increasing.
+    pub fn append_ascending(&mut self, ids: impl IntoIterator<Item = u32>) {
+        let joint = self.rows.len().saturating_sub(1);
+        self.rows.extend(ids);
+        debug_assert!(
+            self.rows[joint..].windows(2).all(|w| w[0] < w[1]),
+            "appended rows must be strictly increasing and follow the set"
+        );
+    }
+
+    /// Removes every id that `ids` — ascending, like the set — also yields:
+    /// one merge pass in place, `O(len + ids)`, where a probe per row of a
+    /// tombstone set would be `O(len · log ids)`.
+    pub fn remove_ascending(&mut self, ids: impl IntoIterator<Item = u32>) {
+        let mut ids = ids.into_iter().peekable();
+        self.rows.retain(|&row| {
+            while ids.next_if(|&id| id < row).is_some() {}
+            ids.peek() != Some(&row)
+        });
+    }
+
+    /// Adds `by` to every id in place (a shard's local ids re-based to
+    /// global ones); the first shard's offset of 0 touches nothing.
+    pub fn shift(&mut self, by: u32) {
+        if by != 0 {
+            for row in &mut self.rows {
+                *row += by;
+            }
+        }
     }
 
     /// Number of rows in the set.
@@ -255,6 +289,33 @@ mod tests {
     fn from_iterator() {
         let s: RowSet = [5u32, 1, 5].into_iter().collect();
         assert_eq!(s.rows(), &[1, 5]);
+    }
+
+    #[test]
+    fn in_place_append_remove_and_shift() {
+        let mut a = rs(&[1, 4, 6]);
+        a.append_ascending([7, 9]);
+        a.append_ascending(std::iter::empty());
+        assert_eq!(a.rows(), &[1, 4, 6, 7, 9]);
+        // Ids absent from the set, before it and past its end are skipped.
+        a.remove_ascending([0, 4, 5, 9, 12]);
+        assert_eq!(a.rows(), &[1, 6, 7]);
+        a.remove_ascending(std::iter::empty());
+        a.shift(0);
+        assert_eq!(a.rows(), &[1, 6, 7]);
+        a.shift(10);
+        assert_eq!(a.rows(), &[11, 16, 17]);
+        let mut e = RowSet::new();
+        e.append_ascending([3]);
+        e.remove_ascending([3]);
+        assert!(e.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "follow the set")]
+    fn append_ascending_refuses_ids_inside_the_set() {
+        rs(&[1, 4]).append_ascending([4]);
     }
 
     #[test]

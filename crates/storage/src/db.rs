@@ -542,7 +542,7 @@ impl IncompleteDb {
     ) -> Result<(RowSet, WorkCounters)> {
         let winner = self.plan(query, |_| {})?;
         let method = &self.methods[winner].method;
-        let (base_rows, mut counters) = method.execute_with_cost_threads(query, threads)?;
+        let (mut rows, mut counters) = method.execute_with_cost_threads(query, threads)?;
         counters.entries_scanned = counters.entries_scanned.saturating_add(self.delta.len());
         // Delta rows are scanned with the semantic definition directly.
         let mut span = ibis_obs::span("db.delta");
@@ -550,28 +550,26 @@ impl IncompleteDb {
         // The delta scan is charged to `entries_scanned` above; record the
         // same delta on this span so per-phase attribution stays exact.
         span.add_field("entries_scanned", self.delta.len() as u64);
+        // Delta ids start where the base ids end, so the union is an append.
+        rows.append_ascending(self.delta_hits(query));
+        if !self.deleted.is_empty() {
+            rows.remove_ascending(self.deleted.iter().copied());
+        }
+        Ok((rows, counters))
+    }
+
+    /// The ids of the delta rows that satisfy `query`, ascending: each row
+    /// checked cell by cell against the semantic definition.
+    fn delta_hits<'a>(&'a self, query: &'a RangeQuery) -> impl Iterator<Item = u32> + 'a {
         let offset = self.base.n_rows() as u32;
         let policy = query.policy();
-        let delta_hits = self.delta.iter().enumerate().filter_map(|(i, row)| {
+        self.delta.iter().enumerate().filter_map(move |(i, row)| {
             let ok = query
                 .predicates()
                 .iter()
                 .all(|p| policy.cell_matches(row[p.attr], p.interval));
             ok.then_some(offset + i as u32)
-        });
-        let combined = base_rows.union(&RowSet::from_sorted(delta_hits.collect()));
-        if self.deleted.is_empty() {
-            return Ok((combined, counters));
-        }
-        Ok((
-            RowSet::from_sorted(
-                combined
-                    .iter()
-                    .filter(|r| !self.deleted.contains(r))
-                    .collect(),
-            ),
-            counters,
-        ))
+        })
     }
 
     /// Executes a batch of queries, planning each independently and fanning
@@ -596,9 +594,26 @@ impl IncompleteDb {
             .try_map(queries.iter().collect(), |q| self.execute_threads(q, 1))
     }
 
-    /// Counts matching rows.
+    /// Counts matching rows without building their ids: the planned
+    /// method's [`execute_count`](AccessMethod::execute_count) over the
+    /// base, plus the delta rows that match and are alive, minus the
+    /// tombstoned base rows that match — the last two checked cell by cell,
+    /// a handful of rows.
     pub fn count(&self, query: &RangeQuery) -> Result<usize> {
-        Ok(self.execute(query)?.len())
+        let winner = self.plan(query, |_| {})?;
+        let base = self.methods[winner].method.execute_count(query)?;
+        let mut span = ibis_obs::span("db.delta");
+        span.add_field("delta_rows", self.delta.len() as u64);
+        let delta_live = self
+            .delta_hits(query)
+            .filter(|id| !self.deleted.contains(id))
+            .count();
+        let base_dead = self
+            .deleted
+            .range(..self.base.n_rows() as u32)
+            .filter(|&&id| query.matches_row(&self.base, id as usize))
+            .count();
+        Ok(base + delta_live - base_dead)
     }
 
     /// The cell at (`row`, `attr`), addressing base then delta.
@@ -970,6 +985,49 @@ mod tests {
         let d = db();
         let q = RangeQuery::new(vec![Predicate::point(1, 1)], MissingPolicy::IsNotMatch).unwrap();
         assert_eq!(d.count(&q).unwrap(), d.execute(&q).unwrap().len());
+    }
+
+    #[test]
+    fn count_matches_execute_through_delta_tombstones_and_shards() {
+        let data = census_scaled(300, 416);
+        let extra: Vec<Vec<Cell>> = (0..40).map(|i| data.row(i * 7)).collect();
+        let compact = DbConfig {
+            adaptive: true,
+            va: true,
+            ..DbConfig::none()
+        };
+        for config in [DbConfig::default(), compact, DbConfig::none()] {
+            let mut mono = IncompleteDb::with_config(data.clone(), config);
+            // 300 rows in shards of 64: boundaries at 64, 128, 192, 256.
+            let mut sharded = ShardedDb::with_config(data.clone(), 64, config);
+            for row in &extra {
+                mono.insert(row).unwrap();
+                sharded.insert(row).unwrap();
+            }
+            // Base ids either side of every shard boundary, and delta ids.
+            for id in [0, 63, 64, 127, 128, 129, 255, 256, 299, 300, 317, 339] {
+                assert!(mono.delete(id));
+                assert!(sharded.delete(id));
+            }
+            for policy in MissingPolicy::ALL {
+                let spec = QuerySpec {
+                    n_queries: 8,
+                    k: 2,
+                    global_selectivity: 0.2,
+                    policy,
+                    candidate_attrs: vec![],
+                };
+                let mut queries = workload(&data, &spec, 417);
+                queries.push(RangeQuery::new(vec![], policy).unwrap());
+                for q in &queries {
+                    let rows = mono.execute(q).unwrap();
+                    assert!(!rows.contains(64) && !rows.contains(317), "{policy}");
+                    assert_eq!(mono.count(q).unwrap(), rows.len(), "{config:?} {policy}");
+                    assert_eq!(sharded.execute(q).unwrap(), rows, "{config:?} {policy}");
+                    assert_eq!(sharded.count(q).unwrap(), rows.len(), "{config:?} {policy}");
+                }
+            }
+        }
     }
 
     #[test]

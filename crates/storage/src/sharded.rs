@@ -299,16 +299,8 @@ impl ShardedDb {
     ) -> Result<ShardExecution> {
         query.validate(self.schema())?;
         let mut span = ibis_obs::span("db.shards");
-        debug_assert_eq!(self.offsets.len(), self.shards.len());
-        let shards = self.shards.iter().zip(&self.offsets).enumerate();
-        let work: Vec<(usize, usize, &IncompleteDb)> = shards
-            .filter(|(_, (shard, _))| !shard.synopsis().can_prune(query))
-            .map(|(i, (shard, &off))| (i, off, &**shard))
-            .collect();
+        let work = self.unpruned(query, &mut span);
         let pruned = self.shards.len() - work.len();
-        ibis_obs::counter_add("shards.pruned", pruned as u64);
-        span.add_field("shards", self.shards.len() as u64);
-        span.add_field("pruned", pruned as u64);
         // With more than one live shard the shards *are* the parallelism;
         // fanning out again inside each shard would oversubscribe the pool.
         // Counters are thread-degree-independent either way, so this choice
@@ -318,11 +310,11 @@ impl ShardedDb {
             ibis_core::parallel::ExecPool::new(threads).try_map(work, |(i, off, shard)| {
                 let mut shard_span = ibis_obs::span("db.shard");
                 shard_span.add_field("shard", i as u64);
-                let (rows, counters) = shard.execute_with_cost_threads(query, inner)?;
+                let (mut rows, counters) = shard.execute_with_cost_threads(query, inner)?;
                 shard_span.add_field("rows", rows.len() as u64);
                 counters.record_into(&mut shard_span);
-                let global = rows.iter().map(|r| r + off as u32).collect();
-                Ok((RowSet::from_sorted(global), counters))
+                rows.shift(off as u32);
+                Ok((rows, counters))
             })?;
         let mut counters = WorkCounters::zero();
         let mut sets = Vec::with_capacity(parts.len());
@@ -340,9 +332,46 @@ impl ShardedDb {
         })
     }
 
-    /// Counts matching rows.
+    /// The shards whose synopsis cannot prove `query` empty, each with its
+    /// index and global-id offset; what was skipped goes on the
+    /// `shards.pruned` counter and the `db.shards` span.
+    fn unpruned(
+        &self,
+        query: &RangeQuery,
+        span: &mut ibis_obs::SpanGuard,
+    ) -> Vec<(usize, usize, &IncompleteDb)> {
+        debug_assert_eq!(self.offsets.len(), self.shards.len());
+        let shards = self.shards.iter().zip(&self.offsets).enumerate();
+        let work: Vec<(usize, usize, &IncompleteDb)> = shards
+            .filter(|(_, (shard, _))| !shard.synopsis().can_prune(query))
+            .map(|(i, (shard, &off))| (i, off, &**shard))
+            .collect();
+        let pruned = self.shards.len() - work.len();
+        ibis_obs::counter_add("shards.pruned", pruned as u64);
+        span.add_field("shards", self.shards.len() as u64);
+        span.add_field("pruned", pruned as u64);
+        work
+    }
+
+    /// Counts matching rows: the sum of [`IncompleteDb::count`] over the
+    /// unpruned shards, fanned over the same pool `execute` uses. No row id
+    /// is built, re-based or merged.
     pub fn count(&self, query: &RangeQuery) -> Result<usize> {
-        Ok(self.execute(query)?.len())
+        query.validate(self.schema())?;
+        let mut span = ibis_obs::span("db.shards");
+        let work = self.unpruned(query, &mut span);
+        let threads = ibis_core::parallel::configured_threads();
+        let counts =
+            ibis_core::parallel::ExecPool::new(threads).try_map(work, |(i, _, shard)| {
+                let mut shard_span = ibis_obs::span("db.shard");
+                shard_span.add_field("shard", i as u64);
+                let n = shard.count(query)?;
+                shard_span.add_field("rows", n as u64);
+                Ok(n)
+            })?;
+        let total = counts.into_iter().sum();
+        span.add_field("rows", total as u64);
+        Ok(total)
     }
 
     /// Executes a batch of queries across the configured worker pool.

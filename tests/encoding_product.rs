@@ -191,3 +191,86 @@ fn every_encoding_over_every_backend_conforms() {
     for_each_pair(&mut pairs);
     assert_eq!(pairs.0, 6 * 4, "six encodings over four backends");
 }
+
+/// 2^16 + 77 rows — two adaptive chunks, a ragged last 64-bit word and a
+/// ragged last 31-bit group — textured so that every container shape and
+/// both WAH word kinds occur: long value runs, scattered values with
+/// scattered missing rows, and a near-alternating two-valued column.
+fn chunk_crossing() -> Dataset {
+    let n = (1usize << 16) + 77;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let runs: Vec<u16> = (0..n).map(|r| ((r / 5_000) % 6) as u16).collect();
+    let scattered: Vec<u16> = (0..n)
+        .map(|_| (next() % 12).saturating_sub(2) as u16)
+        .collect();
+    let flips: Vec<u16> = (0..n)
+        .map(|r| if r % 7 == 0 { 0 } else { (r % 2 + 1) as u16 })
+        .collect();
+    Dataset::new(vec![
+        Column::from_raw("runs", 5, runs).unwrap(),
+        Column::from_raw("scattered", 9, scattered).unwrap(),
+        Column::from_raw("flips", 2, flips).unwrap(),
+    ])
+    .unwrap()
+}
+
+#[test]
+fn counts_rows_and_counters_agree_past_a_chunk_boundary() {
+    // The count path (last AND fused with the popcount, no row ids) against
+    // the row path against scan truth, and rows + counters at every degree,
+    // on vectors long enough to have fills, splices across word boundaries,
+    // several containers and a masked tail.
+    struct Agreement<'a>(&'a Dataset, &'a [(RangeQuery, RowSet)], usize);
+    impl PairVisitor for Agreement<'_> {
+        fn visit<E: Encoding, B: BitStore + 'static>(&mut self) {
+            let what = format!("{} over {}", E::name::<B>(), B::backend_name());
+            let ix = BitmapIndex::<E, B>::build(self.0);
+            for (q, truth) in self.1.iter().filter(|(q, _)| ix.supports(q)) {
+                let (rows, cost) = ix.execute_with_cost(q).unwrap();
+                assert_eq!(&rows, truth, "{what} {q:?}");
+                assert_eq!(ix.execute_count(q).unwrap(), truth.len(), "{what} {q:?}");
+                for threads in [2, 3, 8] {
+                    let par = ix.execute_with_cost_threads(q, threads).unwrap();
+                    assert_eq!(par, (rows.clone(), cost), "{what} t={threads} {q:?}");
+                }
+            }
+            self.2 += 1;
+        }
+    }
+    let d = chunk_crossing();
+    let mut qs = Vec::new();
+    for policy in MissingPolicy::ALL {
+        // Each encoding's in-range, complement, edge and full-domain cases,
+        // then the AND-reduce over one, two and three predicates.
+        for (attr, lo, hi) in [
+            (0, 2, 2),
+            (0, 1, 4),
+            (0, 1, 5),
+            (1, 3, 7),
+            (1, 9, 9),
+            (2, 1, 1),
+        ] {
+            qs.push(RangeQuery::new(vec![Predicate::range(attr, lo, hi)], policy).unwrap());
+        }
+        let key = vec![Predicate::range(0, 2, 5), Predicate::range(1, 1, 6)];
+        qs.push(RangeQuery::new(key.clone(), policy).unwrap());
+        let key = [key, vec![Predicate::point(2, 2)]].concat();
+        qs.push(RangeQuery::new(key, policy).unwrap());
+    }
+    let truths: Vec<(RangeQuery, RowSet)> = qs
+        .into_iter()
+        .map(|q| {
+            let truth = scan::execute(&d, &q);
+            (q, truth)
+        })
+        .collect();
+    let mut pairs = Agreement(&d, &truths, 0);
+    for_each_pair(&mut pairs);
+    assert_eq!(pairs.2, 6 * 4);
+}
