@@ -8,7 +8,6 @@
 //! every crate: each family fills the fields that describe its physical
 //! work and leaves the rest at zero.
 
-use crate::parallel::{configured_threads, ExecPool};
 use crate::{RangeQuery, Result, RowSet};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -417,31 +416,13 @@ pub trait AccessMethod: Send + Sync {
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
         Ok(self.execute_with_cost(query)?.0.len())
     }
-
-    /// Answers a batch of independent queries, fanning them over up to
-    /// `threads` workers via [`ExecPool`]. Results are in query order and
-    /// identical to sequential [`AccessMethod::execute`] calls; the first
-    /// error (in query order) is returned, and a worker panic surfaces as
-    /// [`crate::Error::WorkerPanicked`] instead of aborting the process.
-    fn execute_batch_threads(&self, queries: &[RangeQuery], threads: usize) -> Result<Vec<RowSet>> {
-        ExecPool::new(threads).try_map(queries.to_vec(), |q| self.execute(&q))
-    }
-
-    /// Answers a batch of queries at the process-wide configured degree
-    /// ([`crate::parallel::configured_threads`]).
-    fn execute_batch(&self, queries: &[RangeQuery]) -> Result<Vec<RowSet>> {
-        self.execute_batch_threads(queries, configured_threads())
-    }
 }
 
-/// Partitions a FIFO queue of queries into batches of *compatible* queries
-/// for [`AccessMethod::execute_batch_threads`]-style dispatch, returning
-/// groups of indexes into `queries`.
+/// Partitions a FIFO queue of queries into batches of *compatible* queries,
+/// returning groups of indexes into `queries`.
 ///
-/// Two queries are compatible when they share a [`crate::MissingPolicy`]:
-/// a batch then exercises one semantics end to end, so per-shard synopsis
-/// pruning and the planner's per-policy cost rules stay coherent across
-/// the whole dispatch. The grouping is greedy and order-preserving:
+/// Two queries are compatible when they share a [`crate::MissingPolicy`].
+/// The grouping is greedy and order-preserving:
 ///
 /// * the oldest unbatched query opens a batch and fixes its policy;
 /// * every later query with the same policy joins, up to `max_batch`
@@ -449,10 +430,12 @@ pub trait AccessMethod: Send + Sync {
 /// * queries of the other policy are never reordered *within* their own
 ///   policy class, so per-policy FIFO fairness is preserved.
 ///
-/// Every index in `0..queries.len()` appears in exactly one batch. The
-/// network server drains its request queue through this hook; batching
-/// amortizes snapshot acquisition and thread-pool dispatch over many
-/// queries without ever mixing semantics inside one dispatch.
+/// Every index in `0..queries.len()` appears in exactly one batch. Nothing
+/// in this workspace calls it: the grouping shares no work between the
+/// queries of a batch (each still validates, plans and executes on its
+/// own), and the network server answers its queue in arrival order
+/// instead. It stays because the benchmark's `core.coalesce_us` probe
+/// times it.
 ///
 /// ```
 /// use ibis_core::engine::coalesce_compatible;
@@ -559,13 +542,6 @@ mod tests {
         assert_eq!(m.execute_count(&q(1, 3)).unwrap(), 9);
         assert!(m.supports(&q(1, 3)));
         assert_eq!(m.estimated_cost(&q(1, 3)), 8.0);
-
-        let queries: Vec<RangeQuery> = (1..=20).map(|i| q(1, i)).collect();
-        let batch = m.execute_batch(&queries).unwrap();
-        assert_eq!(batch.len(), 20);
-        for r in &batch {
-            assert_eq!(r, &RowSet::all(9));
-        }
     }
 
     #[test]
@@ -672,30 +648,6 @@ mod tests {
             assert_eq!(cost, seq_cost);
             assert_eq!(m.execute_threads(&query, threads).unwrap(), seq_rows);
         }
-        let queries: Vec<RangeQuery> = (1..=9).map(|i| q(1, i)).collect();
-        for threads in [1, 3] {
-            let batch = m.execute_batch_threads(&queries, threads).unwrap();
-            assert_eq!(batch.len(), 9);
-            assert!(batch.iter().all(|r| r == &RowSet::all(31)));
-        }
-    }
-
-    /// A method that panics on execution, to prove batch fan-out contains
-    /// worker panics instead of taking down the process.
-    struct Exploding;
-
-    impl AccessMethod for Exploding {
-        fn name(&self) -> &'static str {
-            "exploding"
-        }
-
-        fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-            panic!("kaboom on {:?}", query.predicates()[0].interval);
-        }
-
-        fn size_bytes(&self) -> usize {
-            0
-        }
     }
 
     fn qp(policy: MissingPolicy) -> RangeQuery {
@@ -724,19 +676,5 @@ mod tests {
         assert_eq!(singles.len(), 5);
         assert!(singles.iter().all(|b| b.len() == 1));
         assert!(coalesce_compatible(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn batch_contains_worker_panics_as_errors() {
-        let m = Exploding;
-        let queries: Vec<RangeQuery> = (1..=8).map(|i| q(1, i)).collect();
-        for threads in [1, 4] {
-            match m.execute_batch_threads(&queries, threads) {
-                Err(crate::Error::WorkerPanicked { detail }) => {
-                    assert!(detail.contains("kaboom"), "{detail}")
-                }
-                other => panic!("expected WorkerPanicked, got {other:?}"),
-            }
-        }
     }
 }

@@ -4,8 +4,8 @@
 //! Index builds are embarrassingly parallel across attributes (the paper's
 //! synthetic dataset has 450 of them), and query execution is embarrassingly
 //! parallel across row ranges (sequential and VA-file scans), across
-//! predicates (per-attribute bitmap fetch/combine), and across the queries
-//! of a batch. A simple chunked `thread::scope` covers all of it without a
+//! predicates (per-attribute bitmap fetch/combine), and across the shards
+//! of a database. A simple chunked `thread::scope` covers all of it without a
 //! thread-pool dependency.
 //!
 //! Guarantees, relied on by the engine layer and its conformance suite:
@@ -27,6 +27,7 @@ use crate::{Error, Result};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override installed by [`set_threads`];
 /// `0` means "not set" (fall through to `IBIS_THREADS` / auto-detect).
@@ -41,17 +42,22 @@ pub fn set_threads(n: usize) {
 
 /// The parallelism degree the engine's default entry points use:
 /// [`set_threads`] override, else `IBIS_THREADS` (if a positive integer),
-/// else [`default_threads`].
+/// else [`default_threads`]. The environment and the machine are read
+/// once per process — this runs on every query — so only [`set_threads`]
+/// changes the answer at run time.
 pub fn configured_threads() -> usize {
+    static AMBIENT: OnceLock<usize> = OnceLock::new();
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    std::env::var("IBIS_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(default_threads)
+    *AMBIENT.get_or_init(|| {
+        std::env::var("IBIS_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(default_threads)
+    })
 }
 
 /// A sensible default worker count: available parallelism, capped at 8

@@ -8,10 +8,10 @@
 //! * [`server`] — the TCP serving loop: per-connection reader/writer
 //!   threads, admission control at a queue high-water mark
 //!   ([`ErrorCode::Overloaded`]), per-request deadlines (default fed from
-//!   the oracle's `case_budget_ms`), and a fixed worker pool that
-//!   coalesces compatible queued queries
-//!   ([`ibis_core::coalesce_compatible`]) onto one snapshot-batch
-//!   execution per dispatch;
+//!   the oracle's `case_budget_ms`), and a fixed worker pool whose
+//!   workers drain the queue a few jobs per wake and answer them in queue
+//!   order on one snapshot, each through the database's ordinary
+//!   `execute_with_cost_threads`;
 //! * [`client`] — a blocking client with a split send/receive mode for
 //!   open-loop load generation (the `loadgen` bin).
 //!

@@ -1,4 +1,4 @@
-//! The serving loop: accept → handshake → decode → admit → batch →
+//! The serving loop: accept → handshake → decode → admit → drain →
 //! execute on a snapshot → respond.
 //!
 //! Threading model (one [`Server::start`] call):
@@ -15,17 +15,21 @@
 //! * **per-connection writer** — drains a channel of encoded responses,
 //!   so workers and the reader never block on a slow client socket;
 //! * **fixed worker pool** (`config.workers` threads) — each wake drains
-//!   up to `config.max_batch` queued jobs, groups the compatible ones
-//!   with [`ibis_core::coalesce_compatible`], acquires **one** lock-free
-//!   [`ConcurrentDb::snapshot`] per drain, and runs each group through
-//!   [`ShardedDb::execute_batch_threads`](ibis_storage::ShardedDb::execute_batch_threads)
-//!   on that snapshot — one dispatch amortized over the whole batch.
+//!   up to `config.max_batch` queued jobs under one queue lock, acquires
+//!   **one** lock-free [`ConcurrentDb::snapshot`] for the drain, and
+//!   answers the jobs in queue order, each through the call every other
+//!   caller of the database makes:
+//!   [`ShardedDb::execute_with_cost_threads`](ibis_storage::ShardedDb::execute_with_cost_threads)
+//!   at degree 1. A job sampled for tracing runs that same call, in its
+//!   turn, under a span capture. Each job is timed, deadline-checked,
+//!   counted and answered on its own, and a panic under one job is that
+//!   job's `Internal` error.
 //!
 //! Deadlines are enforced at the two scheduling boundaries: a job whose
 //! deadline expired while queued is shed *before* execution, and a job
 //! whose deadline expired *during* execution gets
 //! [`ErrorCode::DeadlineExceeded`] instead of rows — an expired request
-//! never returns results, and the overrun is bounded by one batch
+//! never returns results, and the overrun is bounded by one query
 //! execution. The default deadline is fed from the oracle's
 //! `case_budget_ms` (see [`ServerConfig::default`]).
 
@@ -33,7 +37,8 @@ use crate::protocol::{
     read_frame, read_handshake, write_frame, write_handshake, ErrorCode, HealthReport, Request,
     Response, SlowPhase, SlowQuery, StatsReport,
 };
-use ibis_core::{coalesce_compatible, MissingPolicy, RangeQuery, RowSet, WorkCounters};
+use ibis_core::parallel::ExecPool;
+use ibis_core::{MissingPolicy, RangeQuery, WorkCounters};
 use ibis_storage::{ConcurrentDb, DbSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
@@ -48,8 +53,9 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Fixed worker-pool size draining the shared queue.
     pub workers: usize,
-    /// Most queries one worker wake may drain and coalesce into batches.
-    /// `1` disables coalescing (one query per dispatch).
+    /// Most queued queries one worker wake may drain, to answer in queue
+    /// order on one snapshot. `1` takes the queue lock and a snapshot per
+    /// query.
     pub max_batch: usize,
     /// Admission high-water mark: a query arriving while the queue holds
     /// this many jobs is refused with [`ErrorCode::Overloaded`].
@@ -57,9 +63,9 @@ pub struct ServerConfig {
     /// Deadline applied to requests that carry `deadline_ms = 0`.
     pub default_deadline_ms: u64,
     /// Request tracing sample rate: every `trace_sample`-th admitted query
-    /// executes solo under a `server.request` root span whose tree feeds
-    /// the slow-query log. `0` disables tracing entirely; `1` traces every
-    /// query (and therefore disables batching).
+    /// executes under a `server.request` root span whose tree feeds the
+    /// slow-query log. `0` disables tracing entirely; `1` traces every
+    /// query.
     pub trace_sample: u64,
     /// Capacity of the slow-query log: the N worst traced requests by
     /// total (queue + execute) latency are retained.
@@ -67,7 +73,7 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Defaults: 4 workers, batches of 8, a 256-deep queue, the oracle's
+    /// Defaults: 4 workers, drains of 8, a 256-deep queue, the oracle's
     /// per-case time budget as the request deadline, 1-in-8 request
     /// tracing, and a 16-entry slow-query log.
     fn default() -> ServerConfig {
@@ -94,8 +100,8 @@ struct Ticket {
     count_only: bool,
     deadline: Instant,
     enqueued: Instant,
-    /// Sampled for tracing: executes solo under a `server.request` span
-    /// capture and feeds the slow-query log.
+    /// Sampled for tracing: executes under a `server.request` span capture
+    /// and feeds the slow-query log.
     traced: bool,
     reply: mpsc::Sender<(u64, Response)>,
 }
@@ -381,8 +387,8 @@ fn admit(
     reply: &mpsc::Sender<(u64, Response)>,
 ) {
     // Schema validation happens at the door, not in the worker: a query
-    // naming an out-of-range attribute must get its own `BadRequest`, not
-    // poison a batch it later shares with well-formed queries.
+    // naming an out-of-range attribute gets `BadRequest` here, before it
+    // can take a queue slot, rather than `Internal` from a worker.
     if let Err(e) = query.validate(shared.db.snapshot().db().schema()) {
         ibis_obs::record(|m| {
             m.counter_add("server.requests", 1);
@@ -450,8 +456,8 @@ fn admit(
     shared.available.notify_one();
 }
 
-/// One worker: drain up to `max_batch` jobs per wake, coalesce, execute
-/// each group on one snapshot, respond.
+/// One worker: drain up to `max_batch` jobs per wake, execute them in
+/// queue order on one snapshot, answering each as it finishes.
 fn worker_loop(shared: &Shared) {
     loop {
         let (jobs, queue_depth): (Vec<Job>, usize) = {
@@ -483,12 +489,10 @@ fn micros(from: Instant, to: Instant) -> u64 {
     to.duration_since(from).as_micros() as u64
 }
 
-/// Deadline-checks, batches, executes, and answers one drained job set.
-/// Jobs sampled for tracing execute solo under a `server.request` span
-/// capture (see [`execute_traced`]); the rest take the batch path and
-/// record no spans. `queue_depth` and `busy` are what the drain left behind
-/// and how many workers it made busy: the two gauges, set under the same
-/// registry lock as the drain's counters.
+/// Sheds the expired jobs of one drain, then executes and answers the rest
+/// in queue order on one snapshot (see [`execute_job`]). `queue_depth` and
+/// `busy` are what the drain left behind and how many workers it made busy:
+/// the two gauges, set under the same registry lock as the drain's counters.
 fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize) {
     let now = Instant::now();
     let (live, expired): (Vec<Job>, Vec<Job>) =
@@ -509,6 +513,9 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize
                 m.window_counter_add(name, n as u64);
             }
         }
+        if live.iter().any(|j| !j.ticket.traced) {
+            m.counter_add("server.batches", 1);
+        }
         if !expired.is_empty() {
             m.counter_add("server.shed_deadline", expired.len() as u64);
             m.window_counter_add("server.expired", expired.len() as u64);
@@ -526,155 +533,126 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize
     if live.is_empty() {
         return;
     }
-    // One lock-free snapshot serves the whole drain: every query in every
-    // batch below answers at the same watermark.
+    // One lock-free snapshot serves the whole drain: every job below
+    // answers at the same watermark.
     let snap = shared.db.snapshot();
-    let (traced, live): (Vec<Job>, Vec<Job>) = live.into_iter().partition(|j| j.ticket.traced);
-    for j in traced {
-        execute_traced(shared, &snap, j);
-    }
-    let (queries, tickets): (Vec<RangeQuery>, Vec<Ticket>) =
-        live.into_iter().map(|j| (j.query, j.ticket)).unzip();
-    let batches = coalesce_compatible(&queries, shared.config.max_batch);
-    // Every index is in exactly one batch, so each job moves into its batch
-    // rather than being copied there.
-    let mut jobs: Vec<Option<(RangeQuery, Ticket)>> =
-        queries.into_iter().zip(tickets).map(Some).collect();
-    for batch in batches {
-        let (batch_queries, batch_tickets): (Vec<RangeQuery>, Vec<Ticket>) = batch
-            .iter()
-            .map(|&i| jobs[i].take().expect("one batch per job"))
-            .unzip();
-        let started = Instant::now();
-        // Degree 1 runs inline on this worker: the pool is the
-        // parallelism; fanning out again would oversubscribe it.
-        let results: Vec<ibis_core::Result<RowSet>> =
-            match snap.execute_batch_threads(&batch_queries, 1) {
-                Ok(rowsets) => rowsets.into_iter().map(Ok).collect(),
-                // Batch execution is all-or-nothing; retry each query
-                // alone so only the offender pays for the failure.
-                Err(_) => batch_queries.iter().map(|q| snap.execute(q)).collect(),
-            };
-        let done = Instant::now();
-        answer_group(&snap, false, batch_tickets, results, started, done);
+    for j in live {
+        execute_job(shared, &snap, j);
     }
 }
 
-/// Answers one executed group — a coalesced batch, or (`traced`) one traced
-/// request — whose execution ran from `started` to `done`. The group's
-/// telemetry is recorded under one registry lock, and *before* its replies
-/// go out: a client holding a reply finds that request counted in `STATS`.
-fn answer_group(
-    snap: &DbSnapshot,
-    traced: bool,
-    tickets: Vec<Ticket>,
-    results: Vec<ibis_core::Result<RowSet>>,
-    started: Instant,
-    done: Instant,
-) {
-    let (mut expired, mut failed) = (0, 0);
-    let responses: Vec<Response> = tickets
-        .iter()
-        .zip(results)
-        .map(|(t, result)| match result {
-            Ok(_) if done > t.deadline => {
-                expired += 1;
-                Response::Error {
-                    code: ErrorCode::DeadlineExceeded,
-                    message: "deadline expired during execution".into(),
-                }
+/// Executes one live job on the drain's snapshot and answers it. Its
+/// telemetry is recorded under one registry lock, and *before* its reply
+/// goes out: a client holding a reply finds that request counted in `STATS`.
+///
+/// A job sampled for tracing runs the same call under a `server.request`
+/// span capture and feeds the slow-query log from the captured tree. The
+/// capture keeps the request's spans on this thread's buffer and hands them
+/// back here: they never reach the recorder's global span log, so tracing
+/// costs O(this request) whatever the server has served before.
+///
+/// Degree 1 keeps the whole execution — and therefore every child span —
+/// on this worker thread (the pool is the parallelism; fanning out again
+/// would oversubscribe it), so the captured tree is complete. The per-phase
+/// counter-field deltas of that tree sum exactly to the execution's final
+/// `WorkCounters`: the PR 4 profile invariant, now visible over the wire.
+fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job) {
+    let started = Instant::now();
+    // An inline pool of one, for its containment: a panic anywhere under
+    // this job comes back as its error, and the worker goes on draining.
+    let executed = ExecPool::new(1)
+        .try_map(vec![()], |()| {
+            let mut root = t.traced.then(|| ibis_obs::capture("server.request"));
+            if let Some(root) = &mut root {
+                root.add_field("request_id", t.request_id);
             }
-            Ok(rows) if t.count_only => Response::Count {
-                watermark: snap.watermark(),
-                count: rows.len() as u64,
-            },
-            Ok(rows) => Response::Rows {
-                watermark: snap.watermark(),
-                rows: rows.into_rows(),
-            },
-            Err(e) => {
-                failed += 1;
-                Response::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("execution failed: {e}"),
-                }
+            let (rows, counters) = snap.execute_with_cost_threads(&query, 1)?;
+            let trace = root.map(|root| (root.id(), root.finish()));
+            // Stamped after the capture is handed over: what tracing costs
+            // the request is inside its `exec_us`, not beside it.
+            let done = Instant::now();
+            if let Some((root_id, spans)) = trace {
+                note_slow(
+                    shared,
+                    SlowQuery {
+                        request_id: t.request_id,
+                        watermark: snap.watermark(),
+                        plan: query.to_string(),
+                        queue_us: micros(t.enqueued, started),
+                        exec_us: micros(started, done),
+                        total_us: micros(t.enqueued, done),
+                        counters: nonzero_fields(&counters),
+                        phases: phases_from(&spans, root_id),
+                    },
+                );
             }
+            Ok((rows, done))
         })
-        .collect();
-    ibis_obs::record(|m| {
-        let n = tickets.len() as u64;
-        if traced {
-            m.counter_add("server.traced", n);
-        } else {
-            m.counter_add("server.batches", 1);
-            m.counter_add("server.batched_queries", n);
+        .map(|mut one| one.pop().expect("one job in, one out"));
+    let done = executed
+        .as_ref()
+        .map_or_else(|_| Instant::now(), |&(_, done)| done);
+    let (mut expired, mut failed) = (false, false);
+    let response = match executed {
+        Ok(_) if done > t.deadline => {
+            expired = true;
+            Response::Error {
+                code: ErrorCode::DeadlineExceeded,
+                message: "deadline expired during execution".into(),
+            }
         }
+        Ok((rows, _)) if t.count_only => Response::Count {
+            watermark: snap.watermark(),
+            count: rows.len() as u64,
+        },
+        Ok((rows, _)) => Response::Rows {
+            watermark: snap.watermark(),
+            rows: rows.into_rows(),
+        },
+        Err(e) => {
+            failed = true;
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("execution failed: {e}"),
+            }
+        }
+    };
+    ibis_obs::record(|m| {
+        let executed_as = if t.traced {
+            "server.traced"
+        } else {
+            "server.batched_queries"
+        };
+        m.counter_add(executed_as, 1);
         let exec_us = micros(started, done);
         m.observe("server.exec_us", exec_us);
         m.window_observe("server.exec_us", exec_us);
-        for t in &tickets {
-            m.observe("server.queue_wait_us", micros(t.enqueued, started));
-            let request_us = micros(t.enqueued, done);
-            m.observe("server.request_us", request_us);
-            m.window_observe("server.request_us", request_us);
+        m.observe("server.queue_wait_us", micros(t.enqueued, started));
+        let request_us = micros(t.enqueued, done);
+        m.observe("server.request_us", request_us);
+        m.window_observe("server.request_us", request_us);
+        m.counter_add("server.responses", 1);
+        m.window_counter_add("server.responses", 1);
+        if expired {
+            m.counter_add("server.shed_deadline", 1);
+            m.window_counter_add("server.expired", 1);
         }
-        m.counter_add("server.responses", n);
-        m.window_counter_add("server.responses", n);
-        if expired > 0 {
-            m.counter_add("server.shed_deadline", expired);
-            m.window_counter_add("server.expired", expired);
-        }
-        if failed > 0 {
-            m.counter_add("server.internal_errors", failed);
+        if failed {
+            m.counter_add("server.internal_errors", 1);
         }
     });
-    for (t, response) in tickets.into_iter().zip(responses) {
-        let _ = t.reply.send((t.request_id, response));
-    }
+    let _ = t.reply.send((t.request_id, response));
 }
 
-/// Execute one traced job solo under a `server.request` span capture and
-/// feed the slow-query log from the captured tree. The capture keeps the
-/// request's spans on this thread's buffer and hands them back here: they
-/// never reach the recorder's global span log, so tracing costs O(this
-/// request) whatever the server has served before.
-///
-/// Degree 1 keeps the whole execution — and therefore every child span —
-/// on this worker thread, so the captured tree is complete. The per-phase
-/// counter-field deltas of that tree sum exactly to the execution's final
-/// `WorkCounters`: the PR 4 profile invariant, now visible over the wire.
-fn execute_traced(shared: &Shared, snap: &DbSnapshot, j: Job) {
-    let started = Instant::now();
-    let mut root = ibis_obs::capture("server.request");
-    let root_id = root.id();
-    root.add_field("request_id", j.ticket.request_id);
-    let result = snap.execute_with_cost_threads(&j.query, 1);
-    let spans = root.finish();
-    // Stamped after the capture is handed over: what tracing costs the
-    // request is inside its `exec_us`, not beside it.
-    let done = Instant::now();
-    let result = result.map(|(rows, counters)| {
-        note_slow(
-            shared,
-            SlowQuery {
-                request_id: j.ticket.request_id,
-                watermark: snap.watermark(),
-                plan: j.query.to_string(),
-                queue_us: micros(j.ticket.enqueued, started),
-                exec_us: micros(started, done),
-                total_us: micros(j.ticket.enqueued, done),
-                counters: counters
-                    .fields()
-                    .iter()
-                    .filter(|&&(_, v)| v > 0)
-                    .map(|&(k, v)| (k.to_string(), v as u64))
-                    .collect(),
-                phases: phases_from(&spans, root_id),
-            },
-        );
-        rows
-    });
-    answer_group(snap, true, vec![j.ticket], vec![result], started, done);
+/// The non-zero fields of `counters`, named, as the slow-query log carries
+/// them.
+fn nonzero_fields(counters: &WorkCounters) -> Vec<(String, u64)> {
+    counters
+        .fields()
+        .iter()
+        .filter(|&&(_, v)| v > 0)
+        .map(|&(k, v)| (k.to_string(), v as u64))
+        .collect()
 }
 
 /// Aggregate a captured span tree (minus its root) into the slow-query
@@ -688,12 +666,7 @@ fn phases_from(spans: &[ibis_obs::SpanRecord], root: u64) -> Vec<SlowPhase> {
             name,
             spans,
             total_ns,
-            counters: counters
-                .fields()
-                .iter()
-                .filter(|&&(_, v)| v > 0)
-                .map(|&(k, v)| (k.to_string(), v as u64))
-                .collect(),
+            counters: nonzero_fields(&counters),
         })
         .collect()
 }

@@ -3,7 +3,7 @@
 //! deliberate overload, deadline enforcement, and protocol-error handling.
 
 use ibis_core::gen::{census_scaled, workload, QuerySpec};
-use ibis_core::{MissingPolicy, Predicate, RangeQuery};
+use ibis_core::{MissingPolicy, Predicate, RangeQuery, RowSet};
 use ibis_server::protocol::{read_frame, read_handshake, write_handshake};
 use ibis_server::{Client, ErrorCode, Request, Response, Server, ServerConfig};
 use ibis_storage::ConcurrentDb;
@@ -27,10 +27,11 @@ fn slow_query(db: &ConcurrentDb) -> RangeQuery {
     .unwrap()
 }
 
+/// Point and three-attribute queries under both policies, dealt round-robin
+/// so that neighbours in the result differ in policy.
 fn mixed_workload(db: &ConcurrentDb, seed: u64, per_spec: usize) -> Vec<RangeQuery> {
     let schema = db.snapshot().db().schema().clone();
-    let mut queries = Vec::new();
-    for (i, (k, policy)) in [
+    let per_policy: Vec<Vec<RangeQuery>> = [
         (1, MissingPolicy::IsMatch),
         (1, MissingPolicy::IsNotMatch),
         (3, MissingPolicy::IsMatch),
@@ -38,7 +39,7 @@ fn mixed_workload(db: &ConcurrentDb, seed: u64, per_spec: usize) -> Vec<RangeQue
     ]
     .into_iter()
     .enumerate()
-    {
+    .map(|(i, (k, policy))| {
         let spec = QuerySpec {
             n_queries: per_spec,
             k,
@@ -46,33 +47,123 @@ fn mixed_workload(db: &ConcurrentDb, seed: u64, per_spec: usize) -> Vec<RangeQue
             policy,
             candidate_attrs: vec![],
         };
-        queries.extend(workload(&schema, &spec, seed + i as u64));
-    }
-    queries
+        workload(&schema, &spec, seed + i as u64)
+    })
+    .collect();
+    (0..per_spec)
+        .flat_map(|j| per_policy.iter().map(move |qs| qs[j].clone()))
+        .collect()
 }
 
 #[test]
 fn served_answers_are_bit_identical_to_direct_snapshot_execution() {
     let db = Arc::new(ConcurrentDb::new_mem(census_scaled(400, 601), 96));
     let queries = mixed_workload(&db, 602, 6);
-    let handle = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
     let snap = db.snapshot();
-    for q in &queries {
-        let direct = snap.execute_threads(q, 2).unwrap();
-        match client.query(q, 0).unwrap() {
-            Response::Rows { watermark, rows } => {
-                assert_eq!(watermark, snap.watermark());
-                assert_eq!(rows, direct.rows().to_vec(), "query {q:?}");
+    let direct: Vec<RowSet> = queries
+        .iter()
+        .map(|q| snap.execute_threads(q, 2).unwrap())
+        .collect();
+    for trace_sample in [0, 1, 8] {
+        for max_batch in [1, 8] {
+            let ctx = format!("trace_sample={trace_sample} max_batch={max_batch}");
+            let config = ServerConfig {
+                trace_sample,
+                max_batch,
+                ..ServerConfig::default()
+            };
+            let handle = Server::start(Arc::clone(&db), "127.0.0.1:0", config).unwrap();
+            // Pipelined, so that one drain holds several jobs: both
+            // policies, rows and counts, traced and untraced side by side.
+            let (mut tx, mut rx) = Client::connect(handle.addr()).unwrap().into_split();
+            let ids: Vec<u64> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, q)| {
+                    tx.send(&Request::Query {
+                        query: q.clone(),
+                        count_only: i % 3 == 0,
+                        deadline_ms: 0,
+                    })
+                    .unwrap()
+                })
+                .collect();
+            for _ in &ids {
+                let (id, response) = rx.recv().unwrap();
+                let i = ids.iter().position(|&sent| sent == id).unwrap();
+                match response {
+                    Response::Rows { watermark, rows } if i % 3 != 0 => {
+                        assert_eq!(watermark, snap.watermark());
+                        assert_eq!(rows, direct[i].rows().to_vec(), "{:?} ({ctx})", queries[i]);
+                    }
+                    Response::Count { watermark, count } if i % 3 == 0 => {
+                        assert_eq!(watermark, snap.watermark());
+                        assert_eq!(count as usize, direct[i].len(), "{:?} ({ctx})", queries[i]);
+                    }
+                    other => panic!("request {i} ({ctx}) got {other:?}"),
+                }
             }
-            other => panic!("expected rows, got {other:?}"),
-        }
-        match client.count(q, 0).unwrap() {
-            Response::Count { count, .. } => assert_eq!(count as usize, direct.len()),
-            other => panic!("expected count, got {other:?}"),
+            handle.shutdown();
         }
     }
-    handle.shutdown();
+}
+
+#[test]
+fn one_worker_answers_in_request_order_whatever_is_traced_or_drained_together() {
+    // One worker answers one connection's queue: replies must come back in
+    // the order the requests went in, whichever policy each query carries,
+    // whether it is traced, and however many jobs a wake drains. The slow
+    // query at the head holds the worker while the rest queue up behind it,
+    // so that drains really do hold several jobs.
+    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(4000, 609), 512));
+    let slow = slow_query(&db);
+    for trace_sample in [0, 1, 8] {
+        for max_batch in [1, 8] {
+            let config = ServerConfig {
+                workers: 1,
+                trace_sample,
+                max_batch,
+                ..ServerConfig::default()
+            };
+            let handle = Server::start(Arc::clone(&db), "127.0.0.1:0", config).unwrap();
+            let (mut tx, mut rx) = Client::connect(handle.addr()).unwrap().into_split();
+            let mut sent = vec![tx
+                .send(&Request::Query {
+                    query: slow.clone(),
+                    count_only: true,
+                    deadline_ms: 120_000,
+                })
+                .unwrap()];
+            for i in 0..200 {
+                let policy = if i % 2 == 0 {
+                    MissingPolicy::IsMatch
+                } else {
+                    MissingPolicy::IsNotMatch
+                };
+                let query = RangeQuery::new(vec![Predicate::point(0, 1)], policy).unwrap();
+                sent.push(
+                    tx.send(&Request::Query {
+                        query,
+                        count_only: true,
+                        deadline_ms: 120_000,
+                    })
+                    .unwrap(),
+                );
+            }
+            let received: Vec<u64> = sent
+                .iter()
+                .map(|_| match rx.recv().unwrap() {
+                    (id, Response::Count { .. }) => id,
+                    other => panic!("unexpected response {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                received, sent,
+                "trace_sample={trace_sample} max_batch={max_batch}"
+            );
+            handle.shutdown();
+        }
+    }
 }
 
 #[test]

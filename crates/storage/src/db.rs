@@ -572,28 +572,6 @@ impl IncompleteDb {
         })
     }
 
-    /// Executes a batch of queries, planning each independently and fanning
-    /// the work out across the configured worker pool (delta and tombstone
-    /// merging included). A panic on any worker surfaces as
-    /// [`ibis_core::Error::WorkerPanicked`] instead of aborting.
-    pub fn execute_batch(&self, queries: &[RangeQuery]) -> Result<Vec<RowSet>> {
-        self.execute_batch_threads(queries, ibis_core::parallel::configured_threads())
-    }
-
-    /// [`Self::execute_batch`] with an explicit fan-out degree. Queries run
-    /// whole (planning included) on the pool's workers; results come back
-    /// in input order regardless of `threads`. Each worker runs its query
-    /// sequentially — the batch itself is the parallelism, so fanning out
-    /// again inside each query would only oversubscribe the pool.
-    pub fn execute_batch_threads(
-        &self,
-        queries: &[RangeQuery],
-        threads: usize,
-    ) -> Result<Vec<RowSet>> {
-        ibis_core::parallel::ExecPool::new(threads)
-            .try_map(queries.iter().collect(), |q| self.execute_threads(q, 1))
-    }
-
     /// Counts matching rows without building their ids: the planned
     /// method's [`execute_count`](AccessMethod::execute_count) over the
     /// base, plus the delta rows that match and are alive, minus the
@@ -863,24 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_matches_sequential_execution() {
-        let data = census_scaled(300, 408);
-        let mut d = IncompleteDb::new(data.clone());
-        d.insert(&vec![m(); data.n_attrs()]).unwrap();
-        d.delete(0);
-        let spec = QuerySpec {
-            n_queries: 12,
-            k: 3,
-            global_selectivity: 0.05,
-            policy: MissingPolicy::IsMatch,
-            candidate_attrs: vec![],
-        };
-        let queries = workload(&data, &spec, 409);
-        let sequential: Vec<RowSet> = queries.iter().map(|q| d.execute(q).unwrap()).collect();
-        assert_eq!(d.execute_batch(&queries).unwrap(), sequential);
-    }
-
-    #[test]
     fn plan_reports_parallelism_and_answers_are_degree_independent() {
         let data = census_scaled(300, 411);
         let mut d = IncompleteDb::new(data.clone());
@@ -898,28 +858,6 @@ mod tests {
             assert_eq!(d.execute_threads(&q, threads).unwrap(), seq, "t={threads}");
         }
         assert_eq!(d.execute(&q).unwrap(), seq);
-    }
-
-    #[test]
-    fn execute_batch_threads_matches_at_any_degree() {
-        let data = census_scaled(200, 412);
-        let d = IncompleteDb::new(data.clone());
-        let spec = QuerySpec {
-            n_queries: 9,
-            k: 2,
-            global_selectivity: 0.05,
-            policy: MissingPolicy::IsNotMatch,
-            candidate_attrs: vec![],
-        };
-        let queries = workload(&data, &spec, 413);
-        let sequential: Vec<RowSet> = queries.iter().map(|q| d.execute(q).unwrap()).collect();
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                d.execute_batch_threads(&queries, threads).unwrap(),
-                sequential,
-                "t={threads}"
-            );
-        }
     }
 
     #[test]

@@ -374,27 +374,6 @@ impl ShardedDb {
         Ok(total)
     }
 
-    /// Executes a batch of queries across the configured worker pool.
-    pub fn execute_batch(&self, queries: &[RangeQuery]) -> Result<Vec<RowSet>> {
-        self.execute_batch_threads(queries, ibis_core::parallel::configured_threads())
-    }
-
-    /// [`ShardedDb::execute_batch`] with an explicit fan-out degree.
-    /// Queries run whole (synopsis pruning and shard merge included) on the
-    /// pool's workers, each internally single-threaded — the batch itself
-    /// is the parallelism — and results come back in input order at any
-    /// `threads`. This is the server's coalesced-dispatch entry point: one
-    /// pool submission amortizes pool wake-up over the whole batch instead
-    /// of paying it per query.
-    pub fn execute_batch_threads(
-        &self,
-        queries: &[RangeQuery],
-        threads: usize,
-    ) -> Result<Vec<RowSet>> {
-        ibis_core::parallel::ExecPool::new(threads)
-            .try_map(queries.iter().collect(), |q| self.execute_threads(q, 1))
-    }
-
     /// Serializes the logical state — per-shard base dataset, delta rows,
     /// and tombstones — as one checksummed image (magic `IBSS`). Indexes
     /// and synopses are rebuildable caches and are **not** written;
@@ -646,30 +625,5 @@ mod tests {
         assert!(db.execute(&over).is_err(), "hi beyond cardinality");
         let out = RangeQuery::new(vec![Predicate::point(7, 1)], MissingPolicy::IsMatch).unwrap();
         assert!(db.execute(&out).is_err(), "attr beyond schema");
-    }
-
-    #[test]
-    fn sharded_execute_batch_threads_matches_at_any_degree() {
-        let data = census_scaled(300, 414);
-        let mut d = ShardedDb::new(data.clone(), 64);
-        d.insert(&vec![m(); data.n_attrs()]).unwrap();
-        d.delete(2);
-        let spec = QuerySpec {
-            n_queries: 10,
-            k: 2,
-            global_selectivity: 0.05,
-            policy: MissingPolicy::IsMatch,
-            candidate_attrs: vec![],
-        };
-        let queries = workload(&data, &spec, 415);
-        let sequential: Vec<RowSet> = queries.iter().map(|q| d.execute(q).unwrap()).collect();
-        assert_eq!(d.execute_batch(&queries).unwrap(), sequential);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                d.execute_batch_threads(&queries, threads).unwrap(),
-                sequential,
-                "t={threads}"
-            );
-        }
     }
 }

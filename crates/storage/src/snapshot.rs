@@ -11,7 +11,7 @@
 //!
 //! A snapshot adds exactly one thing to the frozen [`ShardedDb`] — the
 //! watermark — and dereferences to it for everything else, so the whole
-//! `&self` read surface (queries, counts, batches, synopses, sizes,
+//! `&self` read surface (queries, counts, synopses, sizes,
 //! serialization) is the router's own, documented once, there. There is
 //! deliberately no `DerefMut`: nothing can mutate a published snapshot. It
 //! is `Send + Sync` and is shared freely across reader threads.

@@ -203,10 +203,11 @@ commands:
       expose the database over the IBQP binary wire protocol (default
       address 127.0.0.1:7431; --addr-file records the bound address,
       which is how scripts learn the port under --addr HOST:0): requests
-      execute against lock-free snapshots on a fixed worker pool,
-      compatible queued queries are coalesced into batches, each request
-      carries a deadline (default: the oracle's per-case budget), and a
-      queue past the high-water mark sheds with an explicit Overloaded
+      execute against lock-free snapshots on a fixed worker pool, a
+      worker wake drains up to --max-batch queued requests and answers
+      them in queue order on one snapshot, each request carries a
+      deadline (default: the oracle's per-case budget), and a queue
+      past the high-water mark sheds with an explicit Overloaded
       error; runs until killed unless --duration-secs is given;
       --trace-sample N traces every Nth admitted request into the
       slow-query log (0 disables tracing — `stats --slow` and the top
@@ -558,11 +559,7 @@ fn query(args: &[String]) -> Result<(), CliError> {
         _ => return Err("usage: ibis query FILE \"QUERY\" [flags]".into()),
     };
     let d = Arc::new(load_dataset(path)?);
-    let policy = if flags.contains_key("not-match") {
-        MissingPolicy::IsNotMatch
-    } else {
-        MissingPolicy::IsMatch
-    };
+    let policy = policy_flag(&flags);
     // Use the dictionary sidecar (written by `ibis import`) when present
     // and shape-consistent with the dataset, enabling string literals like
     // city = "london". A stale/mismatched sidecar is ignored.
@@ -661,36 +658,66 @@ fn query(args: &[String]) -> Result<(), CliError> {
             None => ibis::core::scan::execute_partitioned(&d, &q, threads),
         }
     };
+    print_matches(&flags, &rows, d.n_rows(), policy, |r| {
+        let cells: Vec<String> = q
+            .predicates()
+            .iter()
+            .map(|p| {
+                let cell = d.cell(r as usize, p.attr);
+                let shown = match (&dicts, cell.value()) {
+                    // Stale/mismatched sidecar → fall back to the code.
+                    (Some(dicts), Some(v)) => dicts
+                        .get(p.attr)
+                        .and_then(|dict| dict.get(v as usize - 1))
+                        .cloned()
+                        .unwrap_or_else(|| cell.to_string()),
+                    _ => cell.to_string(),
+                };
+                format!("{}={shown}", d.column(p.attr).name())
+            })
+            .collect();
+        format!("row {r}: {}", cells.join(" "))
+    })
+}
+
+/// The `--not-match` flag as the policy it selects.
+fn policy_flag(flags: &Flags) -> MissingPolicy {
+    if flags.contains_key("not-match") {
+        MissingPolicy::IsNotMatch
+    } else {
+        MissingPolicy::IsMatch
+    }
+}
+
+/// The tail of a local `ibis query`: the match line, then the rows unless
+/// `--count` asked for the line alone.
+fn print_matches(
+    flags: &Flags,
+    rows: &RowSet,
+    n_rows: usize,
+    policy: MissingPolicy,
+    show: impl Fn(u32) -> String,
+) -> Result<(), CliError> {
     println!(
         "{} rows match under {policy} (selectivity {:.3}%)",
         rows.len(),
-        rows.selectivity(d.n_rows()) * 100.0
+        rows.selectivity(n_rows) * 100.0
     );
-    if !flags.contains_key("count") {
-        let limit: usize = flags.get("limit").map_or(Ok(20), |s| num(s, "limit"))?;
-        for r in rows.iter().take(limit) {
-            let cells: Vec<String> = q
-                .predicates()
-                .iter()
-                .map(|p| {
-                    let cell = d.cell(r as usize, p.attr);
-                    let shown = match (&dicts, cell.value()) {
-                        // Stale/mismatched sidecar → fall back to the code.
-                        (Some(dicts), Some(v)) => dicts
-                            .get(p.attr)
-                            .and_then(|dict| dict.get(v as usize - 1))
-                            .cloned()
-                            .unwrap_or_else(|| cell.to_string()),
-                        _ => cell.to_string(),
-                    };
-                    format!("{}={shown}", d.column(p.attr).name())
-                })
-                .collect();
-            println!("  row {r}: {}", cells.join(" "));
-        }
-        if rows.len() > limit {
-            println!("  … {} more (use --limit)", rows.len() - limit);
-        }
+    if flags.contains_key("count") {
+        return Ok(());
+    }
+    print_rows(flags, rows.rows(), show)
+}
+
+/// The first `--limit` (default 20) of `rows`, one line each as `show`
+/// renders it, and how many were left out.
+fn print_rows(flags: &Flags, rows: &[u32], show: impl Fn(u32) -> String) -> Result<(), CliError> {
+    let limit: usize = flags.get("limit").map_or(Ok(20), |s| num(s, "limit"))?;
+    for &r in rows.iter().take(limit) {
+        println!("  {}", show(r));
+    }
+    if rows.len() > limit {
+        println!("  … {} more (use --limit)", rows.len() - limit);
     }
     Ok(())
 }
@@ -715,11 +742,7 @@ fn query_durable(pos: &[String], flags: &Flags) -> Result<(), CliError> {
         println!("recovered {dir}: replayed {replayed} WAL record(s) past the checkpoint");
     }
     let snap = db.snapshot();
-    let policy = if flags.contains_key("not-match") {
-        MissingPolicy::IsNotMatch
-    } else {
-        MissingPolicy::IsMatch
-    };
+    let policy = policy_flag(flags);
     let q = parse_query(snap.db().schema(), text, policy).map_err(|e| e.to_string())?;
     let threads = parse_threads(flags)?;
     let rows = if flags.contains_key("profile") {
@@ -742,21 +765,7 @@ fn query_durable(pos: &[String], flags: &Flags) -> Result<(), CliError> {
         );
         exec.rows
     };
-    println!(
-        "{} rows match under {policy} (selectivity {:.3}%)",
-        rows.len(),
-        rows.selectivity(snap.n_rows()) * 100.0
-    );
-    if !flags.contains_key("count") {
-        let limit: usize = flags.get("limit").map_or(Ok(20), |s| num(s, "limit"))?;
-        for r in rows.iter().take(limit) {
-            println!("  row {r}");
-        }
-        if rows.len() > limit {
-            println!("  … {} more (use --limit)", rows.len() - limit);
-        }
-    }
-    Ok(())
+    print_matches(flags, &rows, snap.n_rows(), policy, |r| format!("row {r}"))
 }
 
 fn init(args: &[String]) -> Result<(), CliError> {
@@ -1255,7 +1264,7 @@ fn oracle(args: &[String]) -> Result<(), CliError> {
 
 /// `ibis serve` — expose a database over the `IBQP` wire protocol (see
 /// `ibis::server`): lock-free snapshot reads on a fixed worker pool with
-/// batching, per-request deadlines, and admission control.
+/// per-request deadlines and admission control.
 fn serve(args: &[String]) -> Result<(), CliError> {
     let (pos, flags) = parse_flags(
         args,
@@ -1401,13 +1410,7 @@ fn server_query(
                 rows.len(),
                 q.policy()
             );
-            let limit: usize = flags.get("limit").map_or(Ok(20), |s| num(s, "limit"))?;
-            for r in rows.iter().take(limit) {
-                println!("  row {r}");
-            }
-            if rows.len() > limit {
-                println!("  … {} more (use --limit)", rows.len() - limit);
-            }
+            print_rows(flags, &rows, |r| format!("row {r}"))?;
         }
         ibis::server::Response::Error { code, message } => {
             return Err(CliError::Runtime(format!(

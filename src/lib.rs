@@ -30,7 +30,7 @@
 //!   snapshots under streaming writes;
 //! * [`server`] — networked query serving ([`Server`](server::Server),
 //!   the `IBQP` wire protocol, the blocking [`Client`](server::Client)):
-//!   CRC-framed requests executed in coalesced batches on lock-free
+//!   CRC-framed requests executed in arrival order on lock-free
 //!   snapshots, with per-request deadlines and admission control (see the
 //!   `ibis serve` CLI subcommand and the `loadgen` bin);
 //! * [`oracle`] — seeded differential + metamorphic correctness oracle over

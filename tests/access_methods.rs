@@ -118,16 +118,6 @@ fn conformance_pass(d: &Arc<Dataset>, ctx: &str, seed: u64) {
                     );
                 }
             }
-            // Batch execution must agree with the sequential loop, at the
-            // default and at an explicit fan-out degree.
-            if queries.iter().all(|q| m.supports(q)) {
-                let sequential: Vec<RowSet> =
-                    queries.iter().map(|q| m.execute(q).unwrap()).collect();
-                let batch = m.execute_batch(&queries).unwrap();
-                assert_eq!(batch, sequential, "{} batch ({ctx})", m.name());
-                let fanned = m.execute_batch_threads(&queries, 4).unwrap();
-                assert_eq!(fanned, sequential, "{} batch t=4 ({ctx})", m.name());
-            }
         }
     }
 }
