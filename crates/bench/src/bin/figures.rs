@@ -17,6 +17,8 @@
 //! (equivalent to setting `IBIS_THREADS=N`); answers and work counters are
 //! identical across degrees, only wall-clock moves.
 
+#![forbid(unsafe_code)]
+
 use ibis_bench::config::Scale;
 
 fn usage(message: &str) -> ! {

@@ -27,6 +27,8 @@
 //! approximation fields scanned, tree nodes visited) that determine the
 //! curve *shapes*.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod experiments;
 pub mod report;

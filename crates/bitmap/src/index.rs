@@ -127,11 +127,8 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
                 return Err(Error::UnrepresentableColumn { attr, reason });
             }
         }
-        let attrs = ibis_core::parallel::parallel_map(
-            dataset.columns().iter().collect(),
-            n_threads,
-            build_attr,
-        );
+        let attrs = ibis_core::parallel::ExecPool::new(n_threads)
+            .map(dataset.columns().iter().collect(), build_attr);
         Ok(Self::new(attrs, dataset.n_rows()))
     }
 

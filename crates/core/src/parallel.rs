@@ -286,21 +286,6 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Applies `f` to every item, fanning the work over up to `n_threads` OS
-/// threads, and returns results in input order. Falls back to a plain map
-/// for tiny inputs or `n_threads <= 1`.
-///
-/// Thin wrapper over [`ExecPool::map`], kept for the index-build call
-/// sites; panics from `f` re-raise on the caller as `"worker panicked"`.
-pub fn parallel_map<T, U, F>(items: Vec<T>, n_threads: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    ExecPool::new(n_threads).map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,27 +293,33 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u32> = (0..1000).collect();
-        let got = parallel_map(items, 4, |x| x * 2);
+        let got = ExecPool::new(4).map(items, |x| x * 2);
         assert_eq!(got, (0..1000).map(|x| x * 2).collect::<Vec<u32>>());
     }
 
     #[test]
     fn single_thread_fallback() {
-        assert_eq!(parallel_map(vec![1, 2, 3], 1, |x| x + 1), vec![2, 3, 4]);
-        assert_eq!(parallel_map(Vec::<u32>::new(), 4, |x| x), Vec::<u32>::new());
-        assert_eq!(parallel_map(vec![7], 16, |x| x), vec![7]);
+        assert_eq!(
+            ExecPool::new(1).map(vec![1, 2, 3], |x| x + 1),
+            vec![2, 3, 4]
+        );
+        assert_eq!(
+            ExecPool::new(4).map(Vec::<u32>::new(), |x| x),
+            Vec::<u32>::new()
+        );
+        assert_eq!(ExecPool::new(16).map(vec![7], |x| x), vec![7]);
     }
 
     #[test]
     fn more_threads_than_items() {
-        let got = parallel_map(vec![1u32, 2, 3], 64, |x| x * x);
+        let got = ExecPool::new(64).map(vec![1u32, 2, 3], |x| x * x);
         assert_eq!(got, vec![1, 4, 9]);
     }
 
     #[test]
     #[should_panic(expected = "worker panicked")]
     fn worker_panic_propagates() {
-        parallel_map(vec![0u32, 1], 2, |x| {
+        ExecPool::new(2).map(vec![0u32, 1], |x| {
             assert!(x != 1, "boom");
             x
         });

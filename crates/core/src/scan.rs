@@ -4,7 +4,6 @@
 //! [`execute`]: for any dataset and query, an index's result must equal the
 //! scan's result exactly (the paper's techniques are exact, not approximate).
 
-use crate::parallel::{partition, ExecPool};
 use crate::{Dataset, MissingPolicy, RangeQuery, RowSet};
 
 /// Evaluates `query` over `dataset` by scanning every record.
@@ -49,21 +48,6 @@ pub fn execute_range(
     }
 }
 
-/// Evaluates `query` with a row-range–partitioned parallel scan: the rows
-/// are split into up to `threads` contiguous slices, each worker runs
-/// [`execute_range`] on its slice, and the ordered partial results are
-/// concatenated. Bit-identical to [`execute`] for any thread count.
-pub fn execute_partitioned(dataset: &Dataset, query: &RangeQuery, threads: usize) -> RowSet {
-    let n = dataset.n_rows();
-    if threads <= 1 || n < 2 {
-        return execute(dataset, query);
-    }
-    let parts = ExecPool::new(threads).map(partition(n, threads), |range| {
-        execute_range(dataset, query, range)
-    });
-    RowSet::concat_sorted(parts)
-}
-
 /// Thin adapter over [`MissingPolicy::cell_matches`] — the single semantic
 /// definition — over the raw in-band encoding used in the hot loop.
 #[inline]
@@ -79,11 +63,6 @@ pub fn execute_rowwise(dataset: &Dataset, query: &RangeQuery) -> RowSet {
             .filter(|&r| query.matches_row(dataset, r as usize))
             .collect(),
     )
-}
-
-/// Counts matching rows without materializing the result.
-pub fn count(dataset: &Dataset, query: &RangeQuery) -> usize {
-    execute(dataset, query).len()
 }
 
 #[cfg(test)]
@@ -152,44 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_execute() {
-        let d = data();
-        let q = RangeQuery::new(vec![Predicate::point(1, 5)], MissingPolicy::IsMatch).unwrap();
-        assert_eq!(count(&d, &q), execute(&d, &q).len());
-    }
-
-    #[test]
     fn point_query_on_single_attribute() {
         let d = data();
         let q = RangeQuery::new(vec![Predicate::point(1, 9)], MissingPolicy::IsNotMatch).unwrap();
         assert_eq!(execute(&d, &q).rows(), &[5]);
-    }
-
-    #[test]
-    fn partitioned_scan_is_bit_identical_to_sequential() {
-        let d = data();
-        for policy in MissingPolicy::ALL {
-            for lo in 1..=10u16 {
-                for hi in lo..=10u16 {
-                    let q = RangeQuery::new(
-                        vec![Predicate::range(0, lo, hi), Predicate::range(1, 1, 7)],
-                        policy,
-                    )
-                    .unwrap();
-                    let seq = execute(&d, &q);
-                    for threads in [1, 2, 3, 8] {
-                        assert_eq!(
-                            execute_partitioned(&d, &q, threads),
-                            seq,
-                            "{policy} [{lo},{hi}] t={threads}"
-                        );
-                    }
-                }
-            }
-        }
-        // Empty search key: every slice contributes its full range.
-        let q = RangeQuery::new(vec![], MissingPolicy::IsMatch).unwrap();
-        assert_eq!(execute_partitioned(&d, &q, 4), RowSet::all(6));
     }
 
     #[test]

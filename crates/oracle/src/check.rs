@@ -7,11 +7,10 @@
 //! shrinker can re-execute the case freely.
 
 use crate::gen::{self, Case};
-use ibis_core::synopsis::ShardSynopsis;
 use ibis_core::{
     scan, AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, RowSet, WorkCounters,
 };
-use ibis_storage::ShardedDb;
+use ibis_storage::{DbConfig, ShardedDb};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -147,7 +146,7 @@ pub fn check_case(case: &Case) -> CaseResult {
             None
         }
     };
-    let sharded = match catch(|| build_sharded(&d)) {
+    let sharded = match catch(|| build_routed(&d)) {
         Ok(s) => s,
         Err(p) => {
             ctx.check("registry/sharded-build", Err(p));
@@ -317,107 +316,70 @@ fn check_snapshot_roundtrip(
     });
 }
 
-/// One shard of the sharded metamorphic relation: a contiguous row slice
-/// with its global-id offset, its synopsis, and a few index families built
-/// over the slice alone.
-struct ShardPart {
-    offset: u32,
-    data: Arc<Dataset>,
-    synopsis: ShardSynopsis,
-    methods: Vec<Box<dyn AccessMethod>>,
+/// The single-family configurations the sharded relation runs under, so
+/// every family is reached through the router rather than only whichever
+/// one the planner prefers under the default config.
+fn shard_families() -> [(&'static str, DbConfig); 4] {
+    let none = DbConfig::none();
+    [
+        ("bee-wah", DbConfig { bee: true, ..none }),
+        ("bre-wah", DbConfig { bre: true, ..none }),
+        ("va-file", DbConfig { va: true, ..none }),
+        ("seq-scan", none),
+    ]
 }
 
-/// Names of the per-shard families, index-aligned with `ShardPart::methods`.
-const SHARD_FAMILIES: [&str; 4] = ["bee-wah", "bre-wah", "va-file", "seq-scan"];
+/// One shard count's databases, one per [`shard_families`] entry.
+type Routed = (usize, [(&'static str, ShardedDb); 4]);
 
-/// Splits `d` into `k` contiguous shards (each of `⌈n/k⌉` rows) for every
-/// `k` in [`SHARD_COUNTS`], building one representative method per major
-/// family over each slice.
-fn build_sharded(d: &Arc<Dataset>) -> Vec<(usize, Vec<ShardPart>)> {
-    use ibis_bitmap::{EqualityBitmapIndex, RangeBitmapIndex};
-    use ibis_bitvec::Wah;
+/// Builds a [`ShardedDb`] of `k` shards (each of `⌈n/k⌉` rows) for every
+/// `k` in [`SHARD_COUNTS`] under each of the [`shard_families`].
+fn build_routed(d: &Dataset) -> Vec<Routed> {
     SHARD_COUNTS
         .iter()
         .map(|&k| {
-            let n = d.n_rows();
-            let chunk = n.div_ceil(k).max(1);
-            let mut parts = Vec::new();
-            let mut start = 0;
-            loop {
-                let end = (start + chunk).min(n);
-                let slice = Arc::new(d.slice_rows(start..end));
-                let methods: Vec<Box<dyn AccessMethod>> = vec![
-                    Box::new(EqualityBitmapIndex::<Wah>::build(&slice)),
-                    Box::new(RangeBitmapIndex::<Wah>::build(&slice)),
-                    Box::new(ibis_vafile::VaFile::build(&slice).bind(Arc::clone(&slice))),
-                    Box::new(ibis_baseline::SequentialScan.bind(Arc::clone(&slice))),
-                ];
-                parts.push(ShardPart {
-                    offset: start as u32,
-                    synopsis: ShardSynopsis::of(&slice),
-                    data: slice,
-                    methods,
-                });
-                start = end;
-                if start >= n {
-                    break;
-                }
-            }
-            (k, parts)
+            let shard_rows = d.n_rows().div_ceil(k).max(1);
+            let build = |(name, cfg)| (name, ShardedDb::with_config(d.clone(), shard_rows, cfg));
+            (k, shard_families().map(build))
         })
         .collect()
 }
 
-/// Metamorphic relation 3 — sharding: a dataset split into `k` contiguous
-/// shards, each queried independently and offset-merged, must return rows
-/// bit-identical to the monolithic truth, with the summed [`WorkCounters`]
-/// identical across thread degrees. Additionally, any shard whose
-/// [`ShardSynopsis`] claims it can be pruned must truly hold no answer —
+/// Metamorphic relation 3 — sharding: the dataset served by the real
+/// router ([`ShardedDb`]: synopsis pruning, fan-out, re-base, merge) at
+/// `k` contiguous shards must return rows bit-identical to the monolithic
+/// truth, with [`WorkCounters`] identical across thread degrees.
+/// Additionally, any shard whose synopsis claims it can be pruned must
+/// truly hold no answer — no truth row may fall in its id range — which is
 /// the soundness of partition elimination under both semantics.
-fn check_sharded(
-    ctx: &mut Ctx,
-    sharded: &[(usize, Vec<ShardPart>)],
-    query: &RangeQuery,
-    truth: &RowSet,
-    qi: usize,
-) {
-    for (k, parts) in sharded {
+fn check_sharded(ctx: &mut Ctx, routed: &[Routed], query: &RangeQuery, truth: &RowSet, qi: usize) {
+    for (k, dbs) in routed {
         ctx.assert(&format!("shard-prune/k{k}/q{qi}"), || {
-            for (si, part) in parts.iter().enumerate() {
-                if part.synopsis.can_prune(query) {
-                    let hits = scan::execute(&part.data, query);
-                    if !hits.is_empty() {
-                        return Err(format!(
-                            "shard {si} pruned by its synopsis yet holds {}",
-                            fmt_rows(&hits)
-                        ));
-                    }
+            // Synopses do not depend on the index config: any family's do.
+            let db = &dbs[0].1;
+            for si in (0..db.shard_count()).filter(|&si| db.synopsis(si).can_prune(query)) {
+                let ids = (si * db.shard_rows()) as u32..((si + 1) * db.shard_rows()) as u32;
+                if let Some(hit) = truth.iter().find(|r| ids.contains(r)) {
+                    return Err(format!(
+                        "shard {si} pruned by its synopsis yet holds row {hit}"
+                    ));
                 }
             }
             Ok(())
         });
-        for (mi, name) in SHARD_FAMILIES.iter().enumerate() {
-            if parts.iter().any(|p| !p.methods[mi].supports(query)) {
-                continue;
-            }
+        for (name, db) in dbs {
             ctx.assert(&format!("sharded/{name}/k{k}/q{qi}"), || {
                 let mut baseline: Option<WorkCounters> = None;
                 for threads in SHARD_THREADS {
-                    let mut rows: Vec<u32> = Vec::new();
-                    let mut counters = WorkCounters::zero();
-                    for part in parts {
-                        let (r, c) = part.methods[mi]
-                            .execute_with_cost_threads(query, threads)
-                            .map_err(|e| format!("t={threads}: {e}"))?;
-                        rows.extend(r.iter().map(|x| x + part.offset));
-                        counters.merge(c);
-                    }
-                    expect_eq(&RowSet::from_sorted(rows), truth)?;
+                    let (rows, counters) = db
+                        .execute_with_cost_threads(query, threads)
+                        .map_err(|e| format!("t={threads}: {e}"))?;
+                    expect_eq(&rows, truth)?;
                     match &baseline {
                         None => baseline = Some(counters),
                         Some(b) if *b != counters => {
                             return Err(format!(
-                                "summed counters diverge at t={threads}; got\n{counters}\nbaseline\n{b}"
+                                "counters diverge at t={threads}; got\n{counters}\nbaseline\n{b}"
                             ));
                         }
                         Some(_) => {}

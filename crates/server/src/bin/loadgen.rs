@@ -15,6 +15,8 @@
 //!   every request succeeded (zero errors, zero sheds) and throughput is
 //!   non-zero — the CI smoke.
 
+#![forbid(unsafe_code)]
+
 use ibis_core::gen::{census_scaled, workload, QuerySpec};
 use ibis_core::{MissingPolicy, RangeQuery};
 use ibis_server::{Client, ErrorCode, Request, Response, Server, ServerConfig};

@@ -16,11 +16,12 @@
 //!   open-loop load generation (the `loadgen` bin).
 //!
 //! Reads are snapshot-isolated end to end: every response carries the
-//! watermark of the lock-free [`DbSnapshot`](ibis_storage::DbSnapshot)
+//! watermark of the frozen [`DbSnapshot`](ibis_storage::DbSnapshot)
 //! that served it, and served answers are bit-identical to executing the
 //! same query directly against that snapshot.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod protocol;

@@ -16,9 +16,9 @@
 //!   so workers and the reader never block on a slow client socket;
 //! * **fixed worker pool** (`config.workers` threads) — each wake drains
 //!   up to `config.max_batch` queued jobs under one queue lock, acquires
-//!   **one** lock-free [`ConcurrentDb::snapshot`] for the drain, and
-//!   answers the jobs in queue order, each through the call every other
-//!   caller of the database makes:
+//!   **one** [`ConcurrentDb::snapshot`] for the drain (never behind a
+//!   mutation in progress), and answers the jobs in queue order, each
+//!   through the call every other caller of the database makes:
 //!   [`ShardedDb::execute_with_cost_threads`](ibis_storage::ShardedDb::execute_with_cost_threads)
 //!   at degree 1. A job sampled for tracing runs that same call, in its
 //!   turn, under a span capture. Each job is timed, deadline-checked,
@@ -533,7 +533,7 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize
     if live.is_empty() {
         return;
     }
-    // One lock-free snapshot serves the whole drain: every job below
+    // One snapshot serves the whole drain: every job below
     // answers at the same watermark.
     let snap = shared.db.snapshot();
     for j in live {

@@ -1,38 +1,41 @@
 //! [`ConcurrentDb`] — snapshot-isolated concurrent serving.
 //!
-//! The ownership inversion that makes "readers never block behind
-//! writers" true end to end:
+//! The ownership inversion that makes "readers never wait for a mutation
+//! in progress" true end to end:
 //!
-//! * **Readers** call [`ConcurrentDb::snapshot`]: one lock-free
-//!   [`SnapshotCell::load`] returning an `Arc<DbSnapshot>`. Every query
-//!   runs against that frozen shard-set; a reader holding a snapshot is
-//!   invisible to writers and vice versa.
+//! * **Readers** call [`ConcurrentDb::snapshot`]: read-lock the published
+//!   `RwLock<Arc<DbSnapshot>>`, clone the `Arc`, unlock. Every query runs
+//!   against that frozen shard-set; a reader holding a snapshot is
+//!   invisible to writers and vice versa. A reader never touches the
+//!   writer mutex, so the only thing it can wait for is the single
+//!   pointer store of a publication — never a mutation, a WAL append or
+//!   fsync, a compaction or a checkpoint.
 //! * **Writers** (`insert`/`delete`/`compact`/`checkpoint`) serialize
 //!   behind one internal mutex, apply the mutation to the backend
 //!   (in-memory [`ShardedDb`] or durable [`DurableDb`] — WAL first), and
 //!   **publish**: shallow-clone the shard-set (copy-on-write `Arc`s, so
 //!   this is a pointer bump per shard), stamp it with the bumped
-//!   watermark, and atomically swap it into the cell. Compaction rebuilds
+//!   watermark, and swap it in under the write lock. Compaction rebuilds
 //!   shards *inside the writer section* and swaps the rebuilt set in the
 //!   same way — in-flight queries keep their pre-compaction snapshot and
 //!   never stall.
 //!
 //! Publish ordering is the whole contract: the WAL append (durable
 //! backend) happens before the in-memory apply, the apply happens before
-//! the publication swap, and the swap is a `SeqCst` pointer exchange — so
-//! a snapshot with watermark `w` contains *exactly* the first `w` logical
-//! mutations, never a torn prefix. See `DESIGN.md` §14 and
-//! [`epoch`](crate::epoch) for the reclamation proof.
+//! the publication swap, and the swap is one store under the write lock —
+//! so a snapshot with watermark `w` contains *exactly* the first `w`
+//! logical mutations, never a torn prefix. A superseded snapshot is an
+//! ordinary `Arc`: it is freed when its last holder lets go. See
+//! `DESIGN.md` §14.
 
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use ibis_core::Cell;
 
-use crate::db::{DbConfig, ShardedDb};
+use crate::db::{invalid_input, DbConfig, ShardedDb};
 use crate::engine::DurableDb;
-use crate::epoch::SnapshotCell;
 use crate::snapshot::DbSnapshot;
 
 /// The mutable truth behind the writer lock: either a plain in-memory
@@ -58,7 +61,8 @@ struct Writer {
 }
 
 /// A sharded incomplete database served under snapshot isolation:
-/// lock-free readers, serialized writers, atomic publication.
+/// readers that never wait for a mutation in progress, serialized
+/// writers, atomic publication.
 ///
 /// ```
 /// use ibis_core::gen::census_scaled;
@@ -66,7 +70,7 @@ struct Writer {
 /// use ibis_storage::ConcurrentDb;
 ///
 /// let db = ConcurrentDb::new_mem(census_scaled(100, 7), 32);
-/// let snap = db.snapshot(); // lock-free acquire
+/// let snap = db.snapshot(); // never waits for a writer's mutation
 /// let q = RangeQuery::new(vec![Predicate::range(0, 1, 2)], MissingPolicy::IsMatch).unwrap();
 /// let before = snap.execute(&q).unwrap();
 /// db.delete(3).unwrap(); // writers never invalidate a held snapshot
@@ -75,18 +79,21 @@ struct Writer {
 /// ```
 pub struct ConcurrentDb {
     writer: Mutex<Writer>,
-    published: SnapshotCell<DbSnapshot>,
+    published: RwLock<Arc<DbSnapshot>>,
+    /// Fixed at construction, so asking never queues behind a writer.
+    durable: bool,
 }
 
 impl ConcurrentDb {
     fn from_backend(backend: Backend) -> ConcurrentDb {
         let first = DbSnapshot::freeze(backend.db(), 0);
         ConcurrentDb {
+            durable: matches!(backend, Backend::Durable(_)),
             writer: Mutex::new(Writer {
                 backend,
                 watermark: 0,
             }),
-            published: SnapshotCell::new(Arc::new(first)),
+            published: RwLock::new(Arc::new(first)),
         }
     }
 
@@ -124,16 +131,24 @@ impl ConcurrentDb {
         Self::from_backend(Backend::Durable(db))
     }
 
-    /// Acquires the currently-published snapshot. Lock-free: one atomic
-    /// pointer load under an epoch pin — never blocks, regardless of any
-    /// concurrent insert, delete, compaction, or checkpoint.
+    /// Acquires the currently-published snapshot: read-lock, clone the
+    /// `Arc`, unlock. Never touches the writer mutex, so it never waits
+    /// for an insert, delete, WAL append or fsync, compaction or
+    /// checkpoint in progress — only, at worst, for the single pointer
+    /// store of a publication.
     pub fn snapshot(&self) -> Arc<DbSnapshot> {
-        self.published.load()
+        // Neither critical section on `published` can panic, so a
+        // poisoned guard still holds a whole snapshot: recover it.
+        let published = self
+            .published
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(&published)
     }
 
     /// Whether mutations are WAL-backed.
     pub fn is_durable(&self) -> bool {
-        matches!(self.lock_writer().backend, Backend::Durable(_))
+        self.durable
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
@@ -142,10 +157,19 @@ impl ConcurrentDb {
         self.writer.lock().expect("writer panicked mid-mutation")
     }
 
-    /// Publishes `w`'s current state at its current watermark.
+    /// Publishes `w`'s current state at its current watermark. The new
+    /// snapshot is built before the write lock is taken and the superseded
+    /// one is dropped after it is released: dropping a snapshot can free
+    /// shard bodies, which must never happen under a lock readers take.
     fn publish(&self, w: &Writer) {
-        self.published
-            .store(Arc::new(DbSnapshot::freeze(w.backend.db(), w.watermark)));
+        let next = Arc::new(DbSnapshot::freeze(w.backend.db(), w.watermark));
+        let mut published = self
+            .published
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let superseded = std::mem::replace(&mut *published, next);
+        drop(published);
+        drop(superseded);
     }
 
     /// Appends one row (durably when WAL-backed) and publishes the new
@@ -153,9 +177,7 @@ impl ConcurrentDb {
     pub fn insert(&self, row: &[Cell]) -> io::Result<()> {
         let mut w = self.lock_writer();
         match &mut w.backend {
-            Backend::Mem(db) => db
-                .insert(row)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?,
+            Backend::Mem(db) => db.insert(row).map_err(invalid_input)?,
             Backend::Durable(d) => d.insert(row)?,
         }
         w.watermark += 1;
@@ -281,10 +303,92 @@ mod tests {
     }
 
     #[test]
-    fn durable_backend_serves_and_recovers() {
-        let dir = std::env::temp_dir().join(format!("ibis-conc-{}", std::process::id()));
+    fn superseded_snapshot_is_freed_when_its_last_holder_lets_go() {
+        let db = ConcurrentDb::new_mem(census_scaled(40, 12), 16);
+        let held = db.snapshot();
+        let weak = Arc::downgrade(&held);
+        db.delete(0).unwrap();
+        db.delete(1).unwrap();
+        // Two publications later the holder still keeps it alive...
+        assert_eq!(weak.upgrade().expect("held").watermark(), 0);
+        // ...and nothing else does: the database let go at the first one.
+        drop(held);
+        assert!(weak.upgrade().is_none(), "superseded snapshot leaked");
+        // The published snapshot is owned by the database, not the caller.
+        let weak = Arc::downgrade(&db.snapshot());
+        assert_eq!(weak.upgrade().expect("published").watermark(), 2);
+    }
+
+    fn tmp(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ibis-conc-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn snapshot_returns_while_the_writer_mutex_is_held() {
+        let dir = tmp("held");
+        let db = Arc::new(
+            ConcurrentDb::create_durable(&dir, census_scaled(60, 14), 16, DbConfig::all()).unwrap(),
+        );
+        // The holder sits inside the writer mutex until told to leave (or
+        // five seconds pass, so a regression fails instead of hanging).
+        let (entered, wait) = std::sync::mpsc::channel();
+        let (release, leave) = std::sync::mpsc::channel::<()>();
+        let holder = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                db.with_durable(|_| {
+                    entered.send(()).unwrap();
+                    leave
+                        .recv_timeout(std::time::Duration::from_secs(5))
+                        .is_ok()
+                })
+            })
+        };
+        wait.recv().unwrap(); // the writer mutex is held from here on
+        let snap = db.snapshot();
+        let rows = snap.execute(&q()).unwrap();
+        assert!(db.is_durable(), "a constant, not a writer-lock read");
+        release.send(()).ok(); // the holder may have timed out and gone
+        assert_eq!(
+            holder.join().unwrap(),
+            Some(true),
+            "snapshot() or is_durable() waited out the writer mutex"
+        );
+        assert_eq!(rows, db.snapshot().execute(&q()).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn invalid_rows_are_invalid_input_on_both_backends_and_change_nothing() {
+        let dir = tmp("invalid");
+        let data = census_scaled(40, 15);
+        let n_attrs = data.n_attrs();
+        let durable =
+            ConcurrentDb::create_durable(&dir, data.clone(), 16, DbConfig::default()).unwrap();
+        let mut out_of_domain = vec![Cell::MISSING; n_attrs];
+        out_of_domain[0] = Cell::present(u16::MAX);
+        for db in [ConcurrentDb::new_mem(data, 16), durable] {
+            let state = |db: &ConcurrentDb| {
+                let snap = db.snapshot();
+                let wal = db.with_durable(|d| d.wal_bytes());
+                (snap.n_rows(), snap.watermark(), wal)
+            };
+            let before = state(&db);
+            for row in [&[Cell::present(1)][..], &out_of_domain] {
+                let err = db.insert(row).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+                assert_eq!(state(&db), before);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn durable_backend_serves_and_recovers() {
+        let dir = tmp("serve");
         {
             let db = ConcurrentDb::create_durable(&dir, census_scaled(60, 13), 16, DbConfig::all())
                 .unwrap();

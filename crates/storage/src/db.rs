@@ -296,6 +296,13 @@ pub(crate) fn invalid(e: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
 }
 
+/// The error every mutation in this crate raises for a value the caller
+/// supplied that cannot be accepted (as opposed to [`invalid`] bytes read
+/// back from disk).
+pub(crate) fn invalid_input(e: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+}
+
 impl IncompleteDb {
     /// Builds over `dataset` with the default config.
     pub fn new(dataset: Dataset) -> IncompleteDb {

@@ -18,7 +18,7 @@
 //! checksummed file, byte-identically.
 
 use crate::crc::crc32;
-use crate::db::invalid;
+use crate::db::{invalid, invalid_input};
 use crate::manifest::{Manifest, MANIFEST_FILE};
 use crate::wal::{self, WalRecord, WalWriter};
 use crate::{DbConfig, ShardedDb};
@@ -169,9 +169,9 @@ impl DurableDb {
     }
 
     /// Appends one row durably: validated, logged + fsynced, then applied.
-    /// An invalid row fails *before* reaching the log.
+    /// An invalid row fails with `InvalidInput` *before* reaching the log.
     pub fn insert(&mut self, row: &[Cell]) -> io::Result<()> {
-        self.db.validate_row(row).map_err(invalid)?;
+        self.db.validate_row(row).map_err(invalid_input)?;
         self.wal.append(&WalRecord::Insert(row.to_vec()))?;
         self.db.insert(row).expect("row validated before logging");
         Ok(())

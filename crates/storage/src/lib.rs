@@ -14,11 +14,10 @@
 //!   snapshot and WAL watermark;
 //! * [`engine`] — [`DurableDb`]: WAL → checkpoint → MANIFEST → backup,
 //!   with open-time crash recovery;
-//! * [`epoch`] — epoch-based reclamation and the lock-free
-//!   [`SnapshotCell`](epoch::SnapshotCell) publication primitive;
 //! * [`snapshot`] / [`concurrent`] — [`DbSnapshot`] (immutable frozen
-//!   shard-set + watermark) and [`ConcurrentDb`] (lock-free reader
-//!   snapshots, serialized writers, atomic publication).
+//!   shard-set + watermark) and [`ConcurrentDb`] (reader snapshots that
+//!   never wait for a mutation in progress, serialized writers, atomic
+//!   publication through one `RwLock<Arc<DbSnapshot>>`).
 //!
 //! [`DbSnapshot`] and [`DurableDb`] are wrappers, not re-declarations: each
 //! keeps only what is its own (a watermark; the WAL, manifest and
@@ -33,10 +32,11 @@
 //! rebuildable cache recomputed on load. Snapshots therefore never store
 //! index bytes, and recovery is "load data, rebuild indexes, replay tail".
 
+#![forbid(unsafe_code)]
+
 pub mod concurrent;
 pub mod db;
 pub mod engine;
-pub mod epoch;
 pub mod manifest;
 pub mod sharded;
 pub mod snapshot;

@@ -13,6 +13,8 @@
 //! semantics default to *missing-is-match* (`--not-match` flips it), the
 //! same two modes the paper defines.
 
+#![forbid(unsafe_code)]
+
 use ibis::bitmap::{BitmapIndex, Decomposed, Encoding, Equality, IntervalWindows, Range};
 use ibis::bitvec::BitStore;
 use ibis::core::csv::{export_csv, import_csv, load_dictionaries, save_dictionaries, CsvOptions};
@@ -146,7 +148,7 @@ commands:
   query --data-dir DIR QUERY [--not-match] [--count] [--limit N]
         [--threads N] [--profile]
       recover the durable database in DIR (snapshot + WAL replay) and
-      query it through a lock-free serving snapshot; prints the snapshot
+      query it through a frozen serving snapshot; prints the snapshot
       watermark and shard pruning stats alongside the answer
   race FILE [--queries N] [--k K] [--seed S] [--threads N] [--profile]
       time BEE/BRE/VA on a generated workload over FILE at the given
@@ -154,7 +156,7 @@ commands:
       time, counters — timings then include recorder overhead)
   race FILE --live N [--shard-rows R] [--queries Q] [--k K] [--seed S]
         [--threads T]
-      serve FILE under snapshot isolation and race T lock-free readers
+      serve FILE under snapshot isolation and race T snapshot readers
       (each looping the generated workload over fresh snapshots) against
       one writer streaming N inserts/deletes/compactions; reports reader
       throughput and the watermark span each reader observed
@@ -203,7 +205,7 @@ commands:
       expose the database over the IBQP binary wire protocol (default
       address 127.0.0.1:7431; --addr-file records the bound address,
       which is how scripts learn the port under --addr HOST:0): requests
-      execute against lock-free snapshots on a fixed worker pool, a
+      execute against frozen snapshots on a fixed worker pool, a
       worker wake drains up to --max-batch queued requests and answers
       them in queue order on one snapshot, each request carries a
       deadline (default: the oracle's per-case budget), and a queue
@@ -599,23 +601,24 @@ fn query(args: &[String]) -> Result<(), CliError> {
         None => None,
     };
     let profile_json = flags.get("profile-json");
+    // Without a saved index the scan baseline is the method (its chunks
+    // are spans too).
+    let method = || -> Result<Box<dyn AccessMethod>, String> {
+        Ok(match flags.get("index") {
+            Some(idx) => load_access_method(idx, &d)?,
+            None => Box::new(SequentialScan.bind(Arc::clone(&d))),
+        })
+    };
     let rows = if flags.contains_key("profile") || profile_json.is_some() {
-        // Profile through the engine trait; without a saved index the scan
-        // baseline is the method (its chunks are spans too). With
-        // --shard-rows the whole sharded pipeline is profiled instead:
-        // per-shard `db.shard` spans plus the `shards.pruned` counter.
+        // Profile through the engine trait. With --shard-rows the whole
+        // sharded pipeline is profiled instead: per-shard `db.shard` spans
+        // plus the `shards.pruned` counter.
         let prof = match shard_rows {
             Some(n) => {
                 let db = ShardedDb::new(Dataset::clone(&d), n);
                 ibis::profile::profile_sharded(&db, &q, threads)
             }
-            None => {
-                let method: Box<dyn AccessMethod> = match flags.get("index") {
-                    Some(idx) => load_access_method(idx, &d)?,
-                    None => Box::new(SequentialScan.bind(Arc::clone(&d))),
-                };
-                ibis::profile::profile_method(method.as_ref(), &q, threads)
-            }
+            None => ibis::profile::profile_method(method()?.as_ref(), &q, threads),
         }
         .map_err(|e| e.to_string())?;
         print!("{}", prof.render());
@@ -651,12 +654,9 @@ fn query(args: &[String]) -> Result<(), CliError> {
         );
         exec.rows
     } else {
-        match flags.get("index") {
-            Some(idx) => load_access_method(idx, &d)?
-                .execute_threads(&q, threads)
-                .map_err(|e| e.to_string())?,
-            None => ibis::core::scan::execute_partitioned(&d, &q, threads),
-        }
+        method()?
+            .execute_threads(&q, threads)
+            .map_err(|e| e.to_string())?
     };
     print_matches(&flags, &rows, d.n_rows(), policy, |r| {
         let cells: Vec<String> = q
@@ -723,7 +723,7 @@ fn print_rows(flags: &Flags, rows: &[u32], show: impl Fn(u32) -> String) -> Resu
 }
 
 /// `ibis query --data-dir DIR "QUERY"` — recover the durable database,
-/// acquire a lock-free serving snapshot, and query it through the sharded
+/// acquire a serving snapshot, and query it through the sharded
 /// executor (pruning stats included).
 fn query_durable(pos: &[String], flags: &Flags) -> Result<(), CliError> {
     let dir = req(flags, "data-dir")?;
@@ -1016,7 +1016,7 @@ fn race(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `ibis race FILE --live N` — readers loop the workload over lock-free
+/// `ibis race FILE --live N` — readers loop the workload over frozen
 /// snapshots while one writer streams mutations; throughput per reader.
 fn race_live(
     d: Dataset,
@@ -1263,7 +1263,7 @@ fn oracle(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `ibis serve` — expose a database over the `IBQP` wire protocol (see
-/// `ibis::server`): lock-free snapshot reads on a fixed worker pool with
+/// `ibis::server`): snapshot reads on a fixed worker pool with
 /// per-request deadlines and admission control.
 fn serve(args: &[String]) -> Result<(), CliError> {
     let (pos, flags) = parse_flags(

@@ -26,11 +26,11 @@
 //!   ([`DurableDb`](storage::DurableDb)): write-ahead log, checkpoints,
 //!   atomic MANIFEST, backup/restore, crash recovery — and the
 //!   snapshot-isolated serving layer
-//!   ([`ConcurrentDb`](storage::ConcurrentDb)): lock-free reader
-//!   snapshots under streaming writes;
+//!   ([`ConcurrentDb`](storage::ConcurrentDb)): reader snapshots that
+//!   never wait for a mutation in progress, under streaming writes;
 //! * [`server`] — networked query serving ([`Server`](server::Server),
 //!   the `IBQP` wire protocol, the blocking [`Client`](server::Client)):
-//!   CRC-framed requests executed in arrival order on lock-free
+//!   CRC-framed requests executed in arrival order on frozen
 //!   snapshots, with per-request deadlines and admission control (see the
 //!   `ibis serve` CLI subcommand and the `loadgen` bin);
 //! * [`oracle`] — seeded differential + metamorphic correctness oracle over
@@ -82,6 +82,8 @@
 //!     assert!(cost.bitmaps_accessed > 0);
 //! }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod profile;
 
