@@ -60,7 +60,7 @@ impl SequentialScan {
         // As in the VA-file: chunk spans carry the per-slice entry counts,
         // the wrapping `scan.scan` span the once-derived word total.
         let mut scan_span = ibis_obs::span("scan.scan");
-        let partials = ExecPool::new(threads).map(partition(n, threads), |range| {
+        let partials = ExecPool::new(threads).scoped_map(partition(n, threads), |range| {
             let mut span = ibis_obs::span("scan.chunk");
             span.add_field("rows", range.len() as u64);
             let entries = range.len() * k;

@@ -195,7 +195,7 @@ pub(crate) fn run<E: Encoding, B: BitStore, T>(
         });
     }
     query.validate_schema(ix.attrs.len(), |a| ix.attrs[a].cardinality)?;
-    let partials = ExecPool::new(threads).map(query.predicates().to_vec(), |p| {
+    let partials = ExecPool::new(threads).scoped_map(query.predicates().to_vec(), |p| {
         // Nested under the pool.worker span of whichever thread runs it.
         let mut span = ibis_obs::span("bitmap.fetch");
         let mut c = WorkCounters::zero();

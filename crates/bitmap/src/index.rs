@@ -128,7 +128,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
             }
         }
         let attrs = ibis_core::parallel::ExecPool::new(n_threads)
-            .map(dataset.columns().iter().collect(), build_attr);
+            .scoped_map(dataset.columns().iter().collect(), build_attr);
         Ok(Self::new(attrs, dataset.n_rows()))
     }
 

@@ -561,7 +561,7 @@ fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job
     // An inline pool of one, for its containment: a panic anywhere under
     // this job comes back as its error, and the worker goes on draining.
     let executed = ExecPool::new(1)
-        .try_map(vec![()], |()| {
+        .scoped_try_map(vec![()], |()| {
             let mut root = t.traced.then(|| ibis_obs::capture("server.request"));
             if let Some(root) = &mut root {
                 root.add_field("request_id", t.request_id);

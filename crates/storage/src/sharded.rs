@@ -301,16 +301,22 @@ impl ShardedDb {
         let mut span = ibis_obs::span("db.shards");
         let work = self.unpruned(query, &mut span);
         let pruned = self.shards.len() - work.len();
-        // With more than one live shard the shards *are* the parallelism;
-        // fanning out again inside each shard would oversubscribe the pool.
-        // Counters are thread-degree-independent either way, so this choice
-        // never shows up in the merged result.
-        let inner = if work.len() > 1 { 1 } else { threads.max(1) };
+        // With more than one shard the shards *are* the parallelism, even
+        // when pruning leaves one: a capacity-bounded shard costs less to
+        // evaluate inline than starting threads to fan it out again.
+        // Counters are thread-degree-independent either way, so this
+        // choice never shows up in the merged result.
+        let inner = if self.shards.len() == 1 {
+            threads.max(1)
+        } else {
+            1
+        };
+        let query = Arc::new(query.clone());
         let parts =
-            ibis_core::parallel::ExecPool::new(threads).try_map(work, |(i, off, shard)| {
+            ibis_core::parallel::ExecPool::new(threads).try_map(work, move |(i, off, shard)| {
                 let mut shard_span = ibis_obs::span("db.shard");
                 shard_span.add_field("shard", i as u64);
-                let (mut rows, counters) = shard.execute_with_cost_threads(query, inner)?;
+                let (mut rows, counters) = shard.execute_with_cost_threads(&query, inner)?;
                 shard_span.add_field("rows", rows.len() as u64);
                 counters.record_into(&mut shard_span);
                 rows.shift(off as u32);
@@ -333,18 +339,19 @@ impl ShardedDb {
     }
 
     /// The shards whose synopsis cannot prove `query` empty, each with its
-    /// index and global-id offset; what was skipped goes on the
-    /// `shards.pruned` counter and the `db.shards` span.
+    /// index and global-id offset, shared so the pool's workers may hold
+    /// them; what was skipped goes on the `shards.pruned` counter and the
+    /// `db.shards` span.
     fn unpruned(
         &self,
         query: &RangeQuery,
         span: &mut ibis_obs::SpanGuard,
-    ) -> Vec<(usize, usize, &IncompleteDb)> {
+    ) -> Vec<(usize, usize, Arc<IncompleteDb>)> {
         debug_assert_eq!(self.offsets.len(), self.shards.len());
         let shards = self.shards.iter().zip(&self.offsets).enumerate();
-        let work: Vec<(usize, usize, &IncompleteDb)> = shards
+        let work: Vec<(usize, usize, Arc<IncompleteDb>)> = shards
             .filter(|(_, (shard, _))| !shard.synopsis().can_prune(query))
-            .map(|(i, (shard, &off))| (i, off, &**shard))
+            .map(|(i, (shard, &off))| (i, off, Arc::clone(shard)))
             .collect();
         let pruned = self.shards.len() - work.len();
         ibis_obs::counter_add("shards.pruned", pruned as u64);
@@ -361,11 +368,12 @@ impl ShardedDb {
         let mut span = ibis_obs::span("db.shards");
         let work = self.unpruned(query, &mut span);
         let threads = ibis_core::parallel::configured_threads();
+        let query = Arc::new(query.clone());
         let counts =
-            ibis_core::parallel::ExecPool::new(threads).try_map(work, |(i, _, shard)| {
+            ibis_core::parallel::ExecPool::new(threads).try_map(work, move |(i, _, shard)| {
                 let mut shard_span = ibis_obs::span("db.shard");
                 shard_span.add_field("shard", i as u64);
-                let n = shard.count(query)?;
+                let n = shard.count(&query)?;
                 shard_span.add_field("rows", n as u64);
                 Ok(n)
             })?;
@@ -601,6 +609,32 @@ mod tests {
             assert_eq!(rows, rows1, "t={threads}");
             assert_eq!(c, c1, "t={threads}");
         }
+    }
+
+    #[test]
+    fn a_warmed_sharded_query_starts_no_thread() {
+        // 64 shards of 4 rows, `a` banded by shard, `b` varying inside one:
+        // the wide query fans out over every shard, the point query prunes
+        // to one shard, which must not fan its predicates out again.
+        let rows: Vec<Vec<Cell>> = (0u16..256)
+            .map(|r| vec![v(r / 4 + 1), v(r % 4 + 1)])
+            .collect();
+        let db = ShardedDb::new(
+            Dataset::from_rows(&[("a", 64), ("b", 4)], &rows).unwrap(),
+            4,
+        );
+        assert_eq!(db.shard_count(), 64);
+        let key = |lo, hi| vec![Predicate::range(0, lo, hi), Predicate::range(1, 2, 3)];
+        let wide = RangeQuery::new(key(1, 64), MissingPolicy::IsNotMatch).unwrap();
+        let one = RangeQuery::new(key(10, 10), MissingPolicy::IsNotMatch).unwrap();
+        db.execute_threads(&wide, 2).unwrap(); // warms the parked workers
+        let before = ibis_core::parallel::threads_started_here();
+        for (q, executed) in [(&wide, 64), (&one, 1)] {
+            let exec = db.execute_with_stats_threads(q, 2).unwrap();
+            assert_eq!(exec.shards_executed(), executed);
+            assert_eq!(exec.rows, db.execute_threads(q, 1).unwrap());
+        }
+        assert_eq!(ibis_core::parallel::threads_started_here(), before);
     }
 
     #[test]

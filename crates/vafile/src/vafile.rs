@@ -196,7 +196,7 @@ impl VaFile {
             let (out, cost, bits) = self.scan_range(dataset, query, &plans, 0..n);
             (vec![out], cost, bits)
         } else {
-            let partials = ExecPool::new(threads).map(partition(n, threads), |range| {
+            let partials = ExecPool::new(threads).scoped_map(partition(n, threads), |range| {
                 self.scan_range(dataset, query, &plans, range)
             });
             let mut cost = WorkCounters::default();
