@@ -12,6 +12,11 @@
 //! Queries use the textual language of [`ibis::core::parse`]; missing-data
 //! semantics default to *missing-is-match* (`--not-match` flips it), the
 //! same two modes the paper defines.
+//!
+//! Each subcommand is declared once, as a `Command` in `COMMANDS`: its
+//! flags with their kinds, defaults and lower bounds. The parser and
+//! `ibis help` both read that table, so a flag's help, parse and check
+//! cannot drift apart.
 
 #![forbid(unsafe_code)]
 
@@ -19,9 +24,11 @@ use ibis::bitmap::{BitmapIndex, Decomposed, Encoding, Equality, IntervalWindows,
 use ibis::bitvec::BitStore;
 use ibis::core::csv::{export_csv, import_csv, load_dictionaries, save_dictionaries, CsvOptions};
 use ibis::core::gen::{census_scaled, synthetic_scaled, workload, QuerySpec};
+use ibis::core::parallel::configured_threads;
 use ibis::core::parse::{parse_query, parse_query_with_dictionaries};
 use ibis::core::stats::{column_stats, CompositionTable};
 use ibis::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read as _;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -77,241 +84,503 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    match args.first().map(String::as_str) {
-        Some("generate") => generate(&args[1..]),
-        Some("import") => import(&args[1..]),
-        Some("export") => export(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("index") => index(&args[1..]),
-        Some("query") => query(&args[1..]),
-        Some("race") => race(&args[1..]),
-        Some("stress") => stress(&args[1..]),
-        Some("oracle") => oracle(&args[1..]),
-        Some("init") => init(&args[1..]),
-        Some("checkpoint") => checkpoint(&args[1..]),
-        Some("backup") => backup(&args[1..]),
-        Some("restore") => restore(&args[1..]),
-        Some("validate") => validate(&args[1..]),
-        Some("crash") => crash(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("top") => top(&args[1..]),
-        Some("help") | None => {
-            print!("{HELP}");
-            Ok(())
-        }
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown command {other:?}; try `ibis help`"
-        ))),
-    }
-}
-
-const HELP: &str = "\
-ibis — indexing incomplete databases (EDBT 2006 reproduction)
-
-commands:
-  generate --kind synthetic|census --rows N [--seed S] --out FILE
-      write a generated dataset (binary .ibds format)
-  import FILE.csv --out FILE.ibds [--delimiter C] [--no-header]
-      dictionary-encode a CSV (blank/NA/?/NULL cells become missing)
-  export FILE.ibds --out FILE.csv
-      write a dataset back out as CSV (numeric codes, missing = empty)
-  stats FILE
-      per-column stats and the Table-7 composition cross-tab
-  stats --addr HOST:PORT [--json | --prom | --slow]
-      one STATS request against a running `ibis serve`: by default a
-      human-readable summary (queue, workers, windowed throughput and
-      latency quantiles, shed/expired counts); --json prints the metric
-      registry as canonical JSON, --prom as Prometheus text exposition,
-      --slow the server's slow-query log (worst requests with queue/exec
-      split and per-phase work-counter deltas); the slow view is fed by
-      request tracing, so against a server running --trace-sample 0 it
-      is permanently empty
-  index FILE --encoding bee|bre|bie|dec|va|adaptive
-        [--backend wah|bbc|plain|adaptive] --out FILE
-      build and save an index (va ignores --backend; backend adaptive
-      stores any bitmap encoding in roaring-style containers with
-      container-exact work counters; encoding adaptive is shorthand
-      for --encoding bee --backend adaptive)
-  query FILE QUERY [--index IDXFILE] [--not-match] [--count] [--limit N]
-        [--threads N] [--shard-rows N] [--profile] [--profile-json FILE]
-        [--addr HOST:PORT [--deadline-ms MS]]
-      run a textual query (e.g. \"age between 2 and 5 and q5 = 1\");
-      uses a saved index when given, otherwise scans; --threads sets the
-      parallel degree (default: IBIS_THREADS or the machine's cores);
-      --addr sends the parsed query to a running `ibis serve` over IBQP
-      instead of executing locally (FILE still supplies the schema;
-      --deadline-ms caps the request, 0 = the server's default);
-      --shard-rows partitions the data into shards of N rows (per-shard
-      indexes; synopsis pruning skips shards that cannot match);
-      --profile prints the span tree with per-phase work-counter deltas,
-      --profile-json also writes the machine-readable profile
-  query --data-dir DIR QUERY [--not-match] [--count] [--limit N]
-        [--threads N] [--profile]
-      recover the durable database in DIR (snapshot + WAL replay) and
-      query it through a frozen serving snapshot; prints the snapshot
-      watermark and shard pruning stats alongside the answer
-  race FILE [--queries N] [--k K] [--seed S] [--threads N] [--profile]
-      time BEE/BRE/VA on a generated workload over FILE at the given
-      parallel degree; --profile adds a per-method phase table (spans,
-      time, counters — timings then include recorder overhead)
-  race FILE --live N [--shard-rows R] [--queries Q] [--k K] [--seed S]
-        [--threads T]
-      serve FILE under snapshot isolation and race T snapshot readers
-      (each looping the generated workload over fresh snapshots) against
-      one writer streaming N inserts/deletes/compactions; reports reader
-      throughput and the watermark span each reader observed
-  stress [--seed S] [--rows N] [--readers N] [--mutations N]
-         [--threads A,B] [--durable] [--checkpoint-every N] [--no-writer]
-      run the snapshot-isolation stress harness: N reader threads race
-      one writer through a precomputed mutation schedule; every acquired
-      snapshot is differentially checked (rows, work counters, shard
-      stats) against a twin replay of its exact watermark prefix, at
-      every thread degree, under both semantics; --durable serves
-      through the WAL-backed engine, --no-writer freezes the database
-  oracle [--cases N] [--seed S] [--corpus DIR] [--max-failures N]
-         [--case-budget-ms MS]
-      run the differential + metamorphic correctness oracle: N generated
-      adversarial cases through every access method (all stores, thread
-      degrees 1/3/8, persistence round-trip, row appends) against the
-      scan ground truth; failing cases are shrunk to minimal repros in
-      DIR (default tests/regressions); a case slower than the wall-clock
-      budget (default 10000 ms) is itself reported as a failure
-  init DIR --from FILE.ibds [--shard-rows N]
-      initialize a durable data directory (WAL + snapshot + MANIFEST)
-      from a dataset; `query --data-dir DIR` then recovers and queries it
-  checkpoint DIR
-      open (recover) DIR, then roll its WAL into a fresh snapshot and
-      truncate the log
-  backup DIR --out FILE.ibbk
-      write DIR's logical state as one checksummed backup file
-      (deterministic: backup → restore → backup is byte-identical)
-  restore FILE.ibbk --into DIR
-      initialize a fresh data directory from a backup file
-  validate DIR
-      verify checksums, parse the snapshot, scan the WAL; prints the
-      generation, watermark, replayable records, and torn-tail bytes
-  crash [--seed S] [--rows N] [--kill-points N] [--bit-flips N]
-        [--threads A,B]
-      run the crash-recovery harness: one seeded workload killed at
-      every WAL frame boundary, mid-frame, inside the header, at random
-      offsets, and under single-bit corruption; every mangled copy must
-      recover exactly its durable prefix (rows and work counters, both
-      semantics, each thread degree)
-  serve FILE.ibds [--addr HOST:PORT] [--shard-rows N] [--workers N]
-        [--max-batch N] [--queue-high-water N] [--deadline-ms MS]
-        [--duration-secs N] [--addr-file PATH] [--trace-sample N]
-        [--slow-log N]
-  serve --data-dir DIR [same flags except --shard-rows]
-      expose the database over the IBQP binary wire protocol (default
-      address 127.0.0.1:7431; --addr-file records the bound address,
-      which is how scripts learn the port under --addr HOST:0): requests
-      execute against frozen snapshots on a fixed worker pool, a
-      worker wake drains up to --max-batch queued requests and answers
-      them in queue order on one snapshot, each request carries a
-      deadline (default: the oracle's per-case budget), and a queue
-      past the high-water mark sheds with an explicit Overloaded
-      error; runs until killed unless --duration-secs is given;
-      --trace-sample N traces every Nth admitted request into the
-      slow-query log (0 disables tracing — `stats --slow` and the top
-      dashboard's slow view then stay permanently empty, so an explicit
-      --slow-log alongside --trace-sample 0 is rejected as a usage
-      error), --slow-log N keeps the N worst traced requests
-      (default 16)
-  top --addr HOST:PORT [--interval-ms MS] [--iterations N]
-      live dashboard over the STATS protocol: polls a running server
-      and redraws throughput, windowed p50/p99 latency, queue and
-      worker gauges, shed/expired counts, the missing-policy split, and
-      the worst slow queries; Ctrl-C to exit (or --iterations N to
-      stop after N polls); the slow-query panel mirrors `stats --slow`
-      and stays empty against a server running --trace-sample 0
-
-exit status: 0 on success, 1 on a command failure, 2 on a usage error
-(unknown command, a flag the command does not take, a flag missing its
-value, or a flag value that does not parse)
-";
-
-/// Parsed flags by name; a bare switch maps to `"true"`.
-type Flags = std::collections::BTreeMap<String, String>;
-
-/// Splits `args` into positionals and the flags `table` declares —
-/// getopt-style, space-separated: `rows=` takes a value (`--rows 100`),
-/// `count` is a bare switch (`--count`). A flag the command does not take,
-/// or a value-taking flag with no value after it, is a usage error that
-/// lists what the command does take — a typo must never silently run the
-/// query without the flag.
-fn parse_flags(args: &[String], table: &str) -> Result<(Vec<String>, Flags), CliError> {
-    let usage = |problem: String| {
-        let names = table.split_whitespace();
-        let takes = match table {
-            "" => " no flags".to_string(),
-            _ => names
-                .map(|f| format!(" --{}", f.trim_end_matches('=')))
-                .collect(),
-        };
-        CliError::Usage(format!("{problem}; this command takes{takes}"))
+    let Some(name) = args.first().filter(|&name| name != "help") else {
+        print!("{}", help());
+        return Ok(());
     };
-    let mut positional = Vec::new();
-    let mut flags = Flags::new();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            positional.push(arg.clone());
-            continue;
-        };
-        let mut specs = table.split_whitespace();
-        let Some(spec) = specs.find(|f| f.trim_end_matches('=') == name) else {
-            return Err(usage(format!("unknown flag --{name}")));
-        };
-        let value = if spec.ends_with('=') {
-            match args.next() {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => return Err(usage(format!("flag --{name} needs a value"))),
-            }
-        } else {
-            "true".to_string()
-        };
-        flags.insert(name.to_string(), value);
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name() == name)
+        .ok_or_else(|| CliError::Usage(format!("unknown command {name:?}; try `ibis help`")))?;
+    (command.run)(&command.parse(&args[1..])?)
+}
+
+/// How a flag's value is read.
+enum Kind {
+    /// On when given; takes no value.
+    Switch,
+    Text,
+    /// A decimal integer no larger than the given maximum: that of the
+    /// field the flag fills (`U32`, `U64` or `USIZE`).
+    Int(u64),
+    /// A comma-separated list of `usize` integers.
+    Ints,
+}
+
+const U32: u64 = u32::MAX as u64;
+const U64: u64 = u64::MAX;
+const USIZE: u64 = usize::MAX as u64;
+
+/// What a flag reads as when the command line leaves it out.
+enum Absent {
+    /// Nothing: the command decides what its absence means.
+    Unset,
+    /// The command cannot run without it.
+    Required,
+    /// This value, read as if it had been given.
+    Is(&'static str),
+}
+
+use {Absent::*, Kind::*};
+
+/// One flag of one command: all that the parser, its checks and
+/// `ibis help` know about it.
+struct Flag {
+    name: &'static str,
+    /// What `ibis help` calls the value (empty for a switch).
+    meta: &'static str,
+    kind: Kind,
+    absent: Absent,
+    /// The smallest number, or list element, the flag accepts.
+    min: u64,
+}
+
+const fn flag(name: &'static str, meta: &'static str, kind: Kind, absent: Absent) -> Flag {
+    Flag {
+        name,
+        meta,
+        kind,
+        absent,
+        min: 0,
     }
-    Ok((positional, flags))
 }
 
-fn req<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, CliError> {
-    flags
-        .get(name)
-        .map(String::as_str)
-        .ok_or_else(|| CliError::Usage(format!("missing required flag --{name}")))
+const fn switch(name: &'static str) -> Flag {
+    flag(name, "", Switch, Unset)
 }
 
-fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CliError> {
-    s.parse()
-        .map_err(|_| CliError::Usage(format!("invalid {what}: {s:?}")))
+impl Flag {
+    const fn at_least(self, min: u64) -> Flag {
+        Flag { min, ..self }
+    }
+
+    /// `given` as this flag's value, or what is wrong with it.
+    fn read(&self, given: &str) -> Result<Value, String> {
+        let (name, min) = (self.name, self.min);
+        let int = |s: &str, max: u64| match s.parse::<u64>() {
+            Ok(n) if n > max => Err(format!("--{name} takes at most {max}, not {n}")),
+            Ok(n) if n < min => Err(format!("--{name} must be at least {min}, not {n}")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("--{name} takes a number, not {s:?}")),
+        };
+        Ok(match self.kind {
+            Switch => unreachable!("a switch takes no value"),
+            Text => Value::Text(given.to_string()),
+            Int(max) => Value::Int(int(given, max)?),
+            Ints => {
+                let list = given.split(',').map(|t| int(t.trim(), USIZE).map(narrow));
+                Value::Ints(list.collect::<Result<_, _>>()?)
+            }
+        })
+    }
+
+    /// The flag as `ibis help` shows it: bracketed when it may be left out,
+    /// with its default in parentheses.
+    fn synopsis(&self) -> String {
+        let shown = format!("--{} {}", self.name, self.meta);
+        let shown = shown.trim_end();
+        match self.absent {
+            Required => shown.to_string(),
+            Unset => format!("[{shown}]"),
+            Is(value) => format!("[{shown} ({value})]"),
+        }
+    }
+}
+
+/// One subcommand: its synopsis and prose for `ibis help`, the flags it
+/// takes, and the function that runs it on a parsed command line.
+struct Command {
+    /// The name, then the positional arguments.
+    usage: &'static str,
+    flags: &'static [Flag],
+    about: &'static str,
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+impl Command {
+    fn name(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or_default()
+    }
+
+    /// The usage line and then each flag, as `ibis help` and usage errors
+    /// print them.
+    fn usage_words(&self) -> impl Iterator<Item = String> + '_ {
+        let flags = self.flags.iter().map(Flag::synopsis);
+        std::iter::once(self.usage.to_string()).chain(flags)
+    }
+
+    /// Splits `args` into positionals and this command's flags —
+    /// getopt-style, space-separated: `--rows 100`, a bare `--count`. An
+    /// unknown flag, a missing value, a malformed number, a value below the
+    /// flag's bound or a missing required flag is a usage error that lists
+    /// what the command takes: a typo must never silently run the command
+    /// without the flag.
+    fn parse(&'static self, args: &[String]) -> Result<Args, CliError> {
+        let usage = |problem: String| {
+            let takes: String = match self.flags {
+                [] => " no flags".to_string(),
+                flags => flags.iter().map(|f| format!(" --{}", f.name)).collect(),
+            };
+            CliError::Usage(format!("{problem}; this command takes{takes}"))
+        };
+        let mut parsed = Args {
+            command: self,
+            positional: Vec::new(),
+            given: BTreeSet::new(),
+            values: BTreeMap::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                parsed.positional.push(arg.clone());
+                continue;
+            };
+            let Some(flag) = self.flags.iter().find(|f| f.name == name) else {
+                return Err(usage(format!("unknown flag --{name}")));
+            };
+            parsed.given.insert(flag.name);
+            if let Switch = flag.kind {
+                continue;
+            }
+            let value = match args.next() {
+                Some(v) if !v.starts_with("--") => flag.read(v).map_err(usage)?,
+                _ => return Err(usage(format!("flag --{name} needs a value"))),
+            };
+            parsed.values.insert(flag.name, value);
+        }
+        for flag in self.flags.iter().filter(|f| !parsed.given.contains(f.name)) {
+            let value = match flag.absent {
+                Unset => continue,
+                Required => return Err(usage(format!("missing required flag --{}", flag.name))),
+                Is(value) => flag.read(value).expect("a declared default is valid"),
+            };
+            parsed.values.insert(flag.name, value);
+        }
+        Ok(parsed)
+    }
+}
+
+/// A command line parsed against its `Command`: the positionals, the flags
+/// given, and the value of every flag that has one, given or defaulted.
+struct Args {
+    command: &'static Command,
+    positional: Vec<String>,
+    given: BTreeSet<&'static str>,
+    values: BTreeMap<&'static str, Value>,
+}
+
+/// A flag's value, typed by its `Kind`.
+enum Value {
+    Text(String),
+    Int(u64),
+    Ints(Vec<usize>),
+}
+
+/// `n` as the type of the field its flag was declared to fit.
+fn narrow<T: TryFrom<u64>>(n: u64) -> T {
+    let fits = T::try_from(n).ok();
+    fits.expect("a flag's declared maximum fits the field it fills")
+}
+
+impl Args {
+    /// Whether `--name` was on the command line; a switch is on exactly then.
+    fn has(&self, name: &str) -> bool {
+        self.given.contains(name)
+    }
+
+    fn opt_text(&self, name: &str) -> Option<&str> {
+        match self.values.get(name)? {
+            Value::Text(s) => Some(s),
+            _ => panic!("--{name} is not declared as text"),
+        }
+    }
+
+    fn opt_num<T: TryFrom<u64>>(&self, name: &str) -> Option<T> {
+        match self.values.get(name)? {
+            Value::Int(n) => Some(narrow(*n)),
+            _ => panic!("--{name} is not declared as a number"),
+        }
+    }
+
+    /// A required or defaulted text flag.
+    fn text(&self, name: &str) -> &str {
+        self.opt_text(name).expect("required or defaulted")
+    }
+
+    /// A required or defaulted number flag.
+    fn num<T: TryFrom<u64>>(&self, name: &str) -> T {
+        self.opt_num(name).expect("required or defaulted")
+    }
+
+    /// A defaulted list flag.
+    fn nums(&self, name: &str) -> Vec<usize> {
+        match self.values.get(name) {
+            Some(Value::Ints(list)) => list.clone(),
+            _ => panic!("--{name} is not declared as a defaulted list"),
+        }
+    }
+
+    /// The `i`th positional argument, or the command's usage line.
+    fn arg(&self, i: usize) -> Result<&str, CliError> {
+        let arg = self.positional.get(i).map(String::as_str);
+        arg.ok_or_else(|| self.usage())
+    }
+
+    fn usage(&self) -> CliError {
+        let words: Vec<String> = self.command.usage_words().collect();
+        CliError::Usage(format!("usage: ibis {}", words.join(" ")))
+    }
+}
+
+/// `--threads N`: the parallel degree, `IBIS_THREADS` or the machine's
+/// cores when left out.
+const THREADS: Flag = flag("threads", "N", Int(USIZE), Unset).at_least(1);
+/// `--threads A,B`: every degree a harness checks at.
+const DEGREES: Flag = flag("threads", "A,B", Ints, Is("1,8")).at_least(1);
+const SHARD_ROWS: Flag = flag("shard-rows", "N", Int(USIZE), Is("4096")).at_least(1);
+
+const COMMANDS: &[Command] = &[
+    Command {
+        usage: "generate",
+        flags: &[
+            flag("kind", "synthetic|census", Text, Required),
+            flag("rows", "N", Int(USIZE), Required),
+            flag("seed", "S", Int(U64), Is("42")),
+            flag("out", "FILE", Text, Required),
+        ],
+        about: "write a generated dataset (binary .ibds format)",
+        run: generate,
+    },
+    Command {
+        usage: "import FILE.csv",
+        flags: &[
+            flag("out", "FILE.ibds", Text, Required),
+            flag("delimiter", "C", Text, Unset),
+            switch("no-header"),
+        ],
+        about: "dictionary-encode a CSV (blank/NA/?/NULL cells become missing)",
+        run: import,
+    },
+    Command {
+        usage: "export FILE.ibds",
+        flags: &[flag("out", "FILE.csv", Text, Required)],
+        about: "write a dataset back out as CSV (numeric codes, missing = empty)",
+        run: export,
+    },
+    Command {
+        usage: "stats [FILE]",
+        flags: &[
+            flag("addr", "HOST:PORT", Text, Unset),
+            switch("json"),
+            switch("prom"),
+            switch("slow"),
+        ],
+        about: "per-column stats and the Table-7 cross-tab of FILE, or with --addr \
+                a running server's summary, metrics (--json, --prom) or slow-query \
+                log (--slow; empty under --trace-sample 0)",
+        run: stats,
+    },
+    Command {
+        usage: "index FILE",
+        flags: &[
+            flag("encoding", "bee|bre|bie|dec|va|adaptive", Text, Required),
+            flag("backend", "wah|bbc|plain|adaptive", Text, Unset),
+            flag("out", "FILE", Text, Required),
+        ],
+        about: "build and save an index over wah unless --backend says otherwise \
+                (va takes none; encoding adaptive means bee over backend adaptive)",
+        run: index,
+    },
+    Command {
+        usage: "query [FILE] QUERY",
+        flags: &[
+            flag("index", "IDXFILE", Text, Unset),
+            switch("not-match"),
+            switch("count"),
+            flag("limit", "N", Int(USIZE), Is("20")),
+            THREADS,
+            flag("shard-rows", "N", Int(USIZE), Unset).at_least(1),
+            switch("profile"),
+            flag("profile-json", "FILE", Text, Unset),
+            flag("addr", "HOST:PORT", Text, Unset),
+            flag("deadline-ms", "MS", Int(U32), Is("0")),
+            flag("data-dir", "DIR", Text, Unset),
+        ],
+        about: "run a textual query (e.g. \"age between 2 and 5 and q5 = 1\") over \
+                FILE by scan, a saved --index or --shard-rows shards; or send it to \
+                a server at --addr (0 ms = its default deadline); or run it on the \
+                durable database in --data-dir in place of FILE",
+        run: query,
+    },
+    Command {
+        usage: "race FILE",
+        flags: &[
+            flag("queries", "N", Int(USIZE), Is("50")),
+            flag("k", "K", Int(USIZE), Is("4")),
+            flag("seed", "S", Int(U64), Is("7")),
+            THREADS,
+            switch("profile"),
+            flag("live", "N", Int(USIZE), Unset),
+            SHARD_ROWS,
+        ],
+        about: "time BEE/BRE/VA on a generated workload of K-attribute queries, or \
+                with --live race snapshot readers against N streamed mutations",
+        run: race,
+    },
+    Command {
+        usage: "stress",
+        flags: &[
+            flag("seed", "S", Int(U64), Is("1")),
+            flag("rows", "N", Int(USIZE), Is("96")),
+            flag("readers", "N", Int(USIZE), Is("8")).at_least(1),
+            flag("mutations", "N", Int(USIZE), Is("10000")),
+            DEGREES,
+            switch("durable"),
+            flag("checkpoint-every", "N", Int(USIZE), Is("0")),
+            switch("no-writer"),
+        ],
+        about: "run the snapshot-isolation stress harness: every snapshot readers \
+                acquire under a racing writer must match its watermark prefix",
+        run: stress,
+    },
+    Command {
+        usage: "oracle",
+        flags: &[
+            flag("cases", "N", Int(USIZE), Is("200")),
+            flag("seed", "S", Int(U64), Is("1")),
+            flag("corpus", "DIR", Text, Is("tests/regressions")),
+            flag("max-failures", "N", Int(USIZE), Is("3")),
+            flag("case-budget-ms", "MS", Int(U64), Is("10000")),
+        ],
+        about: "check every access method against the scan on generated cases; \
+                failures, too-slow cases included, are shrunk into the corpus",
+        run: oracle,
+    },
+    Command {
+        usage: "init DIR",
+        flags: &[flag("from", "FILE.ibds", Text, Required), SHARD_ROWS],
+        about: "initialize a durable data directory (WAL + snapshot + MANIFEST)",
+        run: init,
+    },
+    Command {
+        usage: "checkpoint DIR",
+        flags: &[],
+        about: "recover DIR, roll its WAL into a fresh snapshot, truncate the log",
+        run: checkpoint,
+    },
+    Command {
+        usage: "backup DIR",
+        flags: &[flag("out", "FILE.ibbk", Text, Required)],
+        about: "write DIR's logical state as one checksummed, deterministic file",
+        run: backup,
+    },
+    Command {
+        usage: "restore FILE.ibbk",
+        flags: &[flag("into", "DIR", Text, Required)],
+        about: "initialize a fresh data directory from a backup file",
+        run: restore,
+    },
+    Command {
+        usage: "validate DIR",
+        flags: &[],
+        about: "verify checksums and report generation, watermark and torn tail",
+        run: validate,
+    },
+    Command {
+        usage: "crash",
+        flags: &[
+            flag("seed", "S", Int(U64), Is("1")),
+            flag("rows", "N", Int(USIZE), Is("96")),
+            flag("kill-points", "N", Int(USIZE), Is("24")),
+            flag("bit-flips", "N", Int(USIZE), Is("8")),
+            DEGREES,
+        ],
+        about: "run the crash-recovery harness: a workload killed at every WAL \
+                frame boundary, or bit-flipped, must recover its durable prefix",
+        run: crash,
+    },
+    Command {
+        usage: "serve [FILE.ibds]",
+        flags: &[
+            flag("addr", "HOST:PORT", Text, Is("127.0.0.1:7431")),
+            SHARD_ROWS,
+            flag("data-dir", "DIR", Text, Unset),
+            // The defaults are `ServerConfig::default()`'s (a test pins them).
+            flag("workers", "N", Int(USIZE), Is("4")).at_least(1),
+            flag("max-batch", "N", Int(USIZE), Is("8")).at_least(1),
+            flag("queue-high-water", "N", Int(USIZE), Is("256")).at_least(1),
+            flag("deadline-ms", "MS", Int(U64), Is("10000")).at_least(1),
+            flag("duration-secs", "N", Int(U64), Unset),
+            flag("addr-file", "PATH", Text, Unset),
+            flag("trace-sample", "N", Int(U64), Is("8")),
+            flag("slow-log", "N", Int(USIZE), Is("16")).at_least(1),
+        ],
+        about: "serve FILE, or the durable --data-dir, over IBQP until killed or \
+                for --duration-secs; every --trace-sample'th request feeds the \
+                --slow-log, so 0 (no tracing) with --slow-log is a usage error",
+        run: serve,
+    },
+    Command {
+        usage: "top",
+        flags: &[
+            flag("addr", "HOST:PORT", Text, Required),
+            flag("interval-ms", "MS", Int(U64), Is("1000")).at_least(1),
+            flag("iterations", "N", Int(U64), Unset).at_least(1),
+        ],
+        about: "live dashboard of a running server's STATS, until Ctrl-C",
+        run: top,
+    },
+];
+
+/// `ibis help`, rendered from `COMMANDS`.
+fn help() -> String {
+    let mut out = String::from("ibis — indexing incomplete databases (EDBT 2006)\n\ncommands:\n");
+    for c in COMMANDS {
+        fill(&mut out, "  ", "        ", c.usage_words());
+        let about = c.about.split(' ').map(String::from);
+        fill(&mut out, "      ", "      ", about);
+    }
+    out + "\nflags in brackets may be left out; a default is in parentheses; README.md\n\
+           has the details; exit status: 0 on success, 1 on a failure, 2 on a usage\n\
+           error (an unknown, missing or malformed command, flag or value)\n"
+}
+
+/// Appends `words` to `out` in lines of at most 78 columns, the first
+/// starting with `first` and the rest with `rest`.
+fn fill(out: &mut String, first: &str, rest: &str, words: impl Iterator<Item = String>) {
+    let mut line = first.to_string();
+    for (i, word) in words.enumerate() {
+        if i > 0 && line.chars().count() + 1 + word.chars().count() > 78 {
+            *out += &format!("{line}\n");
+            line = rest.to_string();
+        } else if i > 0 {
+            line.push(' ');
+        }
+        line.push_str(&word);
+    }
+    *out += &format!("{line}\n");
 }
 
 fn load_dataset(path: &str) -> Result<Dataset, String> {
     Dataset::load(path).map_err(|e| format!("cannot load dataset {path:?}: {e}"))
 }
 
-/// `--threads N` if given (must be ≥ 1), else the configured degree
-/// (`IBIS_THREADS` or the machine default).
-fn parse_threads(flags: &Flags) -> Result<usize, CliError> {
-    match flags.get("threads") {
-        Some(s) => {
-            let n: usize = num(s, "thread count")?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            Ok(n)
-        }
-        None => Ok(ibis::core::parallel::configured_threads()),
-    }
+/// The dictionaries `ibis import` wrote beside `path`, when they still fit
+/// `d` (one per column, one token per code); a stale or mismatched sidecar
+/// is ignored.
+fn sidecar(path: &str, d: &Dataset) -> Option<Vec<Vec<String>>> {
+    load_dictionaries(format!("{path}.dict")).ok().filter(|dd| {
+        dd.len() == d.n_attrs()
+            && dd
+                .iter()
+                .zip(d.columns())
+                .all(|(dict, col)| dict.len() == col.cardinality() as usize)
+    })
 }
 
-fn generate(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args, "kind= rows= seed= out=")?;
-    let rows: usize = num(req(&flags, "rows")?, "row count")?;
-    let seed: u64 = flags.get("seed").map_or(Ok(42), |s| num(s, "seed"))?;
-    let out = req(&flags, "out")?;
-    let d = match req(&flags, "kind")? {
+fn generate(a: &Args) -> Result<(), CliError> {
+    let (rows, seed, out) = (a.num("rows"), a.num("seed"), a.text("out"));
+    let d = match a.text("kind") {
         "synthetic" => synthetic_scaled(rows, seed),
         "census" => census_scaled(rows, seed),
         other => {
@@ -331,23 +600,19 @@ fn generate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn import(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "out= delimiter= no-header")?;
-    let path = pos
-        .first()
-        .ok_or("usage: ibis import FILE.csv --out FILE.ibds")?;
-    let out = req(&flags, "out")?;
+fn import(a: &Args) -> Result<(), CliError> {
+    let (path, out) = (a.arg(0)?, a.text("out"));
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let mut opts = CsvOptions::default();
-    if let Some(d) = flags.get("delimiter") {
+    let mut opts = CsvOptions {
+        has_header: !a.has("no-header"),
+        ..CsvOptions::default()
+    };
+    if let Some(d) = a.opt_text("delimiter") {
         let mut chars = d.chars();
         opts.delimiter = chars.next().ok_or("empty --delimiter")?;
         if chars.next().is_some() {
             return Err("--delimiter must be a single character".into());
         }
-    }
-    if flags.contains_key("no-header") {
-        opts.has_header = false;
     }
     let report = import_csv(&text, &opts).map_err(|e| e.to_string())?;
     report.dataset.save(out).map_err(|e| e.to_string())?;
@@ -369,22 +634,11 @@ fn import(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn export(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "out=")?;
-    let path = pos
-        .first()
-        .ok_or("usage: ibis export FILE.ibds --out FILE.csv")?;
-    let out = req(&flags, "out")?;
+fn export(a: &Args) -> Result<(), CliError> {
+    let (path, out) = (a.arg(0)?, a.text("out"));
     let d = load_dataset(path)?;
-    // Use the dictionary sidecar when present (written by `ibis import`)
-    // so import → export round-trips the original string values.
-    let dicts = load_dictionaries(format!("{path}.dict")).ok().filter(|dd| {
-        dd.len() == d.n_attrs()
-            && dd
-                .iter()
-                .zip(d.columns())
-                .all(|(dict, col)| dict.len() == col.cardinality() as usize)
-    });
+    // The sidecar makes import → export round-trip the original strings.
+    let dicts = sidecar(path, &d);
     std::fs::write(out, export_csv(&d, dicts.as_deref())).map_err(|e| e.to_string())?;
     println!(
         "wrote {} rows to {out}{}",
@@ -398,19 +652,16 @@ fn export(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn stats(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "addr= json prom slow")?;
-    if let Some(addr) = flags.get("addr") {
-        if !pos.is_empty() {
+fn stats(a: &Args) -> Result<(), CliError> {
+    if let Some(addr) = a.opt_text("addr") {
+        if !a.positional.is_empty() {
             return Err("--addr asks a running server; it cannot be combined \
                         with a dataset file"
                 .into());
         }
-        return server_stats(addr, &flags);
+        return server_stats(addr, a);
     }
-    let path = pos
-        .first()
-        .ok_or("usage: ibis stats FILE | ibis stats --addr HOST:PORT [--json|--prom|--slow]")?;
+    let path = a.arg(0)?;
     let d = load_dataset(path)?;
     println!("{}: {} rows × {} attrs\n", path, d.n_rows(), d.n_attrs());
     println!(
@@ -430,14 +681,9 @@ fn stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn index(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "encoding= backend= out=")?;
-    let path = pos
-        .first()
-        .ok_or("usage: ibis index FILE --encoding … --out …")?;
-    let out = req(&flags, "out")?;
-    let encoding = req(&flags, "encoding")?;
-    let backend = flags.get("backend").map(String::as_str);
+fn index(a: &Args) -> Result<(), CliError> {
+    let path = a.arg(0)?;
+    let (encoding, backend, out) = (a.text("encoding"), a.opt_text("backend"), a.text("out"));
     let (encoding, backend) = if encoding == "adaptive" {
         if let Some(b) = backend.filter(|&b| b != "adaptive") {
             return Err(CliError::Usage(format!(
@@ -530,86 +776,49 @@ fn load_access_method(path: &str, d: &Arc<Dataset>) -> Result<Box<dyn AccessMeth
     Ok(method)
 }
 
-fn query(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(
-        args,
-        "index= not-match count limit= threads= shard-rows= profile profile-json= addr= \
-         deadline-ms= data-dir=",
-    )?;
-    if flags.contains_key("data-dir") {
-        if flags.contains_key("addr") {
-            return Err(
-                "--addr sends the query to a running server; it cannot be combined \
-                 with --data-dir"
-                    .into(),
-            );
-        }
-        return query_durable(&pos, &flags);
+fn query(a: &Args) -> Result<(), CliError> {
+    let mut locals = "data-dir index shard-rows profile profile-json threads".split(' ');
+    if let Some(local) = locals.find(|&l| a.has("addr") && a.has(l)) {
+        return Err(CliError::Usage(format!(
+            "--addr sends the query to a running server; it cannot be \
+             combined with --{local}"
+        )));
     }
-    if flags.contains_key("addr") {
-        for local in ["index", "shard-rows", "profile", "profile-json", "threads"] {
-            if flags.contains_key(local) {
-                return Err(CliError::Usage(format!(
-                    "--addr sends the query to a running server; it cannot be \
-                     combined with --{local}"
-                )));
-            }
-        }
+    if a.has("data-dir") {
+        return query_durable(a);
     }
-    let (path, text) = match pos.as_slice() {
-        [p, q] => (p, q),
-        _ => return Err("usage: ibis query FILE \"QUERY\" [flags]".into()),
+    let [path, text] = a.positional.as_slice() else {
+        return Err(a.usage());
     };
     let d = Arc::new(load_dataset(path)?);
-    let policy = policy_flag(&flags);
-    // Use the dictionary sidecar (written by `ibis import`) when present
-    // and shape-consistent with the dataset, enabling string literals like
-    // city = "london". A stale/mismatched sidecar is ignored.
-    let dicts = load_dictionaries(format!("{path}.dict")).ok().filter(|dd| {
-        dd.len() == d.n_attrs()
-            && dd
-                .iter()
-                .zip(d.columns())
-                .all(|(dict, col)| dict.len() == col.cardinality() as usize)
-    });
+    let policy = policy_flag(a);
+    // The sidecar enables string literals like city = "london".
+    let dicts = sidecar(path, &d);
     let q = match &dicts {
         Some(dicts) => parse_query_with_dictionaries(&d, dicts, text, policy),
         None => parse_query(&d, text, policy),
     }
     .map_err(|e| e.to_string())?;
-    if let Some(addr) = flags.get("addr") {
-        let deadline_ms: u32 = flags
-            .get("deadline-ms")
-            .map_or(Ok(0), |s| num(s, "deadline"))?;
-        return server_query(addr, &q, deadline_ms, &flags);
+    if let Some(addr) = a.opt_text("addr") {
+        return server_query(addr, &q, a.num("deadline-ms"), a);
     }
-    let threads = parse_threads(&flags)?;
-    let shard_rows: Option<usize> = match flags.get("shard-rows") {
-        Some(s) => {
-            let n: usize = num(s, "shard rows")?;
-            if n == 0 {
-                return Err("--shard-rows must be at least 1".into());
-            }
-            if flags.contains_key("index") {
-                return Err(
-                    "--shard-rows builds per-shard indexes; it cannot be combined with --index"
-                        .into(),
-                );
-            }
-            Some(n)
-        }
-        None => None,
-    };
-    let profile_json = flags.get("profile-json");
+    let threads = a.opt_num("threads").unwrap_or_else(configured_threads);
+    let shard_rows: Option<usize> = a.opt_num("shard-rows");
+    if shard_rows.is_some() && a.has("index") {
+        return Err(
+            "--shard-rows builds per-shard indexes; it cannot be combined with --index".into(),
+        );
+    }
+    let profile_json = a.opt_text("profile-json");
     // Without a saved index the scan baseline is the method (its chunks
     // are spans too).
     let method = || -> Result<Box<dyn AccessMethod>, String> {
-        Ok(match flags.get("index") {
+        Ok(match a.opt_text("index") {
             Some(idx) => load_access_method(idx, &d)?,
             None => Box::new(SequentialScan.bind(Arc::clone(&d))),
         })
     };
-    let rows = if flags.contains_key("profile") || profile_json.is_some() {
+    let rows = if a.has("profile") || profile_json.is_some() {
         // Profile through the engine trait. With --shard-rows the whole
         // sharded pipeline is profiled instead: per-shard `db.shard` spans
         // plus the `shards.pruned` counter.
@@ -623,14 +832,7 @@ fn query(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| e.to_string())?;
         print!("{}", prof.render());
         println!("per-phase totals (spans, time, counter deltas):");
-        for (name, count, total_ns, counters) in prof.phases() {
-            println!("  {name:<20} ×{count:<5} {:>9.3} ms", total_ns as f64 / 1e6);
-            if !counters.is_zero() {
-                for line in counters.to_string().lines() {
-                    println!("  {line}");
-                }
-            }
-        }
+        print_phases(prof.phases(), "  ");
         if shard_rows.is_some() {
             let pruned = prof.snapshot.counters.get("shards.pruned").copied();
             println!("shards pruned: {}", pruned.unwrap_or(0));
@@ -658,7 +860,7 @@ fn query(args: &[String]) -> Result<(), CliError> {
             .execute_threads(&q, threads)
             .map_err(|e| e.to_string())?
     };
-    print_matches(&flags, &rows, d.n_rows(), policy, |r| {
+    print_matches(a, &rows, d.n_rows(), policy, |r| {
         let cells: Vec<String> = q
             .predicates()
             .iter()
@@ -677,12 +879,29 @@ fn query(args: &[String]) -> Result<(), CliError> {
             })
             .collect();
         format!("row {r}: {}", cells.join(" "))
-    })
+    });
+    Ok(())
+}
+
+/// One line per profiled phase (spans, total time), each followed by its
+/// counter deltas, all after `indent`.
+fn print_phases(phases: Vec<(String, u64, u64, WorkCounters)>, indent: &str) {
+    for (name, count, total_ns, counters) in phases {
+        println!(
+            "{indent}{name:<20} ×{count:<5} {:>9.3} ms",
+            total_ns as f64 / 1e6
+        );
+        if !counters.is_zero() {
+            for line in counters.to_string().lines() {
+                println!("{indent}{line}");
+            }
+        }
+    }
 }
 
 /// The `--not-match` flag as the policy it selects.
-fn policy_flag(flags: &Flags) -> MissingPolicy {
-    if flags.contains_key("not-match") {
+fn policy_flag(a: &Args) -> MissingPolicy {
+    if a.has("not-match") {
         MissingPolicy::IsNotMatch
     } else {
         MissingPolicy::IsMatch
@@ -692,45 +911,41 @@ fn policy_flag(flags: &Flags) -> MissingPolicy {
 /// The tail of a local `ibis query`: the match line, then the rows unless
 /// `--count` asked for the line alone.
 fn print_matches(
-    flags: &Flags,
+    a: &Args,
     rows: &RowSet,
     n_rows: usize,
     policy: MissingPolicy,
     show: impl Fn(u32) -> String,
-) -> Result<(), CliError> {
+) {
     println!(
         "{} rows match under {policy} (selectivity {:.3}%)",
         rows.len(),
         rows.selectivity(n_rows) * 100.0
     );
-    if flags.contains_key("count") {
-        return Ok(());
+    if !a.has("count") {
+        print_rows(a, rows.rows(), show);
     }
-    print_rows(flags, rows.rows(), show)
 }
 
-/// The first `--limit` (default 20) of `rows`, one line each as `show`
-/// renders it, and how many were left out.
-fn print_rows(flags: &Flags, rows: &[u32], show: impl Fn(u32) -> String) -> Result<(), CliError> {
-    let limit: usize = flags.get("limit").map_or(Ok(20), |s| num(s, "limit"))?;
+/// The first `--limit` of `rows`, one line each as `show` renders it, and
+/// how many were left out.
+fn print_rows(a: &Args, rows: &[u32], show: impl Fn(u32) -> String) {
+    let limit: usize = a.num("limit");
     for &r in rows.iter().take(limit) {
         println!("  {}", show(r));
     }
     if rows.len() > limit {
         println!("  … {} more (use --limit)", rows.len() - limit);
     }
-    Ok(())
 }
 
 /// `ibis query --data-dir DIR "QUERY"` — recover the durable database,
 /// acquire a serving snapshot, and query it through the sharded
 /// executor (pruning stats included).
-fn query_durable(pos: &[String], flags: &Flags) -> Result<(), CliError> {
-    let dir = req(flags, "data-dir")?;
-    let text = pos
-        .first()
-        .ok_or("usage: ibis query --data-dir DIR \"QUERY\" [flags]")?;
-    if flags.contains_key("index") || flags.contains_key("shard-rows") {
+fn query_durable(a: &Args) -> Result<(), CliError> {
+    let dir = a.text("data-dir");
+    let text = a.arg(0)?;
+    if a.has("index") || a.has("shard-rows") {
         return Err("--data-dir queries the directory's own per-shard indexes; \
                     it cannot be combined with --index or --shard-rows"
             .into());
@@ -742,10 +957,10 @@ fn query_durable(pos: &[String], flags: &Flags) -> Result<(), CliError> {
         println!("recovered {dir}: replayed {replayed} WAL record(s) past the checkpoint");
     }
     let snap = db.snapshot();
-    let policy = policy_flag(flags);
+    let policy = policy_flag(a);
     let q = parse_query(snap.db().schema(), text, policy).map_err(|e| e.to_string())?;
-    let threads = parse_threads(flags)?;
-    let rows = if flags.contains_key("profile") {
+    let threads = a.opt_num("threads").unwrap_or_else(configured_threads);
+    let rows = if a.has("profile") {
         let prof =
             ibis::profile::profile_sharded(snap.db(), &q, threads).map_err(|e| e.to_string())?;
         print!("{}", prof.render());
@@ -765,26 +980,17 @@ fn query_durable(pos: &[String], flags: &Flags) -> Result<(), CliError> {
         );
         exec.rows
     };
-    print_matches(flags, &rows, snap.n_rows(), policy, |r| format!("row {r}"))
+    print_matches(a, &rows, snap.n_rows(), policy, |r| format!("row {r}"));
+    Ok(())
 }
 
-fn init(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "from= shard-rows=")?;
-    let dir = pos
-        .first()
-        .ok_or("usage: ibis init DIR --from FILE.ibds [--shard-rows N]")?;
-    let from = req(&flags, "from")?;
-    let shard_rows: usize = flags
-        .get("shard-rows")
-        .map_or(Ok(4096), |s| num(s, "shard rows"))?;
-    if shard_rows == 0 {
-        return Err("--shard-rows must be at least 1".into());
-    }
-    let d = load_dataset(from)?;
+fn init(a: &Args) -> Result<(), CliError> {
+    let dir = a.arg(0)?;
+    let d = load_dataset(a.text("from"))?;
     let db = DurableDb::create(
         std::path::Path::new(dir),
         d,
-        shard_rows,
+        a.num("shard-rows"),
         DbConfig::default(),
     )
     .map_err(|e| format!("cannot initialize {dir:?}: {e}"))?;
@@ -798,9 +1004,8 @@ fn init(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn checkpoint(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_flags(args, "")?;
-    let dir = pos.first().ok_or("usage: ibis checkpoint DIR")?;
+fn checkpoint(a: &Args) -> Result<(), CliError> {
+    let dir = a.arg(0)?;
     let mut db = DurableDb::open(std::path::Path::new(dir))
         .map_err(|e| format!("cannot open data directory {dir:?}: {e}"))?;
     let replayed = db.replayed_on_open();
@@ -814,12 +1019,8 @@ fn checkpoint(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn backup(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "out=")?;
-    let dir = pos
-        .first()
-        .ok_or("usage: ibis backup DIR --out FILE.ibbk")?;
-    let out = req(&flags, "out")?;
+fn backup(a: &Args) -> Result<(), CliError> {
+    let (dir, out) = (a.arg(0)?, a.text("out"));
     let db = DurableDb::open(std::path::Path::new(dir))
         .map_err(|e| format!("cannot open data directory {dir:?}: {e}"))?;
     db.backup(std::path::Path::new(out))
@@ -832,12 +1033,8 @@ fn backup(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn restore(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "into=")?;
-    let file = pos
-        .first()
-        .ok_or("usage: ibis restore FILE.ibbk --into DIR")?;
-    let into = req(&flags, "into")?;
+fn restore(a: &Args) -> Result<(), CliError> {
+    let (file, into) = (a.arg(0)?, a.text("into"));
     let db = DurableDb::restore(std::path::Path::new(file), std::path::Path::new(into))
         .map_err(|e| format!("cannot restore {file:?} into {into:?}: {e}"))?;
     println!(
@@ -849,9 +1046,8 @@ fn restore(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn validate(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_flags(args, "")?;
-    let dir = pos.first().ok_or("usage: ibis validate DIR")?;
+fn validate(a: &Args) -> Result<(), CliError> {
+    let dir = a.arg(0)?;
     let r = DurableDb::validate(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
     println!(
         "{dir}: generation {}, watermark {}",
@@ -871,28 +1067,13 @@ fn validate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn crash(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args, "seed= rows= kill-points= bit-flips= threads=")?;
-    let threads = match flags.get("threads") {
-        Some(s) => s
-            .split(',')
-            .map(|t| num::<usize>(t.trim(), "thread degree"))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => vec![1, 8],
-    };
-    if threads.is_empty() || threads.contains(&0) {
-        return Err("--threads must be a comma-separated list of degrees ≥ 1".into());
-    }
+fn crash(a: &Args) -> Result<(), CliError> {
     let cfg = ibis::oracle::CrashConfig {
-        seed: flags.get("seed").map_or(Ok(1), |s| num(s, "seed"))?,
-        rows: flags.get("rows").map_or(Ok(96), |s| num(s, "row count"))?,
-        kill_points: flags
-            .get("kill-points")
-            .map_or(Ok(24), |s| num(s, "kill-point count"))?,
-        bit_flips: flags
-            .get("bit-flips")
-            .map_or(Ok(8), |s| num(s, "bit-flip count"))?,
-        threads,
+        seed: a.num("seed"),
+        rows: a.num("rows"),
+        kill_points: a.num("kill-points"),
+        bit_flips: a.num("bit-flips"),
+        threads: a.nums("threads"),
         ..ibis::oracle::CrashConfig::default()
     };
     println!(
@@ -902,16 +1083,24 @@ fn crash(args: &[String]) -> Result<(), CliError> {
     let start = std::time::Instant::now();
     let report =
         ibis::oracle::crash::run(&cfg).map_err(|e| format!("harness scaffolding failed: {e}"))?;
-    println!(
-        "{} in {:.1}s",
-        report.summary(),
-        start.elapsed().as_secs_f64()
-    );
-    if report.ok() {
-        println!("every recovery matched its durable prefix exactly");
+    let clean = "every recovery matched its durable prefix exactly";
+    verdict(report.summary(), start, &report.failures, clean)
+}
+
+/// A harness run's last words: its summary and time since `start`, then
+/// either `clean` or the first ten failed checks and an error counting them.
+fn verdict(
+    summary: String,
+    start: std::time::Instant,
+    failures: &[ibis::oracle::Failure],
+    clean: &str,
+) -> Result<(), CliError> {
+    println!("{summary} in {:.1}s", start.elapsed().as_secs_f64());
+    if failures.is_empty() {
+        println!("{clean}");
         return Ok(());
     }
-    for f in report.failures.iter().take(10) {
+    for f in failures.iter().take(10) {
         println!(
             "FAILED {}: {}",
             f.check,
@@ -920,21 +1109,21 @@ fn crash(args: &[String]) -> Result<(), CliError> {
     }
     Err(CliError::Runtime(format!(
         "{} failing check(s)",
-        report.failures.len()
+        failures.len()
     )))
 }
 
-fn race(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "queries= k= seed= threads= profile live= shard-rows=")?;
-    let path = pos
-        .first()
-        .ok_or("usage: ibis race FILE [--queries N] [--k K]")?;
+fn race(a: &Args) -> Result<(), CliError> {
+    let path = a.arg(0)?;
     let d = load_dataset(path)?;
-    let n: usize = flags
-        .get("queries")
-        .map_or(Ok(50), |s| num(s, "query count"))?;
-    let k: usize = flags.get("k").map_or(Ok(4), |s| num(s, "dimensionality"))?;
-    let seed: u64 = flags.get("seed").map_or(Ok(7), |s| num(s, "seed"))?;
+    let (n, k): (usize, usize) = (a.num("queries"), a.num("k"));
+    let threads = a.opt_num("threads").unwrap_or_else(configured_threads);
+    if k > d.n_attrs() {
+        let width = d.n_attrs();
+        return Err(CliError::Usage(format!(
+            "--k {k} exceeds the schema of {path:?}, which has {width} attributes"
+        )));
+    }
     let spec = QuerySpec {
         n_queries: n,
         k,
@@ -942,17 +1131,9 @@ fn race(args: &[String]) -> Result<(), CliError> {
         policy: MissingPolicy::IsMatch,
         candidate_attrs: vec![],
     };
-    let queries = workload(&d, &spec, seed);
-    let threads = parse_threads(&flags)?;
-    if let Some(live) = flags.get("live") {
-        let mutations: usize = num(live, "live mutation count")?;
-        let shard_rows: usize = flags
-            .get("shard-rows")
-            .map_or(Ok(4096), |s| num(s, "shard rows"))?;
-        if shard_rows == 0 {
-            return Err("--shard-rows must be at least 1".into());
-        }
-        return race_live(d, &queries, threads, mutations, shard_rows);
+    let queries = workload(&d, &spec, a.num("seed"));
+    if let Some(mutations) = a.opt_num("live") {
+        return race_live(d, &queries, threads, mutations, a.num("shard-rows"));
     }
     let d = Arc::new(d);
     // The contenders, all through the one engine-layer trait (the scan
@@ -967,7 +1148,7 @@ fn race(args: &[String]) -> Result<(), CliError> {
         "{n} queries, k={k}, missing-is-match, {threads} thread(s) over {} rows:",
         d.n_rows()
     );
-    let profile = flags.contains_key("profile");
+    let profile = a.has("profile");
     if profile {
         println!("  (profiling on: timings include recorder overhead)");
     }
@@ -996,17 +1177,7 @@ fn race(args: &[String]) -> Result<(), CliError> {
             let snap = ibis::obs::snapshot();
             Recorder::disabled().install();
             // No root to leave out: every query of the run is its own tree.
-            for (name, count, total_ns, counters) in WorkCounters::phases(&snap.spans, 0) {
-                println!(
-                    "      {name:<20} ×{count:<6} {:>9.2} ms",
-                    total_ns as f64 / 1e6
-                );
-                if !counters.is_zero() {
-                    for line in counters.to_string().lines() {
-                        println!("      {line}");
-                    }
-                }
-            }
+            print_phases(WorkCounters::phases(&snap.spans, 0), "      ");
         }
     }
     assert!(
@@ -1120,43 +1291,19 @@ fn race_live(
 
 /// `ibis stress` — the snapshot-isolation stress harness (differentially
 /// checked; see [`ibis::oracle::stress`]).
-fn stress(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(
-        args,
-        "seed= rows= readers= mutations= threads= durable checkpoint-every= no-writer",
-    )?;
-    let threads = match flags.get("threads") {
-        Some(s) => s
-            .split(',')
-            .map(|t| num::<usize>(t.trim(), "thread degree"))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => vec![1, 8],
-    };
-    if threads.is_empty() || threads.contains(&0) {
-        return Err("--threads must be a comma-separated list of degrees ≥ 1".into());
-    }
-    let readers: usize = flags
-        .get("readers")
-        .map_or(Ok(8), |s| num(s, "reader count"))?;
-    if readers == 0 {
-        return Err("--readers must be at least 1".into());
-    }
+fn stress(a: &Args) -> Result<(), CliError> {
     let cfg = ibis::oracle::StressConfig {
-        seed: flags.get("seed").map_or(Ok(1), |s| num(s, "seed"))?,
-        rows: flags.get("rows").map_or(Ok(96), |s| num(s, "row count"))?,
-        readers,
-        mutations: if flags.contains_key("no-writer") {
+        seed: a.num("seed"),
+        rows: a.num("rows"),
+        readers: a.num("readers"),
+        mutations: if a.has("no-writer") {
             0
         } else {
-            flags
-                .get("mutations")
-                .map_or(Ok(10_000), |s| num(s, "mutation count"))?
+            a.num("mutations")
         },
-        checkpoint_every: flags
-            .get("checkpoint-every")
-            .map_or(Ok(0), |s| num(s, "checkpoint interval"))?,
-        threads,
-        durable: flags.contains_key("durable"),
+        checkpoint_every: a.num("checkpoint-every"),
+        threads: a.nums("threads"),
+        durable: a.has("durable"),
         ..ibis::oracle::StressConfig::default()
     };
     println!(
@@ -1175,46 +1322,17 @@ fn stress(args: &[String]) -> Result<(), CliError> {
     let start = std::time::Instant::now();
     let report =
         ibis::oracle::stress::run(&cfg).map_err(|e| format!("harness scaffolding failed: {e}"))?;
-    println!(
-        "{} in {:.1}s",
-        report.summary(),
-        start.elapsed().as_secs_f64()
-    );
-    if report.ok() {
-        println!("every snapshot matched its schedule prefix exactly");
-        return Ok(());
-    }
-    for f in report.failures.iter().take(10) {
-        println!(
-            "FAILED {}: {}",
-            f.check,
-            f.detail.lines().next().unwrap_or("")
-        );
-    }
-    Err(CliError::Runtime(format!(
-        "{} failing check(s)",
-        report.failures.len()
-    )))
+    let clean = "every snapshot matched its schedule prefix exactly";
+    verdict(report.summary(), start, &report.failures, clean)
 }
 
-fn oracle(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args, "cases= seed= corpus= max-failures= case-budget-ms=")?;
+fn oracle(a: &Args) -> Result<(), CliError> {
     let cfg = ibis::oracle::OracleConfig {
-        cases: flags
-            .get("cases")
-            .map_or(Ok(200), |s| num(s, "case count"))?,
-        seed: flags.get("seed").map_or(Ok(1), |s| num(s, "seed"))?,
-        corpus_dir: Some(
-            flags
-                .get("corpus")
-                .map_or_else(|| "tests/regressions".into(), std::path::PathBuf::from),
-        ),
-        max_failures: flags
-            .get("max-failures")
-            .map_or(Ok(3), |s| num(s, "failure cap"))?,
-        case_budget_ms: flags
-            .get("case-budget-ms")
-            .map_or(Ok(10_000), |s| num(s, "case budget"))?,
+        cases: a.num("cases"),
+        seed: a.num("seed"),
+        corpus_dir: Some(a.text("corpus").into()),
+        max_failures: a.num("max-failures"),
+        case_budget_ms: a.num("case-budget-ms"),
         ..ibis::oracle::OracleConfig::default()
     };
     println!(
@@ -1265,56 +1383,16 @@ fn oracle(args: &[String]) -> Result<(), CliError> {
 /// `ibis serve` — expose a database over the `IBQP` wire protocol (see
 /// `ibis::server`): snapshot reads on a fixed worker pool with
 /// per-request deadlines and admission control.
-fn serve(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(
-        args,
-        "addr= shard-rows= data-dir= workers= max-batch= queue-high-water= deadline-ms= \
-         duration-secs= addr-file= trace-sample= slow-log=",
-    )?;
-    let defaults = ServerConfig::default();
+fn serve(a: &Args) -> Result<(), CliError> {
     let config = ServerConfig {
-        workers: {
-            let n: usize = flags
-                .get("workers")
-                .map_or(Ok(defaults.workers), |s| num(s, "worker count"))?;
-            if n == 0 {
-                return Err("--workers must be at least 1".into());
-            }
-            n
-        },
-        max_batch: {
-            let n: usize = flags
-                .get("max-batch")
-                .map_or(Ok(defaults.max_batch), |s| num(s, "batch size"))?;
-            if n == 0 {
-                return Err("--max-batch must be at least 1".into());
-            }
-            n
-        },
-        queue_high_water: flags
-            .get("queue-high-water")
-            .map_or(Ok(defaults.queue_high_water), |s| {
-                num(s, "queue high-water mark")
-            })?,
-        default_deadline_ms: flags
-            .get("deadline-ms")
-            .map_or(Ok(defaults.default_deadline_ms), |s| {
-                num(s, "deadline milliseconds")
-            })?,
-        trace_sample: flags
-            .get("trace-sample")
-            .map_or(Ok(defaults.trace_sample), |s| num(s, "trace sample rate"))?,
-        slow_log_size: {
-            let n: usize = flags
-                .get("slow-log")
-                .map_or(Ok(defaults.slow_log_size), |s| num(s, "slow log size"))?;
-            if n == 0 {
-                return Err("--slow-log must be at least 1".into());
-            }
-            n
-        },
+        workers: a.num("workers"),
+        max_batch: a.num("max-batch"),
+        queue_high_water: a.num("queue-high-water"),
+        default_deadline_ms: a.num("deadline-ms"),
+        trace_sample: a.num("trace-sample"),
+        slow_log_size: a.num("slow-log"),
     };
-    if config.trace_sample == 0 && flags.contains_key("slow-log") {
+    if config.trace_sample == 0 && a.has("slow-log") {
         return Err(
             "--trace-sample 0 disables request tracing, so the slow-query \
              log never fills and --slow-log is useless; drop --slow-log or \
@@ -1322,8 +1400,8 @@ fn serve(args: &[String]) -> Result<(), CliError> {
                 .into(),
         );
     }
-    let db = if let Some(dir) = flags.get("data-dir") {
-        if !pos.is_empty() {
+    let db = if let Some(dir) = a.opt_text("data-dir") {
+        if !a.positional.is_empty() {
             return Err("--data-dir serves the durable directory; \
                         it cannot be combined with a dataset file"
                 .into());
@@ -1331,18 +1409,10 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         ConcurrentDb::open_durable(std::path::Path::new(dir))
             .map_err(|e| format!("cannot open data directory {dir:?}: {e}"))?
     } else {
-        let path = pos
-            .first()
-            .ok_or("usage: ibis serve FILE.ibds [flags] | ibis serve --data-dir DIR [flags]")?;
-        let shard_rows: usize = flags
-            .get("shard-rows")
-            .map_or(Ok(4096), |s| num(s, "shard rows"))?;
-        if shard_rows == 0 {
-            return Err("--shard-rows must be at least 1".into());
-        }
-        ConcurrentDb::from_sharded(ShardedDb::new(load_dataset(path)?, shard_rows))
+        let d = load_dataset(a.arg(0)?)?;
+        ConcurrentDb::from_sharded(ShardedDb::new(d, a.num("shard-rows")))
     };
-    let addr = flags.get("addr").map_or("127.0.0.1:7431", String::as_str);
+    let addr = a.text("addr");
     let snap = db.snapshot();
     let handle = Server::start(Arc::new(db), addr, config.clone())
         .map_err(|e| format!("cannot bind {addr:?}: {e}"))?;
@@ -1360,13 +1430,12 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     drop(snap);
     // Scripts and tests read the bound address from this file; with
     // `--addr 127.0.0.1:0` it is the only way to learn the chosen port.
-    if let Some(path) = flags.get("addr-file") {
+    if let Some(path) = a.opt_text("addr-file") {
         std::fs::write(path, handle.addr().to_string())
             .map_err(|e| format!("cannot write address file {path:?}: {e}"))?;
     }
-    match flags.get("duration-secs") {
-        Some(s) => {
-            let secs: u64 = num(s, "duration")?;
+    match a.opt_num::<u64>("duration-secs") {
+        Some(secs) => {
             std::thread::sleep(std::time::Duration::from_secs(secs));
             handle.shutdown();
             println!("served for {secs}s, shut down cleanly");
@@ -1383,15 +1452,10 @@ fn serve(args: &[String]) -> Result<(), CliError> {
 /// come from (and are labelled with) the server's snapshot watermark, so
 /// row ids are printed without re-reading cells from the possibly-stale
 /// local file.
-fn server_query(
-    addr: &str,
-    q: &RangeQuery,
-    deadline_ms: u32,
-    flags: &Flags,
-) -> Result<(), CliError> {
+fn server_query(addr: &str, q: &RangeQuery, deadline_ms: u32, a: &Args) -> Result<(), CliError> {
     let mut client = ibis::server::Client::connect(addr)
         .map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
-    let response = if flags.contains_key("count") {
+    let response = if a.has("count") {
         client.count(q, deadline_ms)
     } else {
         client.query(q, deadline_ms)
@@ -1410,7 +1474,7 @@ fn server_query(
                 rows.len(),
                 q.policy()
             );
-            print_rows(flags, &rows, |r| format!("row {r}"))?;
+            print_rows(a, &rows, |r| format!("row {r}"));
         }
         ibis::server::Response::Error { code, message } => {
             return Err(CliError::Runtime(format!(
@@ -1428,20 +1492,20 @@ fn server_query(
 
 /// `ibis stats --addr` — one `STATS` request against a running server,
 /// rendered in the requested view (summary, `--json`, `--prom`, `--slow`).
-fn server_stats(addr: &str, flags: &Flags) -> Result<(), CliError> {
+fn server_stats(addr: &str, a: &Args) -> Result<(), CliError> {
     let mut client = ibis::server::Client::connect(addr)
         .map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
-    let want_slow = flags.contains_key("slow");
+    let want_slow = a.has("slow");
     let report = client
         .stats(want_slow)
         .map_err(|e| format!("STATS request to {addr:?} failed: {e}"))?;
-    if flags.contains_key("json") {
+    if a.has("json") {
         println!("{}", report.metrics_json);
         return Ok(());
     }
     let snap = ibis::obs::Snapshot::from_json(&report.metrics_json)
         .map_err(|e| format!("malformed metrics from {addr:?}: {e}"))?;
-    if flags.contains_key("prom") {
+    if a.has("prom") {
         print!("{}", snap.to_prometheus());
         return Ok(());
     }
@@ -1454,25 +1518,13 @@ fn server_stats(addr: &str, flags: &Flags) -> Result<(), CliError> {
 }
 
 /// `ibis top` — poll `STATS` and redraw a terminal dashboard.
-fn top(args: &[String]) -> Result<(), CliError> {
-    let (pos, flags) = parse_flags(args, "addr= interval-ms= iterations=")?;
-    if !pos.is_empty() {
-        return Err("usage: ibis top --addr HOST:PORT [--interval-ms MS] [--iterations N]".into());
+fn top(a: &Args) -> Result<(), CliError> {
+    if !a.positional.is_empty() {
+        return Err(a.usage());
     }
-    let addr = req(&flags, "addr")?;
-    let interval_ms: u64 = flags
-        .get("interval-ms")
-        .map_or(Ok(1000), |s| num(s, "interval milliseconds"))?;
-    if interval_ms == 0 {
-        return Err("--interval-ms must be at least 1".into());
-    }
-    let iterations: Option<u64> = flags
-        .get("iterations")
-        .map(|s| num(s, "iteration count"))
-        .transpose()?;
-    if iterations == Some(0) {
-        return Err("--iterations must be at least 1".into());
-    }
+    let addr = a.text("addr");
+    let interval_ms: u64 = a.num("interval-ms");
+    let iterations: Option<u64> = a.opt_num("iterations");
     let mut client = ibis::server::Client::connect(addr)
         .map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
     let mut drawn = 0u64;
@@ -1639,28 +1691,168 @@ mod tests {
     fn flag_parsing() {
         let strings =
             |args: &[&str]| -> Vec<String> { args.iter().map(|s| s.to_string()).collect() };
-        let table = "rows= count out=";
+        const TABLE: Command = Command {
+            usage: "t FILE",
+            flags: &[
+                flag("rows", "N", Int(USIZE), Unset).at_least(1),
+                switch("count"),
+                flag("out", "FILE", Text, Unset),
+                flag("limit", "N", Int(U32), Is("20")),
+            ],
+            about: "",
+            run: |_| Ok(()),
+        };
         let args = strings(&["data.ibds", "--rows", "100", "--count", "--out", "x"]);
-        let (pos, flags) = parse_flags(&args, table).unwrap();
-        assert_eq!(pos, vec!["data.ibds"]);
-        assert_eq!(flags.get("rows").unwrap(), "100");
-        assert_eq!(flags.get("count").unwrap(), "true");
-        assert_eq!(flags.get("out").unwrap(), "x");
-        // A flag outside the table, or a value-taking flag with nothing (or
-        // another flag) after it, is refused with the table in the message.
+        let a = TABLE.parse(&args).unwrap();
+        assert_eq!(a.positional, vec!["data.ibds"]);
+        assert_eq!(a.num::<usize>("rows"), 100);
+        assert!(a.has("count"));
+        assert_eq!(a.text("out"), "x");
+        // Defaults are filled in but not counted as given.
+        assert_eq!((a.num::<u32>("limit"), a.has("limit")), (20, false));
+        // A flag outside the table, a value-taking flag with nothing (or
+        // another flag) after it, a malformed number, or one out of the
+        // declared range is refused with the table in the message.
         for bad in [
             &["--cuont"][..],
             &["--"],
             &["--rows"],
             &["--rows", "--count"],
             &["--out", "x", "--match"],
+            &["--rows", "ten"],
+            &["--rows", "0"],
+            &["--limit", "4294967296"],
         ] {
-            let err = parse_flags(&strings(bad), table).unwrap_err();
+            let err = TABLE.parse(&strings(bad)).err().unwrap();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?}: {err:?}");
-            assert!(err.message().contains("--rows --count --out"), "{err:?}");
+            assert!(
+                err.message().contains("--rows --count --out --limit"),
+                "{err:?}"
+            );
         }
-        let err = parse_flags(&strings(&["--force"]), "").unwrap_err();
+        const BARE: Command = Command {
+            flags: &[],
+            ..TABLE
+        };
+        let err = BARE.parse(&strings(&["--force"])).err().unwrap();
         assert!(err.message().contains("no flags"), "{err:?}");
+        // Every declared default is a valid value of its flag.
+        for c in COMMANDS {
+            for f in c.flags {
+                if let Is(value) = f.absent {
+                    assert!(f.read(value).is_ok(), "{} --{}", c.usage, f.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serve_defaults_are_the_server_config_defaults() {
+        let serve = COMMANDS.iter().find(|c| c.name() == "serve").unwrap();
+        let (a, d) = (serve.parse(&[]).unwrap(), ServerConfig::default());
+        let counts: [usize; 4] = [
+            a.num("workers"),
+            a.num("max-batch"),
+            a.num("queue-high-water"),
+            a.num("slow-log"),
+        ];
+        let expected = [d.workers, d.max_batch, d.queue_high_water, d.slow_log_size];
+        assert_eq!(counts, expected);
+        let rest: [u64; 2] = [a.num("deadline-ms"), a.num("trace-sample")];
+        assert_eq!(rest, [d.default_deadline_ms, d.trace_sample]);
+    }
+
+    /// `line` split into words as a shell would split these simple lines:
+    /// quotes group, and a `#` that starts a word ends the line.
+    fn shell_words(line: &str) -> Vec<String> {
+        let (mut words, mut word, mut quote) = (Vec::new(), None::<String>, None);
+        for c in line.chars() {
+            match (quote, c) {
+                (Some(q), c) if c == q => quote = None,
+                (None, '"' | '\'') => {
+                    quote = Some(c);
+                    word.get_or_insert_with(String::new);
+                }
+                (None, c) if c.is_whitespace() => words.extend(word.take()),
+                (None, '#') if word.is_none() => break,
+                _ => word.get_or_insert_with(String::new).push(c),
+            }
+        }
+        words.extend(word);
+        words
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let read = |path: &str| std::fs::read_to_string(root.join(path)).unwrap();
+        let module_doc: String = read("src/bin/ibis.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .map(|l| format!("{}\n", l.strip_prefix(' ').unwrap_or(l)))
+            .collect();
+        for (doc, text, at_least) in [
+            ("README.md", read("README.md"), 20),
+            ("module doc", module_doc, 6),
+        ] {
+            // The lines of shell and text code blocks, `\` continuations
+            // joined; `shell` is `Some` inside a block.
+            let (mut lines, mut shell, mut pending) = (Vec::new(), None, String::new());
+            for line in text.lines() {
+                if let Some(tag) = line.trim_start().strip_prefix("```") {
+                    shell = match shell {
+                        None => Some(matches!(tag, "bash" | "sh" | "text")),
+                        Some(_) => None,
+                    };
+                } else if shell == Some(true) {
+                    pending.push_str(line.trim_end());
+                    if pending.ends_with('\\') {
+                        pending.pop();
+                    } else {
+                        lines.push(std::mem::take(&mut pending));
+                    }
+                }
+            }
+            let mut checked = 0;
+            for line in lines {
+                let line = line.trim_start();
+                let words = shell_words(line.strip_prefix("$ ").unwrap_or(line));
+                let args = match words.first().map(String::as_str) {
+                    Some("ibis") => &words[1..],
+                    Some("cargo") => {
+                        match words.windows(3).position(|w| w == ["--bin", "ibis", "--"]) {
+                            Some(at) => &words[at + 3..],
+                            None => continue,
+                        }
+                    }
+                    _ => continue,
+                };
+                let command = COMMANDS
+                    .iter()
+                    .find(|c| c.name() == args[0])
+                    .unwrap_or_else(|| panic!("{doc}: unknown command in {line:?}"));
+                if let Err(e) = command.parse(&args[1..]) {
+                    panic!("{doc}: {line:?} does not parse: {}", e.message());
+                }
+                checked += 1;
+            }
+            assert!(
+                checked >= at_least,
+                "{doc}: only {checked} ibis lines found"
+            );
+        }
+    }
+
+    #[test]
+    fn help_names_every_command_and_flag() {
+        let help = help();
+        for c in COMMANDS {
+            assert!(help.contains(&format!("\n  {}", c.usage)), "{}", c.usage);
+            for f in c.flags {
+                assert!(help.contains(&f.synopsis()), "{} --{}", c.usage, f.name);
+            }
+        }
+        assert!(help.lines().all(|l| l.chars().count() <= 78), "{help}");
     }
 
     #[test]
@@ -1692,6 +1884,10 @@ mod tests {
             // Tracing disabled + an explicit slow-log size: the log could
             // never fill, so the combination is rejected up front.
             "serve x.ibds --trace-sample 0 --slow-log 4",
+            // A zero deadline expires every query while it is queued, and
+            // a zero high-water mark admits nothing.
+            "serve x.ibds --deadline-ms 0",
+            "serve x.ibds --queue-high-water 0",
             // Misspelt flags must not be swallowed: each of these used to
             // run (or generate) as if the flag had not been given.
             "query x.ibds a=1 --not-mach",
@@ -1961,7 +2157,7 @@ mod tests {
         );
         run(&[
             s("race"),
-            data,
+            data.clone(),
             s("--queries"),
             s("5"),
             s("--k"),
@@ -1970,6 +2166,11 @@ mod tests {
             s("2"),
         ])
         .unwrap();
+        // More attributes per query than the schema has is a usage error
+        // that names the schema width (census data has 48 attributes).
+        let err = run(&[s("race"), data, s("--k"), s("500")]).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err:?}");
+        assert!(err.message().contains("48 attributes"), "{}", err.message());
         std::fs::remove_dir_all(&dir).ok();
     }
 
