@@ -61,3 +61,9 @@ pub use error::{Error, Result};
 pub use query::{Interval, MissingPolicy, Predicate, RangeQuery};
 pub use rowset::RowSet;
 pub use synopsis::{AttrSynopsis, ShardSynopsis};
+
+/// The longest one query case may take, in milliseconds: the correctness
+/// oracle's default per-case budget ("too slow to be right") and the query
+/// server's default request deadline ("too slow to serve") are this one
+/// number.
+pub const QUERY_BUDGET_MS: u64 = 10_000;

@@ -20,11 +20,11 @@
 //! scaffolding (temp directories, file copies) fails.
 
 use crate::check::Failure;
-use crate::workload::{gen_op, probe_queries, Op};
+use crate::workload::{apply_durable, gen_op, probe_queries};
 use ibis_core::gen::census_scaled;
 use ibis_core::RangeQuery;
 use ibis_storage::wal::WAL_HEADER_LEN;
-use ibis_storage::{engine, DbConfig, DurableDb, ShardedDb};
+use ibis_storage::{engine, DbConfig, DurableDb, ShardedDb, WalRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::io;
@@ -148,7 +148,7 @@ pub fn run(cfg: &CrashConfig) -> io::Result<CrashReport> {
         DbConfig::default(),
     )?;
     for _ in 0..cfg.phase1_ops {
-        gen_op(&mut rng, &schema, cfg.rows as u32).apply_durable(&mut db)?;
+        apply_durable(&mut db, &gen_op(&mut rng, &schema, cfg.rows as u32))?;
     }
     db.checkpoint()?;
     record(
@@ -172,7 +172,7 @@ pub fn run(cfg: &CrashConfig) -> io::Result<CrashReport> {
     let mut boundaries = Vec::with_capacity(cfg.phase2_ops);
     for _ in 0..cfg.phase2_ops {
         let op = gen_op(&mut rng, &schema, (cfg.rows + cfg.phase2_ops) as u32);
-        op.apply_durable(&mut db)?;
+        apply_durable(&mut db, &op)?;
         boundaries.push(db.wal_bytes());
         ops.push(op);
     }
@@ -273,7 +273,7 @@ fn verify_recovery(
     tag: &str,
     durable: usize,
     twin_base: &ShardedDb,
-    ops: &[Op],
+    ops: &[WalRecord],
     queries: &[RangeQuery],
     threads: &[usize],
 ) {
@@ -317,7 +317,7 @@ fn verify_recovery(
 
     let mut twin = twin_base.clone();
     for op in &ops[..durable] {
-        op.apply_twin(&mut twin);
+        engine::apply(&mut twin, op).expect("twin replays a validated row");
     }
     for (qi, q) in queries.iter().enumerate() {
         for &t in threads {

@@ -94,7 +94,7 @@ impl Default for OracleConfig {
             corpus_dir: None,
             max_failures: 3,
             shrink_budget: 300,
-            case_budget_ms: 10_000,
+            case_budget_ms: ibis_core::QUERY_BUDGET_MS,
         }
     }
 }

@@ -26,10 +26,10 @@
 //! concurrent readers, and the twin ignores them.
 
 use crate::check::Failure;
-use crate::workload::{gen_op, probe_queries, Op};
+use crate::workload::{apply_concurrent, gen_op, probe_queries};
 use ibis_core::gen::census_scaled;
 use ibis_core::RangeQuery;
-use ibis_storage::{ConcurrentDb, DbConfig, DbSnapshot, ShardedDb};
+use ibis_storage::{engine, ConcurrentDb, DbConfig, DbSnapshot, ShardedDb, WalRecord};
 use rand::{rngs::StdRng, SeedableRng};
 use std::io;
 use std::path::PathBuf;
@@ -219,7 +219,7 @@ pub fn run(cfg: &StressConfig) -> io::Result<StressReport> {
     // The whole logical history, precomputed: op i moves the database
     // from watermark i to watermark i+1, so a snapshot's watermark names
     // its exact schedule prefix.
-    let schedule: Vec<Op> = (0..cfg.mutations)
+    let schedule: Vec<WalRecord> = (0..cfg.mutations)
         .map(|i| gen_op(&mut rng, &schema, (cfg.rows + i / 2) as u32))
         .collect();
     let target = schedule.len() as u64;
@@ -242,11 +242,7 @@ pub fn run(cfg: &StressConfig) -> io::Result<StressReport> {
             std::fs::create_dir_all(dir)?;
             ConcurrentDb::create_durable(dir, schema.clone(), cfg.shard_rows, DbConfig::default())?
         }
-        None => ConcurrentDb::from_sharded(ShardedDb::with_config(
-            schema.clone(),
-            cfg.shard_rows,
-            DbConfig::default(),
-        )),
+        None => ConcurrentDb::new_mem(schema.clone(), cfg.shard_rows),
     };
     let twin_base = ShardedDb::with_config(schema.clone(), cfg.shard_rows, DbConfig::default());
 
@@ -264,7 +260,7 @@ pub fn run(cfg: &StressConfig) -> io::Result<StressReport> {
             let schedule = &schedule;
             s.spawn(move || -> io::Result<()> {
                 for (i, op) in schedule.iter().enumerate() {
-                    op.apply_concurrent(db)?;
+                    apply_concurrent(db, op)?;
                     if cfg.checkpoint_every != 0 && (i + 1) % cfg.checkpoint_every == 0 {
                         db.checkpoint()?;
                     }
@@ -309,7 +305,8 @@ pub fn run(cfg: &StressConfig) -> io::Result<StressReport> {
                             tally.watermarks.push(w);
                         }
                         while applied < w {
-                            schedule[applied as usize].apply_twin(&mut twin);
+                            engine::apply(&mut twin, &schedule[applied as usize])
+                                .expect("twin replays a validated row");
                             applied += 1;
                         }
                         check_snapshot(
@@ -352,7 +349,7 @@ pub fn run(cfg: &StressConfig) -> io::Result<StressReport> {
         let snap = db.snapshot();
         let mut twin = twin_base.clone();
         for op in &schedule {
-            op.apply_twin(&mut twin);
+            engine::apply(&mut twin, op).expect("twin replays a validated row");
         }
         let mut tally = ReaderTally {
             reads: 0,

@@ -1,59 +1,41 @@
 //! Shared workload vocabulary for the storage harnesses.
 //!
 //! The crash harness ([`crate::crash`]) and the concurrency stress harness
-//! ([`crate::stress`]) drive the same op language against different
-//! adversaries (torn WALs vs racing readers), so the op type, the seeded
-//! op generator, and the probe-query battery live here once.
+//! ([`crate::stress`]) drive the same mutation language — the WAL's own
+//! [`WalRecord`] — against different adversaries (torn WALs vs racing
+//! readers), so the seeded mutation generator and the probe-query battery
+//! live here once. Their in-memory twins apply records through
+//! [`ibis_storage::engine::apply`], the function WAL recovery replays
+//! with.
 
 use ibis_core::{Cell, Dataset, MissingPolicy, Predicate, RangeQuery};
-use ibis_storage::{ConcurrentDb, DurableDb, ShardedDb};
+use ibis_storage::{ConcurrentDb, DurableDb, WalRecord};
 use rand::{rngs::StdRng, Rng};
 use std::io;
 
-/// One workload mutation, replayable against the durable engine, the
-/// concurrent serving layer, and a plain in-memory twin.
-#[derive(Clone, Debug)]
-pub(crate) enum Op {
-    Insert(Vec<Cell>),
-    Delete(u32),
-    Compact,
+/// Pushes one record through the durable engine's own mutators.
+pub(crate) fn apply_durable(db: &mut DurableDb, record: &WalRecord) -> io::Result<()> {
+    match record {
+        WalRecord::Insert(row) => db.insert(row),
+        WalRecord::Delete(id) => db.delete(*id).map(drop),
+        WalRecord::Compact => db.compact().map(drop),
+    }
 }
 
-impl Op {
-    pub(crate) fn apply_durable(&self, db: &mut DurableDb) -> io::Result<()> {
-        match self {
-            Op::Insert(row) => db.insert(row),
-            Op::Delete(id) => db.delete(*id).map(|_| ()),
-            Op::Compact => db.compact().map(|_| ()),
-        }
-    }
-
-    pub(crate) fn apply_concurrent(&self, db: &ConcurrentDb) -> io::Result<()> {
-        match self {
-            Op::Insert(row) => db.insert(row),
-            Op::Delete(id) => db.delete(*id).map(|_| ()),
-            Op::Compact => db.compact().map(|_| ()),
-        }
-    }
-
-    pub(crate) fn apply_twin(&self, db: &mut ShardedDb) {
-        match self {
-            Op::Insert(row) => db.insert(row).expect("twin replays a validated row"),
-            Op::Delete(id) => {
-                db.delete(*id);
-            }
-            Op::Compact => {
-                db.compact();
-            }
-        }
+/// Pushes one record through the concurrent serving layer's mutators.
+pub(crate) fn apply_concurrent(db: &ConcurrentDb, record: &WalRecord) -> io::Result<()> {
+    match record {
+        WalRecord::Insert(row) => db.insert(row),
+        WalRecord::Delete(id) => db.delete(*id).map(drop),
+        WalRecord::Compact => db.compact().map(drop),
     }
 }
 
 /// One seeded workload mutation. Deletes deliberately overshoot the live id
 /// range sometimes — a no-op delete must replay as a no-op everywhere.
-pub(crate) fn gen_op(rng: &mut StdRng, schema: &Dataset, live_hint: u32) -> Op {
+pub(crate) fn gen_op(rng: &mut StdRng, schema: &Dataset, live_hint: u32) -> WalRecord {
     match rng.gen_range(0..8) {
-        0..=4 => Op::Insert(
+        0..=4 => WalRecord::Insert(
             (0..schema.n_attrs())
                 .map(|a| {
                     if rng.gen_range(0..5) == 0 {
@@ -64,8 +46,8 @@ pub(crate) fn gen_op(rng: &mut StdRng, schema: &Dataset, live_hint: u32) -> Op {
                 })
                 .collect(),
         ),
-        5..=6 => Op::Delete(rng.gen_range(0..live_hint + 8)),
-        _ => Op::Compact,
+        5..=6 => WalRecord::Delete(rng.gen_range(0..live_hint + 8)),
+        _ => WalRecord::Compact,
     }
 }
 

@@ -7,8 +7,8 @@
 //!   `wire`/`crc` discipline of every on-disk format;
 //! * [`server`] — the TCP serving loop: per-connection reader/writer
 //!   threads, admission control at a queue high-water mark
-//!   ([`ErrorCode::Overloaded`]), per-request deadlines (default fed from
-//!   the oracle's `case_budget_ms`), and a fixed worker pool whose
+//!   ([`ErrorCode::Overloaded`]), per-request deadlines (default
+//!   [`ibis_core::QUERY_BUDGET_MS`]), and a fixed worker pool whose
 //!   workers drain the queue a few jobs per wake and answer them in queue
 //!   order on one snapshot, each through the database's ordinary
 //!   `execute_with_cost_threads`;

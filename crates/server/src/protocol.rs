@@ -159,7 +159,8 @@ pub enum Request {
         /// Reply with [`Response::Count`] instead of materialized rows.
         count_only: bool,
         /// Per-request deadline in milliseconds; `0` means "use the
-        /// server's default" (fed from the oracle's `case_budget_ms`).
+        /// server's default" ([`ibis_core::QUERY_BUDGET_MS`] unless
+        /// configured).
         deadline_ms: u32,
     },
     /// Liveness probe; answered with [`Response::Pong`].

@@ -30,8 +30,8 @@
 //! whose deadline expired *during* execution gets
 //! [`ErrorCode::DeadlineExceeded`] instead of rows — an expired request
 //! never returns results, and the overrun is bounded by one query
-//! execution. The default deadline is fed from the oracle's
-//! `case_budget_ms` (see [`ServerConfig::default`]).
+//! execution. The default deadline is [`ibis_core::QUERY_BUDGET_MS`], the
+//! oracle's per-case budget too (see [`ServerConfig::default`]).
 
 use crate::protocol::{
     read_frame, read_handshake, write_frame, write_handshake, ErrorCode, HealthReport, Request,
@@ -73,15 +73,15 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Defaults: 4 workers, drains of 8, a 256-deep queue, the oracle's
-    /// per-case time budget as the request deadline, 1-in-8 request
-    /// tracing, and a 16-entry slow-query log.
+    /// Defaults: 4 workers, drains of 8, a 256-deep queue,
+    /// [`ibis_core::QUERY_BUDGET_MS`] as the request deadline, 1-in-8
+    /// request tracing, and a 16-entry slow-query log.
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 4,
             max_batch: 8,
             queue_high_water: 256,
-            default_deadline_ms: ibis_oracle::OracleConfig::default().case_budget_ms,
+            default_deadline_ms: ibis_core::QUERY_BUDGET_MS,
             trace_sample: 8,
             slow_log_size: 16,
         }

@@ -11,22 +11,21 @@
 //!   pointer store of a publication — never a mutation, a WAL append or
 //!   fsync, a compaction or a checkpoint.
 //! * **Writers** (`insert`/`delete`/`compact`/`checkpoint`) serialize
-//!   behind one internal mutex, apply the mutation to the backend
-//!   (in-memory [`ShardedDb`] or durable [`DurableDb`] — WAL first), and
-//!   **publish**: shallow-clone the shard-set (copy-on-write `Arc`s, so
-//!   this is a pointer bump per shard), stamp it with the bumped
-//!   watermark, and swap it in under the write lock. Compaction rebuilds
-//!   shards *inside the writer section* and swaps the rebuilt set in the
-//!   same way — in-flight queries keep their pre-compaction snapshot and
-//!   never stall.
+//!   behind one internal mutex, apply the mutation to the one
+//!   [`DurableDb`] inside (WAL first when it has a log, straight to the
+//!   shards when it is the in-memory database), and **publish**:
+//!   shallow-clone the shard-set (copy-on-write `Arc`s, so this is a
+//!   pointer bump per shard), stamp it with the bumped watermark, and swap
+//!   it in under the write lock. Compaction rebuilds shards *inside the
+//!   writer section* and swaps the rebuilt set in the same way — in-flight
+//!   queries keep their pre-compaction snapshot and never stall.
 //!
-//! Publish ordering is the whole contract: the WAL append (durable
-//! backend) happens before the in-memory apply, the apply happens before
-//! the publication swap, and the swap is one store under the write lock —
-//! so a snapshot with watermark `w` contains *exactly* the first `w`
-//! logical mutations, never a torn prefix. A superseded snapshot is an
-//! ordinary `Arc`: it is freed when its last holder lets go. See
-//! `DESIGN.md` §14.
+//! Publish ordering is the whole contract: the WAL append (when there is a
+//! log) happens before the in-memory apply, the apply happens before the
+//! publication swap, and the swap is one store under the write lock — so a
+//! snapshot with watermark `w` contains *exactly* the first `w` logical
+//! mutations, never a torn prefix. A superseded snapshot is an ordinary
+//! `Arc`: it is freed when its last holder lets go. See `DESIGN.md` §14.
 
 use std::io;
 use std::path::Path;
@@ -34,29 +33,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use ibis_core::Cell;
 
-use crate::db::{invalid_input, DbConfig, ShardedDb};
+use crate::db::{DbConfig, ShardedDb};
 use crate::engine::DurableDb;
 use crate::snapshot::DbSnapshot;
 
-/// The mutable truth behind the writer lock: either a plain in-memory
-/// sharded store or the WAL-backed durable engine.
-enum Backend {
-    Mem(ShardedDb),
-    Durable(DurableDb),
-}
-
-impl Backend {
-    fn db(&self) -> &ShardedDb {
-        match self {
-            Backend::Mem(db) => db,
-            Backend::Durable(d) => d.db(),
-        }
-    }
-}
-
-/// Writer state: the backend plus the logical mutation clock.
+/// Writer state: the database plus the logical mutation clock.
 struct Writer {
-    backend: Backend,
+    db: DurableDb,
     watermark: u64,
 }
 
@@ -85,26 +68,20 @@ pub struct ConcurrentDb {
 }
 
 impl ConcurrentDb {
-    fn from_backend(backend: Backend) -> ConcurrentDb {
-        let first = DbSnapshot::freeze(backend.db(), 0);
+    /// Serves `db`: a [`ShardedDb`] in memory, or a [`DurableDb`], whose
+    /// mutations are logged first when it has a data directory.
+    pub fn new(db: impl Into<DurableDb>) -> ConcurrentDb {
+        let db = db.into();
         ConcurrentDb {
-            durable: matches!(backend, Backend::Durable(_)),
-            writer: Mutex::new(Writer {
-                backend,
-                watermark: 0,
-            }),
-            published: RwLock::new(Arc::new(first)),
+            durable: db.is_logged(),
+            published: RwLock::new(Arc::new(DbSnapshot::freeze(&db, 0))),
+            writer: Mutex::new(Writer { db, watermark: 0 }),
         }
     }
 
     /// Serves an in-memory sharded database (no durability).
     pub fn new_mem(dataset: ibis_core::Dataset, shard_rows: usize) -> ConcurrentDb {
-        Self::from_sharded(ShardedDb::new(dataset, shard_rows))
-    }
-
-    /// Serves an existing [`ShardedDb`] (no durability).
-    pub fn from_sharded(db: ShardedDb) -> ConcurrentDb {
-        Self::from_backend(Backend::Mem(db))
+        Self::new(ShardedDb::new(dataset, shard_rows))
     }
 
     /// Creates a durable database at `dir` and serves it. See
@@ -115,20 +92,13 @@ impl ConcurrentDb {
         shard_rows: usize,
         config: DbConfig,
     ) -> io::Result<ConcurrentDb> {
-        let d = DurableDb::create(dir, dataset, shard_rows, config)?;
-        Ok(Self::from_backend(Backend::Durable(d)))
+        DurableDb::create(dir, dataset, shard_rows, config).map(Self::new)
     }
 
     /// Opens (= crash-recovers) the durable database at `dir` and serves
     /// it. See [`DurableDb::open`].
     pub fn open_durable(dir: &Path) -> io::Result<ConcurrentDb> {
-        let d = DurableDb::open(dir)?;
-        Ok(Self::from_backend(Backend::Durable(d)))
-    }
-
-    /// Serves an already-open [`DurableDb`].
-    pub fn from_durable(db: DurableDb) -> ConcurrentDb {
-        Self::from_backend(Backend::Durable(db))
+        DurableDb::open(dir).map(Self::new)
     }
 
     /// Acquires the currently-published snapshot: read-lock, clone the
@@ -153,16 +123,24 @@ impl ConcurrentDb {
 
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
         // A poisoned lock means a writer panicked mid-mutation; the
-        // backend may hold a half-applied state, so serving must stop.
+        // database may hold a half-applied state, so serving must stop.
         self.writer.lock().expect("writer panicked mid-mutation")
     }
 
-    /// Publishes `w`'s current state at its current watermark. The new
-    /// snapshot is built before the write lock is taken and the superseded
-    /// one is dropped after it is released: dropping a snapshot can free
-    /// shard bodies, which must never happen under a lock readers take.
-    fn publish(&self, w: &Writer) {
-        let next = Arc::new(DbSnapshot::freeze(w.backend.db(), w.watermark));
+    /// The one writer step: under the writer lock, apply one logical
+    /// mutation, tick the watermark and publish. A mutation that fails
+    /// (an invalid row, a failed WAL append) leaves the shards unchanged,
+    /// so it neither ticks nor publishes.
+    ///
+    /// The new snapshot is built before the write lock on `published` is
+    /// taken, and the superseded one is dropped after it is released:
+    /// dropping a snapshot can free shard bodies, which must never happen
+    /// under a lock readers take.
+    fn mutate<R>(&self, apply: impl FnOnce(&mut DurableDb) -> io::Result<R>) -> io::Result<R> {
+        let mut w = self.lock_writer();
+        let out = apply(&mut w.db)?;
+        w.watermark += 1;
+        let next = Arc::new(DbSnapshot::freeze(&w.db, w.watermark));
         let mut published = self
             .published
             .write()
@@ -170,33 +148,20 @@ impl ConcurrentDb {
         let superseded = std::mem::replace(&mut *published, next);
         drop(published);
         drop(superseded);
+        Ok(out)
     }
 
     /// Appends one row (durably when WAL-backed) and publishes the new
     /// snapshot. Readers holding older snapshots are unaffected.
     pub fn insert(&self, row: &[Cell]) -> io::Result<()> {
-        let mut w = self.lock_writer();
-        match &mut w.backend {
-            Backend::Mem(db) => db.insert(row).map_err(invalid_input)?,
-            Backend::Durable(d) => d.insert(row)?,
-        }
-        w.watermark += 1;
-        self.publish(&w);
-        Ok(())
+        self.mutate(|db| db.insert(row))
     }
 
     /// Tombstones a global row id; returns whether the row was alive.
     /// Counts as one logical mutation (and publishes) even on a miss, so
     /// the watermark tracks the *attempted* history deterministically.
     pub fn delete(&self, row: u32) -> io::Result<bool> {
-        let mut w = self.lock_writer();
-        let hit = match &mut w.backend {
-            Backend::Mem(db) => db.delete(row),
-            Backend::Durable(d) => d.delete(row)?,
-        };
-        w.watermark += 1;
-        self.publish(&w);
-        Ok(hit)
+        self.mutate(|db| db.delete(row))
     }
 
     /// Folds deltas and tombstones into rebuilt shards, then swaps the
@@ -204,35 +169,21 @@ impl ConcurrentDb {
     /// pre-compaction snapshot; the next [`snapshot`](Self::snapshot)
     /// acquire sees the compacted one. Returns shards rebuilt.
     pub fn compact(&self) -> io::Result<usize> {
-        let mut w = self.lock_writer();
-        let rebuilt = match &mut w.backend {
-            Backend::Mem(db) => db.compact(),
-            Backend::Durable(d) => d.compact()?,
-        };
-        w.watermark += 1;
-        self.publish(&w);
-        Ok(rebuilt)
+        self.mutate(DurableDb::compact)
     }
 
-    /// Rolls the WAL into a fresh on-disk snapshot (durable backend only;
-    /// a no-op for in-memory serving). Not a logical mutation: the
-    /// watermark does not advance and no new snapshot is published —
-    /// checkpointing changes how the state is stored, not what it is.
+    /// Rolls the WAL into a fresh on-disk snapshot (a no-op for in-memory
+    /// serving). Not a logical mutation: the watermark does not advance
+    /// and no new snapshot is published — checkpointing changes how the
+    /// state is stored, not what it is.
     pub fn checkpoint(&self) -> io::Result<()> {
-        let mut w = self.lock_writer();
-        match &mut w.backend {
-            Backend::Mem(_) => Ok(()),
-            Backend::Durable(d) => d.checkpoint(),
-        }
+        self.lock_writer().db.checkpoint()
     }
 
     /// Runs `f` against the durable engine's read API (generation, WAL
     /// bytes, backup) under the writer lock. `None` for in-memory serving.
     pub fn with_durable<R>(&self, f: impl FnOnce(&DurableDb) -> R) -> Option<R> {
-        match &self.lock_writer().backend {
-            Backend::Mem(_) => None,
-            Backend::Durable(d) => Some(f(d)),
-        }
+        self.durable.then(|| f(&self.lock_writer().db))
     }
 }
 
@@ -370,7 +321,9 @@ mod tests {
             ConcurrentDb::create_durable(&dir, data.clone(), 16, DbConfig::default()).unwrap();
         let mut out_of_domain = vec![Cell::MISSING; n_attrs];
         out_of_domain[0] = Cell::present(u16::MAX);
-        for db in [ConcurrentDb::new_mem(data, 16), durable] {
+        for (db, logged) in [(ConcurrentDb::new_mem(data, 16), false), (durable, true)] {
+            assert_eq!(db.is_durable(), logged);
+            assert_eq!(db.with_durable(|_| ()).is_some(), logged);
             let state = |db: &ConcurrentDb| {
                 let snap = db.snapshot();
                 let wal = db.with_durable(|d| d.wal_bytes());
@@ -382,6 +335,14 @@ mod tests {
                 assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
                 assert_eq!(state(&db), before);
             }
+            // A checkpoint is not a logical mutation: it publishes nothing.
+            let published = db.snapshot();
+            db.checkpoint().unwrap();
+            assert!(
+                Arc::ptr_eq(&published, &db.snapshot()),
+                "checkpoint published"
+            );
+            assert_eq!(db.snapshot().watermark(), before.1);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,4 +1,6 @@
-//! The durable engine: WAL + snapshot + MANIFEST under a [`ShardedDb`].
+//! The writable database: a [`ShardedDb`] with an optional log (WAL +
+//! snapshot + MANIFEST in a data directory). Without a log it is the
+//! in-memory database; with one, every mutation is logged first.
 //!
 //! A data directory holds three kinds of file:
 //!
@@ -44,10 +46,15 @@ fn snapshot_name(generation: u64) -> String {
     format!("snapshot-{generation:06}.ibss")
 }
 
-/// A [`ShardedDb`] whose mutations are durable: logged (and fsynced) to the
-/// WAL before they touch the shards, checkpointable into snapshots, and
-/// recoverable after a crash at any byte of the log. Every read — queries,
-/// row counts, synopses — is the store's own, reached through `Deref`.
+/// A [`ShardedDb`] with an optional log. A database with a data directory
+/// ([`create`](DurableDb::create), [`open`](DurableDb::open),
+/// [`restore`](DurableDb::restore)) logs (and fsyncs) every mutation to the
+/// WAL before it touches the shards, checkpoints into snapshots, and
+/// recovers after a crash at any byte of the log. One built `From` a
+/// [`ShardedDb`] has no log: it is the in-memory database, its mutations
+/// go straight to the shards and [`checkpoint`](DurableDb::checkpoint) is a
+/// no-op. Every read — queries, row counts, synopses — is the store's own,
+/// reached through `Deref`.
 ///
 /// ```
 /// use ibis_core::{Cell, Dataset};
@@ -67,11 +74,24 @@ fn snapshot_name(generation: u64) -> String {
 /// ```
 #[derive(Debug)]
 pub struct DurableDb {
-    dir: PathBuf,
     db: ShardedDb,
+    log: Option<Log>,
+}
+
+/// What a database with a data directory keeps beside its shards.
+#[derive(Debug)]
+struct Log {
+    dir: PathBuf,
     wal: WalWriter,
     manifest: Manifest,
     replayed: u64,
+}
+
+/// The in-memory database: no directory, no log.
+impl From<ShardedDb> for DurableDb {
+    fn from(db: ShardedDb) -> DurableDb {
+        DurableDb { db, log: None }
+    }
 }
 
 impl DurableDb {
@@ -105,11 +125,13 @@ impl DurableDb {
         let wal = WalWriter::create(&wal_path(dir), 1)?;
         manifest.save(dir)?;
         Ok(DurableDb {
-            dir: dir.to_path_buf(),
             db,
-            wal,
-            manifest,
-            replayed: 0,
+            log: Some(Log {
+                dir: dir.to_path_buf(),
+                wal,
+                manifest,
+                replayed: 0,
+            }),
         })
     }
 
@@ -160,28 +182,43 @@ impl DurableDb {
         ibis_obs::gauge_set("storage.generation", manifest.generation as f64);
         ibis_obs::gauge_set("wal.bytes", wal.bytes() as f64);
         Ok(DurableDb {
-            dir: dir.to_path_buf(),
             db,
-            wal,
-            manifest,
-            replayed,
+            log: Some(Log {
+                dir: dir.to_path_buf(),
+                wal,
+                manifest,
+                replayed,
+            }),
         })
     }
 
-    /// Appends one row durably: validated, logged + fsynced, then applied.
-    /// An invalid row fails with `InvalidInput` *before* reaching the log.
+    /// Whether mutations are logged (the database has a data directory).
+    pub(crate) fn is_logged(&self) -> bool {
+        self.log.is_some()
+    }
+
+    /// Appends `record` to the log and fsyncs it, when there is a log.
+    fn log(&mut self, record: &WalRecord) -> io::Result<()> {
+        if let Some(log) = &mut self.log {
+            log.wal.append(record)?;
+        }
+        Ok(())
+    }
+
+    /// Appends one row: validated, logged + fsynced, then applied. An
+    /// invalid row fails with `InvalidInput` *before* reaching the log.
     pub fn insert(&mut self, row: &[Cell]) -> io::Result<()> {
         self.db.validate_row(row).map_err(invalid_input)?;
-        self.wal.append(&WalRecord::Insert(row.to_vec()))?;
+        self.log(&WalRecord::Insert(row.to_vec()))?;
         self.db.insert(row).expect("row validated before logging");
         Ok(())
     }
 
-    /// Tombstones a global row id durably. Returns whether the row existed
-    /// and was alive. Misses are logged too — replaying a no-op is a no-op,
-    /// so recovery stays deterministic either way.
+    /// Tombstones a global row id. Returns whether the row existed and was
+    /// alive. Misses are logged too — replaying a no-op is a no-op, so
+    /// recovery stays deterministic either way.
     pub fn delete(&mut self, row: u32) -> io::Result<bool> {
-        self.wal.append(&WalRecord::Delete(row))?;
+        self.log(&WalRecord::Delete(row))?;
         Ok(self.db.delete(row))
     }
 
@@ -189,7 +226,7 @@ impl DurableDb {
     /// renumbers rows, and replay must renumber them identically). Returns
     /// the number of shards rebuilt.
     pub fn compact(&mut self) -> io::Result<usize> {
-        self.wal.append(&WalRecord::Compact)?;
+        self.log(&WalRecord::Compact)?;
         Ok(self.db.compact())
     }
 
@@ -198,23 +235,27 @@ impl DurableDb {
     /// truncates the WAL, and removes the superseded snapshot. A crash
     /// between any two of those steps recovers to a consistent state — the
     /// manifest rename is the commit point, and replay skips records at or
-    /// below the watermark if the truncate never happened.
+    /// below the watermark if the truncate never happened. A no-op without
+    /// a log.
     pub fn checkpoint(&mut self) -> io::Result<()> {
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
         let start = std::time::Instant::now();
         let mut span = ibis_obs::span("storage.checkpoint");
-        let generation = self.manifest.generation + 1;
+        let generation = log.manifest.generation + 1;
         let next = Manifest {
             generation,
             snapshot: snapshot_name(generation),
-            watermark: self.wal.last_seq(),
+            watermark: log.wal.last_seq(),
         };
-        write_snapshot_file(&self.dir, &next.snapshot, &self.db)?;
-        next.save(&self.dir)?;
-        self.wal.truncate_to_header()?;
-        if self.manifest.snapshot != next.snapshot {
-            std::fs::remove_file(self.dir.join(&self.manifest.snapshot)).ok();
+        write_snapshot_file(&log.dir, &next.snapshot, &self.db)?;
+        next.save(&log.dir)?;
+        log.wal.truncate_to_header()?;
+        if log.manifest.snapshot != next.snapshot {
+            std::fs::remove_file(log.dir.join(&log.manifest.snapshot)).ok();
         }
-        self.manifest = next;
+        log.manifest = next;
         span.add_field("generation", generation);
         ibis_obs::observe("checkpoint.ms", start.elapsed().as_millis() as u64);
         ibis_obs::counter_add("storage.checkpoints", 1);
@@ -288,32 +329,29 @@ impl DurableDb {
         &self.db
     }
 
-    /// The data directory this database lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Current checkpoint generation.
+    /// Current checkpoint generation (0 without a log).
     pub fn generation(&self) -> u64 {
-        self.manifest.generation
+        self.log.as_ref().map_or(0, |log| log.manifest.generation)
     }
 
     /// Current WAL length in bytes, header included (the crash harness uses
-    /// the value after each mutation as its kill-offset map).
+    /// the value after each mutation as its kill-offset map; 0 without a
+    /// log).
     pub fn wal_bytes(&self) -> u64 {
-        self.wal.bytes()
+        self.log.as_ref().map_or(0, |log| log.wal.bytes())
     }
 
     /// WAL records replayed by the [`open`](DurableDb::open) that produced
-    /// this handle (0 for a fresh create, and 0 after a clean checkpoint).
+    /// this handle (0 for a fresh create, after a clean checkpoint, and
+    /// without a log).
     pub fn replayed_on_open(&self) -> u64 {
-        self.replayed
+        self.log.as_ref().map_or(0, |log| log.replayed)
     }
 }
 
 /// Reads go straight to the in-memory [`ShardedDb`]. There is deliberately
 /// no `DerefMut`: `insert`/`delete`/`compact` above shadow the store's own,
-/// so a mutation can only reach a durable store through the WAL.
+/// so a mutation can only reach a logged store through the WAL.
 impl std::ops::Deref for DurableDb {
     type Target = ShardedDb;
 
@@ -349,10 +387,12 @@ fn write_snapshot_file(dir: &Path, name: &str, db: &ShardedDb) -> io::Result<()>
     f.sync_all()
 }
 
-/// Applies one replayed record. Inserts re-validate (a crafted WAL can
-/// carry out-of-domain cells past the CRC); failures surface as clean
+/// Applies one record to the shards, unlogged: what recovery replays, and
+/// what an in-memory twin of a mutation history applies to follow exactly
+/// the code recovery runs. Inserts re-validate (a crafted WAL can carry
+/// out-of-domain cells past the CRC); failures surface as clean
 /// `InvalidData` errors, never panics.
-fn apply(db: &mut ShardedDb, record: &WalRecord) -> io::Result<()> {
+pub fn apply(db: &mut ShardedDb, record: &WalRecord) -> io::Result<()> {
     match record {
         WalRecord::Insert(row) => db.insert(row).map_err(invalid),
         WalRecord::Delete(id) => {
@@ -439,6 +479,24 @@ mod tests {
         assert!(db.insert(&row).is_err(), "out of domain");
         assert_eq!((db.wal_bytes(), db.n_rows()), before);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn without_a_log_mutations_go_straight_to_the_shards() {
+        let data = census_scaled(40, 606);
+        let row: Vec<Cell> = (0..data.n_attrs()).map(|a| data.cell(0, a)).collect();
+        let mut db = DurableDb::from(ShardedDb::new(data, 16));
+        db.insert(&row).unwrap();
+        assert!(db.delete(3).unwrap());
+        assert!(db.compact().unwrap() >= 1);
+        db.checkpoint().unwrap();
+        assert_eq!(db.n_rows(), 40);
+        assert_eq!(
+            (db.generation(), db.wal_bytes(), db.replayed_on_open()),
+            (0, 0, 0)
+        );
+        let err = db.insert(&[Cell::present(1)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

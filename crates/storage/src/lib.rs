@@ -12,18 +12,21 @@
 //!   write-ahead log;
 //! * [`manifest`] — the atomically-replaced MANIFEST naming the live
 //!   snapshot and WAL watermark;
-//! * [`engine`] — [`DurableDb`]: WAL → checkpoint → MANIFEST → backup,
-//!   with open-time crash recovery;
+//! * [`engine`] — [`DurableDb`], the one writable database: a
+//!   [`ShardedDb`] with an optional log (WAL → checkpoint → MANIFEST →
+//!   backup, with open-time crash recovery); without a log it is the
+//!   in-memory database;
 //! * [`snapshot`] / [`concurrent`] — [`DbSnapshot`] (immutable frozen
 //!   shard-set + watermark) and [`ConcurrentDb`] (reader snapshots that
-//!   never wait for a mutation in progress, serialized writers, atomic
-//!   publication through one `RwLock<Arc<DbSnapshot>>`).
+//!   never wait for a mutation in progress, serialized writers over one
+//!   [`DurableDb`], atomic publication through one
+//!   `RwLock<Arc<DbSnapshot>>`).
 //!
 //! [`DbSnapshot`] and [`DurableDb`] are wrappers, not re-declarations: each
-//! keeps only what is its own (a watermark; the WAL, manifest and
-//! checkpoints) and dereferences to the [`ShardedDb`] inside for reads.
-//! Neither implements `DerefMut`, so a published snapshot cannot change and
-//! a durable store can only be mutated log-first.
+//! keeps only what is its own (a watermark; an optional log of WAL,
+//! manifest and checkpoints) and dereferences to the [`ShardedDb`] inside
+//! for reads. Neither implements `DerefMut`, so a published snapshot cannot
+//! change and a logged store can only be mutated log-first.
 //!
 //! The durability model follows from the paper's economics: encoded bitmap
 //! indexes (BEE/BRE/BIE) are expensive to update in place, so the durable

@@ -1200,7 +1200,7 @@ fn race_live(
     let n_attrs = d.n_attrs();
     let cards: Vec<u16> = (0..n_attrs).map(|a| d.column(a).cardinality()).collect();
     let base_rows = d.n_rows();
-    let db = ConcurrentDb::from_sharded(ShardedDb::new(d, shard_rows));
+    let db = ConcurrentDb::new_mem(d, shard_rows);
     println!(
         "live race: {threads} reader(s) × {} queries/loop vs 1 writer × {mutations} mutation(s), \
          {} shard(s) of {shard_rows}",
@@ -1410,7 +1410,7 @@ fn serve(a: &Args) -> Result<(), CliError> {
             .map_err(|e| format!("cannot open data directory {dir:?}: {e}"))?
     } else {
         let d = load_dataset(a.arg(0)?)?;
-        ConcurrentDb::from_sharded(ShardedDb::new(d, a.num("shard-rows")))
+        ConcurrentDb::new_mem(d, a.num("shard-rows"))
     };
     let addr = a.text("addr");
     let snap = db.snapshot();
@@ -1982,7 +1982,7 @@ mod tests {
     fn stats_views_and_top_poll_a_live_server() {
         let s = |x: &str| x.to_string();
         let data = census_scaled(500, 11);
-        let db = ConcurrentDb::from_sharded(ShardedDb::new(data.clone(), 128));
+        let db = ConcurrentDb::new_mem(data.clone(), 128);
         let config = ibis::server::ServerConfig {
             workers: 2,
             trace_sample: 1,

@@ -12,20 +12,21 @@
 use ibis::core::gen::census_scaled;
 use ibis::core::parallel::ExecPool;
 use ibis::prelude::*;
+use ibis::storage::{engine, WalRecord};
 use std::sync::Arc;
 
 /// The deterministic mutation schedule shared by the writer and the
 /// readers' twin replays: mostly inserts, a steady trickle of deletes
 /// (some deliberately past the live range), periodic compactions.
-fn schedule(schema: &Dataset, n: usize) -> Vec<Mutation> {
+fn schedule(schema: &Dataset, n: usize) -> Vec<WalRecord> {
     let cards: Vec<u16> = (0..schema.n_attrs())
         .map(|a| schema.column(a).cardinality())
         .collect();
     (0..n)
         .map(|i| match i % 10 {
-            3 => Mutation::Delete((i * 7 % (schema.n_rows() + i + 8)) as u32),
-            9 if i % 50 == 49 => Mutation::Compact,
-            _ => Mutation::Insert(
+            3 => WalRecord::Delete((i * 7 % (schema.n_rows() + i + 8)) as u32),
+            9 if i % 50 == 49 => WalRecord::Compact,
+            _ => WalRecord::Insert(
                 cards
                     .iter()
                     .enumerate()
@@ -42,37 +43,14 @@ fn schedule(schema: &Dataset, n: usize) -> Vec<Mutation> {
         .collect()
 }
 
-#[derive(Clone)]
-enum Mutation {
-    Insert(Vec<Cell>),
-    Delete(u32),
-    Compact,
-}
-
-impl Mutation {
-    fn apply_serving(&self, db: &ConcurrentDb) {
-        match self {
-            Mutation::Insert(row) => db.insert(row).expect("scheduled row is valid"),
-            Mutation::Delete(id) => {
-                db.delete(*id).expect("delete cannot fail in-memory");
-            }
-            Mutation::Compact => {
-                db.compact().expect("compact cannot fail in-memory");
-            }
-        }
-    }
-
-    fn apply_twin(&self, db: &mut ShardedDb) {
-        match self {
-            Mutation::Insert(row) => db.insert(row).expect("scheduled row is valid"),
-            Mutation::Delete(id) => {
-                db.delete(*id);
-            }
-            Mutation::Compact => {
-                db.compact();
-            }
-        }
-    }
+/// Pushes one scheduled mutation through the serving layer's mutators.
+fn apply_serving(db: &ConcurrentDb, m: &WalRecord) {
+    let applied = match m {
+        WalRecord::Insert(row) => db.insert(row),
+        WalRecord::Delete(id) => db.delete(*id).map(drop),
+        WalRecord::Compact => db.compact().map(drop),
+    };
+    applied.expect("scheduled mutation applies");
 }
 
 /// The probe battery: one low-range and one conjunctive query per
@@ -104,10 +82,7 @@ fn run_conformance(readers: usize, degrees: &[usize], mutations: usize) {
     let schema = census_scaled(80, 17);
     let sched = schedule(&schema, mutations);
     let queries = probes(&schema);
-    let db = Arc::new(ConcurrentDb::from_sharded(ShardedDb::new(
-        schema.clone(),
-        32,
-    )));
+    let db = Arc::new(ConcurrentDb::new(ShardedDb::new(schema.clone(), 32)));
     let twin_base = ShardedDb::new(schema, 32);
     let target = sched.len() as u64;
 
@@ -117,7 +92,7 @@ fn run_conformance(readers: usize, degrees: &[usize], mutations: usize) {
             let sched = &sched;
             s.spawn(move || {
                 for m in sched {
-                    m.apply_serving(&db);
+                    apply_serving(&db, m);
                 }
             })
         };
@@ -137,7 +112,7 @@ fn run_conformance(readers: usize, degrees: &[usize], mutations: usize) {
                 // Prefix consistency: the snapshot must equal the serial
                 // history of exactly the first `w` scheduled mutations.
                 while applied < w {
-                    sched[applied as usize].apply_twin(&mut twin);
+                    engine::apply(&mut twin, &sched[applied as usize]).expect("valid schedule");
                     applied += 1;
                 }
                 assert_eq!(snap.n_rows(), twin.n_rows(), "reader {reader} @ w={w}");
@@ -170,7 +145,7 @@ fn run_conformance(readers: usize, degrees: &[usize], mutations: usize) {
     // End state: the published snapshot is the full serial history.
     let mut twin = twin_base;
     for m in &sched {
-        m.apply_twin(&mut twin);
+        engine::apply(&mut twin, m).expect("valid schedule");
     }
     let final_snap = db.snapshot();
     assert_eq!(final_snap.watermark(), target);
@@ -202,15 +177,7 @@ fn held_snapshots_survive_compaction_and_checkpoint() {
     let held = db.snapshot();
     let held_answers: Vec<_> = queries.iter().map(|q| held.execute(q).unwrap()).collect();
     for (i, m) in sched.iter().enumerate() {
-        match m {
-            Mutation::Insert(row) => db.insert(row).unwrap(),
-            Mutation::Delete(id) => {
-                db.delete(*id).unwrap();
-            }
-            Mutation::Compact => {
-                db.compact().unwrap();
-            }
-        }
+        apply_serving(&db, m);
         if i % 40 == 39 {
             db.checkpoint().unwrap();
         }
@@ -228,7 +195,7 @@ fn watermark_names_the_exact_prefix_even_between_snapshots() {
     // Two snapshots taken around a single mutation differ by exactly that
     // mutation's effect — there is no state in between.
     let schema = census_scaled(50, 29);
-    let db = ConcurrentDb::from_sharded(ShardedDb::new(schema.clone(), 20));
+    let db = ConcurrentDb::new(ShardedDb::new(schema.clone(), 20));
     let row: Vec<Cell> = (0..schema.n_attrs()).map(|_| Cell::present(1)).collect();
     let a = db.snapshot();
     db.insert(&row).unwrap();
