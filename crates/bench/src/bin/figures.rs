@@ -1,18 +1,24 @@
 //! Runs the experiments of DESIGN.md §3, printing each table and writing
-//! CSVs under `results/`. This is the one reproduction entry point:
+//! CSVs under `results/`. This is the one reproduction entry point: the
+//! paper's figures and tables, the ablations, the sharding and containers
+//! sweeps, the served latency-against-load curve and the recorder's
+//! overhead all come from it.
 //!
 //! ```text
 //! cargo run --release -p ibis-bench --bin figures                  # everything, paper scale
 //! cargo run --release -p ibis-bench --bin figures -- fig5b table7  # just the named ones
 //! IBIS_ROWS=10000 IBIS_CENSUS_ROWS=20000 \
 //!     cargo run --release -p ibis-bench --bin figures              # laptop scale
-//! cargo run --release -p ibis-bench --bin figures -- containers --test
+//! cargo run --release -p ibis-bench --bin figures -- containers serving obs_overhead --test
 //! cargo run --release -p ibis-bench --bin figures -- --threads 8
 //! ```
 //!
 //! Names are those of [`ibis_bench::experiments::all`]; none means all.
 //! `--test` runs at smoke scale (seconds, not minutes — what CI's
 //! bench-smoke job uses) instead of the `IBIS_*` environment scale.
+//! Every experiment asserts what it measures, so a wrong answer, a server
+//! whose `STATS` disagrees with its client, or a recorder mode that records
+//! what it must not fails the run.
 //! `--threads N` pins the parallel execution degree for every timed query
 //! (equivalent to setting `IBIS_THREADS=N`); answers and work counters are
 //! identical across degrees, only wall-clock moves.

@@ -1,5 +1,6 @@
 //! Experiment implementations, one module per paper figure/table plus the
-//! ablations. See DESIGN.md §3 for the experiment index.
+//! ablations and the beyond-paper experiments. See DESIGN.md §3 for the
+//! experiment index.
 
 pub mod ablations;
 pub mod containers;
@@ -7,7 +8,9 @@ pub mod fig1;
 pub mod fig4;
 pub mod fig5;
 pub mod harness;
+pub mod obs_overhead;
 pub mod real_data;
+pub mod serving;
 pub mod sharding;
 pub mod table7;
 
@@ -38,5 +41,7 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("ablation_semantics", ablations::semantics),
         ("ablation_relatedwork", ablations::related_work),
         ("containers", containers::run),
+        ("serving", serving::run),
+        ("obs_overhead", obs_overhead::run),
     ]
 }

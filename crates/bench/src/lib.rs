@@ -1,15 +1,15 @@
 //! # ibis-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of the
-//! paper's evaluation (§5), plus the ablations listed in DESIGN.md §3.
+//! paper's evaluation (§5), plus the ablations and the serving and
+//! recorder-overhead experiments listed in DESIGN.md §3.
 //!
 //! Each experiment is a library function in [`experiments`] returning
-//! [`report::Table`]s, so the same code drives:
-//!
-//! * the `figures` binary, which runs the named experiments (all of them
-//!   when none is named), prints the paper-style tables and writes one CSV
-//!   per table under `results/`;
-//! * the Criterion micro-benches under `benches/`.
+//! [`report::Table`]s. The `figures` binary runs the named experiments (all
+//! of them when none is named), prints the paper-style tables and writes
+//! one CSV per table under `results/`; the smoke test runs every one at a
+//! tiny scale. Experiments assert what they measure (answers agree with
+//! each other or with the scan) before they report a number.
 //!
 //! ## Scale
 //!

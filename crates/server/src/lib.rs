@@ -13,7 +13,8 @@
 //!   order on one snapshot, each through the database's ordinary
 //!   `execute_with_cost_threads`;
 //! * [`client`] — a blocking client with a split send/receive mode for
-//!   open-loop load generation (the `loadgen` bin).
+//!   pipelined and open-loop traffic (what `ibis-bench`'s `serving`
+//!   experiment drives).
 //!
 //! Reads are snapshot-isolated end to end: every response carries the
 //! watermark of the frozen [`DbSnapshot`](ibis_storage::DbSnapshot)

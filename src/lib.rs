@@ -32,7 +32,8 @@
 //!   the `IBQP` wire protocol, the blocking [`Client`](server::Client)):
 //!   CRC-framed requests executed in arrival order on frozen
 //!   snapshots, with per-request deadlines and admission control (see the
-//!   `ibis serve` CLI subcommand and the `loadgen` bin);
+//!   `ibis serve` CLI subcommand, and the `figures serving` experiment for
+//!   latency against offered load);
 //! * [`oracle`] — seeded differential + metamorphic correctness oracle over
 //!   every access method (see the `ibis oracle` CLI subcommand);
 //! * [`obs`] — zero-dependency observability (tracing spans, metrics,
