@@ -68,62 +68,66 @@ pub fn read_len(r: &mut impl Read) -> io::Result<usize> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "length overflows usize"))
 }
 
-/// Writes a length-prefixed `u16` vector.
-pub fn write_vec_u16(w: &mut impl Write, v: &[u16]) -> io::Result<()> {
-    write_len(w, v.len())?;
-    for &x in v {
-        write_u16(w, x)?;
-    }
-    Ok(())
-}
+/// Bytes the vector helpers convert per `write_all` / `read_exact`, through
+/// a stack buffer; a vector reader reserves at most this far ahead.
+const CHUNK: usize = 4096;
 
-/// Reads a length-prefixed `u16` vector.
-pub fn read_vec_u16(r: &mut impl Read) -> io::Result<Vec<u16>> {
-    let n = read_len(r)?;
-    let mut out = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        out.push(read_u16(r)?);
+/// The most [`read_exact_vec`] grows its vector by before the bytes arrive.
+const BYTE_STEP: usize = 64 * 1024;
+
+/// Reads exactly `n` bytes into a new vector. The vector grows in steps of
+/// at most 64 KiB as the bytes arrive, so a corrupted (huge) `n` fails with
+/// an EOF error instead of attempting a giant allocation.
+pub fn read_exact_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    while out.len() < n {
+        let start = out.len();
+        out.resize(n.min(start + BYTE_STEP), 0);
+        r.read_exact(&mut out[start..])?;
     }
     Ok(out)
 }
 
-/// Writes a length-prefixed `u32` vector.
-pub fn write_vec_u32(w: &mut impl Write, v: &[u32]) -> io::Result<()> {
-    write_len(w, v.len())?;
-    for &x in v {
-        write_u32(w, x)?;
-    }
-    Ok(())
+macro_rules! vec_io {
+    ($write:ident, $read:ident, $ty:ty) => {
+        /// Writes a length-prefixed vector of little-endian values.
+        pub fn $write(w: &mut impl Write, v: &[$ty]) -> io::Result<()> {
+            const N: usize = std::mem::size_of::<$ty>();
+            write_len(w, v.len())?;
+            let mut buf = [0u8; CHUNK];
+            for part in v.chunks(CHUNK / N) {
+                for (dst, x) in buf.chunks_exact_mut(N).zip(part) {
+                    dst.copy_from_slice(&x.to_le_bytes());
+                }
+                w.write_all(&buf[..part.len() * N])?;
+            }
+            Ok(())
+        }
+        /// Reads a length-prefixed vector of little-endian values. It
+        /// reserves at most one chunk ahead of the bytes read, so a lying
+        /// count fails with an EOF error, never a huge reservation.
+        pub fn $read(r: &mut impl Read) -> io::Result<Vec<$ty>> {
+            const N: usize = std::mem::size_of::<$ty>();
+            let n = read_len(r)?;
+            let mut out = Vec::with_capacity(n.min(CHUNK / N));
+            let mut buf = [0u8; CHUNK];
+            while out.len() < n {
+                let bytes = &mut buf[..(n - out.len()).min(CHUNK / N) * N];
+                r.read_exact(bytes)?;
+                out.extend(
+                    bytes
+                        .chunks_exact(N)
+                        .map(|b| <$ty>::from_le_bytes(b.try_into().expect("N bytes"))),
+                );
+            }
+            Ok(out)
+        }
+    };
 }
 
-/// Reads a length-prefixed `u32` vector.
-pub fn read_vec_u32(r: &mut impl Read) -> io::Result<Vec<u32>> {
-    let n = read_len(r)?;
-    let mut out = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        out.push(read_u32(r)?);
-    }
-    Ok(out)
-}
-
-/// Writes a length-prefixed `u64` vector.
-pub fn write_vec_u64(w: &mut impl Write, v: &[u64]) -> io::Result<()> {
-    write_len(w, v.len())?;
-    for &x in v {
-        write_u64(w, x)?;
-    }
-    Ok(())
-}
-
-/// Reads a length-prefixed `u64` vector.
-pub fn read_vec_u64(r: &mut impl Read) -> io::Result<Vec<u64>> {
-    let n = read_len(r)?;
-    let mut out = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        out.push(read_u64(r)?);
-    }
-    Ok(out)
-}
+vec_io!(write_vec_u16, read_vec_u16, u16);
+vec_io!(write_vec_u32, read_vec_u32, u32);
+vec_io!(write_vec_u64, read_vec_u64, u64);
 
 /// Writes a length-prefixed byte vector.
 pub fn write_bytes(w: &mut impl Write, v: &[u8]) -> io::Result<()> {
@@ -131,21 +135,10 @@ pub fn write_bytes(w: &mut impl Write, v: &[u8]) -> io::Result<()> {
     w.write_all(v)
 }
 
-/// Reads a length-prefixed byte vector. Allocation grows with the bytes
-/// actually present, so a corrupted (huge) length header fails with an EOF
-/// error instead of attempting a giant allocation.
+/// Reads a length-prefixed byte vector (see [`read_exact_vec`]).
 pub fn read_bytes(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let n = read_len(r)?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    let mut remaining = n;
-    let mut chunk = [0u8; 64 * 1024];
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        r.read_exact(&mut chunk[..take])?;
-        out.extend_from_slice(&chunk[..take]);
-        remaining -= take;
-    }
-    Ok(out)
+    read_exact_vec(r, n)
 }
 
 /// Writes a length-prefixed UTF-8 string.
@@ -210,6 +203,53 @@ mod tests {
         buf.truncate(buf.len() - 1);
         let mut r = Cursor::new(buf);
         assert!(read_vec_u16(&mut r).is_err());
+    }
+
+    #[test]
+    fn bulk_vectors_roundtrip_with_per_element_bytes_across_chunk_edges() {
+        // 1023..=1025 straddle one u32 chunk (1,024 values); 4097 crosses
+        // several chunks for every width.
+        for n in [0usize, 1, 1023, 1024, 1025, 4097] {
+            let v16: Vec<u16> = (0..n).map(|i| (i * 40_503) as u16).collect();
+            let v32: Vec<u32> = (0..n)
+                .map(|i| (i as u32).wrapping_mul(2_654_435_761))
+                .collect();
+            let v64: Vec<u64> = (0..n)
+                .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let mut buf = Vec::new();
+            write_vec_u16(&mut buf, &v16).unwrap();
+            write_vec_u32(&mut buf, &v32).unwrap();
+            write_vec_u64(&mut buf, &v64).unwrap();
+
+            let mut expect = (n as u64).to_le_bytes().to_vec();
+            expect.extend(v16.iter().flat_map(|x| x.to_le_bytes()));
+            expect.extend((n as u64).to_le_bytes());
+            expect.extend(v32.iter().flat_map(|x| x.to_le_bytes()));
+            expect.extend((n as u64).to_le_bytes());
+            expect.extend(v64.iter().flat_map(|x| x.to_le_bytes()));
+            assert_eq!(buf, expect, "n {n}: bytes moved");
+
+            let r = &mut buf.as_slice();
+            assert_eq!(read_vec_u16(r).unwrap(), v16, "n {n}");
+            assert_eq!(read_vec_u32(r).unwrap(), v32, "n {n}");
+            assert_eq!(read_vec_u64(r).unwrap(), v64, "n {n}");
+            assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn lying_counts_over_a_short_body_hit_eof() {
+        for count in [1u64 << 24, 1 << 40, u64::MAX] {
+            let mut buf = count.to_le_bytes().to_vec();
+            buf.extend_from_slice(&[7u8; 16]);
+            let kind = |e: io::Error| e.kind();
+            let eof = io::ErrorKind::UnexpectedEof;
+            assert_eq!(read_vec_u16(&mut buf.as_slice()).map_err(kind), Err(eof));
+            assert_eq!(read_vec_u32(&mut buf.as_slice()).map_err(kind), Err(eof));
+            assert_eq!(read_vec_u64(&mut buf.as_slice()).map_err(kind), Err(eof));
+            assert_eq!(read_bytes(&mut buf.as_slice()).map_err(kind), Err(eof));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! server answers with [`ErrorCode::BadRequest`], keeping the connection.
 
 use ibis_core::{wire, MissingPolicy, Predicate, RangeQuery};
-use ibis_storage::crc::crc32;
+use ibis_storage::crc::{crc32, crc32_update};
 use std::io::{self, Read, Write};
 
 /// Magic bytes opening every connection, in both directions.
@@ -69,15 +69,17 @@ pub fn write_frame(w: &mut impl Write, request_id: u64, kind: u8, body: &[u8]) -
             format!("frame payload of {len} bytes exceeds MAX_MSG_LEN ({MAX_MSG_LEN})"),
         ));
     }
-    let mut payload = Vec::with_capacity(len);
-    wire::write_u64(&mut payload, request_id)?;
-    wire::write_u8(&mut payload, kind)?;
-    payload.extend_from_slice(body);
+    // The payload is checksummed where it lies: the id/kind prefix, then
+    // the body, never copied together.
+    let mut id_kind = [0u8; MIN_MSG_LEN];
+    id_kind[..8].copy_from_slice(&request_id.to_le_bytes());
+    id_kind[8] = kind;
     let mut head = [0u8; 8];
-    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[4..].copy_from_slice(&crc32(&payload).to_le_bytes());
+    head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32_update(crc32(&id_kind), body).to_le_bytes());
     w.write_all(&head)?;
-    w.write_all(&payload)
+    w.write_all(&id_kind)?;
+    w.write_all(body)
 }
 
 /// Reads one frame, validating the length cap and checksum. Any failure
@@ -94,30 +96,22 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
         ));
     }
     let crc = u32::from_le_bytes(head[4..].try_into().expect("4 bytes"));
-    // Incremental read: allocation tracks bytes actually present, so a
-    // lying length field hits EOF cleanly, never a giant reservation.
-    let mut payload = Vec::with_capacity(len.min(1 << 20));
-    let mut remaining = len;
-    let mut chunk = [0u8; 64 * 1024];
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        r.read_exact(&mut chunk[..take])?;
-        payload.extend_from_slice(&chunk[..take]);
-        remaining -= take;
-    }
-    if crc32(&payload) != crc {
+    let mut id_kind = [0u8; MIN_MSG_LEN];
+    r.read_exact(&mut id_kind)?;
+    // The body is read straight into the frame's vector, which grows with
+    // the bytes actually present: a lying length field hits EOF cleanly,
+    // never a giant reservation.
+    let body = wire::read_exact_vec(r, len - MIN_MSG_LEN)?;
+    if crc32_update(crc32(&id_kind), &body) != crc {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame checksum mismatch",
         ));
     }
-    let r = &mut payload.as_slice();
-    let request_id = wire::read_u64(r)?;
-    let kind = wire::read_u8(r)?;
     Ok(Frame {
-        request_id,
-        kind,
-        body: r.to_vec(),
+        request_id: u64::from_le_bytes(id_kind[..8].try_into().expect("8 bytes")),
+        kind: id_kind[8],
+        body,
     })
 }
 
@@ -737,6 +731,25 @@ mod tests {
         write_frame(&mut buf, 1, request_kind::QUERY, &body).unwrap();
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert!(Request::decode(&frame).unwrap_err().contains("search key"));
+    }
+
+    #[test]
+    fn frame_bytes_are_the_documented_layout() {
+        // The payload is checksummed in pieces; the bytes must still be
+        // `[len][crc32(payload)][payload]` over the joined payload.
+        let body: Vec<u8> = (0..5000u32).map(|i| (i * 31) as u8).collect();
+        let mut payload = 0x0123_4567_89AB_CDEFu64.to_le_bytes().to_vec();
+        payload.push(response_kind::ROWS);
+        payload.extend_from_slice(&body);
+        let mut expect = (payload.len() as u32).to_le_bytes().to_vec();
+        expect.extend_from_slice(&crc32(&payload).to_le_bytes());
+        expect.extend_from_slice(&payload);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 0x0123_4567_89AB_CDEF, response_kind::ROWS, &body).unwrap();
+        assert_eq!(buf, expect);
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!((frame.request_id, frame.kind), (0x0123_4567_89AB_CDEF, 1));
+        assert_eq!(frame.body, body);
     }
 
     #[test]

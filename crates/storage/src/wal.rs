@@ -74,8 +74,11 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode(&self, seq: u64) -> Vec<u8> {
-        let mut p = Vec::new();
+    /// Encodes the record as one whole frame, `[len][crc][payload]`: the
+    /// payload is written after an 8-byte gap and checksummed where it lies.
+    /// Fails with [`FrameTooLarge`] before the length is cast to `u32`.
+    fn frame(&self, seq: u64) -> io::Result<Vec<u8>> {
+        let mut p = vec![0u8; 8];
         wire::write_u64(&mut p, seq).expect("vec write");
         match self {
             WalRecord::Insert(row) => {
@@ -91,7 +94,17 @@ impl WalRecord {
             }
             WalRecord::Compact => wire::write_u8(&mut p, 3).expect("vec write"),
         }
-        p
+        let len = p.len() - 8;
+        if len > MAX_FRAME_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                FrameTooLarge { len },
+            ));
+        }
+        let crc = crc32(&p[8..]);
+        p[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        p[4..8].copy_from_slice(&crc.to_le_bytes());
+        Ok(p)
     }
 
     fn decode(payload: &[u8]) -> io::Result<(u64, WalRecord)> {
@@ -167,21 +180,12 @@ impl WalWriter {
     /// Appends one record, fsyncs, and returns its sequence number.
     ///
     /// Fails with [`FrameTooLarge`] (as an `InvalidInput` io error) when the
-    /// encoded payload exceeds [`MAX_FRAME_LEN`] — the `as u32` length cast
-    /// below would otherwise silently truncate and corrupt the log on replay.
+    /// encoded payload exceeds [`MAX_FRAME_LEN`] — the frame's `as u32`
+    /// length cast would otherwise silently truncate and corrupt the log on
+    /// replay.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let seq = self.next_seq;
-        let payload = record.encode(seq);
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                FrameTooLarge { len: payload.len() },
-            ));
-        }
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        wire::write_u32(&mut frame, payload.len() as u32).expect("vec write");
-        wire::write_u32(&mut frame, crc32(&payload)).expect("vec write");
-        frame.extend_from_slice(&payload);
+        let frame = record.frame(seq)?;
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
         self.bytes += frame.len() as u64;
@@ -403,10 +407,7 @@ mod tests {
         let mut buf = Vec::new();
         wire::write_header(&mut buf, WAL_MAGIC, WAL_VERSION).unwrap();
         for seq in [5u64, 6, 8] {
-            let payload = WalRecord::Compact.encode(seq);
-            wire::write_u32(&mut buf, payload.len() as u32).unwrap();
-            wire::write_u32(&mut buf, crc32(&payload)).unwrap();
-            buf.extend_from_slice(&payload);
+            buf.extend_from_slice(&WalRecord::Compact.frame(seq).unwrap());
         }
         let s = scan_bytes(&buf);
         assert_eq!(s.records.len(), 2, "the seq-8 frame breaks the chain");
