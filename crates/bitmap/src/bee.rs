@@ -55,15 +55,7 @@ pub type EqualityBitmapIndex<B> = BitmapIndex<Equality, B>;
 impl Encoding for Equality {
     const MAGIC: &'static [u8; 4] = b"IBEE";
 
-    // The planner's registry is keyed by name, and a database may maintain
-    // the container-backed equality index beside the WAH one.
-    fn name<B: BitStore>() -> &'static str {
-        if B::backend_name() == "adaptive" {
-            "bitmap-adaptive"
-        } else {
-            "bitmap-equality"
-        }
-    }
+    const NAME: &'static str = "bitmap-equality";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
         let mut bitvecs = crate::equality_bitvecs(col);

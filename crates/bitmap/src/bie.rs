@@ -49,9 +49,7 @@ fn window_width(c: usize) -> usize {
 impl Encoding for IntervalWindows {
     const MAGIC: &'static [u8; 4] = b"IBIE";
 
-    fn name<B: BitStore>() -> &'static str {
-        "bitmap-interval"
-    }
+    const NAME: &'static str = "bitmap-interval";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
         let c = col.cardinality() as usize;

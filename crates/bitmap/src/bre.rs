@@ -42,9 +42,7 @@ fn threshold<B>(a: &AttrBitmaps<B>, j: usize) -> Option<&B> {
 impl Encoding for Range {
     const MAGIC: &'static [u8; 4] = b"IBRE";
 
-    fn name<B: BitStore>() -> &'static str {
-        "bitmap-range"
-    }
+    const NAME: &'static str = "bitmap-range";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
         let c = col.cardinality() as usize;

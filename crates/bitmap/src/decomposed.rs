@@ -168,9 +168,7 @@ fn le_value<B: BitStore>(
 impl Encoding for Decomposed {
     const MAGIC: &'static [u8; 4] = b"IBDX";
 
-    fn name<B: BitStore>() -> &'static str {
-        "bitmap-decomposed"
-    }
+    const NAME: &'static str = "bitmap-decomposed";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
         build_attr(col, (col.cardinality() as f64).sqrt().ceil() as u16)

@@ -190,9 +190,7 @@ pub(crate) fn run<E: Encoding, B: BitStore, T>(
 ) -> Result<(Option<T>, WorkCounters)> {
     let policy = query.policy();
     if !E::supports(policy) {
-        return Err(Error::UnsupportedPolicy {
-            method: E::name::<B>(),
-        });
+        return Err(Error::UnsupportedPolicy { method: E::NAME });
     }
     query.validate_schema(ix.attrs.len(), |a| ix.attrs[a].cardinality)?;
     let partials = ExecPool::new(threads).scoped_map(query.predicates().to_vec(), |p| {

@@ -41,8 +41,8 @@ pub trait Encoding: Copy + std::fmt::Debug + Send + Sync + 'static {
     const MAGIC: &'static [u8; 4];
 
     /// The access-method name the planner and `explain()` report for this
-    /// encoding over backend `B`.
-    fn name<B: BitStore>() -> &'static str;
+    /// encoding, over whichever backend it is stored in.
+    const NAME: &'static str;
 
     /// Builds one column's bitmaps in one pass over its rows.
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B>;
@@ -280,7 +280,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
 
 impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
     fn name(&self) -> &'static str {
-        E::name::<B>()
+        E::NAME
     }
 
     fn supports(&self, query: &RangeQuery) -> bool {
@@ -340,8 +340,10 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
 
 /// Index file format version, shared by every encoding: magic, version,
 /// backend name, row and attribute counts, then per attribute its
-/// cardinality, parameter, optional `B_0` and stored bitmaps.
-const VERSION: u16 = 2;
+/// cardinality, parameter, optional `B_0` and stored bitmaps. Version 3
+/// sizes an adaptive bitmap container to its chunk; a version-2 adaptive
+/// file padded every one to a full chunk.
+const VERSION: u16 = 3;
 
 /// Reads the part of an index file that says what it is: the magic and the
 /// backend name.

@@ -31,8 +31,8 @@
 //!   §4.2/§4.3, implemented to demonstrate its objections; each answers
 //!   under one policy only.
 //!
-//! [`AdaptiveBitmapIndex`] is the name the planner and the prelude keep for
-//! [`Equality`] over [`ibis_bitvec::Adaptive`] containers, and [`reorder`]
+//! [`AdaptiveBitmapIndex`] is the name the prelude keeps for [`Equality`]
+//! over [`ibis_bitvec::Adaptive`] containers, and [`reorder`]
 //! holds row-reordering heuristics (the paper's future-work item for
 //! improving run-length compression).
 //!
@@ -87,7 +87,7 @@
 //! struct Direct;
 //! impl Encoding for Direct {
 //!     const MAGIC: &'static [u8; 4] = b"IBDR";
-//!     fn name<B: BitStore>() -> &'static str { "bitmap-direct" }
+//!     const NAME: &'static str = "bitmap-direct";
 //!     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> { Equality::build_attr(col) }
 //!     fn stored_count(c: u16, _param: u16, _has_b0: bool) -> Option<usize> { Some(c as usize) }
 //!     fn reads_for(w: f64, _c: f64, _param: u16) -> f64 { w + 1.0 }
@@ -138,7 +138,8 @@ use ibis_bitvec::BitVec64;
 use ibis_core::Column;
 
 /// The equality encoding (§4.2) stored in [`ibis_bitvec::Adaptive`]
-/// roaring-style containers; the planner lists it as `"bitmap-adaptive"`.
+/// roaring-style containers — the database's equality index. The planner
+/// lists it as `"bitmap-equality"`, like the encoding over any backend.
 pub type AdaptiveBitmapIndex = EqualityBitmapIndex<ibis_bitvec::Adaptive>;
 
 /// Builds the equality bit vectors of one column: `out[0]` flags missing

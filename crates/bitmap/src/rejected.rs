@@ -109,9 +109,7 @@ fn in_band_count(cardinality: u16, param: u16, has_b0: bool) -> Option<usize> {
 impl Encoding for MissingAsOnes {
     const MAGIC: &'static [u8; 4] = b"IBIM";
 
-    fn name<B: BitStore>() -> &'static str {
-        "bitmap-inband-match"
-    }
+    const NAME: &'static str = "bitmap-inband-match";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
         build_attr(col, true)
@@ -168,9 +166,7 @@ impl Encoding for MissingAsOnes {
 impl Encoding for MissingAsZeros {
     const MAGIC: &'static [u8; 4] = b"IBIN";
 
-    fn name<B: BitStore>() -> &'static str {
-        "bitmap-inband-notmatch"
-    }
+    const NAME: &'static str = "bitmap-inband-notmatch";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
         build_attr(col, false)

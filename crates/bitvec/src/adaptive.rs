@@ -8,9 +8,11 @@
 //!
 //! * **array** — the sorted `u16` positions of the set bits; chosen for
 //!   sparse chunks (≤ [`ARRAY_MAX`] bits set) at 2 bytes per set bit;
-//! * **bitmap** — 1024 raw `u64` words; chosen for dense, incompressible
-//!   chunks at a flat 8 KiB, operated on by the [`crate::kernel`] wide
-//!   kernels;
+//! * **bitmap** — the chunk's raw `u64` words, `⌈valid / 64⌉` of them for
+//!   a chunk of `valid` positions (2^16 for every chunk but the vector's
+//!   last); chosen for dense, incompressible chunks at 8 bytes per 64
+//!   positions — never more than the plain vector it replaces — and
+//!   operated on by the [`crate::kernel`] wide kernels;
 //! * **run** — sorted `(start, end)` intervals; chosen for clustered
 //!   chunks at 4 bytes per run.
 //!
@@ -60,10 +62,10 @@ use crate::{kernel, BitStore, BitVec64, OpTally};
 
 /// Bits per chunk (one container covers this many positions).
 pub const CHUNK_BITS: usize = 1 << 16;
-/// `u64` words per fully-materialized chunk.
+/// `u64` words of a full chunk.
 const CHUNK_WORDS: usize = CHUNK_BITS / 64;
-/// Maximum set bits a chunk may hold in array form; above this a bitmap
-/// (8 KiB) is no larger than the array would be.
+/// Maximum set bits a chunk may hold in array form: past it the array
+/// would outweigh even a full chunk's bitmap container.
 pub const ARRAY_MAX: usize = 4096;
 
 /// The shape an [`Adaptive`] chunk is currently stored in.
@@ -71,7 +73,7 @@ pub const ARRAY_MAX: usize = 4096;
 pub enum ContainerKind {
     /// Sorted `u16` positions (sparse chunks).
     Array,
-    /// 1024 raw `u64` words (dense chunks).
+    /// The chunk's raw `u64` words (dense chunks).
     Bitmap,
     /// Sorted disjoint `(start, end)` intervals (clustered chunks).
     Run,
@@ -81,8 +83,8 @@ pub enum ContainerKind {
 enum Container {
     /// Sorted ascending, strictly increasing, `len ≤ ARRAY_MAX`.
     Array(Vec<u16>),
-    /// Exactly `CHUNK_WORDS` words; padding past the chunk's valid bits is
-    /// zero.
+    /// Exactly `⌈valid / 64⌉` words for a chunk of `valid` positions;
+    /// padding past them in the last word is zero.
     Bitmap(Vec<u64>),
     /// Sorted, disjoint `(start, end)` inclusive intervals.
     Run(Vec<(u16, u16)>),
@@ -110,17 +112,18 @@ fn count_run_starts(words: &[u64]) -> usize {
     runs
 }
 
-/// Representation chosen by the per-chunk adaptation rule: the smallest of
-/// `2·card` (array, only when `card ≤ ARRAY_MAX`), `4·runs` (run) and the
-/// flat 8 KiB bitmap; ties prefer array, then run.
-fn choose_kind(card: usize, runs: usize) -> ContainerKind {
+/// Representation chosen by the per-chunk adaptation rule for a chunk of
+/// `words` words: the smallest of `2·card` (array, only when
+/// `card ≤ ARRAY_MAX`), `4·runs` (run) and `8·words` (bitmap); ties prefer
+/// array, then run.
+fn choose_kind(card: usize, runs: usize, words: usize) -> ContainerKind {
     let array = if card <= ARRAY_MAX {
         2 * card
     } else {
         usize::MAX
     };
     let run = 4 * runs;
-    let bitmap = CHUNK_WORDS * 8;
+    let bitmap = 8 * words;
     if array <= run && array <= bitmap {
         ContainerKind::Array
     } else if run < bitmap {
@@ -189,28 +192,40 @@ fn keep_runs(chunk: &mut [u64], runs: impl Iterator<Item = (u16, u16)>) {
     clear(chunk, settled, chunk.len() * 64);
 }
 
+/// Positions chunk `c` of an `n_bits`-bit vector covers.
+fn chunk_bits(n_bits: usize, c: usize) -> usize {
+    (n_bits - c * CHUNK_BITS).min(CHUNK_BITS)
+}
+
+/// The bits of a chunk's last word that lie past its `valid` positions.
+fn tail_padding(valid: usize) -> u64 {
+    match valid % 64 {
+        0 => 0,
+        t => !((1u64 << t) - 1),
+    }
+}
+
 impl Container {
+    /// Adapts one chunk given as its `⌈valid / 64⌉` words, padding clear.
     fn from_words(words: &[u64]) -> Container {
-        debug_assert_eq!(words.len(), CHUNK_WORDS);
         let card = kernel::popcount_words(words);
         let runs = count_run_starts(words);
-        match choose_kind(card, runs) {
+        match choose_kind(card, runs, words.len()) {
             ContainerKind::Array => Container::Array(words_to_array(words)),
             ContainerKind::Run => Container::Run(words_to_runs(words)),
             ContainerKind::Bitmap => Container::Bitmap(words.to_vec()),
         }
     }
 
-    /// Materializes into a full chunk's worth of words.
+    /// Materializes into `out`, the chunk's `⌈valid / 64⌉` words.
     fn write_words(&self, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), CHUNK_WORDS);
         out.fill(0);
         self.or_into(out);
     }
 
-    /// `chunk |= self`, where `chunk` is this container's (possibly short,
-    /// for the vector's last chunk) window of an accumulator. Positions are
-    /// always below the chunk's valid bits, so nothing lands past it.
+    /// `chunk |= self`, where `chunk` is this container's window of an
+    /// accumulator: its `⌈valid / 64⌉` words. Positions are always below
+    /// the chunk's valid bits, so nothing lands past it.
     fn or_into(&self, chunk: &mut [u64]) {
         match self {
             Container::Array(v) => {
@@ -218,9 +233,7 @@ impl Container {
                     chunk[p as usize / 64] |= 1u64 << (p % 64);
                 }
             }
-            Container::Bitmap(w) => {
-                kernel::zip_words_in_place(chunk, &w[..chunk.len()], |a, b| a | b)
-            }
+            Container::Bitmap(w) => kernel::zip_words_in_place(chunk, w, |a, b| a | b),
             Container::Run(runs) => {
                 for &(s, e) in runs {
                     set_run(chunk, s, e);
@@ -237,9 +250,7 @@ impl Container {
                     chunk[p as usize / 64] ^= 1u64 << (p % 64);
                 }
             }
-            Container::Bitmap(w) => {
-                kernel::zip_words_in_place(chunk, &w[..chunk.len()], |a, b| a ^ b)
-            }
+            Container::Bitmap(w) => kernel::zip_words_in_place(chunk, w, |a, b| a ^ b),
             Container::Run(runs) => {
                 for &(s, e) in runs {
                     kernel::apply_range(chunk, s as usize, e as usize + 1, |w, m| w ^ m);
@@ -252,9 +263,7 @@ impl Container {
     fn and_into(&self, chunk: &mut [u64]) {
         match self {
             Container::Array(v) => keep_runs(chunk, v.iter().map(|&p| (p, p))),
-            Container::Bitmap(w) => {
-                kernel::zip_words_in_place(chunk, &w[..chunk.len()], |a, b| a & b)
-            }
+            Container::Bitmap(w) => kernel::zip_words_in_place(chunk, w, |a, b| a & b),
             Container::Run(runs) => keep_runs(chunk, runs.iter().copied()),
         }
     }
@@ -279,7 +288,7 @@ impl Container {
     fn size_words(&self) -> u64 {
         match self {
             Container::Array(v) => v.len().div_ceil(4) as u64,
-            Container::Bitmap(_) => CHUNK_WORDS as u64,
+            Container::Bitmap(w) => w.len() as u64,
             Container::Run(runs) => runs.len().div_ceil(2) as u64,
         }
     }
@@ -287,13 +296,14 @@ impl Container {
     fn payload_bytes(&self) -> usize {
         match self {
             Container::Array(v) => 2 * v.len(),
-            Container::Bitmap(_) => 8 * CHUNK_WORDS,
+            Container::Bitmap(w) => 8 * w.len(),
             Container::Run(runs) => 4 * runs.len(),
         }
     }
 
-    /// Re-applies the adaptation rule to an op result.
-    fn optimize(self) -> Container {
+    /// Re-applies the adaptation rule to an op result over a chunk of
+    /// `words` words.
+    fn optimize(self, words: usize) -> Container {
         let (card, runs) = match &self {
             Container::Array(v) => {
                 let mut runs = 0usize;
@@ -312,20 +322,21 @@ impl Container {
             ),
             Container::Bitmap(w) => (kernel::popcount_words(w), count_run_starts(w)),
         };
-        let want = choose_kind(card, runs);
+        let want = choose_kind(card, runs, words);
         if want == self.kind() {
             return self;
         }
-        let mut words = vec![0u64; CHUNK_WORDS];
-        self.write_words(&mut words);
+        let mut out = vec![0u64; words];
+        self.write_words(&mut out);
         match want {
-            ContainerKind::Array => Container::Array(words_to_array(&words)),
-            ContainerKind::Run => Container::Run(words_to_runs(&words)),
-            ContainerKind::Bitmap => Container::Bitmap(words),
+            ContainerKind::Array => Container::Array(words_to_array(&out)),
+            ContainerKind::Run => Container::Run(words_to_runs(&out)),
+            ContainerKind::Bitmap => Container::Bitmap(out),
         }
     }
 
-    fn and(&self, other: &Container) -> Container {
+    /// `self AND other` over a chunk of `words` words.
+    fn and(&self, other: &Container, words: usize) -> Container {
         use Container::*;
         match (self, other) {
             (Array(a), Array(b)) => {
@@ -342,7 +353,7 @@ impl Container {
                         }
                     }
                 }
-                Array(out).optimize()
+                Array(out).optimize(words)
             }
             (Array(a), Bitmap(w)) | (Bitmap(w), Array(a)) => {
                 let out = a
@@ -350,7 +361,7 @@ impl Container {
                     .copied()
                     .filter(|&p| w[p as usize / 64] >> (p % 64) & 1 == 1)
                     .collect();
-                Array(out).optimize()
+                Array(out).optimize(words)
             }
             (Array(a), Run(runs)) | (Run(runs), Array(a)) => {
                 let mut out = Vec::new();
@@ -363,15 +374,15 @@ impl Container {
                         out.push(p);
                     }
                 }
-                Array(out).optimize()
+                Array(out).optimize(words)
             }
             (Bitmap(x), Bitmap(y)) => {
-                let mut out = vec![0u64; CHUNK_WORDS];
+                let mut out = vec![0u64; words];
                 kernel::zip_words(x, y, &mut out, |a, b| a & b);
                 Container::from_words(&out)
             }
             (Bitmap(w), Run(runs)) | (Run(runs), Bitmap(w)) => {
-                let mut out = vec![0u64; CHUNK_WORDS];
+                let mut out = vec![0u64; words];
                 for &(s, e) in runs {
                     set_run(&mut out, s, e);
                 }
@@ -393,12 +404,13 @@ impl Container {
                         j += 1;
                     }
                 }
-                Run(out).optimize()
+                Run(out).optimize(words)
             }
         }
     }
 
-    fn or(&self, other: &Container) -> Container {
+    /// `self OR other` over a chunk of `words` words.
+    fn or(&self, other: &Container, words: usize) -> Container {
         use Container::*;
         match (self, other) {
             (Array(a), Array(b)) => {
@@ -427,7 +439,7 @@ impl Container {
                     };
                     out.push(next);
                 }
-                Array(out).optimize()
+                Array(out).optimize(words)
             }
             (Array(a), Bitmap(w)) | (Bitmap(w), Array(a)) => {
                 let mut out = w.clone();
@@ -455,21 +467,19 @@ impl Container {
                         _ => merged.push((s, e)),
                     }
                 }
-                Run(merged).optimize()
+                Run(merged).optimize(words)
             }
             (Bitmap(x), Bitmap(y)) => {
-                let mut out = vec![0u64; CHUNK_WORDS];
+                let mut out = vec![0u64; words];
                 kernel::zip_words(x, y, &mut out, |a, b| a | b);
                 Container::from_words(&out)
             }
             (lhs, rhs) => {
                 // Remaining mixed shapes (run×array, run×bitmap): materialize
-                // and re-optimize.
-                let mut out = vec![0u64; CHUNK_WORDS];
+                // one, OR the other in, and re-optimize.
+                let mut out = vec![0u64; words];
                 lhs.write_words(&mut out);
-                let mut rhs_words = vec![0u64; CHUNK_WORDS];
-                rhs.write_words(&mut rhs_words);
-                kernel::zip_words_in_place(&mut out, &rhs_words, |a, b| a | b);
+                rhs.or_into(&mut out);
                 Container::from_words(&out)
             }
         }
@@ -480,19 +490,16 @@ impl Adaptive {
     /// Encodes an uncompressed bit vector, picking each chunk's container
     /// by the adaptation rule.
     pub fn encode(bits: &BitVec64) -> Adaptive {
-        let n_bits = bits.len();
-        let words = bits.words();
-        let n_chunks = n_bits.div_ceil(CHUNK_BITS);
-        let mut containers = Vec::with_capacity(n_chunks);
-        let mut scratch = vec![0u64; CHUNK_WORDS];
-        for c in 0..n_chunks {
-            let lo = c * CHUNK_WORDS;
-            let hi = (lo + CHUNK_WORDS).min(words.len());
-            scratch[..hi - lo].copy_from_slice(&words[lo..hi]);
-            scratch[hi - lo..].fill(0);
-            containers.push(Container::from_words(&scratch));
+        // A plain vector's padding is clear, so each chunk's slice of its
+        // words is exactly what the chunk's container adapts.
+        Adaptive {
+            n_bits: bits.len(),
+            containers: bits
+                .words()
+                .chunks(CHUNK_WORDS)
+                .map(Container::from_words)
+                .collect(),
         }
-        Adaptive { n_bits, containers }
     }
 
     /// Decodes back to an uncompressed bit vector.
@@ -527,7 +534,7 @@ impl Adaptive {
     fn binary(
         &self,
         other: &Adaptive,
-        f: impl Fn(&Container, &Container) -> Container,
+        f: impl Fn(&Container, &Container, usize) -> Container,
     ) -> Adaptive {
         assert_eq!(
             self.n_bits, other.n_bits,
@@ -539,14 +546,10 @@ impl Adaptive {
                 .containers
                 .iter()
                 .zip(&other.containers)
-                .map(|(a, b)| f(a, b))
+                .enumerate()
+                .map(|(c, (a, b))| f(a, b, chunk_bits(self.n_bits, c).div_ceil(64)))
                 .collect(),
         }
-    }
-
-    /// Valid bits in chunk `c`.
-    fn chunk_bits(&self, c: usize) -> usize {
-        (self.n_bits - c * CHUNK_BITS).min(CHUNK_BITS)
     }
 
     fn via_words(&self, other: Option<&Adaptive>, op: impl Fn(&mut [u64], &[u64])) -> Adaptive {
@@ -560,22 +563,17 @@ impl Adaptive {
             .iter()
             .enumerate()
             .map(|(c, cont)| {
-                cont.write_words(&mut a);
+                let valid = chunk_bits(self.n_bits, c);
+                let words = valid.div_ceil(64);
+                let (a, b) = (&mut a[..words], &mut b[..words]);
+                cont.write_words(a);
                 match other {
-                    Some(o) => o.containers[c].write_words(&mut b),
+                    Some(o) => o.containers[c].write_words(b),
                     None => b.fill(0),
                 }
-                op(&mut a, &b);
-                // Mask padding past the final chunk's valid bits.
-                let valid = self.chunk_bits(c);
-                if valid < CHUNK_BITS {
-                    let (w, t) = (valid / 64, valid % 64);
-                    if t != 0 {
-                        a[w] &= (1u64 << t) - 1;
-                    }
-                    a[w + usize::from(t != 0)..].fill(0);
-                }
-                Container::from_words(&a)
+                op(a, b);
+                a[words - 1] &= !tail_padding(valid);
+                Container::from_words(a)
             })
             .collect();
         Adaptive {
@@ -605,8 +603,8 @@ impl BitStore for Adaptive {
         let n_chunks = len.div_ceil(CHUNK_BITS);
         let containers = (0..n_chunks)
             .map(|c| {
-                let valid = (len - c * CHUNK_BITS).min(CHUNK_BITS);
-                Container::Run(vec![(0, (valid - 1) as u16)]).optimize()
+                let valid = chunk_bits(len, c);
+                Container::Run(vec![(0, (valid - 1) as u16)]).optimize(valid.div_ceil(64))
             })
             .collect();
         Adaptive {
@@ -708,20 +706,28 @@ impl BitStore for Adaptive {
             // adaptation rule to it once, then open a fresh chunk.
             if let Some(last) = self.containers.last_mut() {
                 let prev = std::mem::replace(last, Container::Array(Vec::new()));
-                *last = prev.optimize();
+                *last = prev.optimize(CHUNK_WORDS);
             }
             self.containers.push(Container::Array(Vec::new()));
         }
         self.n_bits += 1;
+        let last = self.containers.last_mut().expect("chunk opened above");
+        // A bitmap container holds a word per 64 positions its chunk covers,
+        // so it grows a word as the chunk crosses into one.
+        if let Container::Bitmap(w) = last {
+            if pos.is_multiple_of(64) {
+                w.push(0);
+            }
+        }
         if !bit {
             return;
         }
-        let last = self.containers.last_mut().expect("chunk opened above");
         match last {
             // Positions arrive in ascending order, so the array stays sorted.
             Container::Array(v) if v.len() < ARRAY_MAX => v.push(pos as u16),
+            Container::Bitmap(w) => w[pos / 64] |= 1u64 << (pos % 64),
             _ => {
-                let mut words = vec![0u64; CHUNK_WORDS];
+                let mut words = vec![0u64; pos / 64 + 1];
                 last.write_words(&mut words);
                 words[pos / 64] |= 1u64 << (pos % 64);
                 *last = Container::Bitmap(words);
@@ -774,11 +780,11 @@ impl BitStore for Adaptive {
             return Err(bad("container count disagrees with bit length"));
         }
         // Every container is bounded (arrays ≤ 4096 entries, bitmaps exactly
-        // 1024 words, runs ≤ 2^15), so a lying count fails validation before
-        // any oversized allocation.
+        // ⌈valid / 64⌉ ≤ 1024 words, runs ≤ 2^15), so a lying count fails
+        // validation before any oversized allocation.
         let mut containers = Vec::with_capacity(n_containers.min(1 << 16));
         for c in 0..n_containers {
-            let valid = (n_bits - c * CHUNK_BITS).min(CHUNK_BITS);
+            let valid = chunk_bits(n_bits, c);
             let mut kind = [0u8; 1];
             r.read_exact(&mut kind)?;
             let count = crate::io::read_u32(r)? as usize;
@@ -800,20 +806,17 @@ impl BitStore for Adaptive {
                     Container::Array(v)
                 }
                 1 => {
-                    if count != CHUNK_WORDS {
-                        return Err(bad("bitmap container must hold exactly 1024 words"));
+                    if count != valid.div_ceil(64) {
+                        return Err(bad(&format!(
+                            "bitmap container of {count} words for a chunk of {valid} bits"
+                        )));
                     }
-                    let mut words = Vec::with_capacity(CHUNK_WORDS);
-                    for _ in 0..CHUNK_WORDS {
+                    let mut words = Vec::with_capacity(count);
+                    for _ in 0..count {
                         words.push(crate::io::read_u64(r)?);
                     }
-                    if valid < CHUNK_BITS {
-                        let (w, t) = (valid / 64, valid % 64);
-                        let tail_ok = (t == 0 || words[w] >> t == 0)
-                            && words[w + usize::from(t != 0)..].iter().all(|&x| x == 0);
-                        if !tail_ok {
-                            return Err(bad("set bits past the chunk's valid bits"));
-                        }
+                    if words[count - 1] & tail_padding(valid) != 0 {
+                        return Err(bad("set bits past the chunk's valid bits"));
                     }
                     Container::Bitmap(words)
                 }
@@ -846,12 +849,126 @@ impl BitStore for Adaptive {
     }
 }
 
+/// What every encoded vector must satisfy, or the first invariant `a`
+/// breaks as the encoding of `v`: it decodes to `v`, each bitmap container
+/// holds exactly its chunk's `⌈valid / 64⌉` words, the whole is never larger
+/// than the plain vector plus one tag byte per container, and its image
+/// reads back as itself.
+#[cfg(test)]
+fn broken_invariant(v: &BitVec64, a: &Adaptive) -> Option<String> {
+    if a.decode() != *v {
+        return Some("does not decode to its input".into());
+    }
+    for (c, cont) in a.containers.iter().enumerate() {
+        let want = chunk_bits(a.n_bits, c).div_ceil(64);
+        if let Container::Bitmap(w) = cont {
+            if w.len() != want {
+                return Some(format!(
+                    "chunk {c}: bitmap of {} words, not {want}",
+                    w.len()
+                ));
+            }
+        }
+    }
+    let bound = 8 * v.len().div_ceil(64) + a.n_containers();
+    if a.size_bytes() > bound {
+        return Some(format!("{} bytes, over the bound {bound}", a.size_bytes()));
+    }
+    let mut buf: Vec<u8> = Vec::new();
+    a.write_to(&mut buf).unwrap();
+    match <Adaptive as BitStore>::read_from(&mut buf.as_slice()) {
+        Ok(back) if back == *a => None,
+        Ok(_) => Some("image reads back as another vector".into()),
+        Err(e) => Some(format!("image refused: {e}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sparse(len: usize, ones: &[u32]) -> BitVec64 {
         BitVec64::from_ones(len, ones.iter().copied())
+    }
+
+    /// `len` bits of one texture — sparse, dense, runny or all-ones — drawn
+    /// from a fixed xorshift stream.
+    fn textured(len: usize, texture: &str) -> BitVec64 {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ len as u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let positions = 0..len as u32;
+        match texture {
+            "sparse" => BitVec64::from_ones(len, positions.filter(|_| next() % 500 == 0)),
+            "dense" => BitVec64::from_ones(len, positions.filter(|_| next() & 1 == 1)),
+            "runny" => {
+                // Alternating gaps and runs of 1..=300 positions.
+                let mut v = BitVec64::zeros(len);
+                let (mut at, mut on) = (0, false);
+                while at < len {
+                    let end = (at + 1 + (next() % 300) as usize).min(len);
+                    if on {
+                        (at..end).for_each(|p| v.set(p, true));
+                    }
+                    (at, on) = (end, !on);
+                }
+                v
+            }
+            _ => BitVec64::ones(len),
+        }
+    }
+
+    #[test]
+    fn containers_never_outweigh_their_chunk() {
+        let mut broken = Vec::new();
+        for len in [
+            1,
+            63,
+            64,
+            65,
+            2_000,
+            8_192,
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 16) + 1,
+            100_000,
+        ] {
+            for texture in ["sparse", "dense", "runny", "all-ones"] {
+                let v = textured(len, texture);
+                if let Some(why) = broken_invariant(&v, &Adaptive::encode(&v)) {
+                    broken.push(format!("{texture} × {len}: {why}"));
+                }
+            }
+        }
+        assert!(broken.is_empty(), "{broken:#?}");
+    }
+
+    #[test]
+    fn a_partial_chunk_bitmap_of_any_other_length_is_refused() {
+        // 2,000 dense bits: one bitmap container of ⌈2000/64⌉ = 32 words.
+        let v = textured(2_000, "dense");
+        let a = Adaptive::encode(&v);
+        assert_eq!(a.container_kind(0), Some(ContainerKind::Bitmap));
+        let mut buf: Vec<u8> = Vec::new();
+        a.write_to(&mut buf).unwrap();
+        // n_bits, n_containers, kind tag, then the word count at byte 17.
+        assert_eq!(buf[17..21], 32u32.to_le_bytes());
+        for words in [31u32, 33, 1024] {
+            let mut lying = buf[..17].to_vec();
+            lying.extend_from_slice(&words.to_le_bytes());
+            lying.extend(std::iter::repeat_n(0u8, 8 * words as usize));
+            let err = <Adaptive as BitStore>::read_from(&mut lying.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("chunk of 2000 bits"), "{err}");
+        }
+        // A set padding bit past position 1,999 is refused too.
+        let mut padded = buf.clone();
+        let last = padded.len() - 1;
+        padded[last] |= 0x80;
+        assert!(<Adaptive as BitStore>::read_from(&mut padded.as_slice()).is_err());
     }
 
     #[test]
@@ -1034,6 +1151,20 @@ mod tests {
         }
         assert_eq!(a.decode(), plain);
         assert_eq!(BitStore::len(&a), 200);
+        // Past ARRAY_MAX set bits the growing tail chunk turns bitmap, and
+        // that bitmap keeps exactly a word per 64 positions pushed so far.
+        for i in 200..(1 << 16) + 20_001 {
+            let bit = i % 2 == 0;
+            BitStore::push_bit(&mut a, bit);
+            plain.push_bit(bit);
+            if i == (1 << 16) + 20_000 || i == (1 << 16) + 9_000 {
+                assert_eq!(a.container_kind(1), Some(ContainerKind::Bitmap));
+                let mut buf: Vec<u8> = Vec::new();
+                a.write_to(&mut buf).unwrap();
+                let back = <Adaptive as BitStore>::read_from(&mut buf.as_slice()).unwrap();
+                assert_eq!(back.decode(), plain);
+            }
+        }
     }
 
     #[test]
@@ -1168,11 +1299,8 @@ pub(crate) mod proptests {
         #[test]
         fn roundtrip(v in arb_textured()) {
             let a = Adaptive::encode(&v);
-            prop_assert_eq!(a.decode(), v.clone());
+            prop_assert_eq!(broken_invariant(&v, &a), None);
             prop_assert_eq!(BitStore::count_ones(&a), v.count_ones());
-            let mut buf: Vec<u8> = Vec::new();
-            a.write_to(&mut buf).unwrap();
-            prop_assert_eq!(<Adaptive as BitStore>::read_from(&mut buf.as_slice()).unwrap(), a);
         }
 
         #[test]

@@ -322,8 +322,8 @@ fn check_snapshot_roundtrip(
 fn shard_families() -> [(&'static str, DbConfig); 4] {
     let none = DbConfig::none();
     [
-        ("bee-wah", DbConfig { bee: true, ..none }),
-        ("bre-wah", DbConfig { bre: true, ..none }),
+        ("bee", DbConfig { bee: true, ..none }),
+        ("bre", DbConfig { bre: true, ..none }),
         ("va-file", DbConfig { va: true, ..none }),
         ("seq-scan", none),
     ]

@@ -41,7 +41,7 @@ pub fn methods_and_roundtripped(
                 .write_to(&mut buf)
                 .and_then(|()| BitmapIndex::<E, B>::read_from(&mut buf.as_slice()))
                 .map(|ix| Box::new(ix) as Box<dyn AccessMethod>);
-            let name = format!("{}-{}/roundtrip", E::name::<B>(), B::backend_name());
+            let name = format!("{}-{}/roundtrip", E::NAME, B::backend_name());
             self.roundtripped.push((name, back));
             self.methods.push(Box::new(built));
         }
@@ -101,7 +101,7 @@ pub fn appended(d: &Arc<Dataset>) -> Vec<Variant<ibis_core::Error>> {
             .iter()
             .try_for_each(|row| ix.append_row(row))
             .map(|()| Box::new(ix) as Box<dyn AccessMethod>);
-        let name = format!("{}-{}/appended", E::name::<B>(), B::backend_name());
+        let name = format!("{}-{}/appended", E::NAME, B::backend_name());
         (name, ix)
     }
     fn backends<E: AppendEncoding>(

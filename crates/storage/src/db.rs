@@ -48,7 +48,7 @@ use ibis_baseline::SequentialScan;
 use ibis_bitmap::{
     DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex, RangeBitmapIndex,
 };
-use ibis_bitvec::{Adaptive, Wah};
+use ibis_bitvec::Adaptive;
 use ibis_core::synopsis::ShardSynopsis;
 use ibis_core::{wire, AccessMethod, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use ibis_vafile::{VaFile, VaPlusFile};
@@ -72,11 +72,12 @@ pub struct DbConfig {
     pub va: bool,
     /// Maintain a VA+-file (equi-depth bins for skewed data).
     pub vaplus: bool,
-    /// Maintain an equality index over adaptive containers
-    /// ([`ibis_bitmap::AdaptiveBitmapIndex`], planned as
-    /// `"bitmap-adaptive"`): per-chunk array/bitmap/run containers
-    /// with container-exact work counters and a compression-scaled cost
-    /// estimate.
+    /// Another name for [`bee`](DbConfig::bee): either flag registers the
+    /// one equality index, never two. Set without `bee`, the index is
+    /// listed as `"bitmap-adaptive"` rather than `"bitmap-equality"`. Both
+    /// the flag and that label stay only because the repository's benchmark
+    /// (`benchmark/src/layers.rs`) configures its compact database by the
+    /// one and files its plans under the other.
     pub adaptive: bool,
 }
 
@@ -253,32 +254,35 @@ impl std::fmt::Debug for IncompleteDb {
     }
 }
 
-/// Builds the access-method registry for `base` under `config`. The
-/// sequential scan always comes last, so indexes win registration-order
-/// ties against it.
+/// Builds the access-method registry for `base` under `config`. Every
+/// bitmap family is stored over [`Adaptive`] containers. The sequential scan
+/// always comes last, so indexes win registration-order ties against it.
 fn build_methods(config: DbConfig, base: &Arc<Dataset>) -> Vec<Registered> {
     let mut methods = Vec::new();
-    let mut register = |method: Arc<dyn AccessMethod>| {
+    let mut register_as = |name: &'static str, method: Arc<dyn AccessMethod>| {
         methods.push(Registered {
-            name: method.name(),
+            name,
             size_bytes: method.size_bytes(),
             method,
         })
     };
-    if config.bee {
-        register(Arc::new(EqualityBitmapIndex::<Wah>::build(base)));
+    if config.bee || config.adaptive {
+        let name = if config.bee {
+            "bitmap-equality"
+        } else {
+            "bitmap-adaptive"
+        };
+        register_as(name, Arc::new(EqualityBitmapIndex::<Adaptive>::build(base)));
     }
+    let mut register = |method: Arc<dyn AccessMethod>| register_as(method.name(), method);
     if config.bre {
-        register(Arc::new(RangeBitmapIndex::<Wah>::build(base)));
+        register(Arc::new(RangeBitmapIndex::<Adaptive>::build(base)));
     }
     if config.bie {
-        register(Arc::new(IntervalBitmapIndex::<Wah>::build(base)));
+        register(Arc::new(IntervalBitmapIndex::<Adaptive>::build(base)));
     }
     if config.decomposed {
-        register(Arc::new(DecomposedBitmapIndex::<Wah>::build(base)));
-    }
-    if config.adaptive {
-        register(Arc::new(EqualityBitmapIndex::<Adaptive>::build(base)));
+        register(Arc::new(DecomposedBitmapIndex::<Adaptive>::build(base)));
     }
     if config.va {
         register(Arc::new(VaFile::build(base).bind(Arc::clone(base))));
@@ -694,13 +698,14 @@ mod tests {
         let d = db();
         let point = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
         assert_eq!(d.explain(&point).unwrap().chosen, "bitmap-equality");
-        // A wide range on a high-cardinality attribute.
+        // Half the domain of a high-cardinality attribute: equality ORs
+        // about C/2 bitmaps on either side, range encoding reads at most 3.
         let attr = (0..d.n_attrs())
             .find(|&a| d.base.column(a).cardinality() >= 50)
             .unwrap();
         let c = d.base.column(attr).cardinality();
         let range = RangeQuery::new(
-            vec![Predicate::range(attr, 5, c - 4)],
+            vec![Predicate::range(attr, c / 4, 3 * c / 4)],
             MissingPolicy::IsMatch,
         )
         .unwrap();
@@ -722,88 +727,82 @@ mod tests {
     }
 
     #[test]
-    fn planner_prefers_interval_encoding_when_registered() {
-        // The §6 acceptance case: interval encoding ties range encoding at
-        // ≤ 3 bitmap reads per dimension but stores roughly half the
-        // bitmaps, so once registered it must win the size tie-break
-        // against range encoding. The adaptive index prices queries with
-        // its compression-scaled exact model rather than the uncompressed
-        // §6 bound, so with `all()` it undercuts both and takes the plan —
-        // the interval-vs-range ordering still shows in the candidates.
-        let data = census_scaled(400, 407);
-        let d = IncompleteDb::with_config(data, DbConfig::all());
+    fn planner_prefers_a_three_read_encoding_for_wide_ranges() {
+        // The §6 acceptance case: interval and range encoding answer an
+        // interval in ≤ 3 bitmap reads per dimension, where equality needs
+        // about C/2 on a half-domain range. Each estimate scales those reads
+        // by the index's mean stored container words, so which of the two
+        // wins follows how each compresses; with everything registered, one
+        // of them takes the plan.
+        let d = IncompleteDb::with_config(census_scaled(400, 407), DbConfig::all());
         let attr = (0..d.n_attrs())
             .find(|&a| d.base.column(a).cardinality() >= 50)
             .unwrap();
         let c = d.base.column(attr).cardinality();
         let range = RangeQuery::new(
-            vec![Predicate::range(attr, 5, c - 4)],
+            vec![Predicate::range(attr, c / 4, 3 * c / 4)],
             MissingPolicy::IsMatch,
         )
         .unwrap();
         let plan = d.explain(&range).unwrap();
-        assert_eq!(plan.chosen, "bitmap-adaptive");
-        let cost = |name: &str| {
-            plan.candidates
-                .iter()
-                .find(|cand| cand.name == name)
-                .unwrap()
-                .estimated_cost
-        };
-        assert_eq!(cost("bitmap-interval"), cost("bitmap-range"));
-        assert!(cost("bitmap-adaptive") < cost("bitmap-interval"));
-        // Without the adaptive index the §6 winner is restored.
-        let derived = IncompleteDb::with_config(
-            census_scaled(400, 407),
-            DbConfig {
-                adaptive: false,
-                ..DbConfig::all()
-            },
-        );
-        assert_eq!(derived.explain(&range).unwrap().chosen, "bitmap-interval");
-        // Points still go to an equality encoding even with everything on
-        // (the adaptive index *is* equality-encoded).
-        let point = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
-        let chosen = d.explain(&point).unwrap().chosen;
         assert!(
-            chosen == "bitmap-adaptive" || chosen == "bitmap-equality",
-            "point query planned on {chosen}"
+            ["bitmap-interval", "bitmap-range"].contains(&plan.chosen),
+            "{plan:?}"
         );
+        // Points still go to the equality encoding.
+        let point = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(d.explain(&point).unwrap().chosen, "bitmap-equality");
     }
 
     #[test]
-    fn adaptive_config_plans_and_answers_like_the_rest() {
+    fn the_adaptive_flag_registers_the_one_equality_index() {
+        // Same index under either flag, listed under the benchmark's label
+        // when `adaptive` stands alone; never registered twice.
         let data = census_scaled(300, 419);
-        let adaptive_only = IncompleteDb::with_config(
-            data.clone(),
-            DbConfig {
-                adaptive: true,
-                ..DbConfig::none()
-            },
-        );
-        assert_eq!(
-            adaptive_only.method_names(),
-            vec!["bitmap-adaptive", "sequential-scan"]
-        );
-        let reference = IncompleteDb::new(data.clone());
-        for policy in MissingPolicy::ALL {
-            let q = RangeQuery::new(
+        let q = |policy| {
+            RangeQuery::new(
                 vec![Predicate::range(0, 1, 2), Predicate::range(1, 1, 3)],
                 policy,
             )
-            .unwrap();
-            assert_eq!(adaptive_only.explain(&q).unwrap().chosen, "bitmap-adaptive");
-            assert_eq!(
-                adaptive_only.execute(&q).unwrap(),
-                reference.execute(&q).unwrap(),
-                "{policy}"
+            .unwrap()
+        };
+        let mut answers = Vec::new();
+        for (bee, adaptive, name) in [
+            (true, false, "bitmap-equality"),
+            (false, true, "bitmap-adaptive"),
+            (true, true, "bitmap-equality"),
+        ] {
+            let db = IncompleteDb::with_config(
+                data.clone(),
+                DbConfig {
+                    bee,
+                    adaptive,
+                    ..DbConfig::none()
+                },
             );
-            assert_eq!(
-                adaptive_only.execute(&q).unwrap(),
-                scan::execute(&data, &q),
-                "{policy}"
-            );
+            assert_eq!(db.method_names(), vec![name, "sequential-scan"]);
+            for policy in MissingPolicy::ALL {
+                let (rows, counters) = db.execute_with_cost_threads(&q(policy), 1).unwrap();
+                assert_eq!(db.explain(&q(policy)).unwrap().chosen, name);
+                assert_eq!(rows, scan::execute(&data, &q(policy)), "{policy}");
+                answers.push((policy, rows, counters));
+            }
         }
+        assert_eq!(answers[0..2], answers[2..4]);
+        assert_eq!(answers[0..2], answers[4..6]);
+        let all = IncompleteDb::with_config(data, DbConfig::all()).method_names();
+        assert_eq!(
+            all,
+            vec![
+                "bitmap-equality",
+                "bitmap-range",
+                "bitmap-interval",
+                "bitmap-decomposed",
+                "va-file",
+                "va-plus-file",
+                "sequential-scan"
+            ]
+        );
     }
 
     #[test]

@@ -2238,11 +2238,29 @@ mod tests {
         let mut bytes = written[0].clone();
         bytes[..4].copy_from_slice(b"IBAD");
         std::fs::write(&stale, bytes).unwrap();
-        let err = run(&[s("query"), data.clone(), text, s("--index"), stale]).unwrap_err();
+        let err = run(&[s("query"), data.clone(), text.clone(), s("--index"), stale]).unwrap_err();
         assert!(matches!(err, CliError::Runtime(_)), "got {err:?}");
         assert_eq!(err.exit_code(), 1);
         assert!(
             err.message().contains("unrecognized index magic")
+                && err
+                    .message()
+                    .contains("rebuild the index with `ibis index`"),
+            "{}",
+            err.message()
+        );
+        // So is a version-2 file, whose adaptive bitmap containers were all
+        // padded to a full chunk.
+        assert_eq!(written[0][4..6], 3u16.to_le_bytes());
+        let old = dir.join("old.ad").to_string_lossy().into_owned();
+        let mut bytes = written[0].clone();
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        std::fs::write(&old, bytes).unwrap();
+        let err = run(&[s("query"), data.clone(), text, s("--index"), old]).unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+        assert!(
+            err.message()
+                .contains("index format version 2, this build reads version 3")
                 && err
                     .message()
                     .contains("rebuild the index with `ibis index`"),

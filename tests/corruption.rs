@@ -375,6 +375,41 @@ fn adaptive_lying_container_counts_and_kinds_fail_cleanly() {
 }
 
 #[test]
+fn adaptive_partial_chunk_bitmap_padded_to_a_full_chunk_is_refused() {
+    // A bitmap container holds ⌈valid/64⌉ words; format version 2 padded
+    // every one to the 1,024 words of a full 2^16-row chunk. Each bitmap of
+    // this 60-row index is one partial chunk, so a bitmap-shaped one reads
+    // [60 bits][1 container][kind 1][1 word][the word]. Re-pad one the old
+    // way, with its word and 1,023 zero words: the reader must refuse it.
+    let base = adaptive_bytes();
+    let vector: Vec<u8> = [
+        &60u64.to_le_bytes()[..],
+        &1u64.to_le_bytes(),
+        &[1u8],
+        &1u32.to_le_bytes(),
+    ]
+    .concat();
+    let count_at = base
+        .windows(vector.len())
+        .position(|w| w == vector)
+        .expect("the index stores a bitmap container")
+        + vector.len()
+        - 4;
+    let mut padded = base[..count_at].to_vec();
+    padded.extend_from_slice(&1024u32.to_le_bytes());
+    padded.extend_from_slice(&base[count_at + 4..count_at + 12]);
+    padded.extend(std::iter::repeat_n(0u8, 8 * 1023));
+    padded.extend_from_slice(&base[count_at + 12..]);
+    let err = EqualityBitmapIndex::<Adaptive>::read_from(&mut padded.as_slice()).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("bitmap container of 1024 words for a chunk of 60 bits"),
+        "{err}"
+    );
+    assert!(EqualityBitmapIndex::<Adaptive>::read_from(&mut base.as_slice()).is_ok());
+}
+
+#[test]
 fn lying_length_fields_behind_a_valid_checksum_fail_cleanly() {
     // The proptest mutations above almost always die at the CRC gate. This
     // battery *fixes up* the checksum after the lie, so the corrupt counts

@@ -72,7 +72,7 @@ impl PairVisitor for RefusedByOthers<'_> {
             assert!(
                 BitmapIndex::<E, B>::read_from(&mut &*self.bytes).is_err(),
                 "{} over {} loaded a {:?}/{} file",
-                E::name::<B>(),
+                E::NAME,
                 B::backend_name(),
                 self.magic,
                 self.backend
@@ -82,7 +82,7 @@ impl PairVisitor for RefusedByOthers<'_> {
 }
 
 fn check_pair<E: Encoding, B: BitStore + 'static>() {
-    let what = format!("{} over {}", E::name::<B>(), B::backend_name());
+    let what = format!("{} over {}", E::NAME, B::backend_name());
     let d = mixed();
     let ix = BitmapIndex::<E, B>::build(&d);
     let mut qs = queries(&d);
@@ -229,7 +229,7 @@ fn counts_rows_and_counters_agree_past_a_chunk_boundary() {
     struct Agreement<'a>(&'a Dataset, &'a [(RangeQuery, RowSet)], usize);
     impl PairVisitor for Agreement<'_> {
         fn visit<E: Encoding, B: BitStore + 'static>(&mut self) {
-            let what = format!("{} over {}", E::name::<B>(), B::backend_name());
+            let what = format!("{} over {}", E::NAME, B::backend_name());
             let ix = BitmapIndex::<E, B>::build(self.0);
             for (q, truth) in self.1.iter().filter(|(q, _)| ix.supports(q)) {
                 let (rows, cost) = ix.execute_with_cost(q).unwrap();

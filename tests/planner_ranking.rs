@@ -32,18 +32,27 @@ fn queries(d: &Dataset) -> Vec<RangeQuery> {
     out
 }
 
-/// Every method a `DbConfig` can register, built on its own.
-fn standalone(d: &Arc<Dataset>) -> Vec<Box<dyn AccessMethod>> {
-    vec![
-        Box::new(EqualityBitmapIndex::<Wah>::build(d)),
-        Box::new(RangeBitmapIndex::<Wah>::build(d)),
-        Box::new(IntervalBitmapIndex::<Wah>::build(d)),
-        Box::new(DecomposedBitmapIndex::<Wah>::build(d)),
+/// Every method a `DbConfig` can register, built on its own as the
+/// database builds it (each bitmap family over adaptive containers), with
+/// the name the registry lists it by.
+fn standalone(d: &Arc<Dataset>) -> Vec<(&'static str, Box<dyn AccessMethod>)> {
+    let methods: Vec<Box<dyn AccessMethod>> = vec![
         Box::new(EqualityBitmapIndex::<Adaptive>::build(d)),
+        Box::new(RangeBitmapIndex::<Adaptive>::build(d)),
+        Box::new(IntervalBitmapIndex::<Adaptive>::build(d)),
+        Box::new(DecomposedBitmapIndex::<Adaptive>::build(d)),
         Box::new(VaFile::build(d).bind(Arc::clone(d))),
         Box::new(VaPlusFile::build(d).bind(Arc::clone(d))),
         Box::new(SequentialScan.bind(Arc::clone(d))),
-    ]
+    ];
+    let mut named: Vec<_> = methods.into_iter().map(|m| (m.name(), m)).collect();
+    // `adaptive` without `bee` lists the same equality index under the
+    // label the repository's benchmark files its plans by.
+    named.push((
+        "bitmap-adaptive",
+        Box::new(EqualityBitmapIndex::<Adaptive>::build(d)),
+    ));
+    named
 }
 
 #[test]
@@ -60,9 +69,9 @@ fn execute_runs_exactly_the_method_explain_names_under_every_config() {
     // What each method answers alone.
     let alone: Vec<(&'static str, Vec<(RowSet, WorkCounters)>)> = standalone(&d)
         .iter()
-        .map(|m| {
+        .map(|(name, m)| {
             let answers = qs.iter().map(|q| m.execute_with_cost(q).unwrap());
-            (m.name(), answers.collect())
+            (*name, answers.collect())
         })
         .collect();
 
