@@ -38,33 +38,57 @@ impl SequentialScan {
         Ok((rows, stats))
     }
 
-    /// Executes a query with a row-range–partitioned parallel scan: the
-    /// rows split into up to `threads` contiguous slices, each worker scans
-    /// its slice ([`scan::execute_range`]) with its own partial counters,
-    /// and the ordered partial `RowSet`s are concatenated. Rows and merged
-    /// counters are identical to [`Self::execute_with_cost`] for any thread
+    /// Binds the scan to a dataset, producing an [`AccessMethod`] the
+    /// engine-layer registry can hold (and fall back to when no index
+    /// covers a query).
+    pub fn bind(self, base: Arc<Dataset>) -> BoundScan {
+        BoundScan { base }
+    }
+}
+
+/// A [`SequentialScan`] bound to its dataset: the always-applicable,
+/// index-free access method of last resort.
+#[derive(Clone, Debug)]
+pub struct BoundScan {
+    base: Arc<Dataset>,
+}
+
+impl AccessMethod for BoundScan {
+    fn name(&self) -> &'static str {
+        "sequential-scan"
+    }
+
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        SequentialScan.execute_with_cost(&self.base, query)
+    }
+
+    /// A row-range–partitioned scan: the rows split into up to `threads`
+    /// contiguous slices, each of the pool's parked workers scans one
+    /// ([`scan::execute_range`]) with its own partial counters, and the
+    /// ordered partial `RowSet`s are concatenated. Rows and merged counters
+    /// are identical to [`SequentialScan::execute_with_cost`] for any thread
     /// count — per-slice entry counts sum to `n · k`, and the word total is
     /// derived once from that sum (not from per-slice roundings).
-    pub fn execute_with_cost_threads(
+    fn execute_with_cost_threads(
         &self,
-        dataset: &Dataset,
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, WorkCounters)> {
-        let n = dataset.n_rows();
+        let n = self.base.n_rows();
         if threads <= 1 || n < 2 {
-            return self.execute_with_cost(dataset, query);
+            return SequentialScan.execute_with_cost(&self.base, query);
         }
-        query.validate(dataset)?;
+        query.validate(&self.base)?;
         let k = query.dimensionality().max(1);
         // As in the VA-file: chunk spans carry the per-slice entry counts,
         // the wrapping `scan.scan` span the once-derived word total.
         let mut scan_span = ibis_obs::span("scan.scan");
-        let partials = ExecPool::new(threads).scoped_map(partition(n, threads), |range| {
+        let (base, owned) = (Arc::clone(&self.base), query.clone());
+        let partials = ExecPool::new(threads).map(partition(n, threads), move |range| {
             let mut span = ibis_obs::span("scan.chunk");
             span.add_field("rows", range.len() as u64);
             let entries = range.len() * k;
-            let rows = scan::execute_range(dataset, query, range);
+            let rows = scan::execute_range(&base, &owned, range);
             if span.is_recording() {
                 span.add_field("entries_scanned", entries as u64);
             }
@@ -89,45 +113,6 @@ impl SequentialScan {
         }
         drop(scan_span);
         Ok((RowSet::concat_sorted(parts), stats))
-    }
-
-    /// Binds the scan to a dataset, producing an [`AccessMethod`] the
-    /// engine-layer registry can hold (and fall back to when no index
-    /// covers a query).
-    pub fn bind(self, base: Arc<Dataset>) -> BoundScan {
-        BoundScan { base }
-    }
-}
-
-/// A [`SequentialScan`] bound to its dataset: the always-applicable,
-/// index-free access method of last resort.
-#[derive(Clone, Debug)]
-pub struct BoundScan {
-    base: Arc<Dataset>,
-}
-
-impl BoundScan {
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.base
-    }
-}
-
-impl AccessMethod for BoundScan {
-    fn name(&self) -> &'static str {
-        "sequential-scan"
-    }
-
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        SequentialScan.execute_with_cost(&self.base, query)
-    }
-
-    fn execute_with_cost_threads(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
-        SequentialScan.execute_with_cost_threads(&self.base, query, threads)
     }
 
     /// The scan stores nothing beyond the base relation.
@@ -165,7 +150,8 @@ mod tests {
 
     #[test]
     fn partitioned_scan_matches_sequential_rows_and_cost() {
-        let d = synthetic_scaled(203, 8); // odd count: uneven final slice
+        let d = Arc::new(synthetic_scaled(203, 8)); // odd count: uneven final slice
+        let bound = SequentialScan.bind(Arc::clone(&d));
         for policy in MissingPolicy::ALL {
             let q = RangeQuery::new(
                 vec![Predicate::range(0, 1, 1), Predicate::range(200, 1, 10)],
@@ -175,9 +161,7 @@ mod tests {
             let seq = SequentialScan.execute_with_cost(&d, &q).unwrap();
             for threads in [1, 2, 3, 8] {
                 assert_eq!(
-                    SequentialScan
-                        .execute_with_cost_threads(&d, &q, threads)
-                        .unwrap(),
+                    bound.execute_with_cost_threads(&q, threads).unwrap(),
                     seq,
                     "{policy} t={threads}"
                 );

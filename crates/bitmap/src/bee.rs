@@ -420,41 +420,3 @@ mod tests {
         assert_eq!(idx.estimated_cost(&q), 4.0);
     }
 }
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::RangeBitmapIndex;
-    use ibis_bitvec::Wah;
-    use ibis_core::gen::synthetic_scaled;
-    use ibis_core::{AccessMethod, Predicate, RangeQuery};
-
-    #[test]
-    fn parallel_build_equals_serial() {
-        let d = synthetic_scaled(600, 81);
-        let serial = EqualityBitmapIndex::<Wah>::build(&d);
-        let parallel = EqualityBitmapIndex::<Wah>::build_parallel(&d, 4);
-        assert_eq!(parallel.n_bitmaps(), serial.n_bitmaps());
-        assert_eq!(parallel.size_bytes(), serial.size_bytes());
-        let bre_s = RangeBitmapIndex::<Wah>::build(&d);
-        let bre_p = RangeBitmapIndex::<Wah>::build_parallel(&d, 4);
-        assert_eq!(bre_p.size_bytes(), bre_s.size_bytes());
-        for policy in MissingPolicy::ALL {
-            for attr in [0usize, 120, 449] {
-                let c = d.column(attr).cardinality();
-                let q = RangeQuery::new(vec![Predicate::range(attr, 1, c.div_ceil(2))], policy)
-                    .unwrap();
-                assert_eq!(parallel.execute(&q).unwrap(), serial.execute(&q).unwrap());
-                assert_eq!(bre_p.execute(&q).unwrap(), bre_s.execute(&q).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_single_thread_degenerates() {
-        let d = synthetic_scaled(100, 82);
-        let a = EqualityBitmapIndex::<Wah>::build_parallel(&d, 1);
-        let b = EqualityBitmapIndex::<Wah>::build(&d);
-        assert_eq!(a.size_bytes(), b.size_bytes());
-    }
-}

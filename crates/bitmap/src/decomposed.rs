@@ -43,7 +43,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
     /// `2` gives the bit-sliced index.
     pub fn with_base(dataset: &Dataset, base: u16) -> Self {
         assert!(base >= 2, "digit base must be at least 2");
-        Self::from_columns(dataset, 1, |col| build_attr(col, base))
+        Self::from_columns(dataset, |col| build_attr(col, base))
             .expect("every column is representable")
     }
 }

@@ -33,6 +33,7 @@ use crate::index::{BitmapIndex, Encoding};
 use ibis_bitvec::{BitStore, BitVec64, OpTally};
 use ibis_core::parallel::ExecPool;
 use ibis_core::{Error, RangeQuery, Result, WorkCounters};
+use std::sync::Arc;
 
 fn charge_read<S: BitStore>(b: &S, cost: &mut WorkCounters) {
     let mut t = OpTally::default();
@@ -174,8 +175,9 @@ pub(crate) fn and_count(acc: BitVec64, last: Option<&BitVec64>, cost: &mut WorkC
 /// identical at every degree.
 ///
 /// Each per-predicate interval evaluation runs under a `bitmap.fetch` span
-/// (fanned over the pool, each accruing into its own counters before an
-/// ordered merge) and the AND of the per-predicate answers under one
+/// (fanned over the pool's parked workers, which share the index's bitmaps
+/// through one `Arc` clone per query, each accruing into its own counters
+/// before an ordered merge) and the AND of the per-predicate answers under one
 /// `bitmap.and_reduce` span; both carry their counter deltas, so a profile's
 /// phases sum exactly to the query's final counters. The reduce is a left
 /// fold in predicate order at every degree — `k − 1` in-place ANDs over the
@@ -193,11 +195,12 @@ pub(crate) fn run<E: Encoding, B: BitStore, T>(
         return Err(Error::UnsupportedPolicy { method: E::NAME });
     }
     query.validate_schema(ix.attrs.len(), |a| ix.attrs[a].cardinality)?;
-    let partials = ExecPool::new(threads).scoped_map(query.predicates().to_vec(), |p| {
+    let (attrs, n_rows) = (Arc::clone(&ix.attrs), ix.n_rows);
+    let partials = ExecPool::new(threads).map(query.predicates().to_vec(), move |p| {
         // Nested under the pool.worker span of whichever thread runs it.
         let mut span = ibis_obs::span("bitmap.fetch");
         let mut c = WorkCounters::zero();
-        let b = E::interval(&ix.attrs[p.attr], ix.n_rows, p.interval, policy, &mut c);
+        let b = E::interval(&attrs[p.attr], n_rows, p.interval, policy, &mut c);
         span.add_field("attr", p.attr as u64);
         c.record_into(&mut span);
         (b, c)

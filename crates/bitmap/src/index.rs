@@ -14,7 +14,7 @@ use ibis_core::{
 };
 use std::io;
 use std::marker::PhantomData;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One attribute's share of an index: the bitmaps its encoding stores.
 #[derive(Clone, Debug)]
@@ -95,7 +95,9 @@ pub trait AppendEncoding: Encoding {
 /// every attribute, held in backend `B`.
 #[derive(Clone, Debug)]
 pub struct BitmapIndex<E: Encoding, B: BitStore> {
-    pub(crate) attrs: Vec<AttrBitmaps<B>>,
+    /// Shared so a query's predicate fan-out can move the bitmaps onto the
+    /// pool's workers; appends copy them on write.
+    pub(crate) attrs: Arc<Vec<AttrBitmaps<B>>>,
     pub(crate) n_rows: usize,
     /// Cached [`Self::words_per_read`]; appends replace it with a fresh cell.
     read_words: OnceLock<f64>,
@@ -109,26 +111,24 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
     fn new(attrs: Vec<AttrBitmaps<B>>, n_rows: usize) -> Self {
         BitmapIndex {
-            attrs,
+            attrs: Arc::new(attrs),
             n_rows,
             read_words: OnceLock::new(),
             encoding: PhantomData,
         }
     }
 
-    /// Builds every column with `build_attr`, fanned over `n_threads`.
+    /// Builds every column with `build_attr`.
     pub(crate) fn from_columns(
         dataset: &Dataset,
-        n_threads: usize,
-        build_attr: impl Fn(&Column) -> AttrBitmaps<B> + Sync,
+        build_attr: impl Fn(&Column) -> AttrBitmaps<B>,
     ) -> Result<Self> {
         for (attr, col) in dataset.columns().iter().enumerate() {
             if let Some(reason) = E::unrepresentable(col) {
                 return Err(Error::UnrepresentableColumn { attr, reason });
             }
         }
-        let attrs = ibis_core::parallel::ExecPool::new(n_threads)
-            .scoped_map(dataset.columns().iter().collect(), build_attr);
+        let attrs = dataset.columns().iter().map(build_attr).collect();
         Ok(Self::new(attrs, dataset.n_rows()))
     }
 
@@ -139,13 +139,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
     /// [`Self::try_build`]); of the encodings in this crate only
     /// [`crate::rejected::MissingAsOnes`] ever refuses one.
     pub fn build(dataset: &Dataset) -> Self {
-        Self::build_parallel(dataset, 1)
-    }
-
-    /// Like [`Self::build`], but fanning columns over `n_threads` OS
-    /// threads (the paper's synthetic set has 450 independent attributes).
-    pub fn build_parallel(dataset: &Dataset, n_threads: usize) -> Self {
-        Self::from_columns(dataset, n_threads, E::build_attr).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_build(dataset).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds the index, or reports the first column the encoding cannot
@@ -156,7 +150,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
     /// encoding a cardinality-1 attribute with missing data cannot tell
     /// "value 1" from "missing" (the paper's objection #2).
     pub fn try_build(dataset: &Dataset) -> Result<Self> {
-        Self::from_columns(dataset, 1, E::build_attr)
+        Self::from_columns(dataset, E::build_attr)
     }
 
     /// Number of indexed rows.
@@ -260,7 +254,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
         E: AppendEncoding,
     {
         ibis_core::validate_row(row, |a| self.attrs[a].cardinality, self.attrs.len())?;
-        for (&cell, a) in row.iter().zip(&mut self.attrs) {
+        for (&cell, a) in row.iter().zip(Arc::make_mut(&mut self.attrs)) {
             let raw = cell.raw();
             if raw == 0 && a.missing.is_none() {
                 a.missing = Some(B::zeros(self.n_rows));
@@ -378,7 +372,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
         write_str(w, B::backend_name())?;
         write_len(w, self.n_rows)?;
         write_len(w, self.attrs.len())?;
-        for a in &self.attrs {
+        for a in self.attrs.iter() {
             write_u16(w, a.cardinality)?;
             write_u16(w, a.param)?;
             write_u8(w, a.missing.is_some() as u8)?;

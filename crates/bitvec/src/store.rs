@@ -45,10 +45,11 @@ impl OpTally {
 /// that a query of `k` predicates allocates `k` accumulators however many
 /// stored bitmaps it reads.
 ///
-/// `Send + Sync` are supertraits so indexes generic over a store are
-/// shareable access methods (parallel batch execution, `Arc<dyn>`
-/// registries); every store is plain owned data, so this costs nothing.
-pub trait BitStore: Clone + Send + Sync {
+/// `Send + Sync + 'static` are supertraits so indexes generic over a store
+/// are shareable access methods (`Arc<dyn>` registries) whose bitmaps the
+/// pool's parked workers may hold; every store is plain owned data, so this
+/// costs nothing.
+pub trait BitStore: Clone + Send + Sync + 'static {
     /// Encodes an uncompressed bit vector.
     fn from_bitvec(bits: &BitVec64) -> Self;
 

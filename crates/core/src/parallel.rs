@@ -1,33 +1,27 @@
 //! The workspace's parallel execution layer: one worker pool ([`ExecPool`])
-//! shared by index construction and query execution.
+//! shared by every fan-out in query execution.
 //!
-//! Index builds are embarrassingly parallel across attributes (the paper's
-//! synthetic dataset has 450 of them), and query execution is embarrassingly
-//! parallel across row ranges (sequential and VA-file scans), across
-//! predicates (per-attribute bitmap fetch/combine), and across the shards
-//! of a database. One chunked map covers all of it without a thread-pool
-//! dependency, in two shapes that differ only in who runs chunks 1…n:
-//!
-//! * [`ExecPool::try_map`] / [`ExecPool::map`] hand them to the process's
-//!   **parked workers**: threads started on first use, grown to the largest
-//!   `threads − 1` any call has asked for, never shrunk, blocked on a
-//!   condvar while idle. A warmed map starts no thread. A thread that
-//!   outlives the call cannot borrow the caller's data (the workspace
-//!   forbids `unsafe`), so this shape takes owned, `'static` work — the
-//!   shard fan-out, whose shards already live behind `Arc`.
-//! * [`ExecPool::scoped_try_map`] / [`ExecPool::scoped_map`] start scoped
-//!   threads that join before the call returns, so closures may borrow;
-//!   what each call pays for that is the thread starts.
+//! Query execution is embarrassingly parallel across row ranges (sequential
+//! and VA-file scans), across predicates (per-attribute bitmap
+//! fetch/combine), and across the shards of a database. One chunked map
+//! covers all of it without a thread-pool dependency: [`ExecPool::try_map`]
+//! / [`ExecPool::map`] hand chunks 1…n to the process's **parked workers**,
+//! threads started on first use, grown to the largest `threads − 1` any call
+//! has asked for, never shrunk, blocked on a condvar while idle. A warmed map
+//! starts no thread. A thread that outlives the call cannot borrow the
+//! caller's data (the workspace forbids `unsafe`), so the map takes owned,
+//! `'static` work: callers move in `Arc`s of what the chunks read (shards,
+//! an index's bitmaps, a VA-file and its dataset).
 //!
 //! Guarantees, relied on by the engine layer and its conformance suite:
 //!
-//! * **Deterministic ordering** — both shapes chunk the input into the same
-//!   contiguous runs and flatten chunk outputs in input order, so results
-//!   are positionally identical to a sequential map.
+//! * **Deterministic ordering** — the input is chunked into contiguous runs
+//!   and chunk outputs are flattened in input order, so results are
+//!   positionally identical to a sequential map.
 //! * **Panic containment** — a panicking closure inside a `try_map`
 //!   surfaces as [`Error::WorkerPanicked`] instead of aborting the process
-//!   (or, on the parked shape, the worker); sibling items already computed
-//!   are discarded.
+//!   or the worker; sibling items already computed are discarded.
+//!   [`contain`] gives one inline call the same treatment.
 //! * **The caller works too** — it runs chunk 0, then takes back every
 //!   chunk no worker has started, and only then waits (yielding its core
 //!   for a few tens of µs before it sleeps). A slow wake-up degrades to
@@ -109,9 +103,8 @@ thread_local! {
     static STARTED_HERE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// How many threads the calling thread has started through [`ExecPool`]
-/// so far — parked workers and scoped workers alike. A diagnostic: a map
-/// on warmed parked workers starts none.
+/// How many parked workers the calling thread has started through
+/// [`ExecPool`] so far. A diagnostic: a map on warmed workers starts none.
 pub fn threads_started_here() -> usize {
     STARTED_HERE.with(Cell::get)
 }
@@ -202,8 +195,8 @@ impl Parked {
     }
 }
 
-/// The deterministic chunker both shapes share: `items` in contiguous runs
-/// of `⌈n / threads⌉` (the last may be shorter), at most `threads` of them.
+/// The deterministic chunker: `items` in contiguous runs of `⌈n / threads⌉`
+/// (the last may be shorter), at most `threads` of them.
 fn chunk<T>(mut items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
     let size = items.len().div_ceil(threads.max(1)).max(1);
     let mut chunks = Vec::with_capacity(threads.min(items.len()));
@@ -214,16 +207,22 @@ fn chunk<T>(mut items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
     chunks
 }
 
+/// Runs `f` on the calling thread, containing a panic anywhere under it:
+/// the panic comes back as [`Error::WorkerPanicked`], and the thread goes
+/// on. What a map does for each chunk, for one call that is not a map (a
+/// server worker's job).
+pub fn contain<U>(f: impl FnOnce() -> Result<U>) -> Result<U> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(Error::WorkerPanicked {
+            detail: panic_detail(payload),
+        })
+    })
+}
+
 /// Applies `f` to `chunk` in order, stopping at its first failure; a panic
 /// is contained and reported as [`Error::WorkerPanicked`].
 fn run_chunk<T, U>(chunk: Vec<T>, f: impl Fn(T) -> Result<U>) -> Result<Vec<U>> {
-    catch_unwind(AssertUnwindSafe(|| chunk.into_iter().map(f).collect())).unwrap_or_else(
-        |payload| {
-            Err(Error::WorkerPanicked {
-                detail: panic_detail(payload),
-            })
-        },
-    )
+    contain(|| chunk.into_iter().map(f).collect())
 }
 
 /// One fanned-out map: its closure and its chunks, shared by the caller
@@ -329,9 +328,9 @@ fn expect_no_panic<U>(result: Result<Vec<U>>) -> Vec<U> {
     }
 }
 
-/// A bounded worker pool: a degree, and two ways to fan a map out (see the
-/// module docs). Degree 1, or fewer than two items, runs inline on the
-/// caller with no thread and no span.
+/// A bounded worker pool: a degree, and a map that fans out over the
+/// parked workers (see the module docs). Degree 1, or fewer than two items,
+/// runs inline on the caller with no thread and no span.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecPool {
     threads: usize,
@@ -404,32 +403,6 @@ impl ExecPool {
         fanout.join()
     }
 
-    /// [`try_map`](ExecPool::try_map) on scoped threads started for this
-    /// call and joined before it returns, for closures and items that
-    /// borrow.
-    pub fn scoped_try_map<T, U, F>(&self, items: Vec<T>, f: F) -> Result<Vec<U>>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> Result<U> + Sync,
-    {
-        if self.threads == 1 || items.len() < 2 {
-            return run_chunk(items, f);
-        }
-        let chunks = chunk(items, self.threads);
-        let helpers = chunks.len() - 1;
-        let (fanout, first) = Fanout::new(chunks, f);
-        let fanout = &fanout;
-        std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                scope.spawn(|| fanout.help());
-                note_started();
-            }
-            fanout.work(first);
-        });
-        fanout.join()
-    }
-
     /// Applies the infallible `f` to every item on the parked workers,
     /// returning results in input order.
     ///
@@ -443,64 +416,6 @@ impl ExecPool {
         F: Fn(T) -> U + Send + Sync + 'static,
     {
         expect_no_panic(self.try_map(items, move |item| Ok(f(item))))
-    }
-
-    /// [`map`](ExecPool::map) on scoped threads, for closures and items
-    /// that borrow.
-    ///
-    /// # Panics
-    /// As [`map`](ExecPool::map).
-    pub fn scoped_map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        expect_no_panic(self.scoped_try_map(items, |item| Ok(f(item))))
-    }
-
-    /// Runs `f(worker)` once per worker, all workers live *concurrently* —
-    /// a fan-out, not a work partition: where [`map`](ExecPool::map) slices
-    /// one job across the pool, `broadcast` gives every worker the same
-    /// job at the same time. This is the shape of concurrent *serving*
-    /// (N readers each looping over their own snapshot acquisitions) and
-    /// what the stress CLI uses to race readers against a writer. Its
-    /// workers are long-lived and borrow, so they are scoped threads.
-    ///
-    /// Results come back in worker order. Degree 1 runs inline.
-    ///
-    /// # Panics
-    /// Panics with `"worker panicked: …"` if `f` panics on any worker (the
-    /// panic is contained on the worker and re-raised on the caller).
-    pub fn broadcast<U, F>(&self, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        if self.threads == 1 {
-            return vec![f(0)];
-        }
-        let f = &f;
-        let parent_span = ibis_obs::current_span_id();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|i| {
-                    note_started();
-                    scope.spawn(move || {
-                        let mut span = ibis_obs::span_with_parent("pool.worker", parent_span);
-                        span.add_field("worker", i as u64);
-                        f(i)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => panic!("worker panicked: {}", panic_detail(payload)),
-                })
-                .collect()
-        })
     }
 }
 
@@ -535,9 +450,6 @@ mod tests {
     fn preserves_order() {
         let items: Vec<u32> = (0..1000).collect();
         let got = ExecPool::new(4).map(items, |x| x * 2);
-        assert_eq!(got, (0..1000).map(|x| x * 2).collect::<Vec<u32>>());
-        let items: Vec<u32> = (0..1000).collect();
-        let got = ExecPool::new(4).scoped_map(items, |x| x * 2);
         assert_eq!(got, (0..1000).map(|x| x * 2).collect::<Vec<u32>>());
     }
 
@@ -610,10 +522,6 @@ mod tests {
         for threads in [1, 2, 3, 16] {
             let got = ExecPool::new(threads)
                 .try_map((0..33u32).collect(), |x| Ok(x + 1))
-                .unwrap();
-            assert_eq!(got, (1..=33).collect::<Vec<u32>>());
-            let got = ExecPool::new(threads)
-                .scoped_try_map((0..33u32).collect(), |x| Ok(x + 1))
                 .unwrap();
             assert_eq!(got, (1..=33).collect::<Vec<u32>>());
         }
@@ -730,27 +638,14 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_runs_every_worker_concurrently() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Every worker spins until it has seen all its siblings arrive —
-        // only truly concurrent workers can all get past the barrier.
-        for threads in [1usize, 2, 8] {
-            let arrived = AtomicUsize::new(0);
-            let got = ExecPool::new(threads).broadcast(|i| {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                while arrived.load(Ordering::SeqCst) < threads {
-                    std::hint::spin_loop();
-                }
-                i * 10
-            });
-            assert_eq!(got, (0..threads).map(|i| i * 10).collect::<Vec<_>>());
+    fn contain_turns_a_panic_into_an_error_on_the_caller() {
+        assert_eq!(contain(|| Ok(7)), Ok(7));
+        let refused = Error::ZeroCardinality { attr: 2 };
+        assert_eq!(contain(|| Err::<u32, _>(refused.clone())), Err(refused));
+        match contain(|| -> Result<u32> { panic!("boom in a job") }) {
+            Err(Error::WorkerPanicked { detail }) => assert_eq!(detail, "boom in a job"),
+            other => panic!("expected WorkerPanicked, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked")]
-    fn broadcast_panic_propagates() {
-        ExecPool::new(2).broadcast(|i| assert!(i != 1, "boom"));
     }
 
     #[test]

@@ -632,8 +632,8 @@ impl GlobalState {
 ///
 /// Flushes the calling thread's buffer first; spans recorded by other
 /// threads are visible once those threads closed their outermost span or
-/// exited. `ExecPool` guarantees the first for every chunk it runs off the
-/// caller's thread, parked or scoped, by the time the pool call returns.
+/// exited. `ExecPool` guarantees the first for every chunk its parked
+/// workers run off the caller's thread, by the time the pool call returns.
 pub fn snapshot() -> Snapshot {
     TLS.with(|tls| tls.borrow_mut().flush());
     let g = lock_global();

@@ -37,7 +37,7 @@ use crate::protocol::{
     read_frame, read_handshake, write_frame, write_handshake, ErrorCode, HealthReport, Request,
     Response, SlowPhase, SlowQuery, StatsReport,
 };
-use ibis_core::parallel::ExecPool;
+use ibis_core::parallel::contain;
 use ibis_core::{MissingPolicy, RangeQuery, WorkCounters};
 use ibis_storage::{ConcurrentDb, DbSnapshot};
 use std::collections::{HashMap, VecDeque};
@@ -558,37 +558,35 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize
 /// `WorkCounters`: the PR 4 profile invariant, now visible over the wire.
 fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job) {
     let started = Instant::now();
-    // An inline pool of one, for its containment: a panic anywhere under
-    // this job comes back as its error, and the worker goes on draining.
-    let executed = ExecPool::new(1)
-        .scoped_try_map(vec![()], |()| {
-            let mut root = t.traced.then(|| ibis_obs::capture("server.request"));
-            if let Some(root) = &mut root {
-                root.add_field("request_id", t.request_id);
-            }
-            let (rows, counters) = snap.execute_with_cost_threads(&query, 1)?;
-            let trace = root.map(|root| (root.id(), root.finish()));
-            // Stamped after the capture is handed over: what tracing costs
-            // the request is inside its `exec_us`, not beside it.
-            let done = Instant::now();
-            if let Some((root_id, spans)) = trace {
-                note_slow(
-                    shared,
-                    SlowQuery {
-                        request_id: t.request_id,
-                        watermark: snap.watermark(),
-                        plan: query.to_string(),
-                        queue_us: micros(t.enqueued, started),
-                        exec_us: micros(started, done),
-                        total_us: micros(t.enqueued, done),
-                        counters: nonzero_fields(&counters),
-                        phases: phases_from(&spans, root_id),
-                    },
-                );
-            }
-            Ok((rows, done))
-        })
-        .map(|mut one| one.pop().expect("one job in, one out"));
+    // A panic anywhere under this job comes back as its error, and the
+    // worker goes on draining.
+    let executed = contain(|| {
+        let mut root = t.traced.then(|| ibis_obs::capture("server.request"));
+        if let Some(root) = &mut root {
+            root.add_field("request_id", t.request_id);
+        }
+        let (rows, counters) = snap.execute_with_cost_threads(&query, 1)?;
+        let trace = root.map(|root| (root.id(), root.finish()));
+        // Stamped after the capture is handed over: what tracing costs the
+        // request is inside its `exec_us`, not beside it.
+        let done = Instant::now();
+        if let Some((root_id, spans)) = trace {
+            note_slow(
+                shared,
+                SlowQuery {
+                    request_id: t.request_id,
+                    watermark: snap.watermark(),
+                    plan: query.to_string(),
+                    queue_us: micros(t.enqueued, started),
+                    exec_us: micros(started, done),
+                    total_us: micros(t.enqueued, done),
+                    counters: nonzero_fields(&counters),
+                    phases: phases_from(&spans, root_id),
+                },
+            );
+        }
+        Ok((rows, done))
+    });
     let done = executed
         .as_ref()
         .map_or_else(|_| Instant::now(), |&(_, done)| done);
@@ -621,7 +619,7 @@ fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job
         let executed_as = if t.traced {
             "server.traced"
         } else {
-            "server.batched_queries"
+            "server.untraced"
         };
         m.counter_add(executed_as, 1);
         let exec_us = micros(started, done);

@@ -372,6 +372,7 @@ fn span_log_stays_empty_however_many_requests_were_served() {
         assert_eq!(m.counters["server.admitted"], n);
         assert_eq!(m.counters["server.responses"], n);
         assert_eq!(m.counters["server.traced"], n / 8);
+        assert_eq!(m.counters["server.untraced"], n - n / 8);
         assert_eq!(s.slow_queries.len(), ServerConfig::default().slow_log_size);
         assert_slow_log_adds_up(&s.slow_queries);
         // Traced requests handed their spans to the slow log through a

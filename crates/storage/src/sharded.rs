@@ -627,11 +627,21 @@ mod tests {
         let key = |lo, hi| vec![Predicate::range(0, lo, hi), Predicate::range(1, 2, 3)];
         let wide = RangeQuery::new(key(1, 64), MissingPolicy::IsNotMatch).unwrap();
         let one = RangeQuery::new(key(10, 10), MissingPolicy::IsNotMatch).unwrap();
+        // One shard: the shard's own method fans the predicates out at the
+        // full degree, on the same parked workers.
+        let single = ShardedDb::new(
+            Dataset::from_rows(&[("a", 64), ("b", 4)], &rows).unwrap(),
+            256,
+        );
+        assert_eq!(single.shard_count(), 1);
         db.execute_threads(&wide, 2).unwrap(); // warms the parked workers
+        single.execute_threads(&wide, 8).unwrap();
         let before = ibis_core::parallel::threads_started_here();
         for (q, executed) in [(&wide, 64), (&one, 1)] {
             let exec = db.execute_with_stats_threads(q, 2).unwrap();
             assert_eq!(exec.shards_executed(), executed);
+            assert_eq!(exec.rows, db.execute_threads(q, 1).unwrap());
+            let exec = single.execute_with_stats_threads(q, 8).unwrap();
             assert_eq!(exec.rows, db.execute_threads(q, 1).unwrap());
         }
         assert_eq!(ibis_core::parallel::threads_started_here(), before);

@@ -7,21 +7,24 @@
 //! access method the engine-layer registry can hold alongside the bitmap
 //! indexes.
 
+use crate::vafile::merge_scan;
 use crate::{VaFile, VaPlusFile};
+use ibis_core::parallel::{partition, ExecPool};
 use ibis_core::{AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use std::sync::Arc;
 
 /// A [`VaFile`] bound to its base dataset.
 #[derive(Clone, Debug)]
 pub struct BoundVaFile {
-    file: VaFile,
+    file: Arc<VaFile>,
     base: Arc<Dataset>,
 }
 
-/// A [`VaPlusFile`] bound to its base dataset.
+/// A [`VaPlusFile`] bound to its base dataset. Only its lookup tables tell
+/// it from a VA-file, so it holds the VA-file inside.
 #[derive(Clone, Debug)]
 pub struct BoundVaPlusFile {
-    file: VaPlusFile,
+    file: Arc<VaFile>,
     base: Arc<Dataset>,
 }
 
@@ -33,7 +36,10 @@ impl VaFile {
     /// Panics if `base` has a different row count than the file.
     pub fn bind(self, base: Arc<Dataset>) -> BoundVaFile {
         assert_eq!(base.n_rows(), self.n_rows(), "dataset/index row mismatch");
-        BoundVaFile { file: self, base }
+        BoundVaFile {
+            file: Arc::new(self),
+            base,
+        }
     }
 }
 
@@ -45,21 +51,10 @@ impl VaPlusFile {
     /// Panics if `base` has a different row count than the file.
     pub fn bind(self, base: Arc<Dataset>) -> BoundVaPlusFile {
         assert_eq!(base.n_rows(), self.n_rows(), "dataset/index row mismatch");
-        BoundVaPlusFile { file: self, base }
-    }
-}
-
-impl BoundVaFile {
-    /// The underlying VA-file.
-    pub fn file(&self) -> &VaFile {
-        &self.file
-    }
-}
-
-impl BoundVaPlusFile {
-    /// The underlying VA+-file.
-    pub fn file(&self) -> &VaPlusFile {
-        &self.file
+        BoundVaPlusFile {
+            file: Arc::new(self.inner),
+            base,
+        }
     }
 }
 
@@ -77,6 +72,29 @@ fn estimate(file: &VaFile, query: &RangeQuery) -> f64 {
         .sum()
 }
 
+/// Executes `query` with up to `threads` workers: each of the pool's
+/// parked workers runs the filter + refinement loop over a contiguous row
+/// slice, and [`merge_scan`] concatenates the ordered slices. Rows and
+/// counters are identical to the sequential run for any thread count.
+fn execute(
+    file: &Arc<VaFile>,
+    base: &Arc<Dataset>,
+    query: &RangeQuery,
+    threads: usize,
+) -> Result<(RowSet, WorkCounters)> {
+    let n = file.n_rows();
+    if threads <= 1 || n < 2 {
+        return file.execute_with_cost(base, query);
+    }
+    let plans = file.plan(base, query)?;
+    let scan_span = ibis_obs::span("va.scan");
+    let (file, base, owned) = (Arc::clone(file), Arc::clone(base), query.clone());
+    let slices = ExecPool::new(threads).map(partition(n, threads), move |rows| {
+        file.scan_range(&base, &owned, &plans, rows)
+    });
+    Ok(merge_scan(scan_span, query, slices))
+}
+
 impl AccessMethod for BoundVaFile {
     fn name(&self) -> &'static str {
         "va-file"
@@ -91,8 +109,7 @@ impl AccessMethod for BoundVaFile {
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, WorkCounters)> {
-        self.file
-            .execute_with_cost_threads(&self.base, query, threads)
+        execute(&self.file, &self.base, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -118,8 +135,7 @@ impl AccessMethod for BoundVaPlusFile {
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, WorkCounters)> {
-        self.file
-            .execute_with_cost_threads(&self.base, query, threads)
+        execute(&self.file, &self.base, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -127,7 +143,7 @@ impl AccessMethod for BoundVaPlusFile {
     }
 
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        estimate(self.file.inner(), query)
+        estimate(&self.file, query)
     }
 }
 
@@ -135,7 +151,7 @@ impl AccessMethod for BoundVaPlusFile {
 mod tests {
     use super::*;
     use ibis_core::gen::census_scaled;
-    use ibis_core::{scan, MissingPolicy, Predicate};
+    use ibis_core::{scan, Column, MissingPolicy, Predicate};
 
     #[test]
     fn bound_files_agree_with_unbound_and_scan() {
@@ -155,6 +171,41 @@ mod tests {
         let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
         assert!(va.estimated_cost(&q).is_finite());
         assert!(va.estimated_cost(&q) > 0.0);
+    }
+
+    #[test]
+    fn partitioned_scan_matches_sequential_rows_and_cost() {
+        // Lossy codes so the partitioned path exercises refinement and the
+        // word total mixes bits scanned with cells fetched.
+        let d = Arc::new(
+            Dataset::new(vec![
+                Column::from_raw("a", 50, (0..100).map(|i| (i % 51) as u16).collect()).unwrap(),
+                Column::from_raw("b", 20, (0..100).map(|i| ((i * 7) % 21) as u16).collect())
+                    .unwrap(),
+            ])
+            .unwrap(),
+        );
+        let va = VaFile::with_bits(&d, &[3, 2]).bind(Arc::clone(&d));
+        let vap = VaPlusFile::with_bits(&d, &[3, 2]).bind(Arc::clone(&d));
+        for policy in MissingPolicy::ALL {
+            let q = RangeQuery::new(
+                vec![Predicate::range(0, 10, 30), Predicate::range(1, 5, 15)],
+                policy,
+            )
+            .unwrap();
+            for m in [&va as &dyn AccessMethod, &vap] {
+                let seq = m.execute_with_cost(&q).unwrap();
+                assert!(seq.1.rows_refined > 0, "coarse codes must refine");
+                for threads in [1, 2, 3, 8] {
+                    assert_eq!(
+                        m.execute_with_cost_threads(&q, threads).unwrap(),
+                        seq,
+                        "{} {policy} t={threads}",
+                        m.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The VA-file index with missing-data support (§4.5).
 
 use crate::{PackedMatrix, Quantizer};
-use ibis_core::parallel::{partition, ExecPool};
 use ibis_core::{Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
 
 /// Per-attribute layout inside the packed approximation file.
@@ -163,72 +162,23 @@ impl VaFile {
         dataset: &Dataset,
         query: &RangeQuery,
     ) -> Result<(RowSet, WorkCounters)> {
-        self.execute_with_cost_threads(dataset, query, 1)
+        let plans = self.plan(dataset, query)?;
+        let scan_span = ibis_obs::span("va.scan");
+        let whole = self.scan_range(dataset, query, &plans, 0..self.n_rows());
+        Ok(merge_scan(scan_span, query, vec![whole]))
     }
 
-    /// Executes a query with a row-range–partitioned parallel filter scan:
-    /// up to `threads` workers each run the filter + refinement loop over a
-    /// contiguous row slice, and the ordered partial results are
-    /// concatenated. Rows and counters are identical to the sequential run
-    /// for any thread count — every counter is a per-row sum, and the word
-    /// total is derived once from the merged bit/refinement totals (summing
-    /// per-partition `div_ceil`s would over-count).
-    pub fn execute_with_cost_threads(
-        &self,
-        dataset: &Dataset,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
+    /// Validates `query` against the file and `dataset`, and compiles each
+    /// predicate's filter step: its bin interval VA(v1) ..= VA(v2), plus
+    /// whether each boundary bin is exact (fully inside the value interval).
+    pub(crate) fn plan(&self, dataset: &Dataset, query: &RangeQuery) -> Result<Vec<Plan>> {
         query.validate_schema(self.attrs.len(), |a| self.attrs[a].cardinality)?;
         assert_eq!(
             dataset.n_rows(),
             self.n_rows(),
             "dataset/index row mismatch"
         );
-        let plans = self.plan_predicates(query);
-        let n = self.n_rows();
-        // The whole filter+refine pass runs under one `va.scan` span; it
-        // carries the derived word total, while each `va.chunk` below it
-        // carries the per-slice counters — so a profile's span deltas sum
-        // exactly to the final counters.
-        let mut scan_span = ibis_obs::span("va.scan");
-        let (parts, mut cost, bits_read) = if threads <= 1 || n < 2 {
-            let (out, cost, bits) = self.scan_range(dataset, query, &plans, 0..n);
-            (vec![out], cost, bits)
-        } else {
-            let partials = ExecPool::new(threads).scoped_map(partition(n, threads), |range| {
-                self.scan_range(dataset, query, &plans, range)
-            });
-            let mut cost = WorkCounters::default();
-            let mut bits_read = 0usize;
-            let mut parts = Vec::with_capacity(partials.len());
-            for (out, c, bits) in partials {
-                cost.merge(c);
-                bits_read += bits;
-                parts.push(out);
-            }
-            (parts, cost, bits_read)
-        };
-        // Common work currency: approximation bits scanned plus the 16-bit
-        // cells fetched during refinement, in 64-bit words.
-        cost.words_processed =
-            (bits_read + cost.rows_refined * query.dimensionality() * 16).div_ceil(64);
-        if scan_span.is_recording() {
-            let words_only = WorkCounters {
-                words_processed: cost.words_processed,
-                ..WorkCounters::default()
-            };
-            words_only.record_into(&mut scan_span);
-        }
-        drop(scan_span);
-        let rows = RowSet::concat_sorted(parts.into_iter().map(RowSet::from_sorted));
-        Ok((rows, cost))
-    }
-
-    /// Per-predicate bin intervals: VA(v1) ..= VA(v2), plus whether each
-    /// boundary bin is exact (fully inside the value interval).
-    fn plan_predicates(&self, query: &RangeQuery) -> Vec<Plan> {
-        query
+        Ok(query
             .predicates()
             .iter()
             .map(|p| {
@@ -246,14 +196,14 @@ impl VaFile {
                     needs_refine_high: !a.quantizer.bin_inside(b2, p.interval.lo, p.interval.hi),
                 }
             })
-            .collect()
+            .collect())
     }
 
     /// One worker's share of the filter scan: filter + refinement over the
     /// row slice `rows`, returning matching ids, this slice's counters
-    /// (`words_processed` left unset — the caller derives it from merged
+    /// (`words_processed` left unset — [`merge_scan`] derives it from merged
     /// totals), and the approximation bits scanned.
-    fn scan_range(
+    pub(crate) fn scan_range(
         &self,
         dataset: &Dataset,
         query: &RangeQuery,
@@ -309,9 +259,44 @@ impl VaFile {
     }
 }
 
+/// Merges the ordered per-slice results of one filter scan into its rows
+/// and counters, identical however the rows were sliced: every counter is a
+/// per-row sum, and the word total — approximation bits scanned plus the
+/// 16-bit cells fetched during refinement, in 64-bit words — is derived once
+/// from the merged totals (summing per-slice `div_ceil`s would over-count).
+/// The word total goes on `scan_span`, the `va.scan` span the slices'
+/// `va.chunk` spans sit under, so a profile's span deltas sum exactly to the
+/// final counters.
+pub(crate) fn merge_scan(
+    mut scan_span: ibis_obs::SpanGuard,
+    query: &RangeQuery,
+    slices: Vec<(Vec<u32>, WorkCounters, usize)>,
+) -> (RowSet, WorkCounters) {
+    let mut cost = WorkCounters::default();
+    let mut bits_read = 0usize;
+    let mut parts = Vec::with_capacity(slices.len());
+    for (out, c, bits) in slices {
+        cost.merge(c);
+        bits_read += bits;
+        parts.push(out);
+    }
+    cost.words_processed =
+        (bits_read + cost.rows_refined * query.dimensionality() * 16).div_ceil(64);
+    if scan_span.is_recording() {
+        let words_only = WorkCounters {
+            words_processed: cost.words_processed,
+            ..WorkCounters::default()
+        };
+        words_only.record_into(&mut scan_span);
+    }
+    drop(scan_span);
+    let rows = RowSet::concat_sorted(parts.into_iter().map(RowSet::from_sorted));
+    (rows, cost)
+}
+
 /// One predicate's compiled filter step: its field location in the packed
-/// matrix and its bin interval (see [`VaFile::plan_predicates`]).
-struct Plan {
+/// matrix and its bin interval (see [`VaFile::plan`]).
+pub(crate) struct Plan {
     offset: usize,
     bits: usize,
     b1: u16,
@@ -553,33 +538,6 @@ mod tests {
         assert!(va.execute(&d, &q).is_err());
         let q = RangeQuery::new(vec![Predicate::point(0, 7)], MissingPolicy::IsMatch).unwrap();
         assert!(va.execute(&d, &q).is_err());
-    }
-
-    #[test]
-    fn partitioned_scan_matches_sequential_rows_and_cost() {
-        // Lossy codes so the partitioned path exercises refinement and the
-        // word total mixes bits scanned with cells fetched.
-        let d = Dataset::new(vec![
-            Column::from_raw("a", 50, (0..100).map(|i| (i % 51) as u16).collect()).unwrap(),
-            Column::from_raw("b", 20, (0..100).map(|i| ((i * 7) % 21) as u16).collect()).unwrap(),
-        ])
-        .unwrap();
-        let va = VaFile::with_bits(&d, &[3, 2]);
-        for policy in MissingPolicy::ALL {
-            let q = RangeQuery::new(
-                vec![Predicate::range(0, 10, 30), Predicate::range(1, 5, 15)],
-                policy,
-            )
-            .unwrap();
-            let seq = va.execute_with_cost(&d, &q).unwrap();
-            for threads in [1, 2, 3, 8] {
-                assert_eq!(
-                    va.execute_with_cost_threads(&d, &q, threads).unwrap(),
-                    seq,
-                    "{policy} t={threads}"
-                );
-            }
-        }
     }
 
     #[test]

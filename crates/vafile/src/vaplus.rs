@@ -16,7 +16,7 @@ use ibis_core::{Dataset, RangeQuery, Result, RowSet, WorkCounters};
 /// path, same missing-data handling — only the lookup tables differ.
 #[derive(Clone, Debug)]
 pub struct VaPlusFile {
-    inner: VaFile,
+    pub(crate) inner: VaFile,
 }
 
 impl VaPlusFile {
@@ -53,12 +53,6 @@ impl VaPlusFile {
         self.inner.n_rows()
     }
 
-    /// The underlying VA-file (layout and packed matrix are shared; only
-    /// the lookup tables differ).
-    pub fn inner(&self) -> &VaFile {
-        &self.inner
-    }
-
     /// Bits per approximation record.
     pub fn row_bits(&self) -> usize {
         self.inner.row_bits()
@@ -81,18 +75,6 @@ impl VaPlusFile {
         query: &RangeQuery,
     ) -> Result<(RowSet, WorkCounters)> {
         self.inner.execute_with_cost(dataset, query)
-    }
-
-    /// Executes a query with a partitioned parallel filter scan; see
-    /// [`VaFile::execute_with_cost_threads`].
-    pub fn execute_with_cost_threads(
-        &self,
-        dataset: &Dataset,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
-        self.inner
-            .execute_with_cost_threads(dataset, query, threads)
     }
 
     /// Serializes the file. The format is identical to [`VaFile`]'s — the

@@ -1243,27 +1243,36 @@ fn race_live(
         });
         // Each reader loops the whole workload over a fresh snapshot per
         // pass until the writer finishes (at least one pass always runs).
-        let tallies = ibis::core::parallel::ExecPool::new(threads).broadcast(|r| {
-            let mut passes = 0u64;
-            let mut rows_seen = 0u64;
-            let (mut w_lo, mut w_hi) = (u64::MAX, 0u64);
-            loop {
-                let snap = db.snapshot();
-                let w = snap.watermark();
-                w_lo = w_lo.min(w);
-                w_hi = w_hi.max(w);
-                for q in queries {
-                    match snap.execute(q) {
-                        Ok(rows) => rows_seen += rows.len() as u64,
-                        Err(e) => return Err(format!("reader {r}: {e}")),
+        let (db, done) = (&db, &done);
+        let readers: Vec<_> = (0..threads)
+            .map(|r| {
+                s.spawn(move || {
+                    let mut passes = 0u64;
+                    let mut rows_seen = 0u64;
+                    let (mut w_lo, mut w_hi) = (u64::MAX, 0u64);
+                    loop {
+                        let snap = db.snapshot();
+                        let w = snap.watermark();
+                        w_lo = w_lo.min(w);
+                        w_hi = w_hi.max(w);
+                        for q in queries {
+                            match snap.execute(q) {
+                                Ok(rows) => rows_seen += rows.len() as u64,
+                                Err(e) => return Err(format!("reader {r}: {e}")),
+                            }
+                        }
+                        passes += 1;
+                        if done.load(Ordering::SeqCst) {
+                            return Ok((passes, rows_seen, w_lo, w_hi));
+                        }
                     }
-                }
-                passes += 1;
-                if done.load(Ordering::SeqCst) {
-                    return Ok((passes, rows_seen, w_lo, w_hi));
-                }
-            }
-        });
+                })
+            })
+            .collect();
+        let tallies: Vec<_> = readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader thread panicked"))
+            .collect();
         writer.join().expect("writer thread panicked")?;
         let secs = start.elapsed().as_secs_f64();
         let mut total_q = 0u64;

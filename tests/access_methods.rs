@@ -7,6 +7,7 @@
 
 use ibis::core::gen::missingness::{impose_mar, impose_mnar};
 use ibis::core::gen::{census_scaled, uniform_column, workload, QuerySpec};
+use ibis::core::parallel::threads_started_here;
 use ibis::core::scan;
 use ibis::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -101,9 +102,19 @@ fn conformance_pass(d: &Arc<Dataset>, ctx: &str, seed: u64) {
                 // Parallel execution is an implementation detail: for every
                 // degree, both the rows AND the merged work counters must be
                 // bit-identical to the sequential run.
+                // Nor does a warmed degree start a thread: every fan-out runs
+                // on the pool's parked workers.
                 let (seq_rows, seq_cost) = m.execute_with_cost(q).unwrap();
                 for threads in [3usize, 8] {
+                    m.execute_with_cost_threads(q, threads).unwrap();
+                    let started = threads_started_here();
                     let (par_rows, par_cost) = m.execute_with_cost_threads(q, threads).unwrap();
+                    assert_eq!(
+                        threads_started_here(),
+                        started,
+                        "{} started a thread at t={threads} {policy} q{qi} ({ctx})",
+                        m.name()
+                    );
                     assert_eq!(
                         par_rows,
                         seq_rows,

@@ -10,7 +10,6 @@
 //! missing-data semantics, and watermarks must be monotone per reader.
 
 use ibis::core::gen::census_scaled;
-use ibis::core::parallel::ExecPool;
 use ibis::prelude::*;
 use ibis::storage::{engine, WalRecord};
 use std::sync::Arc;
@@ -96,49 +95,58 @@ fn run_conformance(readers: usize, degrees: &[usize], mutations: usize) {
                 }
             })
         };
-        // ExecPool::broadcast = N concurrent readers, one per worker.
-        ExecPool::new(readers).broadcast(|reader| {
-            let mut twin = twin_base.clone();
-            let mut applied = 0u64;
-            let mut last_w = 0u64;
-            loop {
-                let snap = db.snapshot();
-                let w = snap.watermark();
-                assert!(
-                    w >= last_w,
-                    "reader {reader}: watermark regressed {last_w} → {w}"
-                );
-                last_w = w;
-                // Prefix consistency: the snapshot must equal the serial
-                // history of exactly the first `w` scheduled mutations.
-                while applied < w {
-                    engine::apply(&mut twin, &sched[applied as usize]).expect("valid schedule");
-                    applied += 1;
-                }
-                assert_eq!(snap.n_rows(), twin.n_rows(), "reader {reader} @ w={w}");
-                for (qi, q) in queries.iter().enumerate() {
-                    for &t in degrees {
-                        let got = snap
-                            .execute_with_cost_threads(q, t)
-                            .expect("probe stays valid");
-                        let want = twin
-                            .execute_with_cost_threads(q, t)
-                            .expect("twin agrees probe is valid");
-                        assert_eq!(
-                            got.0, want.0,
-                            "reader {reader} rows diverge @ w={w} q{qi} t{t}"
+        // N concurrent readers, each with its own private twin.
+        let (db, sched, queries, twin_base) = (&db, &sched, &queries, &twin_base);
+        let spawned: Vec<_> = (0..readers)
+            .map(|reader| {
+                s.spawn(move || {
+                    let mut twin = twin_base.clone();
+                    let mut applied = 0u64;
+                    let mut last_w = 0u64;
+                    loop {
+                        let snap = db.snapshot();
+                        let w = snap.watermark();
+                        assert!(
+                            w >= last_w,
+                            "reader {reader}: watermark regressed {last_w} → {w}"
                         );
-                        assert_eq!(
-                            got.1, want.1,
-                            "reader {reader} counters diverge @ w={w} q{qi} t{t}"
-                        );
+                        last_w = w;
+                        // Prefix consistency: the snapshot must equal the serial
+                        // history of exactly the first `w` scheduled mutations.
+                        while applied < w {
+                            engine::apply(&mut twin, &sched[applied as usize])
+                                .expect("valid schedule");
+                            applied += 1;
+                        }
+                        assert_eq!(snap.n_rows(), twin.n_rows(), "reader {reader} @ w={w}");
+                        for (qi, q) in queries.iter().enumerate() {
+                            for &t in degrees {
+                                let got = snap
+                                    .execute_with_cost_threads(q, t)
+                                    .expect("probe stays valid");
+                                let want = twin
+                                    .execute_with_cost_threads(q, t)
+                                    .expect("twin agrees probe is valid");
+                                assert_eq!(
+                                    got.0, want.0,
+                                    "reader {reader} rows diverge @ w={w} q{qi} t{t}"
+                                );
+                                assert_eq!(
+                                    got.1, want.1,
+                                    "reader {reader} counters diverge @ w={w} q{qi} t{t}"
+                                );
+                            }
+                        }
+                        if w >= target {
+                            break;
+                        }
                     }
-                }
-                if w >= target {
-                    break;
-                }
-            }
-        });
+                })
+            })
+            .collect();
+        for reader in spawned {
+            reader.join().expect("reader panicked");
+        }
         writer.join().expect("writer panicked");
     });
 
