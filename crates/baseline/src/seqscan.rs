@@ -1,5 +1,6 @@
 //! The index-free baseline: a full sequential scan.
 
+use ibis_core::engine::SCAN_CELL_PRICE;
 use ibis_core::parallel::{partition, ExecPool};
 use ibis_core::{scan, AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use std::sync::Arc;
@@ -81,7 +82,8 @@ impl AccessMethod for BoundScan {
         query.validate(&self.base)?;
         let k = query.dimensionality().max(1);
         // As in the VA-file: chunk spans carry the per-slice entry counts,
-        // the wrapping `scan.scan` span the once-derived word total.
+        // the wrapping `scan.scan` span the merged counters, whose self
+        // delta is the once-derived word total.
         let mut scan_span = ibis_obs::span("scan.scan");
         let (base, owned) = (Arc::clone(&self.base), query.clone());
         let partials = ExecPool::new(threads).map(partition(n, threads), move |range| {
@@ -104,13 +106,7 @@ impl AccessMethod for BoundScan {
             parts.push(rows);
         }
         stats.words_processed = stats.entries_scanned.div_ceil(4);
-        if scan_span.is_recording() {
-            let words_only = WorkCounters {
-                words_processed: stats.words_processed,
-                ..WorkCounters::default()
-            };
-            words_only.record_into(&mut scan_span);
-        }
+        stats.record_into(&mut scan_span);
         drop(scan_span);
         Ok((RowSet::concat_sorted(parts), stats))
     }
@@ -120,11 +116,11 @@ impl AccessMethod for BoundScan {
         0
     }
 
-    /// `n · k / 4` words: every row's `k` queried cells at 2 bytes each.
+    /// Every row's `k` queried cells, each at [`SCAN_CELL_PRICE`].
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
         let n = self.base.n_rows() as f64;
         let k = query.dimensionality().max(1) as f64;
-        n * k / 4.0
+        n * k * SCAN_CELL_PRICE
     }
 }
 
@@ -188,6 +184,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(am.execute(&q).unwrap(), scan::execute(&d, &q));
-        assert_eq!(am.estimated_cost(&q), 120.0 * 2.0 / 4.0);
+        assert_eq!(am.estimated_cost(&q), 120.0 * 2.0 * SCAN_CELL_PRICE);
     }
 }

@@ -1,15 +1,15 @@
 //! Runs the experiments of DESIGN.md §3, printing each table and writing
 //! CSVs under `results/`. This is the one reproduction entry point: the
 //! paper's figures and tables, the ablations, the sharding and containers
-//! sweeps, the served latency-against-load curve and the recorder's
-//! overhead all come from it.
+//! sweeps, the served latency-against-load curve, the recorder's overhead
+//! and the planner's regret all come from it.
 //!
 //! ```text
 //! cargo run --release -p ibis-bench --bin figures                  # everything, paper scale
 //! cargo run --release -p ibis-bench --bin figures -- fig5b table7  # just the named ones
 //! IBIS_ROWS=10000 IBIS_CENSUS_ROWS=20000 \
 //!     cargo run --release -p ibis-bench --bin figures              # laptop scale
-//! cargo run --release -p ibis-bench --bin figures -- containers serving obs_overhead --test
+//! cargo run --release -p ibis-bench --bin figures -- containers serving obs_overhead planner --test
 //! cargo run --release -p ibis-bench --bin figures -- --threads 8
 //! ```
 //!

@@ -9,6 +9,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod harness;
 pub mod obs_overhead;
+pub mod planner;
 pub mod real_data;
 pub mod serving;
 pub mod sharding;
@@ -43,5 +44,6 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("containers", containers::run),
         ("serving", serving::run),
         ("obs_overhead", obs_overhead::run),
+        ("planner", planner::run),
     ]
 }

@@ -1,7 +1,7 @@
 //! Bitmap Equality Encoding (BEE) — §4.2 of the paper.
 
 use crate::engine;
-use crate::index::{AppendEncoding, AttrBitmaps, BitmapIndex, Encoding};
+use crate::index::{AppendEncoding, AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
@@ -109,9 +109,30 @@ impl Encoding for Equality {
         }
     }
 
-    // §6: min(AS, 1−AS)·C + 1 bitmaps per dimension.
-    fn reads_for(w: f64, c: f64, _param: u16) -> f64 {
-        w.min(c - w) + 1.0
+    // §6's min(AS, 1−AS)·C + 1 bitmaps, each at its own read price: the
+    // side of Fig. 2 `interval` ORs, `B_0` when that side takes it, and the
+    // NOT of the complement side.
+    #[inline]
+    fn price(p: &AttrPrices<'_>, iv: Interval, policy: MissingPolicy) -> Price {
+        let c = p.cardinality() as usize;
+        let (v1, v2) = (iv.lo as usize, iv.hi as usize);
+        let width = v2 - v1 + 1;
+        let in_range = width <= c - width;
+        let side = if in_range {
+            p.fresh().reads(width, p.stored(v1 - 1..v2))
+        } else {
+            let outside = p.stored(0..v1 - 1) + p.stored(v2..c);
+            p.fresh().reads(c - width, outside)
+        };
+        let side = match p.missing() {
+            Some(b0) if in_range == (policy == MissingPolicy::IsMatch) => side.read(b0),
+            _ => side,
+        };
+        if in_range || side.reads == 0 {
+            side
+        } else {
+            side.not_pass()
+        }
     }
 
     // `Σ_i C_i` value bitmaps, plus one `B_0` per attribute with missing data.
@@ -389,19 +410,24 @@ mod tests {
     }
 
     #[test]
-    fn estimated_cost_reflects_compression() {
+    fn estimated_cost_prices_the_containers_read() {
+        use crate::index::{FRESH_PRICE, FRESH_WORD_PRICE, READ_PRICE};
         let d = synthetic_scaled(400, 37);
         let adaptive = AdaptiveBitmapIndex::build(&d);
         let bee = EqualityBitmapIndex::<BitVec64>::build(&d);
+        // A point under is-match reads `B_1` and `B_0` into a fresh
+        // accumulator of ⌈400/64⌉ = 7 words.
         let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
-        let a = adaptive.estimated_cost(&q);
-        let b = bee.estimated_cost(&q);
-        assert!(a.is_finite() && a > 0.0);
-        // The estimate is in the unit of the counter it predicts: the
-        // uncompressed words per read for the plain backend (2 reads × 7
-        // words), the mean stored container words for the adaptive one.
-        assert_eq!(b, 2.0 * 400usize.div_ceil(64) as f64);
-        assert!(a <= b, "adaptive {a} > plain {b}");
+        let a = &adaptive.attrs[0];
+        let b0 = a.missing.as_ref().expect("attribute 0 has missing rows");
+        let priced = |read: f64| FRESH_PRICE + FRESH_WORD_PRICE * 7.0 + 2.0 * READ_PRICE + read;
+        // The plain backend reads the uncompressed 7 words per bitmap; the
+        // adaptive one what its containers hold, each shape at its price.
+        assert_eq!(bee.estimated_cost(&q), priced(2.0 * 7.0));
+        assert_eq!(
+            adaptive.estimated_cost(&q),
+            priced(a.stored[0].read_price() + b0.read_price())
+        );
         // Out-of-schema predicates stay unplannable.
         let q = RangeQuery::new(vec![Predicate::point(999, 1)], MissingPolicy::IsMatch).unwrap();
         assert_eq!(adaptive.estimated_cost(&q), f64::INFINITY);
@@ -409,14 +435,22 @@ mod tests {
 
     #[test]
     fn estimate_follows_appended_rows() {
-        // 64 rows read as 1 word, 65 as 2; a point query plans 2 reads.
+        use crate::index::{FRESH_PRICE, FRESH_WORD_PRICE, READ_PRICE};
+        // 64 rows read as 1 word, 65 as 2. A point under is-match reads its
+        // value bitmap, and `B_0` once the missing row brings one.
         let rows: Vec<Vec<Cell>> = (0..64).map(|r| vec![v(r % 5 + 1)]).collect();
         let mut idx = EqualityBitmapIndex::<BitVec64>::build(
             &Dataset::from_rows(&[("a", 5)], &rows).unwrap(),
         );
         let q = RangeQuery::new(vec![Predicate::point(0, 2)], MissingPolicy::IsMatch).unwrap();
-        assert_eq!(idx.estimated_cost(&q), 2.0);
+        let before = idx.estimated_cost(&q);
+        assert_eq!(before, FRESH_PRICE + FRESH_WORD_PRICE + READ_PRICE + 1.0);
         idx.append_row(&[m()]).unwrap();
-        assert_eq!(idx.estimated_cost(&q), 4.0);
+        let after = idx.estimated_cost(&q);
+        assert_eq!(
+            after,
+            FRESH_PRICE + 2.0 * FRESH_WORD_PRICE + 2.0 * (READ_PRICE + 2.0)
+        );
+        assert!(after > before);
     }
 }

@@ -26,7 +26,7 @@
 //! `ablation_encoding` experiment fills in.
 
 use crate::engine;
-use crate::index::{AttrBitmaps, BitmapIndex, Encoding};
+use crate::index::{AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
@@ -136,8 +136,8 @@ impl Encoding for IntervalWindows {
 
     // At most two windows plus B_0 per dimension — the same worst case as
     // BRE; the tie is broken by BIE's ~half-size structure.
-    fn reads_for(_w: f64, _c: f64, _param: u16) -> f64 {
-        3.0
+    fn price(p: &AttrPrices<'_>, _iv: Interval, _policy: MissingPolicy) -> Price {
+        p.by_mean(3)
     }
 
     fn stored_count(cardinality: u16, param: u16, _has_b0: bool) -> Option<usize> {

@@ -1,7 +1,7 @@
 //! Bitmap Range Encoding (BRE) — §4.3 of the paper.
 
 use crate::engine;
-use crate::index::{AppendEncoding, AttrBitmaps, BitmapIndex, Encoding};
+use crate::index::{AppendEncoding, AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
@@ -130,9 +130,39 @@ impl Encoding for Range {
         }
     }
 
-    // §6: at most 3 bitmaps per dimension (Fig. 3).
-    fn reads_for(_w: f64, _c: f64, _param: u16) -> f64 {
-        3.0
+    // §6's at most 3 bitmaps per dimension, each at its own read price: the
+    // thresholds of Fig. 3 that `interval` reads, and its complement's NOT.
+    #[inline]
+    fn price(p: &AttrPrices<'_>, iv: Interval, policy: MissingPolicy) -> Price {
+        let c = p.cardinality() as usize;
+        let (v1, v2) = (iv.lo as usize, iv.hi as usize);
+        // B_j's read price, when stored (the `threshold` rule).
+        let le = |j: usize| match j {
+            0 => p.missing(),
+            j if j < c => Some(p.stored(j - 1..j)),
+            _ => None,
+        };
+        // B_{v2} XOR B_{v1−1}, either alone when the other is absent, or
+        // NOT B_{v1−1} when B_{v2} is the virtual all-ones B_C; under match
+        // B_{v2} already holds the missing rows when v1 = 1, and B_0 is
+        // ORed in otherwise.
+        let is_match = policy == MissingPolicy::IsMatch;
+        let lower = if is_match && v1 == 1 {
+            None
+        } else {
+            le(v1 - 1)
+        };
+        let fresh = p.fresh();
+        let base = match (le(v2), lower) {
+            (Some(hi), Some(lo)) => fresh.read(hi).read(lo),
+            (Some(hi), None) => fresh.read(hi),
+            (None, Some(lo)) => fresh.read(lo).not_pass(),
+            (None, None) => fresh,
+        };
+        match p.missing() {
+            Some(b0) if is_match && v1 > 1 => base.read(b0),
+            _ => base,
+        }
     }
 
     // `B_1 .. B_{C−1}`; with `B_0` that is C bitmaps for an attribute with
@@ -343,13 +373,25 @@ mod tests {
 
     #[test]
     fn estimate_follows_appended_rows() {
-        // 64 rows read as 1 word, 65 as 2; BRE plans 3 reads per dimension.
+        use crate::index::{FRESH_PRICE, FRESH_WORD_PRICE, READ_PRICE};
+        // 64 rows read as 1 word, 65 as 2. A mid-domain point under
+        // is-match is B_2 XOR B_1, ORed with `B_0` once the missing row
+        // brings one.
         let rows: Vec<Vec<Cell>> = (0..64).map(|r| vec![v(r % 5 + 1)]).collect();
         let mut idx =
             RangeBitmapIndex::<BitVec64>::build(&Dataset::from_rows(&[("a", 5)], &rows).unwrap());
         let q = RangeQuery::new(vec![Predicate::point(0, 2)], MissingPolicy::IsMatch).unwrap();
-        assert_eq!(idx.estimated_cost(&q), 3.0);
+        let before = idx.estimated_cost(&q);
+        assert_eq!(
+            before,
+            FRESH_PRICE + FRESH_WORD_PRICE + 2.0 * (READ_PRICE + 1.0)
+        );
         idx.append_row(&[m()]).unwrap();
-        assert_eq!(idx.estimated_cost(&q), 6.0);
+        let after = idx.estimated_cost(&q);
+        assert_eq!(
+            after,
+            FRESH_PRICE + 2.0 * FRESH_WORD_PRICE + 3.0 * (READ_PRICE + 2.0)
+        );
+        assert!(after > before);
     }
 }

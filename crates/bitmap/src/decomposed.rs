@@ -20,7 +20,7 @@
 //! the 1998 paper predicts, now under both missing semantics.
 
 use crate::engine;
-use crate::index::{AttrBitmaps, BitmapIndex, Encoding};
+use crate::index::{AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Dataset, Interval, MissingPolicy, WorkCounters};
 
@@ -203,8 +203,8 @@ impl Encoding for Decomposed {
     // RangeEval touches ≤ 2m − 1 bitmaps per bound (m components), two
     // bounds per interval, plus B_0 — the SIGMOD'98 time/space trade-off
     // the planner should see as pricier than single-component BRE.
-    fn reads_for(_w: f64, c: f64, param: u16) -> f64 {
-        4.0 * n_components(param, c as u16) as f64 - 1.0
+    fn price(p: &AttrPrices<'_>, _iv: Interval, _policy: MissingPolicy) -> Price {
+        p.by_mean(4 * n_components(p.param(), p.cardinality()) - 1)
     }
 
     // `m·(b−1)` digit thresholds plus the present mask.

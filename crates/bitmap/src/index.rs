@@ -14,6 +14,7 @@ use ibis_core::{
 };
 use std::io;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// One attribute's share of an index: the bitmaps its encoding stores.
@@ -31,6 +32,163 @@ pub struct AttrBitmaps<B> {
     pub missing: Option<B>,
     /// The encoding's own bitmaps, in the order the encoding defines.
     pub stored: Vec<B>,
+}
+
+/// Fixed price of one stored-bitmap read, in plain-kernel words: the call
+/// and the container loop around even a tiny operand (6–9 ns per
+/// `or_into` of a one-entry array on a 2-vCPU Xeon VM).
+pub(crate) const READ_PRICE: f64 = 40.0;
+
+/// Fixed price of a fresh accumulator (42–80 ns to allocate a small one)…
+pub(crate) const FRESH_PRICE: f64 = 250.0;
+
+/// …plus its zero-fill, per word (0.07–0.1 ns).
+pub(crate) const FRESH_WORD_PRICE: f64 = 0.4;
+
+/// One NOT or AND pass over a plain accumulator, per word: the unit.
+pub(crate) const PASS_WORD_PRICE: f64 = 1.0;
+
+/// Every attribute's read prices ([`BitStore::read_price`]), summed once
+/// per index.
+#[derive(Clone, Debug)]
+struct PriceTable {
+    attrs: Vec<AttrSums>,
+    /// Words of one plain accumulator, `⌈n/64⌉`.
+    words: f64,
+}
+
+/// One attribute's entry of the [`PriceTable`], in `f32`: the prices are
+/// estimates, and the table stays half the size.
+#[derive(Clone, Debug)]
+struct AttrSums {
+    cardinality: u16,
+    param: u16,
+    /// `B_0`'s read price, when the attribute stores one.
+    missing: Option<f32>,
+    /// `prefix[j]` is the summed read price of `stored[..j]`.
+    prefix: Vec<f32>,
+}
+
+impl PriceTable {
+    fn of<B: BitStore>(attrs: &[AttrBitmaps<B>], n_rows: usize) -> PriceTable {
+        let attrs = attrs
+            .iter()
+            .map(|a| {
+                let mut sum = 0.0;
+                let mut prefix = vec![0.0];
+                for b in &a.stored {
+                    sum += b.read_price();
+                    prefix.push(sum as f32);
+                }
+                AttrSums {
+                    cardinality: a.cardinality,
+                    param: a.param,
+                    missing: a.missing.as_ref().map(|b| b.read_price() as f32),
+                    prefix,
+                }
+            })
+            .collect();
+        PriceTable {
+            attrs,
+            words: n_rows.div_ceil(64) as f64,
+        }
+    }
+
+    #[inline]
+    fn attr(&self, a: usize) -> Option<AttrPrices<'_>> {
+        Some(AttrPrices {
+            sums: self.attrs.get(a)?,
+            words: self.words,
+        })
+    }
+}
+
+/// One attribute's read prices ([`BitStore::read_price`]), summed once per
+/// index: what an [`Encoding`] prices its intervals from.
+#[derive(Clone, Copy, Debug)]
+pub struct AttrPrices<'a> {
+    sums: &'a AttrSums,
+    words: f64,
+}
+
+impl AttrPrices<'_> {
+    /// Domain size `C` of the attribute.
+    pub fn cardinality(&self) -> u16 {
+        self.sums.cardinality
+    }
+
+    /// The encoding's per-attribute parameter ([`AttrBitmaps::param`]).
+    pub fn param(&self) -> u16 {
+        self.sums.param
+    }
+
+    /// Read price of `B_0`, when the attribute stores one.
+    pub fn missing(&self) -> Option<f64> {
+        self.sums.missing.map(f64::from)
+    }
+
+    /// The summed read price of `stored[range]`.
+    pub fn stored(&self, range: Range<usize>) -> f64 {
+        let prefix = &self.sums.prefix;
+        (prefix[range.end] - prefix[range.start]) as f64
+    }
+
+    /// A fresh accumulator and nothing read yet: where every interval
+    /// evaluation starts.
+    pub fn fresh(&self) -> Price {
+        Price {
+            reads: 0,
+            units: FRESH_PRICE + FRESH_WORD_PRICE * self.words,
+            words: self.words,
+        }
+    }
+
+    /// `reads` reads at the attribute's mean read price into a fresh
+    /// accumulator — the §6 read count, priced, for an encoding that does
+    /// not price its bitmaps one by one.
+    pub fn by_mean(&self, reads: usize) -> Price {
+        let stored = self.sums.prefix.len() - 1;
+        let n = stored + self.missing().is_some() as usize;
+        let total = self.stored(0..stored) + self.missing().unwrap_or(0.0);
+        let mean = if n == 0 { self.words } else { total / n as f64 };
+        self.fresh().reads(reads, reads as f64 * mean)
+    }
+}
+
+/// The planner's price of one interval evaluation ([`Encoding::price`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Price {
+    /// Stored bitmaps read: what the evaluation adds to
+    /// `WorkCounters::bitmaps_accessed`.
+    pub reads: usize,
+    /// The evaluation's time, in plain-kernel words.
+    pub units: f64,
+    /// Words of the accumulator the passes run over.
+    words: f64,
+}
+
+impl Price {
+    /// Adds one read of a stored bitmap whose read price is `price`.
+    pub fn read(self, price: f64) -> Price {
+        self.reads(1, price)
+    }
+
+    /// Adds `n` stored-bitmap reads whose read prices sum to `total`.
+    pub fn reads(self, n: usize, total: f64) -> Price {
+        Price {
+            reads: self.reads + n,
+            units: self.units + n as f64 * READ_PRICE + total,
+            ..self
+        }
+    }
+
+    /// Adds one NOT pass over the accumulator.
+    pub fn not_pass(self) -> Price {
+        Price {
+            units: self.units + PASS_WORD_PRICE * self.words,
+            ..self
+        }
+    }
 }
 
 /// What the paper varies between bitmap indexes (§4.2, §4.3): which bitmaps
@@ -60,10 +218,12 @@ pub trait Encoding: Copy + std::fmt::Debug + Send + Sync + 'static {
         cost: &mut WorkCounters,
     ) -> BitVec64;
 
-    /// The planner's §6 estimate: stored-bitmap reads for an interval of
-    /// `w` values over a domain of `c`, given the attribute's
-    /// [`AttrBitmaps::param`].
-    fn reads_for(w: f64, c: f64, param: u16) -> f64;
+    /// The planner's price of [`Encoding::interval`] over one in-domain
+    /// interval: a fresh accumulator, every stored bitmap the evaluation
+    /// reads at its read price, and its NOT passes. An encoding that does
+    /// not price its bitmaps one by one charges its §6 read count at the
+    /// attribute's mean ([`AttrPrices::by_mean`]).
+    fn price(p: &AttrPrices<'_>, iv: Interval, policy: MissingPolicy) -> Price;
 
     /// How many bitmaps [`AttrBitmaps::stored`] holds for an attribute of
     /// this shape, or `None` when the encoding never writes that shape — the
@@ -99,8 +259,8 @@ pub struct BitmapIndex<E: Encoding, B: BitStore> {
     /// pool's workers; appends copy them on write.
     pub(crate) attrs: Arc<Vec<AttrBitmaps<B>>>,
     pub(crate) n_rows: usize,
-    /// Cached [`Self::words_per_read`]; appends replace it with a fresh cell.
-    read_words: OnceLock<f64>,
+    /// Cached [`Self::prices`]; appends replace it with a fresh cell.
+    prices: OnceLock<PriceTable>,
     encoding: PhantomData<E>,
 }
 
@@ -113,7 +273,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
         BitmapIndex {
             attrs: Arc::new(attrs),
             n_rows,
-            read_words: OnceLock::new(),
+            prices: OnceLock::new(),
             encoding: PhantomData,
         }
     }
@@ -204,17 +364,11 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
         tally
     }
 
-    /// Mean 64-bit words one stored-bitmap read is charged — the unit the
-    /// planner's cost estimates are stated in, taken from the same tally as
-    /// the counter they predict. For the plain, WAH and BBC backends this is
-    /// exactly the uncompressed `⌈n/64⌉` of the paper's §6 rules; for the
-    /// adaptive backend it scales with the index's compression. Summed once
-    /// per index, not once per plan.
-    fn words_per_read(&self) -> f64 {
-        *self.read_words.get_or_init(|| match self.n_bitmaps() {
-            0 => self.n_rows.div_ceil(64) as f64,
-            n => self.stored_tally().words as f64 / n as f64,
-        })
+    /// Every attribute's read prices, summed once per index, not once per
+    /// plan.
+    fn prices(&self) -> &PriceTable {
+        self.prices
+            .get_or_init(|| PriceTable::of(&self.attrs, self.n_rows))
     }
 
     /// Evaluates one interval over one attribute, accumulating bitmap
@@ -267,7 +421,7 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
             }
         }
         self.n_rows += 1;
-        self.read_words = OnceLock::new();
+        self.prices = OnceLock::new();
         Ok(())
     }
 }
@@ -309,26 +463,25 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
         Ok(count.unwrap_or(self.n_rows))
     }
 
-    // The encoding's per-predicate read estimate summed over the search key
-    // and scaled to words; out-of-schema predicates price as infinite so
-    // the planner never picks a method that would just error.
+    // The encoding's price of each predicate's interval plus the k − 1
+    // ANDs of the reduce, in plain-kernel words; out-of-schema predicates
+    // price as infinite so the planner never picks a method that would
+    // just error.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        let wpr = self.words_per_read();
-        query
+        let prices = self.prices();
+        let ands = query.dimensionality().saturating_sub(1) as f64;
+        let reduce = ands * PASS_WORD_PRICE * prices.words;
+        let intervals: f64 = query
             .predicates()
             .iter()
-            .map(|p| {
-                let Some(a) = self.attrs.get(p.attr) else {
-                    return f64::INFINITY;
-                };
-                let c = a.cardinality as f64;
-                let w = (p.interval.hi.saturating_sub(p.interval.lo)) as f64 + 1.0;
-                if w > c {
-                    return f64::INFINITY;
+            .map(|p| match prices.attr(p.attr) {
+                Some(a) if p.interval.hi <= a.cardinality() => {
+                    E::price(&a, p.interval, query.policy()).units
                 }
-                E::reads_for(w, c, a.param) * wpr
+                _ => f64::INFINITY,
             })
-            .sum()
+            .sum();
+        intervals + reduce
     }
 }
 
@@ -519,4 +672,91 @@ pub fn read_any(r: &mut impl io::Read) -> io::Result<(usize, Box<dyn AccessMetho
             load.magic, load.backend
         )))
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Equality, Range};
+    use ibis_core::gen::census_scaled;
+    use ibis_core::Predicate;
+
+    /// Every interval of every attribute, under both semantics: the stored
+    /// bitmaps `E::price` charges are exactly those `E::interval` reads.
+    fn price_reads_what_execution_reads<E: Encoding>() {
+        let ix = BitmapIndex::<E, Adaptive>::build(&census_scaled(300, 5));
+        for (attr, a) in ix.attrs.iter().enumerate() {
+            let p = ix.prices().attr(attr).expect("in the schema");
+            for policy in MissingPolicy::ALL {
+                for lo in 1..=a.cardinality {
+                    for hi in lo..=a.cardinality {
+                        let iv = Interval::new(lo, hi);
+                        let mut cost = WorkCounters::zero();
+                        E::interval(a, ix.n_rows, iv, policy, &mut cost);
+                        let priced = E::price(&p, iv, policy);
+                        assert_eq!(
+                            priced.reads,
+                            cost.bitmaps_accessed,
+                            "{} attr {attr} [{lo},{hi}] {policy}",
+                            E::NAME
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bee_prices_the_bitmaps_it_reads() {
+        price_reads_what_execution_reads::<Equality>();
+    }
+
+    #[test]
+    fn bre_prices_the_bitmaps_it_reads() {
+        price_reads_what_execution_reads::<Range>();
+    }
+
+    #[test]
+    fn points_favour_equality_and_prefix_ranges_favour_range_encoding() {
+        let d = census_scaled(2_000, 6);
+        let bee = BitmapIndex::<Equality, Adaptive>::build(&d);
+        let bre = BitmapIndex::<Range, Adaptive>::build(&d);
+        let attr = (0..d.n_attrs())
+            .find(|&a| d.column(a).cardinality() >= 20 && d.column(a).missing_count() > 0)
+            .expect("a wide attribute with missing rows");
+        let c = d.column(attr).cardinality();
+        let q = |p| RangeQuery::new(vec![p], MissingPolicy::IsMatch).unwrap();
+        // BEE reads `B_v` and `B_0` for the point and half the domain for
+        // the range; BRE reads three thresholds for the point and one for
+        // the range.
+        let point = q(Predicate::point(attr, c / 2));
+        let half = q(Predicate::range(attr, 1, c / 2));
+        assert!(bee.estimated_cost(&point) < bee.estimated_cost(&half));
+        assert!(bre.estimated_cost(&half) < bre.estimated_cost(&point));
+    }
+
+    #[test]
+    fn the_price_table_is_built_once_per_index() {
+        let d = census_scaled(200, 7);
+        let mut ix = BitmapIndex::<Equality, Adaptive>::build(&d);
+        let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
+        assert!(ix.prices.get().is_none(), "built before it is asked for");
+        let first = ix.estimated_cost(&q);
+        let table = ix
+            .prices
+            .get()
+            .expect("built by the first estimate")
+            .attrs
+            .as_ptr();
+        assert_eq!(ix.estimated_cost(&q), first);
+        assert_eq!(
+            ix.prices.get().unwrap().attrs.as_ptr(),
+            table,
+            "built twice"
+        );
+        // An appended row prices from a fresh table.
+        ix.append_row(&d.row(0)).unwrap();
+        assert!(ix.prices.get().is_none());
+        assert!(ix.estimated_cost(&q).is_finite());
+    }
 }

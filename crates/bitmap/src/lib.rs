@@ -71,14 +71,16 @@
 //!
 //! An encoding is a marker type and one `impl`: a file magic and a name,
 //! the column builder, the interval evaluator — written against the charged
-//! operations of [`engine`], which is what fills the work counters — and
-//! two small facts for the planner and the loader. Building, querying at any
+//! operations of [`engine`], which is what fills the work counters — the
+//! planner's price of that evaluator, and one fact for the loader.
+//! Building, querying at any
 //! thread degree, counting, size reports and save/load then come from
 //! [`BitmapIndex`]. Here, equality bitmaps that never take Fig. 2's
 //! complement path:
 //!
 //! ```
-//! use ibis_bitmap::{engine, AttrBitmaps, BitmapIndex, Encoding, Equality, EqualityBitmapIndex};
+//! use ibis_bitmap::{engine, AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Equality,
+//!                   EqualityBitmapIndex, Price};
 //! use ibis_bitvec::{BitStore, BitVec64, Wah};
 //! use ibis_core::{AccessMethod, Cell, Column, Dataset, Interval, MissingPolicy, WorkCounters};
 //! # use ibis_core::{Predicate, RangeQuery};
@@ -90,7 +92,13 @@
 //!     const NAME: &'static str = "bitmap-direct";
 //!     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> { Equality::build_attr(col) }
 //!     fn stored_count(c: u16, _param: u16, _has_b0: bool) -> Option<usize> { Some(c as usize) }
-//!     fn reads_for(w: f64, _c: f64, _param: u16) -> f64 { w + 1.0 }
+//!     fn price(p: &AttrPrices<'_>, iv: Interval, policy: MissingPolicy) -> Price {
+//!         let in_range = p.fresh().reads(iv.width() as usize, p.stored(iv.lo as usize - 1..iv.hi as usize));
+//!         match p.missing().filter(|_| policy == MissingPolicy::IsMatch) {
+//!             Some(b0) => in_range.read(b0),
+//!             None => in_range,
+//!         }
+//!     }
 //!     fn interval<B: BitStore>(a: &AttrBitmaps<B>, _n_rows: usize, iv: Interval,
 //!                              policy: MissingPolicy, cost: &mut WorkCounters) -> BitVec64 {
 //!         let in_range = a.stored[iv.lo as usize - 1..iv.hi as usize].iter();
@@ -107,6 +115,9 @@
 //! assert_eq!(rows, bee_rows);
 //! // B_1 … B_4 and B_0, where Fig. 2 complements B_5 alone.
 //! assert_eq!((cost.bitmaps_accessed, bee_cost.bitmaps_accessed), (5, 1));
+//! // The planner prices those five reads above Fig. 2's one.
+//! let direct = BitmapIndex::<Direct, Wah>::build(&data);
+//! assert!(direct.estimated_cost(&q) > EqualityBitmapIndex::<Wah>::build(&data).estimated_cost(&q));
 //! # Ok::<(), ibis_core::Error>(())
 //! ```
 //!
@@ -130,7 +141,8 @@ pub use bie::{IntervalBitmapIndex, IntervalWindows};
 pub use bre::{Range, RangeBitmapIndex};
 pub use decomposed::{Decomposed, DecomposedBitmapIndex};
 pub use index::{
-    for_each_pair, read_any, AppendEncoding, AttrBitmaps, BitmapIndex, Encoding, PairVisitor,
+    for_each_pair, read_any, AppendEncoding, AttrBitmaps, AttrPrices, BitmapIndex, Encoding,
+    PairVisitor, Price,
 };
 pub use size::{AttrSize, SizeReport};
 

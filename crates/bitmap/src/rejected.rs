@@ -18,7 +18,7 @@
 //! recommended API.
 
 use crate::engine;
-use crate::index::{AttrBitmaps, BitmapIndex, Encoding};
+use crate::index::{AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
@@ -139,12 +139,9 @@ impl Encoding for MissingAsOnes {
 
     // Like BEE, but the complement path pays the recovery (two extra reads
     // plus ops) — objection #1 priced in.
-    fn reads_for(w: f64, c: f64, _param: u16) -> f64 {
-        if w <= c - w {
-            w
-        } else {
-            c - w + 3.0
-        }
+    fn price(p: &AttrPrices<'_>, iv: Interval, _policy: MissingPolicy) -> Price {
+        let (w, c) = (iv.width() as usize, p.cardinality() as usize);
+        p.by_mean(if w <= c - w { w } else { c - w + 3 })
     }
 
     fn stored_count(cardinality: u16, param: u16, has_b0: bool) -> Option<usize> {
@@ -193,12 +190,9 @@ impl Encoding for MissingAsZeros {
 
     // The complement path re-derives the present mask from all C value
     // bitmaps — objection #1's cost for this variant.
-    fn reads_for(w: f64, c: f64, _param: u16) -> f64 {
-        if w <= c - w {
-            w
-        } else {
-            (c - w) + c + 1.0
-        }
+    fn price(p: &AttrPrices<'_>, iv: Interval, _policy: MissingPolicy) -> Price {
+        let (w, c) = (iv.width() as usize, p.cardinality() as usize);
+        p.by_mean(if w <= c - w { w } else { (c - w) + c + 1 })
     }
 
     fn stored_count(cardinality: u16, param: u16, has_b0: bool) -> Option<usize> {

@@ -68,6 +68,16 @@ const CHUNK_WORDS: usize = CHUNK_BITS / 64;
 /// would outweigh even a full chunk's bitmap container.
 pub const ARRAY_MAX: usize = 4096;
 
+/// [`BitStore::read_price`] of one array-container entry, in plain-kernel
+/// words: scattering an entry into an accumulator took 1.0–1.6 ns against
+/// 0.16–0.26 ns for a bitmap word's in-place OR on a 2-vCPU Xeon VM.
+pub const ARRAY_ENTRY_PRICE: f64 = 6.0;
+
+/// [`BitStore::read_price`] of one run-container interval, in plain-kernel
+/// words: a range fill took 3.9–6.5 ns per run of 16–48 bits on the same
+/// host.
+pub const RUN_PRICE: f64 = 24.0;
+
 /// The shape an [`Adaptive`] chunk is currently stored in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ContainerKind {
@@ -290,6 +300,16 @@ impl Container {
             Container::Array(v) => v.len().div_ceil(4) as u64,
             Container::Bitmap(w) => w.len() as u64,
             Container::Run(runs) => runs.len().div_ceil(2) as u64,
+        }
+    }
+
+    /// What combining this container into an accumulator costs, in
+    /// plain-kernel words (see [`BitStore::read_price`]).
+    fn read_price(&self) -> f64 {
+        match self {
+            Container::Array(v) => v.len() as f64 * ARRAY_ENTRY_PRICE,
+            Container::Bitmap(w) => w.len() as f64,
+            Container::Run(runs) => runs.len() as f64 * RUN_PRICE,
         }
     }
 
@@ -699,6 +719,11 @@ impl BitStore for Adaptive {
         }
     }
 
+    /// Every container priced by its shape, not the uncompressed bound.
+    fn read_price(&self) -> f64 {
+        self.containers.iter().map(Container::read_price).sum()
+    }
+
     fn push_bit(&mut self, bit: bool) {
         let pos = self.n_bits % CHUNK_BITS;
         if pos == 0 {
@@ -1085,6 +1110,26 @@ mod tests {
         let mut read = OpTally::default();
         a.tally_read(&mut read);
         assert_eq!((read.array, read.words), (2, 2));
+    }
+
+    #[test]
+    fn read_prices_follow_the_container_shapes() {
+        let len = 2 * CHUNK_BITS;
+        // Two arrays of 3 and 1 entries.
+        let a = Adaptive::encode(&sparse(len, &[1, 9, 33, 70_000]));
+        assert_eq!(a.read_price(), 4.0 * ARRAY_ENTRY_PRICE);
+        // One run per chunk.
+        assert_eq!(
+            <Adaptive as BitStore>::ones(len).read_price(),
+            2.0 * RUN_PRICE
+        );
+        // Every other bit: one bitmap container of a chunk's 1,024 words.
+        let every_other = BitVec64::from_ones(CHUNK_BITS, (0..CHUNK_BITS as u32).step_by(2));
+        let b = Adaptive::encode(&every_other);
+        assert_eq!(b.container_kind(0), Some(ContainerKind::Bitmap));
+        assert_eq!(b.read_price(), CHUNK_WORDS as f64);
+        // The plain vector the bitmap container replaces prices the same.
+        assert_eq!(every_other.read_price(), b.read_price());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod kernel;
 mod store;
 mod wah;
 
-pub use adaptive::{Adaptive, ContainerKind, ARRAY_MAX, CHUNK_BITS};
+pub use adaptive::{Adaptive, ContainerKind, ARRAY_ENTRY_PRICE, ARRAY_MAX, CHUNK_BITS, RUN_PRICE};
 pub use bbc::Bbc;
 pub use bitvec64::BitVec64;
 pub use store::{BitStore, OpTally};

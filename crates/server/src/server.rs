@@ -513,9 +513,6 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize
                 m.window_counter_add(name, n as u64);
             }
         }
-        if live.iter().any(|j| !j.ticket.traced) {
-            m.counter_add("server.batches", 1);
-        }
         if !expired.is_empty() {
             m.counter_add("server.shed_deadline", expired.len() as u64);
             m.window_counter_add("server.expired", expired.len() as u64);

@@ -75,18 +75,34 @@ fn stats_and_health_answer_off_pool_while_workers_are_saturated() {
         deadline_ms: 120_000,
     };
     let (mut tx, mut rx) = Client::connect(handle.addr()).unwrap().into_split();
-    let n = 80;
-    for _ in 0..n {
-        tx.send(&req).unwrap();
-    }
+    let mut feed = |burst: usize| {
+        for _ in 0..burst {
+            tx.send(&req).unwrap();
+        }
+        burst
+    };
+    let mut sent = feed(80);
 
     // The single worker is busy for the whole burst; STATS and HEALTH on a
-    // second connection must answer long before the backlog drains.
+    // second connection must answer long before the backlog drains. A fast
+    // build can drain a burst between two probes, so the queue is kept fed
+    // until the probe has seen both a backlog and a busy worker, for up to
+    // ten seconds and well below the shedding mark.
     let mut probe = Client::connect(handle.addr()).unwrap();
     let mut prev_admitted = 0u64;
     let mut saw_backlog = false;
     let mut saw_busy = false;
-    for _ in 0..10 {
+    let began = std::time::Instant::now();
+    let mut probes = 0;
+    while probes < 10
+        || (!(saw_backlog && saw_busy)
+            && began.elapsed() < std::time::Duration::from_secs(10)
+            && sent < 800)
+    {
+        probes += 1;
+        if !(saw_backlog && saw_busy) {
+            sent += feed(8);
+        }
         let s = probe.stats(false).unwrap();
         let m = metrics(&s);
         let admitted = m.counters.get("server.admitted").copied().unwrap_or(0);
@@ -110,7 +126,7 @@ fn stats_and_health_answer_off_pool_while_workers_are_saturated() {
     assert!(prev_admitted > 0, "admitted counter never moved");
 
     // The backlog still drains to completion afterwards.
-    for _ in 0..n {
+    for _ in 0..sent {
         match rx.recv().unwrap().1 {
             Response::Count { .. } | Response::Error { .. } => {}
             other => panic!("unexpected response {other:?}"),

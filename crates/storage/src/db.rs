@@ -15,17 +15,19 @@
 //! implements the engine-layer [`AccessMethod`] trait, so the shard holds
 //! one uniform registry and ranks it with a single rule: among the methods
 //! that support the query's semantics, take the lowest
-//! [`estimated_cost`](AccessMethod::estimated_cost) (in 64-bit words of
-//! index data touched), breaking ties by smaller
+//! [`estimated_cost`](AccessMethod::estimated_cost) (a time, in the plain
+//! kernel's time per 64-bit word: a bitmap index prices the containers of
+//! the exact bitmaps its plan reads), breaking ties by smaller
 //! [`size_bytes`](AccessMethod::size_bytes), then by registration order.
 //! That generalizes the paper's conclusions instead of hard-coding them:
 //!
-//! * equality encoding is "optimal for point queries" — its estimate
-//!   `Σ (min(w, C−w) + 1)` bitmaps is smallest when `w = 1`;
+//! * equality encoding is "optimal for point queries" — it reads
+//!   `min(w, C−w) + 1` bitmaps, two for a point;
 //! * range encoding "typically offers the best time performance" for range
-//!   queries — ≤ 3 bitmaps per dimension regardless of width;
-//! * interval encoding ties range encoding on reads and wins the size
-//!   tie-break with roughly half the bitmaps, when it is registered;
+//!   queries — ≤ 3 bitmaps per dimension regardless of width, and its
+//!   dense thresholds are bitmap containers, the cheapest words to read;
+//! * interval encoding reads ≤ 3 bitmaps too, priced at its mean, when it
+//!   is registered;
 //! * VA-files trade query time for by-far-the-smallest index, so they take
 //!   over when no bitmap index is maintained;
 //! * a bound [`SequentialScan`] is always registered last, so every query
@@ -166,7 +168,8 @@ impl DbConfig {
 pub struct CandidatePlan {
     /// The method's registry name (e.g. `"bitmap-equality"`).
     pub name: &'static str,
-    /// Estimated 64-bit words of index data the method would touch.
+    /// Estimated time of the method's answer, in plain-kernel words
+    /// ([`AccessMethod::estimated_cost`]).
     pub estimated_cost: f64,
     /// The method's storage footprint (the tie-breaker).
     pub size_bytes: usize,
@@ -384,9 +387,16 @@ impl IncompleteDb {
         &self.synopsis
     }
 
+    /// The registered access methods and their names, in planning order:
+    /// what [`explain`](IncompleteDb::explain) ranks. Each answers the base
+    /// rows only; the delta is the database's to merge.
+    pub fn methods(&self) -> impl Iterator<Item = (&'static str, &dyn AccessMethod)> {
+        self.methods.iter().map(|m| (m.name, &*m.method))
+    }
+
     /// Names of the registered access methods, in planning order.
     pub fn method_names(&self) -> Vec<&'static str> {
-        self.methods.iter().map(|m| m.name).collect()
+        self.methods().map(|(name, _)| name).collect()
     }
 
     /// Total bytes held by the maintained indexes.
@@ -696,14 +706,17 @@ mod tests {
     #[test]
     fn planner_prefers_bee_for_points_and_bre_for_ranges() {
         let d = db();
-        let point = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
-        assert_eq!(d.explain(&point).unwrap().chosen, "bitmap-equality");
-        // Half the domain of a high-cardinality attribute: equality ORs
-        // about C/2 bitmaps on either side, range encoding reads at most 3.
         let attr = (0..d.n_attrs())
-            .find(|&a| d.base.column(a).cardinality() >= 50)
+            .find(|&a| d.base.column(a).cardinality() >= 50 && d.base.column(a).missing_count() > 0)
             .unwrap();
         let c = d.base.column(attr).cardinality();
+        // A mid-domain point under is-match: equality reads `B_v` and
+        // `B_0`, range encoding `B_v`, `B_{v−1}` and `B_0`.
+        let point =
+            RangeQuery::new(vec![Predicate::point(attr, c / 2)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(d.explain(&point).unwrap().chosen, "bitmap-equality");
+        // Half the domain on the same attribute: equality ORs about C/2
+        // bitmaps on either side, range encoding reads at most 3.
         let range = RangeQuery::new(
             vec![Predicate::range(attr, c / 4, 3 * c / 4)],
             MissingPolicy::IsMatch,
@@ -730,13 +743,12 @@ mod tests {
     fn planner_prefers_a_three_read_encoding_for_wide_ranges() {
         // The §6 acceptance case: interval and range encoding answer an
         // interval in ≤ 3 bitmap reads per dimension, where equality needs
-        // about C/2 on a half-domain range. Each estimate scales those reads
-        // by the index's mean stored container words, so which of the two
-        // wins follows how each compresses; with everything registered, one
-        // of them takes the plan.
+        // about C/2 on a half-domain range. Range encoding prices its
+        // thresholds one by one, interval encoding its read count at its
+        // mean; with everything registered, one of them takes the plan.
         let d = IncompleteDb::with_config(census_scaled(400, 407), DbConfig::all());
         let attr = (0..d.n_attrs())
-            .find(|&a| d.base.column(a).cardinality() >= 50)
+            .find(|&a| d.base.column(a).cardinality() >= 50 && d.base.column(a).missing_count() > 0)
             .unwrap();
         let c = d.base.column(attr).cardinality();
         let range = RangeQuery::new(
@@ -749,8 +761,10 @@ mod tests {
             ["bitmap-interval", "bitmap-range"].contains(&plan.chosen),
             "{plan:?}"
         );
-        // Points still go to the equality encoding.
-        let point = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
+        // Mid-domain points still go to the equality encoding: two reads
+        // against range encoding's three.
+        let point =
+            RangeQuery::new(vec![Predicate::point(attr, c / 2)], MissingPolicy::IsMatch).unwrap();
         assert_eq!(d.explain(&point).unwrap().chosen, "bitmap-equality");
     }
 

@@ -9,6 +9,7 @@
 
 use crate::vafile::merge_scan;
 use crate::{VaFile, VaPlusFile};
+use ibis_core::engine::SCAN_CELL_PRICE;
 use ibis_core::parallel::{partition, ExecPool};
 use ibis_core::{AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use std::sync::Arc;
@@ -59,14 +60,16 @@ impl VaPlusFile {
 }
 
 /// The filter scan reads `n` rows × `b_i + 1` bits per queried attribute
-/// (the +1 absorbs decode and boundary-refinement work), in words.
+/// (the +1 absorbs decode and boundary-refinement work): §6's
+/// `(b_i + 1) / 16` of the scan's 16 bits per cell, priced against
+/// [`SCAN_CELL_PRICE`].
 fn estimate(file: &VaFile, query: &RangeQuery) -> f64 {
     let n = file.n_rows() as f64;
     query
         .predicates()
         .iter()
         .map(|p| match file.attrs.get(p.attr) {
-            Some(a) => n * (a.bits as f64 + 1.0) / 64.0,
+            Some(a) => n * SCAN_CELL_PRICE * (a.bits as f64 + 1.0) / 16.0,
             None => f64::INFINITY,
         })
         .sum()

@@ -264,8 +264,10 @@ impl VaFile {
 /// per-row sum, and the word total — approximation bits scanned plus the
 /// 16-bit cells fetched during refinement, in 64-bit words — is derived once
 /// from the merged totals (summing per-slice `div_ceil`s would over-count).
-/// The word total goes on `scan_span`, the `va.scan` span the slices'
-/// `va.chunk` spans sit under, so a profile's span deltas sum exactly to the
+/// The merged counters go on `scan_span`, the `va.scan` span the slices'
+/// `va.chunk` spans sit under: its self delta is the word total, and a
+/// layer above that re-records the scan's counters (`db.shard`) sees them
+/// all on its direct child, so a profile's span deltas sum exactly to the
 /// final counters.
 pub(crate) fn merge_scan(
     mut scan_span: ibis_obs::SpanGuard,
@@ -282,13 +284,7 @@ pub(crate) fn merge_scan(
     }
     cost.words_processed =
         (bits_read + cost.rows_refined * query.dimensionality() * 16).div_ceil(64);
-    if scan_span.is_recording() {
-        let words_only = WorkCounters {
-            words_processed: cost.words_processed,
-            ..WorkCounters::default()
-        };
-        words_only.record_into(&mut scan_span);
-    }
+    cost.record_into(&mut scan_span);
     drop(scan_span);
     let rows = RowSet::concat_sorted(parts.into_iter().map(RowSet::from_sorted));
     (rows, cost)
