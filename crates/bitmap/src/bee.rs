@@ -1,7 +1,7 @@
 //! Bitmap Equality Encoding (BEE) — §4.2 of the paper.
 
 use crate::engine;
-use crate::index::{AppendEncoding, AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
+use crate::index::{AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
@@ -138,12 +138,6 @@ impl Encoding for Equality {
     // `Σ_i C_i` value bitmaps, plus one `B_0` per attribute with missing data.
     fn stored_count(cardinality: u16, _param: u16, _has_b0: bool) -> Option<usize> {
         Some(cardinality as usize)
-    }
-}
-
-impl AppendEncoding for Equality {
-    fn stored_bit(k: usize, raw: u16) -> bool {
-        raw as usize == k + 1
     }
 }
 
@@ -367,36 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn append_row_matches_rebuild() {
-        let d = synthetic_scaled(120, 23);
-        let mut grown = AdaptiveBitmapIndex::build(&d);
-        let extra: Vec<Vec<Cell>> = vec![
-            (0..d.n_attrs()).map(|_| v(1)).collect(),
-            (0..d.n_attrs())
-                .map(|a| if a % 3 == 0 { m() } else { v(2) })
-                .collect(),
-        ];
-        let mut all_rows: Vec<Vec<Cell>> = (0..d.n_rows()).map(|r| d.row(r)).collect();
-        for row in &extra {
-            grown.append_row(row).unwrap();
-            all_rows.push(row.clone());
-        }
-        let schema: Vec<(&str, u16)> = d
-            .columns()
-            .iter()
-            .map(|c| (c.name(), c.cardinality()))
-            .collect();
-        let rebuilt = AdaptiveBitmapIndex::build(&Dataset::from_rows(&schema, &all_rows).unwrap());
-        assert_eq!(grown.n_rows(), rebuilt.n_rows());
-        for policy in MissingPolicy::ALL {
-            let q = RangeQuery::new(vec![Predicate::range(100, 1, 3)], policy).unwrap();
-            assert_eq!(grown.execute(&q).unwrap(), rebuilt.execute(&q).unwrap());
-        }
-        // Bad rows leave the index unchanged.
-        assert!(grown.append_row(&[]).is_err());
-    }
-
-    #[test]
     fn stored_tally_is_the_container_census() {
         let d = synthetic_scaled(250, 31);
         let idx = AdaptiveBitmapIndex::build(&d);
@@ -431,26 +395,5 @@ mod tests {
         // Out-of-schema predicates stay unplannable.
         let q = RangeQuery::new(vec![Predicate::point(999, 1)], MissingPolicy::IsMatch).unwrap();
         assert_eq!(adaptive.estimated_cost(&q), f64::INFINITY);
-    }
-
-    #[test]
-    fn estimate_follows_appended_rows() {
-        use crate::index::{FRESH_PRICE, FRESH_WORD_PRICE, READ_PRICE};
-        // 64 rows read as 1 word, 65 as 2. A point under is-match reads its
-        // value bitmap, and `B_0` once the missing row brings one.
-        let rows: Vec<Vec<Cell>> = (0..64).map(|r| vec![v(r % 5 + 1)]).collect();
-        let mut idx = EqualityBitmapIndex::<BitVec64>::build(
-            &Dataset::from_rows(&[("a", 5)], &rows).unwrap(),
-        );
-        let q = RangeQuery::new(vec![Predicate::point(0, 2)], MissingPolicy::IsMatch).unwrap();
-        let before = idx.estimated_cost(&q);
-        assert_eq!(before, FRESH_PRICE + FRESH_WORD_PRICE + READ_PRICE + 1.0);
-        idx.append_row(&[m()]).unwrap();
-        let after = idx.estimated_cost(&q);
-        assert_eq!(
-            after,
-            FRESH_PRICE + 2.0 * FRESH_WORD_PRICE + 2.0 * (READ_PRICE + 2.0)
-        );
-        assert!(after > before);
     }
 }

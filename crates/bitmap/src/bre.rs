@@ -1,7 +1,7 @@
 //! Bitmap Range Encoding (BRE) — §4.3 of the paper.
 
 use crate::engine;
-use crate::index::{AppendEncoding, AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
+use crate::index::{AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
@@ -169,14 +169,6 @@ impl Encoding for Range {
     // missing data, C − 1 without (§4.3).
     fn stored_count(cardinality: u16, _param: u16, _has_b0: bool) -> Option<usize> {
         Some(cardinality as usize - 1)
-    }
-}
-
-// Threshold bitmap `B_j` receives a 1 when the new value is ≤ `j` or
-// missing (the §4.3 convention).
-impl AppendEncoding for Range {
-    fn stored_bit(k: usize, raw: u16) -> bool {
-        raw as usize <= k + 1
     }
 }
 
@@ -369,29 +361,5 @@ mod tests {
         let r = idx.size_report();
         assert_eq!(r.per_attr[0].n_bitmaps, 5); // C with missing data
         assert_eq!(r.total_uncompressed_bytes(), 5 * 2);
-    }
-
-    #[test]
-    fn estimate_follows_appended_rows() {
-        use crate::index::{FRESH_PRICE, FRESH_WORD_PRICE, READ_PRICE};
-        // 64 rows read as 1 word, 65 as 2. A mid-domain point under
-        // is-match is B_2 XOR B_1, ORed with `B_0` once the missing row
-        // brings one.
-        let rows: Vec<Vec<Cell>> = (0..64).map(|r| vec![v(r % 5 + 1)]).collect();
-        let mut idx =
-            RangeBitmapIndex::<BitVec64>::build(&Dataset::from_rows(&[("a", 5)], &rows).unwrap());
-        let q = RangeQuery::new(vec![Predicate::point(0, 2)], MissingPolicy::IsMatch).unwrap();
-        let before = idx.estimated_cost(&q);
-        assert_eq!(
-            before,
-            FRESH_PRICE + FRESH_WORD_PRICE + 2.0 * (READ_PRICE + 1.0)
-        );
-        idx.append_row(&[m()]).unwrap();
-        let after = idx.estimated_cost(&q);
-        assert_eq!(
-            after,
-            FRESH_PRICE + 2.0 * FRESH_WORD_PRICE + 3.0 * (READ_PRICE + 2.0)
-        );
-        assert!(after > before);
     }
 }

@@ -1,7 +1,7 @@
 //! The one bitmap index type. [`BitmapIndex`] owns what every family
 //! shares — per-attribute storage, the row count, building, size
-//! accounting, query execution through [`crate::engine`], row appends and
-//! the on-disk format — and an [`Encoding`] supplies what the paper varies:
+//! accounting, query execution through [`crate::engine`] and the on-disk
+//! format — and an [`Encoding`] supplies what the paper varies:
 //! which bitmaps are stored and how one interval is answered under the two
 //! missing-data semantics.
 
@@ -9,8 +9,8 @@ use crate::engine;
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{Adaptive, Bbc, BitStore, BitVec64, OpTally, Wah};
 use ibis_core::{
-    AccessMethod, Cell, Column, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result,
-    RowSet, WorkCounters,
+    AccessMethod, Column, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result, RowSet,
+    WorkCounters,
 };
 use std::io;
 use std::marker::PhantomData;
@@ -244,22 +244,15 @@ pub trait Encoding: Copy + std::fmt::Debug + Send + Sync + 'static {
     }
 }
 
-/// An encoding whose stored bitmaps can grow one row at a time.
-pub trait AppendEncoding: Encoding {
-    /// The bit a new row with raw value `raw` (0 = missing) sets in
-    /// `stored[k]`.
-    fn stored_bit(k: usize, raw: u16) -> bool;
-}
-
 /// A bitmap index over an incomplete relation: encoding `E`'s bitmaps for
 /// every attribute, held in backend `B`.
 #[derive(Clone, Debug)]
 pub struct BitmapIndex<E: Encoding, B: BitStore> {
     /// Shared so a query's predicate fan-out can move the bitmaps onto the
-    /// pool's workers; appends copy them on write.
+    /// pool's workers.
     pub(crate) attrs: Arc<Vec<AttrBitmaps<B>>>,
     pub(crate) n_rows: usize,
-    /// Cached [`Self::prices`]; appends replace it with a fresh cell.
+    /// Cached [`Self::prices`], built by the first estimate.
     prices: OnceLock<PriceTable>,
     encoding: PhantomData<E>,
 }
@@ -393,36 +386,6 @@ impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
             a.cardinality
         );
         E::interval(a, self.n_rows, iv, policy, cost)
-    }
-
-    /// Appends one record in place: every stored bitmap grows by one bit
-    /// (`O(Σ C_i)` pushes; with the WAH backend each push is amortized
-    /// O(1)). The first missing value on a previously-complete attribute
-    /// materializes its `B_0`, all-zeros so far.
-    ///
-    /// # Errors
-    /// Rejects rows of the wrong width or with out-of-domain values,
-    /// leaving the index unchanged.
-    pub fn append_row(&mut self, row: &[Cell]) -> Result<()>
-    where
-        E: AppendEncoding,
-    {
-        ibis_core::validate_row(row, |a| self.attrs[a].cardinality, self.attrs.len())?;
-        for (&cell, a) in row.iter().zip(Arc::make_mut(&mut self.attrs)) {
-            let raw = cell.raw();
-            if raw == 0 && a.missing.is_none() {
-                a.missing = Some(B::zeros(self.n_rows));
-            }
-            if let Some(m) = &mut a.missing {
-                m.push_bit(raw == 0);
-            }
-            for (k, b) in a.stored.iter_mut().enumerate() {
-                b.push_bit(E::stored_bit(k, raw));
-            }
-        }
-        self.n_rows += 1;
-        self.prices = OnceLock::new();
-        Ok(())
     }
 }
 
@@ -738,7 +701,7 @@ mod tests {
     #[test]
     fn the_price_table_is_built_once_per_index() {
         let d = census_scaled(200, 7);
-        let mut ix = BitmapIndex::<Equality, Adaptive>::build(&d);
+        let ix = BitmapIndex::<Equality, Adaptive>::build(&d);
         let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
         assert!(ix.prices.get().is_none(), "built before it is asked for");
         let first = ix.estimated_cost(&q);
@@ -754,9 +717,5 @@ mod tests {
             table,
             "built twice"
         );
-        // An appended row prices from a fresh table.
-        ix.append_row(&d.row(0)).unwrap();
-        assert!(ix.prices.get().is_none());
-        assert!(ix.estimated_cost(&q).is_finite());
     }
 }

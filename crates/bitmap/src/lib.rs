@@ -7,7 +7,7 @@
 //! `E`'s bitmaps for every attribute, held in bit-vector backend `B`
 //! ([`ibis_bitvec::BitStore`]: plain, WAH, BBC, or adaptive containers).
 //! The index owns what every family shares — building, size accounting, the
-//! query driver and its work counters, row appends, the file format — and
+//! query driver and its work counters, the file format — and
 //! an [`Encoding`] says only what the paper itself varies: which bitmaps a
 //! column stores, and how an interval is answered from them under either
 //! [`MissingPolicy`]. The encodings, each with its index as a type alias:
@@ -141,8 +141,7 @@ pub use bie::{IntervalBitmapIndex, IntervalWindows};
 pub use bre::{Range, RangeBitmapIndex};
 pub use decomposed::{Decomposed, DecomposedBitmapIndex};
 pub use index::{
-    for_each_pair, read_any, AppendEncoding, AttrBitmaps, AttrPrices, BitmapIndex, Encoding,
-    PairVisitor, Price,
+    for_each_pair, read_any, AttrBitmaps, AttrPrices, BitmapIndex, Encoding, PairVisitor, Price,
 };
 pub use size::{AttrSize, SizeReport};
 

@@ -724,42 +724,6 @@ impl BitStore for Adaptive {
         self.containers.iter().map(Container::read_price).sum()
     }
 
-    fn push_bit(&mut self, bit: bool) {
-        let pos = self.n_bits % CHUNK_BITS;
-        if pos == 0 {
-            // The chunk just completed stops growing: re-apply the
-            // adaptation rule to it once, then open a fresh chunk.
-            if let Some(last) = self.containers.last_mut() {
-                let prev = std::mem::replace(last, Container::Array(Vec::new()));
-                *last = prev.optimize(CHUNK_WORDS);
-            }
-            self.containers.push(Container::Array(Vec::new()));
-        }
-        self.n_bits += 1;
-        let last = self.containers.last_mut().expect("chunk opened above");
-        // A bitmap container holds a word per 64 positions its chunk covers,
-        // so it grows a word as the chunk crosses into one.
-        if let Container::Bitmap(w) = last {
-            if pos.is_multiple_of(64) {
-                w.push(0);
-            }
-        }
-        if !bit {
-            return;
-        }
-        match last {
-            // Positions arrive in ascending order, so the array stays sorted.
-            Container::Array(v) if v.len() < ARRAY_MAX => v.push(pos as u16),
-            Container::Bitmap(w) => w[pos / 64] |= 1u64 << (pos % 64),
-            _ => {
-                let mut words = vec![0u64; pos / 64 + 1];
-                last.write_words(&mut words);
-                words[pos / 64] |= 1u64 << (pos % 64);
-                *last = Container::Bitmap(words);
-            }
-        }
-    }
-
     fn write_to(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         crate::io::write_u64(w, self.n_bits as u64)?;
         crate::io::write_u64(w, self.containers.len() as u64)?;
@@ -1183,33 +1147,6 @@ mod tests {
         }
         let alt_e = Adaptive::encode(&alt);
         assert!(BitStore::size_bytes(&alt_e) >= (1 << 20) / 8);
-    }
-
-    #[test]
-    fn push_bit_grows_via_reencode() {
-        let mut a = <Adaptive as BitStore>::zeros(0);
-        let mut plain = BitVec64::zeros(0);
-        for i in 0..200 {
-            let bit = i % 3 == 0;
-            BitStore::push_bit(&mut a, bit);
-            plain.push_bit(bit);
-        }
-        assert_eq!(a.decode(), plain);
-        assert_eq!(BitStore::len(&a), 200);
-        // Past ARRAY_MAX set bits the growing tail chunk turns bitmap, and
-        // that bitmap keeps exactly a word per 64 positions pushed so far.
-        for i in 200..(1 << 16) + 20_001 {
-            let bit = i % 2 == 0;
-            BitStore::push_bit(&mut a, bit);
-            plain.push_bit(bit);
-            if i == (1 << 16) + 20_000 || i == (1 << 16) + 9_000 {
-                assert_eq!(a.container_kind(1), Some(ContainerKind::Bitmap));
-                let mut buf: Vec<u8> = Vec::new();
-                a.write_to(&mut buf).unwrap();
-                let back = <Adaptive as BitStore>::read_from(&mut buf.as_slice()).unwrap();
-                assert_eq!(back.decode(), plain);
-            }
-        }
     }
 
     #[test]

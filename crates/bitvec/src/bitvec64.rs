@@ -252,18 +252,6 @@ impl BitVec64 {
         self.words.len() * 8
     }
 
-    /// Appends one bit (amortized O(1)).
-    pub fn push_bit(&mut self, bit: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
-        self.len += 1;
-        if bit {
-            let i = self.len - 1;
-            self.words[i / 64] |= 1 << (i % 64);
-        }
-    }
-
     /// Builds from raw backing words (deserialization path). Rejects a
     /// mismatched word count or padding bits set past `len`.
     pub(crate) fn from_raw_words(words: Vec<u64>, len: usize) -> std::io::Result<BitVec64> {

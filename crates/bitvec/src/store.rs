@@ -147,18 +147,6 @@ pub trait BitStore: Clone + Send + Sync + 'static {
     fn read_price(&self) -> f64 {
         self.len().div_ceil(64) as f64
     }
-
-    /// Appends one bit, growing the vector by one position (used by the
-    /// bitmap indexes' `append_row`).
-    ///
-    /// The default goes through a decode/re-encode round trip — correct for
-    /// every store but `O(len)`; [`BitVec64`] and [`crate::Wah`] override it
-    /// with amortized-O(1) tail manipulation.
-    fn push_bit(&mut self, bit: bool) {
-        let mut plain = self.to_bitvec();
-        plain.push_bit(bit);
-        *self = Self::from_bitvec(&plain);
-    }
 }
 
 impl BitStore for BitVec64 {
@@ -251,10 +239,6 @@ impl BitStore for BitVec64 {
             words.push(crate::io::read_u64(r)?);
         }
         BitVec64::from_raw_words(words, n_bits)
-    }
-
-    fn push_bit(&mut self, bit: bool) {
-        BitVec64::push_bit(self, bit);
     }
 }
 
@@ -439,14 +423,12 @@ mod into_tests {
     }
 
     #[test]
-    fn padding_ones_of_a_grown_wah_vector_stay_out_of_the_accumulator() {
-        // The `push_after_not_masks_padding` shape: NOT leaves ones in the
-        // final group's padding, and a push turns part of it into real bits.
-        let mut plain = BitVec64::from_ones(40, [0u32, 5]).not();
-        let mut w = Wah::encode(&BitVec64::from_ones(40, [0u32, 5])).not();
-        w.push_bit(false);
-        plain.push_bit(false);
-        check_store(&w, &plain, &BitVec64::from_ones(41, [1u32, 5, 40]));
+    fn padding_ones_of_a_negated_wah_vector_stay_out_of_the_accumulator() {
+        // 41 bits fill one 31-bit group and 10 bits of the next; NOT leaves
+        // ones in that final group's 21 padding bits.
+        let bits = BitVec64::from_ones(41, [0u32, 5]);
+        let w = Wah::encode(&bits).not();
+        check_store(&w, &bits.not(), &BitVec64::from_ones(41, [1u32, 5, 40]));
     }
 
     #[test]

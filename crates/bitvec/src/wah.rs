@@ -248,44 +248,6 @@ impl Wah {
         }
     }
 
-    /// Appends one bit (amortized O(1)): the partial tail group is popped,
-    /// updated, and re-merged, so long runs keep collapsing into fills as
-    /// the bitmap grows — the append path an insert-heavy index needs.
-    pub fn push_bit(&mut self, bit: bool) {
-        let tail = self.n_bits % GROUP_BITS;
-        let group = if tail == 0 {
-            // Start a fresh group holding just this bit.
-            bit as u32
-        } else {
-            // Mask away padding: a ones-fill (or NOT-ed literal) carries 1s
-            // past n_bits that must not leak into the new position.
-            let valid = (1u32 << tail) - 1;
-            (self.pop_last_group() & valid) | ((bit as u32) << tail)
-        };
-        // Re-append with fill merging.
-        let mut b = Builder {
-            words: std::mem::take(&mut self.words),
-        };
-        b.push_group(group);
-        self.words = b.words;
-        self.n_bits += 1;
-    }
-
-    /// Removes the final 31-bit group from the encoding and returns its
-    /// literal pattern. Caller must ensure at least one group exists.
-    fn pop_last_group(&mut self) -> u32 {
-        let last = self.words.pop().expect("non-empty encoding");
-        if last & FILL_FLAG == 0 {
-            return last;
-        }
-        let count = last & FILL_COUNT_MASK;
-        debug_assert!(count >= 1);
-        if count > 1 {
-            self.words.push(last - 1);
-        }
-        fill_pattern(last & FILL_VALUE_FLAG != 0)
-    }
-
     /// Number of set bits (padding past `len` is excluded).
     pub fn count_ones(&self) -> usize {
         let mut count = 0usize;
@@ -621,10 +583,6 @@ impl BitStore for Wah {
         "wah"
     }
 
-    fn push_bit(&mut self, bit: bool) {
-        Wah::push_bit(self, bit);
-    }
-
     fn write_to(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         crate::io::write_u64(w, self.n_bits as u64)?;
         crate::io::write_u64(w, self.words.len() as u64)?;
@@ -901,79 +859,6 @@ pub(crate) mod proptests {
         fn count_matches_positions(v in arb_runny(4000)) {
             let w = Wah::encode(&v);
             prop_assert_eq!(w.count_ones(), w.ones_positions().len());
-        }
-    }
-}
-
-#[cfg(test)]
-mod push_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn push_matches_encode_bit_by_bit() {
-        let mut plain = BitVec64::zeros(0);
-        let mut wah = Wah::encode(&plain);
-        // A run-heavy sequence exercising fill merging across the tail.
-        let bits: Vec<bool> = (0..400)
-            .map(|i| matches!(i % 97, 0..=60) || i / 31 == 7)
-            .collect();
-        for (i, &b) in bits.iter().enumerate() {
-            plain.push_bit(b);
-            wah.push_bit(b);
-            assert_eq!(wah.len(), i + 1);
-            assert_eq!(wah.decode(), plain, "after bit {i}");
-        }
-        // The incrementally built encoding is identical to a batch encode.
-        assert_eq!(wah, Wah::encode(&plain));
-    }
-
-    #[test]
-    fn push_after_not_masks_padding() {
-        // NOT leaves 1s in the padding of the final literal; a subsequent
-        // push of 0 must not surface them.
-        let mut w = Wah::encode(&BitVec64::from_ones(40, [0u32, 5]));
-        w = w.not(); // 38 ones, padding bits of group 2 also flipped to 1
-        w.push_bit(false);
-        assert_eq!(w.len(), 41);
-        assert_eq!(w.count_ones(), 38);
-        assert!(!w.decode().get(40));
-        // And pushing onto a pure ones-fill: 31 ones then a 0.
-        let mut w = Wah::encode(&BitVec64::ones(62)); // exactly 2 fill groups
-        w.push_bit(false);
-        w.push_bit(true);
-        let d = w.decode();
-        assert!(!d.get(62) && d.get(63));
-        assert_eq!(w.count_ones(), 63);
-    }
-
-    proptest! {
-        #[test]
-        fn incremental_equals_batch(bits in proptest::collection::vec(any::<bool>(), 0..600)) {
-            let mut plain = BitVec64::zeros(0);
-            let mut wah = <Wah as BitStore>::zeros(0);
-            let mut bbc = <crate::Bbc as BitStore>::zeros(0);
-            for &b in &bits {
-                plain.push_bit(b);
-                BitStore::push_bit(&mut wah, b);
-                BitStore::push_bit(&mut bbc, b);
-            }
-            prop_assert_eq!(&wah, &Wah::encode(&plain));
-            prop_assert_eq!(wah.decode(), plain.clone());
-            prop_assert_eq!(bbc.to_bitvec(), plain);
-        }
-
-        #[test]
-        fn runny_incremental_equals_batch(runs in proptest::collection::vec((any::<bool>(), 1usize..120), 1..12)) {
-            let mut plain = BitVec64::zeros(0);
-            let mut wah = <Wah as BitStore>::zeros(0);
-            for (bit, n) in runs {
-                for _ in 0..n {
-                    plain.push_bit(bit);
-                    wah.push_bit(bit);
-                }
-            }
-            prop_assert_eq!(&wah, &Wah::encode(&plain));
         }
     }
 }

@@ -109,7 +109,7 @@ impl Dataset {
 
     /// Copies rows `rows` into a standalone dataset with the same schema
     /// (an empty range yields an empty, schema-only dataset). Shard
-    /// partitioning and the split-then-append tests cut relations this way.
+    /// partitioning cuts relations this way.
     ///
     /// # Panics
     /// Panics if the range reaches past `n_rows`.
@@ -224,7 +224,7 @@ impl Dataset {
 
 /// Validates one row against a schema given as per-attribute cardinalities:
 /// correct width and every present value within its domain. Shared by the
-/// dataset builder, the index `append_row`s, and the database layer.
+/// dataset builder and the database layer.
 pub fn validate_row(
     row: &[Cell],
     cardinality_of: impl Fn(usize) -> u16,

@@ -134,104 +134,6 @@ impl CompositionTable {
     }
 }
 
-/// Histogram-based selectivity estimation for query planning.
-///
-/// Per-attribute estimates are *exact* (they come from the full value
-/// histogram, which the bitmap indexes effectively store anyway); the
-/// multi-attribute estimate multiplies them under the paper's independence
-/// assumption — the same assumption behind its
-/// `GS = Π ((1 − Pm)·AS + Pm)` formula, but using observed counts instead
-/// of uniform-domain approximations.
-pub mod estimate {
-    use crate::{Column, Dataset, Interval, MissingPolicy, RangeQuery};
-
-    /// Fraction of rows of `column` matching `iv` under `policy`. Exact.
-    pub fn interval_selectivity(column: &Column, iv: Interval, policy: MissingPolicy) -> f64 {
-        if column.is_empty() {
-            return 0.0;
-        }
-        let counts = column.value_counts();
-        let mut hits: usize = counts[iv.lo as usize..=iv.hi as usize].iter().sum();
-        if policy == MissingPolicy::IsMatch {
-            hits += counts[0];
-        }
-        hits as f64 / column.len() as f64
-    }
-
-    /// Estimated global selectivity of `query` (product of exact
-    /// per-attribute selectivities; exact for single-attribute queries).
-    pub fn query_selectivity(dataset: &Dataset, query: &RangeQuery) -> f64 {
-        query
-            .predicates()
-            .iter()
-            .map(|p| interval_selectivity(dataset.column(p.attr), p.interval, query.policy()))
-            .product()
-    }
-
-    /// Estimated matching-row count for `query`.
-    pub fn query_cardinality(dataset: &Dataset, query: &RangeQuery) -> f64 {
-        query_selectivity(dataset, query) * dataset.n_rows() as f64
-    }
-}
-
-#[cfg(test)]
-mod estimate_tests {
-    use super::estimate::*;
-    use crate::gen::{synthetic_scaled, workload, QuerySpec};
-    use crate::{scan, Column, Dataset, Interval, MissingPolicy, Predicate, RangeQuery};
-
-    #[test]
-    fn single_attribute_estimates_are_exact() {
-        let col = Column::from_raw("a", 5, vec![0, 1, 1, 3, 5, 0, 2]).unwrap();
-        let d = Dataset::new(vec![col]).unwrap();
-        for policy in MissingPolicy::ALL {
-            for lo in 1..=5u16 {
-                for hi in lo..=5u16 {
-                    let q = RangeQuery::new(vec![Predicate::range(0, lo, hi)], policy).unwrap();
-                    let actual = scan::execute(&d, &q).selectivity(d.n_rows());
-                    let est = query_selectivity(&d, &q);
-                    assert!(
-                        (actual - est).abs() < 1e-12,
-                        "{policy} [{lo},{hi}]: {est} vs {actual}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn independence_assumption_close_on_synthetic_data() {
-        // Columns are generated independently, so the product rule should
-        // land near the truth.
-        let d = synthetic_scaled(8_000, 91);
-        for policy in MissingPolicy::ALL {
-            let spec = QuerySpec {
-                n_queries: 15,
-                k: 4,
-                global_selectivity: 0.05,
-                policy,
-                candidate_attrs: vec![],
-            };
-            let (mut sum_est, mut sum_act) = (0.0f64, 0.0f64);
-            for q in workload(&d, &spec, 92) {
-                sum_est += query_cardinality(&d, &q);
-                sum_act += scan::execute(&d, &q).len() as f64;
-            }
-            let rel = (sum_est - sum_act).abs() / sum_act.max(1.0);
-            assert!(rel < 0.25, "{policy}: est {sum_est} vs actual {sum_act}");
-        }
-    }
-
-    #[test]
-    fn empty_column_estimates_zero() {
-        let col = Column::from_raw("a", 3, vec![]).unwrap();
-        assert_eq!(
-            interval_selectivity(&col, Interval::new(1, 3), MissingPolicy::IsMatch),
-            0.0
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

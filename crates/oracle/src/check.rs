@@ -132,13 +132,6 @@ pub fn check_case(case: &Case) -> CaseResult {
             return ctx.result;
         }
     };
-    let appended = match catch(|| crate::registry::appended(&d)) {
-        Ok(a) => a,
-        Err(p) => {
-            ctx.check("registry/append-build", Err(p));
-            Vec::new()
-        }
-    };
     let permutation = match catch(|| build_permutation(&d)) {
         Ok(p) => p,
         Err(p) => {
@@ -229,16 +222,6 @@ pub fn check_case(case: &Case) -> CaseResult {
         for (name, m) in &roundtripped {
             ctx.assert(&format!("roundtrip/{name}/q{qi}"), || match m {
                 Err(e) => Err(format!("round-trip failed: {e}")),
-                Ok(m) if !m.supports(&query) => Ok(()),
-                Ok(m) => expect_eq(
-                    &m.execute(&query).map_err(|e| format!("execute: {e}"))?,
-                    &truth,
-                ),
-            });
-        }
-        for (name, m) in &appended {
-            ctx.assert(&format!("append/{name}/q{qi}"), || match m {
-                Err(e) => Err(format!("append replay failed: {e}")),
                 Ok(m) if !m.supports(&query) => Ok(()),
                 Ok(m) => expect_eq(
                     &m.execute(&query).map_err(|e| format!("execute: {e}"))?,

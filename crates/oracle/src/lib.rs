@@ -17,10 +17,10 @@
 //!   seed, deterministically;
 //! * [`check`] executes each case through every registered
 //!   [`AccessMethod`](ibis_core::AccessMethod) over every bit-store backend,
-//!   at thread degrees {1, 3, 8}, after a persistence round-trip, and after
-//!   row-by-row append, asserting every answer equals the sequential-scan
-//!   ground truth — and verifies the metamorphic identities (interval
-//!   split, semantics bridge, row-permutation invariance). Malformed
+//!   at thread degrees {1, 3, 8} and after a persistence round-trip,
+//!   asserting every answer equals the sequential-scan ground truth — and
+//!   verifies the metamorphic identities (interval split, semantics
+//!   bridge, row-permutation invariance). Malformed
 //!   queries must be *rejected with an error*, never panic, never
 //!   mis-answer;
 //! * [`crash`] is the durability twin of the battery: one seeded workload

@@ -689,7 +689,7 @@ impl IncompleteDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibis_core::gen::{census_scaled, workload, QuerySpec};
+    use ibis_core::gen::{census_scaled, synthetic_scaled, workload, QuerySpec};
     use ibis_core::{scan, MissingPolicy, Predicate};
 
     fn v(x: u16) -> Cell {
@@ -1000,6 +1000,38 @@ mod tests {
             (plan.estimated_rows - actual).abs() < 1e-9,
             "{plan:?} vs {actual}"
         );
+    }
+
+    #[test]
+    fn independence_assumption_close_on_synthetic_data() {
+        // Columns are generated independently, so the product rule should
+        // land near the truth.
+        let d = synthetic_scaled(8_000, 91);
+        let db = IncompleteDb::new(d.clone());
+        for policy in MissingPolicy::ALL {
+            let spec = QuerySpec {
+                n_queries: 15,
+                k: 4,
+                global_selectivity: 0.05,
+                policy,
+                candidate_attrs: vec![],
+            };
+            let (mut sum_est, mut sum_act) = (0.0f64, 0.0f64);
+            for q in workload(&d, &spec, 92) {
+                sum_est += db.explain(&q).unwrap().estimated_rows;
+                sum_act += scan::execute(&d, &q).len() as f64;
+            }
+            let rel = (sum_est - sum_act).abs() / sum_act.max(1.0);
+            assert!(rel < 0.25, "{policy}: est {sum_est} vs actual {sum_act}");
+        }
+    }
+
+    #[test]
+    fn empty_column_estimates_zero() {
+        let col = ibis_core::Column::from_raw("a", 3, vec![]).unwrap();
+        let db = IncompleteDb::new(Dataset::new(vec![col]).unwrap());
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 3)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(db.explain(&q).unwrap().estimated_rows, 0.0);
     }
 
     fn small_db() -> IncompleteDb {

@@ -102,14 +102,6 @@ impl PackedMatrix {
         })
     }
 
-    /// Appends one all-zeros row (the all-missing code); fields are then
-    /// written with [`Self::set`].
-    pub fn push_row(&mut self) {
-        self.n_rows += 1;
-        let needed = (self.n_rows * self.row_bits).div_ceil(64);
-        self.data.resize(needed, 0);
-    }
-
     /// Reads `width ≤ 16` bits at (`row`, `offset`).
     #[inline]
     pub fn get(&self, row: usize, offset: usize, width: usize) -> u16 {

@@ -121,27 +121,6 @@ impl VaFile {
                 .sum::<usize>()
     }
 
-    /// Appends one record to the approximation file (`O(k)` field writes).
-    /// The quantizers are fixed at build time, so appended values use the
-    /// existing bins (exactness is unaffected; only VA+ bin balance can
-    /// drift until a rebuild).
-    ///
-    /// # Errors
-    /// Rejects rows of the wrong width or with out-of-domain values,
-    /// leaving the file unchanged.
-    pub fn append_row(&mut self, row: &[ibis_core::Cell]) -> Result<()> {
-        ibis_core::validate_row(row, |a| self.attrs[a].cardinality, self.attrs.len())?;
-        self.packed.push_row();
-        let row_id = self.packed.n_rows() - 1;
-        for (&cell, a) in row.iter().zip(&self.attrs) {
-            if let Some(v) = cell.value() {
-                self.packed
-                    .set(row_id, a.offset, a.bits as usize, a.quantizer.bin_of(v));
-            }
-        }
-        Ok(())
-    }
-
     /// The stored approximation code of (`row`, `attr`) — 0 means missing.
     pub fn code(&self, row: usize, attr: usize) -> u16 {
         let a = &self.attrs[attr];
