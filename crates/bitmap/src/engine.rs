@@ -31,9 +31,7 @@
 
 use crate::index::{BitmapIndex, Encoding};
 use ibis_bitvec::{BitStore, BitVec64, OpTally};
-use ibis_core::parallel::ExecPool;
 use ibis_core::{Error, RangeQuery, Result, WorkCounters};
-use std::sync::Arc;
 
 fn charge_read<S: BitStore>(b: &S, cost: &mut WorkCounters) {
     let mut t = OpTally::default();
@@ -169,25 +167,22 @@ pub(crate) fn and_count(acc: BitVec64, last: Option<&BitVec64>, cost: &mut WorkC
     }
 }
 
-/// Evaluates `query` over `ix` with up to `threads` workers, returning what
-/// `finish` makes of the AND-reduce's last step (`None` for an empty search
-/// key: all rows match) and the work counters. Rows and counters are
-/// identical at every degree.
+/// Evaluates `query` over `ix`, returning what `finish` makes of the
+/// AND-reduce's last step (`None` for an empty search key: all rows match)
+/// and the work counters.
 ///
-/// Each per-predicate interval evaluation runs under a `bitmap.fetch` span
-/// (fanned over the pool's parked workers, which share the index's bitmaps
-/// through one `Arc` clone per query, each accruing into its own counters
-/// before an ordered merge) and the AND of the per-predicate answers under one
-/// `bitmap.and_reduce` span; both carry their counter deltas, so a profile's
-/// phases sum exactly to the query's final counters. The reduce is a left
-/// fold in predicate order at every degree — `k − 1` in-place ANDs over the
-/// per-predicate accumulators, the cheap tail of the query — and its last
-/// AND is `finish(acc, last, cost)`, with `last` absent for a one-predicate
-/// key: [`and_rows`] or [`and_count`].
+/// The predicates are evaluated in a plain loop on the calling thread, each
+/// interval under a `bitmap.fetch` span, and the AND of the per-predicate
+/// answers runs under one `bitmap.and_reduce` span; both carry their
+/// counter deltas, so a profile's phases sum exactly to the query's final
+/// counters. The reduce is a left fold in predicate order — `k − 1`
+/// in-place ANDs over the per-predicate accumulators — and its last AND is
+/// `finish(acc, last, cost)`, with `last` absent for a one-predicate key:
+/// [`and_rows`] or [`and_count`]. A query's parallelism lives above the
+/// index, across shards.
 pub(crate) fn run<E: Encoding, B: BitStore, T>(
     ix: &BitmapIndex<E, B>,
     query: &RangeQuery,
-    threads: usize,
     finish: impl FnOnce(BitVec64, Option<&BitVec64>, &mut WorkCounters) -> T,
 ) -> Result<(Option<T>, WorkCounters)> {
     let policy = query.policy();
@@ -195,19 +190,14 @@ pub(crate) fn run<E: Encoding, B: BitStore, T>(
         return Err(Error::UnsupportedPolicy { method: E::NAME });
     }
     query.validate_schema(ix.attrs.len(), |a| ix.attrs[a].cardinality)?;
-    let (attrs, n_rows) = (Arc::clone(&ix.attrs), ix.n_rows);
-    let partials = ExecPool::new(threads).map(query.predicates().to_vec(), move |p| {
-        // Nested under the pool.worker span of whichever thread runs it.
+    let mut cost = WorkCounters::zero();
+    let mut answers: Vec<BitVec64> = Vec::with_capacity(query.dimensionality());
+    for p in query.predicates() {
         let mut span = ibis_obs::span("bitmap.fetch");
         let mut c = WorkCounters::zero();
-        let b = E::interval(&attrs[p.attr], n_rows, p.interval, policy, &mut c);
+        let b = E::interval(&ix.attrs[p.attr], ix.n_rows, p.interval, policy, &mut c);
         span.add_field("attr", p.attr as u64);
         c.record_into(&mut span);
-        (b, c)
-    });
-    let mut cost = WorkCounters::zero();
-    let mut answers: Vec<BitVec64> = Vec::with_capacity(partials.len());
-    for (b, c) in partials {
         cost += c;
         answers.push(b);
     }

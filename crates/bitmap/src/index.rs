@@ -15,7 +15,7 @@ use ibis_core::{
 use std::io;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// One attribute's share of an index: the bitmaps its encoding stores.
 #[derive(Clone, Debug)]
@@ -248,9 +248,7 @@ pub trait Encoding: Copy + std::fmt::Debug + Send + Sync + 'static {
 /// every attribute, held in backend `B`.
 #[derive(Clone, Debug)]
 pub struct BitmapIndex<E: Encoding, B: BitStore> {
-    /// Shared so a query's predicate fan-out can move the bitmaps onto the
-    /// pool's workers.
-    pub(crate) attrs: Arc<Vec<AttrBitmaps<B>>>,
+    pub(crate) attrs: Vec<AttrBitmaps<B>>,
     pub(crate) n_rows: usize,
     /// Cached [`Self::prices`], built by the first estimate.
     prices: OnceLock<PriceTable>,
@@ -264,7 +262,7 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
     fn new(attrs: Vec<AttrBitmaps<B>>, n_rows: usize) -> Self {
         BitmapIndex {
-            attrs: Arc::new(attrs),
+            attrs,
             n_rows,
             prices: OnceLock::new(),
             encoding: PhantomData,
@@ -399,20 +397,27 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
     }
 
     fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        self.execute_with_cost_threads(query, 1)
+        let mut rows = Vec::new();
+        let cost = self.execute_into(query, 1, 0, &mut rows)?;
+        Ok((RowSet::from_sorted(rows), cost))
     }
 
-    fn execute_with_cost_threads(
+    // The predicates run in a plain loop at every degree, so `threads` is
+    // not consulted; the final bitmap's ids are written straight into the
+    // caller's buffer at `base`.
+    fn execute_into(
         &self,
         query: &RangeQuery,
-        threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
-        let (acc, cost) = engine::run(self, query, threads, engine::and_rows)?;
-        let rows = match acc {
-            None => RowSet::all(self.n_rows as u32),
-            Some(b) => RowSet::from_sorted(b.ones_positions()),
-        };
-        Ok((rows, cost))
+        _threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
+        let (acc, cost) = engine::run(self, query, engine::and_rows)?;
+        match acc {
+            None => out.extend(base..base + self.n_rows as u32),
+            Some(b) => b.ones_positions_into(base, out),
+        }
+        Ok(cost)
     }
 
     fn size_bytes(&self) -> usize {
@@ -422,7 +427,7 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
     // A COUNT(*) with the last AND fused into the population count:
     // neither the final bitmap nor any row id is materialized.
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        let (count, _) = engine::run(self, query, 1, engine::and_count)?;
+        let (count, _) = engine::run(self, query, engine::and_count)?;
         Ok(count.unwrap_or(self.n_rows))
     }
 

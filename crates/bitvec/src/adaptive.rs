@@ -612,27 +612,6 @@ impl BitStore for Adaptive {
         self.decode()
     }
 
-    fn zeros(len: usize) -> Self {
-        Adaptive {
-            n_bits: len,
-            containers: vec![Container::Array(Vec::new()); len.div_ceil(CHUNK_BITS)],
-        }
-    }
-
-    fn ones(len: usize) -> Self {
-        let n_chunks = len.div_ceil(CHUNK_BITS);
-        let containers = (0..n_chunks)
-            .map(|c| {
-                let valid = chunk_bits(len, c);
-                Container::Run(vec![(0, (valid - 1) as u16)]).optimize(valid.div_ceil(64))
-            })
-            .collect();
-        Adaptive {
-            n_bits: len,
-            containers,
-        }
-    }
-
     fn len(&self) -> usize {
         self.n_bits
     }
@@ -1058,7 +1037,7 @@ mod tests {
     fn tallies_are_exact() {
         let len = 2 * CHUNK_BITS;
         let a = Adaptive::encode(&sparse(len, &[1, 9, 33, 70_000]));
-        let b = <Adaptive as BitStore>::ones(len);
+        let b = Adaptive::from_bitvec(&BitVec64::ones(len));
         // Both operands of an AND, as the query driver charges them.
         let mut tally = OpTally::default();
         a.tally_read(&mut tally);
@@ -1084,7 +1063,7 @@ mod tests {
         assert_eq!(a.read_price(), 4.0 * ARRAY_ENTRY_PRICE);
         // One run per chunk.
         assert_eq!(
-            <Adaptive as BitStore>::ones(len).read_price(),
+            Adaptive::from_bitvec(&BitVec64::ones(len)).read_price(),
             2.0 * RUN_PRICE
         );
         // Every other bit: one bitmap container of a chunk's 1,024 words.
@@ -1104,18 +1083,18 @@ mod tests {
         let n = BitStore::not(&a);
         assert_eq!(n.count_ones(), len - 2);
         assert_eq!(n.decode(), v.not());
-        let ones = <Adaptive as BitStore>::ones(len);
+        let ones = Adaptive::from_bitvec(&BitVec64::ones(len));
         assert_eq!(ones.count_ones(), len);
         assert_eq!(BitStore::xor(&ones, &a).count_ones(), len - 2);
     }
 
     #[test]
     fn zero_length_and_empty() {
-        let z = <Adaptive as BitStore>::zeros(0);
+        let z = Adaptive::from_bitvec(&BitVec64::zeros(0));
         assert!(BitStore::is_empty(&z));
         assert_eq!(z.n_containers(), 0);
         assert_eq!(BitStore::and(&z, &z).count_ones(), 0);
-        let z10 = <Adaptive as BitStore>::zeros(10);
+        let z10 = Adaptive::from_bitvec(&BitVec64::zeros(10));
         assert_eq!(z10.count_ones(), 0);
         assert_eq!(BitStore::not(&z10).count_ones(), 10);
     }
@@ -1152,8 +1131,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal length")]
     fn length_mismatch_panics() {
-        let a = <Adaptive as BitStore>::zeros(10);
-        let b = <Adaptive as BitStore>::zeros(11);
+        let a = Adaptive::from_bitvec(&BitVec64::zeros(10));
+        let b = Adaptive::from_bitvec(&BitVec64::zeros(11));
         let _ = BitStore::and(&a, &b);
     }
 

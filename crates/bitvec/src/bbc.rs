@@ -448,14 +448,6 @@ impl BitStore for Bbc {
         self.decode()
     }
 
-    fn zeros(len: usize) -> Self {
-        Bbc::encode(&BitVec64::zeros(len))
-    }
-
-    fn ones(len: usize) -> Self {
-        Bbc::encode(&BitVec64::ones(len))
-    }
-
     fn len(&self) -> usize {
         self.n_bits
     }
@@ -681,8 +673,8 @@ mod tests {
     #[test]
     fn bitstore_impl() {
         assert_eq!(<Bbc as BitStore>::backend_name(), "bbc");
-        assert_eq!(<Bbc as BitStore>::ones(13).count_ones(), 13);
-        assert_eq!(<Bbc as BitStore>::zeros(13).count_ones(), 0);
+        assert_eq!(Bbc::from_bitvec(&BitVec64::ones(13)).count_ones(), 13);
+        assert_eq!(Bbc::from_bitvec(&BitVec64::zeros(13)).count_ones(), 0);
     }
 }
 

@@ -206,18 +206,25 @@ impl BitVec64 {
         })
     }
 
-    /// Positions of set bits, ascending, as one vector — how a query's final
-    /// bitmap becomes row ids.
+    /// Positions of set bits, ascending, as one vector.
+    pub fn ones_positions(&self) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.ones_positions_into(0, &mut out);
+        out
+    }
+
+    /// Appends `base` plus the position of every set bit, ascending, after
+    /// whatever `out` already holds — how a query's final bitmap becomes
+    /// row ids, written once at the shard's global offset.
     ///
     /// Words go eight at a time, an all-zero block in one test. A word's
     /// first two positions are taken branch-free — written whether or not a
     /// bit is left, kept only if one was — because on a sparse answer "is
     /// this word zero?" is a coin toss that costs more mispredicted than
     /// the two stores do; words holding more bits finish in a loop.
-    pub fn ones_positions(&self) -> Vec<u32> {
+    pub fn ones_positions_into(&self, base: u32, out: &mut Vec<u32>) {
         const BLOCK: usize = 8;
-        let mut out: Vec<u32> = Vec::new();
-        let mut kept = 0usize; // out[..kept] are positions; the rest is scratch
+        let mut kept = out.len(); // out[..kept] are positions; the rest is scratch
         for (bi, block) in self.words.chunks(BLOCK).enumerate() {
             if block.iter().fold(0, |any, &w| any | w) == 0 {
                 continue;
@@ -229,22 +236,21 @@ impl BitVec64 {
                 out.resize(need.max(2 * out.len()), 0);
             }
             for (j, &word) in block.iter().enumerate() {
-                let base = ((bi * BLOCK + j) * 64) as u32;
+                let at = base.wrapping_add(((bi * BLOCK + j) * 64) as u32);
                 let mut w = word;
                 for _ in 0..2 {
-                    out[kept] = base.wrapping_add(w.trailing_zeros());
+                    out[kept] = at.wrapping_add(w.trailing_zeros());
                     kept += usize::from(w != 0);
                     w &= w.wrapping_sub(1);
                 }
                 while w != 0 {
-                    out[kept] = base + w.trailing_zeros();
+                    out[kept] = at + w.trailing_zeros();
                     kept += 1;
                     w &= w - 1;
                 }
             }
         }
         out.truncate(kept);
-        out
     }
 
     /// Heap size of the backing storage, in bytes.
@@ -368,6 +374,23 @@ mod tests {
                 assert_eq!(v.count_ones(), expect.len());
             }
             assert_eq!(BitVec64::ones(len).ones_positions().len(), len);
+        }
+    }
+
+    #[test]
+    fn ones_positions_into_appends_at_a_base() {
+        let prior = [3u32, 17, 40];
+        for len in [0usize, 1, 64, 65, 2_000] {
+            let every_third = BitVec64::from_ones(len, (0..len as u32).step_by(3));
+            for v in [BitVec64::zeros(len), BitVec64::ones(len), every_third] {
+                for base in [0u32, 41, 1 << 20] {
+                    let mut out = prior.to_vec();
+                    v.ones_positions_into(base, &mut out);
+                    let shifted = v.ones_positions().into_iter().map(|p| p + base);
+                    let expect: Vec<u32> = prior.iter().copied().chain(shifted).collect();
+                    assert_eq!(out, expect, "len {len} base {base}");
+                }
+            }
         }
     }
 

@@ -45,22 +45,15 @@ impl OpTally {
 /// that a query of `k` predicates allocates `k` accumulators however many
 /// stored bitmaps it reads.
 ///
-/// `Send + Sync + 'static` are supertraits so indexes generic over a store
-/// are shareable access methods (`Arc<dyn>` registries) whose bitmaps the
-/// pool's parked workers may hold; every store is plain owned data, so this
-/// costs nothing.
-pub trait BitStore: Clone + Send + Sync + 'static {
+/// `Send + Sync` are supertraits so indexes generic over a store are
+/// shareable access methods (`Arc<dyn>` registries); every store is plain
+/// owned data, so this costs nothing.
+pub trait BitStore: Clone + Send + Sync {
     /// Encodes an uncompressed bit vector.
     fn from_bitvec(bits: &BitVec64) -> Self;
 
     /// Decodes back to an uncompressed bit vector.
     fn to_bitvec(&self) -> BitVec64;
-
-    /// An all-zeros vector of `len` bits.
-    fn zeros(len: usize) -> Self;
-
-    /// An all-ones vector of `len` bits.
-    fn ones(len: usize) -> Self;
 
     /// Number of bits.
     fn len(&self) -> usize;
@@ -158,14 +151,6 @@ impl BitStore for BitVec64 {
         self.clone()
     }
 
-    fn zeros(len: usize) -> Self {
-        BitVec64::zeros(len)
-    }
-
-    fn ones(len: usize) -> Self {
-        BitVec64::ones(len)
-    }
-
     fn len(&self) -> usize {
         self.len()
     }
@@ -253,23 +238,29 @@ mod tests {
         assert_eq!(w.to_bitvec(), v);
         assert_eq!(BitStore::count_ones(&w), 3);
         assert_eq!(w.ones_positions(), vec![3, 50, 99]);
-        assert_eq!(<BitVec64 as BitStore>::zeros(10).count_ones(), 0);
-        assert_eq!(<BitVec64 as BitStore>::ones(10).count_ones(), 10);
+        assert_eq!(BitStore::count_ones(&BitVec64::zeros(10)), 0);
+        assert_eq!(BitStore::count_ones(&BitVec64::ones(10)), 10);
         assert_eq!(<BitVec64 as BitStore>::backend_name(), "plain");
     }
 
     #[test]
     fn default_read_price_is_the_uncompressed_words() {
-        assert_eq!(<BitVec64 as BitStore>::zeros(130).read_price(), 3.0);
-        assert_eq!(crate::Wah::zeros(64).read_price(), 1.0);
-        assert_eq!(<crate::Bbc as BitStore>::ones(65).read_price(), 2.0);
+        assert_eq!(BitVec64::zeros(130).read_price(), 3.0);
+        assert_eq!(
+            crate::Wah::from_bitvec(&BitVec64::zeros(64)).read_price(),
+            1.0
+        );
+        assert_eq!(
+            crate::Bbc::from_bitvec(&BitVec64::ones(65)).read_price(),
+            2.0
+        );
     }
 
     #[test]
     fn default_tally_charges_the_uncompressed_words() {
         let mut tally = OpTally::default();
-        <BitVec64 as BitStore>::zeros(130).tally_read(&mut tally);
-        crate::Wah::zeros(64).tally_read(&mut tally);
+        BitVec64::zeros(130).tally_read(&mut tally);
+        crate::Wah::from_bitvec(&BitVec64::zeros(64)).tally_read(&mut tally);
         assert_eq!(tally.words, 3 + 1);
         assert_eq!(tally.containers(), 0);
     }
@@ -302,7 +293,7 @@ mod persist_tests {
         cut.truncate(buf.len() - 1);
         assert!(B::read_from(&mut cut.as_slice()).is_err());
         // Zero-length vector roundtrips too.
-        let z = B::zeros(0);
+        let z = B::from_bitvec(&BitVec64::zeros(0));
         let mut buf: Vec<u8> = Vec::new();
         z.write_to(&mut buf).unwrap();
         assert_eq!(B::read_from(&mut buf.as_slice()).unwrap(), z);

@@ -527,14 +527,6 @@ impl BitStore for Wah {
         self.decode()
     }
 
-    fn zeros(len: usize) -> Self {
-        Wah::encode(&BitVec64::zeros(len))
-    }
-
-    fn ones(len: usize) -> Self {
-        Wah::encode(&BitVec64::ones(len))
-    }
-
     fn len(&self) -> usize {
         self.n_bits
     }
@@ -784,8 +776,8 @@ mod tests {
         let v = sparse(500, &[1, 100, 499]);
         let w = <Wah as BitStore>::from_bitvec(&v);
         assert_eq!(w.to_bitvec(), v);
-        assert_eq!(<Wah as BitStore>::zeros(40).count_ones(), 0);
-        assert_eq!(<Wah as BitStore>::ones(40).count_ones(), 40);
+        assert_eq!(Wah::from_bitvec(&BitVec64::zeros(40)).count_ones(), 0);
+        assert_eq!(Wah::from_bitvec(&BitVec64::ones(40)).count_ones(), 40);
         assert_eq!(<Wah as BitStore>::backend_name(), "wah");
         assert!(BitStore::size_bytes(&w) > 0);
     }

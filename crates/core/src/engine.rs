@@ -423,6 +423,25 @@ pub trait AccessMethod: Send + Sync {
         self.execute_with_cost(query)
     }
 
+    /// [`AccessMethod::execute_with_cost_threads`] written into a caller's
+    /// buffer: appends the matching row ids, each plus `base`, ascending,
+    /// after whatever `out` already holds, and returns the work counters.
+    /// This is how a sharded database writes each shard's ids once, at
+    /// their global offset. The default adapts
+    /// [`AccessMethod::execute_with_cost_threads`]; the bitmap families
+    /// extract their final bitmap straight into `out`.
+    fn execute_into(
+        &self,
+        query: &RangeQuery,
+        threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
+        let (rows, cost) = self.execute_with_cost_threads(query, threads)?;
+        out.extend(rows.iter().map(|row| row + base));
+        Ok(cost)
+    }
+
     /// Answers `query` exactly.
     fn execute(&self, query: &RangeQuery) -> Result<RowSet> {
         Ok(self.execute_with_cost(query)?.0)

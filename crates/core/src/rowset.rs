@@ -63,8 +63,8 @@ impl RowSet {
     }
 
     /// Appends ids that all follow the set's current last id, in ascending
-    /// order — the union with a set known to lie wholly after this one (a
-    /// shard's delta ids start where its base ids end), without a merge.
+    /// order — the union with a set known to lie wholly after this one (the
+    /// next partition of a row-range scan), without a merge.
     ///
     /// # Panics
     /// Panics (in debug builds) if the result is not strictly increasing.
@@ -75,27 +75,6 @@ impl RowSet {
             self.rows[joint..].windows(2).all(|w| w[0] < w[1]),
             "appended rows must be strictly increasing and follow the set"
         );
-    }
-
-    /// Removes every id that `ids` — ascending, like the set — also yields:
-    /// one merge pass in place, `O(len + ids)`, where a probe per row of a
-    /// tombstone set would be `O(len · log ids)`.
-    pub fn remove_ascending(&mut self, ids: impl IntoIterator<Item = u32>) {
-        let mut ids = ids.into_iter().peekable();
-        self.rows.retain(|&row| {
-            while ids.next_if(|&id| id < row).is_some() {}
-            ids.peek() != Some(&row)
-        });
-    }
-
-    /// Adds `by` to every id in place (a shard's local ids re-based to
-    /// global ones); the first shard's offset of 0 touches nothing.
-    pub fn shift(&mut self, by: u32) {
-        if by != 0 {
-            for row in &mut self.rows {
-                *row += by;
-            }
-        }
     }
 
     /// Number of rows in the set.
@@ -292,23 +271,14 @@ mod tests {
     }
 
     #[test]
-    fn in_place_append_remove_and_shift() {
+    fn append_ascending_extends_in_order() {
         let mut a = rs(&[1, 4, 6]);
         a.append_ascending([7, 9]);
         a.append_ascending(std::iter::empty());
         assert_eq!(a.rows(), &[1, 4, 6, 7, 9]);
-        // Ids absent from the set, before it and past its end are skipped.
-        a.remove_ascending([0, 4, 5, 9, 12]);
-        assert_eq!(a.rows(), &[1, 6, 7]);
-        a.remove_ascending(std::iter::empty());
-        a.shift(0);
-        assert_eq!(a.rows(), &[1, 6, 7]);
-        a.shift(10);
-        assert_eq!(a.rows(), &[11, 16, 17]);
         let mut e = RowSet::new();
         e.append_ascending([3]);
-        e.remove_ascending([3]);
-        assert!(e.is_empty());
+        assert_eq!(e.rows(), &[3]);
     }
 
     #[test]

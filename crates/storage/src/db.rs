@@ -84,14 +84,14 @@ pub struct DbConfig {
 }
 
 impl Default for DbConfig {
-    /// The paper's §6 trio — equality, range, and VA — so the planner
-    /// always has its preferred index for points, ranges, and memory
-    /// pressure alike.
+    /// The paper's §6 pair — equality and range encoding — so the planner
+    /// always has its preferred index for points and for ranges. A VA-file
+    /// is never cheaper than one of the two, so it is not built unless
+    /// asked for (`va: true`, as [`DbConfig::compact_profile`] does).
     fn default() -> DbConfig {
         DbConfig {
             bee: true,
             bre: true,
-            va: true,
             ..DbConfig::none()
         }
     }
@@ -310,6 +310,23 @@ pub(crate) fn invalid_input(e: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
 }
 
+/// Removes from `ids[start..]` — ascending — every id that `dead`, also
+/// ascending, yields: one merge pass in place, `O(len + dead)`, where a
+/// probe per id into a tombstone set would be `O(len · log dead)`.
+fn remove_ascending(ids: &mut Vec<u32>, start: usize, dead: impl Iterator<Item = u32>) {
+    let mut dead = dead.peekable();
+    let mut kept = start;
+    for i in start..ids.len() {
+        let id = ids[i];
+        while dead.next_if(|&d| d < id).is_some() {}
+        if dead.peek() != Some(&id) {
+            ids[kept] = id;
+            kept += 1;
+        }
+    }
+    ids.truncate(kept);
+}
+
 impl IncompleteDb {
     /// Builds over `dataset` with the default config.
     pub fn new(dataset: Dataset) -> IncompleteDb {
@@ -493,7 +510,11 @@ impl IncompleteDb {
     /// candidate is also handed to `table` in registration order, which is
     /// how [`explain`](IncompleteDb::explain) renders the very ranking
     /// [`execute`](IncompleteDb::execute) dispatches on.
-    fn plan(&self, query: &RangeQuery, mut table: impl FnMut(CandidatePlan)) -> Result<usize> {
+    pub(crate) fn plan(
+        &self,
+        query: &RangeQuery,
+        mut table: impl FnMut(CandidatePlan),
+    ) -> Result<usize> {
         let mut span = ibis_obs::span("db.plan");
         query.validate(&self.base)?;
         let mut considered = 0u64;
@@ -562,8 +583,28 @@ impl IncompleteDb {
         threads: usize,
     ) -> Result<(RowSet, WorkCounters)> {
         let winner = self.plan(query, |_| {})?;
+        let mut rows = Vec::new();
+        let counters = self.execute_into(query, winner, threads, 0, &mut rows)?;
+        Ok((RowSet::from_sorted(rows), counters))
+    }
+
+    /// Appends the ids of the live rows matching `query`, each plus `base`,
+    /// ascending, after whatever `out` holds: the base hits of the registry
+    /// method at position `winner`, then the delta hits, then this shard's
+    /// tombstones dropped from what it wrote. `winner` is what
+    /// [`plan`](Self::plan) returned here or on a shard of the same config
+    /// (one registry order), which is how a router plans once per query.
+    pub(crate) fn execute_into(
+        &self,
+        query: &RangeQuery,
+        winner: usize,
+        threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
+        let start = out.len();
         let method = &self.methods[winner].method;
-        let (mut rows, mut counters) = method.execute_with_cost_threads(query, threads)?;
+        let mut counters = method.execute_into(query, threads, base, out)?;
         counters.entries_scanned = counters.entries_scanned.saturating_add(self.delta.len());
         // Delta rows are scanned with the semantic definition directly.
         let mut span = ibis_obs::span("db.delta");
@@ -572,11 +613,11 @@ impl IncompleteDb {
         // same delta on this span so per-phase attribution stays exact.
         span.add_field("entries_scanned", self.delta.len() as u64);
         // Delta ids start where the base ids end, so the union is an append.
-        rows.append_ascending(self.delta_hits(query));
+        out.extend(self.delta_hits(query).map(|id| id + base));
         if !self.deleted.is_empty() {
-            rows.remove_ascending(self.deleted.iter().copied());
+            remove_ascending(out, start, self.deleted.iter().map(|&id| id + base));
         }
-        Ok((rows, counters))
+        Ok(counters)
     }
 
     /// The ids of the delta rows that satisfy `query`, ascending: each row
@@ -600,6 +641,13 @@ impl IncompleteDb {
     /// a handful of rows.
     pub fn count(&self, query: &RangeQuery) -> Result<usize> {
         let winner = self.plan(query, |_| {})?;
+        self.count_with(query, winner)
+    }
+
+    /// [`count`](Self::count) with the registry method at `winner`, a
+    /// position [`plan`](Self::plan) returned (see
+    /// [`execute_into`](Self::execute_into)).
+    pub(crate) fn count_with(&self, query: &RangeQuery, winner: usize) -> Result<usize> {
         let base = self.methods[winner].method.execute_count(query)?;
         let mut span = ibis_obs::span("db.delta");
         span.add_field("delta_rows", self.delta.len() as u64);
@@ -821,7 +869,11 @@ mod tests {
 
     #[test]
     fn explain_reports_every_candidate() {
-        let d = db();
+        let config = DbConfig {
+            va: true,
+            ..DbConfig::default()
+        };
+        let d = IncompleteDb::with_config(census_scaled(400, 401), config);
         let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
         let plan = d.explain(&q).unwrap();
         let names: Vec<&str> = plan.candidates.iter().map(|c| c.name).collect();
@@ -936,6 +988,21 @@ mod tests {
         d.compact();
         let after: Vec<RowSet> = queries.iter().map(|q| d.execute(q).unwrap()).collect();
         assert_eq!(before, after, "compaction must not change answers");
+    }
+
+    #[test]
+    fn tombstones_are_removed_from_the_tail_only() {
+        let mut ids = vec![2, 4, 1, 4, 6, 7, 9];
+        // Ids absent from the tail, before it and past its end are skipped;
+        // the head before `start` is never touched.
+        remove_ascending(&mut ids, 2, [0, 4, 5, 9, 12].into_iter());
+        assert_eq!(ids, [2, 4, 1, 6, 7]);
+        remove_ascending(&mut ids, 2, std::iter::empty());
+        assert_eq!(ids, [2, 4, 1, 6, 7]);
+        remove_ascending(&mut ids, 5, [3].into_iter());
+        assert_eq!(ids, [2, 4, 1, 6, 7]);
+        remove_ascending(&mut ids, 2, [1, 6, 7].into_iter());
+        assert_eq!(ids, [2, 4]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The router: [`ShardedDb`] partitions a relation into fixed-capacity
-//! shards and does routing only — global-id offsets, synopsis pruning,
-//! fan-out over the worker pool, id re-basing, merge, and copy-on-write of
-//! the one shard a mutation touches.
+//! shards and does routing only — global-id offsets, synopsis pruning, one
+//! plan per query, fan-out over the worker pool, merge, and copy-on-write
+//! of the one shard a mutation touches.
 //!
 //! Every shard is a whole [`IncompleteDb`], which owns its rows, indexes,
 //! planner and synopsis (see [`crate::db`]). This module sits beside that
@@ -11,9 +11,14 @@
 //! section of a snapshot image.
 
 use crate::db::{invalid, DbConfig, IncompleteDb};
+use ibis_core::parallel::{partition, ExecPool};
 use ibis_core::synopsis::ShardSynopsis;
 use ibis_core::{wire, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use std::sync::Arc;
+
+/// One shard a query visits: its position, its global-id offset, and the
+/// shard itself, shared so the pool's workers may hold it.
+type Visit = (usize, usize, Arc<IncompleteDb>);
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"IBSS";
 const SNAPSHOT_VERSION: u16 = 1;
@@ -289,9 +294,11 @@ impl ShardedDb {
 
     /// The full sharded execution pipeline: consult every shard's synopsis,
     /// skip the provably-empty shards (recorded on the `shards.pruned`
-    /// counter and the `db.shards` span), fan the survivors out over the
-    /// worker pool (one `db.shard` span each), and merge — rows offset into
-    /// global-id order, counters summed saturatingly in shard order.
+    /// counter and the `db.shards` span), plan once, split the survivors
+    /// into `threads` contiguous groups fanned out over the worker pool,
+    /// and concatenate. Each group fills one id buffer: every shard (one
+    /// `db.shard` span each) writes its ids there once, at its global
+    /// offset. Counters are summed saturatingly.
     pub fn execute_with_stats_threads(
         &self,
         query: &RangeQuery,
@@ -299,57 +306,68 @@ impl ShardedDb {
     ) -> Result<ShardExecution> {
         query.validate(self.schema())?;
         let mut span = ibis_obs::span("db.shards");
-        let work = self.unpruned(query, &mut span);
+        let mut work = self.unpruned(query, &mut span);
         let pruned = self.shards.len() - work.len();
-        // With more than one shard the shards *are* the parallelism, even
-        // when pruning leaves one: a capacity-bounded shard costs less to
-        // evaluate inline than starting threads to fan it out again.
-        // Counters are thread-degree-independent either way, so this
-        // choice never shows up in the merged result.
-        let inner = if self.shards.len() == 1 {
-            threads.max(1)
-        } else {
-            1
-        };
-        let query = Arc::new(query.clone());
-        let parts =
-            ibis_core::parallel::ExecPool::new(threads).try_map(work, move |(i, off, shard)| {
-                let mut shard_span = ibis_obs::span("db.shard");
-                shard_span.add_field("shard", i as u64);
-                let (mut rows, counters) = shard.execute_with_cost_threads(&query, inner)?;
-                shard_span.add_field("rows", rows.len() as u64);
-                counters.record_into(&mut shard_span);
-                rows.shift(off as u32);
-                Ok((rows, counters))
-            })?;
+        let mut rows = Vec::new();
         let mut counters = WorkCounters::zero();
-        let mut sets = Vec::with_capacity(parts.len());
-        for (rows, c) in parts {
-            counters.merge(c);
-            sets.push(rows);
+        if let Some(winner) = plan(query, &work)? {
+            // With more than one shard the shards *are* the parallelism,
+            // even when pruning leaves one: a capacity-bounded shard costs
+            // less to evaluate inline than starting threads to fan it out
+            // again. Counters are thread-degree-independent either way, so
+            // this choice never shows up in the merged result.
+            let inner = if self.shards.len() == 1 {
+                threads.max(1)
+            } else {
+                1
+            };
+            let ranges = partition(work.len(), threads);
+            let mut groups: Vec<Vec<Visit>> = ranges
+                .iter()
+                .rev()
+                .map(|r| work.split_off(r.start))
+                .collect();
+            groups.reverse();
+            let query = Arc::new(query.clone());
+            let parts = ExecPool::new(threads).try_map(groups, move |group| {
+                let mut ids = Vec::new();
+                let mut counters = WorkCounters::zero();
+                for (i, off, shard) in group {
+                    let mut shard_span = ibis_obs::span("db.shard");
+                    shard_span.add_field("shard", i as u64);
+                    let start = ids.len();
+                    let c = shard.execute_into(&query, winner, inner, off as u32, &mut ids)?;
+                    shard_span.add_field("rows", (ids.len() - start) as u64);
+                    c.record_into(&mut shard_span);
+                    counters.merge(c);
+                }
+                Ok((ids, counters))
+            })?;
+            for (ids, c) in parts {
+                counters.merge(c);
+                if rows.is_empty() {
+                    rows = ids; // the first non-empty buffer is taken, not copied
+                } else {
+                    rows.extend_from_slice(&ids);
+                }
+            }
         }
-        let rows = RowSet::concat_sorted(sets);
         span.add_field("rows", rows.len() as u64);
         Ok(ShardExecution {
-            rows,
+            rows: RowSet::from_sorted(rows),
             counters,
             shards_total: self.shards.len(),
             shards_pruned: pruned,
         })
     }
 
-    /// The shards whose synopsis cannot prove `query` empty, each with its
-    /// index and global-id offset, shared so the pool's workers may hold
-    /// them; what was skipped goes on the `shards.pruned` counter and the
+    /// The shards whose synopsis cannot prove `query` empty, in shard
+    /// order; what was skipped goes on the `shards.pruned` counter and the
     /// `db.shards` span.
-    fn unpruned(
-        &self,
-        query: &RangeQuery,
-        span: &mut ibis_obs::SpanGuard,
-    ) -> Vec<(usize, usize, Arc<IncompleteDb>)> {
+    fn unpruned(&self, query: &RangeQuery, span: &mut ibis_obs::SpanGuard) -> Vec<Visit> {
         debug_assert_eq!(self.offsets.len(), self.shards.len());
         let shards = self.shards.iter().zip(&self.offsets).enumerate();
-        let work: Vec<(usize, usize, Arc<IncompleteDb>)> = shards
+        let work: Vec<Visit> = shards
             .filter(|(_, (shard, _))| !shard.synopsis().can_prune(query))
             .map(|(i, (shard, &off))| (i, off, Arc::clone(shard)))
             .collect();
@@ -360,23 +378,26 @@ impl ShardedDb {
         work
     }
 
-    /// Counts matching rows: the sum of [`IncompleteDb::count`] over the
-    /// unpruned shards, fanned over the same pool `execute` uses. No row id
-    /// is built, re-based or merged.
+    /// Counts matching rows: the sum of the unpruned shards' counts under
+    /// the one plan, fanned over the same pool `execute` uses. No row id is
+    /// built or merged.
     pub fn count(&self, query: &RangeQuery) -> Result<usize> {
         query.validate(self.schema())?;
         let mut span = ibis_obs::span("db.shards");
         let work = self.unpruned(query, &mut span);
+        let Some(winner) = plan(query, &work)? else {
+            span.add_field("rows", 0);
+            return Ok(0);
+        };
         let threads = ibis_core::parallel::configured_threads();
         let query = Arc::new(query.clone());
-        let counts =
-            ibis_core::parallel::ExecPool::new(threads).try_map(work, move |(i, _, shard)| {
-                let mut shard_span = ibis_obs::span("db.shard");
-                shard_span.add_field("shard", i as u64);
-                let n = shard.count(&query)?;
-                shard_span.add_field("rows", n as u64);
-                Ok(n)
-            })?;
+        let counts = ExecPool::new(threads).try_map(work, move |(i, _, shard)| {
+            let mut shard_span = ibis_obs::span("db.shard");
+            shard_span.add_field("shard", i as u64);
+            let n = shard.count_with(&query, winner)?;
+            shard_span.add_field("rows", n as u64);
+            Ok(n)
+        })?;
         let total = counts.into_iter().sum();
         span.add_field("rows", total as u64);
         Ok(total)
@@ -433,6 +454,28 @@ impl ShardedDb {
         }
         Ok(ShardedDb::assemble(config, shard_rows, shards))
     }
+}
+
+/// The one plan a sharded query runs: the registry position chosen by the
+/// first shard in `work` that holds base rows (a shard with an empty base
+/// has nothing to price), or by the first shard when none does; `None`
+/// when every shard was pruned. Every shard is built under the router's
+/// one config, so a position names the same method on each.
+fn plan(query: &RangeQuery, work: &[Visit]) -> Result<Option<usize>> {
+    let Some(first) = work.first() else {
+        return Ok(None);
+    };
+    let (_, _, planner) = work
+        .iter()
+        .find(|(_, _, shard)| shard.schema().n_rows() > 0)
+        .unwrap_or(first);
+    let winner = planner.plan(query, |_| {})?;
+    debug_assert!(
+        work.iter()
+            .all(|(_, _, s)| s.method_names()[winner] == planner.method_names()[winner]),
+        "shards of one config share one registry order"
+    );
+    Ok(Some(winner))
 }
 
 #[cfg(test)]
@@ -615,7 +658,7 @@ mod tests {
     fn a_warmed_sharded_query_starts_no_thread() {
         // 64 shards of 4 rows, `a` banded by shard, `b` varying inside one:
         // the wide query fans out over every shard, the point query prunes
-        // to one shard, which must not fan its predicates out again.
+        // to one shard, which runs inline.
         let rows: Vec<Vec<Cell>> = (0u16..256)
             .map(|r| vec![v(r / 4 + 1), v(r % 4 + 1)])
             .collect();
@@ -627,8 +670,7 @@ mod tests {
         let key = |lo, hi| vec![Predicate::range(0, lo, hi), Predicate::range(1, 2, 3)];
         let wide = RangeQuery::new(key(1, 64), MissingPolicy::IsNotMatch).unwrap();
         let one = RangeQuery::new(key(10, 10), MissingPolicy::IsNotMatch).unwrap();
-        // One shard: the shard's own method fans the predicates out at the
-        // full degree, on the same parked workers.
+        // One shard: the shard's own method gets the full degree.
         let single = ShardedDb::new(
             Dataset::from_rows(&[("a", 64), ("b", 4)], &rows).unwrap(),
             256,
@@ -645,6 +687,41 @@ mod tests {
             assert_eq!(exec.rows, db.execute_threads(q, 1).unwrap());
         }
         assert_eq!(ibis_core::parallel::threads_started_here(), before);
+    }
+
+    #[test]
+    fn the_one_plan_comes_from_a_shard_holding_base_rows() {
+        // Shard 0 is pruned, shard 1 holds only delta rows, shard 2 holds
+        // base rows: shard 2 plans, and shard 1 runs what it chose.
+        let schema = &[("a", 9)];
+        let base = |vals: &[u16]| {
+            let rows: Vec<Vec<Cell>> = vals.iter().map(|&x| vec![v(x)]).collect();
+            IncompleteDb::new(Dataset::from_rows(schema, &rows).unwrap())
+        };
+        let mut delta_only = base(&[]);
+        delta_only.insert(&[v(7)]).unwrap();
+        delta_only.insert(&[v(2)]).unwrap();
+        let cycle: Vec<u16> = (0..400).map(|i| 1 + i % 8).collect();
+        let shards = vec![base(&[1, 2]), delta_only, base(&cycle)];
+        let shards: Vec<Arc<IncompleteDb>> = shards.into_iter().map(Arc::new).collect();
+        let db = ShardedDb::assemble(DbConfig::default(), 400, shards);
+        let q =
+            RangeQuery::new(vec![Predicate::range(0, 6, 8)], MissingPolicy::IsNotMatch).unwrap();
+        let work = db.unpruned(&q, &mut ibis_obs::span("test"));
+        assert_eq!(work.iter().map(|w| w.0).collect::<Vec<_>>(), [1, 2]);
+        let winner = plan(&q, &work).unwrap().unwrap();
+        let names = db.shards[2].method_names();
+        assert_eq!(names[winner], db.shards[2].explain(&q).unwrap().chosen);
+        assert_ne!(names[winner], db.shards[1].explain(&q).unwrap().chosen);
+        let exec = db.execute_with_stats(&q).unwrap();
+        let in_base = (0..400u32)
+            .filter(|&i| cycle[i as usize] >= 6)
+            .map(|i| 4 + i);
+        assert_eq!(
+            exec.rows.into_rows(),
+            [2].into_iter().chain(in_base).collect::<Vec<_>>()
+        );
+        assert_eq!(exec.shards_pruned, 1);
     }
 
     #[test]

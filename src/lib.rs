@@ -60,8 +60,10 @@
 //! )
 //! .unwrap();
 //!
-//! // A database maintaining the default index trio (BEE + BRE + VA).
-//! let db = IncompleteDb::new(data.clone());
+//! // A database maintaining BEE, BRE and a VA-file: the default pair,
+//! // plus the VA-file asked for by name.
+//! let config = DbConfig { va: true, ..DbConfig::default() };
+//! let db = IncompleteDb::with_config(data.clone(), config);
 //!
 //! // One query, both semantics.
 //! let key = vec![Predicate::range(0, 2, 3), Predicate::range(1, 3, 5)];

@@ -211,10 +211,16 @@ fn a_short_crash_harness_run_is_clean() {
 /// boundary: 80 base rows in shards of 30 leave a ragged third shard, ten
 /// inserts fill its delta, two more open a fourth shard, and the deletes
 /// straddle the 0|1 boundary (base rows) and the 2|3 boundary (delta rows).
+/// The images carry the index config they were pinned with: BEE, BRE and a
+/// VA-file.
 fn straddling_fixture(dir: &std::path::Path) -> DurableDb {
     let data = census_scaled(80, 733);
     let extra = census_scaled(12, 734);
-    let mut db = DurableDb::create(dir, data, 30, DbConfig::default()).unwrap();
+    let config = DbConfig {
+        va: true,
+        ..DbConfig::default()
+    };
+    let mut db = DurableDb::create(dir, data, 30, config).unwrap();
     for i in 0..extra.n_rows() {
         db.insert(&row_of(&extra, i)).unwrap();
     }

@@ -288,3 +288,49 @@ fn shard_capacity_one_degenerates_to_row_per_shard_and_still_agrees() {
         assert_eq!(got, want);
     }
 }
+
+#[test]
+fn shard_ids_land_at_their_offsets_through_deltas_tombstones_and_an_empty_base() {
+    // 80 base rows in shards of 30 leave a ragged third shard; ten inserts
+    // fill its delta and two more open a fourth shard whose base is empty.
+    // The deletes straddle the 0|1 boundary (base rows) and the 2|3
+    // boundary (delta rows).
+    let data = census_scaled(80, 505);
+    let extra = census_scaled(12, 506);
+    let mut mono = IncompleteDb::new(data.clone());
+    let mut sharded = ShardedDb::new(data.clone(), 30);
+    for i in 0..extra.n_rows() {
+        let row: Vec<Cell> = (0..extra.n_attrs()).map(|a| extra.cell(i, a)).collect();
+        mono.insert(&row).unwrap();
+        sharded.insert(&row).unwrap();
+    }
+    for id in [5u32, 29, 30, 89, 90] {
+        assert!(mono.delete(id) && sharded.delete(id), "id {id}");
+    }
+    assert_eq!(sharded.shard_count(), 4);
+    let mut delta_hits = 0;
+    for policy in MissingPolicy::ALL {
+        for k in [1, 2, 3] {
+            let spec = QuerySpec {
+                n_queries: 6,
+                k,
+                global_selectivity: 0.2,
+                policy,
+                candidate_attrs: vec![],
+            };
+            for q in workload(&data, &spec, 507) {
+                let want = mono.execute(&q).unwrap();
+                let (rows, c1) = sharded.execute_with_cost_threads(&q, 1).unwrap();
+                assert_eq!(rows, want, "{policy} k={k}");
+                for threads in [2, 3] {
+                    let (rows, c) = sharded.execute_with_cost_threads(&q, threads).unwrap();
+                    assert_eq!(rows, want, "{policy} k={k} t={threads}");
+                    assert_eq!(c, c1, "{policy} k={k} t={threads}");
+                }
+                assert_eq!(sharded.count(&q).unwrap(), want.len(), "{policy} k={k}");
+                delta_hits += want.iter().filter(|&id| id >= 80).count();
+            }
+        }
+    }
+    assert!(delta_hits > 0, "some answer must reach the delta rows");
+}
