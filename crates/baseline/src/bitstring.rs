@@ -169,15 +169,22 @@ impl AccessMethod for BitstringAugmented {
         "bitstring-augmented"
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+    fn size_bytes(&self) -> usize {
+        BitstringAugmented::size_bytes(self)
+    }
+
+    fn execute_into(
+        &self,
+        query: &RangeQuery,
+        _threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
         let mut span = ibis_obs::span("bitstring.scan");
         let (rows, cost) = BitstringAugmented::execute_with_cost(self, query)?;
         cost.record_into(&mut span);
-        Ok((rows, cost))
-    }
-
-    fn size_bytes(&self) -> usize {
-        BitstringAugmented::size_bytes(self)
+        out.extend(rows.iter().map(|row| row + base));
+        Ok(cost)
     }
 }
 

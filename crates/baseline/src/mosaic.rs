@@ -92,15 +92,22 @@ impl AccessMethod for Mosaic {
         "mosaic"
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+    fn size_bytes(&self) -> usize {
+        Mosaic::size_bytes(self)
+    }
+
+    fn execute_into(
+        &self,
+        query: &RangeQuery,
+        _threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
         let mut span = ibis_obs::span("mosaic.lookup");
         let (rows, cost) = Mosaic::execute_with_cost(self, query)?;
         cost.record_into(&mut span);
-        Ok((rows, cost))
-    }
-
-    fn size_bytes(&self) -> usize {
-        Mosaic::size_bytes(self)
+        out.extend(rows.iter().map(|row| row + base));
+        Ok(cost)
     }
 }
 

@@ -59,56 +59,47 @@ impl AccessMethod for BoundScan {
         "sequential-scan"
     }
 
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        SequentialScan.execute_with_cost(&self.base, query)
-    }
-
     /// A row-range–partitioned scan: the rows split into up to `threads`
-    /// contiguous slices, each of the pool's parked workers scans one
-    /// ([`scan::execute_range`]) with its own partial counters, and the
-    /// ordered partial `RowSet`s are concatenated. Rows and merged counters
-    /// are identical to [`SequentialScan::execute_with_cost`] for any thread
-    /// count — per-slice entry counts sum to `n · k`, and the word total is
-    /// derived once from that sum (not from per-slice roundings).
-    fn execute_with_cost_threads(
+    /// contiguous slices, each scanned ([`scan::execute_range`]) with its
+    /// own entry count — one slice inline, more on the pool's parked
+    /// workers — and each slice's ids appended to `out` at `base`, in slice
+    /// order. Rows and counters are identical to
+    /// [`SequentialScan::execute_with_cost`] for any thread count: per-slice
+    /// entry counts sum to `n · k`, and the word total is derived once from
+    /// that sum (not from per-slice roundings).
+    fn execute_into(
         &self,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
-        let n = self.base.n_rows();
-        if threads <= 1 || n < 2 {
-            return SequentialScan.execute_with_cost(&self.base, query);
-        }
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
         query.validate(&self.base)?;
         let k = query.dimensionality().max(1);
         // As in the VA-file: chunk spans carry the per-slice entry counts,
         // the wrapping `scan.scan` span the merged counters, whose self
         // delta is the once-derived word total.
         let mut scan_span = ibis_obs::span("scan.scan");
-        let (base, owned) = (Arc::clone(&self.base), query.clone());
-        let partials = ExecPool::new(threads).map(partition(n, threads), move |range| {
+        let ranges = partition(self.base.n_rows(), threads);
+        let (data, owned) = (Arc::clone(&self.base), query.clone());
+        let partials = ExecPool::new(threads).map(ranges, move |range| {
             let mut span = ibis_obs::span("scan.chunk");
             span.add_field("rows", range.len() as u64);
             let entries = range.len() * k;
-            let rows = scan::execute_range(&base, &owned, range);
+            let rows = scan::execute_range(&data, &owned, range);
             if span.is_recording() {
                 span.add_field("entries_scanned", entries as u64);
             }
             (rows, entries)
         });
         let mut stats = WorkCounters::default();
-        let mut parts = Vec::with_capacity(partials.len());
         for (rows, entries) in partials {
-            stats.merge(WorkCounters {
-                entries_scanned: entries,
-                ..WorkCounters::default()
-            });
-            parts.push(rows);
+            stats.entries_scanned += entries;
+            out.extend(rows.iter().map(|row| row + base));
         }
         stats.words_processed = stats.entries_scanned.div_ceil(4);
         stats.record_into(&mut scan_span);
-        drop(scan_span);
-        Ok((RowSet::concat_sorted(parts), stats))
+        Ok(stats)
     }
 
     /// The scan stores nothing beyond the base relation.

@@ -82,9 +82,9 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     .iter()
                     .map(|q| {
                         let request = capture.then(|| ibis_obs::capture("bench.request"));
-                        let rows = m.execute_threads(q, if capture { 1 } else { 2 });
+                        let rows = m.execute_with_cost_threads(q, if capture { 1 } else { 2 });
                         captured += request.map_or(0, |r| r.finish().len());
-                        rows.expect("valid workload")
+                        rows.expect("valid workload").0
                     })
                     .collect()
             };

@@ -9,8 +9,7 @@ use crate::engine;
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{Adaptive, Bbc, BitStore, BitVec64, OpTally, Wah};
 use ibis_core::{
-    AccessMethod, Column, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result, RowSet,
-    WorkCounters,
+    AccessMethod, Column, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result, WorkCounters,
 };
 use std::io;
 use std::marker::PhantomData;
@@ -394,12 +393,6 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
 
     fn supports(&self, query: &RangeQuery) -> bool {
         E::supports(query.policy())
-    }
-
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        let mut rows = Vec::new();
-        let cost = self.execute_into(query, 1, 0, &mut rows)?;
-        Ok((RowSet::from_sorted(rows), cost))
     }
 
     // The predicates run in a plain loop at every degree, so `threads` is

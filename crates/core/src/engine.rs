@@ -331,17 +331,17 @@ impl AddAssign for WorkCounters {
 /// bitmap encodings, the VA-files, the tree baselines, and the sequential
 /// scan.
 ///
-/// Required: [`AccessMethod::name`], [`AccessMethod::execute_with_cost`],
-/// and [`AccessMethod::size_bytes`]. Everything else has a default in terms
-/// of those, so an implementation is ~20 lines of delegation; specialized
-/// structures override the defaults where they can do better (e.g. the
-/// bitmap families answer [`AccessMethod::execute_count`] with a popcount,
-/// never materializing row ids).
+/// Required: [`AccessMethod::name`], [`AccessMethod::size_bytes`], and
+/// [`AccessMethod::execute_into`] — the one execute a family implements.
+/// Every other form derives from it, so a family has one execution body;
+/// specialized structures override the planner hooks and, where they can
+/// do better, [`AccessMethod::execute_count`] (the bitmap families answer
+/// it with a popcount, never materializing row ids).
 ///
 /// A minimal implementation — the semantic scan as an access method:
 ///
 /// ```
-/// use ibis_core::{scan, AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
+/// use ibis_core::{scan, AccessMethod, Dataset, RangeQuery, Result, WorkCounters};
 /// use std::sync::Arc;
 ///
 /// struct TruthScan(Arc<Dataset>);
@@ -350,14 +350,21 @@ impl AddAssign for WorkCounters {
 ///     fn name(&self) -> &'static str {
 ///         "truth-scan"
 ///     }
-///     fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+///     fn size_bytes(&self) -> usize {
+///         0 // scans store nothing beyond the data itself
+///     }
+///     fn execute_into(
+///         &self,
+///         query: &RangeQuery,
+///         _threads: usize,
+///         base: u32,
+///         out: &mut Vec<u32>,
+///     ) -> Result<WorkCounters> {
 ///         query.validate(&self.0)?;
 ///         let mut cost = WorkCounters::zero();
 ///         cost.entries_scanned = self.0.n_rows();
-///         Ok((scan::execute(&self.0, query), cost))
-///     }
-///     fn size_bytes(&self) -> usize {
-///         0 // scans store nothing beyond the data itself
+///         out.extend(scan::execute(&self.0, query).iter().map(|row| row + base));
+///         Ok(cost)
 ///     }
 /// }
 ///
@@ -368,7 +375,7 @@ impl AddAssign for WorkCounters {
 ///     ibis_core::MissingPolicy::IsMatch,
 /// )
 /// .unwrap();
-/// // The default methods all follow from execute_with_cost…
+/// // The provided methods all follow from execute_into…
 /// assert_eq!(m.execute(&q).unwrap(), scan::execute(&d, &q));
 /// assert_eq!(m.execute_count(&q).unwrap(), m.execute(&q).unwrap().len());
 /// // …including the thread-degree contract: same rows, same counters.
@@ -382,11 +389,24 @@ pub trait AccessMethod: Send + Sync {
     /// experiment tables (e.g. `"bitmap-range"`).
     fn name(&self) -> &'static str;
 
-    /// Answers `query` exactly, also reporting the work performed.
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)>;
-
     /// Heap bytes of the index structure — the paper's size metric.
     fn size_bytes(&self) -> usize;
+
+    /// Answers `query` exactly into a caller's buffer: appends the matching
+    /// row ids, each plus `base`, ascending, after whatever `out` already
+    /// holds, and returns the work counters. Up to `threads` workers may
+    /// split the work (the partitioned scans run one row slice per worker;
+    /// degree 1 is one slice). The contract, enforced by the conformance
+    /// suite: for any `threads` and `base`, the ids written and the
+    /// counters returned are the same. This is how a sharded database
+    /// writes each shard's ids once, at their global offset.
+    fn execute_into(
+        &self,
+        query: &RangeQuery,
+        threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters>;
 
     /// Whether this method can answer `query` at all. Most methods answer
     /// everything; the §4.2 rejected in-band encodings hard-wire one
@@ -407,50 +427,28 @@ pub trait AccessMethod: Send + Sync {
         self.size_bytes() as f64 / 8.0
     }
 
-    /// Answers `query` exactly, using up to `threads` workers for the
-    /// intra-query work (row-range–partitioned scans, per-attribute bitmap
-    /// fetch/combine). The contract, enforced by the conformance suite: for
-    /// any `threads`, the returned `RowSet` **and** the merged
-    /// `WorkCounters` are identical to [`AccessMethod::execute_with_cost`].
-    /// The default ignores `threads` and runs sequentially; families with a
-    /// parallel plan override it.
+    /// Answers `query` exactly with up to `threads` workers, also reporting
+    /// the work performed: [`AccessMethod::execute_into`] at base 0 into an
+    /// empty buffer. Rows and counters are the same for any `threads`.
     fn execute_with_cost_threads(
         &self,
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, WorkCounters)> {
-        let _ = threads;
-        self.execute_with_cost(query)
+        let mut rows = Vec::new();
+        let cost = self.execute_into(query, threads, 0, &mut rows)?;
+        Ok((RowSet::from_sorted(rows), cost))
     }
 
-    /// [`AccessMethod::execute_with_cost_threads`] written into a caller's
-    /// buffer: appends the matching row ids, each plus `base`, ascending,
-    /// after whatever `out` already holds, and returns the work counters.
-    /// This is how a sharded database writes each shard's ids once, at
-    /// their global offset. The default adapts
-    /// [`AccessMethod::execute_with_cost_threads`]; the bitmap families
-    /// extract their final bitmap straight into `out`.
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
-        let (rows, cost) = self.execute_with_cost_threads(query, threads)?;
-        out.extend(rows.iter().map(|row| row + base));
-        Ok(cost)
+    /// Answers `query` exactly on the calling thread, also reporting the
+    /// work performed.
+    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
+        self.execute_with_cost_threads(query, 1)
     }
 
     /// Answers `query` exactly.
     fn execute(&self, query: &RangeQuery) -> Result<RowSet> {
         Ok(self.execute_with_cost(query)?.0)
-    }
-
-    /// Answers `query` exactly with up to `threads` workers (see
-    /// [`AccessMethod::execute_with_cost_threads`]).
-    fn execute_threads(&self, query: &RangeQuery, threads: usize) -> Result<RowSet> {
-        Ok(self.execute_with_cost_threads(query, threads)?.0)
     }
 
     /// Counts matching rows — a `COUNT(*)` aggregation. Bitmap families
@@ -561,14 +559,21 @@ mod tests {
             "everything"
         }
 
-        fn execute_with_cost(&self, _query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-            let mut c = WorkCounters::zero();
-            c.entries_scanned = self.n_rows as usize;
-            Ok((RowSet::all(self.n_rows), c))
-        }
-
         fn size_bytes(&self) -> usize {
             64
+        }
+
+        fn execute_into(
+            &self,
+            _query: &RangeQuery,
+            _threads: usize,
+            base: u32,
+            out: &mut Vec<u32>,
+        ) -> Result<WorkCounters> {
+            let mut c = WorkCounters::zero();
+            c.entries_scanned = self.n_rows as usize;
+            out.extend(base..base + self.n_rows);
+            Ok(c)
         }
     }
 
@@ -584,9 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn defaults_delegate_to_execute_with_cost() {
+    fn provided_methods_derive_from_execute_into() {
         let m = Everything { n_rows: 9 };
         assert_eq!(m.execute(&q(1, 3)).unwrap(), RowSet::all(9));
+        assert_eq!(m.execute_with_cost(&q(1, 3)).unwrap().1.entries_scanned, 9);
         assert_eq!(m.execute_count(&q(1, 3)).unwrap(), 9);
         assert!(m.supports(&q(1, 3)));
         assert_eq!(m.estimated_cost(&q(1, 3)), 8.0);
@@ -727,7 +733,17 @@ mod tests {
             let (rows, cost) = m.execute_with_cost_threads(&query, threads).unwrap();
             assert_eq!(rows, seq_rows);
             assert_eq!(cost, seq_cost);
-            assert_eq!(m.execute_threads(&query, threads).unwrap(), seq_rows);
+            // Written into a buffer: after its prefix, shifted by the base.
+            let mut out = vec![3, 5];
+            assert_eq!(
+                m.execute_into(&query, threads, 100, &mut out).unwrap(),
+                seq_cost
+            );
+            assert_eq!(out[..2], [3, 5]);
+            assert!(out[2..]
+                .iter()
+                .copied()
+                .eq(seq_rows.iter().map(|r| r + 100)));
         }
     }
 

@@ -1,17 +1,18 @@
 //! The workspace's parallel execution layer: one worker pool ([`ExecPool`])
 //! shared by every fan-out in query execution.
 //!
-//! Query execution is embarrassingly parallel across row ranges (sequential
-//! and VA-file scans), across predicates (per-attribute bitmap
-//! fetch/combine), and across the shards of a database. One chunked map
-//! covers all of it without a thread-pool dependency: [`ExecPool::try_map`]
-//! / [`ExecPool::map`] hand chunks 1…n to the process's **parked workers**,
-//! threads started on first use, grown to the largest `threads − 1` any call
-//! has asked for, never shrunk, blocked on a condvar while idle. A warmed map
-//! starts no thread. A thread that outlives the call cannot borrow the
-//! caller's data (the workspace forbids `unsafe`), so the map takes owned,
-//! `'static` work: callers move in `Arc`s of what the chunks read (shards,
-//! an index's bitmaps, a VA-file and its dataset).
+//! A query's parallelism lives in two places: across the shards of a
+//! database, and across the row slices of a partitioned scan (the
+//! sequential scan and the VA-file filter scan); a bitmap query evaluates
+//! its predicates in a plain loop. One chunked map covers both without a
+//! thread-pool dependency: [`ExecPool::try_map`] / [`ExecPool::map`] hand
+//! chunks 1…n to the process's **parked workers**, threads started on first
+//! use, grown to the largest `threads − 1` any call has asked for, never
+//! shrunk, blocked on a condvar while idle. A warmed map starts no thread.
+//! A thread that outlives the call cannot borrow the caller's data (the
+//! workspace forbids `unsafe`), so the map takes owned, `'static` work:
+//! callers move in `Arc`s of what the chunks read (shards, a scanned
+//! dataset, a VA-file and its dataset).
 //!
 //! Guarantees, relied on by the engine layer and its conformance suite:
 //!

@@ -44,39 +44,6 @@ impl RowSet {
         }
     }
 
-    /// Concatenates partial results from a row-range–partitioned scan:
-    /// `parts[i]`'s rows must all precede `parts[i+1]`'s (workers scan
-    /// disjoint, ascending row ranges, so their partial `RowSet`s already
-    /// arrive in global order and a straight concatenation is the merge).
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the parts are not in strictly ascending
-    /// order overall.
-    pub fn concat_sorted(parts: impl IntoIterator<Item = RowSet>) -> RowSet {
-        let mut parts = parts.into_iter();
-        // The first part's buffer is taken, not copied.
-        let mut all = parts.next().unwrap_or_default();
-        for part in parts {
-            all.append_ascending(part.rows);
-        }
-        all
-    }
-
-    /// Appends ids that all follow the set's current last id, in ascending
-    /// order — the union with a set known to lie wholly after this one (the
-    /// next partition of a row-range scan), without a merge.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the result is not strictly increasing.
-    pub fn append_ascending(&mut self, ids: impl IntoIterator<Item = u32>) {
-        let joint = self.rows.len().saturating_sub(1);
-        self.rows.extend(ids);
-        debug_assert!(
-            self.rows[joint..].windows(2).all(|w| w[0] < w[1]),
-            "appended rows must be strictly increasing and follow the set"
-        );
-    }
-
     /// Number of rows in the set.
     #[inline]
     pub fn len(&self) -> usize {
@@ -268,37 +235,5 @@ mod tests {
     fn from_iterator() {
         let s: RowSet = [5u32, 1, 5].into_iter().collect();
         assert_eq!(s.rows(), &[1, 5]);
-    }
-
-    #[test]
-    fn append_ascending_extends_in_order() {
-        let mut a = rs(&[1, 4, 6]);
-        a.append_ascending([7, 9]);
-        a.append_ascending(std::iter::empty());
-        assert_eq!(a.rows(), &[1, 4, 6, 7, 9]);
-        let mut e = RowSet::new();
-        e.append_ascending([3]);
-        assert_eq!(e.rows(), &[3]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "follow the set")]
-    fn append_ascending_refuses_ids_inside_the_set() {
-        rs(&[1, 4]).append_ascending([4]);
-    }
-
-    #[test]
-    fn concat_sorted_merges_partition_parts() {
-        let parts = vec![rs(&[0, 2]), RowSet::new(), rs(&[5, 7]), rs(&[9])];
-        assert_eq!(RowSet::concat_sorted(parts).rows(), &[0, 2, 5, 7, 9]);
-        assert_eq!(RowSet::concat_sorted(Vec::new()), RowSet::new());
-        // Equivalent to union over disjoint ascending parts.
-        let a = rs(&[1, 3]);
-        let b = rs(&[6, 8]);
-        assert_eq!(
-            RowSet::concat_sorted(vec![a.clone(), b.clone()]),
-            a.union(&b)
-        );
     }
 }

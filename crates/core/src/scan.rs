@@ -142,9 +142,9 @@ mod tests {
         let d = data();
         let q = RangeQuery::new(vec![Predicate::range(0, 4, 6)], MissingPolicy::IsMatch).unwrap();
         let full = execute(&d, &q);
-        let left = execute_range(&d, &q, 0..3);
-        let right = execute_range(&d, &q, 3..6);
-        assert_eq!(RowSet::concat_sorted(vec![left, right]), full);
+        let mut slices = execute_range(&d, &q, 0..3).into_rows();
+        slices.extend(execute_range(&d, &q, 3..6).iter());
+        assert_eq!(RowSet::from_sorted(slices), full);
         assert_eq!(execute_range(&d, &q, 2..2), RowSet::new());
     }
 }

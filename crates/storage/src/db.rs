@@ -188,10 +188,6 @@ pub struct Plan {
     /// Histogram-based estimate of matching base rows (independence
     /// assumption across attributes; exact for one-attribute keys).
     pub estimated_rows: f64,
-    /// Worker threads the executor will use for this query (the configured
-    /// degree: `set_threads` override, else `IBIS_THREADS`, else the
-    /// machine default). Results are identical for any value.
-    pub parallelism: usize,
 }
 
 /// One registry entry: a built access method plus the two constants of it
@@ -556,7 +552,6 @@ impl IncompleteDb {
             candidates,
             delta_rows: self.delta.len(),
             estimated_rows: self.estimate_rows(query),
-            parallelism: ibis_core::parallel::configured_threads(),
         })
     }
 
@@ -913,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_reports_parallelism_and_answers_are_degree_independent() {
+    fn answers_are_degree_independent() {
         let data = census_scaled(300, 411);
         let mut d = IncompleteDb::new(data.clone());
         d.insert(&vec![m(); data.n_attrs()]).unwrap();
@@ -923,8 +918,6 @@ mod tests {
             MissingPolicy::IsMatch,
         )
         .unwrap();
-        let plan = d.explain(&q).unwrap();
-        assert!(plan.parallelism >= 1);
         let seq = d.execute_threads(&q, 1).unwrap();
         for threads in [2, 4, 8] {
             assert_eq!(d.execute_threads(&q, threads).unwrap(), seq, "t={threads}");

@@ -11,22 +11,30 @@ use crate::vafile::merge_scan;
 use crate::{VaFile, VaPlusFile};
 use ibis_core::engine::SCAN_CELL_PRICE;
 use ibis_core::parallel::{partition, ExecPool};
-use ibis_core::{AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
+use ibis_core::{AccessMethod, Dataset, RangeQuery, Result, WorkCounters};
 use std::sync::Arc;
 
-/// A [`VaFile`] bound to its base dataset.
+/// A [`VaFile`] or [`VaPlusFile`] bound to its base dataset. Only its
+/// lookup tables tell a VA+-file from a VA-file, so both bind to the
+/// VA-file inside, and differ only in the name they report.
 #[derive(Clone, Debug)]
 pub struct BoundVaFile {
+    name: &'static str,
     file: Arc<VaFile>,
     base: Arc<Dataset>,
 }
 
-/// A [`VaPlusFile`] bound to its base dataset. Only its lookup tables tell
-/// it from a VA-file, so it holds the VA-file inside.
-#[derive(Clone, Debug)]
-pub struct BoundVaPlusFile {
-    file: Arc<VaFile>,
-    base: Arc<Dataset>,
+impl BoundVaFile {
+    /// # Panics
+    /// Panics if `base` has a different row count than `file`.
+    fn new(name: &'static str, file: VaFile, base: Arc<Dataset>) -> BoundVaFile {
+        assert_eq!(base.n_rows(), file.n_rows(), "dataset/index row mismatch");
+        BoundVaFile {
+            name,
+            file: Arc::new(file),
+            base,
+        }
+    }
 }
 
 impl VaFile {
@@ -36,117 +44,70 @@ impl VaFile {
     /// # Panics
     /// Panics if `base` has a different row count than the file.
     pub fn bind(self, base: Arc<Dataset>) -> BoundVaFile {
-        assert_eq!(base.n_rows(), self.n_rows(), "dataset/index row mismatch");
-        BoundVaFile {
-            file: Arc::new(self),
-            base,
-        }
+        BoundVaFile::new("va-file", self, base)
     }
 }
 
 impl VaPlusFile {
     /// Binds the file to the dataset it was built from, producing an
-    /// [`AccessMethod`].
+    /// [`AccessMethod`] named `"va-plus-file"`.
     ///
     /// # Panics
     /// Panics if `base` has a different row count than the file.
-    pub fn bind(self, base: Arc<Dataset>) -> BoundVaPlusFile {
-        assert_eq!(base.n_rows(), self.n_rows(), "dataset/index row mismatch");
-        BoundVaPlusFile {
-            file: Arc::new(self.inner),
-            base,
-        }
+    pub fn bind(self, base: Arc<Dataset>) -> BoundVaFile {
+        BoundVaFile::new("va-plus-file", self.inner, base)
     }
-}
-
-/// The filter scan reads `n` rows × `b_i + 1` bits per queried attribute
-/// (the +1 absorbs decode and boundary-refinement work): §6's
-/// `(b_i + 1) / 16` of the scan's 16 bits per cell, priced against
-/// [`SCAN_CELL_PRICE`].
-fn estimate(file: &VaFile, query: &RangeQuery) -> f64 {
-    let n = file.n_rows() as f64;
-    query
-        .predicates()
-        .iter()
-        .map(|p| match file.attrs.get(p.attr) {
-            Some(a) => n * SCAN_CELL_PRICE * (a.bits as f64 + 1.0) / 16.0,
-            None => f64::INFINITY,
-        })
-        .sum()
-}
-
-/// Executes `query` with up to `threads` workers: each of the pool's
-/// parked workers runs the filter + refinement loop over a contiguous row
-/// slice, and [`merge_scan`] concatenates the ordered slices. Rows and
-/// counters are identical to the sequential run for any thread count.
-fn execute(
-    file: &Arc<VaFile>,
-    base: &Arc<Dataset>,
-    query: &RangeQuery,
-    threads: usize,
-) -> Result<(RowSet, WorkCounters)> {
-    let n = file.n_rows();
-    if threads <= 1 || n < 2 {
-        return file.execute_with_cost(base, query);
-    }
-    let plans = file.plan(base, query)?;
-    let scan_span = ibis_obs::span("va.scan");
-    let (file, base, owned) = (Arc::clone(file), Arc::clone(base), query.clone());
-    let slices = ExecPool::new(threads).map(partition(n, threads), move |rows| {
-        file.scan_range(&base, &owned, &plans, rows)
-    });
-    Ok(merge_scan(scan_span, query, slices))
 }
 
 impl AccessMethod for BoundVaFile {
     fn name(&self) -> &'static str {
-        "va-file"
-    }
-
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        self.file.execute_with_cost(&self.base, query)
-    }
-
-    fn execute_with_cost_threads(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
-        execute(&self.file, &self.base, query, threads)
+        self.name
     }
 
     fn size_bytes(&self) -> usize {
         self.file.size_bytes()
     }
 
-    fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        estimate(&self.file, query)
-    }
-}
-
-impl AccessMethod for BoundVaPlusFile {
-    fn name(&self) -> &'static str {
-        "va-plus-file"
-    }
-
-    fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, WorkCounters)> {
-        self.file.execute_with_cost(&self.base, query)
-    }
-
-    fn execute_with_cost_threads(
+    /// The filter scan with up to `threads` workers: each runs the filter +
+    /// refinement loop over one contiguous row slice — one slice inline,
+    /// more on the pool's parked workers — and `merge_scan` appends the
+    /// ordered slices to `out` at `base`. Rows and counters are identical
+    /// to [`VaFile::execute_with_cost`] for any thread count.
+    fn execute_into(
         &self,
         query: &RangeQuery,
         threads: usize,
-    ) -> Result<(RowSet, WorkCounters)> {
-        execute(&self.file, &self.base, query, threads)
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
+        let plans = self.file.plan(&self.base, query)?;
+        let scan_span = ibis_obs::span("va.scan");
+        let ranges = partition(self.file.n_rows(), threads);
+        let (file, data, owned) = (
+            Arc::clone(&self.file),
+            Arc::clone(&self.base),
+            query.clone(),
+        );
+        let slices = ExecPool::new(threads).map(ranges, move |rows| {
+            file.scan_range(&data, &owned, &plans, rows)
+        });
+        Ok(merge_scan(scan_span, query, slices, base, out))
     }
 
-    fn size_bytes(&self) -> usize {
-        self.file.size_bytes()
-    }
-
+    /// The filter scan reads `n` rows × `b_i + 1` bits per queried
+    /// attribute (the +1 absorbs decode and boundary-refinement work): §6's
+    /// `(b_i + 1) / 16` of the scan's 16 bits per cell, priced against
+    /// [`SCAN_CELL_PRICE`].
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        estimate(&self.file, query)
+        let n = self.file.n_rows() as f64;
+        query
+            .predicates()
+            .iter()
+            .map(|p| match self.file.attrs.get(p.attr) {
+                Some(a) => n * SCAN_CELL_PRICE * (a.bits as f64 + 1.0) / 16.0,
+                None => f64::INFINITY,
+            })
+            .sum()
     }
 }
 
@@ -188,16 +149,21 @@ mod tests {
             ])
             .unwrap(),
         );
-        let va = VaFile::with_bits(&d, &[3, 2]).bind(Arc::clone(&d));
-        let vap = VaPlusFile::with_bits(&d, &[3, 2]).bind(Arc::clone(&d));
+        // The reference is each file's own unbound, unsliced scan.
+        let va = VaFile::with_bits(&d, &[3, 2]);
+        let vap = VaPlusFile::with_bits(&d, &[3, 2]);
+        let bound = [
+            va.clone().bind(Arc::clone(&d)),
+            vap.clone().bind(Arc::clone(&d)),
+        ];
         for policy in MissingPolicy::ALL {
             let q = RangeQuery::new(
                 vec![Predicate::range(0, 10, 30), Predicate::range(1, 5, 15)],
                 policy,
             )
             .unwrap();
-            for m in [&va as &dyn AccessMethod, &vap] {
-                let seq = m.execute_with_cost(&q).unwrap();
+            for (file, m) in [&va, &vap.inner].into_iter().zip(&bound) {
+                let seq = file.execute_with_cost(&d, &q).unwrap();
                 assert!(seq.1.rows_refined > 0, "coarse codes must refine");
                 for threads in [1, 2, 3, 8] {
                     assert_eq!(

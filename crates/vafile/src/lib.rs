@@ -46,7 +46,7 @@ mod quantizer;
 mod vafile;
 mod vaplus;
 
-pub use bound::{BoundVaFile, BoundVaPlusFile};
+pub use bound::BoundVaFile;
 pub use packed::PackedMatrix;
 pub use quantizer::Quantizer;
 pub use vafile::VaFile;

@@ -144,7 +144,9 @@ impl VaFile {
         let plans = self.plan(dataset, query)?;
         let scan_span = ibis_obs::span("va.scan");
         let whole = self.scan_range(dataset, query, &plans, 0..self.n_rows());
-        Ok(merge_scan(scan_span, query, vec![whole]))
+        let mut rows = Vec::new();
+        let cost = merge_scan(scan_span, query, vec![whole], 0, &mut rows);
+        Ok((RowSet::from_sorted(rows), cost))
     }
 
     /// Validates `query` against the file and `dataset`, and compiles each
@@ -238,8 +240,9 @@ impl VaFile {
     }
 }
 
-/// Merges the ordered per-slice results of one filter scan into its rows
-/// and counters, identical however the rows were sliced: every counter is a
+/// Merges the ordered per-slice results of one filter scan: appends each
+/// slice's ids to `out` at `base`, in slice order, and returns the merged
+/// counters, identical however the rows were sliced: every counter is a
 /// per-row sum, and the word total — approximation bits scanned plus the
 /// 16-bit cells fetched during refinement, in 64-bit words — is derived once
 /// from the merged totals (summing per-slice `div_ceil`s would over-count).
@@ -252,21 +255,20 @@ pub(crate) fn merge_scan(
     mut scan_span: ibis_obs::SpanGuard,
     query: &RangeQuery,
     slices: Vec<(Vec<u32>, WorkCounters, usize)>,
-) -> (RowSet, WorkCounters) {
+    base: u32,
+    out: &mut Vec<u32>,
+) -> WorkCounters {
     let mut cost = WorkCounters::default();
     let mut bits_read = 0usize;
-    let mut parts = Vec::with_capacity(slices.len());
-    for (out, c, bits) in slices {
+    for (ids, c, bits) in slices {
         cost.merge(c);
         bits_read += bits;
-        parts.push(out);
+        out.extend(ids.iter().map(|id| id + base));
     }
     cost.words_processed =
         (bits_read + cost.rows_refined * query.dimensionality() * 16).div_ceil(64);
     cost.record_into(&mut scan_span);
-    drop(scan_span);
-    let rows = RowSet::concat_sorted(parts.into_iter().map(RowSet::from_sorted));
-    (rows, cost)
+    cost
 }
 
 /// One predicate's compiled filter step: its field location in the packed

@@ -857,8 +857,9 @@ fn query(a: &Args) -> Result<(), CliError> {
         exec.rows
     } else {
         method()?
-            .execute_threads(&q, threads)
+            .execute_with_cost_threads(&q, threads)
             .map_err(|e| e.to_string())?
+            .0
     };
     print_matches(a, &rows, d.n_rows(), policy, |r| {
         let cells: Vec<String> = q
@@ -1161,8 +1162,9 @@ fn race(a: &Args) -> Result<(), CliError> {
         let hits: usize = queries
             .iter()
             .map(|q| {
-                m.execute_threads(q, threads)
+                m.execute_with_cost_threads(q, threads)
                     .expect("valid workload query")
+                    .0
                     .len()
             })
             .sum();

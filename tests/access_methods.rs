@@ -61,8 +61,8 @@ fn impose(base: &Dataset, mechanism: &str, rate: f64, seed: u64) -> Dataset {
 }
 
 /// One dataset's worth of the matrix: every method × both policies × a
-/// randomized workload, checked against the scan, plus the batch and count
-/// entry points.
+/// randomized workload, checked against the scan, plus the count entry
+/// point and `execute_into` at a non-zero base.
 fn conformance_pass(d: &Arc<Dataset>, ctx: &str, seed: u64) {
     let methods = registry(d);
     for policy in MissingPolicy::ALL {
@@ -125,6 +125,30 @@ fn conformance_pass(d: &Arc<Dataset>, ctx: &str, seed: u64) {
                         par_cost,
                         seq_cost,
                         "{} counters diverge at t={threads} {policy} q{qi} ({ctx})",
+                        m.name()
+                    );
+                }
+                // The one execute every family implements: written after a
+                // caller's prefix at a shard-like base, at every degree, it
+                // appends the sequential rows shifted by the base and
+                // reports the sequential counters.
+                const BASE: u32 = 1 << 20;
+                let prefix = [2u32, 9];
+                let mut expect = prefix.to_vec();
+                expect.extend(seq_rows.iter().map(|row| row + BASE));
+                for threads in [1usize, 3, 8] {
+                    let mut out = prefix.to_vec();
+                    let cost = m.execute_into(q, threads, BASE, &mut out).unwrap();
+                    assert_eq!(
+                        out,
+                        expect,
+                        "{} ids at base diverge at t={threads} {policy} q{qi} ({ctx})",
+                        m.name()
+                    );
+                    assert_eq!(
+                        cost,
+                        seq_cost,
+                        "{} counters at base diverge at t={threads} {policy} q{qi} ({ctx})",
                         m.name()
                     );
                 }
