@@ -57,15 +57,16 @@ impl Encoding for Equality {
 
     const NAME: &'static str = "bitmap-equality";
 
+    // Each bitmap is built from its value's rows, already ascending.
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
-        let mut bitvecs = crate::equality_bitvecs(col);
-        let values_bv = bitvecs.split_off(1);
-        let missing_bv = bitvecs.pop().expect("index 0 is the missing bitmap");
+        let (starts, rows) = crate::equality_positions(col);
+        let rows_of = |v: usize| &rows[starts[v]..starts[v + 1]];
+        let bitmap = |v: usize| B::from_positions(col.len(), rows_of(v));
         AttrBitmaps {
             cardinality: col.cardinality(),
             param: 0,
-            missing: (missing_bv.count_ones() > 0).then(|| B::from_bitvec(&missing_bv)),
-            stored: values_bv.iter().map(B::from_bitvec).collect(),
+            missing: (!rows_of(0).is_empty()).then(|| bitmap(0)),
+            stored: (1..=col.cardinality() as usize).map(bitmap).collect(),
         }
     }
 

@@ -154,8 +154,9 @@ use ibis_core::Column;
 pub type AdaptiveBitmapIndex = EqualityBitmapIndex<ibis_bitvec::Adaptive>;
 
 /// Builds the equality bit vectors of one column: `out[0]` flags missing
-/// rows, `out[v]` flags rows with value `v`. Shared by the equality, range
-/// and in-band encodings (BRE derives its threshold bitmaps by prefix-OR).
+/// rows, `out[v]` flags rows with value `v`. Shared by the range and in-band
+/// encodings (BRE derives its threshold bitmaps by prefix-OR); the equality
+/// encoding stores [`equality_positions`] instead.
 pub(crate) fn equality_bitvecs(column: &Column) -> Vec<BitVec64> {
     let n = column.len();
     let c = column.cardinality() as usize;
@@ -164,4 +165,90 @@ pub(crate) fn equality_bitvecs(column: &Column) -> Vec<BitVec64> {
         out[raw as usize].set(row, true);
     }
     out
+}
+
+/// The rows of one column grouped by value, by a counting sort (count,
+/// prefix-sum, place): `rows[starts[v]..starts[v + 1]]` are the ids of the
+/// rows holding value `v` (`0` = missing), ascending.
+pub(crate) fn equality_positions(column: &Column) -> (Vec<usize>, Vec<u32>) {
+    let mut starts = vec![0];
+    let mut placed = 0;
+    for count in column.value_counts() {
+        placed += count;
+        starts.push(placed);
+    }
+    let mut next = starts.clone();
+    let mut rows = vec![0u32; column.len()];
+    for (row, &raw) in column.raw().iter().enumerate() {
+        let at = &mut next[raw as usize];
+        rows[*at] = row as u32;
+        *at += 1;
+    }
+    (starts, rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Encoding;
+    use ibis_bitvec::{BitStore, Wah};
+    use ibis_core::Dataset;
+
+    /// A column's equality bitmaps as plain vectors encode them.
+    fn via_bitvecs<B: BitStore>(col: &Column) -> (Option<B>, Vec<B>) {
+        let eq = equality_bitvecs(col);
+        let missing = (eq[0].count_ones() > 0).then(|| B::from_bitvec(&eq[0]));
+        (missing, eq[1..].iter().map(B::from_bitvec).collect())
+    }
+
+    fn check_positions_build<B: BitStore + PartialEq + std::fmt::Debug>(d: &Dataset) {
+        for col in d.columns() {
+            let a = crate::Equality::build_attr::<B>(col);
+            let (missing, stored) = via_bitvecs::<B>(col);
+            let what = format!("{} {}", B::backend_name(), col.name());
+            assert_eq!(a.missing, missing, "B_0 of {what}");
+            assert_eq!(a.stored, stored, "value bitmaps of {what}");
+        }
+    }
+
+    #[test]
+    fn positions_build_the_bitmaps_the_plain_vectors_encode() {
+        use ibis_bitvec::{Adaptive, Bbc};
+        use ibis_core::gen::{census_scaled, SyntheticGroup, SyntheticSpec};
+        // The benchmark's column mix: cardinality {5, 20, 100} × missing
+        // {10, 30, 50}%, past one 2^16-row chunk.
+        let groups = [5u16, 20, 100]
+            .into_iter()
+            .flat_map(|cardinality| {
+                [0.1, 0.3, 0.5].map(|missing_rate| SyntheticGroup {
+                    cardinality,
+                    missing_rate,
+                    n_cols: 1,
+                })
+            })
+            .collect();
+        let grid = SyntheticSpec {
+            n_rows: 70_000,
+            groups,
+        }
+        .generate(3);
+        // Present values sorted into row order (runs), a column with no
+        // missing rows (no `B_0`) and one whose values 1, 3, 4, 6 hold no row.
+        let n = 70_000u32;
+        let sorted = (0..n).map(|r| if r % 10 == 0 { 0 } else { (r / 701 + 1) as u16 });
+        let columns = vec![
+            Column::from_raw("clustered", 100, sorted.collect()).unwrap(),
+            Column::from_raw("full", 3, (0..n).map(|r| (r % 3 + 1) as u16).collect()).unwrap(),
+            Column::from_raw("gaps", 6, (0..n).map(|r| [2, 5][r as usize % 2]).collect()).unwrap(),
+        ];
+        let shaped = Dataset::new(columns).unwrap();
+        for d in [&grid, &shaped, &census_scaled(3_000, 5)] {
+            check_positions_build::<Adaptive>(d);
+            check_positions_build::<Wah>(d);
+        }
+        for d in [&shaped, &census_scaled(2_000, 7)] {
+            check_positions_build::<BitVec64>(d);
+            check_positions_build::<Bbc>(d);
+        }
+    }
 }

@@ -227,6 +227,39 @@ impl Container {
         }
     }
 
+    /// Adapts one chunk of `words` words given as the ascending positions
+    /// of its set bits (their low 16 bits are the offsets in the chunk) by
+    /// the same rule as [`Container::from_words`]: a run starts at the
+    /// first position and after every gap.
+    fn from_positions(pos: &[u32], words: usize) -> Container {
+        let runs = match pos {
+            [] => 0,
+            _ => 1 + pos.windows(2).filter(|w| w[1] != w[0] + 1).count(),
+        };
+        match choose_kind(pos.len(), runs, words) {
+            ContainerKind::Array => Container::Array(pos.iter().map(|&p| p as u16).collect()),
+            ContainerKind::Run => {
+                let mut out: Vec<(u16, u16)> = Vec::with_capacity(runs);
+                for &p in pos {
+                    let at = p as u16;
+                    match out.last_mut() {
+                        Some((_, end)) if u32::from(*end) + 1 == u32::from(at) => *end = at,
+                        _ => out.push((at, at)),
+                    }
+                }
+                Container::Run(out)
+            }
+            ContainerKind::Bitmap => {
+                let mut out = vec![0u64; words];
+                for &p in pos {
+                    let p = p as u16 as usize;
+                    out[p / 64] |= 1u64 << (p % 64);
+                }
+                Container::Bitmap(out)
+            }
+        }
+    }
+
     /// Materializes into `out`, the chunk's `⌈valid / 64⌉` words.
     fn write_words(&self, out: &mut [u64]) {
         out.fill(0);
@@ -606,6 +639,32 @@ impl Adaptive {
 impl BitStore for Adaptive {
     fn from_bitvec(bits: &BitVec64) -> Self {
         Adaptive::encode(bits)
+    }
+
+    /// Each chunk's container is built from its slice of `positions`,
+    /// with no plain intermediate.
+    fn from_positions(len: usize, positions: &[u32]) -> Self {
+        assert!(
+            positions.last().is_none_or(|&p| (p as usize) < len),
+            "set bit past the vector's {len} bits"
+        );
+        debug_assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "positions must ascend"
+        );
+        let mut rest = positions;
+        let containers = (0..len.div_ceil(CHUNK_BITS))
+            .map(|c| {
+                let split = rest.partition_point(|&p| (p as usize) < (c + 1) * CHUNK_BITS);
+                let (chunk, after) = rest.split_at(split);
+                rest = after;
+                Container::from_positions(chunk, chunk_bits(len, c).div_ceil(64))
+            })
+            .collect();
+        Adaptive {
+            n_bits: len,
+            containers,
+        }
     }
 
     fn to_bitvec(&self) -> BitVec64 {

@@ -231,9 +231,11 @@ impl BitVec64 {
             }
             // Room for every bit of the block, and the one slot a
             // branch-free store may scribble on past the last position.
+            // Only the missing tail is zeroed; `Vec`'s growth amortises the
+            // reallocation.
             let need = kept + BLOCK * 64 + 1;
             if out.len() < need {
-                out.resize(need.max(2 * out.len()), 0);
+                out.resize(need, 0);
             }
             for (j, &word) in block.iter().enumerate() {
                 let at = base.wrapping_add(((bi * BLOCK + j) * 64) as u32);
@@ -392,6 +394,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ones_positions_into_appends_shard_after_shard() {
+        // A sharded answer: 64 vectors of 2,000 bits appended into one
+        // buffer, each at its global offset, equal their concatenation.
+        let mut out = Vec::new();
+        let mut expect = Vec::new();
+        for s in 0..64u32 {
+            let v = BitVec64::from_ones(2_000, (s % 7..2_000).step_by(1 + s as usize % 5));
+            let base = s * 2_000;
+            v.ones_positions_into(base, &mut out);
+            expect.extend(v.iter_ones().map(|p| p + base));
+            assert_eq!(out.len(), expect.len(), "after shard {s}");
+        }
+        assert_eq!(out, expect);
     }
 
     #[test]

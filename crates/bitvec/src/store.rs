@@ -52,6 +52,17 @@ pub trait BitStore: Clone + Send + Sync {
     /// Encodes an uncompressed bit vector.
     fn from_bitvec(bits: &BitVec64) -> Self;
 
+    /// Encodes the `len`-bit vector whose set bits are `positions` —
+    /// ascending, each `< len` — equal to `from_bitvec` of the same bits.
+    /// How the equality encoding stores a column's rows grouped by value.
+    ///
+    /// The default goes through a plain vector. [`crate::Adaptive`]
+    /// overrides it to build each chunk's container straight from its slice
+    /// of the positions.
+    fn from_positions(len: usize, positions: &[u32]) -> Self {
+        Self::from_bitvec(&BitVec64::from_ones(len, positions.iter().copied()))
+    }
+
     /// Decodes back to an uncompressed bit vector.
     fn to_bitvec(&self) -> BitVec64;
 
@@ -441,6 +452,73 @@ mod into_tests {
         fn into_ops_match_plain_on_runny(a in arb_runny(4000), b in arb_runny(4000)) {
             let len = a.len().min(b.len());
             check_all_stores(&resized(&a, len), &resized(&b, len));
+        }
+    }
+}
+
+/// `from_positions` against `from_bitvec` of the same bits, for every store.
+#[cfg(test)]
+mod positions_tests {
+    use super::*;
+    use crate::adaptive::proptests::arb_textured;
+    use crate::{Adaptive, Bbc, Wah, ARRAY_MAX, CHUNK_BITS};
+    use proptest::prelude::*;
+
+    fn check<B: BitStore + PartialEq + std::fmt::Debug>(len: usize, positions: &[u32]) {
+        let plain = BitVec64::from_ones(len, positions.iter().copied());
+        assert_eq!(
+            B::from_positions(len, positions),
+            B::from_bitvec(&plain),
+            "{} len {len}, {} bits",
+            B::backend_name(),
+            positions.len()
+        );
+    }
+
+    fn check_all_stores(len: usize, positions: &[u32]) {
+        check::<BitVec64>(len, positions);
+        check::<Wah>(len, positions);
+        check::<Bbc>(len, positions);
+        check::<Adaptive>(len, positions);
+    }
+
+    #[test]
+    fn positions_build_what_the_plain_vector_encodes() {
+        let chunk = CHUNK_BITS as u32;
+        let two_chunks = 2 * CHUNK_BITS;
+        let cases: Vec<(usize, Vec<u32>)> = vec![
+            (0, vec![]),
+            (two_chunks, vec![]),
+            (two_chunks, vec![70_000]),
+            (two_chunks, (0..chunk).collect()),
+            (two_chunks, (0..ARRAY_MAX as u32).map(|i| 3 * i).collect()),
+            (two_chunks, (0..=ARRAY_MAX as u32).map(|i| 3 * i).collect()),
+            (two_chunks, (0..chunk).step_by(2).collect()),
+            (two_chunks, (1_000..60_000).collect()),
+            (two_chunks, vec![chunk - 1, chunk]),
+            (
+                CHUNK_BITS + 1_000,
+                (0..CHUNK_BITS as u32 + 1_000).step_by(7).collect(),
+            ),
+            (CHUNK_BITS + 1_000, (chunk - 10..chunk + 1_000).collect()),
+        ];
+        for (len, positions) in &cases {
+            check_all_stores(*len, positions);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the vector")]
+    fn adaptive_refuses_a_position_past_the_end() {
+        Adaptive::from_positions(10, &[3, 10]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn positions_match_the_plain_encoding_on_textured(v in arb_textured()) {
+            check_all_stores(v.len(), &v.ones_positions());
         }
     }
 }

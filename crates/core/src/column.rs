@@ -48,6 +48,16 @@ impl Column {
         })
     }
 
+    /// Rows `rows` as a column of their own. Every value is already in the
+    /// domain, so none is checked again.
+    pub(crate) fn slice(&self, rows: std::ops::Range<usize>) -> Column {
+        Column {
+            name: self.name.clone(),
+            cardinality: self.cardinality,
+            data: self.data[rows].to_vec(),
+        }
+    }
+
     /// The attribute name.
     #[inline]
     pub fn name(&self) -> &str {

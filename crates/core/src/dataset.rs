@@ -114,16 +114,8 @@ impl Dataset {
     /// # Panics
     /// Panics if the range reaches past `n_rows`.
     pub fn slice_rows(&self, rows: std::ops::Range<usize>) -> Dataset {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| {
-                Column::from_raw(c.name(), c.cardinality(), c.raw()[rows.clone()].to_vec())
-                    .expect("slice of a valid column is valid")
-            })
-            .collect();
         Dataset {
-            columns,
+            columns: self.columns.iter().map(|c| c.slice(rows.clone())).collect(),
             n_rows: rows.len(),
         }
     }

@@ -45,7 +45,7 @@
 //! assert!(syn.can_prune(&off_b));
 //! ```
 
-use crate::{Cell, Dataset, Interval, MissingPolicy, RangeQuery};
+use crate::{Cell, Column, Dataset, Interval, MissingPolicy, RangeQuery};
 
 /// Per-attribute summary: the `[min, max]` envelope of *present* values plus
 /// the missing count. `lo > hi` encodes "no present values observed yet".
@@ -96,10 +96,11 @@ impl AttrSynopsis {
 
 /// Summary of one shard: row count plus an [`AttrSynopsis`] per attribute.
 ///
-/// Built over a shard's base dataset with [`ShardSynopsis::of`] and extended
-/// row-by-row on append with [`ShardSynopsis::observe_row`]. Deletes do not
-/// narrow it — the synopsis stays a sound over-approximation of what the
-/// shard might contain.
+/// Read off a shard's base value histograms with
+/// [`ShardSynopsis::from_counts`] (or [`ShardSynopsis::of`] a dataset) and
+/// extended row-by-row on append with [`ShardSynopsis::observe_row`].
+/// Deletes do not narrow it — the synopsis stays a sound over-approximation
+/// of what the shard might contain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardSynopsis {
     /// Number of rows folded into the synopsis (base + appended).
@@ -117,17 +118,32 @@ impl ShardSynopsis {
         }
     }
 
-    /// Builds the synopsis of a full dataset in one pass per column.
+    /// Builds the synopsis of a full dataset from its value histograms.
     pub fn of(dataset: &Dataset) -> ShardSynopsis {
-        let mut syn = ShardSynopsis::empty(dataset.n_attrs());
-        syn.row_count = dataset.n_rows();
-        for (a, col) in dataset.columns().iter().enumerate() {
-            let s = &mut syn.attrs[a];
-            for &raw in col.raw() {
-                s.observe(Cell::from_raw(raw));
+        let counts: Vec<Vec<usize>> = dataset.columns().iter().map(Column::value_counts).collect();
+        ShardSynopsis::from_counts(dataset.n_rows(), &counts)
+    }
+
+    /// Reads the synopsis of `row_count` rows off one value histogram per
+    /// attribute, as [`Column::value_counts`] returns it: bucket 0 is the
+    /// missing count, and the envelope runs from the first to the last
+    /// non-empty bucket `v ≥ 1`.
+    pub fn from_counts(row_count: usize, counts: &[Vec<usize>]) -> ShardSynopsis {
+        let attr = |counts: &Vec<usize>| {
+            let Some((&missing, present)) = counts.split_first() else {
+                return AttrSynopsis::EMPTY;
+            };
+            let value = |i: usize| i as u16 + 1;
+            AttrSynopsis {
+                lo: present.iter().position(|&c| c > 0).map_or(u16::MAX, value),
+                hi: present.iter().rposition(|&c| c > 0).map_or(0, value),
+                missing,
             }
+        };
+        ShardSynopsis {
+            row_count,
+            attrs: counts.iter().map(attr).collect(),
         }
-        syn
     }
 
     /// Folds one appended row (one cell per attribute, schema order) into
@@ -268,12 +284,33 @@ mod tests {
 
     #[test]
     fn observe_row_matches_batch_build() {
-        let data = shard();
-        let mut incremental = ShardSynopsis::empty(data.n_attrs());
-        for r in 0..data.n_rows() {
-            incremental.observe_row(&data.row(r));
+        use crate::gen::uniform_column;
+        use rand::{rngs::StdRng, SeedableRng};
+        // The worked shard, an empty one, and random ones with a
+        // fully-present column, an all-missing one and the widest domain.
+        let mut datasets = vec![shard(), shard().slice_rows(0..0)];
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_rows = seed as usize * 37 % 200;
+            let columns = [(1u16, 0.0), (7, 0.3), (300, 0.9), (5, 1.0), (u16::MAX, 0.2)]
+                .iter()
+                .enumerate()
+                .map(|(i, &(c, m))| uniform_column(&format!("a{i}"), n_rows, c, m, &mut rng))
+                .collect();
+            datasets.push(Dataset::new(columns).unwrap());
         }
-        assert_eq!(incremental, ShardSynopsis::of(&data));
+        for data in &datasets {
+            let mut incremental = ShardSynopsis::empty(data.n_attrs());
+            for r in 0..data.n_rows() {
+                incremental.observe_row(&data.row(r));
+            }
+            let counts: Vec<Vec<usize>> = data.columns().iter().map(Column::value_counts).collect();
+            assert_eq!(
+                ShardSynopsis::from_counts(data.n_rows(), &counts),
+                incremental
+            );
+            assert_eq!(ShardSynopsis::of(data), incremental);
+        }
     }
 
     #[test]

@@ -332,11 +332,14 @@ impl IncompleteDb {
     /// Builds over `dataset`, maintaining only the configured indexes.
     pub fn with_config(dataset: Dataset, config: DbConfig) -> IncompleteDb {
         let base = Arc::new(dataset);
+        // One counting pass per column: the planner's histograms, and the
+        // synopsis read off them.
+        let histograms: Vec<Vec<usize>> = base.columns().iter().map(|c| c.value_counts()).collect();
         IncompleteDb {
             config,
             methods: build_methods(config, &base),
-            histograms: base.columns().iter().map(|c| c.value_counts()).collect(),
-            synopsis: ShardSynopsis::of(&base),
+            synopsis: ShardSynopsis::from_counts(base.n_rows(), &histograms),
+            histograms,
             base,
             delta: Vec::new(),
             deleted: std::collections::BTreeSet::new(),

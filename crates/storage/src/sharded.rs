@@ -119,12 +119,17 @@ impl ShardedDb {
     pub fn with_config(dataset: Dataset, shard_rows: usize, config: DbConfig) -> ShardedDb {
         let shard_rows = shard_rows.max(1);
         let n = dataset.n_rows();
-        let shards = (0..n.div_ceil(shard_rows).max(1))
-            .map(|i| {
-                let rows = (i * shard_rows).min(n)..((i + 1) * shard_rows).min(n);
-                Arc::new(IncompleteDb::with_config(dataset.slice_rows(rows), config))
-            })
-            .collect();
+        let shards = if n <= shard_rows {
+            // One shard holds every row: it takes the dataset as it is.
+            vec![Arc::new(IncompleteDb::with_config(dataset, config))]
+        } else {
+            (0..n.div_ceil(shard_rows))
+                .map(|i| {
+                    let rows = i * shard_rows..((i + 1) * shard_rows).min(n);
+                    Arc::new(IncompleteDb::with_config(dataset.slice_rows(rows), config))
+                })
+                .collect()
+        };
         ShardedDb::assemble(config, shard_rows, shards)
     }
 
