@@ -22,21 +22,30 @@ impl Column {
         cardinality: u16,
         cells: impl IntoIterator<Item = Cell>,
     ) -> Result<Column> {
-        let mut col = ColumnBuilder::new(name, cardinality)?;
-        for cell in cells {
-            col.push(cell)?;
-        }
-        Ok(col.finish())
+        let raw = cells.into_iter().map(Cell::raw).collect();
+        Column::from_raw(name, cardinality, raw)
     }
 
-    /// Builds a column from the raw in-band encoding (`0` = missing).
+    /// Builds a column from the raw in-band encoding (`0` = missing). A
+    /// lone column is attribute 0, which is the index its errors name.
     pub fn from_raw(name: impl Into<String>, cardinality: u16, raw: Vec<u16>) -> Result<Column> {
+        Column::of_attr(0, name, cardinality, raw)
+    }
+
+    /// [`Column::from_raw`] for attribute `attr` of a relation: a zero
+    /// cardinality or an out-of-domain value is reported against `attr`.
+    pub(crate) fn of_attr(
+        attr: usize,
+        name: impl Into<String>,
+        cardinality: u16,
+        raw: Vec<u16>,
+    ) -> Result<Column> {
         if cardinality == 0 {
-            return Err(Error::ZeroCardinality { attr: 0 });
+            return Err(Error::ZeroCardinality { attr });
         }
         if let Some(&bad) = raw.iter().find(|&&v| v > cardinality) {
             return Err(Error::ValueOutOfDomain {
-                attr: 0,
+                attr,
                 value: bad,
                 cardinality,
             });
@@ -46,6 +55,12 @@ impl Column {
             cardinality,
             data: raw,
         })
+    }
+
+    /// Appends one raw value. The caller has checked it against the
+    /// domain ([`crate::Dataset::push_row`] validates the whole row first).
+    pub(crate) fn push_raw(&mut self, raw: u16) {
+        self.data.push(raw);
     }
 
     /// Rows `rows` as a column of their own. Every value is already in the
@@ -135,60 +150,6 @@ impl Column {
     }
 }
 
-/// Incremental builder for [`Column`].
-#[derive(Clone, Debug)]
-pub struct ColumnBuilder {
-    name: String,
-    cardinality: u16,
-    data: Vec<u16>,
-}
-
-impl ColumnBuilder {
-    /// Starts a column with the given name and cardinality.
-    pub fn new(name: impl Into<String>, cardinality: u16) -> Result<ColumnBuilder> {
-        if cardinality == 0 {
-            return Err(Error::ZeroCardinality { attr: 0 });
-        }
-        Ok(ColumnBuilder {
-            name: name.into(),
-            cardinality,
-            data: Vec::new(),
-        })
-    }
-
-    /// Reserves capacity for `n` additional rows.
-    pub fn reserve(&mut self, n: usize) {
-        self.data.reserve(n);
-    }
-
-    /// The declared cardinality of the column under construction.
-    pub fn cardinality(&self) -> u16 {
-        self.cardinality
-    }
-
-    /// Appends a cell, validating it against the declared cardinality.
-    pub fn push(&mut self, cell: Cell) -> Result<()> {
-        if cell.raw() > self.cardinality {
-            return Err(Error::ValueOutOfDomain {
-                attr: 0,
-                value: cell.raw(),
-                cardinality: self.cardinality,
-            });
-        }
-        self.data.push(cell.raw());
-        Ok(())
-    }
-
-    /// Finishes the column.
-    pub fn finish(self) -> Column {
-        Column {
-            name: self.name,
-            cardinality: self.cardinality,
-            data: self.data,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,18 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_from_raw() {
-        let mut b = ColumnBuilder::new("a", 5).unwrap();
-        for v in [0u16, 3, 5] {
-            b.push(Cell::from_raw(v)).unwrap();
-        }
-        assert_eq!(b.finish(), col(&[0, 3, 5]));
-    }
-
-    #[test]
-    fn builder_rejects_out_of_domain() {
-        let mut b = ColumnBuilder::new("a", 2).unwrap();
-        assert!(b.push(Cell::present(3)).is_err());
+    fn new_matches_from_raw() {
+        let cells = [0u16, 3, 5].map(Cell::from_raw);
+        assert_eq!(Column::new("a", 5, cells).unwrap(), col(&[0, 3, 5]));
+        assert!(Column::new("a", 2, [Cell::present(3)]).is_err());
     }
 
     #[test]

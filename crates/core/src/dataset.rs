@@ -30,31 +30,32 @@ impl Dataset {
     }
 
     /// Builds a dataset from rows of cells, with one `(name, cardinality)`
-    /// pair per attribute. Mostly used in examples and tests; generators
-    /// build columns directly.
+    /// pair per attribute: the schema's empty columns, then
+    /// [`push_row`](Dataset::push_row) for each row. Mostly used in
+    /// examples and tests; generators build columns directly.
     pub fn from_rows(schema: &[(&str, u16)], rows: &[Vec<Cell>]) -> Result<Dataset> {
-        let mut builders = schema
+        let columns = schema
             .iter()
-            .map(|&(name, card)| crate::ColumnBuilder::new(name, card))
+            .enumerate()
+            .map(|(attr, &(name, card))| Column::of_attr(attr, name, card, Vec::new()))
             .collect::<Result<Vec<_>>>()?;
+        let mut d = Dataset { columns, n_rows: 0 };
         for row in rows {
-            if row.len() != builders.len() {
-                return Err(Error::ColumnLengthMismatch {
-                    expected: builders.len(),
-                    actual: row.len(),
-                    attr: 0,
-                });
-            }
-            for (b, &cell) in builders.iter_mut().zip(row) {
-                b.push(cell)?;
-            }
+            d.push_row(row)?;
         }
-        Dataset::new(
-            builders
-                .into_iter()
-                .map(crate::ColumnBuilder::finish)
-                .collect(),
-        )
+        Ok(d)
+    }
+
+    /// Appends one row. The whole row — its width and every value's domain
+    /// — is checked before any column changes, so a refused row leaves the
+    /// dataset as it was.
+    pub fn push_row(&mut self, row: &[Cell]) -> Result<()> {
+        validate_row(row, |a| self.columns[a].cardinality(), self.columns.len())?;
+        for (column, &cell) in self.columns.iter_mut().zip(row) {
+            column.push_raw(cell.raw());
+        }
+        self.n_rows += 1;
+        Ok(())
     }
 
     /// Number of rows.
@@ -180,11 +181,11 @@ impl Dataset {
         let n_rows = read_len(r)?;
         let n_cols = read_len(r)?;
         let mut columns = Vec::with_capacity(n_cols.min(1 << 20));
-        for _ in 0..n_cols {
+        for attr in 0..n_cols {
             let name = read_str(r)?;
             let cardinality = read_u16(r)?;
             let raw = read_vec_u16(r)?;
-            let col = Column::from_raw(name, cardinality, raw)
+            let col = Column::of_attr(attr, name, cardinality, raw)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
             columns.push(col);
         }
@@ -215,8 +216,8 @@ impl Dataset {
 }
 
 /// Validates one row against a schema given as per-attribute cardinalities:
-/// correct width and every present value within its domain. Shared by the
-/// dataset builder and the database layer.
+/// correct width and every present value within its domain. Shared by
+/// [`Dataset::push_row`] and the database layer's pre-checks.
 pub fn validate_row(
     row: &[Cell],
     cardinality_of: impl Fn(usize) -> u16,
@@ -240,52 +241,6 @@ pub fn validate_row(
         }
     }
     Ok(())
-}
-
-/// Incremental row-oriented builder for [`Dataset`].
-#[derive(Debug)]
-pub struct DatasetBuilder {
-    builders: Vec<crate::ColumnBuilder>,
-    n_rows: usize,
-}
-
-impl DatasetBuilder {
-    /// Starts a dataset with one `(name, cardinality)` pair per attribute.
-    pub fn new(schema: &[(&str, u16)]) -> Result<DatasetBuilder> {
-        let builders = schema
-            .iter()
-            .map(|&(name, card)| crate::ColumnBuilder::new(name, card))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(DatasetBuilder {
-            builders,
-            n_rows: 0,
-        })
-    }
-
-    /// Appends one row.
-    pub fn push_row(&mut self, row: &[Cell]) -> Result<()> {
-        // Validate the whole row (width + domains) before mutating any
-        // column so a failed push leaves the builder consistent.
-        validate_row(row, |a| self.builders[a].cardinality(), self.builders.len())?;
-        for (b, &cell) in self.builders.iter_mut().zip(row) {
-            b.push(cell).expect("validated above");
-        }
-        self.n_rows += 1;
-        Ok(())
-    }
-
-    /// Finishes the dataset.
-    pub fn finish(self) -> Dataset {
-        let columns: Vec<Column> = self
-            .builders
-            .into_iter()
-            .map(crate::ColumnBuilder::finish)
-            .collect();
-        Dataset {
-            n_rows: self.n_rows,
-            columns,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -346,12 +301,46 @@ mod tests {
     }
 
     #[test]
-    fn builder_equivalent_to_from_rows() {
-        let mut b = DatasetBuilder::new(&[("a", 5), ("b", 3)]).unwrap();
-        b.push_row(&[v(5), v(1)]).unwrap();
-        b.push_row(&[m(), v(3)]).unwrap();
-        b.push_row(&[v(2), m()]).unwrap();
-        assert_eq!(b.finish(), sample());
+    fn push_row_equivalent_to_from_rows() {
+        let mut d = Dataset::from_rows(&[("a", 5), ("b", 3)], &[]).unwrap();
+        d.push_row(&[v(5), v(1)]).unwrap();
+        d.push_row(&[m(), v(3)]).unwrap();
+        d.push_row(&[v(2), m()]).unwrap();
+        assert_eq!(d, sample());
+    }
+
+    #[test]
+    fn refused_push_row_changes_nothing() {
+        let mut d = sample();
+        assert!(d.push_row(&[v(1)]).is_err());
+        let err = d.push_row(&[v(1), v(4)]).unwrap_err();
+        assert_eq!(err, out_of_domain(1, 4, 3));
+        assert_eq!(d, sample());
+    }
+
+    fn out_of_domain(attr: usize, value: u16, cardinality: u16) -> Error {
+        Error::ValueOutOfDomain {
+            attr,
+            value,
+            cardinality,
+        }
+    }
+
+    #[test]
+    fn column_errors_name_their_attribute() {
+        let err = Dataset::from_rows(&[("a", 5), ("b", 2)], &[vec![v(1), v(3)]]).unwrap_err();
+        assert_eq!(err, out_of_domain(1, 3, 2));
+        let err = Dataset::from_rows(&[("a", 5), ("b", 0)], &[]).unwrap_err();
+        assert_eq!(err, Error::ZeroCardinality { attr: 1 });
+        // A crafted image whose column 1 holds a value past its domain:
+        // the reader's error names attribute 1.
+        let mut buf = Vec::new();
+        sample().write_to(&mut buf).unwrap();
+        let pos = buf.windows(2).rposition(|w| w == [3u8, 0]).unwrap();
+        buf[pos] = 4;
+        let err = Dataset::read_from(&mut buf.as_slice()).unwrap_err();
+        let inner = err.get_ref().expect("carries the domain error");
+        assert_eq!(inner.to_string(), out_of_domain(1, 4, 3).to_string());
     }
 
     #[test]

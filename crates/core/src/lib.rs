@@ -54,8 +54,8 @@ pub mod synopsis;
 pub mod wire;
 
 pub use cell::Cell;
-pub use column::{Column, ColumnBuilder};
-pub use dataset::{validate_row, Dataset, DatasetBuilder};
+pub use column::Column;
+pub use dataset::{validate_row, Dataset};
 pub use engine::{coalesce_compatible, AccessMethod, WorkCounters};
 pub use error::{Error, Result};
 pub use query::{Interval, MissingPolicy, Predicate, RangeQuery};

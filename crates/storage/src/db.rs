@@ -52,7 +52,9 @@ use ibis_bitmap::{
 };
 use ibis_bitvec::Adaptive;
 use ibis_core::synopsis::ShardSynopsis;
-use ibis_core::{wire, AccessMethod, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters};
+use ibis_core::{
+    scan, wire, AccessMethod, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters,
+};
 use ibis_vafile::{VaFile, VaPlusFile};
 use std::sync::Arc;
 
@@ -227,8 +229,9 @@ pub struct IncompleteDb {
     /// The engine-layer registry: one entry per maintained index, plus the
     /// always-on sequential scan in last position.
     methods: Vec<Registered>,
-    /// Appended rows not yet folded into the indexes, row-major.
-    delta: Vec<Vec<Cell>>,
+    /// Appended rows not yet folded into the indexes: a relation in the
+    /// base's schema, read by the same scan kernel as any dataset.
+    delta: Dataset,
     /// Tombstoned row ids (base or delta numbering), applied as a result
     /// filter until the next compaction renumbers the survivors.
     deleted: std::collections::BTreeSet<u32>,
@@ -247,7 +250,7 @@ impl std::fmt::Debug for IncompleteDb {
             .field("config", &self.config)
             .field("methods", &self.method_names())
             .field("n_rows", &self.n_rows())
-            .field("delta_rows", &self.delta.len())
+            .field("delta_rows", &self.delta.n_rows())
             .field("deleted", &self.deleted.len())
             .finish()
     }
@@ -331,6 +334,7 @@ impl IncompleteDb {
 
     /// Builds over `dataset`, maintaining only the configured indexes.
     pub fn with_config(dataset: Dataset, config: DbConfig) -> IncompleteDb {
+        let delta = dataset.slice_rows(0..0);
         let base = Arc::new(dataset);
         // One counting pass per column: the planner's histograms, and the
         // synopsis read off them.
@@ -341,7 +345,7 @@ impl IncompleteDb {
             synopsis: ShardSynopsis::from_counts(base.n_rows(), &histograms),
             histograms,
             base,
-            delta: Vec::new(),
+            delta,
             deleted: std::collections::BTreeSet::new(),
         }
     }
@@ -358,13 +362,13 @@ impl IncompleteDb {
     /// Width of the row-id space: base + delta, tombstones included
     /// (tombstoned ids stay allocated until compaction).
     pub(crate) fn id_width(&self) -> usize {
-        self.base.n_rows() + self.delta.len()
+        self.base.n_rows() + self.delta.n_rows()
     }
 
     /// Whether a [`compact`](IncompleteDb::compact) would change anything:
     /// pending delta rows or tombstones.
     pub(crate) fn is_dirty(&self) -> bool {
-        !(self.delta.is_empty() && self.deleted.is_empty())
+        !(self.delta.n_rows() == 0 && self.deleted.is_empty())
     }
 
     /// Tombstoned rows awaiting compaction.
@@ -383,7 +387,7 @@ impl IncompleteDb {
 
     /// Rows awaiting compaction.
     pub fn delta_len(&self) -> usize {
-        self.delta.len()
+        self.delta.n_rows()
     }
 
     /// The schema width.
@@ -433,10 +437,10 @@ impl IncompleteDb {
     /// delta store and is folded into the synopsis immediately, so queries
     /// see it — and pruning stays sound for it — before any compaction;
     /// indexes pick it up at the next [`compact`](IncompleteDb::compact).
+    /// A refused row changes neither the delta nor the synopsis.
     pub fn insert(&mut self, row: &[Cell]) -> Result<()> {
-        self.validate_row(row)?;
+        self.delta.push_row(row)?;
         self.synopsis.observe_row(row);
-        self.delta.push(row.to_vec());
         Ok(())
     }
 
@@ -451,24 +455,20 @@ impl IncompleteDb {
         if !self.is_dirty() {
             return false;
         }
-        let base_rows = self.base.n_rows();
         let columns = self
             .base
             .columns()
             .iter()
-            .enumerate()
-            .map(|(attr, col)| {
-                let mut raw: Vec<u16> = col
+            .zip(self.delta.columns())
+            .map(|(col, delta)| {
+                let raw: Vec<u16> = col
                     .raw()
                     .iter()
+                    .chain(delta.raw())
                     .enumerate()
                     .filter(|(row, _)| !self.deleted.contains(&(*row as u32)))
                     .map(|(_, &v)| v)
                     .collect();
-                raw.extend(self.delta.iter().enumerate().filter_map(|(i, row)| {
-                    let id = (base_rows + i) as u32;
-                    (!self.deleted.contains(&id)).then(|| row[attr].raw())
-                }));
                 ibis_core::Column::from_raw(col.name(), col.cardinality(), raw)
                     .expect("delta rows validated on insert")
             })
@@ -553,7 +553,7 @@ impl IncompleteDb {
         Ok(Plan {
             chosen: self.methods[winner].name,
             candidates,
-            delta_rows: self.delta.len(),
+            delta_rows: self.delta.n_rows(),
             estimated_rows: self.estimate_rows(query),
         })
     }
@@ -603,13 +603,13 @@ impl IncompleteDb {
         let start = out.len();
         let method = &self.methods[winner].method;
         let mut counters = method.execute_into(query, threads, base, out)?;
-        counters.entries_scanned = counters.entries_scanned.saturating_add(self.delta.len());
-        // Delta rows are scanned with the semantic definition directly.
+        let delta_rows = self.delta.n_rows();
+        counters.entries_scanned = counters.entries_scanned.saturating_add(delta_rows);
         let mut span = ibis_obs::span("db.delta");
-        span.add_field("delta_rows", self.delta.len() as u64);
+        span.add_field("delta_rows", delta_rows as u64);
         // The delta scan is charged to `entries_scanned` above; record the
         // same delta on this span so per-phase attribution stays exact.
-        span.add_field("entries_scanned", self.delta.len() as u64);
+        span.add_field("entries_scanned", delta_rows as u64);
         // Delta ids start where the base ids end, so the union is an append.
         out.extend(self.delta_hits(query).map(|id| id + base));
         if !self.deleted.is_empty() {
@@ -618,18 +618,12 @@ impl IncompleteDb {
         Ok(counters)
     }
 
-    /// The ids of the delta rows that satisfy `query`, ascending: each row
-    /// checked cell by cell against the semantic definition.
-    fn delta_hits<'a>(&'a self, query: &'a RangeQuery) -> impl Iterator<Item = u32> + 'a {
+    /// The ids of the delta rows that satisfy `query`, ascending: the scan
+    /// kernel over the delta's columns, each id offset past the base rows.
+    fn delta_hits(&self, query: &RangeQuery) -> impl Iterator<Item = u32> {
         let offset = self.base.n_rows() as u32;
-        let policy = query.policy();
-        self.delta.iter().enumerate().filter_map(move |(i, row)| {
-            let ok = query
-                .predicates()
-                .iter()
-                .all(|p| policy.cell_matches(row[p.attr], p.interval));
-            ok.then_some(offset + i as u32)
-        })
+        let hits = scan::execute(&self.delta, query).into_rows();
+        hits.into_iter().map(move |id| id + offset)
     }
 
     /// Counts matching rows without building their ids: the planned
@@ -648,7 +642,7 @@ impl IncompleteDb {
     pub(crate) fn count_with(&self, query: &RangeQuery, winner: usize) -> Result<usize> {
         let base = self.methods[winner].method.execute_count(query)?;
         let mut span = ibis_obs::span("db.delta");
-        span.add_field("delta_rows", self.delta.len() as u64);
+        span.add_field("delta_rows", self.delta.n_rows() as u64);
         let delta_live = self
             .delta_hits(query)
             .filter(|id| !self.deleted.contains(id))
@@ -666,7 +660,7 @@ impl IncompleteDb {
         if row < self.base.n_rows() {
             self.base.cell(row, attr)
         } else {
-            self.delta[row - self.base.n_rows()][attr]
+            self.delta.cell(row - self.base.n_rows(), attr)
         }
     }
 
@@ -675,10 +669,11 @@ impl IncompleteDb {
     /// and the synopsis are rebuildable caches and are **not** written.
     pub(crate) fn write_state(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         self.base.write_to(w)?;
-        wire::write_len(w, self.delta.len())?;
-        for row in &self.delta {
-            for cell in row {
-                wire::write_u16(w, cell.raw())?;
+        // The delta's section stays row-major: one row's cells after another.
+        wire::write_len(w, self.delta.n_rows())?;
+        for row in 0..self.delta.n_rows() {
+            for column in self.delta.columns() {
+                wire::write_u16(w, column.raw()[row])?;
             }
         }
         let deleted: Vec<u32> = self.deleted.iter().copied().collect();
@@ -960,6 +955,39 @@ mod tests {
         row[0] = v(card0 + 1);
         assert!(d.insert(&row).is_err(), "out of domain");
         assert_eq!(d.delta_len(), 0, "failed inserts leave no residue");
+    }
+
+    /// A refused row is checked whole before the delta or the synopsis
+    /// moves: the last attribute's value is the one out of its domain, so
+    /// a push or an observe that ran first would leave a trace.
+    #[test]
+    fn a_refused_insert_changes_nothing() {
+        let mut d = db();
+        let width = d.n_attrs();
+        d.insert(&d.base.row(0)).unwrap();
+        let last = width - 1;
+        let card = d.base.column(last).cardinality();
+        let q = RangeQuery::new(
+            vec![Predicate::range(last, 1, card)],
+            MissingPolicy::IsMatch,
+        )
+        .unwrap();
+        let state = |d: &IncompleteDb| {
+            let answer = d.execute(&q).unwrap();
+            (d.delta_len(), d.n_rows(), d.synopsis().clone(), answer)
+        };
+        let before = state(&d);
+        let mut out_of_domain = vec![v(1); width];
+        out_of_domain[last] = v(card + 1);
+        for row in [vec![v(1); width - 1], vec![v(1); width + 1], out_of_domain] {
+            assert!(d.insert(&row).is_err());
+            assert_eq!(state(&d), before);
+        }
+        // The next accepted row reads back whole at the next id.
+        let row = d.base.row(1);
+        d.insert(&row).unwrap();
+        let id = d.n_rows() - 1;
+        assert_eq!((0..width).map(|a| d.cell(id, a)).collect::<Vec<_>>(), row);
     }
 
     #[test]

@@ -37,9 +37,8 @@ fn main() {
     // analytes and stores the band range it expects... the paper's model
     // stores one band per analyte, so we store the *center* band.
     let mut rng = StdRng::seed_from_u64(2006);
-    let mut builder =
-        DatasetBuilder::new(&ANALYTES.iter().map(|&a| (a, BANDS)).collect::<Vec<_>>())
-            .expect("valid schema");
+    let schema: Vec<(&str, u16)> = ANALYTES.iter().map(|&a| (a, BANDS)).collect();
+    let mut kb = Dataset::from_rows(&schema, &[]).expect("valid schema");
     for _ in 0..N_DISEASES {
         let relevant = rng.gen_range(1..=4usize);
         let mut row = vec![Cell::MISSING; ANALYTES.len()];
@@ -47,9 +46,8 @@ fn main() {
             let a = rng.gen_range(0..ANALYTES.len());
             row[a] = Cell::present(rng.gen_range(1..=BANDS));
         }
-        builder.push_row(&row).expect("row in domain");
+        kb.push_row(&row).expect("row in domain");
     }
-    let kb = builder.finish();
 
     let missing_share: f64 =
         kb.columns().iter().map(|c| c.missing_rate()).sum::<f64>() / kb.n_attrs() as f64;

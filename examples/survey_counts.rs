@@ -32,7 +32,7 @@ fn main() {
         .map(|q| (format!("q{q}"), N_ANSWERS))
         .collect();
     let schema_refs: Vec<(&str, u16)> = schema.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-    let mut builder = DatasetBuilder::new(&schema_refs).expect("valid schema");
+    let mut survey = Dataset::from_rows(&schema_refs, &[]).expect("valid schema");
     for _ in 0..N_RESPONDENTS {
         let mut row = Vec::with_capacity(N_QUESTIONS);
         let mut skip_next = false;
@@ -46,9 +46,8 @@ fn main() {
             skip_next = answer >= 4;
             row.push(Cell::present(answer));
         }
-        builder.push_row(&row).expect("row in domain");
+        survey.push_row(&row).expect("row in domain");
     }
-    let survey = builder.finish();
     println!(
         "survey: {} respondents × {} questions; per-question skip rates:",
         survey.n_rows(),

@@ -117,8 +117,7 @@ pub mod prelude {
     };
     pub use ibis_bitvec::{Adaptive, Bbc, BitVec64, Wah};
     pub use ibis_core::{
-        Cell, Column, Dataset, DatasetBuilder, Interval, MissingPolicy, Predicate, RangeQuery,
-        RowSet,
+        Cell, Column, Dataset, Interval, MissingPolicy, Predicate, RangeQuery, RowSet,
     };
     pub use ibis_vafile::{VaFile, VaPlusFile};
 
