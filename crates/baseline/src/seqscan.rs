@@ -1,5 +1,6 @@
 //! The index-free baseline: a full sequential scan.
 
+use ibis_bitvec::BitVec64;
 use ibis_core::engine::SCAN_CELL_PRICE;
 use ibis_core::parallel::{partition, ExecPool};
 use ibis_core::{scan, AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
@@ -54,31 +55,19 @@ pub struct BoundScan {
     base: Arc<Dataset>,
 }
 
-impl AccessMethod for BoundScan {
-    fn name(&self) -> &'static str {
-        "sequential-scan"
-    }
-
-    /// A row-range–partitioned scan: the rows split into up to `threads`
-    /// contiguous slices, each scanned ([`scan::execute_range`]) with its
-    /// own entry count — one slice inline, more on the pool's parked
-    /// workers — and each slice's ids appended to `out` at `base`, in slice
-    /// order. Rows and counters are identical to
-    /// [`SequentialScan::execute_with_cost`] for any thread count: per-slice
-    /// entry counts sum to `n · k`, and the word total is derived once from
-    /// that sum (not from per-slice roundings).
-    fn execute_into(
+impl BoundScan {
+    /// The scan kernel over up to `threads` contiguous row slices, each
+    /// slice's start beside its mask, and the merged counters. As in the
+    /// VA-file, chunk spans carry the per-slice entry counts and the
+    /// wrapping `scan.scan` span the merged counters, whose self delta is
+    /// the once-derived word total.
+    fn masks(
         &self,
         query: &RangeQuery,
         threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
+    ) -> Result<(Vec<(usize, BitVec64)>, WorkCounters)> {
         query.validate(&self.base)?;
         let k = query.dimensionality().max(1);
-        // As in the VA-file: chunk spans carry the per-slice entry counts,
-        // the wrapping `scan.scan` span the merged counters, whose self
-        // delta is the once-derived word total.
         let mut scan_span = ibis_obs::span("scan.scan");
         let ranges = partition(self.base.n_rows(), threads);
         let (data, owned) = (Arc::clone(&self.base), query.clone());
@@ -86,20 +75,58 @@ impl AccessMethod for BoundScan {
             let mut span = ibis_obs::span("scan.chunk");
             span.add_field("rows", range.len() as u64);
             let entries = range.len() * k;
-            let rows = scan::execute_range(&data, &owned, range);
+            let start = range.start;
+            let mask = scan::mask(&data, &owned, range);
             if span.is_recording() {
                 span.add_field("entries_scanned", entries as u64);
             }
-            (rows, entries)
+            ((start, mask), entries)
         });
-        let mut stats = WorkCounters::default();
-        for (rows, entries) in partials {
-            stats.entries_scanned += entries;
-            out.extend(rows.iter().map(|row| row + base));
-        }
+        let (slices, entries): (Vec<_>, Vec<usize>) = partials.into_iter().unzip();
+        let mut stats = WorkCounters {
+            entries_scanned: entries.iter().sum(),
+            ..WorkCounters::default()
+        };
         stats.words_processed = stats.entries_scanned.div_ceil(4);
         stats.record_into(&mut scan_span);
+        Ok((slices, stats))
+    }
+}
+
+impl AccessMethod for BoundScan {
+    fn name(&self) -> &'static str {
+        "sequential-scan"
+    }
+
+    /// A row-range–partitioned scan: the rows split into up to `threads`
+    /// contiguous slices, each evaluated by the scan kernel
+    /// ([`scan::mask`]) with its own entry count — one slice inline, more
+    /// on the pool's parked workers — and each slice's set bits written to
+    /// `out` once, at `base` plus the slice's start, in slice order. Rows
+    /// and counters are identical to [`SequentialScan::execute_with_cost`]
+    /// for any thread count: per-slice entry counts sum to `n · k`, and the
+    /// word total is derived once from that sum (not from per-slice
+    /// roundings).
+    fn execute_into(
+        &self,
+        query: &RangeQuery,
+        threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
+        let (slices, stats) = self.masks(query, threads)?;
+        for (start, mask) in slices {
+            mask.ones_positions_into(base + start as u32, out);
+        }
         Ok(stats)
+    }
+
+    /// The same slices as [`execute_into`](Self::execute_into), counted
+    /// by popcount: no row id is built.
+    fn execute_count_with_cost(&self, query: &RangeQuery) -> Result<(usize, WorkCounters)> {
+        let (slices, stats) = self.masks(query, 1)?;
+        let count = slices.iter().map(|(_, mask)| mask.count_ones()).sum();
+        Ok((count, stats))
     }
 
     /// The scan stores nothing beyond the base relation.

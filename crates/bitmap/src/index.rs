@@ -259,7 +259,7 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 }
 
 impl<E: Encoding, B: BitStore> BitmapIndex<E, B> {
-    fn new(attrs: Vec<AttrBitmaps<B>>, n_rows: usize) -> Self {
+    pub(crate) fn new(attrs: Vec<AttrBitmaps<B>>, n_rows: usize) -> Self {
         BitmapIndex {
             attrs,
             n_rows,
@@ -419,9 +419,9 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
 
     // A COUNT(*) with the last AND fused into the population count:
     // neither the final bitmap nor any row id is materialized.
-    fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        let (count, _) = engine::run(self, query, engine::and_count)?;
-        Ok(count.unwrap_or(self.n_rows))
+    fn execute_count_with_cost(&self, query: &RangeQuery) -> Result<(usize, WorkCounters)> {
+        let (count, cost) = engine::run(self, query, engine::and_count)?;
+        Ok((count.unwrap_or(self.n_rows), cost))
     }
 
     // The encoding's price of each predicate's interval plus the k − 1

@@ -170,6 +170,18 @@ impl BitVec64 {
         other.xor_into(&mut self.words);
     }
 
+    /// ANDs word `i` with `mask(i)`, for every word that is not already
+    /// zero (`mask` is not called for those): how a scan narrows its answer
+    /// one predicate at a time without revisiting the words an earlier
+    /// predicate emptied. An AND sets no bit, so the tail stays masked.
+    pub fn and_words_with(&mut self, mut mask: impl FnMut(usize) -> u64) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            if *w != 0 {
+                *w &= mask(i);
+            }
+        }
+    }
+
     /// In-place NOT (complement within `len`; the tail stays masked).
     pub fn not_assign(&mut self) {
         for w in &mut self.words {
@@ -347,6 +359,20 @@ mod tests {
         let v = BitVec64::ones(65);
         assert_eq!(v.count_ones(), 65);
         assert_eq!(BitVec64::ones(0).count_ones(), 0);
+    }
+
+    #[test]
+    fn and_words_with_skips_empty_words_and_keeps_the_tail() {
+        let mut v = BitVec64::from_ones(130, [1u32, 129]);
+        let mut asked = Vec::new();
+        v.and_words_with(|i| {
+            asked.push(i);
+            u64::MAX
+        });
+        assert_eq!(asked, vec![0, 2], "word 1 is zero and is not asked for");
+        assert_eq!(v.iter_ones().collect::<Vec<_>>(), vec![1, 129]);
+        v.and_words_with(|i| if i == 0 { 0 } else { u64::MAX });
+        assert_eq!(v.iter_ones().collect::<Vec<_>>(), vec![129]);
     }
 
     #[test]

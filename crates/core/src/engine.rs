@@ -335,8 +335,9 @@ impl AddAssign for WorkCounters {
 /// [`AccessMethod::execute_into`] — the one execute a family implements.
 /// Every other form derives from it, so a family has one execution body;
 /// specialized structures override the planner hooks and, where they can
-/// do better, [`AccessMethod::execute_count`] (the bitmap families answer
-/// it with a popcount, never materializing row ids).
+/// do better, [`AccessMethod::execute_count_with_cost`] (the bitmap
+/// families and the scan answer it with a popcount, never materializing row
+/// ids).
 ///
 /// A minimal implementation — the semantic scan as an access method:
 ///
@@ -451,10 +452,19 @@ pub trait AccessMethod: Send + Sync {
         Ok(self.execute_with_cost(query)?.0)
     }
 
-    /// Counts matching rows — a `COUNT(*)` aggregation. Bitmap families
-    /// override this with a popcount that never materializes row ids.
+    /// Counts matching rows — a `COUNT(*)` aggregation — on the calling
+    /// thread, also reporting the work performed. The bitmap families and
+    /// the scan override this with a popcount that never materializes row
+    /// ids; the default counts the ids of
+    /// [`execute_with_cost`](AccessMethod::execute_with_cost).
+    fn execute_count_with_cost(&self, query: &RangeQuery) -> Result<(usize, WorkCounters)> {
+        let (rows, cost) = self.execute_with_cost(query)?;
+        Ok((rows.len(), cost))
+    }
+
+    /// Counts matching rows.
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        Ok(self.execute_with_cost(query)?.0.len())
+        Ok(self.execute_count_with_cost(query)?.0)
     }
 }
 

@@ -3,14 +3,14 @@
 //! Every index in the workspace is differentially tested against
 //! [`execute`]: for any dataset and query, an index's result must equal the
 //! scan's result exactly (the paper's techniques are exact, not approximate).
+//! [`execute_rowwise`] is the independent reference the kernel itself is
+//! checked against.
 
 use crate::{Dataset, MissingPolicy, RangeQuery, RowSet};
+use ibis_bitvec::BitVec64;
+use std::ops::Range;
 
 /// Evaluates `query` over `dataset` by scanning every record.
-///
-/// Works column-at-a-time: each predicate prunes the surviving id list, which
-/// is both faster than row-at-a-time and mirrors how the columnar indexes
-/// decompose the query.
 pub fn execute(dataset: &Dataset, query: &RangeQuery) -> RowSet {
     execute_range(dataset, query, 0..dataset.n_rows())
 }
@@ -18,41 +18,60 @@ pub fn execute(dataset: &Dataset, query: &RangeQuery) -> RowSet {
 /// Evaluates `query` over the row slice `rows` of `dataset` — one worker's
 /// share of a partitioned scan. `execute(d, q)` is exactly
 /// `execute_range(d, q, 0..n)`, and concatenating the results of disjoint
-/// ascending ranges reproduces the full scan.
-pub fn execute_range(
-    dataset: &Dataset,
-    query: &RangeQuery,
-    rows: std::ops::Range<usize>,
-) -> RowSet {
-    let policy = query.policy();
-    let mut survivors: Option<Vec<u32>> = None;
-    for p in query.predicates() {
-        let col = dataset.column(p.attr);
-        let raw = col.raw();
-        let iv = p.interval;
-        let next = match survivors.take() {
-            None => (rows.start as u32..rows.end as u32)
-                .filter(|&r| cell_ok(raw[r as usize], iv.lo, iv.hi, policy))
-                .collect(),
-            Some(prev) => prev
-                .into_iter()
-                .filter(|&r| cell_ok(raw[r as usize], iv.lo, iv.hi, policy))
-                .collect(),
-        };
-        survivors = Some(next);
-    }
-    match survivors {
-        // Empty search key matches everything in the slice.
-        None => RowSet::from_sorted((rows.start as u32..rows.end as u32).collect()),
-        Some(out) => RowSet::from_sorted(out),
-    }
+/// ascending ranges reproduces the full scan. The ids are the set bits of
+/// [`mask`], written once at `rows.start`.
+pub fn execute_range(dataset: &Dataset, query: &RangeQuery, rows: Range<usize>) -> RowSet {
+    let mut ids = Vec::new();
+    let start = rows.start as u32;
+    mask(dataset, query, rows).ones_positions_into(start, &mut ids);
+    RowSet::from_sorted(ids)
 }
 
-/// Thin adapter over [`MissingPolicy::cell_matches`] — the single semantic
-/// definition — over the raw in-band encoding used in the hot loop.
-#[inline]
-fn cell_ok(raw: u16, lo: u16, hi: u16, policy: MissingPolicy) -> bool {
-    policy.cell_matches(crate::Cell::from_raw(raw), crate::Interval::new(lo, hi))
+/// The rows of the slice `rows` that satisfy `query`, as a bit-vector whose
+/// bit `i` is row `rows.start + i` — the scan kernel, which the database's
+/// delta and the sequential-scan access method share. `rows.start` need not
+/// be a multiple of 64.
+///
+/// One predicate at a time, 64 cells per word: a present value `v` passes
+/// if `v − lo ≤ hi − lo` in wrapping arithmetic (one compare for both
+/// bounds; the missing code 0 wraps past every span because `lo ≥ 1`), and
+/// under is-match a missing cell passes too. Each word is ANDed into the
+/// accumulator, and a word an earlier predicate emptied is not evaluated
+/// again. An empty search key leaves every row set.
+pub fn mask(dataset: &Dataset, query: &RangeQuery, rows: Range<usize>) -> BitVec64 {
+    let missing_ok = query.policy() == MissingPolicy::IsMatch;
+    let mut acc = BitVec64::ones(rows.len());
+    for p in query.predicates() {
+        let cells = &dataset.column(p.attr).raw()[rows.clone()];
+        let (lo, span) = (p.interval.lo, p.interval.hi - p.interval.lo);
+        acc.and_words_with(|w| {
+            let word = &cells[w * 64..cells.len().min(w * 64 + 64)];
+            match <&[u16; 64]>::try_from(word) {
+                Ok(full) => word_mask(full, lo, span, missing_ok),
+                Err(_) => word_mask(word, lo, span, missing_ok),
+            }
+        });
+    }
+    acc
+}
+
+/// Bit `i` set iff `cells[i]` passes (at most 64 cells): one byte per cell,
+/// computed without a branch, then eight bytes at a time gathered into
+/// their eight bits by one multiply (byte `j`'s low bit lands on bit
+/// `56 + j`, and no two partial products meet, so nothing carries).
+#[inline(always)]
+fn word_mask(cells: &[u16], lo: u16, span: u16, missing_ok: bool) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut pass = [0u8; 64];
+    for (p, &v) in pass.iter_mut().zip(cells) {
+        *p = u8::from(v.wrapping_sub(lo) <= span) | u8::from(missing_ok & (v == 0));
+    }
+    let mut word = 0;
+    for (g, bytes) in pass.chunks_exact(8).enumerate() {
+        let eight = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+        word |= (eight.wrapping_mul(GATHER) >> 56) << (8 * g);
+    }
+    word
 }
 
 /// Row-at-a-time reference evaluator, deliberately naive. Used in tests to

@@ -38,7 +38,7 @@ use crate::protocol::{
     Response, SlowPhase, SlowQuery, StatsReport,
 };
 use ibis_core::parallel::contain;
-use ibis_core::{MissingPolicy, RangeQuery, WorkCounters};
+use ibis_core::{MissingPolicy, RangeQuery, RowSet, WorkCounters};
 use ibis_storage::{ConcurrentDb, DbSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
@@ -562,7 +562,14 @@ fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job
         if let Some(root) = &mut root {
             root.add_field("request_id", t.request_id);
         }
-        let (rows, counters) = snap.execute_with_cost_threads(&query, 1)?;
+        // A count-only request takes the count path: no row id is built.
+        let (answer, counters) = if t.count_only {
+            let (count, counters) = snap.count_with_cost_threads(&query, 1)?;
+            (Answer::Count(count), counters)
+        } else {
+            let (rows, counters) = snap.execute_with_cost_threads(&query, 1)?;
+            (Answer::Rows(rows), counters)
+        };
         let trace = root.map(|root| (root.id(), root.finish()));
         // Stamped after the capture is handed over: what tracing costs the
         // request is inside its `exec_us`, not beside it.
@@ -582,7 +589,7 @@ fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job
                 },
             );
         }
-        Ok((rows, done))
+        Ok((answer, done))
     });
     let done = executed
         .as_ref()
@@ -596,11 +603,11 @@ fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job
                 message: "deadline expired during execution".into(),
             }
         }
-        Ok((rows, _)) if t.count_only => Response::Count {
+        Ok((Answer::Count(count), _)) => Response::Count {
             watermark: snap.watermark(),
-            count: rows.len() as u64,
+            count: count as u64,
         },
-        Ok((rows, _)) => Response::Rows {
+        Ok((Answer::Rows(rows), _)) => Response::Rows {
             watermark: snap.watermark(),
             rows: rows.into_rows(),
         },
@@ -637,6 +644,13 @@ fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job
         }
     });
     let _ = t.reply.send((t.request_id, response));
+}
+
+/// What a job's execution produced: the matching rows, or only their count
+/// for a count-only request.
+enum Answer {
+    Rows(RowSet),
+    Count(usize),
 }
 
 /// The non-zero fields of `counters`, named, as the slow-query log carries

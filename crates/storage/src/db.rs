@@ -50,7 +50,7 @@ use ibis_baseline::SequentialScan;
 use ibis_bitmap::{
     DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex, RangeBitmapIndex,
 };
-use ibis_bitvec::Adaptive;
+use ibis_bitvec::{Adaptive, BitVec64};
 use ibis_core::synopsis::ShardSynopsis;
 use ibis_core::{
     scan, wire, AccessMethod, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters,
@@ -237,7 +237,9 @@ pub struct IncompleteDb {
     deleted: std::collections::BTreeSet<u32>,
     /// Per-column value histograms of the base dataset, cached so the
     /// planner's cardinality estimates don't rescan columns on every query.
-    histograms: Vec<Vec<usize>>,
+    /// Only a build or a compaction makes them, so a copy of the shard
+    /// shares them.
+    histograms: Arc<Vec<Vec<usize>>>,
     /// Per-attribute present-value envelope and missing count over base +
     /// delta: exact after a build or compaction, widened by every insert,
     /// never narrowed by a delete — always a sound over-approximation.
@@ -257,9 +259,15 @@ impl std::fmt::Debug for IncompleteDb {
 }
 
 /// Builds the access-method registry for `base` under `config`. Every
-/// bitmap family is stored over [`Adaptive`] containers. The sequential scan
-/// always comes last, so indexes win registration-order ties against it.
-fn build_methods(config: DbConfig, base: &Arc<Dataset>) -> Vec<Registered> {
+/// bitmap family is stored over [`Adaptive`] containers; the equality
+/// index's counting sort takes `histograms`, base's value counts, as its
+/// count pass. The sequential scan always comes last, so indexes win
+/// registration-order ties against it.
+fn build_methods(
+    config: DbConfig,
+    base: &Arc<Dataset>,
+    histograms: &[Vec<usize>],
+) -> Vec<Registered> {
     let mut methods = Vec::new();
     let mut register_as = |name: &'static str, method: Arc<dyn AccessMethod>| {
         methods.push(Registered {
@@ -274,7 +282,8 @@ fn build_methods(config: DbConfig, base: &Arc<Dataset>) -> Vec<Registered> {
         } else {
             "bitmap-adaptive"
         };
-        register_as(name, Arc::new(EqualityBitmapIndex::<Adaptive>::build(base)));
+        let bee = EqualityBitmapIndex::<Adaptive>::build_from_counts(base, histograms);
+        register_as(name, Arc::new(bee));
     }
     let mut register = |method: Arc<dyn AccessMethod>| register_as(method.name(), method);
     if config.bre {
@@ -336,14 +345,14 @@ impl IncompleteDb {
     pub fn with_config(dataset: Dataset, config: DbConfig) -> IncompleteDb {
         let delta = dataset.slice_rows(0..0);
         let base = Arc::new(dataset);
-        // One counting pass per column: the planner's histograms, and the
-        // synopsis read off them.
+        // One counting pass per column: the planner's histograms, the
+        // synopsis read off them, and the equality index's counting sort.
         let histograms: Vec<Vec<usize>> = base.columns().iter().map(|c| c.value_counts()).collect();
         IncompleteDb {
             config,
-            methods: build_methods(config, &base),
+            methods: build_methods(config, &base, &histograms),
             synopsis: ShardSynopsis::from_counts(base.n_rows(), &histograms),
-            histograms,
+            histograms: Arc::new(histograms),
             base,
             delta,
             deleted: std::collections::BTreeSet::new(),
@@ -588,8 +597,8 @@ impl IncompleteDb {
 
     /// Appends the ids of the live rows matching `query`, each plus `base`,
     /// ascending, after whatever `out` holds: the base hits of the registry
-    /// method at position `winner`, then the delta hits, then this shard's
-    /// tombstones dropped from what it wrote. `winner` is what
+    /// method at position `winner`, then the set bits of the delta's mask,
+    /// then this shard's tombstones dropped from what it wrote. `winner` is what
     /// [`plan`](Self::plan) returned here or on a shard of the same config
     /// (one registry order), which is how a router plans once per query.
     pub(crate) fn execute_into(
@@ -603,6 +612,21 @@ impl IncompleteDb {
         let start = out.len();
         let method = &self.methods[winner].method;
         let mut counters = method.execute_into(query, threads, base, out)?;
+        // Delta ids start where the base ids end, so the union is an append.
+        if let Some(mask) = self.delta_mask(query, &mut counters) {
+            mask.ones_positions_into(base + self.base.n_rows() as u32, out);
+        }
+        if !self.deleted.is_empty() {
+            remove_ascending(out, start, self.deleted.iter().map(|&id| id + base));
+        }
+        Ok(counters)
+    }
+
+    /// The delta rows that satisfy `query`, as the scan kernel's mask over
+    /// the delta (bit `i` is row `base rows + i`), with the scan charged to
+    /// `counters` and to the `db.delta` span. An empty delta builds no
+    /// mask.
+    fn delta_mask(&self, query: &RangeQuery, counters: &mut WorkCounters) -> Option<BitVec64> {
         let delta_rows = self.delta.n_rows();
         counters.entries_scanned = counters.entries_scanned.saturating_add(delta_rows);
         let mut span = ibis_obs::span("db.delta");
@@ -610,49 +634,45 @@ impl IncompleteDb {
         // The delta scan is charged to `entries_scanned` above; record the
         // same delta on this span so per-phase attribution stays exact.
         span.add_field("entries_scanned", delta_rows as u64);
-        // Delta ids start where the base ids end, so the union is an append.
-        out.extend(self.delta_hits(query).map(|id| id + base));
-        if !self.deleted.is_empty() {
-            remove_ascending(out, start, self.deleted.iter().map(|&id| id + base));
-        }
-        Ok(counters)
-    }
-
-    /// The ids of the delta rows that satisfy `query`, ascending: the scan
-    /// kernel over the delta's columns, each id offset past the base rows.
-    fn delta_hits(&self, query: &RangeQuery) -> impl Iterator<Item = u32> {
-        let offset = self.base.n_rows() as u32;
-        let hits = scan::execute(&self.delta, query).into_rows();
-        hits.into_iter().map(move |id| id + offset)
+        (delta_rows > 0).then(|| scan::mask(&self.delta, query, 0..delta_rows))
     }
 
     /// Counts matching rows without building their ids: the planned
-    /// method's [`execute_count`](AccessMethod::execute_count) over the
-    /// base, plus the delta rows that match and are alive, minus the
-    /// tombstoned base rows that match — the last two checked cell by cell,
-    /// a handful of rows.
+    /// method's [`execute_count_with_cost`](AccessMethod::execute_count_with_cost)
+    /// over the base, plus the popcount of the delta's mask less the
+    /// tombstones set in it, minus the tombstoned base rows that match —
+    /// those checked cell by cell, a handful of rows.
     pub fn count(&self, query: &RangeQuery) -> Result<usize> {
         let winner = self.plan(query, |_| {})?;
-        self.count_with(query, winner)
+        Ok(self.count_with(query, winner)?.0)
     }
 
     /// [`count`](Self::count) with the registry method at `winner`, a
     /// position [`plan`](Self::plan) returned (see
-    /// [`execute_into`](Self::execute_into)).
-    pub(crate) fn count_with(&self, query: &RangeQuery, winner: usize) -> Result<usize> {
-        let base = self.methods[winner].method.execute_count(query)?;
-        let mut span = ibis_obs::span("db.delta");
-        span.add_field("delta_rows", self.delta.n_rows() as u64);
-        let delta_live = self
-            .delta_hits(query)
-            .filter(|id| !self.deleted.contains(id))
-            .count();
+    /// [`execute_into`](Self::execute_into)), and the work it did: the
+    /// method's counters plus the delta scan, charged as `execute_into`
+    /// charges it.
+    pub(crate) fn count_with(
+        &self,
+        query: &RangeQuery,
+        winner: usize,
+    ) -> Result<(usize, WorkCounters)> {
+        let method = &self.methods[winner].method;
+        let (base, mut counters) = method.execute_count_with_cost(query)?;
+        let base_rows = self.base.n_rows() as u32;
+        let delta_live = self.delta_mask(query, &mut counters).map_or(0, |mask| {
+            let dead = self.deleted.range(base_rows..);
+            let dead_hits = dead
+                .filter(|&&id| mask.get((id - base_rows) as usize))
+                .count();
+            mask.count_ones() - dead_hits
+        });
         let base_dead = self
             .deleted
-            .range(..self.base.n_rows() as u32)
+            .range(..base_rows)
             .filter(|&&id| query.matches_row(&self.base, id as usize))
             .count();
-        Ok(base + delta_live - base_dead)
+        Ok((base + delta_live - base_dead, counters))
     }
 
     /// The cell at (`row`, `attr`), addressing base then delta.
@@ -1077,6 +1097,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The delta's word mask against the scan truth of the whole logical
+    /// relation, through tombstones either side of the delta's word
+    /// boundaries and in the base, for deltas that end inside, on and just
+    /// past a word.
+    #[test]
+    fn delta_execute_and_count_equal_the_scan_through_tombstones() {
+        let data = census_scaled(200, 5);
+        let extra = census_scaled(1_000, 6);
+        for n_delta in [63usize, 64, 65, 1_000] {
+            let mut db = IncompleteDb::new(data.clone());
+            let mut all = data.clone();
+            for i in 0..n_delta {
+                db.insert(&extra.row(i)).unwrap();
+                all.push_row(&extra.row(i)).unwrap();
+            }
+            let delta_dead = [0, 62, 63, 64, 65, 999]
+                .into_iter()
+                .filter(|&i| i < n_delta);
+            let dead: Vec<u32> = [3, 199]
+                .into_iter()
+                .chain(delta_dead.map(|i| 200 + i as u32))
+                .collect();
+            for &id in &dead {
+                assert!(db.delete(id));
+            }
+            for policy in MissingPolicy::ALL {
+                let spec = QuerySpec {
+                    n_queries: 6,
+                    k: 2,
+                    global_selectivity: 0.3,
+                    policy,
+                    candidate_attrs: vec![],
+                };
+                let mut queries = workload(&data, &spec, 7);
+                queries.push(RangeQuery::new(vec![], policy).unwrap());
+                for q in &queries {
+                    let live: Vec<u32> = scan::execute_rowwise(&all, q)
+                        .iter()
+                        .filter(|id| !dead.contains(id))
+                        .collect();
+                    let what = format!("{n_delta} delta rows, {policy}, {q}");
+                    assert_eq!(db.execute(q).unwrap().rows(), &live[..], "{what}");
+                    assert_eq!(db.count(q).unwrap(), live.len(), "{what}");
+                }
+            }
+        }
+    }
+
+    /// A shard with an empty delta — every shard of a database that is not
+    /// taking inserts, 64 per query on a 64-shard database — answers from
+    /// its index alone: the delta builds no mask.
+    #[test]
+    fn an_empty_delta_builds_no_mask() {
+        let data = census_scaled(300, 8);
+        let mut db = IncompleteDb::new(data.clone());
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 1)], MissingPolicy::IsMatch).unwrap();
+        let mut counters = WorkCounters::zero();
+        assert!(db.delta_mask(&q, &mut counters).is_none());
+        assert_eq!(counters, WorkCounters::zero());
+        db.insert(&data.row(0)).unwrap();
+        let mask = db.delta_mask(&q, &mut counters).expect("one delta row");
+        assert_eq!(mask.len(), 1);
+        assert_eq!(counters.entries_scanned, 1);
     }
 
     #[test]

@@ -383,28 +383,44 @@ impl ShardedDb {
         work
     }
 
-    /// Counts matching rows: the sum of the unpruned shards' counts under
-    /// the one plan, fanned over the same pool `execute` uses. No row id is
-    /// built or merged.
+    /// Counts matching rows at the configured parallelism degree: no row
+    /// id is built or merged.
     pub fn count(&self, query: &RangeQuery) -> Result<usize> {
+        let threads = ibis_core::parallel::configured_threads();
+        Ok(self.count_with_cost_threads(query, threads)?.0)
+    }
+
+    /// [`ShardedDb::count`] with an explicit thread degree, also reporting
+    /// the merged [`WorkCounters`]: the sum of the unpruned shards' counts
+    /// under the one plan, fanned over the same pool `execute` uses. The
+    /// count and the counters are identical for any `threads`.
+    pub fn count_with_cost_threads(
+        &self,
+        query: &RangeQuery,
+        threads: usize,
+    ) -> Result<(usize, WorkCounters)> {
         query.validate(self.schema())?;
         let mut span = ibis_obs::span("db.shards");
         let work = self.unpruned(query, &mut span);
         let Some(winner) = plan(query, &work)? else {
             span.add_field("rows", 0);
-            return Ok(0);
+            return Ok((0, WorkCounters::zero()));
         };
-        let threads = ibis_core::parallel::configured_threads();
         let query = Arc::new(query.clone());
         let counts = ExecPool::new(threads).try_map(work, move |(i, _, shard)| {
             let mut shard_span = ibis_obs::span("db.shard");
             shard_span.add_field("shard", i as u64);
-            let n = shard.count_with(&query, winner)?;
+            let (n, c) = shard.count_with(&query, winner)?;
             shard_span.add_field("rows", n as u64);
-            Ok(n)
+            c.record_into(&mut shard_span);
+            Ok((n, c))
         })?;
-        let total = counts.into_iter().sum();
-        span.add_field("rows", total as u64);
+        let mut total = (0, WorkCounters::zero());
+        for (n, c) in counts {
+            total.0 += n;
+            total.1.merge(c);
+        }
+        span.add_field("rows", total.0 as u64);
         Ok(total)
     }
 

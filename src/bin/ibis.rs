@@ -843,6 +843,16 @@ fn query(a: &Args) -> Result<(), CliError> {
             println!("profile JSON written to {path}");
         }
         prof.rows
+    } else if a.has("count") {
+        // The count path: a popcount where the method has one, no row ids.
+        let count = match shard_rows {
+            Some(n) => ShardedDb::new(Dataset::clone(&d), n).count_with_cost_threads(&q, threads),
+            None => method()?.execute_count_with_cost(&q),
+        }
+        .map_err(|e| e.to_string())?
+        .0;
+        print_count(count, d.n_rows(), policy);
+        return Ok(());
     } else if let Some(n) = shard_rows {
         let db = ShardedDb::new(Dataset::clone(&d), n);
         let exec = db
@@ -918,14 +928,23 @@ fn print_matches(
     policy: MissingPolicy,
     show: impl Fn(u32) -> String,
 ) {
-    println!(
-        "{} rows match under {policy} (selectivity {:.3}%)",
-        rows.len(),
-        rows.selectivity(n_rows) * 100.0
-    );
+    print_count(rows.len(), n_rows, policy);
     if !a.has("count") {
         print_rows(a, rows.rows(), show);
     }
+}
+
+/// The match line of a local `ibis query`.
+fn print_count(count: usize, n_rows: usize, policy: MissingPolicy) {
+    let selectivity = if n_rows == 0 {
+        0.0
+    } else {
+        count as f64 / n_rows as f64
+    };
+    println!(
+        "{count} rows match under {policy} (selectivity {:.3}%)",
+        selectivity * 100.0
+    );
 }
 
 /// The first `--limit` of `rows`, one line each as `show` renders it, and
@@ -968,6 +987,13 @@ fn query_durable(a: &Args) -> Result<(), CliError> {
         let pruned = prof.snapshot.counters.get("shards.pruned").copied();
         println!("shards pruned: {}", pruned.unwrap_or(0));
         prof.rows
+    } else if a.has("count") {
+        let (count, _) = snap
+            .count_with_cost_threads(&q, threads)
+            .map_err(|e| e.to_string())?;
+        println!("snapshot watermark {}", snap.watermark());
+        print_count(count, snap.n_rows(), policy);
+        return Ok(());
     } else {
         let exec = snap
             .execute_with_stats_threads(&q, threads)

@@ -139,3 +139,89 @@ proptest! {
         prop_assert_eq!(full.intersect(&wider).len(), full.len());
     }
 }
+
+/// Row counts either side of the scan kernel's 64-row word and of a
+/// 1,024-row span.
+const KERNEL_LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 1_023, 1_024, 1_025];
+
+/// SplitMix64: the case's cells and intervals from one drawn seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A `len`-row relation of three columns — one with random missing cells,
+/// one all missing, one with none — and queries over it under both
+/// policies: the empty key, `lo = 1`, `hi = cardinality`, the whole domain
+/// and random intervals, on one attribute and on all three.
+fn kernel_case(len: usize, seed: u64) -> (Dataset, Vec<RangeQuery>) {
+    let mut s = seed;
+    let mut draw = |n: u64| (splitmix(&mut s) % n) as u16;
+    let cards: Vec<u16> = (0..3).map(|_| 1 + draw(12)).collect();
+    let columns = cards
+        .iter()
+        .enumerate()
+        .map(|(a, &c)| {
+            let raw = (0..len)
+                .map(|_| match a {
+                    0 => draw(u64::from(c) + 1),
+                    1 => 0,
+                    _ => 1 + draw(u64::from(c)),
+                })
+                .collect();
+            Column::from_raw(format!("a{a}"), c, raw).expect("in domain")
+        })
+        .collect();
+    let d = Dataset::new(columns).expect("equal lengths");
+    let mut intervals = |c: u16| {
+        let lo = 1 + draw(u64::from(c));
+        let hi = lo + draw(u64::from(c - lo) + 1);
+        [(1, 1 + draw(u64::from(c))), (lo, c), (1, c), (lo, hi)]
+    };
+    let mut keys: Vec<Vec<Predicate>> = vec![vec![]];
+    for (a, &c) in cards.iter().enumerate() {
+        keys.extend(intervals(c).map(|(lo, hi)| vec![Predicate::range(a, lo, hi)]));
+    }
+    let per_attr: Vec<[(u16, u16); 4]> = cards.iter().map(|&c| intervals(c)).collect();
+    keys.extend((0..4).map(|i| {
+        (0..3)
+            .map(|a| Predicate::range(a, per_attr[a][i].0, per_attr[a][i].1))
+            .collect()
+    }));
+    let queries = keys
+        .into_iter()
+        .flat_map(|key| {
+            MissingPolicy::ALL.map(|policy| RangeQuery::new(key.clone(), policy).unwrap())
+        })
+        .collect();
+    (d, queries)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The word-mask scan kernel against the row-at-a-time reference, over
+    /// whole relations and over row ranges that start off a word boundary.
+    #[test]
+    fn scan_kernel_matches_rowwise(which in 0usize..KERNEL_LENGTHS.len(), seed in any::<u64>()) {
+        let len = KERNEL_LENGTHS[which];
+        let (d, queries) = kernel_case(len, seed);
+        let mut s = seed ^ 0xA5A5;
+        for q in &queries {
+            let truth = scan::execute_rowwise(&d, q);
+            prop_assert_eq!(&scan::execute(&d, q), &truth);
+            prop_assert_eq!(scan::mask(&d, q, 0..len).count_ones(), truth.len());
+            let start = (splitmix(&mut s) % (len as u64 + 1)) as usize;
+            let end = start + (splitmix(&mut s) % ((len - start) as u64 + 1)) as usize;
+            let inside: Vec<u32> = truth
+                .iter()
+                .filter(|&r| (start..end).contains(&(r as usize)))
+                .collect();
+            let range = scan::execute_range(&d, q, start..end);
+            prop_assert_eq!(range.rows(), &inside[..]);
+        }
+    }
+}
