@@ -13,6 +13,14 @@
 //! not visited by the database and are skipped here too. Every candidate's
 //! answer — its rows, or its count for a count set — must equal the
 //! first candidate's.
+//!
+//! A second table, `planner_sets`, compares index sets on the same five
+//! shapes: {BEE, BRE} (the paper's §6 pair), {BEE, BIE} (the default) and
+//! {BEE, BRE, BIE}. Each set's own database plans every query; one
+//! database registering all three encodings times every candidate, so the
+//! sets' planned times come from the same timings. DESIGN §8's rule picks
+//! the default from it: the smallest set whose planned time is within 5%
+//! of {BEE, BRE}'s on every shape.
 
 use crate::config::Scale;
 use crate::report::{fmt_ratio, Table};
@@ -247,7 +255,95 @@ fn regret(set: &Set) -> (f64, f64, f64, f64, Vec<(&'static str, f64)>) {
     )
 }
 
-/// The planner experiment: one row per query set.
+/// The index sets `planner_sets` compares, the paper's pair first.
+fn index_sets() -> [(&'static str, DbConfig); 3] {
+    let bitmaps = |bre, bie| DbConfig {
+        bee: true,
+        bre,
+        bie,
+        ..DbConfig::none()
+    };
+    [
+        ("bee+bre", bitmaps(true, false)),
+        ("bee+bie", bitmaps(false, true)),
+        ("bee+bre+bie", bitmaps(true, true)),
+    ]
+}
+
+/// One `planner_sets` row per index set on one shape: its index bytes
+/// per row, its share of queries planned within 1.5× of its own fastest
+/// candidate, its planned mean (µs) and that mean over {BEE, BRE}'s.
+fn compare_sets(
+    name: &'static str,
+    d: &Dataset,
+    shard_rows: usize,
+    queries: &[RangeQuery],
+    count: bool,
+) -> Vec<Vec<String>> {
+    // What each set plans, shard by shard, for the shards no synopsis
+    // prunes (the synopsis is the same under every set).
+    let sets = index_sets();
+    let mut plans = Vec::new();
+    let mut bytes = Vec::new();
+    for (_, config) in sets {
+        let s = set(name, d.clone(), shard_rows, config, Vec::new(), count);
+        let registered = s.shards[0].method_names();
+        let chosen: Vec<Vec<&'static str>> = queries
+            .iter()
+            .map(|q| {
+                let live = s.shards.iter().filter(|sh| !sh.synopsis().can_prune(q));
+                live.map(|sh| sh.explain(q).expect("valid query").chosen)
+                    .collect()
+            })
+            .collect();
+        let b: usize = s.shards.iter().map(IncompleteDb::index_bytes).sum();
+        bytes.push(b as f64 / d.n_rows().max(1) as f64);
+        plans.push((registered, chosen));
+    }
+    // Every candidate of every set, timed once per (query, shard) in a
+    // database of the last set, which registers them all.
+    let timed = set(name, d.clone(), shard_rows, sets[2].1, Vec::new(), count);
+    let names = timed.shards[0].method_names();
+    let at = |method: &str| names.iter().position(|n| *n == method).expect("registered");
+    let mut good = [0usize; 3];
+    let mut planned_sum = [0.0f64; 3];
+    for (qi, q) in queries.iter().enumerate() {
+        let mut planned = [0.0f64; 3];
+        let mut best = [0.0f64; 3];
+        let live = timed.shards.iter().filter(|sh| !sh.synopsis().can_prune(q));
+        for (k, sh) in live.enumerate() {
+            let (_, times) = time_shard(sh, q, count);
+            for (i, (registered, chosen)) in plans.iter().enumerate() {
+                planned[i] += times[at(chosen[qi][k])];
+                best[i] += registered
+                    .iter()
+                    .map(|m| times[at(m)])
+                    .fold(f64::INFINITY, f64::min);
+            }
+        }
+        for i in 0..3 {
+            good[i] += usize::from(planned[i] <= GOOD * best[i]);
+            planned_sum[i] += planned[i];
+        }
+    }
+    let n = queries.len().max(1) as f64;
+    sets.iter()
+        .enumerate()
+        .map(|(i, (set_name, _))| {
+            vec![
+                name.into(),
+                (*set_name).into(),
+                format!("{:.1}", bytes[i]),
+                format!("{:.3}", good[i] as f64 / n),
+                format!("{:.1}", planned_sum[i] / n),
+                fmt_ratio(planned_sum[i] / planned_sum[0]),
+            ]
+        })
+        .collect()
+}
+
+/// The planner experiment: one row per query set, and one per index set
+/// and query set.
 pub fn run(scale: &Scale) -> Vec<Table> {
     let mut table = Table::new(
         "planner",
@@ -321,8 +417,25 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             false,
         ),
     ];
+    let mut by_set = Table::new(
+        "planner_sets",
+        "index sets on the benchmark's five shapes: bytes per row, the share planned within \
+         1.5x of the set's fastest candidate, the planned mean (us) and its ratio to \
+         {BEE, BRE}'s, every candidate timed in one database registering BEE, BRE and BIE",
+        &[
+            "query_set",
+            "index_set",
+            "bytes_per_row",
+            "within_1.5x",
+            "planned_us",
+            "vs_bee_bre",
+        ],
+    );
     for (name, d, shard_rows, config, qs, count) in sets {
         // One set's indexes at a time: each is dropped before the next is built.
+        for row in compare_sets(name, &d, shard_rows, &qs, count) {
+            by_set.push(row);
+        }
         let s = set(name, d, shard_rows, config, qs, count);
         let (good, worst, planned, best, always) = regret(&s);
         let always = always
@@ -340,5 +453,5 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             always,
         ]);
     }
-    vec![table]
+    vec![table, by_set]
 }

@@ -2,8 +2,9 @@
 
 use crate::engine;
 use crate::index::{AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
+use crate::ValueSort;
 use ibis_bitvec::{BitStore, BitVec64};
-use ibis_core::{Column, Dataset, Interval, MissingPolicy, WorkCounters};
+use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
 /// The equality encoding: `stored[v − 1]` is `B_{i,v}`, the rows whose
 /// value is exactly `v`, and missing rows are flagged in `B_{i,0}`.
@@ -53,38 +54,17 @@ pub struct Equality;
 pub type EqualityBitmapIndex<B> = BitmapIndex<Equality, B>;
 
 impl Equality {
-    /// One column's bitmaps from its value counts (`counts[v]` rows hold
-    /// `v`, [`Column::value_counts`]), which the counting sort takes in
-    /// place of its own count pass. Each bitmap is built from its value's
-    /// rows, already ascending.
-    fn build_counted<B: BitStore>(col: &Column, counts: &[usize]) -> AttrBitmaps<B> {
-        let (starts, rows) = crate::equality_positions(col, counts);
-        let rows_of = |v: usize| &rows[starts[v]..starts[v + 1]];
-        let bitmap = |v: usize| B::from_positions(col.len(), rows_of(v));
+    /// One column's bitmaps from its rows grouped by value, each already
+    /// ascending: `B_0` (kept only if non-empty) and every `B_v` are built
+    /// from their value's slice of row ids.
+    pub(crate) fn build_sorted<B: BitStore>(col: &Column, sort: &ValueSort) -> AttrBitmaps<B> {
+        let bitmap = |v: usize| B::from_positions(col.len(), sort.rows_of(v));
         AttrBitmaps {
             cardinality: col.cardinality(),
             param: 0,
-            missing: (!rows_of(0).is_empty()).then(|| bitmap(0)),
+            missing: (!sort.rows_of(0).is_empty()).then(|| bitmap(0)),
             stored: (1..=col.cardinality() as usize).map(bitmap).collect(),
         }
-    }
-}
-
-impl<B: BitStore> EqualityBitmapIndex<B> {
-    /// [`BitmapIndex::build`] from each column's value counts, already
-    /// known to the caller (`counts[a]` is column `a`'s
-    /// [`Column::value_counts`]): a database that keeps them for its
-    /// planner counts each column once. The index is identical to
-    /// `build`'s.
-    pub fn build_from_counts(dataset: &Dataset, counts: &[Vec<usize>]) -> Self {
-        assert_eq!(counts.len(), dataset.n_attrs(), "one histogram per column");
-        let attrs = dataset
-            .columns()
-            .iter()
-            .zip(counts)
-            .map(|(col, counts)| Equality::build_counted(col, counts))
-            .collect();
-        BitmapIndex::new(attrs, dataset.n_rows())
     }
 }
 
@@ -94,7 +74,7 @@ impl Encoding for Equality {
     const NAME: &'static str = "bitmap-equality";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
-        Equality::build_counted(col, &col.value_counts())
+        Equality::build_sorted(col, &ValueSort::new(col, &col.value_counts()))
     }
 
     fn interval<B: BitStore>(

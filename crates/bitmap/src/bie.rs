@@ -27,6 +27,7 @@
 
 use crate::engine;
 use crate::index::{AttrBitmaps, AttrPrices, BitmapIndex, Encoding, Price};
+use crate::ValueSort;
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{Column, Interval, MissingPolicy, WorkCounters};
 
@@ -46,37 +47,45 @@ fn window_width(c: usize) -> usize {
     c.div_ceil(2).max(1)
 }
 
+impl IntervalWindows {
+    /// One column's windows slid over its rows grouped by value: `I_1`
+    /// holds the rows of values `1..=W`, and `I_{j+1} = I_j − rows(j) +
+    /// rows(j + W)`. One plain accumulator flips each present row at most
+    /// twice and is encoded once per window; `B_0` is built from the
+    /// missing rows, as the equality encoding builds it.
+    pub(crate) fn build_sorted<B: BitStore>(col: &Column, sort: &ValueSort) -> AttrBitmaps<B> {
+        let c = col.cardinality() as usize;
+        let width = window_width(c);
+        let n_windows = c - width + 1;
+        let n = col.len();
+        // A row leaving the window is set and a row entering it is clear,
+        // so both are flips.
+        let mut window = BitVec64::zeros(n);
+        (1..=width).for_each(|v| window.toggle(sort.rows_of(v)));
+        let mut stored = Vec::with_capacity(n_windows);
+        stored.push(B::from_bitvec(&window));
+        for j in 1..n_windows {
+            window.toggle(sort.rows_of(j));
+            window.toggle(sort.rows_of(j + width));
+            stored.push(B::from_bitvec(&window));
+        }
+        let missing = sort.rows_of(0);
+        AttrBitmaps {
+            cardinality: col.cardinality(),
+            param: width as u16,
+            missing: (!missing.is_empty()).then(|| B::from_positions(n, missing)),
+            stored,
+        }
+    }
+}
+
 impl Encoding for IntervalWindows {
     const MAGIC: &'static [u8; 4] = b"IBIE";
 
     const NAME: &'static str = "bitmap-interval";
 
     fn build_attr<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
-        let c = col.cardinality() as usize;
-        let width = window_width(c);
-        let n_windows = c - width + 1;
-        let n = col.len();
-        let mut missing_bv = BitVec64::zeros(n);
-        let mut window_bvs = vec![BitVec64::zeros(n); n_windows];
-        for (row, &raw) in col.raw().iter().enumerate() {
-            if raw == 0 {
-                missing_bv.set(row, true);
-            } else {
-                let v = raw as usize;
-                // Value v lies in windows j ∈ [max(1, v−W+1), min(v, K)].
-                let j_lo = v.saturating_sub(width - 1).max(1);
-                let j_hi = v.min(n_windows);
-                for w in &mut window_bvs[j_lo - 1..j_hi] {
-                    w.set(row, true);
-                }
-            }
-        }
-        AttrBitmaps {
-            cardinality: col.cardinality(),
-            param: width as u16,
-            missing: (missing_bv.count_ones() > 0).then(|| B::from_bitvec(&missing_bv)),
-            stored: window_bvs.iter().map(B::from_bitvec).collect(),
-        }
+        IntervalWindows::build_sorted(col, &ValueSort::new(col, &col.value_counts()))
     }
 
     // At most two window reads plus the missing bitmap, per the table in
@@ -134,10 +143,39 @@ impl Encoding for IntervalWindows {
         present
     }
 
-    // At most two windows plus B_0 per dimension — the same worst case as
-    // BRE; the tie is broken by BIE's ~half-size structure.
-    fn price(p: &AttrPrices<'_>, _iv: Interval, _policy: MissingPolicy) -> Price {
-        p.by_mean(3)
+    // The windows of the module docs' table that `interval` reads, each at
+    // its own read price, the NOT of the edge cases' complement, and `B_0`
+    // under match.
+    #[inline]
+    fn price(p: &AttrPrices<'_>, iv: Interval, policy: MissingPolicy) -> Price {
+        let c = p.cardinality() as usize;
+        let w_win = p.param() as usize;
+        let k = c - w_win + 1;
+        let (v1, v2) = (iv.lo as usize, iv.hi as usize);
+        let width = v2 - v1 + 1;
+        let win = |j: usize| p.stored(j - 1..j);
+        let fresh = p.fresh();
+        let present = if width == c {
+            match p.missing() {
+                Some(b0) => fresh.read(b0).not_pass(),
+                None => fresh,
+            }
+        } else if width >= w_win {
+            fresh.read(win(v1)).read(win(v2 - w_win + 1))
+        } else if v2 < w_win {
+            fresh.read(win(v2 + 1)).not_pass().read(win(v1))
+        } else if v1 > k {
+            fresh
+                .read(win(v1 - w_win))
+                .not_pass()
+                .read(win(v2 - w_win + 1))
+        } else {
+            fresh.read(win(v1)).read(win(v2 - w_win + 1))
+        };
+        match p.missing() {
+            Some(b0) if policy == MissingPolicy::IsMatch => present.read(b0),
+            _ => present,
+        }
     }
 
     fn stored_count(cardinality: u16, param: u16, _has_b0: bool) -> Option<usize> {
@@ -149,7 +187,7 @@ impl Encoding for IntervalWindows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibis_bitvec::Wah;
+    use ibis_bitvec::{Adaptive, Wah};
     use ibis_core::gen::synthetic_scaled;
     use ibis_core::{scan, AccessMethod, Cell, Dataset, Predicate, RangeQuery};
 
@@ -177,6 +215,95 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// The row-at-a-time build the sliding one replaced: each present row
+    /// is set in every window that covers its value.
+    fn per_row_reference<B: BitStore>(col: &Column) -> AttrBitmaps<B> {
+        let c = col.cardinality() as usize;
+        let width = window_width(c);
+        let n_windows = c - width + 1;
+        let n = col.len();
+        let mut missing_bv = BitVec64::zeros(n);
+        let mut window_bvs = vec![BitVec64::zeros(n); n_windows];
+        for (row, &raw) in col.raw().iter().enumerate() {
+            if raw == 0 {
+                missing_bv.set(row, true);
+            } else {
+                // Value v lies in windows j ∈ [max(1, v−W+1), min(v, K)].
+                let v = raw as usize;
+                let j_lo = v.saturating_sub(width - 1).max(1);
+                for w in &mut window_bvs[j_lo - 1..v.min(n_windows)] {
+                    w.set(row, true);
+                }
+            }
+        }
+        AttrBitmaps {
+            cardinality: col.cardinality(),
+            param: width as u16,
+            missing: (missing_bv.count_ones() > 0).then(|| B::from_bitvec(&missing_bv)),
+            stored: window_bvs.iter().map(B::from_bitvec).collect(),
+        }
+    }
+
+    fn image<B: BitStore>(ix: &IntervalBitmapIndex<B>) -> Vec<u8> {
+        let mut out = Vec::new();
+        ix.write_to(&mut out).unwrap();
+        out
+    }
+
+    /// Columns of every tested cardinality, each with no, some and only
+    /// missing rows, uniform and clustered (values in row order, so run
+    /// containers appear).
+    fn shaped_columns(n: usize, seed: u64) -> Dataset {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut columns = Vec::new();
+        for c in [1u16, 2, 3, 5, 20, 100] {
+            for missing in [0, 30, 100] {
+                let uniform = (0..n)
+                    .map(|_| match next() % 100 < missing {
+                        true => 0,
+                        false => (next() % u64::from(c)) as u16 + 1,
+                    })
+                    .collect();
+                let clustered = (0..n)
+                    .map(|r| match missing == 100 || (missing > 0 && r % 7 == 0) {
+                        true => 0,
+                        false => (r * c as usize / n.max(1)) as u16 + 1,
+                    })
+                    .collect();
+                columns.push(Column::from_raw(format!("u{c}_{missing}"), c, uniform).unwrap());
+                columns.push(Column::from_raw(format!("s{c}_{missing}"), c, clustered).unwrap());
+            }
+        }
+        Dataset::new(columns).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn sliding_build_writes_the_per_row_reference_bytes(
+            len in 0usize..7,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let n = [0, 1, 63, 64, 65, 65_536, 65_537][len];
+            let d = shaped_columns(n, seed);
+            let attrs = d.columns().iter().map(per_row_reference).collect();
+            let reference = IntervalBitmapIndex::<Adaptive>::new(attrs, n);
+            let built = IntervalBitmapIndex::<Adaptive>::build(&d);
+            proptest::prop_assert_eq!(image(&built), image(&reference));
+            // What a database builds from its histograms, alongside BEE.
+            let counts: Vec<Vec<usize>> = d.columns().iter().map(|c| c.value_counts()).collect();
+            let (_, sorted) = crate::build_sorted::<Adaptive>(&d, &counts, true, true);
+            proptest::prop_assert_eq!(image(&sorted.unwrap()), image(&built));
+        }
     }
 
     #[test]

@@ -678,6 +678,11 @@ mod tests {
     }
 
     #[test]
+    fn bie_prices_the_bitmaps_it_reads() {
+        price_reads_what_execution_reads::<crate::IntervalWindows>();
+    }
+
+    #[test]
     fn points_favour_equality_and_prefix_ranges_favour_range_encoding() {
         let d = census_scaled(2_000, 6);
         let bee = BitmapIndex::<Equality, Adaptive>::build(&d);

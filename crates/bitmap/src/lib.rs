@@ -31,6 +31,8 @@
 //!   §4.2/§4.3, implemented to demonstrate its objections; each answers
 //!   under one policy only.
 //!
+//! [`build_sorted`] builds the equality and interval indexes a database
+//! keeps from one counting sort per column.
 //! [`AdaptiveBitmapIndex`] is the name the prelude keeps for [`Equality`]
 //! over [`ibis_bitvec::Adaptive`] containers, and [`reorder`]
 //! holds row-reordering heuristics (the paper's future-work item for
@@ -145,8 +147,8 @@ pub use index::{
 };
 pub use size::{AttrSize, SizeReport};
 
-use ibis_bitvec::BitVec64;
-use ibis_core::Column;
+use ibis_bitvec::{BitStore, BitVec64};
+use ibis_core::{Column, Dataset};
 
 /// The equality encoding (§4.2) stored in [`ibis_bitvec::Adaptive`]
 /// roaring-style containers — the database's equality index. The planner
@@ -156,7 +158,7 @@ pub type AdaptiveBitmapIndex = EqualityBitmapIndex<ibis_bitvec::Adaptive>;
 /// Builds the equality bit vectors of one column: `out[0]` flags missing
 /// rows, `out[v]` flags rows with value `v`. Shared by the range and in-band
 /// encodings (BRE derives its threshold bitmaps by prefix-OR); the equality
-/// encoding stores [`equality_positions`] instead.
+/// and interval encodings build from a [`ValueSort`] instead.
 pub(crate) fn equality_bitvecs(column: &Column) -> Vec<BitVec64> {
     let n = column.len();
     let c = column.cardinality() as usize;
@@ -169,32 +171,78 @@ pub(crate) fn equality_bitvecs(column: &Column) -> Vec<BitVec64> {
 
 /// The rows of one column grouped by value, by a counting sort whose count
 /// pass is `counts`, the column's [`Column::value_counts`] (prefix-sum,
-/// place): `rows[starts[v]..starts[v + 1]]` are the ids of the rows holding
-/// value `v` (`0` = missing), ascending.
-pub(crate) fn equality_positions(column: &Column, counts: &[usize]) -> (Vec<usize>, Vec<u32>) {
-    debug_assert_eq!(counts.len(), column.cardinality() as usize + 1);
-    let mut starts = vec![0];
-    let mut placed = 0;
-    for count in counts {
-        placed += count;
-        starts.push(placed);
+/// place). The equality encoding stores each value's rows as a bitmap; the
+/// interval encoding slides its windows over them.
+pub(crate) struct ValueSort {
+    /// `rows[starts[v]..starts[v + 1]]` hold value `v` (`0` = missing).
+    starts: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl ValueSort {
+    pub(crate) fn new(column: &Column, counts: &[usize]) -> ValueSort {
+        debug_assert_eq!(counts.len(), column.cardinality() as usize + 1);
+        let mut starts = vec![0];
+        let mut placed = 0;
+        for count in counts {
+            placed += count;
+            starts.push(placed);
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; column.len()];
+        for (row, &raw) in column.raw().iter().enumerate() {
+            let at = &mut next[raw as usize];
+            rows[*at] = row as u32;
+            *at += 1;
+        }
+        ValueSort { starts, rows }
     }
-    let mut next = starts.clone();
-    let mut rows = vec![0u32; column.len()];
-    for (row, &raw) in column.raw().iter().enumerate() {
-        let at = &mut next[raw as usize];
-        rows[*at] = row as u32;
-        *at += 1;
+
+    /// The ids of the rows holding value `v` (`0` = missing), ascending.
+    pub(crate) fn rows_of(&self, v: usize) -> &[u32] {
+        &self.rows[self.starts[v]..self.starts[v + 1]]
     }
-    (starts, rows)
+}
+
+/// The equality (BEE) and interval (BIE) indexes a database keeps, each
+/// when asked for, from one counting sort per column whose count pass is
+/// `counts` (`counts[a]` is column `a`'s [`Column::value_counts`], which a
+/// database keeps for its planner anyway). Each index is identical to its
+/// own [`BitmapIndex::build`]'s.
+pub fn build_sorted<B: BitStore>(
+    dataset: &Dataset,
+    counts: &[Vec<usize>],
+    equality: bool,
+    interval: bool,
+) -> (
+    Option<EqualityBitmapIndex<B>>,
+    Option<IntervalBitmapIndex<B>>,
+) {
+    assert_eq!(counts.len(), dataset.n_attrs(), "one histogram per column");
+    let (mut eq, mut iv) = (Vec::new(), Vec::new());
+    if equality || interval {
+        for (col, counts) in dataset.columns().iter().zip(counts) {
+            let sort = ValueSort::new(col, counts);
+            if equality {
+                eq.push(Equality::build_sorted(col, &sort));
+            }
+            if interval {
+                iv.push(IntervalWindows::build_sorted(col, &sort));
+            }
+        }
+    }
+    let n = dataset.n_rows();
+    (
+        equality.then(|| BitmapIndex::new(eq, n)),
+        interval.then(|| BitmapIndex::new(iv, n)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Encoding;
-    use ibis_bitvec::{BitStore, Wah};
-    use ibis_core::Dataset;
+    use ibis_bitvec::{Adaptive, Wah};
 
     /// A column's equality bitmaps as plain vectors encode them.
     fn via_bitvecs<B: BitStore>(col: &Column) -> (Option<B>, Vec<B>) {
@@ -215,7 +263,7 @@ mod tests {
 
     #[test]
     fn positions_build_the_bitmaps_the_plain_vectors_encode() {
-        use ibis_bitvec::{Adaptive, Bbc};
+        use ibis_bitvec::Bbc;
         use ibis_core::gen::{census_scaled, SyntheticGroup, SyntheticSpec};
         // The benchmark's column mix: cardinality {5, 20, 100} × missing
         // {10, 30, 50}%, past one 2^16-row chunk.
@@ -255,8 +303,9 @@ mod tests {
                 ix.write_to(&mut out).unwrap();
                 out
             };
+            let (sorted, _) = build_sorted::<Adaptive>(d, &counts, true, false);
             assert_eq!(
-                bytes(crate::AdaptiveBitmapIndex::build_from_counts(d, &counts)),
+                bytes(sorted.unwrap()),
                 bytes(crate::AdaptiveBitmapIndex::build(d)),
             );
         }

@@ -111,15 +111,17 @@ pub struct Adaptive {
     containers: Vec<Container>,
 }
 
-/// Runs of consecutive ones in a word slice (number of 0→1 transitions).
-fn count_run_starts(words: &[u64]) -> usize {
+/// Set bits and runs of consecutive ones (0→1 transitions) of a word
+/// slice, counted in one pass over it.
+fn ones_and_runs(words: &[u64]) -> (usize, usize) {
+    let (mut ones, mut runs) = (0u32, 0u32);
     let mut prev = 0u64;
-    let mut runs = 0usize;
     for &w in words {
-        runs += (w & !((w << 1) | prev)).count_ones() as usize;
+        ones += w.count_ones();
+        runs += (w & !((w << 1) | prev)).count_ones();
         prev = w >> 63;
     }
-    runs
+    (ones as usize, runs as usize)
 }
 
 /// Representation chosen by the per-chunk adaptation rule for a chunk of
@@ -218,8 +220,7 @@ fn tail_padding(valid: usize) -> u64 {
 impl Container {
     /// Adapts one chunk given as its `⌈valid / 64⌉` words, padding clear.
     fn from_words(words: &[u64]) -> Container {
-        let card = kernel::popcount_words(words);
-        let runs = count_run_starts(words);
+        let (card, runs) = ones_and_runs(words);
         match choose_kind(card, runs, words.len()) {
             ContainerKind::Array => Container::Array(words_to_array(words)),
             ContainerKind::Run => Container::Run(words_to_runs(words)),
@@ -373,7 +374,7 @@ impl Container {
                 r.iter().map(|&(s, e)| e as usize - s as usize + 1).sum(),
                 r.len(),
             ),
-            Container::Bitmap(w) => (kernel::popcount_words(w), count_run_starts(w)),
+            Container::Bitmap(w) => ones_and_runs(w),
         };
         let want = choose_kind(card, runs, words);
         if want == self.kind() {
@@ -1321,6 +1322,13 @@ pub(crate) mod proptests {
             let a = Adaptive::encode(&v);
             prop_assert_eq!(broken_invariant(&v, &a), None);
             prop_assert_eq!(BitStore::count_ones(&a), v.count_ones());
+        }
+
+        #[test]
+        fn one_pass_counts_the_ones_and_runs_bit_by_bit(v in arb_textured()) {
+            let bits: Vec<bool> = (0..v.len()).map(|i| v.get(i)).collect();
+            let runs = (0..bits.len()).filter(|&i| bits[i] && (i == 0 || !bits[i - 1])).count();
+            prop_assert_eq!(ones_and_runs(v.words()), (v.count_ones(), runs));
         }
 
         #[test]

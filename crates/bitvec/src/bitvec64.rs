@@ -103,6 +103,26 @@ impl BitVec64 {
         }
     }
 
+    /// Flips the bit at each of `positions`, which ascend: how a sliding
+    /// window drops the rows that leave it and takes the rows that enter.
+    ///
+    /// # Panics
+    /// Panics if a position is out of range.
+    pub fn toggle(&mut self, positions: &[u32]) {
+        debug_assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "positions must ascend"
+        );
+        assert!(
+            positions.last().is_none_or(|&p| (p as usize) < self.len),
+            "bit index out of range for length {}",
+            self.len
+        );
+        for &p in positions {
+            self.words[p as usize / 64] ^= 1 << (p % 64);
+        }
+    }
+
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
@@ -359,6 +379,21 @@ mod tests {
         let v = BitVec64::ones(65);
         assert_eq!(v.count_ones(), 65);
         assert_eq!(BitVec64::ones(0).count_ones(), 0);
+    }
+
+    #[test]
+    fn toggle_flips_each_position() {
+        let mut v = BitVec64::from_ones(130, [1u32, 64, 129]);
+        v.toggle(&[0, 1, 129]);
+        assert_eq!(v.iter_ones().collect::<Vec<_>>(), vec![0, 64]);
+        v.toggle(&[]);
+        assert_eq!(v.count_ones(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn toggle_refuses_a_position_past_the_end() {
+        BitVec64::zeros(65).toggle(&[3, 65]);
     }
 
     #[test]

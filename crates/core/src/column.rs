@@ -1,6 +1,7 @@
 //! Column-major attribute storage.
 
 use crate::{Cell, Error, Result};
+use std::sync::Arc;
 
 /// One attribute of an incomplete relation: a name, a declared cardinality
 /// `C` (domain `1..=C`), and the cell values of every row.
@@ -10,7 +11,9 @@ use crate::{Cell, Error, Result};
 /// from this type, mirroring the paper's attribute-independent design.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Column {
-    name: String,
+    /// Shared, so that a copy of the column (a shard's copy on write, a
+    /// slice) does not allocate its name again.
+    name: Arc<str>,
     cardinality: u16,
     data: Vec<u16>,
 }
@@ -51,7 +54,7 @@ impl Column {
             });
         }
         Ok(Column {
-            name: name.into(),
+            name: name.into().into(),
             cardinality,
             data: raw,
         })

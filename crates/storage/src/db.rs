@@ -26,8 +26,9 @@
 //! * range encoding "typically offers the best time performance" for range
 //!   queries — ≤ 3 bitmaps per dimension regardless of width, and its
 //!   dense thresholds are bitmap containers, the cheapest words to read;
-//! * interval encoding reads ≤ 3 bitmaps too, priced at its mean, when it
-//!   is registered;
+//! * interval encoding, the default's range index, reads ≤ 3 bitmaps too
+//!   (at most two windows plus `B_0`), each priced at its containers, and
+//!   stores about half of range encoding's bitmaps;
 //! * VA-files trade query time for by-far-the-smallest index, so they take
 //!   over when no bitmap index is maintained;
 //! * a bound [`SequentialScan`] is always registered last, so every query
@@ -47,9 +48,7 @@
 //! indexes.
 
 use ibis_baseline::SequentialScan;
-use ibis_bitmap::{
-    DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex, RangeBitmapIndex,
-};
+use ibis_bitmap::{build_sorted, DecomposedBitmapIndex, RangeBitmapIndex};
 use ibis_bitvec::{Adaptive, BitVec64};
 use ibis_core::synopsis::ShardSynopsis;
 use ibis_core::{
@@ -86,14 +85,18 @@ pub struct DbConfig {
 }
 
 impl Default for DbConfig {
-    /// The paper's §6 pair — equality and range encoding — so the planner
-    /// always has its preferred index for points and for ranges. A VA-file
-    /// is never cheaper than one of the two, so it is not built unless
-    /// asked for (`va: true`, as [`DbConfig::compact_profile`] does).
+    /// Equality and interval encoding: the planner's index for points and
+    /// its index for ranges. Interval encoding answers any interval from at
+    /// most two windows plus `B_0`, as the paper's §6 pair answers it from
+    /// range encoding's thresholds, with about half their bitmaps, and both
+    /// are built from one counting sort per column (DESIGN §8 has the
+    /// rule that picked the pair). A VA-file is never cheaper than one of
+    /// the two, so it is not built unless asked for (`va: true`, as
+    /// [`DbConfig::compact_profile`] does).
     fn default() -> DbConfig {
         DbConfig {
             bee: true,
-            bre: true,
+            bie: true,
             ..DbConfig::none()
         }
     }
@@ -259,15 +262,17 @@ impl std::fmt::Debug for IncompleteDb {
 }
 
 /// Builds the access-method registry for `base` under `config`. Every
-/// bitmap family is stored over [`Adaptive`] containers; the equality
-/// index's counting sort takes `histograms`, base's value counts, as its
-/// count pass. The sequential scan always comes last, so indexes win
-/// registration-order ties against it.
+/// bitmap family is stored over [`Adaptive`] containers; the equality and
+/// interval indexes share one counting sort per column, whose count pass
+/// is `histograms`, base's value counts. The sequential scan always comes
+/// last, so indexes win registration-order ties against it.
 fn build_methods(
     config: DbConfig,
     base: &Arc<Dataset>,
     histograms: &[Vec<usize>],
 ) -> Vec<Registered> {
+    let (bee, bie) =
+        build_sorted::<Adaptive>(base, histograms, config.bee || config.adaptive, config.bie);
     let mut methods = Vec::new();
     let mut register_as = |name: &'static str, method: Arc<dyn AccessMethod>| {
         methods.push(Registered {
@@ -276,21 +281,20 @@ fn build_methods(
             method,
         })
     };
-    if config.bee || config.adaptive {
+    if let Some(bee) = bee {
         let name = if config.bee {
             "bitmap-equality"
         } else {
             "bitmap-adaptive"
         };
-        let bee = EqualityBitmapIndex::<Adaptive>::build_from_counts(base, histograms);
         register_as(name, Arc::new(bee));
     }
     let mut register = |method: Arc<dyn AccessMethod>| register_as(method.name(), method);
     if config.bre {
         register(Arc::new(RangeBitmapIndex::<Adaptive>::build(base)));
     }
-    if config.bie {
-        register(Arc::new(IntervalBitmapIndex::<Adaptive>::build(base)));
+    if let Some(bie) = bie {
+        register(Arc::new(bie));
     }
     if config.decomposed {
         register(Arc::new(DecomposedBitmapIndex::<Adaptive>::build(base)));
@@ -764,9 +768,19 @@ mod tests {
         IncompleteDb::new(census_scaled(400, 401))
     }
 
+    /// The paper's §6 pair, {BEE, BRE}: the default before interval
+    /// encoding took range encoding's place.
+    fn paper_pair() -> DbConfig {
+        DbConfig {
+            bee: true,
+            bre: true,
+            ..DbConfig::none()
+        }
+    }
+
     #[test]
     fn planner_prefers_bee_for_points_and_bre_for_ranges() {
-        let d = db();
+        let d = IncompleteDb::with_config(census_scaled(400, 401), paper_pair());
         let attr = (0..d.n_attrs())
             .find(|&a| d.base.column(a).cardinality() >= 50 && d.base.column(a).missing_count() > 0)
             .unwrap();
@@ -784,6 +798,31 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.explain(&range).unwrap().chosen, "bitmap-range");
+    }
+
+    #[test]
+    fn the_default_plans_points_on_bee_and_ranges_on_bie() {
+        let d = db();
+        assert_eq!(
+            d.method_names(),
+            vec!["bitmap-equality", "bitmap-interval", "sequential-scan"]
+        );
+        let attr = (0..d.n_attrs())
+            .find(|&a| d.base.column(a).cardinality() >= 50 && d.base.column(a).missing_count() > 0)
+            .unwrap();
+        let c = d.base.column(attr).cardinality();
+        // Equality reads `B_v` and `B_0` for a point, interval encoding two
+        // windows and `B_0`; for half the domain equality ORs about C/2
+        // bitmaps, interval encoding still reads two windows and `B_0`.
+        let point =
+            RangeQuery::new(vec![Predicate::point(attr, c / 2)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(d.explain(&point).unwrap().chosen, "bitmap-equality");
+        let range = RangeQuery::new(
+            vec![Predicate::range(attr, c / 4, 3 * c / 4)],
+            MissingPolicy::IsMatch,
+        )
+        .unwrap();
+        assert_eq!(d.explain(&range).unwrap().chosen, "bitmap-interval");
     }
 
     #[test]
@@ -805,8 +844,8 @@ mod tests {
         // The §6 acceptance case: interval and range encoding answer an
         // interval in ≤ 3 bitmap reads per dimension, where equality needs
         // about C/2 on a half-domain range. Range encoding prices its
-        // thresholds one by one, interval encoding its read count at its
-        // mean; with everything registered, one of them takes the plan.
+        // thresholds one by one, interval encoding its windows; with
+        // everything registered, one of them takes the plan.
         let d = IncompleteDb::with_config(census_scaled(400, 407), DbConfig::all());
         let attr = (0..d.n_attrs())
             .find(|&a| d.base.column(a).cardinality() >= 50 && d.base.column(a).missing_count() > 0)
@@ -884,7 +923,7 @@ mod tests {
     fn explain_reports_every_candidate() {
         let config = DbConfig {
             va: true,
-            ..DbConfig::default()
+            ..paper_pair()
         };
         let d = IncompleteDb::with_config(census_scaled(400, 401), config);
         let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();

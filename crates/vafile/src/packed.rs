@@ -13,6 +13,16 @@ pub struct PackedMatrix {
     n_rows: usize,
 }
 
+/// One column as [`PackedMatrix::pack`] writes it: a field `width` bits
+/// wide, and the code of every raw value.
+pub(crate) struct CodedColumn<'a> {
+    pub(crate) width: usize,
+    /// `codes[v]` is the code of raw value `v`.
+    pub(crate) codes: &'a [u16],
+    /// The column's raw values, one per row.
+    pub(crate) values: &'a [u16],
+}
+
 impl PackedMatrix {
     /// Allocates an all-zeros matrix (`0…0` is the missing code, so rows
     /// start out "all missing"). A zero-width matrix (no attributes) is
@@ -26,6 +36,36 @@ impl PackedMatrix {
             row_bits,
             n_rows,
         }
+    }
+
+    /// Packs one field per column, in column order from bit 0 of each row:
+    /// row `r`'s field of column `c` holds `c.codes[c.values[r]]`. Sixty-four
+    /// rows fill exactly `row_bits` words, so each block of 64 rows is
+    /// written column by column into its own words, which stay in cache.
+    pub(crate) fn pack(n_rows: usize, columns: &[CodedColumn<'_>]) -> PackedMatrix {
+        let row_bits = columns.iter().map(|c| c.width).sum();
+        let mut m = PackedMatrix::new(n_rows, row_bits);
+        if row_bits == 0 {
+            return m;
+        }
+        for (block, words) in m.data.chunks_mut(row_bits).enumerate() {
+            let rows = block * 64..(block * 64 + 64).min(n_rows);
+            let mut offset = 0;
+            for c in columns {
+                for (i, &raw) in c.values[rows.clone()].iter().enumerate() {
+                    let code = u64::from(c.codes[raw as usize]);
+                    debug_assert!(code >> c.width == 0, "code wider than its field");
+                    let start = i * row_bits + offset;
+                    let (wi, off) = (start / 64, start % 64);
+                    words[wi] |= code << off;
+                    if off + c.width > 64 {
+                        words[wi + 1] |= code >> (64 - off);
+                    }
+                }
+                offset += c.width;
+            }
+        }
+        m
     }
 
     /// Number of rows.

@@ -111,6 +111,17 @@ impl Quantizer {
         self.uppers.partition_point(|&u| u < v) as u16 + 1
     }
 
+    /// Every raw cell's code, indexed by the raw value: `0` (missing) keeps
+    /// the reserved code 0, and value `v` gets [`Self::bin_of`]`(v)`. A
+    /// build looks each cell up here instead of searching the bins.
+    pub fn code_table(&self) -> Vec<u16> {
+        let mut codes = vec![0];
+        for (k, &hi) in self.uppers.iter().enumerate() {
+            codes.resize(hi as usize + 1, k as u16 + 1);
+        }
+        codes
+    }
+
     /// The inclusive value range `(lo, hi)` covered by bin `k` (1-based).
     ///
     /// # Panics
@@ -269,6 +280,22 @@ mod proptests {
                 next = hi + 1;
             }
             prop_assert_eq!(next, c + 1);
+        }
+
+        #[test]
+        fn code_table_holds_every_values_bin(
+            counts in proptest::collection::vec(0usize..500, 2..300),
+            n_bins in 1u16..300,
+        ) {
+            let c = (counts.len() - 1) as u16;
+            for q in [Quantizer::uniform(c, n_bins), Quantizer::equi_depth(&counts, n_bins)] {
+                let codes = q.code_table();
+                prop_assert_eq!(codes.len(), c as usize + 1);
+                prop_assert_eq!(codes[0], 0);
+                for v in 1..=c {
+                    prop_assert_eq!(codes[v as usize], q.bin_of(v));
+                }
+            }
         }
 
         #[test]

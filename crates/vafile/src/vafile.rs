@@ -1,5 +1,6 @@
 //! The VA-file index with missing-data support (§4.5).
 
+use crate::packed::CodedColumn;
 use crate::{PackedMatrix, Quantizer};
 use ibis_core::{Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
 
@@ -83,15 +84,20 @@ impl VaFile {
             });
             offset += b as usize;
         }
-        let mut packed = PackedMatrix::new(dataset.n_rows(), offset);
-        for (a, col) in attrs.iter().zip(dataset.columns()) {
-            for (row, &raw) in col.raw().iter().enumerate() {
-                if raw != 0 {
-                    packed.set(row, a.offset, a.bits as usize, a.quantizer.bin_of(raw));
-                }
-                // Missing stays the all-zeros code.
-            }
-        }
+        // Missing is the all-zeros code, entry 0 of every table.
+        let tables: Vec<Vec<u16>> = attrs.iter().map(|a| a.quantizer.code_table()).collect();
+        let columns: Vec<CodedColumn<'_>> = attrs
+            .iter()
+            .zip(&tables)
+            .zip(dataset.columns())
+            .map(|((a, codes), col)| CodedColumn {
+                width: a.bits as usize,
+                codes,
+                values: col.raw(),
+            })
+            .collect();
+        let packed = PackedMatrix::pack(dataset.n_rows(), &columns);
+        debug_assert_eq!(packed.row_bits(), offset);
         VaFile { attrs, packed }
     }
 
@@ -523,5 +529,70 @@ mod tests {
         let va = VaFile::build(&d);
         let q = RangeQuery::new(vec![], MissingPolicy::IsNotMatch).unwrap();
         assert_eq!(va.execute(&d, &q).unwrap(), RowSet::all(4));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use ibis_core::Column;
+    use proptest::prelude::*;
+
+    /// The per-cell build the code tables replaced: every present cell's
+    /// bin, found by search, written at its row and field.
+    fn per_cell_reference(dataset: &Dataset, va: &VaFile) -> PackedMatrix {
+        let mut packed = PackedMatrix::new(dataset.n_rows(), va.row_bits());
+        for (a, col) in va.attrs.iter().zip(dataset.columns()) {
+            for (row, &raw) in col.raw().iter().enumerate() {
+                if raw != 0 {
+                    packed.set(row, a.offset, a.bits as usize, a.quantizer.bin_of(raw));
+                }
+            }
+        }
+        packed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Code widths 1–16 side by side, so that fields straddle words at
+        /// every offset, over row counts on both sides of a 64-row block.
+        #[test]
+        fn packed_codes_match_the_per_cell_reference(
+            widths in proptest::collection::vec(1u8..17, 1..9),
+            n_rows in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let columns = widths
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| {
+                    // Up to twice the bins the width holds, so bins span
+                    // several values, or exactly as many.
+                    let bins = (1u64 << b) - 1;
+                    let c = (1 + next() % (2 * bins)).min(u16::MAX as u64) as u16;
+                    let raw = (0..n_rows)
+                        .map(|_| match next() % 5 {
+                            0 => 0,
+                            1 => c,
+                            _ => (next() % u64::from(c)) as u16 + 1,
+                        })
+                        .collect();
+                    Column::from_raw(format!("a{i}"), c, raw).unwrap()
+                })
+                .collect();
+            let d = Dataset::new(columns).unwrap();
+            let va = VaFile::with_bits(&d, &widths);
+            prop_assert_eq!(&va.packed, &per_cell_reference(&d, &va));
+            let vaplus = crate::VaPlusFile::with_bits(&d, &widths);
+            prop_assert_eq!(&vaplus.inner.packed, &per_cell_reference(&d, &vaplus.inner));
+        }
     }
 }

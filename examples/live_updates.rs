@@ -28,7 +28,7 @@ fn main() {
         db.index_bytes() as f64 / 1024.0
     );
 
-    // The planner in action: a point query routes to BEE, a wide range to BRE.
+    // The planner in action: a point query routes to BEE, a wide range to BIE.
     let point = RangeQuery::new(vec![Predicate::point(3, 1)], MissingPolicy::IsMatch).unwrap();
     let range = RangeQuery::new(
         vec![Predicate::range(wide_attr, 10, wide_card - 10)],

@@ -60,9 +60,9 @@
 //! )
 //! .unwrap();
 //!
-//! // A database maintaining BEE, BRE and a VA-file: the default pair,
-//! // plus the VA-file asked for by name.
-//! let config = DbConfig { va: true, ..DbConfig::default() };
+//! // A database maintaining BEE, BRE and a VA-file: the paper's §6 pair
+//! // (the default pairs BEE with BIE), plus the VA-file, each by name.
+//! let config = DbConfig { bee: true, bre: true, va: true, ..DbConfig::none() };
 //! let db = IncompleteDb::with_config(data.clone(), config);
 //!
 //! // One query, both semantics.

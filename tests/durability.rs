@@ -216,11 +216,7 @@ fn a_short_crash_harness_run_is_clean() {
 fn straddling_fixture(dir: &std::path::Path) -> DurableDb {
     let data = census_scaled(80, 733);
     let extra = census_scaled(12, 734);
-    let config = DbConfig {
-        va: true,
-        ..DbConfig::default()
-    };
-    let mut db = DurableDb::create(dir, data, 30, config).unwrap();
+    let mut db = DurableDb::create(dir, data, 30, paper_pair_and_va()).unwrap();
     for i in 0..extra.n_rows() {
         db.insert(&row_of(&extra, i)).unwrap();
     }
@@ -229,6 +225,49 @@ fn straddling_fixture(dir: &std::path::Path) -> DurableDb {
     }
     assert_eq!(db.shard_count(), 4);
     db
+}
+
+/// The straddling fixture's indexes: the paper's §6 pair {BEE, BRE}, the
+/// default when its bytes were pinned, and a VA-file.
+fn paper_pair_and_va() -> DbConfig {
+    DbConfig {
+        bee: true,
+        bre: true,
+        va: true,
+        ..DbConfig::none()
+    }
+}
+
+/// An image written under the old default, {BEE, BRE}, names range
+/// encoding in its config bits: it reopens with BRE, not with today's
+/// default, and answers with the rows and work counters it was written
+/// with. A database built under today's default over the same mutations
+/// answers with the same rows.
+#[test]
+fn an_image_under_the_old_default_reopens_with_range_encoding() {
+    let dir = tmp_dir("old_default");
+    let db = straddling_fixture(&dir);
+    let mut image = Vec::new();
+    db.write_snapshot(&mut image).unwrap();
+    let back = ShardedDb::read_snapshot(&mut image.as_slice()).unwrap();
+    assert_eq!(back.config(), paper_pair_and_va());
+    assert_ne!(back.config(), DbConfig::default());
+
+    let data = census_scaled(80, 733);
+    let extra = census_scaled(12, 734);
+    let mut today = ShardedDb::with_config(data.clone(), 30, DbConfig::default());
+    for i in 0..extra.n_rows() {
+        today.insert(&row_of(&extra, i)).unwrap();
+    }
+    for id in [5, 29, 30, 89, 90] {
+        assert!(today.delete(id));
+    }
+    for q in queries(&data) {
+        let live = db.execute_with_cost_threads(&q, 1).unwrap();
+        assert_eq!(back.execute_with_cost_threads(&q, 1).unwrap(), live);
+        assert_eq!(today.execute(&q).unwrap(), live.0);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The IBSS and IBBK bytes of the straddling fixture, recorded (length and
