@@ -15,7 +15,9 @@
 //! for large `k`.
 
 use crate::rtree::{finish_tree_words, RTree, Rect};
-use ibis_core::{AccessMethod, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
+use ibis_core::{
+    AccessMethod, Answer, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
+};
 
 /// The bitstring-augmented baseline.
 #[derive(Clone, Debug)]
@@ -173,18 +175,11 @@ impl AccessMethod for BitstringAugmented {
         BitstringAugmented::size_bytes(self)
     }
 
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        _threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
+    fn answer(&self, query: &RangeQuery, _threads: usize) -> Result<(Answer, WorkCounters)> {
         let mut span = ibis_obs::span("bitstring.scan");
         let (rows, cost) = BitstringAugmented::execute_with_cost(self, query)?;
         cost.record_into(&mut span);
-        out.extend(rows.iter().map(|row| row + base));
-        Ok(cost)
+        Ok((Answer::Ids(rows), cost))
     }
 }
 

@@ -10,7 +10,9 @@
 //! any dimension with many matches drags the whole query down.
 
 use crate::BPlusTree;
-use ibis_core::{AccessMethod, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
+use ibis_core::{
+    AccessMethod, Answer, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
+};
 
 /// The MOSAIC baseline: independent B+-trees per attribute.
 #[derive(Clone, Debug)]
@@ -96,18 +98,11 @@ impl AccessMethod for Mosaic {
         Mosaic::size_bytes(self)
     }
 
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        _threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
+    fn answer(&self, query: &RangeQuery, _threads: usize) -> Result<(Answer, WorkCounters)> {
         let mut span = ibis_obs::span("mosaic.lookup");
         let (rows, cost) = Mosaic::execute_with_cost(self, query)?;
         cost.record_into(&mut span);
-        out.extend(rows.iter().map(|row| row + base));
-        Ok(cost)
+        Ok((Answer::Ids(rows), cost))
     }
 }
 

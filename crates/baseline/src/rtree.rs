@@ -2,7 +2,9 @@
 //! to incomplete data — the structure whose breakdown the paper's Fig. 1
 //! demonstrates.
 
-use ibis_core::{AccessMethod, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters};
+use ibis_core::{
+    AccessMethod, Answer, Dataset, MissingPolicy, RangeQuery, Result, RowSet, WorkCounters,
+};
 
 /// An axis-aligned integer rectangle over raw coordinates (`0` is the
 /// missing sentinel, domain values are `1..=C`).
@@ -582,18 +584,11 @@ impl AccessMethod for RTreeIncomplete {
         RTreeIncomplete::size_bytes(self)
     }
 
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        _threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
+    fn answer(&self, query: &RangeQuery, _threads: usize) -> Result<(Answer, WorkCounters)> {
         let mut span = ibis_obs::span("rtree.descend");
         let (rows, cost) = RTreeIncomplete::execute_with_cost(self, query)?;
         cost.record_into(&mut span);
-        out.extend(rows.iter().map(|row| row + base));
-        Ok(cost)
+        Ok((Answer::Ids(rows), cost))
     }
 }
 

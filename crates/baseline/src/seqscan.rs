@@ -3,7 +3,7 @@
 use ibis_bitvec::BitVec64;
 use ibis_core::engine::SCAN_CELL_PRICE;
 use ibis_core::parallel::{partition, ExecPool};
-use ibis_core::{scan, AccessMethod, Dataset, RangeQuery, Result, RowSet, WorkCounters};
+use ibis_core::{scan, AccessMethod, Answer, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use std::sync::Arc;
 
 /// Sequential scan presented through the same interface as the indexes, so
@@ -55,78 +55,51 @@ pub struct BoundScan {
     base: Arc<Dataset>,
 }
 
-impl BoundScan {
-    /// The scan kernel over up to `threads` contiguous row slices, each
-    /// slice's start beside its mask, and the merged counters. As in the
-    /// VA-file, chunk spans carry the per-slice entry counts and the
-    /// wrapping `scan.scan` span the merged counters, whose self delta is
-    /// the once-derived word total.
-    fn masks(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-    ) -> Result<(Vec<(usize, BitVec64)>, WorkCounters)> {
-        query.validate(&self.base)?;
-        let k = query.dimensionality().max(1);
-        let mut scan_span = ibis_obs::span("scan.scan");
-        let ranges = partition(self.base.n_rows(), threads);
-        let (data, owned) = (Arc::clone(&self.base), query.clone());
-        let partials = ExecPool::new(threads).map(ranges, move |range| {
-            let mut span = ibis_obs::span("scan.chunk");
-            span.add_field("rows", range.len() as u64);
-            let entries = range.len() * k;
-            let start = range.start;
-            let mask = scan::mask(&data, &owned, range);
-            if span.is_recording() {
-                span.add_field("entries_scanned", entries as u64);
-            }
-            ((start, mask), entries)
-        });
-        let (slices, entries): (Vec<_>, Vec<usize>) = partials.into_iter().unzip();
-        let mut stats = WorkCounters {
-            entries_scanned: entries.iter().sum(),
-            ..WorkCounters::default()
-        };
-        stats.words_processed = stats.entries_scanned.div_ceil(4);
-        stats.record_into(&mut scan_span);
-        Ok((slices, stats))
-    }
-}
-
 impl AccessMethod for BoundScan {
     fn name(&self) -> &'static str {
         "sequential-scan"
     }
 
     /// A row-range–partitioned scan: the rows split into up to `threads`
-    /// contiguous slices, each evaluated by the scan kernel
-    /// ([`scan::mask`]) with its own entry count — one slice inline, more
-    /// on the pool's parked workers — and each slice's set bits written to
-    /// `out` once, at `base` plus the slice's start, in slice order. Rows
-    /// and counters are identical to [`SequentialScan::execute_with_cost`]
-    /// for any thread count: per-slice entry counts sum to `n · k`, and the
-    /// word total is derived once from that sum (not from per-slice
-    /// roundings).
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
-        let (slices, stats) = self.masks(query, threads)?;
-        for (start, mask) in slices {
-            mask.ones_positions_into(base + start as u32, out);
-        }
-        Ok(stats)
-    }
-
-    /// The same slices as [`execute_into`](Self::execute_into), counted
-    /// by popcount: no row id is built.
-    fn execute_count_with_cost(&self, query: &RangeQuery) -> Result<(usize, WorkCounters)> {
-        let (slices, stats) = self.masks(query, 1)?;
-        let count = slices.iter().map(|(_, mask)| mask.count_ones()).sum();
-        Ok((count, stats))
+    /// contiguous slices cut at multiples of 64 rows, each evaluated by the
+    /// scan kernel ([`scan::mask`]) with its own entry count — one slice
+    /// inline, more on the pool's parked workers. Each slice's mask is a
+    /// word range of the answer, so the slices join into one bit-vector by
+    /// copying words. Rows and counters are identical to
+    /// [`SequentialScan::execute_with_cost`] for any thread count:
+    /// per-slice entry counts sum to `n · k`, and the word total is derived
+    /// once from that sum (not from per-slice roundings). As in the
+    /// VA-file, chunk spans carry the per-slice entry counts and the
+    /// wrapping `scan.scan` span the merged counters, whose self delta is
+    /// the once-derived word total.
+    fn answer(&self, query: &RangeQuery, threads: usize) -> Result<(Answer, WorkCounters)> {
+        query.validate(&self.base)?;
+        let k = query.dimensionality().max(1);
+        let mut scan_span = ibis_obs::span("scan.scan");
+        let n = self.base.n_rows();
+        let ranges = partition(n.div_ceil(64), threads)
+            .into_iter()
+            .map(|words| words.start * 64..(words.end * 64).min(n))
+            .collect();
+        let (data, owned) = (Arc::clone(&self.base), query.clone());
+        let partials = ExecPool::new(threads).map(ranges, move |range| {
+            let mut span = ibis_obs::span("scan.chunk");
+            span.add_field("rows", range.len() as u64);
+            let entries = range.len() * k;
+            let mask = scan::mask(&data, &owned, range);
+            if span.is_recording() {
+                span.add_field("entries_scanned", entries as u64);
+            }
+            (mask, entries)
+        });
+        let (masks, entries): (Vec<BitVec64>, Vec<usize>) = partials.into_iter().unzip();
+        let mut stats = WorkCounters {
+            entries_scanned: entries.iter().sum(),
+            ..WorkCounters::default()
+        };
+        stats.words_processed = stats.entries_scanned.div_ceil(4);
+        stats.record_into(&mut scan_span);
+        Ok((Answer::Bits(BitVec64::concat(masks)), stats))
     }
 
     /// The scan stores nothing beyond the base relation.

@@ -9,7 +9,8 @@ use crate::engine;
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{Adaptive, Bbc, BitStore, BitVec64, OpTally, Wah};
 use ibis_core::{
-    AccessMethod, Column, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result, WorkCounters,
+    AccessMethod, Answer, Column, Dataset, Error, Interval, MissingPolicy, RangeQuery, Result,
+    WorkCounters,
 };
 use std::io;
 use std::marker::PhantomData;
@@ -396,21 +397,12 @@ impl<E: Encoding, B: BitStore> AccessMethod for BitmapIndex<E, B> {
     }
 
     // The predicates run in a plain loop at every degree, so `threads` is
-    // not consulted; the final bitmap's ids are written straight into the
-    // caller's buffer at `base`.
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        _threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
+    // not consulted; the answer is the final bitmap itself (every row for
+    // an empty search key).
+    fn answer(&self, query: &RangeQuery, _threads: usize) -> Result<(Answer, WorkCounters)> {
         let (acc, cost) = engine::run(self, query, engine::and_rows)?;
-        match acc {
-            None => out.extend(base..base + self.n_rows as u32),
-            Some(b) => b.ones_positions_into(base, out),
-        }
-        Ok(cost)
+        let bits = acc.unwrap_or_else(|| BitVec64::ones(self.n_rows));
+        Ok((Answer::Bits(bits), cost))
     }
 
     fn size_bytes(&self) -> usize {

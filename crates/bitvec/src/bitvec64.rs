@@ -52,6 +52,35 @@ impl BitVec64 {
         v
     }
 
+    /// Joins `parts` end to end, each part's words copied as they are: how a
+    /// scan cut at multiples of 64 rows becomes one answer. One part is
+    /// returned whole; none is the empty vector.
+    ///
+    /// # Panics
+    /// Panics if a part other than the last ends inside a word.
+    pub fn concat(parts: Vec<BitVec64>) -> BitVec64 {
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or_else(|| BitVec64::zeros(0));
+        for part in parts {
+            assert!(
+                out.len.is_multiple_of(64),
+                "only the last part may end inside a word"
+            );
+            out.words.extend_from_slice(&part.words);
+            out.len += part.len;
+        }
+        out
+    }
+
+    /// Lengthens the vector to `len` bits, the new bits clear; a `len` no
+    /// longer than the vector changes nothing.
+    pub fn grow(&mut self, len: usize) {
+        if len > self.len {
+            self.words.resize(len.div_ceil(64), 0);
+            self.len = len;
+        }
+    }
+
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -200,6 +229,16 @@ impl BitVec64 {
                 *w &= mask(i);
             }
         }
+    }
+
+    /// Clears every bit set in `dead` (`self AND NOT dead`), over the words
+    /// the two share: bits past `dead`'s length are kept, and `dead`'s bits
+    /// past this vector's length change nothing. How tombstones leave an
+    /// answer before any id is written. An AND NOT sets no bit, so the tail
+    /// stays masked.
+    pub fn and_not_assign(&mut self, dead: &BitVec64) {
+        let n = self.words.len().min(dead.words.len());
+        kernel::zip_words_in_place(&mut self.words[..n], &dead.words[..n], |a, d| a & !d);
     }
 
     /// In-place NOT (complement within `len`; the tail stays masked).
@@ -489,6 +528,41 @@ mod tests {
         z.not_assign();
         assert_eq!(z, a.xor(&b).not());
         assert_eq!(a.and_count(&b), a.and(&b).count_ones());
+    }
+
+    #[test]
+    fn and_not_clears_the_shared_words_only() {
+        let mut answer = BitVec64::ones(130);
+        // A shorter operand: the bits past it stay.
+        answer.and_not_assign(&BitVec64::from_ones(70, [0u32, 69]));
+        assert_eq!(answer.count_ones(), 128);
+        assert!(!answer.get(0) && !answer.get(69) && answer.get(70) && answer.get(129));
+        // A longer one: its bits past the answer touch no padding.
+        answer.and_not_assign(&BitVec64::from_ones(200, [129u32, 130, 199]));
+        assert_eq!(answer.count_ones(), 127);
+        assert_eq!(answer.words()[2] >> 2, 0);
+    }
+
+    #[test]
+    fn concat_and_grow_keep_every_bit_in_place() {
+        let head = BitVec64::from_ones(128, [0u32, 127]);
+        let tail = BitVec64::from_ones(5, [4u32]);
+        let joined = BitVec64::concat(vec![head, BitVec64::zeros(64), tail]);
+        assert_eq!(joined.len(), 197);
+        assert_eq!(joined.iter_ones().collect::<Vec<_>>(), vec![0, 127, 196]);
+        assert_eq!(BitVec64::concat(Vec::new()), BitVec64::zeros(0));
+        let mut grown = joined.clone();
+        grown.grow(300);
+        assert_eq!(grown.len(), 300);
+        assert_eq!(grown.iter_ones().collect::<Vec<_>>(), vec![0, 127, 196]);
+        grown.grow(10);
+        assert_eq!(grown.len(), 300, "growing never shortens");
+    }
+
+    #[test]
+    #[should_panic(expected = "inside a word")]
+    fn concat_refuses_an_unaligned_inner_part() {
+        let _ = BitVec64::concat(vec![BitVec64::zeros(65), BitVec64::zeros(1)]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! every crate: each family fills the fields that describe its physical
 //! work and leaves the rest at zero.
 
-use crate::{RangeQuery, Result, RowSet};
+use crate::{Answer, RangeQuery, Result, RowSet};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -332,17 +332,18 @@ impl AddAssign for WorkCounters {
 /// scan.
 ///
 /// Required: [`AccessMethod::name`], [`AccessMethod::size_bytes`], and
-/// [`AccessMethod::execute_into`] — the one execute a family implements.
+/// [`AccessMethod::answer`] — the one execute a family implements, which
+/// returns the rows in the form the family computed them (an [`Answer`]).
 /// Every other form derives from it, so a family has one execution body;
 /// specialized structures override the planner hooks and, where they can
 /// do better, [`AccessMethod::execute_count_with_cost`] (the bitmap
-/// families and the scan answer it with a popcount, never materializing row
-/// ids).
+/// families fuse their last AND with the popcount, never materializing the
+/// final bitmap).
 ///
 /// A minimal implementation — the semantic scan as an access method:
 ///
 /// ```
-/// use ibis_core::{scan, AccessMethod, Dataset, RangeQuery, Result, WorkCounters};
+/// use ibis_core::{scan, AccessMethod, Answer, Dataset, RangeQuery, Result, WorkCounters};
 /// use std::sync::Arc;
 ///
 /// struct TruthScan(Arc<Dataset>);
@@ -354,18 +355,12 @@ impl AddAssign for WorkCounters {
 ///     fn size_bytes(&self) -> usize {
 ///         0 // scans store nothing beyond the data itself
 ///     }
-///     fn execute_into(
-///         &self,
-///         query: &RangeQuery,
-///         _threads: usize,
-///         base: u32,
-///         out: &mut Vec<u32>,
-///     ) -> Result<WorkCounters> {
+///     fn answer(&self, query: &RangeQuery, _threads: usize) -> Result<(Answer, WorkCounters)> {
 ///         query.validate(&self.0)?;
 ///         let mut cost = WorkCounters::zero();
 ///         cost.entries_scanned = self.0.n_rows();
-///         out.extend(scan::execute(&self.0, query).iter().map(|row| row + base));
-///         Ok(cost)
+///         let rows = 0..self.0.n_rows();
+///         Ok((Answer::Bits(scan::mask(&self.0, query, rows)), cost))
 ///     }
 /// }
 ///
@@ -376,7 +371,7 @@ impl AddAssign for WorkCounters {
 ///     ibis_core::MissingPolicy::IsMatch,
 /// )
 /// .unwrap();
-/// // The provided methods all follow from execute_into…
+/// // The provided methods all follow from answer…
 /// assert_eq!(m.execute(&q).unwrap(), scan::execute(&d, &q));
 /// assert_eq!(m.execute_count(&q).unwrap(), m.execute(&q).unwrap().len());
 /// // …including the thread-degree contract: same rows, same counters.
@@ -393,21 +388,14 @@ pub trait AccessMethod: Send + Sync {
     /// Heap bytes of the index structure — the paper's size metric.
     fn size_bytes(&self) -> usize;
 
-    /// Answers `query` exactly into a caller's buffer: appends the matching
-    /// row ids, each plus `base`, ascending, after whatever `out` already
-    /// holds, and returns the work counters. Up to `threads` workers may
-    /// split the work (the partitioned scans run one row slice per worker;
-    /// degree 1 is one slice). The contract, enforced by the conformance
-    /// suite: for any `threads` and `base`, the ids written and the
-    /// counters returned are the same. This is how a sharded database
-    /// writes each shard's ids once, at their global offset.
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters>;
+    /// Answers `query` exactly, in the form the method computes it (a
+    /// bit-vector or ascending ids, row `0` being the method's first row),
+    /// and returns the work counters. Up to `threads` workers may split the
+    /// work (the partitioned scans run one row slice per worker; degree 1
+    /// is one slice). The contract, enforced by the conformance suite: for
+    /// any `threads`, the rows answered and the counters returned are the
+    /// same.
+    fn answer(&self, query: &RangeQuery, threads: usize) -> Result<(Answer, WorkCounters)>;
 
     /// Whether this method can answer `query` at all. Most methods answer
     /// everything; the §4.2 rejected in-band encodings hard-wire one
@@ -428,17 +416,33 @@ pub trait AccessMethod: Send + Sync {
         self.size_bytes() as f64 / 8.0
     }
 
+    /// Answers `query` exactly into a caller's buffer: appends the matching
+    /// row ids, each plus `base`, ascending, after whatever `out` already
+    /// holds, and returns the work counters of
+    /// [`answer`](AccessMethod::answer). For any `threads` and `base`, the
+    /// ids written and the counters returned are the same.
+    fn execute_into(
+        &self,
+        query: &RangeQuery,
+        threads: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<WorkCounters> {
+        let (answer, cost) = self.answer(query, threads)?;
+        answer.write_rows(base, out);
+        Ok(cost)
+    }
+
     /// Answers `query` exactly with up to `threads` workers, also reporting
-    /// the work performed: [`AccessMethod::execute_into`] at base 0 into an
-    /// empty buffer. Rows and counters are the same for any `threads`.
+    /// the work performed: [`AccessMethod::answer`] as a [`RowSet`]. Rows
+    /// and counters are the same for any `threads`.
     fn execute_with_cost_threads(
         &self,
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, WorkCounters)> {
-        let mut rows = Vec::new();
-        let cost = self.execute_into(query, threads, 0, &mut rows)?;
-        Ok((RowSet::from_sorted(rows), cost))
+        let (answer, cost) = self.answer(query, threads)?;
+        Ok((answer.into_rows(), cost))
     }
 
     /// Answers `query` exactly on the calling thread, also reporting the
@@ -453,13 +457,13 @@ pub trait AccessMethod: Send + Sync {
     }
 
     /// Counts matching rows — a `COUNT(*)` aggregation — on the calling
-    /// thread, also reporting the work performed. The bitmap families and
-    /// the scan override this with a popcount that never materializes row
-    /// ids; the default counts the ids of
-    /// [`execute_with_cost`](AccessMethod::execute_with_cost).
+    /// thread, also reporting the work performed: the
+    /// [`count`](Answer::count) of [`answer`](AccessMethod::answer), a
+    /// popcount where the answer is a bit-vector. The bitmap families
+    /// override it to fuse their last AND with the popcount.
     fn execute_count_with_cost(&self, query: &RangeQuery) -> Result<(usize, WorkCounters)> {
-        let (rows, cost) = self.execute_with_cost(query)?;
-        Ok((rows.len(), cost))
+        let (answer, cost) = self.answer(query, 1)?;
+        Ok((answer.count(), cost))
     }
 
     /// Counts matching rows.
@@ -573,17 +577,11 @@ mod tests {
             64
         }
 
-        fn execute_into(
-            &self,
-            _query: &RangeQuery,
-            _threads: usize,
-            base: u32,
-            out: &mut Vec<u32>,
-        ) -> Result<WorkCounters> {
+        fn answer(&self, _query: &RangeQuery, _threads: usize) -> Result<(Answer, WorkCounters)> {
             let mut c = WorkCounters::zero();
             c.entries_scanned = self.n_rows as usize;
-            out.extend(base..base + self.n_rows);
-            Ok(c)
+            let all = ibis_bitvec::BitVec64::ones(self.n_rows as usize);
+            Ok((Answer::Bits(all), c))
         }
     }
 
@@ -599,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn provided_methods_derive_from_execute_into() {
+    fn provided_methods_derive_from_answer() {
         let m = Everything { n_rows: 9 };
         assert_eq!(m.execute(&q(1, 3)).unwrap(), RowSet::all(9));
         assert_eq!(m.execute_with_cost(&q(1, 3)).unwrap().1.entries_scanned, 9);

@@ -36,6 +36,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod answer;
 mod cell;
 mod column;
 pub mod csv;
@@ -53,6 +54,7 @@ pub mod stats;
 pub mod synopsis;
 pub mod wire;
 
+pub use answer::Answer;
 pub use cell::Cell;
 pub use column::Column;
 pub use dataset::{validate_row, Dataset};

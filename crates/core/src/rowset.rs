@@ -62,6 +62,11 @@ impl RowSet {
         &self.rows
     }
 
+    /// Keeps the rows `keep` accepts, in place: still sorted and distinct.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        self.rows.retain(|&row| keep(row));
+    }
+
     /// The sorted row ids, by value: hands the buffer on without a copy.
     #[inline]
     pub fn into_rows(self) -> Vec<u32> {

@@ -261,8 +261,10 @@ fn overload_sheds_explicitly_and_answers_every_request() {
 fn expired_deadlines_never_return_rows() {
     // A 1 ms deadline against a backlogged single worker: late queries are
     // shed while queued (or answered DeadlineExceeded after execution) —
-    // an expired request never gets rows.
-    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(4000, 606), 512));
+    // an expired request never gets rows. At 40,000 rows one query reads
+    // 79 shards, so the 60 queued queries outlast the budget many times
+    // over on any host (at 4,000 rows they sometimes finished inside it).
+    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(40_000, 606), 512));
     let config = ServerConfig {
         workers: 1,
         max_batch: 4,

@@ -235,9 +235,9 @@ pub struct IncompleteDb {
     /// Appended rows not yet folded into the indexes: a relation in the
     /// base's schema, read by the same scan kernel as any dataset.
     delta: Dataset,
-    /// Tombstoned row ids (base or delta numbering), applied as a result
-    /// filter until the next compaction renumbers the survivors.
-    deleted: std::collections::BTreeSet<u32>,
+    /// Tombstoned rows, taken out of every answer in bit space until the
+    /// next compaction renumbers the survivors.
+    dead: Tombstones,
     /// Per-column value histograms of the base dataset, cached so the
     /// planner's cardinality estimates don't rescan columns on every query.
     /// Only a build or a compaction makes them, so a copy of the shard
@@ -256,7 +256,7 @@ impl std::fmt::Debug for IncompleteDb {
             .field("methods", &self.method_names())
             .field("n_rows", &self.n_rows())
             .field("delta_rows", &self.delta.n_rows())
-            .field("deleted", &self.deleted.len())
+            .field("deleted", &self.dead.count)
             .finish()
     }
 }
@@ -322,21 +322,65 @@ pub(crate) fn invalid_input(e: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
 }
 
-/// Removes from `ids[start..]` — ascending — every id that `dead`, also
-/// ascending, yields: one merge pass in place, `O(len + dead)`, where a
-/// probe per id into a tombstone set would be `O(len · log dead)`.
-fn remove_ascending(ids: &mut Vec<u32>, start: usize, dead: impl Iterator<Item = u32>) {
-    let mut dead = dead.peekable();
-    let mut kept = start;
-    for i in start..ids.len() {
-        let id = ids[i];
-        while dead.next_if(|&d| d < id).is_some() {}
-        if dead.peek() != Some(&id) {
-            ids[kept] = id;
-            kept += 1;
+/// A shard's deleted rows as two dead-row bit-vectors, each word-aligned
+/// with the answer it filters: bit `i` of `base` is base row `i` (what the
+/// planned method answers), bit `i` of `delta` is delta row `i` (what the
+/// delta mask answers). So a tombstone leaves an answer by one AND NOT
+/// before any id is written ([`ibis_core::Answer::and_not`]). Both are
+/// empty until their first delete; `base` then spans the base rows, and
+/// `delta` the delta rows there were at its last delete (a row inserted
+/// since reads alive).
+#[derive(Clone)]
+struct Tombstones {
+    base: BitVec64,
+    delta: BitVec64,
+    /// Set bits across both vectors.
+    count: usize,
+}
+
+impl Tombstones {
+    fn none() -> Tombstones {
+        Tombstones {
+            base: BitVec64::zeros(0),
+            delta: BitVec64::zeros(0),
+            count: 0,
         }
     }
-    ids.truncate(kept);
+
+    /// Marks `row` of a shard with `base_rows` base rows and `delta_rows`
+    /// delta rows dead, growing its vector to hold it. Returns whether the
+    /// row was alive.
+    fn insert(&mut self, row: usize, base_rows: usize, delta_rows: usize) -> bool {
+        let (bits, bit, len) = if row < base_rows {
+            (&mut self.base, row, base_rows)
+        } else {
+            (&mut self.delta, row - base_rows, delta_rows)
+        };
+        bits.grow(len);
+        if bits.get(bit) {
+            return false;
+        }
+        bits.set(bit, true);
+        self.count += 1;
+        true
+    }
+
+    /// Whether `row` of a shard with `base_rows` base rows is deleted.
+    fn contains(&self, row: usize, base_rows: usize) -> bool {
+        let (bits, bit) = if row < base_rows {
+            (&self.base, row)
+        } else {
+            (&self.delta, row - base_rows)
+        };
+        bit < bits.len() && bits.get(bit)
+    }
+
+    /// The deleted row ids, ascending: base rows, then delta rows after
+    /// the `base_rows` base rows.
+    fn ids(&self, base_rows: usize) -> impl Iterator<Item = u32> + '_ {
+        let delta = self.delta.iter_ones().map(move |i| i + base_rows as u32);
+        self.base.iter_ones().chain(delta)
+    }
 }
 
 impl IncompleteDb {
@@ -359,17 +403,18 @@ impl IncompleteDb {
             histograms: Arc::new(histograms),
             base,
             delta,
-            deleted: std::collections::BTreeSet::new(),
+            dead: Tombstones::none(),
         }
     }
 
     /// Total live rows (indexed base + unindexed delta − tombstones).
     ///
-    /// Saturating: `deleted` can never push the count below zero, even if a
-    /// caller-visible invariant breaks elsewhere (the oracle tombstones far
-    /// more aggressively than any generator, and this must stay total).
+    /// Saturating: the tombstone count can never push the count below
+    /// zero, even if a caller-visible invariant breaks elsewhere (the oracle
+    /// tombstones far more aggressively than any generator, and this must
+    /// stay total).
     pub fn n_rows(&self) -> usize {
-        self.id_width().saturating_sub(self.deleted.len())
+        self.id_width().saturating_sub(self.dead.count)
     }
 
     /// Width of the row-id space: base + delta, tombstones included
@@ -381,12 +426,12 @@ impl IncompleteDb {
     /// Whether a [`compact`](IncompleteDb::compact) would change anything:
     /// pending delta rows or tombstones.
     pub(crate) fn is_dirty(&self) -> bool {
-        !(self.delta.n_rows() == 0 && self.deleted.is_empty())
+        !(self.delta.n_rows() == 0 && self.dead.count == 0)
     }
 
     /// Tombstoned rows awaiting compaction.
     pub fn deleted_len(&self) -> usize {
-        self.deleted.len()
+        self.dead.count
     }
 
     /// Deletes a row by id. Returns `true` if the row existed and was
@@ -395,7 +440,11 @@ impl IncompleteDb {
     /// next [`compact`](IncompleteDb::compact). The synopsis is *not*
     /// narrowed — it stays a sound over-approximation until then.
     pub fn delete(&mut self, row: u32) -> bool {
-        (row as usize) < self.id_width() && self.deleted.insert(row)
+        let row = row as usize;
+        row < self.id_width()
+            && self
+                .dead
+                .insert(row, self.base.n_rows(), self.delta.n_rows())
     }
 
     /// Rows awaiting compaction.
@@ -468,6 +517,7 @@ impl IncompleteDb {
         if !self.is_dirty() {
             return false;
         }
+        let base_rows = self.base.n_rows();
         let columns = self
             .base
             .columns()
@@ -479,7 +529,7 @@ impl IncompleteDb {
                     .iter()
                     .chain(delta.raw())
                     .enumerate()
-                    .filter(|(row, _)| !self.deleted.contains(&(*row as u32)))
+                    .filter(|&(row, _)| !self.dead.contains(row, base_rows))
                     .map(|(_, &v)| v)
                     .collect();
                 ibis_core::Column::from_raw(col.name(), col.cardinality(), raw)
@@ -600,11 +650,12 @@ impl IncompleteDb {
     }
 
     /// Appends the ids of the live rows matching `query`, each plus `base`,
-    /// ascending, after whatever `out` holds: the base hits of the registry
-    /// method at position `winner`, then the set bits of the delta's mask,
-    /// then this shard's tombstones dropped from what it wrote. `winner` is what
+    /// ascending, after whatever `out` holds: the [`ibis_core::Answer`] of
+    /// the registry method at position `winner`, then the delta's mask, each
+    /// with its dead rows ANDed out before any id is written. `winner` is what
     /// [`plan`](Self::plan) returned here or on a shard of the same config
     /// (one registry order), which is how a router plans once per query.
+    /// The tombstone masking is not charged to the counters.
     pub(crate) fn execute_into(
         &self,
         query: &RangeQuery,
@@ -613,15 +664,15 @@ impl IncompleteDb {
         base: u32,
         out: &mut Vec<u32>,
     ) -> Result<WorkCounters> {
-        let start = out.len();
         let method = &self.methods[winner].method;
-        let mut counters = method.execute_into(query, threads, base, out)?;
-        // Delta ids start where the base ids end, so the union is an append.
-        if let Some(mask) = self.delta_mask(query, &mut counters) {
-            mask.ones_positions_into(base + self.base.n_rows() as u32, out);
+        let (mut answer, mut counters) = method.answer(query, threads)?;
+        if !self.dead.base.is_empty() {
+            answer.and_not(&self.dead.base);
         }
-        if !self.deleted.is_empty() {
-            remove_ascending(out, start, self.deleted.iter().map(|&id| id + base));
+        answer.write_rows(base, out);
+        // Delta ids start where the base ids end, so the union is an append.
+        if let Some(mask) = self.live_delta_mask(query, &mut counters) {
+            mask.ones_positions_into(base + self.base.n_rows() as u32, out);
         }
         Ok(counters)
     }
@@ -641,11 +692,20 @@ impl IncompleteDb {
         (delta_rows > 0).then(|| scan::mask(&self.delta, query, 0..delta_rows))
     }
 
-    /// Counts matching rows without building their ids: the planned
-    /// method's [`execute_count_with_cost`](AccessMethod::execute_count_with_cost)
-    /// over the base, plus the popcount of the delta's mask less the
-    /// tombstones set in it, minus the tombstoned base rows that match —
-    /// those checked cell by cell, a handful of rows.
+    /// [`delta_mask`](Self::delta_mask) with the dead delta rows ANDed out.
+    fn live_delta_mask(&self, query: &RangeQuery, counters: &mut WorkCounters) -> Option<BitVec64> {
+        let mut mask = self.delta_mask(query, counters)?;
+        mask.and_not_assign(&self.dead.delta);
+        Some(mask)
+    }
+
+    /// Counts matching rows without building their ids, by the rule
+    /// [`execute`](Self::execute) follows: the popcount of the planned
+    /// method's answer AND NOT the dead base rows, plus that of the delta's
+    /// mask AND NOT the dead delta rows. A shard with no dead base row
+    /// keeps the method's own
+    /// [`execute_count_with_cost`](AccessMethod::execute_count_with_cost),
+    /// which the bitmap families fuse with their last AND.
     pub fn count(&self, query: &RangeQuery) -> Result<usize> {
         let winner = self.plan(query, |_| {})?;
         Ok(self.count_with(query, winner)?.0)
@@ -662,21 +722,17 @@ impl IncompleteDb {
         winner: usize,
     ) -> Result<(usize, WorkCounters)> {
         let method = &self.methods[winner].method;
-        let (base, mut counters) = method.execute_count_with_cost(query)?;
-        let base_rows = self.base.n_rows() as u32;
-        let delta_live = self.delta_mask(query, &mut counters).map_or(0, |mask| {
-            let dead = self.deleted.range(base_rows..);
-            let dead_hits = dead
-                .filter(|&&id| mask.get((id - base_rows) as usize))
-                .count();
-            mask.count_ones() - dead_hits
-        });
-        let base_dead = self
-            .deleted
-            .range(..base_rows)
-            .filter(|&&id| query.matches_row(&self.base, id as usize))
-            .count();
-        Ok((base + delta_live - base_dead, counters))
+        let (base, mut counters) = if self.dead.base.is_empty() {
+            method.execute_count_with_cost(query)?
+        } else {
+            let (mut answer, counters) = method.answer(query, 1)?;
+            answer.and_not(&self.dead.base);
+            (answer.count(), counters)
+        };
+        let delta = self
+            .live_delta_mask(query, &mut counters)
+            .map_or(0, |mask| mask.count_ones());
+        Ok((base + delta, counters))
     }
 
     /// The cell at (`row`, `attr`), addressing base then delta.
@@ -700,7 +756,8 @@ impl IncompleteDb {
                 wire::write_u16(w, column.raw()[row])?;
             }
         }
-        let deleted: Vec<u32> = self.deleted.iter().copied().collect();
+        // The tombstones stay an ascending list of row ids.
+        let deleted: Vec<u32> = self.dead.ids(self.base.n_rows()).collect();
         wire::write_vec_u32(w, &deleted)
     }
 
@@ -1071,21 +1128,6 @@ mod tests {
         d.compact();
         let after: Vec<RowSet> = queries.iter().map(|q| d.execute(q).unwrap()).collect();
         assert_eq!(before, after, "compaction must not change answers");
-    }
-
-    #[test]
-    fn tombstones_are_removed_from_the_tail_only() {
-        let mut ids = vec![2, 4, 1, 4, 6, 7, 9];
-        // Ids absent from the tail, before it and past its end are skipped;
-        // the head before `start` is never touched.
-        remove_ascending(&mut ids, 2, [0, 4, 5, 9, 12].into_iter());
-        assert_eq!(ids, [2, 4, 1, 6, 7]);
-        remove_ascending(&mut ids, 2, std::iter::empty());
-        assert_eq!(ids, [2, 4, 1, 6, 7]);
-        remove_ascending(&mut ids, 5, [3].into_iter());
-        assert_eq!(ids, [2, 4, 1, 6, 7]);
-        remove_ascending(&mut ids, 2, [1, 6, 7].into_iter());
-        assert_eq!(ids, [2, 4]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::vafile::merge_scan;
 use crate::{VaFile, VaPlusFile};
 use ibis_core::engine::SCAN_CELL_PRICE;
 use ibis_core::parallel::{partition, ExecPool};
-use ibis_core::{AccessMethod, Dataset, RangeQuery, Result, WorkCounters};
+use ibis_core::{AccessMethod, Answer, Dataset, RangeQuery, Result, WorkCounters};
 use std::sync::Arc;
 
 /// A [`VaFile`] or [`VaPlusFile`] bound to its base dataset. Only its
@@ -70,16 +70,10 @@ impl AccessMethod for BoundVaFile {
 
     /// The filter scan with up to `threads` workers: each runs the filter +
     /// refinement loop over one contiguous row slice — one slice inline,
-    /// more on the pool's parked workers — and `merge_scan` appends the
-    /// ordered slices to `out` at `base`. Rows and counters are identical
+    /// more on the pool's parked workers — and `merge_scan` joins the
+    /// ordered slices' ids into one answer. Rows and counters are identical
     /// to [`VaFile::execute_with_cost`] for any thread count.
-    fn execute_into(
-        &self,
-        query: &RangeQuery,
-        threads: usize,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<WorkCounters> {
+    fn answer(&self, query: &RangeQuery, threads: usize) -> Result<(Answer, WorkCounters)> {
         let plans = self.file.plan(&self.base, query)?;
         let scan_span = ibis_obs::span("va.scan");
         let ranges = partition(self.file.n_rows(), threads);
@@ -91,7 +85,8 @@ impl AccessMethod for BoundVaFile {
         let slices = ExecPool::new(threads).map(ranges, move |rows| {
             file.scan_range(&data, &owned, &plans, rows)
         });
-        Ok(merge_scan(scan_span, query, slices, base, out))
+        let (rows, cost) = merge_scan(scan_span, query, slices);
+        Ok((Answer::Ids(rows), cost))
     }
 
     /// The filter scan reads `n` rows × `b_i + 1` bits per queried

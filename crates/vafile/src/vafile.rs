@@ -150,9 +150,7 @@ impl VaFile {
         let plans = self.plan(dataset, query)?;
         let scan_span = ibis_obs::span("va.scan");
         let whole = self.scan_range(dataset, query, &plans, 0..self.n_rows());
-        let mut rows = Vec::new();
-        let cost = merge_scan(scan_span, query, vec![whole], 0, &mut rows);
-        Ok((RowSet::from_sorted(rows), cost))
+        Ok(merge_scan(scan_span, query, vec![whole]))
     }
 
     /// Validates `query` against the file and `dataset`, and compiles each
@@ -246,12 +244,13 @@ impl VaFile {
     }
 }
 
-/// Merges the ordered per-slice results of one filter scan: appends each
-/// slice's ids to `out` at `base`, in slice order, and returns the merged
-/// counters, identical however the rows were sliced: every counter is a
-/// per-row sum, and the word total — approximation bits scanned plus the
-/// 16-bit cells fetched during refinement, in 64-bit words — is derived once
-/// from the merged totals (summing per-slice `div_ceil`s would over-count).
+/// Merges the ordered per-slice results of one filter scan: joins the
+/// slices' ids in slice order (the first slice's buffer is taken, not
+/// copied) and returns them with the merged counters, identical however the
+/// rows were sliced: every counter is a per-row sum, and the word total —
+/// approximation bits scanned plus the 16-bit cells fetched during
+/// refinement, in 64-bit words — is derived once from the merged totals
+/// (summing per-slice `div_ceil`s would over-count).
 /// The merged counters go on `scan_span`, the `va.scan` span the slices'
 /// `va.chunk` spans sit under: its self delta is the word total, and a
 /// layer above that re-records the scan's counters (`db.shard`) sees them
@@ -261,20 +260,23 @@ pub(crate) fn merge_scan(
     mut scan_span: ibis_obs::SpanGuard,
     query: &RangeQuery,
     slices: Vec<(Vec<u32>, WorkCounters, usize)>,
-    base: u32,
-    out: &mut Vec<u32>,
-) -> WorkCounters {
+) -> (RowSet, WorkCounters) {
     let mut cost = WorkCounters::default();
     let mut bits_read = 0usize;
+    let mut rows = Vec::new();
     for (ids, c, bits) in slices {
         cost.merge(c);
         bits_read += bits;
-        out.extend(ids.iter().map(|id| id + base));
+        if rows.is_empty() {
+            rows = ids;
+        } else {
+            rows.extend_from_slice(&ids);
+        }
     }
     cost.words_processed =
         (bits_read + cost.rows_refined * query.dimensionality() * 16).div_ceil(64);
     cost.record_into(&mut scan_span);
-    cost
+    (RowSet::from_sorted(rows), cost)
 }
 
 /// One predicate's compiled filter step: its field location in the packed
