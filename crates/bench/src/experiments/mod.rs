@@ -4,6 +4,7 @@
 
 pub mod ablations;
 pub mod containers;
+pub mod fanout;
 pub mod fig1;
 pub mod fig4;
 pub mod fig5;
@@ -34,6 +35,7 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("table7", table7::run),
         ("real_data", real_data::run),
         ("sharding", sharding::run),
+        ("fanout", fanout::run),
         ("ablation_compression", ablations::compression),
         ("ablation_encoding", ablations::encoding),
         ("ablation_decomposition", ablations::decomposition),

@@ -55,7 +55,7 @@ fn grid36(n_rows: usize, seed: u64) -> Dataset {
 /// The benchmark's `sharded_semantics` relation: attribute 0 (cardinality
 /// 100, 10% missing) holds its present values in row order, so shards get
 /// tight envelopes; eleven uniform cardinality-20 columns follow.
-fn clustered(n_rows: usize, seed: u64) -> Dataset {
+pub(crate) fn clustered(n_rows: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let anchor = gen::uniform_column("clustered", n_rows, 100, 0.1, &mut rng);
     let mut present: Vec<u16> = anchor.raw().iter().copied().filter(|&v| v != 0).collect();
@@ -115,7 +115,7 @@ fn queries(
 /// The `sharded_semantics` shape: three of every four queries constrain
 /// the clustered attribute 0 (at `0.01^(1/k)`), the rest of their
 /// selectivity spread over the other attributes.
-fn anchored(d: &Dataset, ks: &[usize], per_class: usize, seed: u64) -> Vec<RangeQuery> {
+pub(crate) fn anchored(d: &Dataset, ks: &[usize], per_class: usize, seed: u64) -> Vec<RangeQuery> {
     let others: Vec<usize> = (1..d.n_attrs()).collect();
     let mut out = queries(d, ks, per_class / 4, 0.01, &others, seed);
     let n = per_class - per_class / 4;

@@ -16,6 +16,10 @@
 //!   indexes. That asymmetry *is* the paper's semantics, surfaced at the
 //!   storage layout level.
 //!
+//! `degree` is the mean degree the router chose per query (DESIGN.md §9):
+//! the configured degree at most, and 1 unless the surviving shards'
+//! priced work pays for the workers a fan-out wakes.
+//!
 //! Every timed answer is asserted bit-identical to the monolithic
 //! [`IncompleteDb`] over the same rows before it is reported.
 
@@ -27,7 +31,7 @@ use ibis_core::gen::uniform_column;
 use ibis_core::{Column, Dataset, MissingPolicy, Predicate, RangeQuery};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-const HEADERS: [&str; 8] = [
+const HEADERS: [&str; 9] = [
     "missing_pct",
     "policy",
     "shards",
@@ -35,6 +39,7 @@ const HEADERS: [&str; 8] = [
     "pruned",
     "executed",
     "hits",
+    "degree",
     "mono_ms",
 ];
 
@@ -105,16 +110,17 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             for k in SHARD_COUNTS {
                 let cap = data.n_rows().div_ceil(k).max(1);
                 let db = ShardedDb::new(data.clone(), cap);
-                let ((pruned, executed, hits), ms) = time_ms(|| {
-                    let (mut pruned, mut executed, mut hits) = (0usize, 0usize, 0usize);
+                let ((pruned, executed, hits, degree), ms) = time_ms(|| {
+                    let (mut pruned, mut executed, mut hits, mut degree) = (0, 0, 0, 0);
                     for (q, want) in qs.iter().zip(&truth) {
                         let exec = db.execute_with_stats(q).expect("valid");
                         assert_eq!(&exec.rows, want, "sharded answer must match monolithic");
                         pruned += exec.shards_pruned;
                         executed += exec.shards_executed();
                         hits += exec.rows.len();
+                        degree += exec.degree;
                     }
-                    (pruned, executed, hits)
+                    (pruned, executed, hits, degree)
                 });
                 table.push(vec![
                     missing_pct.to_string(),
@@ -124,6 +130,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     pruned.to_string(),
                     executed.to_string(),
                     hits.to_string(),
+                    format!("{:.2}", degree as f64 / qs.len().max(1) as f64),
                     fmt_ms(mono_ms),
                 ]);
             }

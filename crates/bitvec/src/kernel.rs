@@ -8,11 +8,17 @@
 //! hardware speed.
 //!
 //! The loops are lane-unrolled (u64×8 main body, u64×4 step-down, scalar
-//! tail), a shape LLVM reliably autovectorizes to 256/512-bit SIMD without
-//! any `unsafe` (this crate is `#![forbid(unsafe_code)]`, and `std::simd`
-//! is nightly-only). They are safe portable Rust, so there is exactly one
-//! build; the proptests below check them against inline one-element-per-
-//! iteration reference loops.
+//! tail), a shape LLVM autovectorizes without any `unsafe` (this crate is
+//! `#![forbid(unsafe_code)]`, and `std::simd` is nightly-only) to whatever
+//! the build's target allows. The workspace sets no `target-cpu` or
+//! `target-feature`, so on x86-64 that is the baseline: SSE2, 128-bit
+//! registers (two words per instruction), and no POPCNT — `count_ones`
+//! compiles to a bit-counting sequence (`psadbw` in the vector loops). A
+//! build for a newer CPU would get 256-bit loops and POPCNT from the same
+//! source, but measured on the repository's benchmark it sped one workload
+//! up and slowed another (DESIGN.md §17). The loops are safe portable Rust,
+//! so there is exactly one source; the proptests below check them against
+//! inline one-element-per-iteration reference loops.
 //!
 //! [`kernel_name`] names the loop shape, so benchmark CSVs and `--profile`
 //! output can record the lane width alongside the numbers.

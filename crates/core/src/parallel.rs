@@ -36,6 +36,12 @@
 //!   [`set_threads`] call (the CLI's `--threads` flag) wins over the
 //!   `IBIS_THREADS` environment variable (the CI matrix knob), which wins
 //!   over [`default_threads`].
+//! * **A priced degree** — a caller that can price its work in the
+//!   planner's cost unit treats its degree as a ceiling and asks
+//!   [`priced_degree`] for the degree that work pays for: a chunk split
+//!   off must bring [`WAKES_PER_CHUNK`] cold wake-ups ([`WAKE_PRICE`]) of
+//!   work. The shard fan-out does; the partitioned scans still take the
+//!   degree they are given.
 
 use crate::{Error, Result};
 use std::cell::Cell;
@@ -82,6 +88,28 @@ pub fn configured_threads() -> usize {
 /// before that).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+}
+
+/// What waking one parked worker costs the map that wakes it, in the
+/// planner's cost unit (the plain kernel's time per 64-bit word, DESIGN.md
+/// §8): a cold wake-up, from the job's push until a worker that sat parked
+/// for a millisecond starts it. `figures fanout` measures it; this is the
+/// quieter of two sittings on the 2-vCPU host (21–24 µs), the other read
+/// several times more (DESIGN.md §9).
+pub const WAKE_PRICE: f64 = 150_000.0;
+
+/// How many wake-ups' worth of work each chunk split off a map must bring
+/// (DESIGN.md §9): the stated multiple of [`WAKE_PRICE`] in
+/// [`priced_degree`].
+pub const WAKES_PER_CHUNK: f64 = 1.5;
+
+/// The degree to run `work` at, at most `ceiling`, for work priced in the
+/// planner's cost unit: the caller's chunk plus one more for every
+/// [`WAKES_PER_CHUNK`] × [`WAKE_PRICE`] of it. Work under that runs at
+/// degree 1, inline, waking nobody.
+pub fn priced_degree(work: f64, ceiling: usize) -> usize {
+    let chunks = work / (WAKES_PER_CHUNK * WAKE_PRICE);
+    (chunks as usize).saturating_add(1).min(ceiling.max(1))
 }
 
 /// Splits `0..n` into at most `parts` contiguous, non-empty ranges covering
@@ -646,6 +674,27 @@ mod tests {
         match contain(|| -> Result<u32> { panic!("boom in a job") }) {
             Err(Error::WorkerPanicked { detail }) => assert_eq!(detail, "boom in a job"),
             other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn priced_degree_makes_every_chunk_pay_for_its_wake_up() {
+        let chunks = |n: f64| n * WAKES_PER_CHUNK * WAKE_PRICE;
+        for (work, ceiling, want) in [
+            (0.0, 8, 1),
+            (chunks(0.99), 8, 1),
+            (chunks(1.0), 8, 2),
+            (chunks(1.99), 8, 2),
+            (chunks(2.0), 8, 3),
+            (chunks(100.0), 8, 8),
+            (chunks(100.0), 2, 2),
+            (chunks(100.0), 1, 1),
+            (chunks(100.0), 0, 1),
+            (f64::INFINITY, 4, 4),
+            (f64::NAN, 4, 1),
+            (-1.0, 4, 1),
+        ] {
+            assert_eq!(priced_degree(work, ceiling), want, "{work} ≤ {ceiling}");
         }
     }
 

@@ -649,6 +649,14 @@ impl IncompleteDb {
         Ok((RowSet::from_sorted(rows), counters))
     }
 
+    /// The [`estimated_cost`](AccessMethod::estimated_cost) of `query` on
+    /// the registry method at `winner`, a position [`plan`](Self::plan)
+    /// returned here or on a shard of the same config: what a router
+    /// prices a visit to this shard by.
+    pub(crate) fn estimated_cost(&self, query: &RangeQuery, winner: usize) -> f64 {
+        self.methods[winner].method.estimated_cost(query)
+    }
+
     /// Appends the ids of the live rows matching `query`, each plus `base`,
     /// ascending, after whatever `out` holds: the [`ibis_core::Answer`] of
     /// the registry method at position `winner`, then the delta's mask, each

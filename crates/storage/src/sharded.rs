@@ -1,7 +1,7 @@
 //! The router: [`ShardedDb`] partitions a relation into fixed-capacity
 //! shards and does routing only — global-id offsets, synopsis pruning, one
-//! plan per query, fan-out over the worker pool, merge, and copy-on-write
-//! of the one shard a mutation touches.
+//! plan per query, a priced fan-out over the worker pool, merge, and
+//! copy-on-write of the one shard a mutation touches.
 //!
 //! Every shard is a whole [`IncompleteDb`], which owns its rows, indexes,
 //! planner and synopsis (see [`crate::db`]). This module sits beside that
@@ -11,7 +11,7 @@
 //! section of a snapshot image.
 
 use crate::db::{invalid, DbConfig, IncompleteDb};
-use ibis_core::parallel::{partition, ExecPool};
+use ibis_core::parallel::{partition, priced_degree, ExecPool};
 use ibis_core::synopsis::ShardSynopsis;
 use ibis_core::{wire, Cell, Dataset, RangeQuery, Result, RowSet, WorkCounters};
 use std::sync::Arc;
@@ -19,6 +19,13 @@ use std::sync::Arc;
 /// One shard a query visits: its position, its global-id offset, and the
 /// shard itself, shared so the pool's workers may hold it.
 type Visit = (usize, usize, Arc<IncompleteDb>);
+
+/// What a shard visit costs beyond its plan's `estimated_cost`, in the
+/// same unit (the plain kernel's time per 64-bit word): its span, its
+/// answer's conversion and its ids, priced as the per-visit time of a
+/// 2,000-row visit that its words do not explain, measured by `figures
+/// fanout` (DESIGN.md §9).
+pub const VISIT_PRICE: f64 = 4_500.0;
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"IBSS";
 const SNAPSHOT_VERSION: u16 = 1;
@@ -34,6 +41,10 @@ pub struct ShardExecution {
     pub shards_total: usize,
     /// Shards skipped because their synopsis proved no row can match.
     pub shards_pruned: usize,
+    /// The degree the router ran the surviving shards at: the caller's
+    /// `threads` at most, and 1 unless their priced work pays for the
+    /// workers it wakes (DESIGN.md §9).
+    pub degree: usize,
 }
 
 impl ShardExecution {
@@ -299,11 +310,13 @@ impl ShardedDb {
 
     /// The full sharded execution pipeline: consult every shard's synopsis,
     /// skip the provably-empty shards (recorded on the `shards.pruned`
-    /// counter and the `db.shards` span), plan once, split the survivors
-    /// into `threads` contiguous groups fanned out over the worker pool,
-    /// and concatenate. Each group fills one id buffer: every shard (one
-    /// `db.shard` span each) writes its ids there once, at its global
-    /// offset. Counters are summed saturatingly.
+    /// counter and the `db.shards` span), plan once, price the survivors
+    /// into a degree of at most `threads` (each visit at the plan's
+    /// `estimated_cost` plus [`VISIT_PRICE`], through
+    /// [`priced_degree`]), split them into that many contiguous groups
+    /// fanned out over the worker pool, and concatenate. Each group fills
+    /// one id buffer: every shard (one `db.shard` span each) writes its ids
+    /// there once, at its global offset. Counters are summed saturatingly.
     pub fn execute_with_stats_threads(
         &self,
         query: &RangeQuery,
@@ -315,7 +328,9 @@ impl ShardedDb {
         let pruned = self.shards.len() - work.len();
         let mut rows = Vec::new();
         let mut counters = WorkCounters::zero();
-        if let Some(winner) = plan(query, &work)? {
+        let mut degree = 1;
+        if let Some((winner, planner)) = plan(query, &work)? {
+            degree = fan_out_degree(query, winner, planner, work.len(), threads);
             // With more than one shard the shards *are* the parallelism,
             // even when pruning leaves one: a capacity-bounded shard costs
             // less to evaluate inline than starting threads to fan it out
@@ -326,7 +341,7 @@ impl ShardedDb {
             } else {
                 1
             };
-            let ranges = partition(work.len(), threads);
+            let ranges = partition(work.len(), degree);
             let mut groups: Vec<Vec<Visit>> = ranges
                 .iter()
                 .rev()
@@ -334,7 +349,7 @@ impl ShardedDb {
                 .collect();
             groups.reverse();
             let query = Arc::new(query.clone());
-            let parts = ExecPool::new(threads).try_map(groups, move |group| {
+            let parts = ExecPool::new(degree).try_map(groups, move |group| {
                 let mut ids = Vec::new();
                 let mut counters = WorkCounters::zero();
                 for (i, off, shard) in group {
@@ -358,11 +373,13 @@ impl ShardedDb {
             }
         }
         span.add_field("rows", rows.len() as u64);
+        span.add_field("degree", degree as u64);
         Ok(ShardExecution {
             rows: RowSet::from_sorted(rows),
             counters,
             shards_total: self.shards.len(),
             shards_pruned: pruned,
+            degree,
         })
     }
 
@@ -392,8 +409,9 @@ impl ShardedDb {
 
     /// [`ShardedDb::count`] with an explicit thread degree, also reporting
     /// the merged [`WorkCounters`]: the sum of the unpruned shards' counts
-    /// under the one plan, fanned over the same pool `execute` uses. The
-    /// count and the counters are identical for any `threads`.
+    /// under the one plan, fanned over the same pool `execute` uses at the
+    /// degree `execute` prices. The count and the counters are identical
+    /// for any `threads`.
     pub fn count_with_cost_threads(
         &self,
         query: &RangeQuery,
@@ -402,12 +420,14 @@ impl ShardedDb {
         query.validate(self.schema())?;
         let mut span = ibis_obs::span("db.shards");
         let work = self.unpruned(query, &mut span);
-        let Some(winner) = plan(query, &work)? else {
+        let Some((winner, planner)) = plan(query, &work)? else {
             span.add_field("rows", 0);
             return Ok((0, WorkCounters::zero()));
         };
+        let degree = fan_out_degree(query, winner, planner, work.len(), threads);
+        span.add_field("degree", degree as u64);
         let query = Arc::new(query.clone());
-        let counts = ExecPool::new(threads).try_map(work, move |(i, _, shard)| {
+        let counts = ExecPool::new(degree).try_map(work, move |(i, _, shard)| {
             let mut shard_span = ibis_obs::span("db.shard");
             shard_span.add_field("shard", i as u64);
             let (n, c) = shard.count_with(&query, winner)?;
@@ -479,10 +499,11 @@ impl ShardedDb {
 
 /// The one plan a sharded query runs: the registry position chosen by the
 /// first shard in `work` that holds base rows (a shard with an empty base
-/// has nothing to price), or by the first shard when none does; `None`
-/// when every shard was pruned. Every shard is built under the router's
-/// one config, so a position names the same method on each.
-fn plan(query: &RangeQuery, work: &[Visit]) -> Result<Option<usize>> {
+/// has nothing to price), or by the first shard when none does, with that
+/// planning shard; `None` when every shard was pruned. Every shard is
+/// built under the router's one config, so a position names the same
+/// method on each.
+fn plan<'w>(query: &RangeQuery, work: &'w [Visit]) -> Result<Option<(usize, &'w IncompleteDb)>> {
     let Some(first) = work.first() else {
         return Ok(None);
     };
@@ -496,7 +517,27 @@ fn plan(query: &RangeQuery, work: &[Visit]) -> Result<Option<usize>> {
             .all(|(_, _, s)| s.method_names()[winner] == planner.method_names()[winner]),
         "shards of one config share one registry order"
     );
-    Ok(Some(winner))
+    Ok(Some((winner, planner)))
+}
+
+/// The degree `visits` surviving shards run at under the plan `winner`, at
+/// most `threads`: [`priced_degree`] over their summed price, each visit
+/// priced at the plan's `estimated_cost` on the shard that planned it
+/// (shards are capacity-bounded, so one stands for all) plus
+/// [`VISIT_PRICE`]. Fewer than two visits (so every one-shard database)
+/// run inline unpriced, as does a ceiling of 1.
+fn fan_out_degree(
+    query: &RangeQuery,
+    winner: usize,
+    planner: &IncompleteDb,
+    visits: usize,
+    threads: usize,
+) -> usize {
+    if visits < 2 || threads < 2 {
+        return 1;
+    }
+    let price = planner.estimated_cost(query, winner) + VISIT_PRICE;
+    priced_degree(price * visits as f64, threads).min(visits)
 }
 
 #[cfg(test)]
@@ -675,39 +716,84 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_warmed_sharded_query_starts_no_thread() {
-        // 64 shards of 4 rows, `a` banded by shard, `b` varying inside one:
-        // the wide query fans out over every shard, the point query prunes
-        // to one shard, which runs inline.
-        let rows: Vec<Vec<Cell>> = (0u16..256)
-            .map(|r| vec![v(r / 4 + 1), v(r % 4 + 1)])
+    /// The router at the edges of its degree rule: 64 shards of 64 rows,
+    /// `a` banded by shard (no missing, so a range on it prunes to a known
+    /// number of shards under both semantics), `b` varying inside each
+    /// shard with missing values; the last shard short, holding a delta
+    /// and tombstones in both its base and its delta.
+    fn priced_fixture() -> (ShardedDb, IncompleteDb) {
+        let rows: Vec<Vec<Cell>> = (0u16..64 * 64 - 8)
+            .map(|r| {
+                let b = if r % 7 == 3 { m() } else { v(r % 8 + 1) };
+                vec![v(r / 64 + 1), b]
+            })
             .collect();
-        let db = ShardedDb::new(
-            Dataset::from_rows(&[("a", 64), ("b", 4)], &rows).unwrap(),
-            4,
-        );
-        assert_eq!(db.shard_count(), 64);
-        let key = |lo, hi| vec![Predicate::range(0, lo, hi), Predicate::range(1, 2, 3)];
-        let wide = RangeQuery::new(key(1, 64), MissingPolicy::IsNotMatch).unwrap();
-        let one = RangeQuery::new(key(10, 10), MissingPolicy::IsNotMatch).unwrap();
-        // One shard: the shard's own method gets the full degree.
-        let single = ShardedDb::new(
-            Dataset::from_rows(&[("a", 64), ("b", 4)], &rows).unwrap(),
-            256,
-        );
-        assert_eq!(single.shard_count(), 1);
-        db.execute_threads(&wide, 2).unwrap(); // warms the parked workers
-        single.execute_threads(&wide, 8).unwrap();
-        let before = ibis_core::parallel::threads_started_here();
-        for (q, executed) in [(&wide, 64), (&one, 1)] {
-            let exec = db.execute_with_stats_threads(q, 2).unwrap();
-            assert_eq!(exec.shards_executed(), executed);
-            assert_eq!(exec.rows, db.execute_threads(q, 1).unwrap());
-            let exec = single.execute_with_stats_threads(q, 8).unwrap();
-            assert_eq!(exec.rows, db.execute_threads(q, 1).unwrap());
+        let data = Dataset::from_rows(&[("a", 80), ("b", 8)], &rows).unwrap();
+        let mut db = ShardedDb::new(data.clone(), 64);
+        let mut mono = IncompleteDb::new(data);
+        for i in 0u16..6 {
+            let row = [v(64), if i == 2 { m() } else { v(i + 2) }];
+            db.insert(&row).unwrap();
+            mono.insert(&row).unwrap();
         }
-        assert_eq!(ibis_core::parallel::threads_started_here(), before);
+        for id in [64 * 63, 64 * 63 + 5, 64 * 64 - 9, 64 * 64 - 7, 64 * 64 - 4] {
+            assert!(db.delete(id) && mono.delete(id), "{id} was live");
+        }
+        assert_eq!(db.shard_count(), 64);
+        assert_eq!(db.shards[63].delta_len(), 6);
+        (db, mono)
+    }
+
+    /// `a ∈ [lo, hi] ∧ b ∈ [2, 5]`.
+    fn band_query(lo: u16, hi: u16, policy: MissingPolicy) -> RangeQuery {
+        RangeQuery::new(
+            vec![Predicate::range(0, lo, hi), Predicate::range(1, 2, 5)],
+            policy,
+        )
+        .unwrap()
+    }
+
+    /// The degree the router prices `q` at under a ceiling of `threads`.
+    fn priced(db: &ShardedDb, q: &RangeQuery, threads: usize) -> usize {
+        let work = db.unpruned(q, &mut ibis_obs::span("test"));
+        plan(q, &work).unwrap().map_or(1, |(winner, planner)| {
+            fan_out_degree(q, winner, planner, work.len(), threads)
+        })
+    }
+
+    #[test]
+    fn the_priced_degree_never_changes_rows_or_counters() {
+        let (db, mono) = priced_fixture();
+        for policy in MissingPolicy::ALL {
+            // The fewest leading shards whose work affords a second chunk.
+            let flip = (1..=64)
+                .find(|&n| priced(&db, &band_query(1, n, policy), 2) == 2)
+                .expect("all 64 shards price above the threshold");
+            assert!(flip > 4, "a few shards run inline: flips at {flip}");
+            // Pruned to 0 (no shard holds 70..80), 1, a few, just below and
+            // just above the threshold, and all 64 shards.
+            let spans = [(70, 80), (5, 5), (9, 12), (1, flip - 1), (1, flip), (1, 64)];
+            for (lo, hi) in spans {
+                let q = band_query(lo, hi, policy);
+                let want = mono.execute(&q).unwrap();
+                let (rows1, c1) = db.execute_with_cost_threads(&q, 1).unwrap();
+                let (count1, n1) = db.count_with_cost_threads(&q, 1).unwrap();
+                assert_eq!(rows1, want, "{policy} a∈[{lo},{hi}]");
+                assert_eq!(count1, want.len(), "{policy} a∈[{lo},{hi}]");
+                for threads in [1, 2, 3, 8] {
+                    let exec = db.execute_with_stats_threads(&q, threads).unwrap();
+                    let at = format!("{policy} a∈[{lo},{hi}] t={threads}");
+                    assert_eq!(exec.rows, want, "{at}");
+                    assert_eq!(exec.counters, c1, "{at}");
+                    assert_eq!(exec.degree, priced(&db, &q, threads), "{at}");
+                    assert!(exec.degree <= threads.max(1), "{at}");
+                    let below = hi < flip || lo > 1;
+                    assert_eq!(exec.degree == 1, below || threads == 1, "{at}");
+                    let (count, n) = db.count_with_cost_threads(&q, threads).unwrap();
+                    assert_eq!((count, n), (count1, n1), "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -730,7 +816,8 @@ mod tests {
             RangeQuery::new(vec![Predicate::range(0, 6, 8)], MissingPolicy::IsNotMatch).unwrap();
         let work = db.unpruned(&q, &mut ibis_obs::span("test"));
         assert_eq!(work.iter().map(|w| w.0).collect::<Vec<_>>(), [1, 2]);
-        let winner = plan(&q, &work).unwrap().unwrap();
+        let (winner, planner) = plan(&q, &work).unwrap().unwrap();
+        assert!(std::ptr::eq(planner, &*db.shards[2]));
         let names = db.shards[2].method_names();
         assert_eq!(names[winner], db.shards[2].explain(&q).unwrap().chosen);
         assert_ne!(names[winner], db.shards[1].explain(&q).unwrap().chosen);
