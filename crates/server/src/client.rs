@@ -70,8 +70,9 @@ impl Client {
         self.call(&Request::Ping)
     }
 
-    /// Fetches the server's telemetry snapshot. Served off the worker
-    /// pool, so this answers even when the server is saturated.
+    /// Fetches the server's telemetry snapshot. Answered by the
+    /// connection's reader without queueing, so this answers even when the
+    /// server is saturated.
     pub fn stats(&mut self, include_slow: bool) -> io::Result<StatsReport> {
         match self.call(&Request::Stats { include_slow })? {
             Response::Stats(report) => Ok(*report),
@@ -85,7 +86,7 @@ impl Client {
         }
     }
 
-    /// Fetches the server's health probe (cheap; also served off-pool).
+    /// Fetches the server's health probe (cheap; also never queued).
     pub fn health(&mut self) -> io::Result<HealthReport> {
         match self.call(&Request::Health)? {
             Response::Health(report) => Ok(report),

@@ -5,13 +5,15 @@
 //! * [`protocol`] — the `IBQP` wire format: a 6-byte handshake, then
 //!   CRC-framed, length-capped request/response messages reusing the
 //!   `wire`/`crc` discipline of every on-disk format;
-//! * [`server`] — the TCP serving loop: per-connection reader/writer
-//!   threads, admission control at a queue high-water mark
-//!   ([`ErrorCode::Overloaded`]), per-request deadlines (default
-//!   [`ibis_core::QUERY_BUDGET_MS`]), and a fixed worker pool whose
-//!   workers drain the queue a few jobs per wake and answer them in queue
-//!   order on one snapshot, each through the database's ordinary
-//!   `execute_with_cost_threads`;
+//! * [`server`] — the TCP serving loop: one thread per connection that
+//!   reads, admits (shedding at a queue high-water mark with
+//!   [`ErrorCode::Overloaded`]), and then runs queries to completion while
+//!   it holds one of a fixed number of execution permits, draining the
+//!   shared queue a few jobs at a time in queue order on one snapshot,
+//!   each through the database's ordinary `execute_with_cost_threads`.
+//!   Whichever thread answers a query writes its reply, each write bounded
+//!   by [`server::REPLY_WRITE_BOUND`]; deadlines default to
+//!   [`ibis_core::QUERY_BUDGET_MS`];
 //! * [`client`] — a blocking client with a split send/receive mode for
 //!   pipelined and open-loop traffic (what `ibis-bench`'s `serving`
 //!   experiment drives).

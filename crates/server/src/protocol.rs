@@ -82,6 +82,17 @@ pub fn write_frame(w: &mut impl Write, request_id: u64, kind: u8, body: &[u8]) -
     w.write_all(body)
 }
 
+/// Whether `buf` begins with a whole frame, or with a frame head
+/// [`read_frame`] rejects without reading on: either way, reading the next
+/// frame from a reader holding `buf` does not block.
+pub(crate) fn holds_frame(buf: &[u8]) -> bool {
+    let Some(head) = buf.get(..8) else {
+        return false;
+    };
+    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+    !(MIN_MSG_LEN..=MAX_MSG_LEN).contains(&len) || buf.len() - 8 >= len
+}
+
 /// Reads one frame, validating the length cap and checksum. Any failure
 /// here means the stream is no longer frame-aligned and the connection
 /// must be dropped.
@@ -160,15 +171,15 @@ pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
     /// Telemetry snapshot request; answered with [`Response::Stats`].
-    /// Served off the worker pool (on the connection's reader thread), so
-    /// it answers even while every worker is saturated.
+    /// Answered on the connection's reader thread without queueing, so it
+    /// answers even while every execution permit is held.
     Stats {
         /// Include the slow-query log in the report (it is the bulky
         /// part; dashboards polling every second usually skip it).
         include_slow: bool,
     },
     /// Cheap liveness + load probe; answered with [`Response::Health`].
-    /// Also served off the worker pool.
+    /// Also answered without queueing.
     Health,
 }
 
@@ -358,13 +369,13 @@ pub struct SlowQuery {
 pub struct StatsReport {
     /// Watermark of the current serving snapshot.
     pub watermark: u64,
-    /// Jobs waiting in the worker queue right now.
+    /// Jobs waiting in the work queue right now.
     pub queue_depth: u32,
     /// Admission high-water mark the queue sheds at.
     pub queue_high_water: u32,
-    /// Size of the worker pool.
+    /// Execution permits: the most queries executing at once.
     pub workers: u32,
-    /// Workers currently executing a drained job set.
+    /// Permits held right now: queries executing.
     pub workers_busy: u32,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
@@ -382,11 +393,11 @@ pub struct HealthReport {
     pub healthy: bool,
     /// Watermark of the current serving snapshot.
     pub watermark: u64,
-    /// Jobs waiting in the worker queue right now.
+    /// Jobs waiting in the work queue right now.
     pub queue_depth: u32,
     /// Admission high-water mark.
     pub queue_high_water: u32,
-    /// Size of the worker pool.
+    /// Execution permits: the most queries executing at once.
     pub workers: u32,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
@@ -616,6 +627,25 @@ mod tests {
     fn q(k: usize) -> RangeQuery {
         let preds = (0..k).map(|a| Predicate::range(a, 1, 3)).collect();
         RangeQuery::new(preds, MissingPolicy::IsNotMatch).unwrap()
+    }
+
+    #[test]
+    fn holds_frame_says_whether_the_next_read_can_block() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 7, request_kind::PING, &[]).unwrap();
+        write_frame(&mut buf, 8, request_kind::HEALTH, &[1, 2, 3]).unwrap();
+        let first = 8 + MIN_MSG_LEN;
+        for cut in 0..=buf.len() {
+            let whole = cut >= first;
+            assert_eq!(holds_frame(&buf[..cut]), whole, "{cut} bytes");
+        }
+        assert!(holds_frame(&buf[first..]));
+        assert!(!holds_frame(&buf[first..buf.len() - 1]));
+        // A lying length fails the read at once, so it never blocks.
+        let mut liar = u32::MAX.to_le_bytes().to_vec();
+        liar.extend_from_slice(&[0; 4]);
+        assert!(holds_frame(&liar));
+        assert!(!holds_frame(&liar[..7]));
     }
 
     #[test]

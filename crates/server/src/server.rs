@@ -1,29 +1,34 @@
-//! The serving loop: accept → handshake → decode → admit → drain →
-//! execute on a snapshot → respond.
+//! The serving loop: accept → handshake → decode → admit → execute on a
+//! snapshot → respond, each query run to completion on the thread that
+//! read it.
 //!
 //! Threading model (one [`Server::start`] call):
 //!
-//! * **accept thread** — polls a non-blocking listener, spawning one
-//!   reader thread per connection;
+//! * **accept thread** — polls a non-blocking listener and spawns one
+//!   reader per connection; when the server stops it severs every open
+//!   connection and joins the readers;
 //! * **per-connection reader** — validates the handshake, then decodes
-//!   frames. A `Ping` or a protocol rejection is answered immediately;
-//!   a `Query` passes **admission control**: if the shared work queue is
-//!   at its high-water mark the request is refused with
-//!   [`ErrorCode::Overloaded`] right here — load is shed at the door, so
-//!   queueing latency for admitted work stays bounded instead of
-//!   collapsing;
-//! * **per-connection writer** — drains a channel of encoded responses,
-//!   so workers and the reader never block on a slow client socket;
-//! * **fixed worker pool** (`config.workers` threads) — each wake drains
-//!   up to `config.max_batch` queued jobs under one queue lock, acquires
-//!   **one** [`ConcurrentDb::snapshot`] for the drain (never behind a
-//!   mutation in progress), and answers the jobs in queue order, each
-//!   through the call every other caller of the database makes:
+//!   frames and answers `Ping`, `Stats`, `Health` and malformed requests
+//!   itself. A `Query` meets **admission control**: at the queue's
+//!   high-water mark it is refused with [`ErrorCode::Overloaded`], so load
+//!   is shed at the door and queueing latency stays bounded. Every whole
+//!   frame already buffered is admitted before anything executes, so a
+//!   pipelined burst meets the door too. Then the reader **executes**:
+//!   while it holds one of `config.workers` permits it drains the shared
+//!   queue, up to `config.max_batch` jobs and **one**
+//!   [`ConcurrentDb::snapshot`] per drain, answering each job in queue
+//!   order through the call every other caller makes,
 //!   [`ShardedDb::execute_with_cost_threads`](ibis_storage::ShardedDb::execute_with_cost_threads)
-//!   at degree 1. A job sampled for tracing runs that same call, in its
-//!   turn, under a span capture. Each job is timed, deadline-checked,
-//!   counted and answered on its own, and a panic under one job is that
-//!   job's `Internal` error.
+//!   at degree 1 (under a span capture if the job is traced). Each job is
+//!   timed, deadline-checked, counted and answered on its own; a panic
+//!   under one is that job's `Internal` error. A holder gives its permit
+//!   back only once the queue is empty, so a reader that finds no permit
+//!   free goes back to reading and a holder answers what it queued;
+//! * **replies** — whichever thread answers a request writes the frame
+//!   itself, encoded outside and written under the connection's writer
+//!   lock. A write blocked for [`REPLY_WRITE_BOUND`] severs that
+//!   connection, so a client that stops reading holds an executor no
+//!   longer than that.
 //!
 //! Deadlines are enforced at the two scheduling boundaries: a job whose
 //! deadline expired while queued is shed *before* execution, and a job
@@ -34,8 +39,8 @@
 //! oracle's per-case budget too (see [`ServerConfig::default`]).
 
 use crate::protocol::{
-    read_frame, read_handshake, write_frame, write_handshake, ErrorCode, HealthReport, Request,
-    Response, SlowPhase, SlowQuery, StatsReport,
+    holds_frame, read_frame, read_handshake, write_frame, write_handshake, ErrorCode, HealthReport,
+    Request, Response, SlowPhase, SlowQuery, StatsReport,
 };
 use ibis_core::parallel::contain;
 use ibis_core::{MissingPolicy, RangeQuery, RowSet, WorkCounters};
@@ -43,19 +48,25 @@ use ibis_storage::{ConcurrentDb, DbSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long one reply write may wait for a client to make room in its
+/// socket. A write still blocked after this severs the connection: the
+/// client has read nothing for this long, and the thread writing to it is
+/// an executor every other connection is waiting on.
+pub const REPLY_WRITE_BOUND: Duration = Duration::from_secs(2);
 
 /// Tunables for one serving instance.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Fixed worker-pool size draining the shared queue.
+    /// Most queries executing at once: the execution permits that
+    /// connection readers hold while they drain the shared queue.
     pub workers: usize,
-    /// Most queued queries one worker wake may drain, to answer in queue
-    /// order on one snapshot. `1` takes the queue lock and a snapshot per
-    /// query.
+    /// Most queued queries one drain takes, to answer in queue order on
+    /// one snapshot. `1` takes the queue lock and a snapshot per query.
     pub max_batch: usize,
     /// Admission high-water mark: a query arriving while the queue holds
     /// this many jobs is refused with [`ErrorCode::Overloaded`].
@@ -73,7 +84,7 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Defaults: 4 workers, drains of 8, a 256-deep queue,
+    /// Defaults: 4 execution permits, drains of 8, a 256-deep queue,
     /// [`ibis_core::QUERY_BUDGET_MS`] as the request deadline, 1-in-8
     /// request tracing, and a 16-entry slow-query log.
     fn default() -> ServerConfig {
@@ -88,7 +99,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted query waiting for a worker.
+/// One admitted query waiting for an executor.
 struct Job {
     query: RangeQuery,
     ticket: Ticket,
@@ -103,30 +114,74 @@ struct Ticket {
     /// Sampled for tracing: executes under a `server.request` span capture
     /// and feeds the slow-query log.
     traced: bool,
-    reply: mpsc::Sender<(u64, Response)>,
+    conn: Arc<Conn>,
 }
 
-/// State shared by the accept loop, readers, and the worker pool.
+/// The shared work queue and the execution permits held against it.
+#[derive(Default)]
+struct WorkQueue {
+    jobs: VecDeque<Job>,
+    /// Permits held: readers draining `jobs`, at most `config.workers`.
+    busy: usize,
+}
+
+/// State shared by the accept loop and the connection readers.
 struct Shared {
     db: Arc<ConcurrentDb>,
     config: ServerConfig,
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
+    queue: Mutex<WorkQueue>,
     shutdown: AtomicBool,
     /// When the server started (feeds `uptime_ms` in reports).
     started: Instant,
-    /// Workers currently executing a drained job set.
-    busy: AtomicUsize,
     /// Admitted-query sequence number, drives trace sampling.
     admitted_seq: AtomicU64,
     /// The N worst traced requests, sorted worst-first.
     slow_log: Mutex<Vec<SlowQuery>>,
+    /// A clone of every live connection's socket, by connection number, so
+    /// that shutdown can sever them. A connection removes its entry when
+    /// its reader ends: this holds live connections, not every connection
+    /// ever accepted.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
-/// A clone of every live connection's socket, by connection number, so that
-/// shutdown can sever them. A connection removes its entry when it ends:
-/// the registry holds live connections, not every connection ever accepted.
-type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+/// The sending side of one connection, shared by its reader and by every
+/// executor answering one of its queries.
+struct Conn {
+    writer: Mutex<BufWriter<TcpStream>>,
+    /// Cleared when a reply write fails or times out: the connection is
+    /// severed, and its queued jobs are dropped unexecuted.
+    open: AtomicBool,
+}
+
+impl Conn {
+    fn is_open(&self) -> bool {
+        self.open.load(Ordering::Relaxed)
+    }
+
+    /// Writes one reply frame. A write that fails, or that blocks past
+    /// [`REPLY_WRITE_BOUND`], severs the connection: the stream may now
+    /// hold a torn frame.
+    fn reply(&self, request_id: u64, response: Response) {
+        let (kind, body) = response.encode();
+        let mut w = self.writer.lock().expect("reply writer");
+        if !self.is_open() {
+            return;
+        }
+        if write_frame(&mut *w, request_id, kind, &body)
+            .and_then(|()| w.flush())
+            .is_err()
+        {
+            self.open.store(false, Ordering::Relaxed);
+            ibis_obs::counter_add("server.severed", 1);
+            let _ = w.get_ref().shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Answers `request_id` with an error.
+    fn refuse(&self, request_id: u64, code: ErrorCode, message: String) {
+        self.reply(request_id, Response::Error { code, message });
+    }
+}
 
 /// The serving entry point; see the module docs for the thread layout.
 pub struct Server;
@@ -143,18 +198,13 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        // The telemetry plane (windowed metrics, latency histograms, span
-        // tracing) runs on the process-global obs recorder. Turn it on if
-        // the embedding process has not already — but never reset a
-        // recording someone else (a load generator, a profiler) installed.
-        // Metrics only: a server runs for as long as it is left to, and the
-        // one place it wants spans, a traced request, captures its own.
-        //
-        // An embedder that installed `Recorder::enabled()` asked for every
-        // span, and gets them: a traced request's still go to its capture,
-        // but each untraced request appends its `db.*`/index spans to the
-        // embedder's span log, which grows until the embedder installs a
-        // new recorder. Bounding that recording is the embedder's business.
+        // The telemetry plane runs on the process-global obs recorder. Turn
+        // it on (metrics only: a traced request captures its own spans) if
+        // the embedding process has not — but never reset a recording
+        // someone else installed. An embedder that installed
+        // `Recorder::enabled()` asked for every span and gets each untraced
+        // request's in its span log; bounding that is the embedder's
+        // business.
         if !ibis_obs::is_enabled() {
             ibis_obs::Recorder::metrics_only().install();
         }
@@ -166,48 +216,32 @@ impl Server {
                 queue_high_water: config.queue_high_water.max(1),
                 ..config
             },
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
+            queue: Mutex::default(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            busy: AtomicUsize::new(0),
             admitted_seq: AtomicU64::new(0),
             slow_log: Mutex::new(Vec::new()),
+            conns: Mutex::default(),
         });
-        let conns = ConnRegistry::default();
-
-        let workers = (0..shared.config.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-
         let accept = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || accept_loop(listener, &shared, &conns))
+            std::thread::spawn(move || accept_loop(listener, &shared))
         };
-
         Ok(ServerHandle {
             addr: local_addr,
             shared,
-            conns,
             accept: Some(accept),
-            workers,
         })
     }
 }
 
 /// Owns a running server; [`addr`](ServerHandle::addr) is where clients
 /// connect. Dropping the handle stops the accept loop, severs every open
-/// connection, and joins the worker pool.
+/// connection, and joins every server thread.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    conns: ConnRegistry,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -227,26 +261,20 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
-        // Severing the sockets unblocks reader threads parked in
-        // `read_frame`; their writer threads follow when the senders drop.
-        for s in self.conns.lock().expect("conn registry").values() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
+        // The accept thread severs the connections and joins the readers;
+        // one that is executing finishes its current drain first.
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Unstarted jobs still hold reply senders; dropping them lets the
-        // per-connection writer threads drain and exit.
-        self.shared.queue.lock().expect("queue").clear();
+        // Jobs no executor reached before the stop.
+        self.shared.queue.lock().expect("work queue").jobs.clear();
     }
 }
 
-/// Polls the non-blocking listener, spawning a reader per connection.
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, conns: &ConnRegistry) {
+/// Polls the non-blocking listener, spawning a reader per connection; once
+/// the server stops, severs what is still open and joins the readers.
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     let mut accepted = 0u64;
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -254,19 +282,20 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, conns: &ConnRegistry
                 let conn_id = accepted;
                 accepted += 1;
                 ibis_obs::counter_add("server.connections", 1);
+                stream.set_write_timeout(Some(REPLY_WRITE_BOUND)).ok();
                 // Register a clone so shutdown can sever the socket; the
-                // entry is removed when the connection ends, and the socket
-                // is explicitly shut down there too (a registered clone
-                // would otherwise hold it half-open).
+                // entry is removed when the connection's reader ends.
+                let mut conns = shared.conns.lock().expect("conn registry");
                 if let Ok(clone) = stream.try_clone() {
-                    conns.lock().expect("conn registry").insert(conn_id, clone);
+                    conns.insert(conn_id, clone);
                 }
+                drop(conns);
                 let shared = Arc::clone(shared);
-                let conns = Arc::clone(conns);
-                std::thread::spawn(move || {
+                readers.retain(|r| !r.is_finished());
+                readers.push(std::thread::spawn(move || {
                     serve_connection(&shared, stream);
-                    conns.lock().expect("conn registry").remove(&conn_id);
-                });
+                    shared.conns.lock().expect("conn registry").remove(&conn_id);
+                }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -274,10 +303,20 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, conns: &ConnRegistry
             Err(_) => break,
         }
     }
+    // Every accepted connection is registered by now, so this reaches
+    // each reader, including one accepted while the handle was dropping.
+    for s in shared.conns.lock().expect("conn registry").values() {
+        let _ = s.shutdown(Shutdown::Both);
+    }
+    for r in readers {
+        let _ = r.join();
+    }
 }
 
-/// Handshake, then the read → admit / answer loop for one connection.
-fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+/// Handshake, then the read → admit / answer → execute loop for one
+/// connection. The socket closes when the last reply owed on it is written:
+/// its queued jobs hold the connection.
+fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     stream.set_nodelay(true).ok();
     let Ok(read_side) = stream.try_clone() else {
         return;
@@ -291,117 +330,83 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     if write_handshake(&mut stream).is_err() {
         return;
     }
-    let (reply_tx, reply_rx) = mpsc::channel::<(u64, Response)>();
-    let writer = std::thread::spawn(move || {
-        let mut w = BufWriter::new(stream);
-        while let Ok((id, resp)) = reply_rx.recv() {
-            let (kind, body) = resp.encode();
-            if write_frame(&mut w, id, kind, &body)
-                .and_then(|_| w.flush())
-                .is_err()
-            {
-                break;
-            }
-        }
+    let conn = Arc::new(Conn {
+        writer: Mutex::new(BufWriter::new(stream)),
+        open: AtomicBool::new(true),
     });
-
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match read_frame(&mut reader) {
-            Ok(frame) => {
-                let request_id = frame.request_id;
-                match Request::decode(&frame) {
-                    Ok(Request::Ping) => {
-                        let _ = reply_tx.send((request_id, Response::Pong));
-                    }
-                    // STATS and HEALTH are answered right here on the
-                    // reader thread, never enqueued: telemetry must stay
-                    // observable while the worker pool is saturated.
-                    Ok(Request::Stats { include_slow }) => {
-                        ibis_obs::counter_add("server.stats_requests", 1);
-                        let report = build_stats(shared, include_slow);
-                        let _ = reply_tx.send((request_id, Response::Stats(Box::new(report))));
-                    }
-                    Ok(Request::Health) => {
-                        let _ = reply_tx.send((request_id, Response::Health(build_health(shared))));
-                    }
-                    Ok(Request::Query {
-                        query,
-                        count_only,
-                        deadline_ms,
-                    }) => {
-                        admit(
-                            shared,
-                            request_id,
-                            query,
-                            count_only,
-                            deadline_ms,
-                            &reply_tx,
-                        );
-                    }
-                    Err(reason) => {
-                        ibis_obs::counter_add("server.bad_requests", 1);
-                        let _ = reply_tx.send((
-                            request_id,
-                            Response::Error {
-                                code: ErrorCode::BadRequest,
-                                message: reason,
-                            },
-                        ));
-                    }
-                }
-            }
+    // Whether this reader admitted a query it has not yet drained for.
+    let mut admitted = false;
+    while !shared.shutdown.load(Ordering::SeqCst) && conn.is_open() {
+        let frame = match read_frame(&mut reader) {
+            Ok(frame) => frame,
             Err(e) => {
                 // Frame-level damage: the stream is no longer aligned.
                 // Report it once (best effort) and drop the connection;
                 // a clean client close (EOF) is not reported.
                 if e.kind() == ErrorKind::InvalidData {
                     ibis_obs::counter_add("server.protocol_errors", 1);
-                    let _ = reply_tx.send((
-                        0,
-                        Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: format!("protocol error: {e}"),
-                        },
-                    ));
+                    conn.refuse(0, ErrorCode::BadRequest, format!("protocol error: {e}"));
                 }
                 break;
             }
+        };
+        let request_id = frame.request_id;
+        match Request::decode(&frame) {
+            Ok(Request::Ping) => conn.reply(request_id, Response::Pong),
+            // STATS and HEALTH never queue: telemetry must stay observable
+            // while every execution permit is held.
+            Ok(Request::Stats { include_slow }) => {
+                ibis_obs::counter_add("server.stats_requests", 1);
+                let report = build_stats(shared, include_slow);
+                conn.reply(request_id, Response::Stats(Box::new(report)));
+            }
+            Ok(Request::Health) => conn.reply(request_id, Response::Health(build_health(shared))),
+            Ok(Request::Query {
+                query,
+                count_only,
+                deadline_ms,
+            }) => {
+                admitted |= admit(shared, &conn, request_id, query, count_only, deadline_ms);
+            }
+            Err(reason) => {
+                ibis_obs::counter_add("server.bad_requests", 1);
+                conn.refuse(request_id, ErrorCode::BadRequest, reason);
+            }
+        }
+        // Run to completion once the burst already read is admitted.
+        if admitted && !holds_frame(reader.buffer()) {
+            execute_queued(shared);
+            admitted = false;
         }
     }
-    drop(reply_tx);
-    let _ = writer.join();
-    // Sever the socket itself: the shutdown registry still holds a clone,
-    // and without this the peer would never see EOF.
-    let _ = reader.get_ref().shutdown(Shutdown::Both);
+    if admitted {
+        execute_queued(shared);
+    }
 }
 
 /// Admission control: refuse with `Overloaded` at the high-water mark,
-/// otherwise enqueue for the worker pool. Whichever way a request leaves
-/// here, its counters are recorded under one registry lock.
+/// otherwise enqueue, returning whether the query was queued. Whichever way
+/// a request leaves here, its counters are recorded under one registry
+/// lock.
 fn admit(
     shared: &Shared,
+    conn: &Arc<Conn>,
     request_id: u64,
     query: RangeQuery,
     count_only: bool,
     deadline_ms: u32,
-    reply: &mpsc::Sender<(u64, Response)>,
-) {
-    // Schema validation happens at the door, not in the worker: a query
+) -> bool {
+    // Schema validation happens at the door, not at execution: a query
     // naming an out-of-range attribute gets `BadRequest` here, before it
-    // can take a queue slot, rather than `Internal` from a worker.
+    // can take a queue slot, rather than `Internal` from an executor.
     if let Err(e) = query.validate(shared.db.snapshot().db().schema()) {
         ibis_obs::record(|m| {
             m.counter_add("server.requests", 1);
             m.counter_add("server.bad_requests", 1);
         });
-        let _ = reply.send((
-            request_id,
-            Response::Error {
-                code: ErrorCode::BadRequest,
-                message: format!("invalid search key: {e}"),
-            },
-        ));
-        return;
+        let message = format!("invalid search key: {e}");
+        conn.refuse(request_id, ErrorCode::BadRequest, message);
+        return false;
     }
     let budget = if deadline_ms == 0 {
         shared.config.default_deadline_ms
@@ -410,37 +415,30 @@ fn admit(
     };
     let now = Instant::now();
     let mut q = shared.queue.lock().expect("work queue");
-    if q.len() >= shared.config.queue_high_water {
+    if q.jobs.len() >= shared.config.queue_high_water {
         drop(q);
         ibis_obs::record(|m| {
             m.counter_add("server.requests", 1);
             m.counter_add("server.shed_overload", 1);
             m.window_counter_add("server.shed", 1);
         });
-        let _ = reply.send((
-            request_id,
-            Response::Error {
-                code: ErrorCode::Overloaded,
-                message: format!(
-                    "queue at high-water mark ({}); retry later",
-                    shared.config.queue_high_water
-                ),
-            },
-        ));
-        return;
+        let high_water = shared.config.queue_high_water;
+        let message = format!("queue at high-water mark ({high_water}); retry later");
+        conn.refuse(request_id, ErrorCode::Overloaded, message);
+        return false;
     }
-    // Admission granted: count it — before the job is visible to a worker,
-    // so that no reply can overtake its own admission in STATS — and sample
-    // for tracing. The sequence number only advances for admitted queries
-    // so a burst of shed load cannot starve the tracer.
+    // Admission granted: count it — before the job is visible to an
+    // executor, so that no reply can overtake its own admission in STATS —
+    // and sample for tracing. The sequence number only advances for
+    // admitted queries so a burst of shed load cannot starve the tracer.
     let seq = shared.admitted_seq.fetch_add(1, Ordering::Relaxed);
     ibis_obs::record(|m| {
         m.counter_add("server.requests", 1);
         m.counter_add("server.admitted", 1);
         m.window_counter_add("server.admitted", 1);
-        m.gauge_set("server.queue_depth", (q.len() + 1) as f64);
+        m.gauge_set("server.queue_depth", (q.jobs.len() + 1) as f64);
     });
-    q.push_back(Job {
+    q.jobs.push_back(Job {
         query,
         ticket: Ticket {
             request_id,
@@ -449,51 +447,50 @@ fn admit(
             enqueued: now,
             traced: shared.config.trace_sample > 0
                 && seq.is_multiple_of(shared.config.trace_sample),
-            reply: reply.clone(),
+            conn: Arc::clone(conn),
         },
     });
-    drop(q);
-    shared.available.notify_one();
+    true
 }
 
-/// One worker: drain up to `max_batch` jobs per wake, execute them in
-/// queue order on one snapshot, answering each as it finishes.
-fn worker_loop(shared: &Shared) {
-    loop {
-        let (jobs, queue_depth): (Vec<Job>, usize) = {
-            let mut q = shared.queue.lock().expect("work queue");
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if !q.is_empty() {
-                    break;
-                }
-                let (guard, _) = shared
-                    .available
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("work queue");
-                q = guard;
-            }
-            let take = q.len().min(shared.config.max_batch);
-            (q.drain(..take).collect(), q.len())
-        };
-        let busy = shared.busy.fetch_add(1, Ordering::SeqCst) + 1;
-        execute_jobs(shared, jobs, queue_depth, busy);
-        let busy = shared.busy.fetch_sub(1, Ordering::SeqCst) - 1;
-        ibis_obs::gauge_set("server.workers_busy", busy as f64);
+/// Drains the shared queue on the calling thread while it holds an
+/// execution permit, up to `max_batch` jobs per drain, and gives the permit
+/// back only once the queue is empty — so a job whose reader found no
+/// permit free is answered by a holder. Without a free permit, returns at
+/// once.
+fn execute_queued(shared: &Shared) {
+    let mut q = shared.queue.lock().expect("work queue");
+    if q.busy >= shared.config.workers {
+        return;
     }
+    q.busy += 1;
+    while !q.jobs.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
+        let take = q.jobs.len().min(shared.config.max_batch);
+        let jobs: Vec<Job> = q.jobs.drain(..take).collect();
+        let (queue_depth, busy) = (q.jobs.len(), q.busy);
+        drop(q);
+        execute_jobs(shared, jobs, queue_depth, busy);
+        q = shared.queue.lock().expect("work queue");
+    }
+    q.busy -= 1;
+    let busy = q.busy;
+    drop(q);
+    ibis_obs::gauge_set("server.workers_busy", busy as f64);
 }
 
 fn micros(from: Instant, to: Instant) -> u64 {
     to.duration_since(from).as_micros() as u64
 }
 
-/// Sheds the expired jobs of one drain, then executes and answers the rest
-/// in queue order on one snapshot (see [`execute_job`]). `queue_depth` and
-/// `busy` are what the drain left behind and how many workers it made busy:
-/// the two gauges, set under the same registry lock as the drain's counters.
-fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize) {
+/// Drops the jobs of severed connections and sheds the expired jobs of one
+/// drain, then executes and answers the rest in queue order on one snapshot
+/// (see [`execute_job`]). `queue_depth` and `busy` are what the drain left
+/// behind and how many permits are held: the two gauges, set under the same
+/// registry lock as the drain's counters.
+fn execute_jobs(shared: &Shared, mut jobs: Vec<Job>, queue_depth: usize, busy: usize) {
+    let owed = jobs.len();
+    jobs.retain(|j| j.ticket.conn.is_open());
+    let dropped = owed - jobs.len();
     let now = Instant::now();
     let (live, expired): (Vec<Job>, Vec<Job>) =
         jobs.into_iter().partition(|j| j.ticket.deadline > now);
@@ -517,15 +514,14 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize
             m.counter_add("server.shed_deadline", expired.len() as u64);
             m.window_counter_add("server.expired", expired.len() as u64);
         }
+        if dropped > 0 {
+            m.counter_add("server.dropped", dropped as u64);
+        }
     });
-    for j in expired {
-        let _ = j.ticket.reply.send((
-            j.ticket.request_id,
-            Response::Error {
-                code: ErrorCode::DeadlineExceeded,
-                message: "deadline expired while queued".into(),
-            },
-        ));
+    for Job { ticket: t, .. } in expired {
+        let message = "deadline expired while queued".into();
+        t.conn
+            .refuse(t.request_id, ErrorCode::DeadlineExceeded, message);
     }
     if live.is_empty() {
         return;
@@ -543,20 +539,16 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>, queue_depth: usize, busy: usize
 /// goes out: a client holding a reply finds that request counted in `STATS`.
 ///
 /// A job sampled for tracing runs the same call under a `server.request`
-/// span capture and feeds the slow-query log from the captured tree. The
-/// capture keeps the request's spans on this thread's buffer and hands them
-/// back here: they never reach the recorder's global span log, so tracing
-/// costs O(this request) whatever the server has served before.
-///
-/// Degree 1 keeps the whole execution — and therefore every child span —
-/// on this worker thread (the pool is the parallelism; fanning out again
-/// would oversubscribe it), so the captured tree is complete. The per-phase
-/// counter-field deltas of that tree sum exactly to the execution's final
-/// `WorkCounters`: the PR 4 profile invariant, now visible over the wire.
+/// span capture, whose spans never reach the recorder's global span log
+/// (tracing costs O(this request)), and feeds the slow-query log. Degree 1
+/// keeps every child span on this thread (the permits are the parallelism),
+/// so the captured tree is complete and its per-phase counter deltas sum
+/// exactly to the execution's final `WorkCounters`, as in
+/// `ibis query --profile`.
 fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job) {
     let started = Instant::now();
     // A panic anywhere under this job comes back as its error, and the
-    // worker goes on draining.
+    // executor goes on draining.
     let executed = contain(|| {
         let mut root = t.traced.then(|| ibis_obs::capture("server.request"));
         if let Some(root) = &mut root {
@@ -643,7 +635,7 @@ fn execute_job(shared: &Shared, snap: &DbSnapshot, Job { query, ticket: t }: Job
             m.counter_add("server.internal_errors", 1);
         }
     });
-    let _ = t.reply.send((t.request_id, response));
+    t.conn.reply(t.request_id, response);
 }
 
 /// What a job's execution produced: the matching rows, or only their count
@@ -698,13 +690,16 @@ fn note_slow(shared: &Shared, entry: SlowQuery) {
 /// structures (correct even if the obs recorder is cold), the metric
 /// registry as canonical JSON, and optionally the slow-query log.
 fn build_stats(shared: &Shared, include_slow: bool) -> StatsReport {
-    let queue_depth = shared.queue.lock().expect("work queue").len() as u32;
+    let (queue_depth, busy) = {
+        let q = shared.queue.lock().expect("work queue");
+        (q.jobs.len() as u32, q.busy as u32)
+    };
     StatsReport {
         watermark: shared.db.snapshot().watermark(),
         queue_depth,
         queue_high_water: shared.config.queue_high_water as u32,
         workers: shared.config.workers as u32,
-        workers_busy: shared.busy.load(Ordering::SeqCst) as u32,
+        workers_busy: busy,
         uptime_ms: shared.started.elapsed().as_millis() as u64,
         metrics_json: ibis_obs::Registry::export().to_json(),
         slow_queries: if include_slow {
@@ -718,7 +713,7 @@ fn build_stats(shared: &Shared, include_slow: bool) -> StatsReport {
 /// Assemble a [`HealthReport`]; "healthy" means admission control would
 /// accept a query arriving right now.
 fn build_health(shared: &Shared) -> HealthReport {
-    let queue_depth = shared.queue.lock().expect("work queue").len() as u32;
+    let queue_depth = shared.queue.lock().expect("work queue").jobs.len() as u32;
     HealthReport {
         healthy: !shared.shutdown.load(Ordering::SeqCst)
             && (queue_depth as usize) < shared.config.queue_high_water,
@@ -756,16 +751,16 @@ mod tests {
         // A closed connection leaves the registry when its reader thread
         // sees the EOF, which is soon but not yet: wait for it, bounded.
         let waited = Instant::now();
-        while handle.conns.lock().unwrap().len() > live.len() {
+        while handle.shared.conns.lock().unwrap().len() > live.len() {
             assert!(
                 waited.elapsed() < Duration::from_secs(30),
                 "{} entries for {} live connections",
-                handle.conns.lock().unwrap().len(),
+                handle.shared.conns.lock().unwrap().len(),
                 live.len()
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(handle.conns.lock().unwrap().len(), live.len());
+        assert_eq!(handle.shared.conns.lock().unwrap().len(), live.len());
         for c in &mut live {
             assert!(matches!(c.ping().unwrap(), Response::Pong));
         }

@@ -1,15 +1,20 @@
 //! End-to-end serving tests over real loopback sockets: differential
 //! correctness against direct snapshot execution, admission control under
-//! deliberate overload, deadline enforcement, and protocol-error handling.
+//! deliberate overload, deadline enforcement, execution permits shared by
+//! many connections, a client that never reads, and protocol-error
+//! handling.
 
 use ibis_core::gen::{census_scaled, workload, QuerySpec};
 use ibis_core::{MissingPolicy, Predicate, RangeQuery, RowSet};
 use ibis_server::protocol::{read_frame, read_handshake, write_handshake};
+use ibis_server::server::REPLY_WRITE_BOUND;
 use ibis_server::{Client, ErrorCode, Request, Response, Server, ServerConfig};
 use ibis_storage::ConcurrentDb;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// A deliberately expensive query: a wide range on a high-cardinality
 /// attribute under IsNotMatch semantics.
@@ -338,5 +343,170 @@ fn garbage_handshake_is_dropped_without_serving() {
     // A fresh, well-behaved client is unaffected.
     let mut client = Client::connect(handle.addr()).unwrap();
     assert_eq!(client.ping().unwrap(), Response::Pong);
+    handle.shutdown();
+}
+
+/// The counter `name` in a STATS report's metrics, 0 if it never moved.
+/// The recorder is process-global, so this counts what every server in
+/// this test binary did.
+fn counter(report: &ibis_server::StatsReport, name: &str) -> u64 {
+    let m = ibis_obs::Snapshot::from_json(&report.metrics_json).unwrap();
+    m.counters.get(name).copied().unwrap_or(0)
+}
+
+#[test]
+fn many_connections_share_the_execution_permits_and_get_direct_answers() {
+    // Eight closed-loop connections against two execution permits: most
+    // readers find no permit free and leave their queries to a holder.
+    // Every reply must still be the direct answer, and STATS, polled all
+    // the while, must never see more queries executing than permits. The
+    // rows are enough for the run to outlast many polls when optimised.
+    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(20_000, 611), 512));
+    let queries = mixed_workload(&db, 612, 6);
+    let snap = db.snapshot();
+    let direct: Vec<RowSet> = queries
+        .iter()
+        .map(|q| snap.execute_threads(q, 1).unwrap())
+        .collect();
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(Arc::clone(&db), "127.0.0.1:0", config).unwrap();
+    let addr = handle.addr();
+    let (connections, rounds) = (8, 4);
+    let running = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..connections)
+            .map(|c| {
+                let (queries, direct) = (&queries, &direct);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    for r in 0..rounds {
+                        for (i, q) in queries.iter().enumerate() {
+                            let count_only = (i + c + r) % 4 == 0;
+                            let reply = if count_only {
+                                client.count(q, 0)
+                            } else {
+                                client.query(q, 0)
+                            };
+                            match reply.unwrap() {
+                                Response::Rows { rows, .. } if !count_only => {
+                                    assert_eq!(rows, direct[i].rows().to_vec(), "{q:?}")
+                                }
+                                Response::Count { count, .. } if count_only => {
+                                    assert_eq!(count as usize, direct[i].len(), "{q:?}")
+                                }
+                                other => panic!("connection {c}, query {i}: {other:?}"),
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        scope.spawn(|| {
+            let mut probe = Client::connect(addr).unwrap();
+            while running.load(Ordering::Relaxed) {
+                let s = probe.stats(false).unwrap();
+                assert!(
+                    s.workers_busy <= s.workers,
+                    "{} queries executing on {} permits",
+                    s.workers_busy,
+                    s.workers
+                );
+            }
+        });
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        running.store(false, Ordering::Relaxed);
+    });
+    handle.shutdown();
+}
+
+#[test]
+fn a_client_that_never_reads_is_severed_and_holds_no_other_connection_up() {
+    // One execution permit. Connection A pipelines 200 queries whose
+    // replies hold every row (160 KB each, 32 MB in all, more than any
+    // pair of socket buffers) and never reads one, so the executor
+    // writing to A blocks. That write may wait `REPLY_WRITE_BOUND`, no
+    // longer: then A is severed, and connection B's queries, queued
+    // behind A's, are answered — bit-identical to direct execution.
+    const SLACK: Duration = Duration::from_secs(10);
+    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(40_000, 610), 512));
+    let snap = db.snapshot();
+    let c0 = snap.db().schema().column(0).cardinality();
+    let every_row =
+        RangeQuery::new(vec![Predicate::range(0, 1, c0)], MissingPolicy::IsMatch).unwrap();
+    assert_eq!(snap.execute(&every_row).unwrap().len(), 40_000);
+    let queries = mixed_workload(&db, 613, 2);
+    let direct: Vec<RowSet> = queries.iter().map(|q| snap.execute(q).unwrap()).collect();
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(Arc::clone(&db), "127.0.0.1:0", config).unwrap();
+    let mut probe = Client::connect(handle.addr()).unwrap();
+
+    let began = Instant::now();
+    let (mut a_tx, mut a_rx) = Client::connect(handle.addr()).unwrap().into_split();
+    for _ in 0..200 {
+        a_tx.send(&Request::Query {
+            query: every_row.clone(),
+            count_only: false,
+            deadline_ms: 0,
+        })
+        .unwrap();
+    }
+
+    // B runs on its own thread, so that a reply that never comes fails
+    // the test at the bound instead of hanging it.
+    let (done_tx, done_rx) = mpsc::channel();
+    let addr = handle.addr();
+    let b_queries = queries.clone();
+    let b = std::thread::spawn(move || {
+        let mut b = Client::connect(addr).unwrap();
+        for q in &b_queries {
+            let reply = b.query(q, 0).unwrap();
+            done_tx.send(reply).unwrap();
+        }
+    });
+    for (i, q) in queries.iter().enumerate() {
+        let bound = if i == 0 {
+            REPLY_WRITE_BOUND + SLACK
+        } else {
+            SLACK
+        };
+        match done_rx.recv_timeout(bound) {
+            Ok(Response::Rows { rows, .. }) => assert_eq!(rows, direct[i].rows().to_vec(), "{q:?}"),
+            Ok(other) => panic!("B's query {i} got {other:?}"),
+            Err(_) => panic!("B's query {i} unanswered after {bound:?}"),
+        }
+    }
+    b.join().unwrap();
+
+    // A was severed by a write that waited the whole bound, not sooner.
+    let severed_at = loop {
+        if counter(&probe.stats(false).unwrap(), "server.severed") > 0 {
+            break began.elapsed();
+        }
+        assert!(
+            began.elapsed() < REPLY_WRITE_BOUND + SLACK,
+            "A was never severed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(
+        severed_at >= REPLY_WRITE_BOUND.mul_f64(0.9),
+        "A severed after {severed_at:?}, inside the {REPLY_WRITE_BOUND:?} bound"
+    );
+    // What A can still read ends early: the connection is gone.
+    let mut delivered = 0;
+    while let Ok((_, Response::Rows { .. })) = a_rx.recv() {
+        delivered += 1;
+    }
+    assert!(delivered < 200, "A got all {delivered} replies");
+    let s = probe.stats(false).unwrap();
+    assert_eq!(counter(&s, "server.severed"), 1);
     handle.shutdown();
 }

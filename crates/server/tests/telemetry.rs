@@ -1,13 +1,13 @@
 //! The telemetry plane, proven over real loopback sockets:
 //!
-//! * `STATS`/`HEALTH` answer **off the worker pool** — they return while a
-//!   deliberately saturated pool still has a deep backlog queued;
+//! * `STATS`/`HEALTH` never queue — they return while every execution
+//!   permit is held and a deep backlog is still queued;
 //! * `requests.admitted` is monotone across consecutive `STATS` reads, and
 //!   the queue gauge is nonzero at overload;
 //! * the server-side `server.request_us` histogram p99 agrees with the
 //!   client's own exact per-request measurement within the log-linear
-//!   histogram's ≤12.5% error (plus a little framing slack, and an
-//!   absolute allowance for the thread hand-offs no server stamp can see);
+//!   histogram's ≤12.5% error (plus a little framing slack, and a 100 µs
+//!   allowance for the socket work no server stamp can see);
 //! * the slow-query log's per-phase span counter deltas sum **exactly** to
 //!   each logged query's final `WorkCounters` — the PR 4 profile
 //!   invariant, extended across the wire;
@@ -193,19 +193,22 @@ fn server_p99_matches_client_measurement_within_histogram_error() {
     fresh_recorder();
     // Closed-loop: one request outstanding, so server request_us (enqueue →
     // done) and the client's send → recv wall time measure the same event,
-    // differing only by framing overhead — negligible against an
-    // execution-dominated ms-scale query. The histogram may then add at
+    // differing only by framing overhead. The histogram may then add at
     // most its ≤12.5% bucket error.
     //
-    // In absolute terms the framing is three thread wake-ups and two socket
-    // writes that lie outside the server's stamps and do not shrink with
-    // the query. On a 2-vCPU host they come to 100–600 µs at the worst of
-    // 40 requests, against a query of about 1 ms here (0.4 ms optimised),
-    // and the purely relative bound then fails most runs whatever the
-    // server does. So the p99s must agree within 15% or within this much,
-    // whichever is larger; and the server's interval lies inside the
-    // client's, so its p99 is never the larger one.
-    const HANDOFF_SLACK_US: f64 = 750.0;
+    // In absolute terms the framing is a socket read and decode before the
+    // server's first stamp, a reply encode and write after its last, and
+    // the client's own wake-up: none of it shrinks with the query. The
+    // request runs to completion on the thread that read it, so no thread
+    // hand-off lies between. On a 2-vCPU host the client − server gap at
+    // the worst of 40 requests measured 14–26 µs over 24 optimised runs and
+    // 32–63 µs over 12 unoptimised ones, against a query of 40–130 µs, so
+    // the purely relative bound failed every one of those runs whatever
+    // the server did. So the p99s must agree within 15% or within this
+    // much (the largest gap measured, rounded up), whichever is larger;
+    // and the server's interval lies inside the client's, so its p99 is
+    // never the larger one.
+    const HANDOFF_SLACK_US: f64 = 100.0;
     let db = Arc::new(ConcurrentDb::new_mem(census_scaled(4000, 903), 512));
     let config = ServerConfig {
         workers: 2,

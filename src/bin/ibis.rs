@@ -516,8 +516,10 @@ const COMMANDS: &[Command] = &[
             flag("slow-log", "N", Int(USIZE), Is("16")).at_least(1),
         ],
         about: "serve FILE, or the durable --data-dir, over IBQP until killed or \
-                for --duration-secs; every --trace-sample'th request feeds the \
-                --slow-log, so 0 (no tracing) with --slow-log is a usage error",
+                for --duration-secs; --workers is the most queries executing at \
+                once, each on the connection thread that read it; every \
+                --trace-sample'th request feeds the --slow-log, so 0 (no \
+                tracing) with --slow-log is a usage error",
         run: serve,
     },
     Command {
@@ -1418,8 +1420,9 @@ fn oracle(a: &Args) -> Result<(), CliError> {
 }
 
 /// `ibis serve` — expose a database over the `IBQP` wire protocol (see
-/// `ibis::server`): snapshot reads on a fixed worker pool with
-/// per-request deadlines and admission control.
+/// `ibis::server`): snapshot reads run to completion on the connection
+/// threads, at most `--workers` at once, with per-request deadlines and
+/// admission control.
 fn serve(a: &Args) -> Result<(), CliError> {
     let config = ServerConfig {
         workers: a.num("workers"),
