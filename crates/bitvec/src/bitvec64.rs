@@ -52,6 +52,16 @@ impl BitVec64 {
         v
     }
 
+    /// The `64 · words.len()` bits of `words`, taken as they are: bit `b` of
+    /// word `w` is position `64w + b`. How a bitmap read off the wire
+    /// becomes positions.
+    pub fn from_words(words: Vec<u64>) -> BitVec64 {
+        BitVec64 {
+            len: words.len() * 64,
+            words,
+        }
+    }
+
     /// Joins `parts` end to end, each part's words copied as they are: how a
     /// scan cut at multiples of 64 rows becomes one answer. One part is
     /// returned whole; none is the empty vector.

@@ -10,6 +10,26 @@
 //! payload = [u64 request_id][u8 kind][kind-specific body]
 //! ```
 //!
+//! A frame goes to the stream in one vectored write, head and payload
+//! together, so a reply leaves as one `writev` however large its body.
+//!
+//! A ROWS body is the snapshot watermark, then the row ids in the smaller
+//! of two forms, chosen per reply (the ids form on a tie):
+//!
+//! ```text
+//! [u64 watermark][u8 0][u64 count][u32 id × count]                  ids
+//! [u64 watermark][u8 1][u32 count][u32 first][u64 n_words][u64 × n_words]
+//!                                   bits: bit i set means id first + i
+//! ```
+//!
+//! An answer is computed as a bit-vector, and one that takes in many rows
+//! is many times smaller as a bitmap over `[first id, last id]` than as
+//! four bytes an id; a sparse one stays ids. The decoder checks a bitmap
+//! before it writes an id: it must fit in `u32`, start at `first`, end in a
+//! non-zero word and hold exactly `count` ids (`ibis_core::wire::read_row_ids`).
+//! The form byte is what changed in protocol version 2; a version-1 peer
+//! is refused at the handshake.
+//!
 //! The framing mirrors the WAL (`ibis-storage/src/wal.rs`): payloads are
 //! capped at [`MAX_MSG_LEN`], allocation grows with the bytes actually
 //! read, and the checksum gates the body parser — so a truncated,
@@ -22,12 +42,12 @@
 
 use ibis_core::{wire, MissingPolicy, Predicate, RangeQuery};
 use ibis_storage::crc::{crc32, crc32_update};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Magic bytes opening every connection, in both directions.
 pub const PROTO_MAGIC: &[u8; 4] = b"IBQP";
 /// Protocol version carried in the handshake.
-pub const PROTO_VERSION: u16 = 1;
+pub const PROTO_VERSION: u16 = 2;
 /// Upper bound on one frame's payload. A request holds one search key and
 /// a response one row-id set, so anything larger is corruption (or an
 /// answer too large to serve); never allocated.
@@ -58,9 +78,11 @@ pub struct Frame {
     pub body: Vec<u8>,
 }
 
-/// Writes one frame. Fails with `InvalidInput` if the payload would exceed
-/// [`MAX_MSG_LEN`] — checked *before* the length cast, mirroring the WAL
-/// writer's `FrameTooLarge` guard.
+/// Writes one frame as one vectored write of its head, id/kind prefix and
+/// body (more only if the writer takes part of it), so a large reply's
+/// head never leaves as a segment of its own. Fails with `InvalidInput` if
+/// the payload would exceed [`MAX_MSG_LEN`] — checked *before* the length
+/// cast, mirroring the WAL writer's `FrameTooLarge` guard.
 pub fn write_frame(w: &mut impl Write, request_id: u64, kind: u8, body: &[u8]) -> io::Result<()> {
     let len = MIN_MSG_LEN + body.len();
     if len > MAX_MSG_LEN {
@@ -77,9 +99,26 @@ pub fn write_frame(w: &mut impl Write, request_id: u64, kind: u8, body: &[u8]) -
     let mut head = [0u8; 8];
     head[..4].copy_from_slice(&(len as u32).to_le_bytes());
     head[4..].copy_from_slice(&crc32_update(crc32(&id_kind), body).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(&id_kind)?;
-    w.write_all(body)
+    let mut parts = [
+        IoSlice::new(&head),
+        IoSlice::new(&id_kind),
+        IoSlice::new(body),
+    ];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Whether `buf` begins with a whole frame, or with a frame head
@@ -567,7 +606,7 @@ impl Response {
             Response::Rows { watermark, rows } => {
                 let mut b = Vec::new();
                 wire::write_u64(&mut b, *watermark).expect("vec write");
-                wire::write_vec_u32(&mut b, rows).expect("vec write");
+                wire::write_row_ids(&mut b, rows);
                 (response_kind::ROWS, b)
             }
             Response::Count { watermark, count } => {
@@ -597,7 +636,7 @@ impl Response {
         let resp = match frame.kind {
             response_kind::ROWS => Response::Rows {
                 watermark: wire::read_u64(r)?,
-                rows: wire::read_vec_u32(r)?,
+                rows: wire::read_row_ids(r)?,
             },
             response_kind::COUNT => Response::Count {
                 watermark: wire::read_u64(r)?,
@@ -780,6 +819,195 @@ mod tests {
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!((frame.request_id, frame.kind), (0x0123_4567_89AB_CDEF, 1));
         assert_eq!(frame.body, body);
+    }
+
+    /// A writer that takes whole vectored writes and logs each call's size.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let n = bufs.iter().map(|b| b.len()).sum();
+            self.writes.push(n);
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_frame_reaches_the_writer_in_one_write() {
+        // A body of 8 KiB or more must not leave the 17-byte head behind as
+        // a write of its own: under TCP_NODELAY that is a segment of its
+        // own. Straight to the socket, as the server writes, a frame is
+        // one write.
+        let body = vec![0xA5u8; 20_000];
+        let mut direct = CountingWriter::default();
+        write_frame(&mut direct, 3, response_kind::ROWS, &body).unwrap();
+        assert_eq!(direct.writes, [8 + MIN_MSG_LEN + body.len()]);
+        let mut expect = Vec::new();
+        write_frame(&mut expect, 3, response_kind::ROWS, &body).unwrap();
+        assert_eq!(direct.bytes, expect);
+        // A small frame is one write too, and a writer that takes only part
+        // of a vectored write gets the rest.
+        let mut small = CountingWriter::default();
+        write_frame(&mut small, 4, request_kind::PING, &[]).unwrap();
+        assert_eq!(small.writes, [8 + MIN_MSG_LEN]);
+        let mut trickle = Vec::new();
+        write_frame(&mut Trickle(&mut trickle), 3, response_kind::ROWS, &body).unwrap();
+        assert_eq!(trickle, direct.bytes);
+    }
+
+    /// A writer that takes at most 7 bytes of the first slice per call.
+    struct Trickle<'a>(&'a mut Vec<u8>);
+
+    impl Write for Trickle<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The ROWS body of `rows` at watermark 5.
+    fn rows_body(rows: &[u32]) -> Vec<u8> {
+        let (kind, body) = Response::Rows {
+            watermark: 5,
+            rows: rows.to_vec(),
+        }
+        .encode();
+        assert_eq!(kind, response_kind::ROWS);
+        body
+    }
+
+    /// Decodes a ROWS body, asserting it is the smaller form of `rows`.
+    fn rows_round_trip(rows: &[u32]) -> Result<(), String> {
+        let body = rows_body(rows);
+        let ids_len = 1 + 8 + 4 * rows.len();
+        let smaller = match (rows.first(), rows.last()) {
+            (Some(&first), Some(&last)) => {
+                let bits_len = 1 + 16 + 8 * ((last - first) / 64 + 1) as usize;
+                ids_len.min(bits_len)
+            }
+            _ => ids_len,
+        };
+        if body.len() != 8 + smaller {
+            return Err(format!(
+                "{} ids in {} body bytes, not {}",
+                rows.len(),
+                body.len(),
+                8 + smaller
+            ));
+        }
+        let frame = Frame {
+            request_id: 1,
+            kind: response_kind::ROWS,
+            body,
+        };
+        match Response::decode(&frame) {
+            Ok(Response::Rows {
+                watermark: 5,
+                rows: got,
+            }) if got == rows => Ok(()),
+            other => Err(format!("{} ids came back as {other:?}", rows.len())),
+        }
+    }
+
+    #[test]
+    fn rows_take_the_smaller_form_ids_on_a_tie() {
+        // The empty set, a singleton, the ends of the id space.
+        for rows in [
+            vec![],
+            vec![0],
+            vec![u32::MAX],
+            vec![0, u32::MAX],
+            vec![u32::MAX - 1, u32::MAX],
+            ((u32::MAX - 511)..=u32::MAX).collect(),
+        ] {
+            rows_round_trip(&rows).unwrap();
+        }
+        // Over w words, a bitmap (16 + 8w bytes) beats the ids (8 + 4n)
+        // from n = 2w + 3; at 2w + 2 they tie and the ids are sent.
+        for first in [0u32, 1, 63, 64, 1_000_003, u32::MAX - 64 * 9] {
+            for w in [1u32, 2, 9] {
+                let span: Vec<u32> = (0..64 * w).map(|i| first + i).collect();
+                for n in [2 * w + 1, 2 * w + 2, 2 * w + 3] {
+                    // n ids over the span, its first and last among them.
+                    let step = (64 * w - 1) / (n - 1);
+                    let mut rows: Vec<u32> =
+                        (0..n - 1).map(|i| span[(i * step) as usize]).collect();
+                    rows.push(span[span.len() - 1]);
+                    let form = rows_body(&rows)[8];
+                    let expect = u8::from(n > 2 * w + 2);
+                    assert_eq!(form, expect, "first {first}, {w} words, {n} ids");
+                    rows_round_trip(&rows).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_out_of_order_are_sent_as_ids() {
+        // The bitmap is built as it is written; ids that turn out not to
+        // ascend are rolled back to the ids form, which keeps their order.
+        let mut rows: Vec<u32> = (0..500).collect();
+        rows.swap(10, 400);
+        let mut dup: Vec<u32> = (0..500).collect();
+        dup[7] = 6;
+        for rows in [rows, dup, (0..500).rev().collect()] {
+            let body = rows_body(&rows);
+            assert_eq!(body[8], 0, "ids form");
+            let frame = Frame {
+                request_id: 1,
+                kind: response_kind::ROWS,
+                body,
+            };
+            let Response::Rows { rows: got, .. } = Response::decode(&frame).unwrap() else {
+                panic!("not rows");
+            };
+            assert_eq!(got, rows);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn rows_round_trip_in_the_smaller_form(
+            first in proptest::prelude::any::<u32>(),
+            near_top in 0u32..4,
+            span in 1u32..5_000,
+            percent in 0u64..=100,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // A quarter of the sets end at u32::MAX; `first` is unaligned.
+            let span = span.min(u32::MAX - first).max(1);
+            let first = if near_top == 0 { u32::MAX - (span - 1) } else { first.min(u32::MAX - (span - 1)) };
+            let mut x = seed | 1;
+            let rows: Vec<u32> = (0..span)
+                .filter(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x % 100 < percent
+                })
+                .map(|i| first + i)
+                .collect();
+            rows_round_trip(&rows)?;
+        }
     }
 
     #[test]

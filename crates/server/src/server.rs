@@ -46,7 +46,7 @@ use ibis_core::parallel::contain;
 use ibis_core::{MissingPolicy, RangeQuery, RowSet, WorkCounters};
 use ibis_storage::{ConcurrentDb, DbSnapshot};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{self, BufReader, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -147,7 +147,9 @@ struct Shared {
 /// The sending side of one connection, shared by its reader and by every
 /// executor answering one of its queries.
 struct Conn {
-    writer: Mutex<BufWriter<TcpStream>>,
+    /// The socket itself: each reply is one vectored write, and nothing is
+    /// buffered between replies.
+    writer: Mutex<TcpStream>,
     /// Cleared when a reply write fails or times out: the connection is
     /// severed, and its queued jobs are dropped unexecuted.
     open: AtomicBool,
@@ -167,13 +169,10 @@ impl Conn {
         if !self.is_open() {
             return;
         }
-        if write_frame(&mut *w, request_id, kind, &body)
-            .and_then(|()| w.flush())
-            .is_err()
-        {
+        if write_frame(&mut *w, request_id, kind, &body).is_err() {
             self.open.store(false, Ordering::Relaxed);
             ibis_obs::counter_add("server.severed", 1);
-            let _ = w.get_ref().shutdown(Shutdown::Both);
+            let _ = w.shutdown(Shutdown::Both);
         }
     }
 
@@ -331,7 +330,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         return;
     }
     let conn = Arc::new(Conn {
-        writer: Mutex::new(BufWriter::new(stream)),
+        writer: Mutex::new(stream),
         open: AtomicBool::new(true),
     });
     // Whether this reader admitted a query it has not yet drained for.

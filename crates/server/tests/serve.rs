@@ -10,8 +10,8 @@ use ibis_server::protocol::{read_frame, read_handshake, write_handshake};
 use ibis_server::server::REPLY_WRITE_BOUND;
 use ibis_server::{Client, ErrorCode, Request, Response, Server, ServerConfig};
 use ibis_storage::ConcurrentDb;
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -346,6 +346,60 @@ fn garbage_handshake_is_dropped_without_serving() {
     handle.shutdown();
 }
 
+#[test]
+fn a_peer_of_another_protocol_version_is_refused_at_the_handshake() {
+    // Version 1 sent ROWS as bare ids; a version-2 peer would misread its
+    // replies, so the two part at the handshake, before any frame.
+    let hello_v1: Vec<u8> = [&b"IBQP"[..], &1u16.to_le_bytes()].concat();
+    let hello_v2: Vec<u8> = [&b"IBQP"[..], &2u16.to_le_bytes()].concat();
+    assert_eq!(ibis_server::protocol::PROTO_VERSION, 2);
+    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(60, 608), 32));
+    let handle = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+
+    // A version-1 client: the server sends no handshake back and closes.
+    let mut old_client = TcpStream::connect(handle.addr()).unwrap();
+    old_client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    old_client.write_all(&hello_v1).unwrap();
+    let mut got = Vec::new();
+    old_client
+        .read_to_end(&mut got)
+        .expect("the server closes the connection, without a hang");
+    assert!(
+        got.is_empty(),
+        "the server answered a version-1 peer: {got:?}"
+    );
+
+    // A version-1 server: the client refuses its handshake and sends
+    // nothing after its own.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let old_server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&hello_v1).unwrap();
+        let mut got = Vec::new();
+        stream
+            .read_to_end(&mut got)
+            .expect("the client closes the connection, without a hang");
+        got
+    });
+    let Err(e) = Client::connect(addr) else {
+        panic!("a version-2 client accepted a version-1 server");
+    };
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+    assert!(e.to_string().contains("version 1"), "{e}");
+    assert_eq!(old_server.join().unwrap(), hello_v2, "only the handshake");
+
+    // The server still serves a peer of its own version.
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.ping().unwrap(), Response::Pong);
+    handle.shutdown();
+}
+
 /// The counter `name` in a STATS report's metrics, 0 if it never moved.
 /// The recorder is process-global, so this counts what every server in
 /// this test binary did.
@@ -426,19 +480,29 @@ fn many_connections_share_the_execution_permits_and_get_direct_answers() {
 
 #[test]
 fn a_client_that_never_reads_is_severed_and_holds_no_other_connection_up() {
-    // One execution permit. Connection A pipelines 200 queries whose
-    // replies hold every row (160 KB each, 32 MB in all, more than any
-    // pair of socket buffers) and never reads one, so the executor
-    // writing to A blocks. That write may wait `REPLY_WRITE_BOUND`, no
-    // longer: then A is severed, and connection B's queries, queued
-    // behind A's, are answered — bit-identical to direct execution.
+    // One execution permit. Connection A pipelines 4,000 queries with big
+    // replies and never reads one, so the executor writing to A blocks.
+    // A reply over 120,000 rows is at most about 15 KB whichever way its
+    // rows go (a bitmap over them, or ids when sparser than one in 32),
+    // and the cheapest to compute is a sparse one: 3,575 rows spread over
+    // the table, 14.3 KB of ids. So A's unread replies come to 57 MB,
+    // more than a receive and a send buffer grow to where `tcp_rmem`
+    // allows 32 MB and `tcp_wmem` 4 MB (at 2,400 queries, 34 MB, 4 runs
+    // in 28 had every reply buffered and A never blocked), while its
+    // 4,000 requests (132 KB) fit in them. That write may wait
+    // `REPLY_WRITE_BOUND`, no longer: then A is severed, and connection
+    // B's queries, queued behind A's, are answered — bit-identical to
+    // direct execution.
     const SLACK: Duration = Duration::from_secs(10);
-    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(40_000, 610), 512));
+    const PIPELINED: usize = 4_000;
+    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(120_000, 610), 512));
     let snap = db.snapshot();
-    let c0 = snap.db().schema().column(0).cardinality();
-    let every_row =
-        RangeQuery::new(vec![Predicate::range(0, 1, c0)], MissingPolicy::IsMatch).unwrap();
-    assert_eq!(snap.execute(&every_row).unwrap().len(), 40_000);
+    let big_reply =
+        RangeQuery::new(vec![Predicate::range(37, 5, 5)], MissingPolicy::IsNotMatch).unwrap();
+    let rows = snap.execute(&big_reply).unwrap().into_rows();
+    assert_eq!(rows.len(), 3_575);
+    let (_, body) = Response::Rows { watermark: 0, rows }.encode();
+    assert_eq!((body[8], body.len()), (0, 14_317), "ids, 14.3 KB");
     let queries = mixed_workload(&db, 613, 2);
     let direct: Vec<RowSet> = queries.iter().map(|q| snap.execute(q).unwrap()).collect();
     let config = ServerConfig {
@@ -450,9 +514,9 @@ fn a_client_that_never_reads_is_severed_and_holds_no_other_connection_up() {
 
     let began = Instant::now();
     let (mut a_tx, mut a_rx) = Client::connect(handle.addr()).unwrap().into_split();
-    for _ in 0..200 {
+    for _ in 0..PIPELINED {
         a_tx.send(&Request::Query {
-            query: every_row.clone(),
+            query: big_reply.clone(),
             count_only: false,
             deadline_ms: 0,
         })
@@ -505,7 +569,7 @@ fn a_client_that_never_reads_is_severed_and_holds_no_other_connection_up() {
     while let Ok((_, Response::Rows { .. })) = a_rx.recv() {
         delivered += 1;
     }
-    assert!(delivered < 200, "A got all {delivered} replies");
+    assert!(delivered < PIPELINED, "A got all {delivered} replies");
     let s = probe.stats(false).unwrap();
     assert_eq!(counter(&s, "server.severed"), 1);
     handle.shutdown();

@@ -50,6 +50,19 @@ fn slow_query(db: &ConcurrentDb) -> RangeQuery {
     .unwrap()
 }
 
+/// A wide IsNotMatch range on every attribute that has one: 48 predicates
+/// to evaluate and intersect, so execution takes milliseconds, not
+/// microseconds.
+fn slowest_query(db: &ConcurrentDb) -> RangeQuery {
+    let snap = db.snapshot();
+    let schema = snap.db().schema();
+    let preds = (0..schema.n_attrs())
+        .filter(|&a| schema.column(a).cardinality() >= 2)
+        .map(|a| Predicate::range(a, 1, schema.column(a).cardinality() - 1))
+        .collect();
+    RangeQuery::new(preds, MissingPolicy::IsNotMatch).unwrap()
+}
+
 fn metrics(report: &ibis_server::StatsReport) -> ibis_obs::Snapshot {
     ibis_obs::Snapshot::from_json(&report.metrics_json).expect("STATS metrics_json parses")
 }
@@ -200,23 +213,28 @@ fn server_p99_matches_client_measurement_within_histogram_error() {
     // server's first stamp, a reply encode and write after its last, and
     // the client's own wake-up: none of it shrinks with the query. The
     // request runs to completion on the thread that read it, so no thread
-    // hand-off lies between. On a 2-vCPU host the client − server gap at
-    // the worst of 40 requests measured 14–26 µs over 24 optimised runs and
-    // 32–63 µs over 12 unoptimised ones, against a query of 40–130 µs, so
-    // the purely relative bound failed every one of those runs whatever
-    // the server did. So the p99s must agree within 15% or within this
-    // much (the largest gap measured, rounded up), whichever is larger;
-    // and the server's interval lies inside the client's, so its p99 is
-    // never the larger one.
+    // hand-off lies between. The p99s must agree within 15% or within
+    // `HANDOFF_SLACK_US`, whichever is larger, and the server's interval
+    // lies inside the client's, so its p99 is never the larger one.
+    //
+    // For the 15% to be what decides, 0.15 × p99 must exceed the slack, so
+    // the query must take well over 667 µs: a wide range on each of the 48
+    // attributes over 40,000 rows. On a 2-vCPU host it took 1.55–1.69 ms
+    // at the median and 2.3–2.6 ms at the p99 over 8 optimised runs, with
+    // a client − server p99 gap of 15–185 µs (0.6–7.4%); over 4
+    // unoptimised runs 5.8 ms and 6.6–6.8 ms, gap 104–236 µs. The slack is
+    // the largest gap measured when the query took 40–130 µs (14–26 µs
+    // optimised, 32–63 µs not), rounded up.
     const HANDOFF_SLACK_US: f64 = 100.0;
-    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(4000, 903), 512));
+    let db = Arc::new(ConcurrentDb::new_mem(census_scaled(40_000, 903), 512));
     let config = ServerConfig {
         workers: 2,
         trace_sample: 0,
         ..ServerConfig::default()
     };
     let handle = Server::start(Arc::clone(&db), "127.0.0.1:0", config).unwrap();
-    let q = slow_query(&db);
+    let q = slowest_query(&db);
+    assert_eq!(q.predicates().len(), 48);
     let mut client = Client::connect(handle.addr()).unwrap();
     // Warm both sides (snapshot faulting, allocator, connection), then
     // reset the recorder so the histogram holds exactly the measured set.
